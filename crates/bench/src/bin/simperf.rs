@@ -18,7 +18,10 @@
 //! `--check` is the CI smoke mode: a small queue, threads `1,2`, one rep,
 //! no report unless `--out` is given; exit status is the contract — which
 //! in this mode additionally requires the sharded-AES case to batch at
-//! least 3x fewer barriers than forced cycle-by-cycle stepping.
+//! least 3x fewer barriers than forced cycle-by-cycle stepping and to
+//! really step fewer than 60% of its slots on the cycles it does step
+//! (per-slot sleep), with barriers + fast-forwarded cycles still adding
+//! up to the forced-1 cycle count.
 
 use cohort::scenarios::{
     mesh16_scenario, run_cohort_sharded, RunResult, Scenario, ShardSpec, Workload,
@@ -111,6 +114,12 @@ fn measure(case: &Case, threads: usize, reps: usize, lookahead: Lookahead) -> Me
     }
 }
 
+/// Share of slot-cycles on stepped cycles whose component was really
+/// stepped rather than left asleep, in percent.
+fn slots_stepped_pct(r: &RunResult) -> f64 {
+    100.0 * r.slot_steps as f64 / (r.slot_steps + r.slot_sleeps).max(1) as f64
+}
+
 fn main() {
     let mut queue = 2048u64;
     let mut thread_list = vec![1usize, 2, 4, 8];
@@ -182,8 +191,8 @@ fn main() {
         println!("== {} ==", case.name);
         report.push_str(&format!("## {}\n\n", case.name));
         report.push_str(
-            "| threads | sim cycles | wall (ms) | Msim-cycles/s | speedup vs 1T | batch | checksum |\n\
-             |---:|---:|---:|---:|---:|---:|---|\n",
+            "| threads | sim cycles | wall (ms) | Msim-cycles/s | speedup vs 1T | batch | slots stepped % | checksum |\n\
+             |---:|---:|---:|---:|---:|---:|---:|---|\n",
         );
         // Forced cycle-by-cycle reference: the batching baseline and the
         // strongest equivalence witness (identical checksum AND cycles).
@@ -197,6 +206,7 @@ fn main() {
             // batching): stepped + skipped cycles over stepped cycles.
             let batch = (m.result.barrier_activations + m.result.ff_cycles) as f64
                 / m.result.barrier_activations.max(1) as f64;
+            let stepped_pct = slots_stepped_pct(&m.result);
             let mut ok = base
                 .as_ref()
                 .is_none_or(|b| b.result.checksum == m.result.checksum);
@@ -222,7 +232,7 @@ fn main() {
                 );
             }
             println!(
-                "  threads={t}: {} cycles in {:.1} ms ({:.2} Mcyc/s, {:.2}x vs 1T, batch {batch:.1}) checksum={:#018x}{}",
+                "  threads={t}: {} cycles in {:.1} ms ({:.2} Mcyc/s, {:.2}x vs 1T, batch {batch:.1}, slots stepped {stepped_pct:.0}%) checksum={:#018x}{}",
                 m.result.cycles,
                 m.best_wall * 1e3,
                 rate,
@@ -231,7 +241,7 @@ fn main() {
                 if ok { "" } else { "  <-- MISMATCH" }
             );
             report.push_str(&format!(
-                "| {t} | {} | {:.1} | {:.2} | {speedup:.2}x | {batch:.1} | `{:#018x}`{} |\n",
+                "| {t} | {} | {:.1} | {:.2} | {speedup:.2}x | {batch:.1} | {stepped_pct:.0} | `{:#018x}`{} |\n",
                 m.result.cycles,
                 m.best_wall * 1e3,
                 rate,
@@ -271,6 +281,25 @@ fn main() {
             eprintln!(
                 "simperf: BATCHING REGRESSION: {} barrier activations dropped only \
                  {barrier_drop:.2}x vs forced-1 (need >= 3x)",
+                case.name
+            );
+        }
+        // Forced-1 pays one barrier per simulated cycle, so its barrier
+        // count is the cycle total the batched run must account for.
+        let accounted = auto.result.barrier_activations + auto.result.ff_cycles;
+        if check && accounted != f1.result.barrier_activations {
+            all_ok = false;
+            eprintln!(
+                "simperf: KERNEL ACCOUNTING: {} barriers + ff_cycles = {accounted} != {} cycles",
+                case.name, f1.result.barrier_activations
+            );
+        }
+        let stepped_pct = slots_stepped_pct(&auto.result);
+        if check && case.name.starts_with("sharded-aes") && stepped_pct >= 60.0 {
+            all_ok = false;
+            eprintln!(
+                "simperf: SLEEP REGRESSION: {} stepped {stepped_pct:.1}% of its slot-cycles \
+                 (need < 60%)",
                 case.name
             );
         }

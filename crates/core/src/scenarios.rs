@@ -227,6 +227,13 @@ pub struct RunResult {
     pub barrier_activations: u64,
     /// Cycles the conservative lookahead proved no-ops and skipped.
     pub ff_cycles: u64,
+    /// Component steps the kernel really executed, summed over the
+    /// stepped cycles. Under `Force1` this is slots × barriers.
+    pub slot_steps: u64,
+    /// Component steps a stepped cycle skipped because the slot was
+    /// asleep (per-slot sleep/wake); host-side telemetry like the two
+    /// above.
+    pub slot_sleeps: u64,
 }
 
 impl RunResult {
@@ -297,6 +304,8 @@ fn finish_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
         stats_json: sys.soc.stats_json(),
         barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
+        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
+        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }
@@ -866,6 +875,8 @@ fn finish_sharded_run(
         stats_json: sys.soc.stats_json(),
         barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
+        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
+        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }
@@ -1324,6 +1335,8 @@ pub fn run_dma_chaos(scenario: &Scenario) -> RunResult {
         stats_json: sys.soc.stats_json(),
         barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
+        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
+        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }
@@ -1590,6 +1603,8 @@ impl CustomRun {
             stats_json: sys.soc.stats_json(),
             barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
             ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
+            slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
+            slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
             trace_json: trace.then(|| sys.soc.trace_json()),
         }
     }
@@ -1713,6 +1728,8 @@ fn finish_chain_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
         stats_json: sys.soc.stats_json(),
         barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
+        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
+        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }

@@ -1597,6 +1597,24 @@ impl CohortEngine {
         drained
     }
 
+    /// True while the consumer endpoint waits on software, not hardware:
+    /// such a wait restarts the watchdog timer at every step.
+    fn cons_benign(&self, dead: bool) -> bool {
+        !dead
+            && matches!(
+                self.cons,
+                ConsState::Off | ConsState::Waiting | ConsState::Halted
+            )
+    }
+
+    /// The producer-side counterpart of [`CohortEngine::cons_benign`].
+    fn prod_benign(&self, dead: bool) -> bool {
+        !dead
+            && (matches!(self.prod, ProdState::Off | ProdState::Halted)
+                || (matches!(self.prod, ProdState::Collect)
+                    && self.stage.len() < self.out_q.elem as usize))
+    }
+
     /// The per-direction forward-progress watchdog. "Progress" is a
     /// change in the endpoint's observable signature (state label, element
     /// counter, channel offset); benign waiting states reset the timer. A
@@ -1615,12 +1633,7 @@ impl CohortEngine {
             self.counters.consumed.get(),
             self.channels[CH_CONS].offset,
         );
-        let cons_benign = !dead
-            && matches!(
-                self.cons,
-                ConsState::Off | ConsState::Waiting | ConsState::Halted
-            );
-        if cons_benign || cons_sig != self.cons_sig {
+        if self.cons_benign(dead) || cons_sig != self.cons_sig {
             self.cons_sig = cons_sig;
             self.cons_progress_at = ctx.cycle;
         }
@@ -1630,11 +1643,7 @@ impl CohortEngine {
             self.channels[CH_PROD].offset,
             self.stage.len(),
         );
-        let prod_benign = !dead
-            && (matches!(self.prod, ProdState::Off | ProdState::Halted)
-                || (matches!(self.prod, ProdState::Collect)
-                    && self.stage.len() < self.out_q.elem as usize));
-        if prod_benign || prod_sig != self.prod_sig {
+        if self.prod_benign(dead) || prod_sig != self.prod_sig {
             self.prod_sig = prod_sig;
             self.prod_progress_at = ctx.cycle;
         }
@@ -1991,20 +2000,11 @@ impl Component for CohortEngine {
         if self.watchdog_cycles != 0 && self.error_status == 0 {
             // Bound the skip to the trip cycle of any non-benign endpoint
             // (benign sides reset their timer at every stepped cycle and
-            // can never trip). Benign-ness mirrors `check_watchdog`.
-            let cons_benign = !dead
-                && matches!(
-                    self.cons,
-                    ConsState::Off | ConsState::Waiting | ConsState::Halted
-                );
-            let prod_benign = !dead
-                && (matches!(self.prod, ProdState::Off | ProdState::Halted)
-                    || (matches!(self.prod, ProdState::Collect)
-                        && self.stage.len() < self.out_q.elem as usize));
-            if !cons_benign {
+            // can never trip).
+            if !self.cons_benign(dead) {
                 k = k.min((self.cons_progress_at + self.watchdog_cycles + 1).saturating_sub(now));
             }
-            if !prod_benign {
+            if !self.prod_benign(dead) {
                 k = k.min((self.prod_progress_at + self.watchdog_cycles + 1).saturating_sub(now));
             }
         }
@@ -2022,6 +2022,18 @@ impl Component for CohortEngine {
             .record_n(self.known_wr.saturating_sub(self.rd), skipped);
         self.out_occupancy
             .record_n(self.wr.saturating_sub(self.known_rd), skipped);
+        // Each skipped step would also have restarted the watchdog timer
+        // of a benign endpoint (see `check_watchdog`). The engine may be
+        // killed in its sleep and must then trip one budget after its
+        // last benign cycle, not after the last cycle it was stepped.
+        if self.watchdog_cycles != 0 && self.error_status == 0 {
+            if self.cons_benign(false) {
+                self.cons_progress_at += skipped;
+            }
+            if self.prod_benign(false) {
+                self.prod_progress_at += skipped;
+            }
+        }
     }
 
     fn is_idle(&self) -> bool {

@@ -32,7 +32,10 @@ struct Rig {
 }
 
 fn rig(accel: Box<dyn cohort_accel::Accelerator>) -> Rig {
-    let cfg = SocConfig::default();
+    rig_with(SocConfig::default(), accel)
+}
+
+fn rig_with(cfg: SocConfig, accel: Box<dyn cohort_accel::Accelerator>) -> Rig {
     let mut soc = Soc::new(cfg.clone());
     let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
     let mut frames = FrameAllocator::new(0x8000_0000, 0x9000_0000);
@@ -606,6 +609,75 @@ fn watchdog_trips_on_stalled_accelerator() {
         "consumer flagged"
     );
     assert_eq!(rig.engine_counter("error_irqs"), 1);
+}
+
+#[test]
+fn kill_landing_on_a_sleeping_engine_matches_forced_stepping() {
+    // The engine streams four words and then idles, enabled, with both
+    // endpoints in benign waits — under `Auto` it is asleep when the kill
+    // lands at cycle 12 000. The books it closes for the cycles it slept
+    // (occupancy samples, the benign watchdog restarts) must be settled
+    // against the pre-kill switches, so that the dead-man's handle trips
+    // one budget after the kill exactly as if it had been stepped all
+    // along.
+    use cohort_sim::config::Lookahead;
+    use cohort_sim::faultinject::{FaultInjector, FaultKind, FaultPlan};
+    let run = |lookahead: Lookahead| {
+        let cfg = SocConfig::default().with_lookahead(lookahead);
+        let mut rig = rig_with(cfg, Box::new(NullFifo::new()));
+        let plan = FaultPlan::default().at(12_000, FaultKind::KillEngine { engine: 0 });
+        let faults = rig.soc.fault_state().clone();
+        rig.soc
+            .component_mut::<CohortEngine>(rig.engine)
+            .unwrap()
+            .set_fault_state(faults.clone());
+        rig.soc.add_component(
+            TileCoord::new(1, 1),
+            Box::new(FaultInjector::new(&plan, faults)),
+        );
+        rig.install_noop_error_handler();
+        let in_q = rig.alloc_queue(8, 8);
+        let out_q = rig.alloc_queue(8, 8);
+        let root = rig.space.root_pa();
+        let mut p = rig
+            .driver
+            .register_ops(root, &in_q.descriptor, &out_q.descriptor, None, 32);
+        p.append(rig.driver.watchdog_ops(3_000));
+        for i in 0..4u64 {
+            p.push(Op::Store {
+                va: in_q.descriptor.element_va(i),
+                value: i,
+            });
+        }
+        p.push(Op::Fence);
+        p.push(Op::Store {
+            va: in_q.descriptor.write_index_va,
+            value: 4,
+        });
+        p.push(Op::WaitGe {
+            va: out_q.descriptor.write_index_va,
+            value: 4,
+        });
+        // Outlive the kill and the watchdog budget behind it.
+        p.push(Op::Alu(30_000));
+        rig.load(p);
+        rig.run();
+        assert_eq!(rig.engine_counter("produced"), 4);
+        assert_eq!(rig.engine_counter("watchdog_trips"), 1);
+        assert_ne!(rig.error_status() & regs::ERR_ENGINE_DEAD, 0);
+        let sleeps = rig.soc.kernel_counter("kernel.slot_sleeps");
+        (rig.soc.cycle, rig.soc.stats_json(), sleeps)
+    };
+    let (f1_cycle, f1_stats, _) = run(Lookahead::Force1);
+    let (auto_cycle, auto_stats, sleeps) = run(Lookahead::Auto);
+    assert_eq!(f1_cycle, auto_cycle);
+    assert_eq!(f1_stats, auto_stats);
+    assert!(sleeps > 0);
+    // Detected one budget (+1) after the first dead cycle, 12 001.
+    assert!(
+        f1_stats.contains("\"engine#0.failover_detect\": {\"count\": 1, \"sum\": 3000,"),
+        "{f1_stats}"
+    );
 }
 
 #[test]

@@ -183,9 +183,10 @@ impl Observability {
 /// A simulated hardware component: a core, the directory, the Cohort engine,
 /// a MAPLE unit, ...
 ///
-/// Components are stepped once per cycle after NoC deliveries for that cycle
-/// have been placed in their inbox. A component should drain its inbox every
-/// step even when otherwise idle.
+/// Components are stepped after NoC deliveries for that cycle have been
+/// placed in their inbox — every cycle, or only on the cycles they are
+/// awake for (see [`Component::quiescent_for`]). A component should drain
+/// its inbox every step even when otherwise idle.
 ///
 /// Components are `Send` so the SoC may step them from worker threads
 /// ([`crate::config::SocConfig::threads`]); they are never shared between
@@ -223,37 +224,60 @@ pub trait Component: Send {
 
     /// Conservative lookahead hint: the number of upcoming cycles
     /// (starting at `now`) for which stepping this component would be a
-    /// provable no-op, **assuming its inbox stays empty and committed
-    /// memory is unchanged** for that whole window. The SoC combines
-    /// these hints with the NoC in-flight set and the fault plan to skip
-    /// barriers ([`crate::config::Lookahead`]).
+    /// provable no-op, **assuming its inbox stays empty — whatever other
+    /// components commit to memory or send to each other meanwhile.** The
+    /// SoC turns the hint into the slot's wake time and does not step the
+    /// component again until then, or until a message arrives for it,
+    /// while the rest of the SoC keeps running
+    /// ([`crate::config::Lookahead`]).
     ///
     /// The contract: if `quiescent_for(now)` returns `N`, then stepping
-    /// the component at cycles `now..now + N - 1` (empty inbox, frozen
-    /// memory) must not change any observable state — no sends, no memory
-    /// writes, no state-machine transitions — *except* pure per-cycle
-    /// bookkeeping (stall counters, occupancy histograms) which
-    /// [`Component::fast_forward`] must then reconcile exactly.
+    /// the component at cycles `now..now + N - 1` (empty inbox) must not
+    /// change any observable state — no sends, no memory writes, no
+    /// state-machine transitions — *except* pure per-cycle bookkeeping
+    /// (stall counters, occupancy histograms) which
+    /// [`Component::fast_forward`] must then reconcile exactly. So every
+    /// state that reports `N > 1` must be waiting on a timer of the
+    /// component's own or on a message: a component that polls memory
+    /// must report 1 while it polls. The hint may read the component
+    /// itself, `now`, and the shared [`crate::faultinject::FaultState`]
+    /// switches (the SoC retakes every hint when one flips or a fault
+    /// window closes) — nothing else. It must also be consistent over
+    /// time: while the component is not stepped and no switch changes,
+    /// `t + quiescent_for(t)` must not decrease (debug builds assert it
+    /// on every slept cycle). All five implementations hold to this: the
+    /// core waits on its busy/hit timers or on a port, MMIO or IRQ
+    /// message; the directory on its delayed-event heap (DRAM completions
+    /// included) or on a request/ack; the engine on channel, back-off,
+    /// accelerator and watchdog timers or on port messages — the RCM
+    /// learns of an index write from an invalidation, not by polling; the
+    /// MAPLE unit on its hit and accelerator timers or on MMIO and port
+    /// messages; the fault injector on its schedule.
     ///
     /// Over-stepping is always sound (the SoC may step anywhere inside
     /// the window); only an overshoot — returning `N` when the component
-    /// would have acted at `now + j`, `j < N` — breaks determinism.
-    /// Return `u64::MAX` when only an inbound message can wake the
-    /// component. The default of 1 makes unported components correct by
-    /// construction: they are stepped every cycle, exactly as before.
+    /// would have acted at `now + j`, `j < N` — breaks determinism. A
+    /// hint of 1 cannot tell "acts at `now`" from "acts at `now + 1`", so
+    /// the SoC reads it as "awake". Return `u64::MAX` when only an
+    /// inbound message can wake the component. The default of 1 makes
+    /// unported components correct by construction: they are stepped
+    /// every cycle, exactly as before.
     fn quiescent_for(&self, now: u64) -> u64 {
         let _ = now;
         1
     }
 
-    /// Reconciles per-cycle bookkeeping after the SoC skipped `skipped`
-    /// consecutive cycles inside a window this component declared
-    /// quiescent via [`Component::quiescent_for`]. Implementations must
-    /// apply *exactly* what `skipped` individual steps would have
-    /// recorded (e.g. `stall_cycles += skipped`,
-    /// `occupancy.record_n(frozen_depth, skipped)`) and nothing else.
+    /// Reconciles per-cycle bookkeeping for `skipped` consecutive cycles
+    /// the component slept through inside a window it declared quiescent
+    /// via [`Component::quiescent_for`]. Called once when the component
+    /// next steps (before that step), when a fault switch is about to
+    /// flip (so it still sees the switches those cycles ran under), and
+    /// when a run returns. Implementations must apply *exactly* what
+    /// `skipped` individual steps would have recorded or restarted (e.g.
+    /// `stall_cycles += skipped`, `occupancy.record_n(frozen_depth,
+    /// skipped)`, a timer that every idle step re-arms) and nothing else.
     /// The default does nothing, matching the default hint of 1 (a
-    /// component that is stepped every cycle is never fast-forwarded).
+    /// component that is stepped every cycle never sleeps).
     fn fast_forward(&mut self, skipped: u64) {
         let _ = skipped;
     }

@@ -105,15 +105,17 @@ impl Default for TimingConfig {
 
 /// Cycle-batching policy of the simulation kernel.
 ///
-/// Under [`Lookahead::Auto`] the run loop computes, before each stepped
-/// cycle, a conservative horizon K = min over the next NoC delivery, the
-/// next fault-plan event/window edge, and every component's
-/// [`crate::component::Component::quiescent_for`] hint; when K ≥ 2 it
-/// jumps the cycle counter instead of stepping K−1 provable no-op cycles
-/// (and, in parallel runs, pays no go/done barrier for them). Results are
-/// bit-identical to [`Lookahead::Force1`] by construction — hints are
-/// conservative lower bounds, and skipped per-cycle bookkeeping is
-/// reconciled by `Component::fast_forward`.
+/// Under [`Lookahead::Auto`] each slot sleeps until the wake time its
+/// [`crate::component::Component::quiescent_for`] hint gave when it was
+/// last stepped (or until a message arrives for it), so a stepped cycle
+/// steps only the slots with work; and when the earliest of the next NoC
+/// delivery, the next fault-window edge and every slot's wake time lies
+/// K ≥ 2 cycles ahead, the run loop jumps the cycle counter instead of
+/// stepping K provable no-op cycles (and, in parallel runs, pays no
+/// go/done barrier for them). Results are bit-identical to
+/// [`Lookahead::Force1`] by construction — hints are conservative lower
+/// bounds, and slept per-cycle bookkeeping is reconciled by
+/// `Component::fast_forward`.
 ///
 /// One caveat: `Soc::run_until` predicates that key on the raw cycle
 /// counter (rather than component/NoC state) may observe the cycle
@@ -121,10 +123,10 @@ impl Default for TimingConfig {
 /// code should pin `Force1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Lookahead {
-    /// Step every cycle (the pre-batching kernel). Baseline for the
-    /// determinism suite and for cycle-predicate harnesses.
+    /// Step every slot on every cycle (the pre-batching kernel). Baseline
+    /// for the determinism suite and for cycle-predicate harnesses.
     Force1,
-    /// Conservative-lookahead batching + idle fast-forward (default).
+    /// Per-slot sleep/wake + idle fast-forward (default).
     #[default]
     Auto,
 }

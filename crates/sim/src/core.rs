@@ -312,27 +312,28 @@ impl InOrderCore {
     }
 
     fn drain_sb(&mut self, ctx: &mut Ctx<'_>) {
+        if self.sb.is_empty() {
+            return;
+        }
         // Miss-level parallelism: grab write permission for the next few
-        // distinct lines buffered behind the head (MSHR-style).
-        let lines: Vec<u64> = {
-            let mut seen = Vec::new();
-            for &(pa, _) in self.sb.iter() {
-                let line = crate::line_of(pa);
-                if !seen.contains(&line) {
-                    seen.push(line);
-                    if seen.len() >= self.sb_mshrs {
-                        break;
-                    }
-                }
+        // distinct lines buffered behind the head (MSHR-style). The head's
+        // own line is handled below with precise bookkeeping.
+        let mut distinct = 1;
+        for i in 1..self.sb.len() {
+            if distinct >= self.sb_mshrs {
+                break;
             }
-            seen
-        };
-        for (i, line) in lines.iter().enumerate() {
-            if i == 0 {
-                continue; // head handled below with precise bookkeeping
+            let line = crate::line_of(self.sb[i].0);
+            if !self
+                .sb
+                .range(..i)
+                .any(|&(pa, _)| crate::line_of(pa) == line)
+            {
+                distinct += 1;
+                // Fire-and-forget permission prefetch; completions are
+                // ignored.
+                let _ = self.port.request(ctx, line, true, SB_PREFETCH_TOKEN);
             }
-            // Fire-and-forget permission prefetch; completions are ignored.
-            let _ = self.port.request(ctx, *line, true, SB_PREFETCH_TOKEN);
         }
         if self.sb_waiting {
             return;

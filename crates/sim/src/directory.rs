@@ -22,12 +22,13 @@
 //! memory saturation propagates back to cores and engines.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cache::{LineState, TagArray};
 use crate::component::{CompId, Component, Ctx, Observability};
 use crate::config::SocConfig;
 use crate::dram::DramModel;
+use crate::hash::U64Map;
 use crate::msg::{Envelope, Msg};
 use crate::stats::{Counter, Histogram};
 use crate::trace::Trace;
@@ -149,8 +150,8 @@ pub struct DirCounters {
 /// The shared L2 + directory component. See module docs.
 pub struct Directory {
     l2: TagArray,
-    states: HashMap<u64, DirState>,
-    txns: HashMap<u64, Txn>,
+    states: U64Map<DirState>,
+    txns: U64Map<Txn>,
     delayed: BinaryHeap<Reverse<Delayed>>,
     seq: u64,
     l2_hit: u64,
@@ -186,8 +187,8 @@ impl Directory {
     pub fn new(cfg: &SocConfig) -> Self {
         Self {
             l2: TagArray::new(cfg.l2),
-            states: HashMap::new(),
-            txns: HashMap::new(),
+            states: U64Map::default(),
+            txns: U64Map::default(),
             delayed: BinaryHeap::new(),
             seq: 0,
             l2_hit: cfg.timing.l2_hit,

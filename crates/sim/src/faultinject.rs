@@ -28,7 +28,7 @@
 //! next to the engine's recovery spans.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::component::{Component, Ctx, Observability};
@@ -470,6 +470,9 @@ enum FaultOp {
 pub struct FaultState {
     /// Flips staged by the injector this cycle, applied at the barrier.
     pending: Arc<Mutex<Vec<FaultOp>>>,
+    /// True while `pending` is non-empty, so the barrier of a cycle that
+    /// staged nothing — nearly all of them — takes no lock.
+    has_staged: Arc<AtomicBool>,
     /// Accelerator valid/ready held low while `cycle < stall_until`.
     stall_until: Arc<AtomicU64>,
     /// NoC latency multiplied while `cycle < spike_until`.
@@ -596,16 +599,31 @@ impl FaultState {
     }
 
     fn stage(&self, op: FaultOp) {
-        self.pending.lock().unwrap().push(op);
+        self.pending
+            .lock()
+            .expect("no step panics while staging a flip")
+            .push(op);
+        // Pairs with the Acquire in `has_staged`; the ops themselves are
+        // published by the mutex.
+        self.has_staged.store(true, Ordering::Release);
+    }
+
+    /// True if a flip was staged since the last
+    /// [`FaultState::commit_staged`]. The SoC asks at every barrier: a
+    /// flip changes what sleeping components' hints were computed
+    /// against, so it must settle them before committing it.
+    pub(crate) fn has_staged(&self) -> bool {
+        self.has_staged.load(Ordering::Acquire)
     }
 
     /// Applies every staged flip, in staging order. Called by the SoC at
-    /// the cycle barrier.
+    /// the cycle barrier when [`FaultState::has_staged`].
     pub(crate) fn commit_staged(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        if pending.is_empty() {
-            return;
-        }
+        let mut pending = self
+            .pending
+            .lock()
+            .expect("no step panics while staging a flip");
+        self.has_staged.store(false, Ordering::Relaxed);
         for op in pending.drain(..) {
             match op {
                 FaultOp::StallAccel { until } => self.stall_accel(until),

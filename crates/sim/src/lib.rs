@@ -56,6 +56,7 @@ pub mod core;
 pub mod directory;
 pub mod dram;
 pub mod faultinject;
+pub(crate) mod hash;
 pub mod mem;
 pub mod msg;
 pub mod noc;

@@ -6,7 +6,7 @@
 //! the protocol permits them, which keeps the timing model honest while the
 //! functional model stays simple. See `DESIGN.md` §5.
 
-use std::collections::HashMap;
+use crate::hash::U64Map;
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
@@ -71,7 +71,7 @@ pub trait MemAccess {
 /// zeroes without allocating.
 #[derive(Default)]
 pub struct PhysMem {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    pages: U64Map<Box<[u8; PAGE_BYTES]>>,
 }
 
 impl std::fmt::Debug for PhysMem {

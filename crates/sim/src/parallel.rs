@@ -225,6 +225,7 @@ pub(crate) struct Frame {
     pub(crate) mmio: *const crate::component::MmioMap,
     pub(crate) stripes: *const Vec<Vec<u32>>,
     pub(crate) cycle: u64,
+    pub(crate) lookahead: crate::config::Lookahead,
 }
 
 impl Frame {
@@ -236,6 +237,7 @@ impl Frame {
             mmio: std::ptr::null(),
             stripes: std::ptr::null(),
             cycle: 0,
+            lookahead: crate::config::Lookahead::Force1,
         }
     }
 }

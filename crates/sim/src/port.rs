@@ -10,10 +10,10 @@ use crate::cache::{LineState, TagArray};
 use crate::component::Observability;
 use crate::component::{CompId, Ctx};
 use crate::config::CacheConfig;
+use crate::hash::{U64Map, U64Set};
 use crate::line_of;
 use crate::msg::{Envelope, Msg};
 use crate::stats::Counter;
-use std::collections::HashMap;
 
 /// Result of issuing an access to the port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,8 +96,8 @@ pub struct CoherentPort {
     dir: CompId,
     cache: TagArray,
     hit_latency: u64,
-    pending: HashMap<u64, PendingLine>,
-    pinned: std::collections::HashSet<u64>,
+    pending: U64Map<PendingLine>,
+    pinned: U64Set,
     counters: PortCounters,
 }
 
@@ -109,8 +109,8 @@ impl CoherentPort {
             dir,
             cache: TagArray::new(cache_cfg),
             hit_latency,
-            pending: HashMap::new(),
-            pinned: std::collections::HashSet::new(),
+            pending: U64Map::default(),
+            pinned: U64Set::default(),
             counters: PortCounters::default(),
         }
     }

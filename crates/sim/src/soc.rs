@@ -20,6 +20,22 @@
 //! are bit-identical for any thread count and any component registration
 //! order (see `docs/architecture.md`, "Parallel kernel & determinism
 //! contract").
+//!
+//! # Per-slot sleep/wake
+//!
+//! Under [`Lookahead::Auto`] a stepped cycle steps only the slots that
+//! have work. Right after a slot is stepped, its
+//! [`Component::quiescent_for`] hint is turned into a wake time
+//! (`Slot::wake_at`); until then the slot is skipped unless a message
+//! lands in its inbox, and the cycles it slept through are reconciled
+//! with one [`Component::fast_forward`] call when it next steps. The
+//! global fast-forward is the special case "everyone is asleep": the
+//! horizon is the minimum wake time, so it costs no hint calls. Hints read
+//! the fault switches, so every slot is re-hinted whenever those change
+//! value — at a staged flip (sleepers are reconciled against the
+//! *pre-flip* state first), at a window edge, and at run-loop entry
+//! (harness code may have changed anything in between). Under
+//! [`Lookahead::Force1`] nobody ever sleeps; it stays the reference.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -43,12 +59,77 @@ pub(crate) struct Slot {
     outbox: Vec<Outgoing>,
     /// Memory writes staged during this cycle's step, applied at commit.
     log: WriteLog,
+    /// First cycle at which the component may act on its own, from its
+    /// hint right after it was last stepped (or re-hinted). The slot
+    /// sleeps while `cycle < wake_at` and its inbox is empty.
+    wake_at: u64,
+    /// First cycle this component has not accounted for yet: every
+    /// earlier cycle was stepped or reconciled by `fast_forward`.
+    synced_to: u64,
 }
 
-/// Steps one slot against the read-only memory image. Runs on the main
-/// thread (sequential path / stripe 0) or a worker thread (other stripes);
-/// all effects land in the slot's own staging buffers.
-fn step_slot(slot: &mut Slot, i: usize, cycle: u64, mem: &PhysMem, mmio: &MmioMap) {
+impl Slot {
+    /// Reconciles the cycles `synced_to..upto` the slot slept through.
+    fn sync(&mut self, upto: u64) {
+        if self.synced_to < upto {
+            debug_assert!(
+                upto <= self.wake_at,
+                "{} slept through its own wake time {} (to {upto})",
+                self.comp.name(),
+                self.wake_at
+            );
+            self.comp.fast_forward(upto - self.synced_to);
+            self.synced_to = upto;
+        }
+    }
+
+    /// Recomputes `wake_at` from a fresh hint for cycle `now`. A hint of
+    /// 1 cannot tell "acts at `now`" from "acts at `now + 1`", so it
+    /// means awake.
+    fn rehint(&mut self, now: u64) {
+        let hint = self.comp.quiescent_for(now);
+        self.wake_at = if hint <= 1 {
+            now
+        } else {
+            now.saturating_add(hint)
+        };
+    }
+
+    /// True if the step phase of `cycle` stepped this slot.
+    fn stepped_in(&self, cycle: u64) -> bool {
+        self.synced_to > cycle
+    }
+}
+
+/// Steps one slot against the read-only memory image unless it is asleep
+/// (`cycle < wake_at`, empty inbox). A slot that does step first
+/// reconciles the cycles it slept through and afterwards, under
+/// [`Lookahead::Auto`], takes its next wake time from a fresh hint. Runs
+/// on the main thread (sequential path / stripe 0) or a worker thread
+/// (other stripes); all effects land in the slot's own staging buffers.
+fn step_slot_if_awake(
+    slot: &mut Slot,
+    i: usize,
+    cycle: u64,
+    mem: &PhysMem,
+    mmio: &MmioMap,
+    lookahead: Lookahead,
+) {
+    if cycle < slot.wake_at && slot.inbox.is_empty() {
+        // Shadow audit: nothing may be left staged by a sleeper, and a
+        // fresh hint must still cover the standing one — it reads only
+        // the component and the fault switches, and neither has changed.
+        debug_assert!(slot.outbox.is_empty() && slot.log.is_empty());
+        debug_assert!(
+            cycle.saturating_add(slot.comp.quiescent_for(cycle)) >= slot.wake_at,
+            "{} promised to sleep until {} but at {cycle} hints {}",
+            slot.comp.name(),
+            slot.wake_at,
+            slot.comp.quiescent_for(cycle)
+        );
+        return;
+    }
+    slot.sync(cycle);
     let mut ctx = Ctx {
         cycle,
         self_id: CompId(i),
@@ -58,6 +139,10 @@ fn step_slot(slot: &mut Slot, i: usize, cycle: u64, mem: &PhysMem, mmio: &MmioMa
         mmio_map: mmio,
     };
     slot.comp.step(&mut ctx);
+    slot.synced_to = cycle + 1;
+    if lookahead == Lookahead::Auto {
+        slot.rehint(cycle + 1);
+    }
 }
 
 /// Steps the slots listed in stripe `w` of the frame's stripe assignment.
@@ -79,7 +164,7 @@ pub(crate) unsafe fn step_stripe(frame: &Frame, w: usize) {
         // SAFETY: stripes are disjoint, so slot `i` is exclusive to this
         // call; mem/mmio are read-only this phase.
         let (slot, mem, mmio) = unsafe { (&mut *frame.slots.add(i), &*frame.mem, &*frame.mmio) };
-        step_slot(slot, i, frame.cycle, mem, mmio);
+        step_slot_if_awake(slot, i, frame.cycle, mem, mmio, frame.lookahead);
     }
 }
 
@@ -102,6 +187,10 @@ struct KernelStats {
     ff_cycles: Counter,
     /// Cost-aware stripe-assignment rebuilds.
     rebuilds: Counter,
+    /// Slots really stepped, summed over stepped cycles.
+    slot_steps: Counter,
+    /// Slots a stepped cycle skipped because they were asleep.
+    slot_sleeps: Counter,
 }
 
 impl KernelStats {
@@ -110,11 +199,15 @@ impl KernelStats {
         let barriers = stats.counter("kernel.barrier_activations");
         let ff_cycles = stats.counter("kernel.ff_cycles");
         let rebuilds = stats.counter("kernel.stripe_rebuilds");
+        let slot_steps = stats.counter("kernel.slot_steps");
+        let slot_sleeps = stats.counter("kernel.slot_sleeps");
         Self {
             stats,
             barriers,
             ff_cycles,
             rebuilds,
+            slot_steps,
+            slot_sleeps,
         }
     }
 }
@@ -162,14 +255,10 @@ pub struct Soc {
     stripes: Vec<Vec<u32>>,
     /// Stepped cycles since the last stripe rebuild.
     stepped_since_rebuild: u32,
-    /// Index of the slot that pinned the last lookahead probe to 1
-    /// (`usize::MAX` before the first pin). Saturated phases are almost
-    /// always pinned by the same busy component for thousands of
-    /// consecutive cycles, so [`Soc::lookahead_horizon`] re-checks this
-    /// slot first and answers most probes with one hint call instead of
-    /// a full scan — pure memoization, the probe's *result* is
-    /// unchanged. A `Cell` because the horizon is a `&self` query.
-    pin_slot: std::cell::Cell<usize>,
+    /// Cycle at which every slot's hint goes stale because a fault window
+    /// closes (`u64::MAX` if none is open): hints read the fault switches,
+    /// so the run loop re-hints everyone there.
+    rehint_at: u64,
 }
 
 impl std::fmt::Debug for Soc {
@@ -207,7 +296,7 @@ impl Soc {
             costs: Vec::new(),
             stripes: Vec::new(),
             stepped_since_rebuild: 0,
-            pin_slot: std::cell::Cell::new(usize::MAX),
+            rehint_at: u64::MAX,
         }
     }
 
@@ -261,6 +350,8 @@ impl Soc {
             inbox: VecDeque::new(),
             outbox: Vec::new(),
             log: WriteLog::new(),
+            wake_at: 0,
+            synced_to: self.cycle,
         });
         id
     }
@@ -270,12 +361,22 @@ impl Soc {
         self.mmio_map.map(range, comp);
     }
 
-    /// Advances the SoC by one cycle (sequential step phase + commit).
+    /// Advances the SoC by one cycle (sequential step phase + commit),
+    /// stepping every slot whether or not it is asleep.
     pub fn step(&mut self) {
+        for slot in &mut self.slots {
+            slot.wake_at = slot.wake_at.min(self.cycle);
+        }
+        self.step_awake();
+    }
+
+    /// One stepped cycle on the calling thread: deliveries, the step
+    /// phase over the slots that are awake, commit.
+    fn step_awake(&mut self) {
         self.deliver_due();
         let (slots, mem, mmio) = (&mut self.slots, &self.mem, &self.mmio_map);
         for (i, slot) in slots.iter_mut().enumerate() {
-            step_slot(slot, i, self.cycle, mem, mmio);
+            step_slot_if_awake(slot, i, self.cycle, mem, mmio, self.cfg.lookahead);
         }
         self.commit_cycle();
     }
@@ -288,24 +389,32 @@ impl Soc {
         });
     }
 
-    /// The cycle barrier: applies staged writes to memory and staged
-    /// messages to the NoC in slot order, commits staged fault-switch
-    /// flips, and advances the cycle. Runs on the main thread only.
+    /// The cycle barrier: applies the stepped slots' staged writes to
+    /// memory and staged messages to the NoC in slot order, commits staged
+    /// fault-switch flips, and advances the cycle. Runs on the main thread
+    /// only.
     fn commit_cycle(&mut self) {
         self.kernel.barriers.inc();
         let (slots, mem, noc) = (&mut self.slots, &mut self.mem, &mut self.noc);
         if self.costs.len() != slots.len() {
             self.costs.resize(slots.len(), 0);
         }
+        let mut stepped = 0;
         for (slot, cost) in slots.iter_mut().zip(self.costs.iter_mut()) {
             // EWMA (alpha = 1/8, samples scaled by 256) over this cycle's
-            // staged activity. Pure integer arithmetic over simulated
-            // state — never wall time — so the cost model, and therefore
-            // the stripe assignment, is itself deterministic.
+            // staged activity, zero for a sleeper. Pure integer arithmetic
+            // over simulated state — never wall time — so the cost model,
+            // and therefore the stripe assignment, is itself
+            // deterministic.
             let sample = (slot.log.staged_ops() + slot.outbox.len()) as u64 * 256;
             *cost = (*cost * 7 + sample) / 8;
-            slot.log.commit(mem);
+            if slot.stepped_in(self.cycle) {
+                stepped += 1;
+                slot.log.commit(mem);
+            }
         }
+        self.kernel.slot_steps.add(stepped);
+        self.kernel.slot_sleeps.add(slots.len() as u64 - stepped);
         for i in 0..slots.len() {
             if slots[i].outbox.is_empty() {
                 continue;
@@ -325,8 +434,34 @@ impl Soc {
             }
             slots[i].outbox = outbox;
         }
-        self.faults.commit_staged();
-        self.cycle += 1;
+        if self.faults.has_staged() {
+            // A flip changes what hints and `fast_forward` read: close
+            // every sleeper's books against the pre-flip switches, then
+            // take everyone's hint again under the new ones.
+            for slot in slots.iter_mut() {
+                slot.sync(self.cycle + 1);
+            }
+            self.faults.commit_staged();
+            self.cycle += 1;
+            self.rehint_all();
+        } else {
+            self.cycle += 1;
+        }
+    }
+
+    /// Brings every slot's books up to the current cycle and, under
+    /// [`Lookahead::Auto`], retakes every hint. Called whenever something
+    /// hints may read has changed outside the slots' own steps: a fault
+    /// flip, a fault-window edge, or harness code between runs.
+    fn rehint_all(&mut self) {
+        let now = self.cycle;
+        for slot in &mut self.slots {
+            slot.sync(now);
+            if self.cfg.lookahead == Lookahead::Auto {
+                slot.rehint(now);
+            }
+        }
+        self.rehint_at = self.faults.next_window_edge(now).unwrap_or(u64::MAX);
     }
 
     fn is_quiescent(&self) -> bool {
@@ -337,77 +472,71 @@ impl Soc {
     }
 
     /// The conservative lookahead horizon from the current cycle: the
-    /// number of upcoming cycles (≥ 1) that are provably free of
-    /// cross-component events, i.e. the minimum over
+    /// number of upcoming cycles (≥ 1) in which provably no slot has
+    /// anything to do, i.e. the distance to the earliest of
     ///
-    /// * the remaining cycle budget (`deadline`),
+    /// * the cycle budget (`deadline`),
     /// * the next NoC delivery ([`crate::noc::Noc::next_delivery`]),
     /// * the next fault-window edge
     ///   ([`FaultState::next_window_edge`]; window *opens* are bounded by
-    ///   the injector's own hint below),
-    /// * every component's [`Component::quiescent_for`] hint.
+    ///   the injector's own wake time),
+    /// * every slot's wake time.
     ///
+    /// It asks no component anything: wake times were taken from the
+    /// [`Component::quiescent_for`] hints when the slots last stepped.
     /// Any pending inbox pins the horizon to 1 (the delivery must be
     /// consumed by a real step). A horizon of `k ≥ 2` means cycles
-    /// `now .. now + k - 1` may be skipped and the first potential event
-    /// cycle `now + k` — a delivery, a fault edge, or a component waking
-    /// — is still stepped for real. Under [`Lookahead::Force1`] this is
-    /// constantly 1. Public so the horizon-soundness property tests can
-    /// probe it directly.
+    /// `now .. now + k - 1` may be skipped. Under [`Lookahead::Force1`]
+    /// this is constantly 1. Public so the horizon-soundness property
+    /// tests can probe it directly.
     pub fn lookahead_horizon(&self, deadline: u64) -> u64 {
         if self.cfg.lookahead == Lookahead::Force1 {
             return 1;
         }
-        let mut k = deadline.saturating_sub(self.cycle);
-        if k <= 1 {
-            return 1;
-        }
-        // Memoized fast path: if the slot that pinned the last probe is
-        // still busy (undrained inbox or hint of 1), the global min is
-        // still 1 — no need to consult anyone else. Saturated phases
-        // answer here with a single hint call.
-        if let Some(s) = self.slots.get(self.pin_slot.get()) {
-            if !s.inbox.is_empty() || s.comp.quiescent_for(self.cycle) <= 1 {
-                return 1;
-            }
-        }
-        if let Some(i) = self.slots.iter().position(|s| !s.inbox.is_empty()) {
-            self.pin_slot.set(i);
-            return 1;
-        }
+        let mut wake = deadline.min(self.rehint_at);
         if let Some(at) = self.noc.next_delivery() {
-            k = k.min(at.saturating_sub(self.cycle));
+            wake = wake.min(at);
         }
-        if let Some(edge) = self.faults.next_window_edge(self.cycle) {
-            k = k.min(edge.saturating_sub(self.cycle));
-        }
-        for (i, s) in self.slots.iter().enumerate() {
-            if k <= 1 {
+        for s in &self.slots {
+            if !s.inbox.is_empty() {
                 return 1;
             }
-            k = k.min(s.comp.quiescent_for(self.cycle));
-            if k <= 1 {
-                self.pin_slot.set(i);
-                return 1;
-            }
+            wake = wake.min(s.wake_at);
         }
-        k.max(1)
+        wake.saturating_sub(self.cycle).max(1)
     }
 
-    /// Skips `k` cycles the lookahead proved to be no-ops: advances the
-    /// cycle counter and lets every component reconcile its per-cycle
-    /// bookkeeping. No step, no commit, and — in the parallel loop — no
-    /// barrier.
+    /// Skips `k` cycles in which every slot is asleep: only the cycle
+    /// counter moves. Each slot reconciles its bookkeeping when it next
+    /// steps. No step, no commit, and — in the parallel loop — no barrier.
     fn fast_forward_cycles(&mut self, k: u64) {
+        // Shadow audit: nothing staged, nothing due inside the window.
+        debug_assert!(self.slots.iter().all(|s| {
+            s.inbox.is_empty()
+                && s.outbox.is_empty()
+                && s.log.is_empty()
+                && s.wake_at >= self.cycle + k
+        }));
         debug_assert!(self
-            .slots
-            .iter()
-            .all(|s| { s.inbox.is_empty() && s.outbox.is_empty() && s.log.is_empty() }));
-        for slot in &mut self.slots {
-            slot.comp.fast_forward(k);
-        }
+            .noc
+            .next_delivery()
+            .is_none_or(|at| at >= self.cycle + k));
         self.kernel.ff_cycles.add(k);
         self.cycle += k;
+    }
+
+    /// What both run loops do before deciding on the next cycle: re-hint
+    /// at a fault-window edge, then jump over the cycles nobody is awake
+    /// for. Returns true if it jumped (the caller re-checks its exits).
+    fn skip_idle_cycles(&mut self, deadline: u64) -> bool {
+        if self.cycle >= self.rehint_at {
+            self.rehint_all();
+        }
+        let k = self.lookahead_horizon(deadline);
+        if k >= 2 {
+            self.fast_forward_cycles(k);
+        }
+        k >= 2
     }
 
     /// Rebuilds the parallel loop's stripe assignment by greedy
@@ -478,11 +607,19 @@ impl Soc {
     ) -> LoopExit {
         let deadline = self.cycle.saturating_add(max_cycles);
         let threads = self.cfg.threads.clamp(1, self.slots.len().max(1));
-        if threads <= 1 {
+        // Harness code may have touched components, memory or the fault
+        // switches since the last run: nobody's old hint can be trusted.
+        self.rehint_all();
+        let exit = if threads <= 1 {
             self.run_loop_seq(deadline, pred)
         } else {
             self.run_loop_par(deadline, pred, threads)
+        };
+        // Close the sleepers' books so the caller reads final counters.
+        for slot in &mut self.slots {
+            slot.sync(self.cycle);
         }
+        exit
     }
 
     fn run_loop_seq(
@@ -511,12 +648,10 @@ impl Soc {
                     None => LoopExit::Quiescent,
                 };
             }
-            let k = self.lookahead_horizon(deadline);
-            if k >= 2 {
-                self.fast_forward_cycles(k);
+            if self.skip_idle_cycles(deadline) {
                 continue;
             }
-            self.step();
+            self.step_awake();
         }
     }
 
@@ -575,9 +710,7 @@ impl Soc {
                 // Workers are parked here, so skipping a batch of proven
                 // no-op cycles pays no go/done barrier at all, and the
                 // stripe assignment may be rebuilt without a race.
-                let k = self.lookahead_horizon(deadline);
-                if k >= 2 {
-                    self.fast_forward_cycles(k);
+                if self.skip_idle_cycles(deadline) {
                     continue;
                 }
                 if self.stepped_since_rebuild >= STRIPE_REBUILD_PERIOD {
@@ -592,6 +725,7 @@ impl Soc {
                     mmio: &self.mmio_map,
                     stripes: &self.stripes,
                     cycle: self.cycle,
+                    lookahead: self.cfg.lookahead,
                 };
                 shared.publish(frame);
                 shared.go.go();
@@ -648,7 +782,8 @@ impl Soc {
 
     /// The simulation kernel's own instrumentation
     /// (`kernel.barrier_activations`, `kernel.ff_cycles`,
-    /// `kernel.stripe_rebuilds`). Deliberately a registry separate from
+    /// `kernel.stripe_rebuilds`, `kernel.slot_steps`,
+    /// `kernel.slot_sleeps`). Deliberately a registry separate from
     /// [`Soc::stats`]: kernel counters describe how the host executed the
     /// simulation, not what the simulated SoC did, so they must never
     /// leak into [`Soc::stats_json`] (which the determinism contract pins
@@ -1326,6 +1461,188 @@ mod tests {
         fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
         }
+    }
+
+    /// A probe for the wake rules. It acts every `period` cycles (never,
+    /// if 0) unless the shared accelerator-stall switch holds it, pings
+    /// `peer` at each cycle in `pings`, logs the cycle of everything it
+    /// does, and counts one `ticks` per cycle it is stepped or
+    /// reconciled for — the stand-in for a stall counter.
+    struct Napper {
+        period: u64,
+        next_at: u64,
+        pings: VecDeque<u64>,
+        peer: CompId,
+        faults: FaultState,
+        ticks: Counter,
+        acted_at: Vec<u64>,
+        received_at: Vec<u64>,
+    }
+
+    impl Napper {
+        fn new(period: u64, pings: &[u64], peer: CompId, faults: &FaultState) -> Self {
+            Self {
+                period,
+                next_at: period,
+                pings: pings.iter().copied().collect(),
+                peer,
+                faults: faults.clone(),
+                ticks: Counter::new(),
+                acted_at: Vec::new(),
+                received_at: Vec::new(),
+            }
+        }
+
+        fn timer_due(&self, now: u64) -> bool {
+            self.period != 0 && now >= self.next_at && !self.faults.accel_stalled(now)
+        }
+    }
+
+    impl Component for Napper {
+        fn name(&self) -> &str {
+            "napper"
+        }
+        fn attach(&mut self, obs: &Observability) {
+            obs.adopt_counter("ticks", &self.ticks);
+        }
+        fn step(&mut self, ctx: &mut Ctx<'_>) {
+            while ctx.recv().is_some() {
+                self.received_at.push(ctx.cycle);
+            }
+            self.ticks.inc();
+            if self.timer_due(ctx.cycle) {
+                self.acted_at.push(ctx.cycle);
+                self.next_at = ctx.cycle + self.period;
+            }
+            while self.pings.front().is_some_and(|&c| c <= ctx.cycle) {
+                self.pings.pop_front();
+                ctx.send(self.peer, crate::msg::Msg::MmioWriteResp { tag: 0 });
+            }
+        }
+        fn is_idle(&self) -> bool {
+            false
+        }
+        fn quiescent_for(&self, now: u64) -> u64 {
+            // While stalled the timer is frozen; the un-stall edge is a
+            // fault window the SoC re-hints at.
+            let timer = if self.period == 0 || self.faults.accel_stalled(now) {
+                u64::MAX
+            } else {
+                self.next_at.saturating_sub(now)
+            };
+            let ping = self
+                .pings
+                .front()
+                .map_or(u64::MAX, |&c| c.saturating_sub(now));
+            timer.min(ping).max(1)
+        }
+        fn fast_forward(&mut self, skipped: u64) {
+            self.ticks.add(skipped);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Everything observable about a two-napper run, for `Force1` ≡ `Auto`
+    /// comparisons: stop cycle, per-napper (ticks, acted_at, received_at),
+    /// and the stats registry.
+    type NapperRun = (u64, Vec<(u64, Vec<u64>, Vec<u64>)>, String);
+
+    fn napper_run(lookahead: Lookahead, budget: u64, build: impl Fn(&mut Soc)) -> (NapperRun, u64) {
+        let mut soc = Soc::new(SocConfig::default().with_lookahead(lookahead));
+        build(&mut soc);
+        let out = soc.run(budget);
+        let nappers = (0..soc.slots.len())
+            .filter_map(|i| soc.component::<Napper>(CompId(i)))
+            .map(|n| (n.ticks.get(), n.acted_at.clone(), n.received_at.clone()))
+            .collect();
+        let sleeps = soc.kernel_counter("kernel.slot_sleeps");
+        ((out.cycle, nappers, soc.stats_json()), sleeps)
+    }
+
+    #[test]
+    fn message_mid_sleep_wakes_the_slot_that_cycle() {
+        // Slot 0 would sleep to the deadline; slot 1 pings it at 300 and
+        // 301. Each ping must be consumed on its delivery cycle and the
+        // sleeper's per-cycle counter must not notice it ever slept.
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            soc.add_component(
+                TileCoord::new(0, 0),
+                Box::new(Napper::new(0, &[], CompId(1), &f)),
+            );
+            soc.add_component(
+                TileCoord::new(1, 0),
+                Box::new(Napper::new(0, &[300, 301], CompId(0), &f)),
+            );
+        };
+        let (f1, f1_sleeps) = napper_run(Lookahead::Force1, 1_000, build);
+        let (auto, auto_sleeps) = napper_run(Lookahead::Auto, 1_000, build);
+        assert_eq!(f1, auto);
+        let (ticks, _, received_at) = &auto.1[0];
+        assert_eq!(received_at.len(), 2);
+        assert_eq!(received_at[1], received_at[0] + 1);
+        assert_eq!(*ticks, 1_000, "one tick per cycle, stepped or slept");
+        assert_eq!(f1_sleeps, 0, "force-1 never lets a slot sleep");
+        assert!(auto_sleeps > 0, "the sender's barriers skip the sleeper");
+    }
+
+    #[test]
+    fn run_exit_flushes_sleepers() {
+        // The deadline falls mid-sleep for both slots, and mid-way between
+        // two timer periods for slot 1: `run` must hand back counters
+        // that already include the slept cycles, and a second `run` must
+        // carry on from there without double counting.
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            soc.add_component(
+                TileCoord::new(0, 0),
+                Box::new(Napper::new(0, &[], CompId(1), &f)),
+            );
+            soc.add_component(
+                TileCoord::new(1, 0),
+                Box::new(Napper::new(400, &[], CompId(0), &f)),
+            );
+        };
+        let two_runs = |lookahead| {
+            let mut soc = Soc::new(SocConfig::default().with_lookahead(lookahead));
+            build(&mut soc);
+            soc.run(1_000);
+            let mid = soc.stats_json();
+            soc.run(1_000);
+            (mid, soc.stats_json(), soc.cycle)
+        };
+        let f1 = two_runs(Lookahead::Force1);
+        assert_eq!(f1, two_runs(Lookahead::Auto));
+        assert!(f1.0.contains("\"napper#0.ticks\": 1000"), "{}", f1.0);
+        assert!(f1.1.contains("\"napper#1.ticks\": 2000"), "{}", f1.1);
+    }
+
+    #[test]
+    fn stall_window_close_wakes_a_sleeper_exactly_at_the_edge() {
+        // An injector holds the stall switch over cycles 101..=350 (the
+        // flip commits at the end of cycle 100). The napper's 64-cycle
+        // timer is frozen for the window and must fire on the very cycle
+        // the window closes — a cycle nothing but the fault switch marks.
+        use crate::faultinject::{FaultInjector, FaultKind, FaultPlan};
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            let plan = FaultPlan::default().at(100, FaultKind::AccelStall { cycles: 251 });
+            soc.add_component(
+                TileCoord::new(0, 0),
+                Box::new(Napper::new(64, &[], CompId(0), &f)),
+            );
+            soc.add_component(TileCoord::new(1, 0), Box::new(FaultInjector::new(&plan, f)));
+        };
+        let (f1, _) = napper_run(Lookahead::Force1, 600, build);
+        let (auto, sleeps) = napper_run(Lookahead::Auto, 600, build);
+        assert_eq!(f1, auto);
+        assert_eq!(auto.1[0].1, [64, 351, 415, 479, 543]);
+        assert!(sleeps > 0);
     }
 
     #[test]

@@ -2,10 +2,20 @@
 //!
 //! Every component registers named monotonic [`Counter`]s and log2-bucket
 //! [`Histogram`]s here at attach time (`Component::attach`). The
-//! handles are `Arc`-backed, so the component increments its own copy on
-//! the hot path (one relaxed atomic add) while the registry can snapshot
-//! all of them at any time without `&mut` access to the component —
-//! including mid-run.
+//! handles are `Arc`-backed, so the component updates its own copy on the
+//! hot path while the registry can snapshot all of them at any time
+//! without `&mut` access to the component — including mid-run.
+//!
+//! **Single-writer rule.** Every counter and histogram has exactly one
+//! writing thread at a time: the thread stepping the owning slot, or the
+//! main thread for the NoC's and the kernel's (ownership moves between
+//! cycles only across the step/commit barrier, which orders the
+//! accesses). Updates are therefore a relaxed load and a relaxed store,
+//! not a locked read-modify-write — the engine alone records two
+//! occupancy histograms per step. The cells stay atomic so that readers
+//! on other threads are race-free; a snapshot taken mid-step may see a
+//! histogram between two of its field updates, exactly as before. Two
+//! threads adding to one handle concurrently would lose updates.
 //!
 //! Counter names are `scope.counter` where scope is the component's
 //! `name#id` (e.g. `engine#3.backoffs`, `dir#0.inv_sent`). The registry
@@ -33,13 +43,13 @@ impl Counter {
     /// Increments by one.
     #[inline]
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.add(1);
     }
 
-    /// Increments by `n`.
+    /// Increments by `n` (wrapping). Single writer: see the module docs.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        bump(&self.0, n);
     }
 
     /// Current value.
@@ -65,6 +75,15 @@ impl Counter {
     }
 }
 
+/// `cell += n` (wrapping) for a cell with a single writer.
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
 /// Number of histogram buckets: one for zero plus one per power of two.
 const BUCKETS: usize = 65;
 
@@ -79,8 +98,8 @@ struct HistogramInner {
 /// A log2-bucketed histogram of `u64` samples (latencies, occupancies).
 ///
 /// Bucket `0` holds the value zero; bucket `i > 0` holds values in
-/// `[2^(i-1), 2^i)`. Recording is a handful of relaxed atomic ops, so the
-/// handle is safe to hit from a simulation hot loop.
+/// `[2^(i-1), 2^i)`. Recording is a handful of relaxed loads and stores, so
+/// the handle is safe to hit from a simulation hot loop.
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -149,31 +168,30 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, value: u64) {
-        let h = &*self.0;
-        h.buckets[Self::bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum.fetch_add(value, Ordering::Relaxed);
-        h.min.fetch_min(value, Ordering::Relaxed);
-        h.max.fetch_max(value, Ordering::Relaxed);
+        self.record_n(value, 1);
     }
 
     /// Records `n` identical samples, bit-exactly equivalent to calling
-    /// [`Histogram::record`] `n` times (the sum uses wrapping arithmetic,
-    /// matching `n` individual wrapping `fetch_add`s). Used by
+    /// [`Histogram::record`] `n` times (the sum wraps, as `n` individual
+    /// wrapping adds would). Used by
     /// [`crate::component::Component::fast_forward`] to reconcile
-    /// per-cycle histograms over a skipped window without paying one
-    /// atomic round trip per cycle.
+    /// per-cycle histograms over a skipped window in one update. Single
+    /// writer: see the module docs.
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
         let h = &*self.0;
-        h.buckets[Self::bucket_of(value)].fetch_add(n, Ordering::Relaxed);
-        h.count.fetch_add(n, Ordering::Relaxed);
-        h.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-        h.min.fetch_min(value, Ordering::Relaxed);
-        h.max.fetch_max(value, Ordering::Relaxed);
+        bump(&h.buckets[Self::bucket_of(value)], n);
+        bump(&h.count, n);
+        bump(&h.sum, value.wrapping_mul(n));
+        if value < h.min.load(Ordering::Relaxed) {
+            h.min.store(value, Ordering::Relaxed);
+        }
+        if value > h.max.load(Ordering::Relaxed) {
+            h.max.store(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded samples.

@@ -979,3 +979,162 @@ fn lookahead_modes_agree_on_fuzzed_scenarios() {
          the batching path went untested"
     );
 }
+
+/// A probe with a periodic timer and a per-cycle counter, for the per-slot
+/// sleep/wake property below. Every `period` cycles (never, if 0) it
+/// writes the cycle into its own memory word and pings `peer`; it logs
+/// every arrival; `ticks` counts one per cycle it is stepped or
+/// reconciled for, which is what a stall counter does.
+struct TimerProbe {
+    period: u64,
+    next_at: u64,
+    word_pa: u64,
+    peer: cohort_sim::component::CompId,
+    ticks: cohort_sim::stats::Counter,
+    received_at: Vec<u64>,
+}
+
+impl cohort_sim::component::Component for TimerProbe {
+    fn name(&self) -> &str {
+        "timer-probe"
+    }
+
+    fn attach(&mut self, obs: &cohort_sim::component::Observability) {
+        obs.adopt_counter("ticks", &self.ticks);
+    }
+
+    fn step(&mut self, ctx: &mut cohort_sim::component::Ctx<'_>) {
+        while ctx.recv().is_some() {
+            self.received_at.push(ctx.cycle);
+        }
+        self.ticks.inc();
+        if self.period != 0 && ctx.cycle >= self.next_at {
+            self.next_at = ctx.cycle + self.period;
+            ctx.mem.write_u64(self.word_pa, ctx.cycle);
+            ctx.send(self.peer, cohort_sim::msg::Msg::MmioWriteResp { tag: 0 });
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        false
+    }
+
+    fn quiescent_for(&self, now: u64) -> u64 {
+        if self.period == 0 {
+            u64::MAX
+        } else {
+            self.next_at.saturating_sub(now).max(1)
+        }
+    }
+
+    fn fast_forward(&mut self, skipped: u64) {
+        self.ticks.add(skipped);
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Per-slot sleep/wake is invisible: over SoCs of probes with random
+/// timer periods (some never firing, some firing every cycle) that ping
+/// random peers, alongside [`ScheduledSender`]s with random one-shot
+/// schedules, `Auto` and `Force1` agree at 1 and 2 threads on the stop
+/// cycle, every delivery cycle, the probes' memory words and the whole
+/// stats registry (the per-cycle `ticks` included) — and across the case
+/// set stepped cycles really did leave slots asleep.
+#[test]
+fn per_slot_sleep_is_unobservable_on_fuzzed_probe_socs() {
+    use cohort_sim::component::{CompId, TileCoord};
+    use cohort_sim::config::{Lookahead, SocConfig};
+
+    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+        let mut rng = Rng::new(seed);
+        let cfg = SocConfig::default()
+            .with_lookahead(lookahead)
+            .with_threads(threads);
+        let mut soc = cohort_sim::soc::Soc::new(cfg);
+        let probes = rng.range(2, 6);
+        let senders = rng.range(1, 3);
+        let slots = probes + senders;
+        for i in 0..probes {
+            let period = match rng.range(0, 4) {
+                0 => 0,
+                1 => 1,
+                _ => rng.range(2, 300),
+            };
+            soc.add_component(
+                TileCoord::new(i as u16, 0),
+                Box::new(TimerProbe {
+                    period,
+                    next_at: rng.range(0, 300),
+                    word_pa: 0x1000 + 8 * i,
+                    peer: CompId(rng.range(0, slots) as usize),
+                    ticks: cohort_sim::stats::Counter::new(),
+                    received_at: Vec::new(),
+                }),
+            );
+        }
+        for i in 0..senders {
+            let mut sends: Vec<u64> = (0..rng.range(1, 12)).map(|_| rng.range(1, 2_500)).collect();
+            sends.sort_unstable();
+            sends.dedup();
+            soc.add_component(
+                TileCoord::new(i as u16, 1),
+                Box::new(ScheduledSender {
+                    peer: CompId(rng.range(0, probes) as usize),
+                    sends: sends.into(),
+                    received_at: Vec::new(),
+                }),
+            );
+        }
+        let outcome = soc.run(3_000);
+        let deliveries: Vec<Vec<u64>> = (0..slots as usize)
+            .map(|i| {
+                let id = CompId(i);
+                match soc.component::<TimerProbe>(id) {
+                    Some(p) => p.received_at.clone(),
+                    None => soc
+                        .component::<ScheduledSender>(id)
+                        .expect("probe or sender")
+                        .received_at
+                        .clone(),
+                }
+            })
+            .collect();
+        let words: Vec<u64> = (0..probes)
+            .map(|i| soc.mem.read_u64(0x1000 + 8 * i))
+            .collect();
+        let observable = (outcome, deliveries, words, soc.stats_json());
+        let steps = soc.kernel_counter("kernel.slot_steps");
+        let sleeps = soc.kernel_counter("kernel.slot_sleeps");
+        (observable, steps, sleeps)
+    };
+
+    let mut partial_sleep = false;
+    for case in 0..CASES {
+        let seed = 0x51ee9 + case;
+        let (reference, _, f1_sleeps) = run(seed, Lookahead::Force1, 1);
+        assert_eq!(f1_sleeps, 0, "Force1 must step every slot every cycle");
+        for (lookahead, threads) in [
+            (Lookahead::Force1, 2),
+            (Lookahead::Auto, 1),
+            (Lookahead::Auto, 2),
+        ] {
+            let (observable, steps, sleeps) = run(seed, lookahead, threads);
+            assert_eq!(
+                reference, observable,
+                "{lookahead:?} at {threads} thread(s) diverged from Force1 (seed {seed:#x})"
+            );
+            partial_sleep |= steps > 0 && sleeps > 0;
+        }
+    }
+    assert!(
+        partial_sleep,
+        "no stepped cycle ever left a slot asleep — per-slot sleep went untested"
+    );
+}
