@@ -7,6 +7,20 @@
 
 use std::collections::VecDeque;
 
+/// Pops the oldest eight bytes of `bytes` as one little-endian 64-bit word
+/// (the endpoint interface width), or `None` if fewer are buffered. No
+/// allocation: this sits on the per-cycle feed and collect paths.
+pub fn pop_le_word(bytes: &mut VecDeque<u8>) -> Option<u64> {
+    if bytes.len() < 8 {
+        return None;
+    }
+    let mut word = [0u8; 8];
+    for (b, popped) in word.iter_mut().zip(bytes.drain(..8)) {
+        *b = popped;
+    }
+    Some(u64::from_le_bytes(word))
+}
+
 /// Accumulates bytes until fixed-size blocks can be popped.
 #[derive(Debug, Clone)]
 pub struct Ratchet {
@@ -54,11 +68,7 @@ impl Ratchet {
 
     /// Pops one 64-bit word if at least 8 bytes are buffered.
     pub fn pop_word(&mut self) -> Option<u64> {
-        if self.buf.len() < 8 {
-            return None;
-        }
-        let bytes: Vec<u8> = self.buf.drain(..8).collect();
-        Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        pop_le_word(&mut self.buf)
     }
 
     /// Bytes currently buffered.

@@ -6,7 +6,7 @@
 //! stream out one 64-bit word per cycle. Ratchets adapt the 64-bit
 //! endpoint width to the accelerator's native block sizes.
 
-use crate::ratchet::Ratchet;
+use crate::ratchet::{pop_le_word, Ratchet};
 use crate::Accelerator;
 use std::collections::VecDeque;
 
@@ -97,8 +97,7 @@ impl TimedAccel {
             return None;
         }
         self.last_pop_cycle = cycle;
-        let bytes: Vec<u8> = self.out_bytes.drain(..8).collect();
-        Some(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        pop_le_word(&mut self.out_bytes)
     }
 
     /// Output bytes currently buffered (including sub-word residue).
@@ -109,10 +108,13 @@ impl TimedAccel {
     /// Cycles until the pipeline next changes state on its own, assuming
     /// no further input and uninterrupted stepping — the accelerator's
     /// contribution to its host's `quiescent_for` lookahead hint.
-    /// `u64::MAX` means only external action (a push or a drain) can make
-    /// anything happen. Always sound to step sooner.
-    pub fn next_event(&self, cycle: u64) -> u64 {
-        if self.out_bytes.len() >= 8 {
+    /// `sink_ready` is the host's word on whether anyone would call
+    /// [`Self::pop_word`] this cycle: a buffered output word is an event
+    /// only if its sink can take it. `u64::MAX` means only external action
+    /// (a push or a drain) can make anything happen. Always sound to step
+    /// sooner.
+    pub fn next_event(&self, cycle: u64, sink_ready: bool) -> u64 {
+        if sink_ready && self.out_bytes.len() >= 8 {
             return 1; // a word can pop on the very next cycle
         }
         if self.pending_out.is_some() {
@@ -159,9 +161,8 @@ impl TimedAccel {
             self.blocks_done += 1;
         }
         let mut out = Vec::new();
-        while self.out_bytes.len() >= 8 {
-            let bytes: Vec<u8> = self.out_bytes.drain(..8).collect();
-            out.push(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
+        while let Some(word) = pop_le_word(&mut self.out_bytes) {
+            out.push(word);
         }
         out
     }
@@ -254,6 +255,30 @@ mod tests {
         assert!(t.pop_word(10).is_some());
         assert!(t.pop_word(10).is_none(), "only one word per cycle");
         assert!(t.pop_word(11).is_some());
+    }
+
+    #[test]
+    fn buffered_output_is_an_event_only_for_a_ready_sink() {
+        let mut t = TimedAccel::new(Box::new(NullFifo::with_geometry(8, 50)));
+        t.push_word(1);
+        t.step(0); // launches, busy until 50
+        t.step(50); // retires: one word buffered, nothing in flight
+        assert_eq!(t.output_len(), 8);
+        assert_eq!(t.next_event(51, true), 1, "a ready sink pops it");
+        assert_eq!(
+            t.next_event(51, false),
+            u64::MAX,
+            "blocked sink, idle pipeline: only a drain or a push acts"
+        );
+        t.push_word(2);
+        assert_eq!(t.next_event(51, false), 1, "a staged block launches");
+        t.step(51); // launches, busy until 101
+        assert_eq!(
+            t.next_event(60, false),
+            41,
+            "blocked sink: the next event is the retire at busy_until"
+        );
+        assert_eq!(t.next_event(60, true), 1);
     }
 
     #[test]

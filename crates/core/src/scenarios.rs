@@ -234,6 +234,12 @@ pub struct RunResult {
     /// asleep (per-slot sleep/wake); host-side telemetry like the two
     /// above.
     pub slot_sleeps: u64,
+    /// Of [`Self::slot_steps`], the steps that consumed no message, staged
+    /// nothing and left the component hinting "awake" again — what a
+    /// tighter `quiescent_for` could still put to sleep — per component
+    /// class (`core`, `engine`, …), classes that never stepped silently
+    /// left out.
+    pub silent_by_class: Vec<(String, u64)>,
 }
 
 impl RunResult {
@@ -244,6 +250,11 @@ impl RunResult {
         } else {
             self.instret as f64 / self.cycles as f64
         }
+    }
+
+    /// Silent steps of all classes ([`Self::silent_by_class`]).
+    pub fn silent_steps(&self) -> u64 {
+        self.silent_by_class.iter().map(|(_, n)| n).sum()
     }
 
     /// Looks up one counter by component prefix and name.
@@ -280,6 +291,16 @@ fn payload_checksum(cycles: u64, recorded: &[u64]) -> u64 {
     acc
 }
 
+/// Computes [`RunResult::silent_by_class`] from the kernel registry.
+fn silent_by_class(soc: &cohort_sim::soc::Soc) -> Vec<(String, u64)> {
+    let counters = soc.kernel_stats().counter_values();
+    let classes = counters.into_iter().filter_map(|(name, v)| {
+        let class = name.strip_prefix("kernel.silent_steps.")?;
+        (v > 0).then(|| (class.to_string(), v))
+    });
+    classes.collect()
+}
+
 fn finish_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
     sys.soc.set_tracing(scenario.trace);
     let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
@@ -306,6 +327,7 @@ fn finish_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
         slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
         slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
+        silent_by_class: silent_by_class(&sys.soc),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }
@@ -877,6 +899,7 @@ fn finish_sharded_run(
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
         slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
         slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
+        silent_by_class: silent_by_class(&sys.soc),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }
@@ -1337,6 +1360,7 @@ pub fn run_dma_chaos(scenario: &Scenario) -> RunResult {
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
         slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
         slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
+        silent_by_class: silent_by_class(&sys.soc),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }
@@ -1605,6 +1629,7 @@ impl CustomRun {
             ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
             slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
             slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
+            silent_by_class: silent_by_class(&sys.soc),
             trace_json: trace.then(|| sys.soc.trace_json()),
         }
     }
@@ -1730,6 +1755,7 @@ fn finish_chain_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
         ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
         slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
         slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
+        silent_by_class: silent_by_class(&sys.soc),
         trace_json: scenario.trace.then(|| sys.soc.trace_json()),
     }
 }

@@ -1304,14 +1304,16 @@ impl CohortEngine {
         }
     }
 
+    /// True while the producer endpoint takes accelerator output: it is
+    /// not halted and its staging FIFO (four lines) has room.
+    fn stage_ready(&self) -> bool {
+        !matches!(self.prod, ProdState::Halted) && self.stage.len() < 4 * LINE_BYTES as usize
+    }
+
     fn step_producer(&mut self, ctx: &mut Ctx<'_>) {
         // Collect accelerator output continuously (up to one word/cycle).
         // An injected accelerator stall holds valid low: no words emerge.
-        if self.enabled
-            && !matches!(self.prod, ProdState::Halted)
-            && !self.stalled(ctx.cycle)
-            && self.stage.len() < 4 * LINE_BYTES as usize
-        {
+        if self.enabled && !self.stalled(ctx.cycle) && self.stage_ready() {
             if let Some(w) = self.accel.pop_word(ctx.cycle) {
                 self.stage.extend_from_slice(&w.to_le_bytes());
             }
@@ -1937,7 +1939,7 @@ impl Component for CohortEngine {
                         } else {
                             // Back-pressured mid-chunk: ready rises when
                             // the in-flight block retires.
-                            self.accel.next_event(now)
+                            self.accel.next_event(now, self.stage_ready())
                         }
                     } else {
                         1 // finalise: publish the read index
@@ -1989,7 +1991,9 @@ impl Component for CohortEngine {
                 // is a fault window the SoC injector term bounds.
                 u64::MAX
             } else {
-                self.accel.next_event(now)
+                // A buffered output word is an event only while the
+                // producer's stage can take it.
+                self.accel.next_event(now, self.stage_ready())
             };
             chan(CH_CONS)
                 .min(chan(CH_PROD))

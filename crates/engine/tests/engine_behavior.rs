@@ -681,6 +681,64 @@ fn kill_landing_on_a_sleeping_engine_matches_forced_stepping() {
 }
 
 #[test]
+fn producer_blocked_on_a_full_stage_sleeps_and_matches_forced_stepping() {
+    // 256 words go through a one-cycle FIFO: the accelerator hands back a
+    // word per cycle while the producer endpoint publishes one element
+    // per coherent write, so its four-line stage fills and stays full
+    // with a write in flight. Output buffered behind a full stage is no
+    // event: the engine must sleep through those waits, and the per-cycle
+    // occupancy samples it reconciles must equal forced stepping's.
+    use cohort_sim::config::Lookahead;
+    let run = |lookahead: Lookahead| {
+        let cfg = SocConfig::default().with_lookahead(lookahead);
+        let mut rig = rig_with(cfg, Box::new(NullFifo::new()));
+        let in_q = rig.alloc_queue(8, 512);
+        let out_q = rig.alloc_queue(8, 512);
+        let root = rig.space.root_pa();
+        let mut p = rig
+            .driver
+            .register_ops(root, &in_q.descriptor, &out_q.descriptor, None, 32);
+        for i in 0..256u64 {
+            p.push(Op::Store {
+                va: in_q.descriptor.element_va(i),
+                value: i,
+            });
+        }
+        p.push(Op::Fence);
+        p.push(Op::Store {
+            va: in_q.descriptor.write_index_va,
+            value: 256,
+        });
+        p.push(Op::WaitGe {
+            va: out_q.descriptor.write_index_va,
+            value: 256,
+        });
+        rig.load(p);
+        rig.run();
+        assert_eq!(rig.engine_counter("produced"), 256);
+        (
+            rig.soc.cycle,
+            rig.soc.stats_json(),
+            rig.soc.kernel_counter("kernel.silent_steps.engine"),
+            rig.soc.kernel_counter("kernel.barrier_activations"),
+        )
+    };
+    let (f1_cycle, f1_stats, _, f1_barriers) = run(Lookahead::Force1);
+    let (auto_cycle, auto_stats, silent, barriers) = run(Lookahead::Auto);
+    assert_eq!(f1_cycle, auto_cycle);
+    assert_eq!(f1_stats, auto_stats);
+    assert!(
+        f1_stats.contains("\"engine#0.out_queue_occupancy\": {\"count\""),
+        "{f1_stats}"
+    );
+    assert!(
+        silent * 10 < barriers && barriers * 2 < f1_barriers,
+        "the engine stepped silently on {silent} of {barriers} stepped cycles \
+         ({f1_barriers} simulated)"
+    );
+}
+
+#[test]
 fn backoff_grows_exponentially_while_starved() {
     let mut rig = rig(Box::new(NullFifo::new()));
     let in_q = rig.alloc_queue(8, 8);

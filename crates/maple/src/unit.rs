@@ -1,5 +1,6 @@
 //! The MAPLE unit component: MMIO and coherent-DMA accelerator hosting.
 
+use cohort_accel::ratchet::pop_le_word;
 use cohort_accel::timing::TimedAccel;
 use cohort_os::mmu::{DeviceMmu, TlbResult, WalkMachine, WalkStep};
 use cohort_sim::component::{CompId, Component, Ctx, Observability};
@@ -453,24 +454,50 @@ impl MapleUnit {
         self.access = Access::None;
     }
 
+    /// The DMA writer wants the access slot: a full result line is staged,
+    /// or the tail of the transfer is.
+    fn dma_wants_flush(&self) -> bool {
+        self.out_stage.len() >= LINE_BYTES as usize
+            || (!self.out_stage.is_empty()
+                && self.fed * 8 >= self.dma_len
+                && self.accel.output_len() < 8)
+    }
+
+    /// The DMA reader wants the access slot: input remains and the
+    /// two-line prefetch buffer has room.
+    fn dma_wants_fetch(&self) -> bool {
+        self.src_off < self.dma_len && self.in_buf.len() < 2 * LINE_BYTES as usize
+    }
+
+    /// The DMA datapath takes accelerator output while its four-line
+    /// staging buffer has room.
+    fn dma_stage_ready(&self) -> bool {
+        self.out_stage.len() < 4 * LINE_BYTES as usize
+    }
+
+    /// Everything was read, fed, computed and written back.
+    fn dma_finished(&self, cycle: u64) -> bool {
+        self.src_off >= self.dma_len
+            && self.in_buf.is_empty()
+            && self.fed * 8 >= self.dma_len
+            && self.accel.is_idle(cycle)
+            && self.out_stage.is_empty()
+            && matches!(self.access, Access::None)
+    }
+
     fn step_dma(&mut self, ctx: &mut Ctx<'_>) {
         if self.dma_state != DmaState::Running {
             return;
         }
         // Writer has priority: drain results into the destination buffer a
         // line at a time (the coherent TRI store path).
-        let line = LINE_BYTES as usize;
         if matches!(self.access, Access::None) {
-            let flush = self.out_stage.len() >= line
-                || (!self.out_stage.is_empty()
-                    && self.fed * 8 >= self.dma_len
-                    && self.accel.output_len() < 8);
-            if flush {
+            if self.dma_wants_flush() {
                 let va = self.dma_dst + self.dst_off;
-                let contig = line - ((va % LINE_BYTES) as usize);
+                let contig = (LINE_BYTES - (va % LINE_BYTES)) as usize;
                 let len = self.out_stage.len().min(contig);
                 self.start_access(ctx, va, len, true);
-            } else if self.src_off < self.dma_len && self.in_buf.len() < 2 * line {
+            } else if self.dma_wants_fetch() {
                 // Prefetch the next input line.
                 let va = self.dma_src + self.src_off;
                 let contig = (LINE_BYTES - (va % LINE_BYTES)) as usize;
@@ -479,26 +506,19 @@ impl MapleUnit {
             }
         }
         // Feed the accelerator one word per cycle.
-        if self.in_buf.len() >= 8 && self.accel.ready(ctx.cycle) {
-            let bytes: Vec<u8> = self.in_buf.drain(..8).collect();
-            self.accel
-                .push_word(u64::from_le_bytes(bytes.try_into().expect("8 bytes")));
-            self.fed += 1;
+        if self.accel.ready(ctx.cycle) {
+            if let Some(word) = pop_le_word(&mut self.in_buf) {
+                self.accel.push_word(word);
+                self.fed += 1;
+            }
         }
         // Collect output.
-        if self.out_stage.len() < 4 * line {
+        if self.dma_stage_ready() {
             if let Some(w) = self.accel.pop_word(ctx.cycle) {
                 self.out_stage.extend_from_slice(&w.to_le_bytes());
             }
         }
-        // Completion check.
-        if self.src_off >= self.dma_len
-            && self.in_buf.is_empty()
-            && self.fed * 8 >= self.dma_len
-            && self.accel.is_idle(ctx.cycle)
-            && self.out_stage.is_empty()
-            && matches!(self.access, Access::None)
-        {
+        if self.dma_finished(ctx.cycle) {
             self.dma_state = DmaState::Idle;
             self.counters.dma_transfers.inc();
         }
@@ -593,10 +613,32 @@ impl Component for MapleUnit {
             // un-stall edge is a fault window the SoC injector bounds.
             return k.max(1);
         }
-        if self.dma_state == DmaState::Running || !self.held.is_empty() {
-            return 1; // the DMA loop and held-MMIO queue act every cycle
+        // A buffered word is an event only if its sink can take it this
+        // cycle: the DMA loop needs the access slot free, a word to feed
+        // or one to collect; a held request needs the accelerator's side
+        // of its handshake. Otherwise the unit waits on the hit-path
+        // completion above, the accelerator's retire, or a message.
+        let running = self.dma_state == DmaState::Running;
+        let mut sink_ready = false;
+        if running {
+            let slot_free = matches!(self.access, Access::None);
+            if (slot_free && (self.dma_wants_flush() || self.dma_wants_fetch()))
+                || (self.in_buf.len() >= 8 && self.accel.ready(now))
+                || self.dma_finished(now)
+            {
+                return 1;
+            }
+            sink_ready = self.dma_stage_ready();
         }
-        k.min(self.accel.next_event(now)).max(1)
+        for h in &self.held {
+            match h {
+                HeldMmio::Push { .. } if self.accel.ready(now) => return 1,
+                HeldMmio::Done { .. } if !running => return 1,
+                HeldMmio::Pop { .. } => sink_ready = true,
+                _ => {}
+            }
+        }
+        k.min(self.accel.next_event(now, sink_ready)).max(1)
     }
 
     fn is_idle(&self) -> bool {

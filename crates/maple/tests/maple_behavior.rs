@@ -8,7 +8,7 @@ use cohort_maple::{regs, MapleUnit};
 use cohort_os::addrspace::{AddressSpace, MapPolicy};
 use cohort_os::frame::FrameAllocator;
 use cohort_sim::component::TileCoord;
-use cohort_sim::config::SocConfig;
+use cohort_sim::config::{Lookahead, SocConfig};
 use cohort_sim::core::InOrderCore;
 use cohort_sim::directory::Directory;
 use cohort_sim::program::{Op, Program};
@@ -24,7 +24,10 @@ struct Rig {
 }
 
 fn rig(accel: Box<dyn cohort_accel::Accelerator>) -> Rig {
-    let cfg = SocConfig::default();
+    rig_with(SocConfig::default(), accel)
+}
+
+fn rig_with(cfg: SocConfig, accel: Box<dyn cohort_accel::Accelerator>) -> Rig {
     let mut soc = Soc::new(cfg.clone());
     let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
     let mut frames = FrameAllocator::new(0x8000_0000, 0x9000_0000);
@@ -269,4 +272,112 @@ fn back_to_back_dma_transfers() {
         );
     }
     assert_eq!(got, expect);
+}
+
+/// Runs `program` under forced stepping and under `Auto`, asserts that
+/// everything simulated is equal, and returns `(cycles, Auto slot-steps)`.
+fn auto_matches_force1(
+    accel: fn() -> Box<dyn cohort_accel::Accelerator>,
+    program: impl Fn(&mut Rig) -> Program,
+) -> (u64, u64) {
+    let run = |lookahead: Lookahead| {
+        let mut rig = rig_with(SocConfig::default().with_lookahead(lookahead), accel());
+        let p = program(&mut rig);
+        let recorded = rig.run_program(p);
+        let steps = rig.soc.kernel_counter("kernel.slot_steps");
+        ((rig.soc.cycle, recorded, rig.soc.stats_json()), steps)
+    };
+    let (f1, f1_steps) = run(Lookahead::Force1);
+    let (auto, auto_steps) = run(Lookahead::Auto);
+    assert_eq!(f1, auto);
+    assert_eq!(f1_steps, 3 * auto.0, "force-1 steps three slots a cycle");
+    (auto.0, auto_steps)
+}
+
+#[test]
+fn mmio_run_sleeps_through_compute_and_matches_forced_stepping() {
+    // Eight SHA blocks pushed and popped over MMIO: with no request held
+    // nobody can take a buffered digest word, and a held pop waits for
+    // the retire — the unit acts only when a message or that timer says.
+    let (cycles, steps) = auto_matches_force1(
+        || Box::new(Sha256Accel::new()),
+        |_| {
+            let mut p = Program::new();
+            for b in 0..8u64 {
+                for i in 0..8u64 {
+                    p.push(Op::MmioStore {
+                        pa: MAPLE_MMIO + regs::PUSH,
+                        value: b * 8 + i,
+                    });
+                }
+                p.push(Op::KernelCost {
+                    cycles: 200,
+                    insts: 1,
+                });
+                for _ in 0..4 {
+                    p.push(Op::MmioLoad {
+                        pa: MAPLE_MMIO + regs::POP,
+                        record: true,
+                    });
+                }
+            }
+            p
+        },
+    );
+    assert!(
+        steps * 4 <= cycles,
+        "{steps} slot-steps over {cycles} cycles"
+    );
+}
+
+#[test]
+fn dma_run_sleeps_while_back_pressured_and_matches_forced_stepping() {
+    // A 16-block SHA transfer: the prefetch buffer fills in a few line
+    // reads, then the DMA loop waits 66 cycles per block with a word
+    // ready to feed and the accelerator not ready to take it.
+    let (cycles, steps) = auto_matches_force1(
+        || Box::new(Sha256Accel::new()),
+        |rig| {
+            let src = rig
+                .space
+                .malloc(&mut rig.soc.mem, &mut rig.frames, 1024, 64);
+            let dst = rig.space.malloc(&mut rig.soc.mem, &mut rig.frames, 512, 64);
+            let root = rig.space.root_pa();
+            let mut p = Program::new();
+            for i in 0..128u64 {
+                p.push(Op::Store {
+                    va: src + i * 8,
+                    value: i.wrapping_mul(0x9e37_79b9),
+                });
+            }
+            p.push(Op::Fence);
+            for (reg, value) in [
+                (regs::DMA_PTROOT, root),
+                (regs::DMA_SRC, src),
+                (regs::DMA_DST, dst),
+                (regs::DMA_LEN, 1024),
+                (regs::DMA_START, 1),
+            ] {
+                p.push(Op::MmioStore {
+                    pa: MAPLE_MMIO + reg,
+                    value,
+                });
+            }
+            p.push(Op::MmioLoad {
+                pa: MAPLE_MMIO + regs::DMA_DONE,
+                record: true,
+            });
+            for j in 0..64u64 {
+                p.push(Op::Load {
+                    va: dst + j * 8,
+                    record: true,
+                });
+            }
+            p
+        },
+    );
+    assert!(
+        steps * 4 <= cycles,
+        "{steps} slot-steps over {cycles} cycles"
+    );
 }

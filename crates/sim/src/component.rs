@@ -254,6 +254,23 @@ pub trait Component: Send {
     /// MAPLE unit on its hit and accelerator timers or on MMIO and port
     /// messages; the fault injector on its schedule.
     ///
+    /// **The sink rule.** Holding data is not an event: a buffered word
+    /// is one only if its sink can take it this cycle. A back-pressured
+    /// agent waits on whatever unblocks the sink, which by the rule above
+    /// is a message or a timer of its own. The three agents apply it as
+    /// follows. The engine counts accelerator output as an event only
+    /// while the producer endpoint is not halted and its four-line stage
+    /// has room (`TimedAccel::next_event`'s `sink_ready`); otherwise the
+    /// accelerator contributes its retire or launch. The core sleeps on a
+    /// non-empty store buffer when the head's grant is in flight, every
+    /// line the drain prefetches is held in M or already pending, and
+    /// `exec` is inside a wait/busy/hit window or could only stall (a
+    /// store on a full buffer, a fence or the program's end with the
+    /// buffer draining). The MAPLE unit counts output as an event only
+    /// for a held pop or a running DMA whose stage has room, and a
+    /// running DMA as one only if the access slot is free and wanted, a
+    /// word can be fed, or the transfer is complete.
+    ///
     /// Over-stepping is always sound (the SoC may step anywhere inside
     /// the window); only an overshoot — returning `N` when the component
     /// would have acted at `now + j`, `j < N` — breaks determinism. A
@@ -278,6 +295,17 @@ pub trait Component: Send {
     /// skipped)`, a timer that every idle step re-arms) and nothing else.
     /// The default does nothing, matching the default hint of 1 (a
     /// component that is stepped every cycle never sleeps).
+    ///
+    /// What the agents reconcile per skipped cycle. Core: one
+    /// `mmio_stall_cycles` or `mem_stall_cycles` in the matching wait
+    /// state; one `sb_full_stalls` for a store held off a full buffer,
+    /// counted only from `busy_until` on (the core keeps its own next
+    /// cycle for this); one `l1.hits` per line the blocked drain
+    /// prefetches and holds in M, plus one LRU touch of each such line —
+    /// touches only order lines, so any number of identical rounds
+    /// leaves the order of one. Engine: one sample of each occupancy
+    /// histogram and the benign endpoints' watchdog restart. MAPLE:
+    /// nothing — it keeps no per-cycle books.
     fn fast_forward(&mut self, skipped: u64) {
         let _ = skipped;
     }

@@ -20,7 +20,6 @@ use std::collections::{HashMap, VecDeque};
 
 const LOAD_TOKEN: u64 = 1;
 const SB_TOKEN: u64 = 2;
-const SB_PREFETCH_TOKEN: u64 = 3;
 
 /// What a modelled interrupt handler does after its entry cost.
 pub enum HandlerAction {
@@ -180,6 +179,9 @@ pub struct InOrderCore {
     sb_limit: usize,
     sb_mshrs: usize,
     sb_waiting: bool,
+    /// First cycle this core has neither stepped nor reconciled yet, so
+    /// `fast_forward` can tell which skipped cycles lie past `busy_until`.
+    next_cycle: u64,
     spin_alu: u64,
     spin_insts: u64,
     translator: Box<dyn Translator>,
@@ -220,6 +222,7 @@ impl InOrderCore {
             sb_limit: cfg.timing.store_buffer,
             sb_mshrs: cfg.timing.sb_mshrs,
             sb_waiting: false,
+            next_cycle: 0,
             spin_alu: cfg.timing.spin_alu,
             spin_insts: cfg.timing.spin_insts,
             translator: Box::new(Identity),
@@ -311,6 +314,43 @@ impl InOrderCore {
             .map(|(_, v)| *v)
     }
 
+    /// The lines the background drain prefetches write permission for:
+    /// the first `mshrs - 1` distinct lines buffered behind the head that
+    /// no earlier entry (the head included) already covers.
+    fn sb_prefetch_lines(
+        sb: &VecDeque<(u64, u64)>,
+        mshrs: usize,
+    ) -> impl Iterator<Item = u64> + '_ {
+        let fresh = move |i: usize| {
+            let line = crate::line_of(sb[i].0);
+            let seen = sb.range(..i).any(|&(pa, _)| crate::line_of(pa) == line);
+            (!seen).then_some(line)
+        };
+        (1..sb.len())
+            .filter_map(fresh)
+            .take(mshrs.saturating_sub(1))
+    }
+
+    /// True when the background drain can only wait: the head's grant is
+    /// in flight (it arrives as a message) and every prefetch behind it
+    /// would send nothing.
+    fn sb_drain_blocked(&self) -> bool {
+        self.sb_waiting
+            && Self::sb_prefetch_lines(&self.sb, self.sb_mshrs)
+                .all(|line| self.port.prefetch_is_noop(line))
+    }
+
+    /// True when `exec` could only stall at the current `pc`, cycle after
+    /// cycle, until the store buffer moves.
+    fn exec_stalls(&self) -> bool {
+        let draining = !self.sb.is_empty() || self.sb_waiting;
+        match self.ops.get(self.pc) {
+            None | Some(Op::Fence) => draining,
+            Some(Op::Store { .. }) => self.sb.len() >= self.sb_limit,
+            Some(_) => false,
+        }
+    }
+
     fn drain_sb(&mut self, ctx: &mut Ctx<'_>) {
         if self.sb.is_empty() {
             return;
@@ -318,22 +358,8 @@ impl InOrderCore {
         // Miss-level parallelism: grab write permission for the next few
         // distinct lines buffered behind the head (MSHR-style). The head's
         // own line is handled below with precise bookkeeping.
-        let mut distinct = 1;
-        for i in 1..self.sb.len() {
-            if distinct >= self.sb_mshrs {
-                break;
-            }
-            let line = crate::line_of(self.sb[i].0);
-            if !self
-                .sb
-                .range(..i)
-                .any(|&(pa, _)| crate::line_of(pa) == line)
-            {
-                distinct += 1;
-                // Fire-and-forget permission prefetch; completions are
-                // ignored.
-                let _ = self.port.request(ctx, line, true, SB_PREFETCH_TOKEN);
-            }
+        for line in Self::sb_prefetch_lines(&self.sb, self.sb_mshrs) {
+            self.port.prefetch_m(ctx, line);
         }
         if self.sb_waiting {
             return;
@@ -580,6 +606,7 @@ impl Component for InOrderCore {
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
+        self.next_cycle = ctx.cycle + 1;
         // 1. Messages.
         while let Some(env) = ctx.recv() {
             match &env.msg {
@@ -662,11 +689,10 @@ impl Component for InOrderCore {
     }
 
     fn quiescent_for(&self, now: u64) -> u64 {
-        // Any store-buffer or IRQ activity issues requests / takes traps
-        // on the very next step; the background drain is not idempotent
-        // (each attempt pushes a request into a pending line), so those
-        // cycles must be stepped for real.
-        if !self.irq_pending.is_empty() || !self.sb.is_empty() || self.sb_waiting {
+        // A pending IRQ traps on the very next step. A buffered store is
+        // an event only if its sink can take it: unless the drain is
+        // blocked it issues a request or retires the head next step.
+        if !self.irq_pending.is_empty() || (!self.sb.is_empty() && !self.sb_drain_blocked()) {
             return 1;
         }
         match self.state {
@@ -681,6 +707,9 @@ impl Component for InOrderCore {
             CState::LoadDone { at, .. } | CState::SpinDone { at, .. } => {
                 at.saturating_sub(now).max(1)
             }
+            // Back-pressured by the store buffer: `exec` stalls every
+            // cycle until a grant (a message) moves the head.
+            CState::Ready if self.exec_stalls() => u64::MAX,
             // An ALU/trap busy window ends exactly at busy_until.
             CState::Ready => self.busy_until.saturating_sub(now).max(1),
         }
@@ -692,8 +721,7 @@ impl Component for InOrderCore {
         // that accounting runs, so a wait window [enter+1, wake) under
         // forced stepping increments exactly once per skipped cycle —
         // `add(skipped)` is bit-exact. The other skippable states
-        // (Ready-busy, LoadDone/SpinDone pending, Done) record nothing
-        // per cycle.
+        // (LoadDone/SpinDone pending, Done) record nothing per cycle.
         match self.state {
             CState::WaitMmio { .. } | CState::WaitHandlerMmio => {
                 self.counters.mmio_stall_cycles.add(skipped);
@@ -701,8 +729,29 @@ impl Component for InOrderCore {
             CState::WaitLoad { .. } | CState::WaitSpin { .. } => {
                 self.counters.mem_stall_cycles.add(skipped);
             }
+            // `exec` ran on every skipped cycle at or after `busy_until`
+            // and could only stall; a store held off a full buffer counts
+            // each. (`busy_until` itself, which a stalled `exec` re-arms
+            // to the next cycle, may stay behind: nothing reads how far.)
+            CState::Ready => {
+                let busy = self.busy_until.saturating_sub(self.next_cycle);
+                let stalled = skipped.saturating_sub(busy);
+                debug_assert!(
+                    stalled == 0 || self.exec_stalls(),
+                    "slept over a runnable op"
+                );
+                if matches!(self.ops.get(self.pc), Some(Op::Store { .. })) {
+                    self.counters.sb_full_stalls.add(stalled);
+                }
+            }
             _ => {}
         }
+        // Every skipped cycle polled the blocked drain's prefetches.
+        debug_assert!(self.sb.is_empty() || self.sb_drain_blocked());
+        for line in Self::sb_prefetch_lines(&self.sb, self.sb_mshrs) {
+            self.port.replay_prefetch_polls(line, skipped);
+        }
+        self.next_cycle += skipped;
     }
 
     fn counters(&self) -> Vec<(String, u64)> {

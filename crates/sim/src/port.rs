@@ -175,25 +175,58 @@ impl CoherentPort {
                     return Outcome::Pending;
                 }
                 debug_assert!(held.is_none() || write, "read of held line should have hit");
-                self.counters.misses.inc();
-                let msg = if write {
-                    Msg::GetM {
-                        line,
-                        no_fetch: full_line,
-                    }
-                } else {
-                    Msg::GetS { line }
-                };
-                ctx.send(self.dir, msg);
-                self.pending.insert(
-                    line,
-                    PendingLine {
-                        want_m: write,
-                        tokens: vec![token],
-                    },
-                );
+                self.issue(ctx, line, write, full_line, vec![token]);
                 Outcome::Pending
             }
+        }
+    }
+
+    /// Opens a directory transaction on `line`, completing `tokens`.
+    fn issue(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        line: u64,
+        want_m: bool,
+        no_fetch: bool,
+        tokens: Vec<u64>,
+    ) {
+        self.counters.misses.inc();
+        let msg = if want_m {
+            Msg::GetM { line, no_fetch }
+        } else {
+            Msg::GetS { line }
+        };
+        ctx.send(self.dir, msg);
+        self.pending.insert(line, PendingLine { want_m, tokens });
+    }
+
+    /// Fire-and-forget write-permission prefetch of `line`: counts and
+    /// sends exactly what a write [`CoherentPort::request`] would, but
+    /// joins an in-flight transaction without leaving a token behind, so
+    /// the grant raises no [`PortEvent::Completed`] for it. Polling it
+    /// every cycle of a miss is free.
+    pub fn prefetch_m(&mut self, ctx: &mut Ctx<'_>, line: u64) {
+        if self.cache.touch(line) == Some(LineState::M) {
+            self.counters.hits.inc();
+        } else if !self.pending.contains_key(&line) {
+            self.issue(ctx, line, true, false, Vec::new());
+        }
+    }
+
+    /// True if [`CoherentPort::prefetch_m`] of `line` would send nothing:
+    /// the line is held in M or a transaction on it is in flight.
+    pub fn prefetch_is_noop(&self, line: u64) -> bool {
+        self.cache.state(line) == Some(LineState::M) || self.pending.contains_key(&line)
+    }
+
+    /// Applies what `polls` consecutive no-op [`CoherentPort::prefetch_m`]
+    /// calls on `line` would have left behind (caller checked
+    /// [`CoherentPort::prefetch_is_noop`]): one hit per poll of a line
+    /// held in M, and the line most recently used — any number of
+    /// identical touch rounds orders the set like one.
+    pub fn replay_prefetch_polls(&mut self, line: u64, polls: u64) {
+        if self.cache.touch(line) == Some(LineState::M) {
+            self.counters.hits.add(polls);
         }
     }
 

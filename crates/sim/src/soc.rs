@@ -66,6 +66,12 @@ pub(crate) struct Slot {
     /// First cycle this component has not accounted for yet: every
     /// earlier cycle was stepped or reconciled by `fast_forward`.
     synced_to: u64,
+    /// The slot's last step was silent: empty inbox, nothing staged, and
+    /// the fresh hint said "awake" again — a step the hint could have
+    /// slept through. Only read for a slot stepped this cycle.
+    silent: bool,
+    /// `kernel.silent_steps.<name>`, shared by every slot of the class.
+    silent_class: Counter,
 }
 
 impl Slot {
@@ -130,6 +136,7 @@ fn step_slot_if_awake(
         return;
     }
     slot.sync(cycle);
+    let had_mail = !slot.inbox.is_empty();
     let mut ctx = Ctx {
         cycle,
         self_id: CompId(i),
@@ -142,6 +149,8 @@ fn step_slot_if_awake(
     slot.synced_to = cycle + 1;
     if lookahead == Lookahead::Auto {
         slot.rehint(cycle + 1);
+        slot.silent =
+            !had_mail && slot.outbox.is_empty() && slot.log.is_empty() && slot.wake_at == cycle + 1;
     }
 }
 
@@ -191,6 +200,10 @@ struct KernelStats {
     slot_steps: Counter,
     /// Slots a stepped cycle skipped because they were asleep.
     slot_sleeps: Counter,
+    /// Steps that did nothing the kernel can see and were followed by a
+    /// hint of 1 again (`Slot::silent`): the hint's missed sleeps. Also
+    /// kept per component class as `kernel.silent_steps.<name>`.
+    silent_steps: Counter,
 }
 
 impl KernelStats {
@@ -201,6 +214,7 @@ impl KernelStats {
         let rebuilds = stats.counter("kernel.stripe_rebuilds");
         let slot_steps = stats.counter("kernel.slot_steps");
         let slot_sleeps = stats.counter("kernel.slot_sleeps");
+        let silent_steps = stats.counter("kernel.silent_steps");
         Self {
             stats,
             barriers,
@@ -208,6 +222,7 @@ impl KernelStats {
             rebuilds,
             slot_steps,
             slot_sleeps,
+            silent_steps,
         }
     }
 }
@@ -344,6 +359,10 @@ impl Soc {
             tid: id.0 as u64,
         };
         comp.attach(&obs);
+        let silent_class = self
+            .kernel
+            .stats
+            .counter(&format!("kernel.silent_steps.{}", comp.name()));
         self.slots.push(Slot {
             comp,
             tile,
@@ -352,6 +371,8 @@ impl Soc {
             log: WriteLog::new(),
             wake_at: 0,
             synced_to: self.cycle,
+            silent: false,
+            silent_class,
         });
         id
     }
@@ -396,25 +417,33 @@ impl Soc {
     fn commit_cycle(&mut self) {
         self.kernel.barriers.inc();
         let (slots, mem, noc) = (&mut self.slots, &mut self.mem, &mut self.noc);
-        if self.costs.len() != slots.len() {
+        // Only the parallel loop's stripe packing reads the cost model.
+        if self.cfg.threads > 1 {
             self.costs.resize(slots.len(), 0);
+            for (slot, cost) in slots.iter().zip(self.costs.iter_mut()) {
+                // EWMA (alpha = 1/8, samples scaled by 256) over this
+                // cycle's staged activity, zero for a sleeper. Pure integer
+                // arithmetic over simulated state — never wall time — so
+                // the cost model, and therefore the stripe assignment, is
+                // itself deterministic.
+                let sample = (slot.log.staged_ops() + slot.outbox.len()) as u64 * 256;
+                *cost = (*cost * 7 + sample) / 8;
+            }
         }
-        let mut stepped = 0;
-        for (slot, cost) in slots.iter_mut().zip(self.costs.iter_mut()) {
-            // EWMA (alpha = 1/8, samples scaled by 256) over this cycle's
-            // staged activity, zero for a sleeper. Pure integer arithmetic
-            // over simulated state — never wall time — so the cost model,
-            // and therefore the stripe assignment, is itself
-            // deterministic.
-            let sample = (slot.log.staged_ops() + slot.outbox.len()) as u64 * 256;
-            *cost = (*cost * 7 + sample) / 8;
+        let (mut stepped, mut silent) = (0, 0);
+        for slot in slots.iter_mut() {
             if slot.stepped_in(self.cycle) {
                 stepped += 1;
+                if slot.silent {
+                    silent += 1;
+                    slot.silent_class.inc();
+                }
                 slot.log.commit(mem);
             }
         }
         self.kernel.slot_steps.add(stepped);
         self.kernel.slot_sleeps.add(slots.len() as u64 - stepped);
+        self.kernel.silent_steps.add(silent);
         for i in 0..slots.len() {
             if slots[i].outbox.is_empty() {
                 continue;
@@ -783,7 +812,8 @@ impl Soc {
     /// The simulation kernel's own instrumentation
     /// (`kernel.barrier_activations`, `kernel.ff_cycles`,
     /// `kernel.stripe_rebuilds`, `kernel.slot_steps`,
-    /// `kernel.slot_sleeps`). Deliberately a registry separate from
+    /// `kernel.slot_sleeps`, `kernel.silent_steps` and its per-class
+    /// `kernel.silent_steps.<name>`). Deliberately a registry separate from
     /// [`Soc::stats`]: kernel counters describe how the host executed the
     /// simulation, not what the simulated SoC did, so they must never
     /// leak into [`Soc::stats_json`] (which the determinism contract pins
@@ -1643,6 +1673,70 @@ mod tests {
         assert_eq!(f1, auto);
         assert_eq!(auto.1[0].1, [64, 351, 415, 479, 543]);
         assert!(sleeps > 0);
+    }
+
+    #[test]
+    fn back_pressured_store_stream_sleeps_and_matches_forced_stepping() {
+        // Two cores stream stores with no fence in between, every other
+        // one onto a line they fight over and the rest onto lines of
+        // their own: the store buffer fills, its head waits for the
+        // contended line and the drain keeps polling the private lines it
+        // already holds in M. All of that is waiting, and its per-cycle
+        // books (`sb_full_stalls`, one `l1.hits` per polled line) must
+        // come out of `fast_forward` exactly as forced stepping counts
+        // them.
+        let run = |lookahead: Lookahead| {
+            let cfg = SocConfig::default().with_lookahead(lookahead);
+            let mut soc = Soc::new(cfg.clone());
+            let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
+            let mut cores = Vec::new();
+            for c in 0..2u64 {
+                let mut p = Program::new();
+                for i in 0..96u64 {
+                    if i == 40 {
+                        // A busy window that ends inside the stall: only
+                        // the cycles past it count as store-buffer stalls.
+                        p.push(Op::Alu(30));
+                    }
+                    let private = 0x10_0000 * (c + 1) + (i % 6) * crate::LINE_BYTES;
+                    p.push(Op::Store {
+                        va: if i % 2 == 0 { 0x3000 } else { private },
+                        value: c * 1000 + i,
+                    });
+                }
+                p.push(Op::Fence);
+                p.push(Op::Alu(50));
+                let tile = TileCoord::new(1 + c as u16, 0);
+                cores.push(soc.add_component(tile, Box::new(InOrderCore::new(dir, &cfg, p))));
+            }
+            let out = soc.run(10_000_000);
+            assert!(out.quiescent, "stuck at {}", out.cycle);
+            let per_core: Vec<_> = cores
+                .iter()
+                .map(|&id| {
+                    let c = soc.component::<InOrderCore>(id).unwrap().core_counters();
+                    (c.done_at, c.instret.get(), c.sb_full_stalls.get())
+                })
+                .collect();
+            (
+                (out.cycle, per_core, soc.stats_json()),
+                soc.kernel_counter("kernel.slot_steps"),
+            )
+        };
+        let (f1, f1_steps) = run(Lookahead::Force1);
+        let (auto, auto_steps) = run(Lookahead::Auto);
+        assert_eq!(f1, auto);
+        let (cycles, per_core, stats) = &auto;
+        assert!(
+            per_core.iter().all(|&(_, _, stalls)| stalls > 100),
+            "{per_core:?}"
+        );
+        assert!(stats.contains("\"core#1.l1.hits\""), "{stats}");
+        assert_eq!(f1_steps, 3 * cycles, "force-1 steps every slot every cycle");
+        assert!(
+            auto_steps * 2 < *cycles,
+            "three slots, {cycles} cycles, {auto_steps} slot-steps: the cores must sleep"
+        );
     }
 
     #[test]

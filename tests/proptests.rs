@@ -1138,3 +1138,105 @@ fn per_slot_sleep_is_unobservable_on_fuzzed_probe_socs() {
         "no stepped cycle ever left a slot asleep — per-slot sleep went untested"
     );
 }
+
+/// The store-buffer sleep is invisible on real cores: over SoCs of two
+/// to four in-order cores behind one directory, each running random
+/// bursts of stores (onto a few lines every core fights over and a few
+/// of its own), ALU delays, fences and recorded loads, with random
+/// store-buffer depth and MSHR count, `Auto` and `Force1` agree at 1 and
+/// 2 threads on the stop cycle, every core's `done_at` and recorded
+/// loads, the contended words and the whole stats registry (the
+/// reconciled `sb_full_stalls` and `l1.hits` included) — and across the
+/// case set the cores really did sleep.
+#[test]
+fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
+    use cohort_sim::component::TileCoord;
+    use cohort_sim::config::{Lookahead, SocConfig};
+    use cohort_sim::core::InOrderCore;
+    use cohort_sim::directory::Directory;
+    use cohort_sim::program::{Op, Program};
+    use cohort_sim::LINE_BYTES;
+
+    const SHARED: u64 = 0x4000;
+    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+        let mut rng = Rng::new(seed);
+        let mut cfg = SocConfig::default()
+            .with_lookahead(lookahead)
+            .with_threads(threads);
+        cfg.timing.store_buffer = rng.range(1, 12) as usize;
+        cfg.timing.sb_mshrs = rng.range(1, 6) as usize;
+        let mut soc = cohort_sim::soc::Soc::new(cfg.clone());
+        let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
+        let cores: Vec<_> = (0..rng.range(2, 5))
+            .map(|c| {
+                let mut p = Program::new();
+                for _ in 0..rng.range(4, 16) {
+                    match rng.range(0, 8) {
+                        0 => p.push(Op::Alu(rng.range(1, 120) as u32)),
+                        1 => p.push(Op::Fence),
+                        2 => p.push(Op::Load {
+                            va: SHARED + rng.range(0, 3) * LINE_BYTES + 8 * rng.range(0, 8),
+                            record: true,
+                        }),
+                        _ => {
+                            for _ in 0..rng.range(1, 24) {
+                                let line = if rng.range(0, 2) == 0 {
+                                    SHARED + rng.range(0, 3) * LINE_BYTES
+                                } else {
+                                    0x10_0000 * (c + 1) + rng.range(0, 8) * LINE_BYTES
+                                };
+                                p.push(Op::Store {
+                                    va: line + 8 * rng.range(0, 8),
+                                    value: rng.next_u64(),
+                                });
+                            }
+                        }
+                    }
+                }
+                let core = InOrderCore::new(dir, &cfg, p);
+                soc.add_component(TileCoord::new(1 + c as u16, 0), Box::new(core))
+            })
+            .collect();
+        let outcome = soc.run(2_000_000);
+        assert!(
+            outcome.quiescent,
+            "seed {seed:#x} stuck at {}",
+            outcome.cycle
+        );
+        let per_core: Vec<(u64, Vec<u64>)> = cores
+            .iter()
+            .map(|&id| {
+                let core = soc.component::<InOrderCore>(id).expect("a core");
+                (core.core_counters().done_at, core.recorded().to_vec())
+            })
+            .collect();
+        let words: Vec<u64> = (0..3 * LINE_BYTES / 8)
+            .map(|i| soc.mem.read_u64(SHARED + 8 * i))
+            .collect();
+        let observable = (outcome, per_core, words, soc.stats_json());
+        let steps = soc.kernel_counter("kernel.slot_steps");
+        let barriers = soc.kernel_counter("kernel.barrier_activations");
+        (observable, steps, barriers)
+    };
+
+    let mut slept = false;
+    for case in 0..CASES / 2 {
+        let seed = 0x5b_51ee9 + case;
+        let (reference, ..) = run(seed, Lookahead::Force1, 1);
+        for (lookahead, threads) in [
+            (Lookahead::Force1, 2),
+            (Lookahead::Auto, 1),
+            (Lookahead::Auto, 2),
+        ] {
+            let (observable, steps, barriers) = run(seed, lookahead, threads);
+            assert_eq!(
+                reference, observable,
+                "{lookahead:?} at {threads} thread(s) diverged from Force1 (seed {seed:#x})"
+            );
+            // Fewer slot-steps than barriers: on average not even one of
+            // the three-plus slots was awake per stepped cycle.
+            slept |= lookahead == Lookahead::Auto && steps < barriers;
+        }
+    }
+    assert!(slept, "no run ever left its cores asleep");
+}
