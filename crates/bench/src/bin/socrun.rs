@@ -43,16 +43,13 @@ fn usage() -> ! {
          \u{20}             [--threads N]\n\
          \u{20}             [--shards N] [--placement rr|occupancy] [--engines N] [--skew]\n\
          \u{20}             [--stats FILE] [--trace FILE] [--bench-out FILE]\n\
-         \u{20}             [--baseline FILE] [--bless-baseline FILE]\n\
          sharding: --shards N splits the stream over N engines (mode shard);\n\
          \u{20}         --engines overrides the spare-inclusive pool size,\n\
          \u{20}         --skew makes every 4th element run heavy;\n\
          \u{20}         mode mesh16 is the 16-core big.LITTLE mesh (4 shards + noise)\n\
          parallel: --threads N steps components on N host threads; results\n\
          \u{20}         (incl. the printed checksum) are bit-identical at any N\n\
-         perf gate: --bench-out writes {{cycles, throughput, occupancy p50}} JSON;\n\
-         \u{20}          --baseline fails (exit 1) when cycles regress >5% vs FILE;\n\
-         \u{20}          --bless-baseline refreshes FILE from this run\n\
+         record: --bench-out writes {{cycles, throughput, occupancy p50}} JSON\n\
          fault spec: stall@C:D|forever; spike@C:D:F; storm@C:P; corrupt@C;\n\
          \u{20}           kill@C[:E]; maple-stall@C:D; maple-kill@C;\n\
          \u{20}           random:seed=S,count=N,from=A,to=B (semicolon-separated)\n\
@@ -64,11 +61,7 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Allowed regression of the perf gate: runs are deterministic, so 5% is
-/// pure headroom for intentional timing-model recalibration.
-const BASELINE_TOLERANCE: f64 = 0.05;
-
-/// Renders the machine-readable benchmark record the CI perf gate diffs.
+/// Renders the machine-readable benchmark record `--bench-out` writes.
 fn bench_json(r: &RunResult, args: &str, queue: u64) -> String {
     let mut occ = String::new();
     for (name, h) in &r.histograms {
@@ -85,14 +78,6 @@ fn bench_json(r: &RunResult, args: &str, queue: u64) -> String {
         queue as f64 * 1000.0 / r.cycles as f64,
         r.verified
     )
-}
-
-/// Pulls `"cycles": N` out of a baseline JSON without a parser dependency.
-fn parse_cycles(json: &str) -> Option<u64> {
-    let start = json.find("\"cycles\"")? + "\"cycles\"".len();
-    let rest = json[start..].trim_start_matches([':', ' ']);
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 fn main() {
@@ -115,8 +100,6 @@ fn main() {
     let mut skew = false;
     let mut threads: Option<usize> = None;
     let mut bench_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut bless: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -170,8 +153,6 @@ fn main() {
             "--threads" => threads = Some(value().parse().unwrap_or_else(|_| usage())),
             "--skew" => skew = true,
             "--bench-out" => bench_out = Some(value()),
-            "--baseline" => baseline = Some(value()),
-            "--bless-baseline" => bless = Some(value()),
             _ => usage(),
         }
     }
@@ -223,6 +204,13 @@ fn main() {
     scenario.trace = trace_path.is_some();
 
     let runner = Runner::parse(&mode).unwrap_or_else(|| usage());
+    if !runner.supports_policy(policy) {
+        eprintln!(
+            "socrun: mode {runner} cannot run under --policy {policy:?}: \
+             MAPLE's DMA has no demand-paging path"
+        );
+        usage()
+    }
     let shard_spec = match runner {
         Runner::Sharded => {
             let n = shards.unwrap_or(1);
@@ -286,56 +274,18 @@ fn main() {
         });
         println!("trace: wrote {path} (load in https://ui.perfetto.dev)");
     }
-    let record = bench_json(
-        &r,
-        &format!(
+    if let Some(path) = &bench_out {
+        let args = format!(
             "workload={workload:?} mode={mode} queue={queue} batch={batch} shards={} placement={placement} skew={skew}",
             shards.unwrap_or(1)
-        ),
-        queue,
-    );
-    if let Some(path) = &bench_out {
-        std::fs::write(path, &record).unwrap_or_else(|e| {
+        );
+        std::fs::write(path, bench_json(&r, &args, queue)).unwrap_or_else(|e| {
             eprintln!("socrun: cannot write {path}: {e}");
             std::process::exit(1);
         });
         println!("bench: wrote {path}");
     }
-    if let Some(path) = &bless {
-        std::fs::write(path, &record).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("baseline: blessed {path} at {} cycles", r.cycles);
-    }
     if !r.verified {
         std::process::exit(1);
-    }
-    if let Some(path) = &baseline {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot read baseline {path}: {e}");
-            std::process::exit(1);
-        });
-        let base = parse_cycles(&text).unwrap_or_else(|| {
-            eprintln!("socrun: baseline {path} has no \"cycles\" field");
-            std::process::exit(1);
-        });
-        let delta = r.cycles as f64 / base as f64 - 1.0;
-        println!(
-            "perf gate: {} cycles vs baseline {base} ({:+.2}%, tolerance {:.0}%)",
-            r.cycles,
-            delta * 100.0,
-            BASELINE_TOLERANCE * 100.0
-        );
-        if delta > BASELINE_TOLERANCE {
-            eprintln!(
-                "socrun: PERF REGRESSION: {} cycles is {:.2}% over baseline {base} (>{:.0}% tolerance); \
-                 if intentional, refresh with --bless-baseline {path}",
-                r.cycles,
-                delta * 100.0,
-                BASELINE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
     }
 }

@@ -1,7 +1,6 @@
 //! The `cohort-fleet --check` perf/robustness gate.
 //!
-//! Replaces the old single-point `socrun --baseline` comparison with a
-//! small matrix — sharded AES at {1, 2, 4} shards, 8 seeds each —
+//! A small matrix — sharded AES at {1, 2, 4} shards, 8 seeds each —
 //! checked against a committed `results/fleet_baseline.json`. The gate
 //! fails when any run does not survive or any scenario's p50 cycles
 //! drift more than [`CHECK_TOLERANCE`] from the baseline.
@@ -10,8 +9,8 @@ use super::runner::{run_fleet, RunRecord};
 use super::spec::FleetSpec;
 use super::summary::{compare_baseline, summarize, FleetSummary};
 
-/// Fractional p50-cycle drift the gate tolerates (±5%, matching the old
-/// `socrun --baseline` gate).
+/// Fractional p50-cycle drift the gate tolerates (±5%): runs are
+/// deterministic, so this is headroom for intentional recalibration.
 pub const CHECK_TOLERANCE: f64 = 0.05;
 
 /// Default location of the committed baseline, relative to the repo root.

@@ -496,14 +496,15 @@ impl FleetSpec {
                     "name" => sc_name = Some(expect_str(key, value, *line)?),
                     "runner" => {
                         let text = expect_str(key, value, *line)?;
-                        runner = Some(Runner::parse(&text).ok_or_else(|| SpecError::BadValue {
+                        let parsed = Runner::parse(&text).ok_or_else(|| SpecError::BadValue {
                             line: *line,
                             key: key.clone(),
                             msg: format!(
                                 "unknown runner {text:?} (one of: {})",
                                 Runner::ALL.map(|r| r.name()).join(", ")
                             ),
-                        })?);
+                        })?;
+                        runner = Some((parsed, *line));
                     }
                     "seeds" => seeds = Some(parse_seeds(value, *line)?),
                     _ => {
@@ -524,7 +525,7 @@ impl FleetSpec {
             if scenarios.iter().any(|s| s.name == sc_name) {
                 return Err(SpecError::DuplicateScenario { name: sc_name });
             }
-            let runner = runner.ok_or_else(|| SpecError::MissingKey {
+            let (runner, runner_line) = runner.ok_or_else(|| SpecError::MissingKey {
                 section: "scenario".into(),
                 key: "runner".into(),
             })?;
@@ -533,7 +534,7 @@ impl FleetSpec {
                 (None, Some((s, _))) => s.clone(),
                 (None, None) => (0..8).collect(),
             };
-            validate_params(&sc_name, runner, &base)?;
+            validate_params(&sc_name, runner, &base, runner_line)?;
             scenarios.push(ScenarioSpec {
                 name: sc_name,
                 runner,
@@ -553,12 +554,12 @@ impl FleetSpec {
             let mut patch: Vec<(String, Value, usize)> = Vec::new();
             for (key, value, line) in table {
                 match key.as_str() {
-                    "scenario" => target = Some(expect_str(key, value, *line)?),
+                    "scenario" => target = Some((expect_str(key, value, *line)?, *line)),
                     "seed" => seed = Some(expect_int(key, value, *line)?),
                     _ => patch.push((key.clone(), value.clone(), *line)),
                 }
             }
-            let target = target.ok_or_else(|| SpecError::MissingKey {
+            let (target, target_line) = target.ok_or_else(|| SpecError::MissingKey {
                 section: "override".into(),
                 key: "scenario".into(),
             })?;
@@ -587,7 +588,7 @@ impl FleetSpec {
                     });
                 }
             }
-            validate_params(&sc.name, sc.runner, &params)?;
+            validate_params(&sc.name, sc.runner, &params, target_line)?;
             sc.overrides.retain(|(s, _)| *s != seed);
             sc.overrides.push((seed, params));
         }
@@ -691,8 +692,27 @@ fn apply_param(
 }
 
 /// Cross-field validation of one resolved parameter set: queue
-/// granularity, shard/engine arithmetic, and fault/runner compatibility.
-fn validate_params(scenario: &str, runner: Runner, p: &RunParams) -> Result<(), SpecError> {
+/// granularity, runner/policy and fault/runner compatibility, and
+/// shard/engine arithmetic. `line` is where the set was bound to its
+/// runner (the scenario's `runner =`, an override's `scenario =`), for
+/// errors that no single key owns.
+fn validate_params(
+    scenario: &str,
+    runner: Runner,
+    p: &RunParams,
+    line: usize,
+) -> Result<(), SpecError> {
+    if !runner.supports_policy(p.policy) {
+        return Err(SpecError::BadValue {
+            line,
+            key: "policy".into(),
+            msg: format!(
+                "scenario {scenario:?}: runner {runner} cannot run under {:?} mapping \
+                 (MAPLE's DMA has no demand-paging path)",
+                p.policy
+            ),
+        });
+    }
     let multiple = runner.queue_multiple(p.workload);
     if !p.queue.is_multiple_of(multiple) {
         return Err(SpecError::QueueGranularity {
@@ -1122,6 +1142,36 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(dup, SpecError::DuplicateScenario { name: "s".into() });
+
+        // MAPLE's DMA cannot demand-page: lazy mapping is rejected at the
+        // line that binds the runner, wherever the policy came from — the
+        // scenario itself, [defaults], or a per-seed override.
+        for (spec, line) in [
+            (
+                "[[scenario]]\nname = \"s\"\nrunner = \"dma\"\npolicy = \"lazy\"",
+                5,
+            ),
+            (
+                "[defaults]\npolicy = \"lazy\"\n[[scenario]]\nname = \"s\"\nrunner = \"dma-chaos\"",
+                7,
+            ),
+            (
+                "[[scenario]]\nname = \"s\"\nrunner = \"dma\"\nseeds = \"0..2\"\n\
+              [[override]]\nscenario = \"s\"\nseed = 1\npolicy = \"lazy\"",
+                8,
+            ),
+        ] {
+            let err = FleetSpec::parse(&format!("[campaign]\nname = \"x\"\n{spec}")).unwrap_err();
+            assert!(
+                matches!(&err, SpecError::BadValue { line: l, key, .. } if *l == line && key == "policy"),
+                "{spec:?}: {err}"
+            );
+        }
+        FleetSpec::parse(
+            "[campaign]\nname = \"x\"\n[[scenario]]\nname = \"s\"\nrunner = \"failover\"\n\
+             workload = \"sha\"\npolicy = \"lazy\"",
+        )
+        .expect("every Cohort-engine runner demand-pages");
     }
 
     #[test]

@@ -14,20 +14,24 @@
 use crate::system::{SimSystem, SystemSpec, MAPLE_MMIO_BASE};
 use cohort_accel::aes128::{Aes128, Aes128Accel};
 use cohort_accel::sha256::{sha256_raw_block, Sha256Accel};
+use cohort_accel::Accelerator;
 use cohort_maple::regs as maple_regs;
 use cohort_os::addrspace::MapPolicy;
 use cohort_os::driver::{
     fault_in, swap_store, FailoverConfig, Placement, ProgressProbe, ShardError, ShardPool,
-    SoftwareFallback,
+    SharedVm, SoftwareFallback, SwapStore,
 };
 use cohort_os::sv39::PAGE_BYTES;
 use cohort_os::CohortDriver;
 use cohort_queue::{QueueLayout, SeqMerge};
+use cohort_sim::component::CompId;
 use cohort_sim::config::SocConfig;
 use cohort_sim::core::InOrderCore;
 use cohort_sim::faultinject::{splitmix64, FaultInjector, FaultKind, FaultPlan, StormHook};
 use cohort_sim::program::{Op, Program};
+use cohort_sim::soc::Soc;
 use cohort_sim::stats::HistogramSummary;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The two accelerators of interest (Table 2).
@@ -154,7 +158,8 @@ pub struct Scenario {
     /// and the Chrome `trace_event` JSON lands in [`RunResult::trace_json`].
     pub trace: bool,
     /// Engine forward-progress watchdog budget in cycles (0 = disabled;
-    /// [`run_cohort_chaos`] substitutes a default when left at 0).
+    /// the runners that arm a recovery stack substitute
+    /// [`CHAOS_DEFAULT_WATCHDOG`] when left at 0).
     pub watchdog: u64,
 }
 
@@ -292,7 +297,7 @@ fn payload_checksum(cycles: u64, recorded: &[u64]) -> u64 {
 }
 
 /// Computes [`RunResult::silent_by_class`] from the kernel registry.
-fn silent_by_class(soc: &cohort_sim::soc::Soc) -> Vec<(String, u64)> {
+fn silent_by_class(soc: &Soc) -> Vec<(String, u64)> {
     let counters = soc.kernel_stats().counter_values();
     let classes = counters.into_iter().filter_map(|(name, v)| {
         let class = name.strip_prefix("kernel.silent_steps.")?;
@@ -301,19 +306,320 @@ fn silent_by_class(soc: &cohort_sim::soc::Soc) -> Vec<(String, u64)> {
     classes.collect()
 }
 
-fn finish_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
-    sys.soc.set_tracing(scenario.trace);
-    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
+// The assembly pipeline. Every runner below is these stages, in this
+// order, and says only what differs between runners:
+//
+//   1. build system    — `build_system`: engines / MAPLE / extra cores
+//   2. stage CSR/key   — `stage_csr` (guest buffer), `maple_csr_ops` (MMIO)
+//   3. emit program(s) — `single_engine_program` (`push_pop_body`), and
+//                        the chain, DMA, MMIO, sharded and custom emitters
+//   4. arm recovery    — `arm_failover`, then `arm` (program load + demand
+//                        paging; there is no way to load the benchmark
+//                        program that skips the paging hook)
+//   5. run, 6. collect — `run_and_collect`, the one place a `RunResult`
+//                        is made; the runner supplies the verifier
+//
+// Allocation order and the emitted `Op` sequence are observable — they
+// fix physical addresses, cache-set conflicts and therefore cycles — so
+// the order in which a runner calls into the stages is deliberate.
+
+/// Stage 1: the SoC and its accelerator hosts — one Cohort engine per
+/// entry of `engine_accels`, the MAPLE unit if any, and `extra_cores`
+/// idle cores whose programs are loaded later.
+fn build_system_with(
+    cfg: SocConfig,
+    policy: MapPolicy,
+    engine_accels: Vec<Box<dyn Accelerator>>,
+    maple_accel: Option<Box<dyn Accelerator>>,
+    extra_cores: usize,
+) -> SimSystem {
+    let spec = SystemSpec {
+        cfg,
+        policy,
+        engine_accels,
+        maple_accel,
+        extra_core_programs: vec![Program::new(); extra_cores],
+    };
+    SimSystem::build(spec, Program::new())
+}
+
+/// [`build_system_with`] the scenario's SoC configuration and map policy.
+fn build_system(
+    scenario: &Scenario,
+    engine_accels: Vec<Box<dyn Accelerator>>,
+    maple_accel: Option<Box<dyn Accelerator>>,
+    extra_cores: usize,
+) -> SimSystem {
+    let (cfg, policy) = (scenario.soc.clone(), scenario.policy);
+    build_system_with(cfg, policy, engine_accels, maple_accel, extra_cores)
+}
+
+/// Maps whatever pages of `[va, va + len)` the policy left unmapped, so
+/// the host can seed them or an engine can address them physically. A
+/// no-op unless the policy is lazy.
+fn host_fault_in(sys: &mut SimSystem, va: u64, len: u64) {
+    let mut page = va & !(PAGE_BYTES - 1);
+    while page < va + len {
+        if sys.space.translate(&sys.soc.mem, page).is_none() {
+            sys.space
+                .handle_fault(&mut sys.soc.mem, &mut sys.frames, page);
+        }
+        page += PAGE_BYTES;
+    }
+}
+
+/// Stage 2: allocates the CSR / key buffer in the guest heap and seeds it,
+/// returning the `(va, len)` pair `cohort_register` takes. Under lazy
+/// mapping the page would only fault on the engine's first touch, but the
+/// host writes the contents now, so it is faulted in now.
+fn stage_csr(sys: &mut SimSystem, bytes: Option<&[u8]>) -> Option<(u64, u64)> {
+    let bytes = bytes?;
+    let len = bytes.len() as u64;
+    let va = sys.alloc_buffer(len, 64);
+    host_fault_in(sys, va, len);
+    sys.write_guest(va, bytes);
+    Some((va, len))
+}
+
+/// One store to a MAPLE register.
+fn maple_store(reg: u64, value: u64) -> Op {
+    Op::MmioStore {
+        pa: MAPLE_MMIO_BASE + reg,
+        value,
+    }
+}
+
+/// Stage 2 for the MAPLE baselines: the CSR travels over MMIO, a word at
+/// a time, then a commit of its byte length.
+fn maple_csr_ops(program: &mut Program, workload: Workload) {
+    let Some(csr) = workload.csr() else { return };
+    for chunk in csr.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        program.push(maple_store(maple_regs::CSR_DATA, u64::from_le_bytes(word)));
+    }
+    program.push(maple_store(maple_regs::CSR_COMMIT, csr.len() as u64));
+}
+
+/// Fence + one-ALU index arithmetic + write-index store: the batched
+/// publication idiom shared by every producer.
+fn publish_index(p: &mut Program, write_index_va: u64, value: u64) {
+    p.push(Op::Fence);
+    p.push(Op::Alu(1));
+    p.push(Op::Store {
+        va: write_index_va,
+        value,
+    });
+}
+
+/// Emits the interleaved push/pop batch loop shared by the single-engine
+/// Cohort scenarios (§5.3 structure).
+fn push_pop_body(
+    program: &mut Program,
+    scenario: &Scenario,
+    in_q: &QueueLayout,
+    out_q: &QueueLayout,
+) {
+    let data = scenario.input_words();
+    let n = scenario.queue_size;
+    let m = scenario.output_words();
+    let costs = scenario.costs;
+    let wpb_in = scenario.workload.words_in_per_block();
+    let wpb_out = scenario.workload.words_out_per_block();
+    let mut i = 0u64;
+    let mut j = 0u64;
+    while i < n {
+        let push_end = (i + scenario.batch).min(n);
+        while i < push_end {
+            program.push(Op::Alu(costs.push_loop_alu));
+            program.push(Op::Store {
+                va: in_q.descriptor.element_va(i),
+                value: data[i as usize],
+            });
+            i += 1;
+        }
+        publish_index(program, in_q.descriptor.write_index_va, i);
+        let pop_end = (i * wpb_out / wpb_in).min(m);
+        while j < pop_end {
+            let block_end = (j + wpb_out).min(pop_end);
+            program.push(Op::WaitGe {
+                va: out_q.descriptor.write_index_va,
+                value: block_end,
+            });
+            while j < block_end {
+                program.push(Op::Alu(costs.pop_loop_alu));
+                program.push(Op::Load {
+                    va: out_q.descriptor.element_va(j),
+                    record: true,
+                });
+                j += 1;
+            }
+        }
+        if pop_end > 0 {
+            program.push(Op::Alu(1));
+            program.push(Op::Store {
+                va: out_q.descriptor.read_index_va,
+                value: pop_end,
+            });
+        }
+    }
+    program.push(Op::Fence);
+}
+
+/// Stages 2–3 of the single-engine Cohort runners: the queue pair and the
+/// CSR, then `cohort_register` → watchdog (when the runner arms one) →
+/// the push/pop loop → `cohort_unregister`, all on engine 0.
+fn single_engine_program(
+    sys: &mut SimSystem,
+    scenario: &Scenario,
+    watchdog: Option<u64>,
+) -> (Program, QueueLayout, QueueLayout) {
+    let in_q = sys.alloc_queue(8, scenario.queue_size as u32);
+    let out_q = sys.alloc_queue(8, scenario.output_words().max(1) as u32);
+    let csr = stage_csr(sys, scenario.workload.csr().as_deref());
+    let driver = sys.drivers[0].clone();
+    let mut program = driver.register_ops(
+        sys.space.root_pa(),
+        &in_q.descriptor,
+        &out_q.descriptor,
+        csr,
+        scenario.backoff,
+    );
+    if let Some(cycles) = watchdog {
+        program.append(driver.watchdog_ops(cycles));
+    }
+    push_pop_body(&mut program, scenario, &in_q, &out_q);
+    program.append(driver.unregister_ops());
+    (program, in_q, out_q)
+}
+
+/// Mutable access to core `id` (the benchmark core or an extra one).
+fn core_mut(soc: &mut Soc, id: CompId) -> &mut InOrderCore {
+    soc.component_mut::<InOrderCore>(id).expect("core present")
+}
+
+/// The kernel's view of the benchmark process's memory management, shared
+/// by every handler of one run. It snapshots the frame allocator, so it
+/// must be taken after the last host-side allocation that consumes frames.
+fn kernel_vm(sys: &SimSystem) -> SharedVm {
+    CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone())
+}
+
+/// Default watchdog budget the recovery stacks arm when the scenario
+/// leaves [`Scenario::watchdog`] at 0. Long enough that healthy backoff
+/// idling never trips it, short enough that a wedged engine is detected
+/// well inside the cycle budget.
+pub const CHAOS_DEFAULT_WATCHDOG: u64 = 150_000;
+
+fn armed_watchdog(scenario: &Scenario) -> u64 {
+    if scenario.watchdog == 0 {
+        CHAOS_DEFAULT_WATCHDOG
+    } else {
+        scenario.watchdog
+    }
+}
+
+/// Stage 4, failover: arms engine `victim` for fail-stop migration onto
+/// the cold spare `spare` — a checkpoint spill page, the victim's
+/// watchdog and spill registers appended to `program`, and the failover
+/// orchestrator on the victim's error IRQ, rebinding `input`/`output`.
+/// Only the victim is watchdogged: its healthy neighbours legitimately
+/// sit in states the watchdog does not treat as benign (a producer
+/// between batches, an upstream engine spinning on a full queue during
+/// the outage). Returns the kernel vm the orchestrator checkpoints
+/// through, for [`arm`] to share with the paging handlers.
+fn arm_failover(
+    sys: &mut SimSystem,
+    program: &mut Program,
+    scenario: &Scenario,
+    (victim, spare): (usize, usize),
+    (input, output): (&QueueLayout, &QueueLayout),
+    csr: Option<(u64, u64)>,
+) -> SharedVm {
+    // The engine addresses the spill page physically, so resolve (and,
+    // under lazy mapping, fault in) the page-aligned buffer up front.
+    let spill_va = sys.alloc_buffer(PAGE_BYTES, PAGE_BYTES);
+    host_fault_in(sys, spill_va, PAGE_BYTES);
+    let spill_pa = sys
+        .space
+        .translate(&sys.soc.mem, spill_va)
+        .expect("spill page mapped");
+    let watchdog = armed_watchdog(scenario);
+    let driver = sys.drivers[victim].clone();
+    program.append(driver.watchdog_ops(watchdog));
+    program.append(driver.spill_ops(spill_pa));
+    let vm = kernel_vm(sys);
+    driver.install_failover_handler(
+        core_mut(&mut sys.soc, sys.core),
+        FailoverConfig {
+            spare: sys.drivers[spare].clone(),
+            vm: Arc::clone(&vm),
+            root_pa: sys.space.root_pa(),
+            input: input.descriptor,
+            output: output.descriptor,
+            csr,
+            backoff: scenario.backoff,
+            watchdog,
+            spill_pa,
+        },
+    );
+    vm
+}
+
+/// Stage 4: loads the benchmark core's program and arms demand paging —
+/// every engine's page-fault interrupt handler on the benchmark core and
+/// the kernel fault path of every core, extra ones included, because
+/// under lazy mapping each of them can be first to touch a page. Armed
+/// when the policy is lazy, or when the runner brings a `swap` store
+/// (storms unmap pages under any policy). `vm` is the kernel view other
+/// handlers of this run already share, if any.
+fn arm(sys: &mut SimSystem, program: Program, vm: Option<SharedVm>, swap: Option<&SwapStore>) {
+    core_mut(&mut sys.soc, sys.core).load_program(program);
+    if sys.space.policy() != MapPolicy::Lazy && swap.is_none() {
+        return;
+    }
+    let vm = vm.unwrap_or_else(|| kernel_vm(sys));
+    let core = core_mut(&mut sys.soc, sys.core);
+    for driver in &sys.drivers {
+        match swap {
+            Some(s) => driver.install_fault_handler_with_swap(core, Arc::clone(&vm), s.clone()),
+            None => driver.install_fault_handler(core, Arc::clone(&vm)),
+        }
+    }
+    for &id in &sys.extra_cores {
+        let (vm, swap) = (Arc::clone(&vm), swap.cloned());
+        core_mut(&mut sys.soc, id).set_fault_hook(Box::new(move |mem, va| {
+            fault_in(mem, &vm, swap.as_ref(), va);
+            true
+        }));
+    }
+}
+
+/// Stages 5 and 6: runs to completion, then collects — the one place a
+/// [`RunResult`] is made. `verify` sees the finished system and the words
+/// the benchmark core recorded.
+///
+/// # Panics
+/// Panics if the benchmark core has not retired its program within the
+/// cycle budget. A dead MAPLE answers blocking MMIO with the sentinel and
+/// a dead engine is failed over, so a fault plan is no excuse to hang.
+fn run_and_collect(
+    mut sys: SimSystem,
+    trace: bool,
+    queue_size: u64,
+    verify: impl FnOnce(&SimSystem, &[u64]) -> bool,
+) -> RunResult {
+    sys.soc.set_tracing(trace);
+    let outcome = sys.soc.run(cycle_budget(queue_size));
     let core = sys.core();
     assert!(
         core.is_done(),
-        "benchmark did not complete: quiescent={} cycle={} core={core:?}",
+        "scenario did not complete: quiescent={} cycle={} core={core:?}",
         outcome.quiescent,
         outcome.cycle,
     );
     let recorded = core.recorded().to_vec();
-    let expected = scenario.workload.reference_outputs(&scenario.input_words());
-    let verified = recorded == expected;
+    let verified = verify(&sys, &recorded);
     RunResult {
         cycles: core.core_counters().done_at,
         instret: core.core_counters().instret.get(),
@@ -328,77 +634,434 @@ fn finish_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
         slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
         slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
         silent_by_class: silent_by_class(&sys.soc),
-        trace_json: scenario.trace.then(|| sys.soc.trace_json()),
+        trace_json: trace.then(|| sys.soc.trace_json()),
     }
+}
+
+/// [`run_and_collect`] with the usual verifier: the recorded words equal
+/// the workload's host-side reference.
+fn finish(sys: SimSystem, scenario: &Scenario) -> RunResult {
+    let expected = scenario.workload.reference_outputs(&scenario.input_words());
+    run_and_collect(sys, scenario.trace, scenario.queue_size, |_, recorded| {
+        recorded == expected
+    })
 }
 
 /// Runs the Cohort-API benchmark (paper §5.3 "Benchmark Implementation in
 /// Cohort"): SPSC queues + `cohort_register`, pushes with batched
 /// write-index publication, pops with batched read-index release.
 pub fn run_cohort(scenario: &Scenario) -> RunResult {
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        engine_accels: vec![scenario.workload.make_accel()],
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let in_q = sys.alloc_queue(8, n as u32);
-    let out_q = sys.alloc_queue(8, m.max(1) as u32);
-    let csr = scenario.workload.csr().map(|bytes| {
-        let va = sys.alloc_buffer(bytes.len() as u64, 64);
-        (va, bytes)
-    });
-    // Under lazy mapping the CSR/queues pages fault on first engine touch;
-    // the host still needs to seed the CSR contents, so fault it in now.
-    if let Some((va, bytes)) = &csr {
-        if scenario.policy == MapPolicy::Lazy {
-            let mut space = sys.space.clone();
-            let mut va_page = *va & !4095;
-            while va_page < va + bytes.len() as u64 {
-                if space.translate(&sys.soc.mem, va_page).is_none() {
-                    space.handle_fault(&mut sys.soc.mem, &mut sys.frames, va_page);
-                }
-                va_page += 4096;
-            }
-        }
-        sys.write_guest(*va, bytes);
-    }
-
-    let driver = sys.drivers[0].clone();
-    let root_pa = sys.space.root_pa();
-    let mut program = driver.register_ops(
-        root_pa,
-        &in_q.descriptor,
-        &out_q.descriptor,
-        csr.as_ref().map(|(va, b)| (*va, b.len() as u64)),
-        scenario.backoff,
-    );
-
-    push_pop_body(&mut program, scenario, &in_q, &out_q);
-    program.append(driver.unregister_ops());
-
-    install_and_arm(&mut sys, &driver, program);
-    finish_run(sys, scenario)
+    let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
+    let (program, ..) = single_engine_program(&mut sys, scenario, None);
+    arm(&mut sys, program, None, None);
+    finish(sys, scenario)
 }
 
-/// Installs the program on the core and, for lazy policies, the shared
-/// demand-paging machinery (engine interrupt handler + core fault path).
-fn install_and_arm(sys: &mut SimSystem, driver: &CohortDriver, program: Program) {
-    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
-    let lazy = sys.space.policy() == MapPolicy::Lazy;
-    let core_id = sys.core;
-    let core = sys
-        .soc
-        .component_mut::<InOrderCore>(core_id)
-        .expect("core present");
-    core.load_program(program);
-    if lazy {
-        driver.install_fault_handler(core, vm);
+/// Runs the Cohort benchmark while a second Ariane core (the platform has
+/// two, Fig. 2) thrashes the shared L2 with streaming stores — a
+/// multicore-interference study beyond the paper's single-tenant numbers.
+/// Same benchmark program as [`run_cohort`]; compare the two results'
+/// cycles for the slowdown, and read the noise core's stores from
+/// [`RunResult::counters`].
+pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
+    let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 1);
+
+    // The interference working set: 2x the L2, streamed repeatedly. It is
+    // allocated before the queues.
+    let footprint = 2 * sys.soc.config().l2.capacity_bytes;
+    let buf = sys.alloc_buffer(footprint, 64);
+    let mut noise = Program::new();
+    let passes = (scenario.queue_size / 64).max(2);
+    for p in 0..passes {
+        for line in 0..footprint / 64 {
+            noise.push(Op::Store {
+                va: buf + line * 64,
+                value: p ^ line,
+            });
+        }
     }
+    noise.push(Op::Fence);
+    core_mut(&mut sys.soc, sys.extra_cores[0]).load_program(noise);
+
+    let (program, ..) = single_engine_program(&mut sys, scenario, None);
+    arm(&mut sys, program, None, None);
+    finish(sys, scenario)
+}
+
+/// Runs the Cohort benchmark under the fault-injection plan carried in
+/// `scenario.soc.faults`, with the full recovery stack armed:
+///
+/// * the engine forward-progress watchdog ([`Scenario::watchdog`], or
+///   [`CHAOS_DEFAULT_WATCHDOG`] when 0);
+/// * the page-fault interrupt handler with a swap backing store, so
+///   storm-evicted pages come back with their contents;
+/// * a storm hook that evicts queue data pages round-robin through that
+///   swap store;
+/// * the error-interrupt handler with bounded retry (2) and a software
+///   fallback that recomputes the whole output stream and publishes the
+///   final write index — the graceful-degradation contract.
+///
+/// The run must still record the exact fault-free output: chaos is allowed
+/// to cost cycles, never correctness.
+pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
+    let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
+    let (program, in_q, out_q) =
+        single_engine_program(&mut sys, scenario, Some(armed_watchdog(scenario)));
+
+    // One kernel mm view shared by every recovery path, plus the swap
+    // store that keeps storm evictions lossless.
+    let vm = kernel_vm(&sys);
+    let swap = swap_store();
+
+    // Storm hook: evict queue data pages round-robin, parking each page's
+    // frame in the swap store so the next fault maps the same frame back
+    // in — writes racing the shootdown are never lost (see `SwapStore`).
+    if let Some(inj_id) = sys.injector {
+        let mut candidates: Vec<u64> = Vec::new();
+        for q in [&in_q, &out_q] {
+            let d = &q.descriptor;
+            let mut page = d.base_va & !(PAGE_BYTES - 1);
+            while page < d.base_va + d.data_bytes() {
+                candidates.push(page);
+                page += PAGE_BYTES;
+            }
+        }
+        let storm_vm = Arc::clone(&vm);
+        let storm_swap = swap.clone();
+        let mut next = 0usize;
+        let hook: StormHook = Box::new(move |mem, pages| {
+            let mut evicted = 0u64;
+            let mut g = storm_vm.lock().expect("vm lock");
+            let (space, _frames) = &mut *g;
+            for _ in 0..pages {
+                if candidates.is_empty() {
+                    break;
+                }
+                let va = candidates[next % candidates.len()];
+                next += 1;
+                if let Some(pa) = space.translate(mem, va) {
+                    storm_swap
+                        .lock()
+                        .expect("swap lock")
+                        .insert(va, pa & !(PAGE_BYTES - 1));
+                    if space.unmap(mem, va) {
+                        evicted += 1;
+                    }
+                }
+            }
+            evicted
+        });
+        sys.soc
+            .component_mut::<FaultInjector>(inj_id)
+            .expect("injector present")
+            .set_storm_hook(hook);
+    }
+
+    // Software fallback for exhausted retries: the kernel recomputes the
+    // entire output stream and publishes the final write index. Recomputing
+    // from scratch keeps the path idempotent — partial hardware progress
+    // before the failure is simply overwritten.
+    let expected = scenario.workload.reference_outputs(&scenario.input_words());
+    let fb_vm = Arc::clone(&vm);
+    let fb_swap = swap.clone();
+    let out_desc = out_q.descriptor;
+    let fallback: SoftwareFallback = Box::new(move |mem| {
+        let words = expected.iter().enumerate();
+        let stores = words.map(|(j, &w)| (out_desc.element_va(j as u64), w));
+        let publish = (out_desc.write_index_va, expected.len() as u64);
+        for (va, value) in stores.chain([publish]) {
+            fault_in(mem, &fb_vm, Some(&fb_swap), va);
+            let g = fb_vm.lock().expect("vm lock");
+            let pa = g.0.translate(mem, va).expect("mapped");
+            mem.write_u64(pa, value);
+        }
+    });
+
+    // Forward-progress probe: strictly grows while the engine moves
+    // elements, so the error handler can reset its bounded-retry budget
+    // after a recovery demonstrably succeeded.
+    let ec = sys.engine(0).engine_counters();
+    let (consumed, produced, drained) = (
+        ec.consumed.clone(),
+        ec.produced.clone(),
+        ec.drained_elems.clone(),
+    );
+    let probe: ProgressProbe = Box::new(move || consumed.get() + produced.get() + drained.get());
+
+    arm(&mut sys, program, Some(vm), Some(&swap));
+    let driver = sys.drivers[0].clone();
+    let core = core_mut(&mut sys.soc, sys.core);
+    driver.install_error_handler_with_probe(core, 2, Some(fallback), Some(probe));
+    finish(sys, scenario)
+}
+
+/// Runs the MMIO baseline (§5.1): word-at-a-time, fully blocking accesses,
+/// output received before the next block's input ("the core cannot achieve
+/// memory-level parallelism").
+pub fn run_mmio(scenario: &Scenario) -> RunResult {
+    let mut sys = build_system(
+        scenario,
+        Vec::new(),
+        Some(scenario.workload.make_accel()),
+        0,
+    );
+    let mut program = Program::new();
+    maple_csr_ops(&mut program, scenario.workload);
+
+    let data = scenario.input_words();
+    let wpb_in = scenario.workload.words_in_per_block() as usize;
+    let wpb_out = scenario.workload.words_out_per_block();
+    let costs = scenario.costs;
+    for block in data.chunks(wpb_in) {
+        for &w in block {
+            program.push(Op::Alu(costs.mmio_loop_alu));
+            program.push(maple_store(maple_regs::PUSH, w));
+        }
+        for _ in 0..wpb_out {
+            program.push(Op::Alu(costs.mmio_loop_alu));
+            program.push(Op::MmioLoad {
+                pa: MAPLE_MMIO_BASE + maple_regs::POP,
+                record: true,
+            });
+        }
+    }
+
+    arm(&mut sys, program, None, None);
+    finish(sys, scenario)
+}
+
+/// Runs the coherent-DMA baseline (§5.1): the core stages input in memory,
+/// then programs MAPLE per 256-byte block (MMIO writes + API software
+/// cost) and waits for completion; results are stored coherently and read
+/// back at the end.
+pub fn run_dma(scenario: &Scenario) -> RunResult {
+    dma_baseline(scenario, false)
+}
+
+/// The coherent-DMA (decoupled access-execute) baseline of [`run_dma`]
+/// under the fault plan in `scenario.soc.faults`, hardened for MAPLE
+/// faults: every `DMA_DONE` completion word is recorded, and the final
+/// outputs are read back from guest memory after the run.
+///
+/// An injected stall only delays completion, so a stalled run still
+/// verifies. A fail-stopped MAPLE answers its blocking MMIO with
+/// [`cohort_maple::DEAD_SENTINEL`] instead of holding the core forever —
+/// the run always terminates, and the sentinel in the recorded `DMA_DONE`
+/// stream is the clean error report software acts on (`verified` is then
+/// false and `maple.fail_stops` counts the abort).
+pub fn run_dma_chaos(scenario: &Scenario) -> RunResult {
+    dma_baseline(scenario, true)
+}
+
+/// The DMA baseline. `hardened` records each block's `DMA_DONE` word (what
+/// software checks for the dead-unit sentinel) and verifies the output
+/// buffer from guest memory; otherwise the core reads the results back.
+fn dma_baseline(scenario: &Scenario, hardened: bool) -> RunResult {
+    let mut sys = build_system(
+        scenario,
+        Vec::new(),
+        Some(scenario.workload.make_accel()),
+        0,
+    );
+    let n = scenario.queue_size;
+    let m = scenario.output_words();
+    let in_va = sys.alloc_buffer(n * 8, 64);
+    let out_va = sys.alloc_buffer(m.max(1) * 8, 64);
+
+    let mut program = Program::new();
+    program.push(maple_store(maple_regs::DMA_PTROOT, sys.space.root_pa()));
+    maple_csr_ops(&mut program, scenario.workload);
+
+    // Stage the input in memory (cached stores, like the Cohort push loop).
+    let data = scenario.input_words();
+    let costs = scenario.costs;
+    for (i, &w) in data.iter().enumerate() {
+        program.push(Op::Alu(costs.push_loop_alu));
+        program.push(Op::Store {
+            va: in_va + (i as u64) * 8,
+            value: w,
+        });
+    }
+    program.push(Op::Fence);
+
+    // One programmed transfer per DMA block.
+    let in_bytes = n * 8;
+    let ratio_out = scenario.workload.words_out_per_block() * 8;
+    let ratio_in = scenario.workload.words_in_per_block() * 8;
+    let mut src_off = 0u64;
+    let mut dst_off = 0u64;
+    while src_off < in_bytes {
+        let len = costs.dma_block_bytes.min(in_bytes - src_off);
+        program.push(Op::KernelCost {
+            cycles: u64::from(costs.dma_api_alu),
+            insts: u64::from(costs.dma_api_alu) / 5,
+        });
+        program.push(maple_store(maple_regs::DMA_SRC, in_va + src_off));
+        program.push(maple_store(maple_regs::DMA_DST, out_va + dst_off));
+        program.push(maple_store(maple_regs::DMA_LEN, len));
+        program.push(maple_store(maple_regs::DMA_START, 1));
+        program.push(Op::MmioLoad {
+            pa: MAPLE_MMIO_BASE + maple_regs::DMA_DONE,
+            record: hardened,
+        });
+        src_off += len;
+        dst_off += len * ratio_out / ratio_in;
+    }
+    if !hardened {
+        for j in 0..m {
+            program.push(Op::Alu(costs.pop_loop_alu));
+            program.push(Op::Load {
+                va: out_va + j * 8,
+                record: true,
+            });
+        }
+    }
+
+    arm(&mut sys, program, None, None);
+    if !hardened {
+        return finish(sys, scenario);
+    }
+    let expected = scenario.workload.reference_outputs(&data);
+    run_and_collect(sys, scenario.trace, n, |sys, recorded| {
+        let out_bytes = sys.read_guest(out_va, (m.max(1) * 8) as usize);
+        let outputs = out_bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8B")));
+        !recorded.contains(&cohort_maple::DEAD_SENTINEL) && outputs.eq(expected.iter().copied())
+    })
+}
+
+/// Runs the transparent accelerator-chaining scenario (paper Fig. 5 /
+/// §4.5): the core pushes plaintext into `encrypt_fifo`; an AES Cohort
+/// engine produces ciphertext into `hash_fifo`; a SHA Cohort engine
+/// consumes it — engine to engine, with no software in between — and the
+/// core pops digests from `result_fifo`. Verified against host-side
+/// AES-then-SHA.
+///
+/// `queue_size` must be a multiple of 8 (whole SHA blocks).
+///
+/// # Panics
+/// Panics if `queue_size` is not a multiple of 8 or the run fails.
+pub fn run_cohort_chain(scenario: &Scenario) -> RunResult {
+    chain(scenario, false)
+}
+
+/// Cycle at which [`run_cohort_chain_failover`] kills the victim engine
+/// when the scenario carries no explicit fault plan: late enough that
+/// registration finished and the pipeline is mid-flight, early enough
+/// that plenty of elements remain to migrate.
+pub const DEFAULT_CHAIN_KILL_CYCLE: u64 = 20_000;
+
+/// The chained AES→SHA scenario of [`run_cohort_chain`] with a fail-stop
+/// fault killing the middle (SHA, engine 1) engine mid-pipeline and the
+/// failover stack armed: a third, cold-spare SHA engine; the victim's
+/// forward-progress watchdog (quiesce + drain + spill on trip); and the
+/// failover orchestrator on the victim's error IRQ, which checkpoints the
+/// authoritative queue indices from coherent memory, fences the victim
+/// behind a bumped epoch, and rebinds the same descriptors on the spare.
+///
+/// The run must record the exact fault-free digest stream — failover is
+/// allowed to cost cycles, never elements.
+///
+/// When `scenario.soc.faults` is empty a single
+/// `kill@`[`DEFAULT_CHAIN_KILL_CYCLE`]`:1` fault is injected; pass an
+/// explicit plan to control timing.
+///
+/// # Panics
+/// Panics if `queue_size` is not a multiple of 8 or the run wedges.
+pub fn run_cohort_chain_failover(scenario: &Scenario) -> RunResult {
+    let mut scenario = scenario.clone();
+    if scenario.soc.faults.is_empty() {
+        scenario.soc.faults = FaultPlan::default().at(
+            DEFAULT_CHAIN_KILL_CYCLE,
+            FaultKind::KillEngine { engine: 1 },
+        );
+    }
+    chain(&scenario, true)
+}
+
+/// The AES→SHA chain on engines 0 and 1; with `failover`, engine 2 is the
+/// cold SHA spare the victim (engine 1) migrates onto.
+fn chain(scenario: &Scenario, failover: bool) -> RunResult {
+    assert_eq!(scenario.queue_size % 8, 0, "chain needs whole SHA blocks");
+    let mut accels: Vec<Box<dyn Accelerator>> =
+        vec![Box::new(Aes128Accel::new()), Box::new(Sha256Accel::new())];
+    if failover {
+        accels.push(Box::new(Sha256Accel::new()));
+    }
+    let mut sys = build_system(scenario, accels, None, 0);
+
+    let n = scenario.queue_size;
+    let m = n / 2; // AES keeps the size; SHA turns 8 words in into 4 out.
+    let encrypt_q = sys.alloc_queue(8, n as u32);
+    let hash_q = sys.alloc_queue(8, n as u32);
+    let result_q = sys.alloc_queue(8, m as u32);
+    let key = stage_csr(&mut sys, Some(&AES_KEY));
+    let aes_driver = sys.drivers[0].clone();
+    let sha_driver = sys.drivers[1].clone();
+    let root_pa = sys.space.root_pa();
+
+    // Fig. 5: cohort_register(encrypt_acc, encrypt_fifo, hash_fifo);
+    //         cohort_register(hash_acc, hash_fifo, result_fifo);
+    let mut program = aes_driver.register_ops(
+        root_pa,
+        &encrypt_q.descriptor,
+        &hash_q.descriptor,
+        key,
+        scenario.backoff,
+    );
+    program.append(sha_driver.register_ops(
+        root_pa,
+        &hash_q.descriptor,
+        &result_q.descriptor,
+        None,
+        scenario.backoff,
+    ));
+    let vm = failover.then(|| {
+        let queues = (&hash_q, &result_q);
+        arm_failover(&mut sys, &mut program, scenario, (1, 2), queues, None)
+    });
+
+    let costs = scenario.costs;
+    let data = scenario.input_words();
+    for (i, &w) in data.iter().enumerate() {
+        let pushed = i as u64 + 1;
+        program.push(Op::Alu(costs.push_loop_alu));
+        program.push(Op::Store {
+            va: encrypt_q.descriptor.element_va(i as u64),
+            value: w,
+        });
+        if pushed.is_multiple_of(scenario.batch) || pushed == n {
+            publish_index(&mut program, encrypt_q.descriptor.write_index_va, pushed);
+        }
+    }
+    for j in 0..m {
+        program.push(Op::WaitGe {
+            va: result_q.descriptor.write_index_va,
+            value: j + 1,
+        });
+        program.push(Op::Alu(costs.pop_loop_alu));
+        program.push(Op::Load {
+            va: result_q.descriptor.element_va(j),
+            record: true,
+        });
+    }
+    program.push(Op::Store {
+        va: result_q.descriptor.read_index_va,
+        value: m,
+    });
+    program.push(Op::Fence);
+    if failover {
+        program.append(sys.drivers[2].unregister_ops());
+    }
+    program.append(sha_driver.unregister_ops());
+    program.append(aes_driver.unregister_ops());
+
+    arm(&mut sys, program, vm, None);
+    // Host reference: AES-ECB then raw-block SHA-256.
+    let ct_words = Workload::Aes.reference_outputs(&data);
+    let expected = Workload::Sha.reference_outputs(&ct_words);
+    run_and_collect(sys, scenario.trace, n, |_, recorded| recorded == expected)
 }
 
 /// How [`run_cohort_sharded`] splits the logical stream and steers the
@@ -533,6 +1196,14 @@ fn shard_chunk_blocks(scenario: &Scenario, skewed: bool) -> Vec<u64> {
 /// onto the spare engine `spec.shards` via the PR-3 epoch-fenced path; the
 /// merge then drains the spare's output with the digest unchanged.
 ///
+/// Verification is twofold: the benchmark core's in-order pops against the
+/// host reference, and an explicitly reassembled copy — per-shard FIFO
+/// streams read back from guest memory are fed through the sequence-tagged
+/// merge ([`cohort_queue::merge`]) in a worst-case cross-shard
+/// interleaving and must reproduce the same logical stream. The pool's
+/// occupancy mirror is drained with each merged run and must return to
+/// zero.
+///
 /// # Errors
 /// [`ShardError`] when `spec` asks for zero shards or for more shards
 /// (plus the failover spare, when a kill fault targets one) than
@@ -548,9 +1219,9 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         "sharded scenario needs whole accelerator blocks"
     );
 
-    let cfg = scenario.soc.clone();
     // A kill fault aimed at a shard engine requires a spare to heal onto.
-    let victim = cfg.faults.schedule().iter().find_map(|ev| match ev.kind {
+    let faults = scenario.soc.faults.schedule();
+    let victim = faults.iter().find_map(|ev| match ev.kind {
         FaultKind::KillEngine { engine } if (engine as usize) < spec.shards => {
             Some(engine as usize)
         }
@@ -558,16 +1229,9 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
     });
     let spares = usize::from(victim.is_some());
 
-    let spec_sys = SystemSpec {
-        cfg,
-        policy: scenario.policy,
-        engine_accels: (0..scenario.soc.engines)
-            .map(|_| scenario.workload.make_accel())
-            .collect(),
-        extra_core_programs: vec![Program::new(); spec.shards + spec.background_cores],
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec_sys, Program::new());
+    let accels = (0..scenario.soc.engines).map(|_| scenario.workload.make_accel());
+    let extra_cores = spec.shards + spec.background_cores;
+    let mut sys = build_system(scenario, accels.collect(), None, extra_cores);
     let mut pool = ShardPool::bind(&sys.drivers, spec.shards, spares, spec.placement)?;
     let shards = pool.shards();
 
@@ -593,32 +1257,10 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
 
     // Per-shard rings sized for the whole per-shard stream: producers
     // never wrap or block, and an outage confines loss to its shard.
-    let in_qs: Vec<QueueLayout> = in_totals
-        .iter()
-        .map(|&w| sys.alloc_queue(8, w.max(1) as u32))
-        .collect();
-    let out_qs: Vec<QueueLayout> = out_totals
-        .iter()
-        .map(|&w| sys.alloc_queue(8, w.max(1) as u32))
-        .collect();
-    let csr = scenario.workload.csr().map(|bytes| {
-        let va = sys.alloc_buffer(bytes.len() as u64, 64);
-        (va, bytes)
-    });
-    if let Some((va, bytes)) = &csr {
-        if scenario.policy == MapPolicy::Lazy {
-            let mut space = sys.space.clone();
-            let mut va_page = *va & !4095;
-            while va_page < va + bytes.len() as u64 {
-                if space.translate(&sys.soc.mem, va_page).is_none() {
-                    space.handle_fault(&mut sys.soc.mem, &mut sys.frames, va_page);
-                }
-                va_page += 4096;
-            }
-        }
-        sys.write_guest(*va, bytes);
-    }
-    let csr_reg = csr.as_ref().map(|(va, b)| (*va, b.len() as u64));
+    let mut ring = |words: &u64| sys.alloc_queue(8, (*words).max(1) as u32);
+    let in_qs: Vec<QueueLayout> = in_totals.iter().map(&mut ring).collect();
+    let out_qs: Vec<QueueLayout> = out_totals.iter().map(&mut ring).collect();
+    let csr = stage_csr(&mut sys, scenario.workload.csr().as_deref());
 
     // Producer programs: shard `s`'s core streams its runs in shard-FIFO
     // order, publishing the write index every `batch` words and at end of
@@ -647,55 +1289,32 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         }
     }
     for s in 0..shards {
+        let p = &mut producer_progs[s];
         if published[s] < pushed[s] {
-            publish_index(
-                &mut producer_progs[s],
-                in_qs[s].descriptor.write_index_va,
-                pushed[s],
-            );
+            publish_index(p, in_qs[s].descriptor.write_index_va, pushed[s]);
         }
-        producer_progs[s].push(Op::Fence);
+        p.push(Op::Fence);
     }
 
     // Benchmark-core program: register every shard engine, arm the victim
-    // (when a kill is scheduled), then pop in global sequence order — the
-    // merge, realised as WaitGe gates against each shard's cumulative
-    // output index.
+    // (when a kill is scheduled) with the spare as its failover target,
+    // then pop in global sequence order — the merge, realised as WaitGe
+    // gates against each shard's cumulative output index.
     let root_pa = sys.space.root_pa();
-    let watchdog = if scenario.watchdog == 0 {
-        CHAOS_DEFAULT_WATCHDOG
-    } else {
-        scenario.watchdog
-    };
     let mut program = Program::new();
     for s in 0..shards {
         program.append(pool.driver(s).register_ops(
             root_pa,
             &in_qs[s].descriptor,
             &out_qs[s].descriptor,
-            csr_reg,
+            csr,
             scenario.backoff,
         ));
     }
-
-    let mut spill_pa = 0u64;
-    if let Some(v) = victim {
-        // Checkpoint spill page for the victim's datapath residue.
-        let spill_va = sys.alloc_buffer(PAGE_BYTES, PAGE_BYTES);
-        if sys.space.translate(&sys.soc.mem, spill_va).is_none() {
-            let mut space = sys.space.clone();
-            space.handle_fault(&mut sys.soc.mem, &mut sys.frames, spill_va);
-        }
-        spill_pa = sys
-            .space
-            .translate(&sys.soc.mem, spill_va)
-            .expect("spill page mapped");
-        // Only the victim is watchdogged: healthy shards legitimately sit
-        // in benign Waiting states whenever their producer is between
-        // batches.
-        program.append(pool.driver(v).watchdog_ops(watchdog));
-        program.append(pool.driver(v).spill_ops(spill_pa));
-    }
+    let vm = victim.map(|v| {
+        let queues = (&in_qs[v], &out_qs[v]);
+        arm_failover(&mut sys, &mut program, scenario, (v, shards), queues, csr)
+    });
 
     let mut popped = vec![0u64; shards];
     for c in &chunks {
@@ -728,45 +1347,8 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         program.append(pool.driver(s).unregister_ops());
     }
 
-    // Load programs, arm demand paging (per engine) and, for a kill plan,
-    // the victim's failover orchestrator targeting the spare.
-    let lazy = sys.space.policy() == MapPolicy::Lazy;
-    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
-    let core_id = sys.core;
-    {
-        let core = sys
-            .soc
-            .component_mut::<InOrderCore>(core_id)
-            .expect("core present");
-        core.load_program(program);
-        if lazy {
-            for s in 0..shards {
-                pool.driver(s).install_fault_handler(core, Arc::clone(&vm));
-            }
-        }
-        if let Some(v) = victim {
-            pool.driver(v).install_failover_handler(
-                core,
-                FailoverConfig {
-                    spare: sys.drivers[shards].clone(),
-                    vm: Arc::clone(&vm),
-                    root_pa,
-                    input: in_qs[v].descriptor,
-                    output: out_qs[v].descriptor,
-                    csr: csr_reg,
-                    backoff: scenario.backoff,
-                    watchdog,
-                    spill_pa,
-                },
-            );
-        }
-    }
     for (s, prog) in producer_progs.into_iter().enumerate() {
-        let pc = sys.extra_cores[s];
-        sys.soc
-            .component_mut::<InOrderCore>(pc)
-            .expect("producer core present")
-            .load_program(prog);
+        core_mut(&mut sys.soc, sys.extra_cores[s]).load_program(prog);
     }
 
     // Background ("LITTLE") cores: each streams stores through its own
@@ -789,702 +1371,51 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
                 }
             }
             noise.push(Op::Fence);
-            let bc = sys.extra_cores[spec.shards + b];
-            sys.soc
-                .component_mut::<InOrderCore>(bc)
-                .expect("background core present")
-                .load_program(noise);
+            core_mut(&mut sys.soc, sys.extra_cores[spec.shards + b]).load_program(noise);
         }
     }
 
-    // Under lazy mapping the producer and background cores store straight
-    // into lazily-mapped pages too; without a demand-paging hook their
-    // first touch of an unmapped queue element is a fatal core fault.
-    if lazy {
-        for &pc in &sys.extra_cores[..spec.shards + spec.background_cores] {
-            let hook_vm = Arc::clone(&vm);
-            sys.soc
-                .component_mut::<InOrderCore>(pc)
-                .expect("extra core present")
-                .set_fault_hook(Box::new(move |mem, va| {
-                    fault_in(mem, &hook_vm, None, va);
-                    true
-                }));
-        }
-    }
+    arm(&mut sys, program, vm, None);
 
-    Ok(finish_sharded_run(sys, scenario, &chunks, &out_qs, pool))
-}
-
-/// Fence + one-ALU index arithmetic + write-index store: the batched
-/// publication idiom shared by every producer.
-fn publish_index(p: &mut Program, write_index_va: u64, value: u64) {
-    p.push(Op::Fence);
-    p.push(Op::Alu(1));
-    p.push(Op::Store {
-        va: write_index_va,
-        value,
-    });
-}
-
-/// Completes a sharded run: simulate, then verify twice over — the
-/// benchmark core's in-order pops against the host reference, and an
-/// explicitly reassembled copy: per-shard FIFO streams read back from
-/// guest memory are fed through the sequence-tagged merge
-/// ([`cohort_queue::merge`]) in a worst-case cross-shard interleaving and
-/// must reproduce the same logical stream. The pool's occupancy mirror is
-/// drained with each merged run and must return to zero.
-fn finish_sharded_run(
-    mut sys: SimSystem,
-    scenario: &Scenario,
-    chunks: &[ShardChunk],
-    out_qs: &[QueueLayout],
-    mut pool: ShardPool,
-) -> RunResult {
-    sys.soc.set_tracing(scenario.trace);
-    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
-    let core = sys.core();
-    assert!(
-        core.is_done(),
-        "sharded benchmark did not complete: quiescent={} cycle={} core={core:?}",
-        outcome.quiescent,
-        outcome.cycle,
-    );
-    let recorded = core.recorded().to_vec();
-    let expected = scenario.workload.reference_outputs(&scenario.input_words());
-
-    // Reassembly cross-check through the merge structure. Shards race
-    // each other in reality; feeding the merge one run per shard in turn
-    // exercises maximal cross-shard interleaving while preserving each
-    // shard's FIFO order.
-    let mut per_shard: Vec<std::collections::VecDeque<(u64, ShardChunk)>> =
-        vec![std::collections::VecDeque::new(); out_qs.len()];
-    for (seq, c) in chunks.iter().enumerate() {
-        per_shard[c.shard].push_back((seq as u64, *c));
-    }
-    let mut merge = SeqMerge::new();
-    let mut merged = Vec::new();
-    while per_shard.iter().any(|q| !q.is_empty()) {
-        for s in 0..per_shard.len() {
-            if let Some((seq, c)) = per_shard[s].pop_front() {
-                let words: Vec<u64> = (0..c.out_words)
-                    .map(|w| {
-                        let va = out_qs[s].descriptor.element_va(c.out_off + w);
-                        let bytes = sys.read_guest(va, 8);
-                        u64::from_le_bytes(bytes.try_into().expect("8B"))
-                    })
-                    .collect();
-                merge.push(seq, (s, c.in_words, words)).expect("unique seq");
-            }
-        }
-        for (_, (shard, in_words, words)) in merge.drain_ready() {
-            pool.complete(shard, in_words);
-            merged.extend(words);
-        }
-    }
-    let mirror_drained = (0..pool.shards()).all(|s| pool.occupancy(s) == 0);
-    let verified =
-        recorded == expected && merged == expected && merge.is_drained() && mirror_drained;
-
-    RunResult {
-        cycles: core.core_counters().done_at,
-        instret: core.core_counters().instret.get(),
-        checksum: payload_checksum(core.core_counters().done_at, &recorded),
-        recorded,
-        verified,
-        counters: sys.soc.all_counters(),
-        histograms: sys.soc.stats().histogram_summaries(),
-        stats_json: sys.soc.stats_json(),
-        barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
-        ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
-        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
-        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
-        silent_by_class: silent_by_class(&sys.soc),
-        trace_json: scenario.trace.then(|| sys.soc.trace_json()),
-    }
-}
-
-/// Default watchdog budget armed by [`run_cohort_chaos`] when the scenario
-/// leaves [`Scenario::watchdog`] at 0. Long enough that healthy backoff
-/// idling never trips it, short enough that a wedged engine is detected
-/// well inside the cycle budget.
-pub const CHAOS_DEFAULT_WATCHDOG: u64 = 150_000;
-
-/// Runs the Cohort benchmark under the fault-injection plan carried in
-/// `scenario.soc.faults`, with the full recovery stack armed:
-///
-/// * the engine forward-progress watchdog ([`Scenario::watchdog`], or
-///   [`CHAOS_DEFAULT_WATCHDOG`] when 0);
-/// * the page-fault interrupt handler with a swap backing store, so
-///   storm-evicted pages come back with their contents;
-/// * a storm hook that evicts queue data pages round-robin through that
-///   swap store;
-/// * the error-interrupt handler with bounded retry (2) and a software
-///   fallback that recomputes the whole output stream and publishes the
-///   final write index — the graceful-degradation contract.
-///
-/// The run must still record the exact fault-free output: chaos is allowed
-/// to cost cycles, never correctness.
-pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        engine_accels: vec![scenario.workload.make_accel()],
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let in_q = sys.alloc_queue(8, n as u32);
-    let out_q = sys.alloc_queue(8, m.max(1) as u32);
-    let csr = scenario.workload.csr().map(|bytes| {
-        let va = sys.alloc_buffer(bytes.len() as u64, 64);
-        (va, bytes)
-    });
-    if let Some((va, bytes)) = &csr {
-        if scenario.policy == MapPolicy::Lazy {
-            let mut space = sys.space.clone();
-            let mut va_page = *va & !4095;
-            while va_page < va + bytes.len() as u64 {
-                if space.translate(&sys.soc.mem, va_page).is_none() {
-                    space.handle_fault(&mut sys.soc.mem, &mut sys.frames, va_page);
-                }
-                va_page += 4096;
-            }
-        }
-        sys.write_guest(*va, bytes);
-    }
-
-    let driver = sys.drivers[0].clone();
-    let root_pa = sys.space.root_pa();
-    let mut program = driver.register_ops(
-        root_pa,
-        &in_q.descriptor,
-        &out_q.descriptor,
-        csr.as_ref().map(|(va, b)| (*va, b.len() as u64)),
-        scenario.backoff,
-    );
-    let watchdog = if scenario.watchdog == 0 {
-        CHAOS_DEFAULT_WATCHDOG
-    } else {
-        scenario.watchdog
-    };
-    program.append(driver.watchdog_ops(watchdog));
-    push_pop_body(&mut program, scenario, &in_q, &out_q);
-    program.append(driver.unregister_ops());
-
-    // One kernel mm view shared by every recovery path, plus the swap
-    // store that keeps storm evictions lossless.
-    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
-    let swap = swap_store();
-
-    // Storm hook: evict queue data pages round-robin, parking each page's
-    // frame in the swap store so the next fault maps the same frame back
-    // in — writes racing the shootdown are never lost (see `SwapStore`).
-    if let Some(inj_id) = sys.injector {
-        let mut candidates: Vec<u64> = Vec::new();
-        for q in [&in_q, &out_q] {
-            let d = &q.descriptor;
-            let mut page = d.base_va & !(PAGE_BYTES - 1);
-            while page < d.base_va + d.data_bytes() {
-                candidates.push(page);
-                page += PAGE_BYTES;
-            }
-        }
-        let storm_vm = Arc::clone(&vm);
-        let storm_swap = swap.clone();
-        let mut next = 0usize;
-        let hook: StormHook = Box::new(move |mem, pages| {
-            let mut evicted = 0u64;
-            let mut g = storm_vm.lock().expect("vm lock");
-            let (space, _frames) = &mut *g;
-            for _ in 0..pages {
-                if candidates.is_empty() {
-                    break;
-                }
-                let va = candidates[next % candidates.len()];
-                next += 1;
-                if let Some(pa) = space.translate(mem, va) {
-                    storm_swap
-                        .lock()
-                        .expect("swap lock")
-                        .insert(va, pa & !(PAGE_BYTES - 1));
-                    if space.unmap(mem, va) {
-                        evicted += 1;
-                    }
-                }
-            }
-            evicted
-        });
-        sys.soc
-            .component_mut::<FaultInjector>(inj_id)
-            .expect("injector present")
-            .set_storm_hook(hook);
-    }
-
-    // Software fallback for exhausted retries: the kernel recomputes the
-    // entire output stream and publishes the final write index. Recomputing
-    // from scratch keeps the path idempotent — partial hardware progress
-    // before the failure is simply overwritten.
-    let expected = scenario.workload.reference_outputs(&scenario.input_words());
-    let fb_vm = Arc::clone(&vm);
-    let fb_swap = swap.clone();
-    let out_desc = out_q.descriptor;
-    let total = expected.len() as u64;
-    let fallback: SoftwareFallback = Box::new(move |mem| {
-        for (j, &w) in expected.iter().enumerate() {
-            let va = out_desc.element_va(j as u64);
-            fault_in(mem, &fb_vm, Some(&fb_swap), va);
-            let pa = fb_vm
-                .lock()
-                .expect("vm lock")
-                .0
-                .translate(mem, va)
-                .expect("mapped");
-            mem.write_u64(pa, w);
-        }
-        let wr_va = out_desc.write_index_va;
-        fault_in(mem, &fb_vm, Some(&fb_swap), wr_va);
-        let pa = fb_vm
-            .lock()
-            .expect("vm lock")
-            .0
-            .translate(mem, wr_va)
-            .expect("mapped");
-        mem.write_u64(pa, total);
-    });
-
-    // Forward-progress probe: strictly grows while the engine moves
-    // elements, so the error handler can reset its bounded-retry budget
-    // after a recovery demonstrably succeeded.
-    let ec = sys.engine(0).engine_counters();
-    let (consumed, produced, drained) = (
-        ec.consumed.clone(),
-        ec.produced.clone(),
-        ec.drained_elems.clone(),
-    );
-    let probe: ProgressProbe = Box::new(move || consumed.get() + produced.get() + drained.get());
-
-    let core_id = sys.core;
-    let core = sys
-        .soc
-        .component_mut::<InOrderCore>(core_id)
-        .expect("core present");
-    core.load_program(program);
-    driver.install_fault_handler_with_swap(core, Arc::clone(&vm), swap.clone());
-    driver.install_error_handler_with_probe(core, 2, Some(fallback), Some(probe));
-    finish_run(sys, scenario)
-}
-
-/// Runs the MMIO baseline (§5.1): word-at-a-time, fully blocking accesses,
-/// output received before the next block's input ("the core cannot achieve
-/// memory-level parallelism").
-pub fn run_mmio(scenario: &Scenario) -> RunResult {
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        maple_accel: Some(scenario.workload.make_accel()),
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-    let mut program = Program::new();
-
-    // CSR configuration over MMIO.
-    if let Some(csr) = scenario.workload.csr() {
-        for chunk in csr.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            program.push(Op::MmioStore {
-                pa: MAPLE_MMIO_BASE + maple_regs::CSR_DATA,
-                value: u64::from_le_bytes(word),
-            });
-        }
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::CSR_COMMIT,
-            value: csr.len() as u64,
-        });
-    }
-
-    let data = scenario.input_words();
-    let wpb_in = scenario.workload.words_in_per_block() as usize;
-    let wpb_out = scenario.workload.words_out_per_block();
-    let costs = scenario.costs;
-    for block in data.chunks(wpb_in) {
-        for &w in block {
-            program.push(Op::Alu(costs.mmio_loop_alu));
-            program.push(Op::MmioStore {
-                pa: MAPLE_MMIO_BASE + maple_regs::PUSH,
-                value: w,
-            });
-        }
-        for _ in 0..wpb_out {
-            program.push(Op::Alu(costs.mmio_loop_alu));
-            program.push(Op::MmioLoad {
-                pa: MAPLE_MMIO_BASE + maple_regs::POP,
-                record: true,
-            });
-        }
-    }
-
-    install_and_arm_plain(&mut sys, program);
-    finish_run(sys, scenario)
-}
-
-/// Runs the coherent-DMA baseline (§5.1): the core stages input in memory,
-/// then programs MAPLE per 256-byte block (MMIO writes + API software
-/// cost) and waits for completion; results are stored coherently and read
-/// back at the end.
-pub fn run_dma(scenario: &Scenario) -> RunResult {
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        maple_accel: Some(scenario.workload.make_accel()),
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let in_va = sys.alloc_buffer(n * 8, 64);
-    let out_va = sys.alloc_buffer(m.max(1) * 8, 64);
-    let root_pa = sys.space.root_pa();
-
-    let mut program = Program::new();
-    program.push(Op::MmioStore {
-        pa: MAPLE_MMIO_BASE + maple_regs::DMA_PTROOT,
-        value: root_pa,
-    });
-    if let Some(csr) = scenario.workload.csr() {
-        for chunk in csr.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            program.push(Op::MmioStore {
-                pa: MAPLE_MMIO_BASE + maple_regs::CSR_DATA,
-                value: u64::from_le_bytes(word),
-            });
-        }
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::CSR_COMMIT,
-            value: csr.len() as u64,
-        });
-    }
-
-    // Stage the input in memory (cached stores, like the Cohort push loop).
-    let data = scenario.input_words();
-    let costs = scenario.costs;
-    for (i, &w) in data.iter().enumerate() {
-        program.push(Op::Alu(costs.push_loop_alu));
-        program.push(Op::Store {
-            va: in_va + (i as u64) * 8,
-            value: w,
-        });
-    }
-    program.push(Op::Fence);
-
-    // One programmed transfer per DMA block.
-    let block = costs.dma_block_bytes;
-    let in_bytes = n * 8;
-    let ratio_out = scenario.workload.words_out_per_block() * 8;
-    let ratio_in = scenario.workload.words_in_per_block() * 8;
-    let mut src_off = 0u64;
-    let mut dst_off = 0u64;
-    while src_off < in_bytes {
-        let len = block.min(in_bytes - src_off);
-        program.push(Op::KernelCost {
-            cycles: u64::from(costs.dma_api_alu),
-            insts: u64::from(costs.dma_api_alu) / 5,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_SRC,
-            value: in_va + src_off,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_DST,
-            value: out_va + dst_off,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_LEN,
-            value: len,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_START,
-            value: 1,
-        });
-        program.push(Op::MmioLoad {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_DONE,
-            record: false,
-        });
-        src_off += len;
-        dst_off += len * ratio_out / ratio_in;
-    }
-
-    // Read the results back.
-    for j in 0..m {
-        program.push(Op::Alu(costs.pop_loop_alu));
-        program.push(Op::Load {
-            va: out_va + j * 8,
-            record: true,
-        });
-    }
-
-    install_and_arm_plain(&mut sys, program);
-    finish_run(sys, scenario)
-}
-
-/// The coherent-DMA (decoupled access-execute) baseline of [`run_dma`]
-/// under the fault plan in `scenario.soc.faults`, hardened for MAPLE
-/// faults: every `DMA_DONE` completion word is recorded, and the final
-/// outputs are read back from guest memory after the run.
-///
-/// An injected stall only delays completion, so a stalled run still
-/// verifies. A fail-stopped MAPLE answers its blocking MMIO with
-/// [`cohort_maple::DEAD_SENTINEL`] instead of holding the core forever —
-/// the run always terminates, and the sentinel in the recorded `DMA_DONE`
-/// stream is the clean error report software acts on (`verified` is then
-/// false and `maple.fail_stops` counts the abort).
-pub fn run_dma_chaos(scenario: &Scenario) -> RunResult {
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        maple_accel: Some(scenario.workload.make_accel()),
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let in_va = sys.alloc_buffer(n * 8, 64);
-    let out_va = sys.alloc_buffer(m.max(1) * 8, 64);
-    let root_pa = sys.space.root_pa();
-
-    let mut program = Program::new();
-    program.push(Op::MmioStore {
-        pa: MAPLE_MMIO_BASE + maple_regs::DMA_PTROOT,
-        value: root_pa,
-    });
-    if let Some(csr) = scenario.workload.csr() {
-        for chunk in csr.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            program.push(Op::MmioStore {
-                pa: MAPLE_MMIO_BASE + maple_regs::CSR_DATA,
-                value: u64::from_le_bytes(word),
-            });
-        }
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::CSR_COMMIT,
-            value: csr.len() as u64,
-        });
-    }
-
-    let data = scenario.input_words();
-    let costs = scenario.costs;
-    for (i, &w) in data.iter().enumerate() {
-        program.push(Op::Alu(costs.push_loop_alu));
-        program.push(Op::Store {
-            va: in_va + (i as u64) * 8,
-            value: w,
-        });
-    }
-    program.push(Op::Fence);
-
-    let block = costs.dma_block_bytes;
-    let in_bytes = n * 8;
-    let ratio_out = scenario.workload.words_out_per_block() * 8;
-    let ratio_in = scenario.workload.words_in_per_block() * 8;
-    let mut src_off = 0u64;
-    let mut dst_off = 0u64;
-    while src_off < in_bytes {
-        let len = block.min(in_bytes - src_off);
-        program.push(Op::KernelCost {
-            cycles: u64::from(costs.dma_api_alu),
-            insts: u64::from(costs.dma_api_alu) / 5,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_SRC,
-            value: in_va + src_off,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_DST,
-            value: out_va + dst_off,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_LEN,
-            value: len,
-        });
-        program.push(Op::MmioStore {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_START,
-            value: 1,
-        });
-        // Recorded: the per-block completion word software checks for the
-        // dead-unit sentinel.
-        program.push(Op::MmioLoad {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_DONE,
-            record: true,
-        });
-        src_off += len;
-        dst_off += len * ratio_out / ratio_in;
-    }
-
-    install_and_arm_plain(&mut sys, program);
-    sys.soc.set_tracing(scenario.trace);
-    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
-    let core = sys.core();
-    assert!(
-        core.is_done(),
-        "DMA chaos run did not terminate: quiescent={} cycle={} — a dead \
-         MAPLE must answer blocking MMIO with the sentinel, never hang",
-        outcome.quiescent,
-        outcome.cycle,
-    );
-    let recorded = core.recorded().to_vec();
-    let detected = recorded.contains(&cohort_maple::DEAD_SENTINEL);
-    let out_bytes = sys.read_guest(out_va, (m.max(1) * 8) as usize);
-    let outputs: Vec<u64> = out_bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8B")))
-        .collect();
     let expected = scenario.workload.reference_outputs(&data);
-    let verified = !detected && outputs == expected;
-    RunResult {
-        cycles: core.core_counters().done_at,
-        instret: core.core_counters().instret.get(),
-        checksum: payload_checksum(core.core_counters().done_at, &recorded),
-        recorded,
-        verified,
-        counters: sys.soc.all_counters(),
-        histograms: sys.soc.stats().histogram_summaries(),
-        stats_json: sys.soc.stats_json(),
-        barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
-        ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
-        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
-        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
-        silent_by_class: silent_by_class(&sys.soc),
-        trace_json: scenario.trace.then(|| sys.soc.trace_json()),
-    }
-}
-
-/// Runs the Cohort benchmark while a second Ariane core (the platform has
-/// two, Fig. 2) thrashes the shared L2 with streaming stores — a
-/// multicore-interference study beyond the paper's single-tenant numbers.
-/// Returns `(contended, interference_core_stores)`.
-pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        engine_accels: vec![scenario.workload.make_accel()],
-        extra_core_programs: vec![Program::new()], // placeholder, loaded below
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    // The interference working set: 2x the L2, streamed repeatedly.
-    let footprint = 2 * sys.soc.config().l2.capacity_bytes;
-    let buf = sys.alloc_buffer(footprint, 64);
-    let mut noise = Program::new();
-    let passes = (scenario.queue_size / 64).max(2);
-    for p in 0..passes {
-        for line in 0..footprint / 64 {
-            noise.push(Op::Store {
-                va: buf + line * 64,
-                value: p ^ line,
-            });
+    let verify = move |sys: &SimSystem, recorded: &[u64]| {
+        // Reassembly cross-check through the merge structure. Shards race
+        // each other in reality; feeding the merge one run per shard in
+        // turn exercises maximal cross-shard interleaving while preserving
+        // each shard's FIFO order.
+        let mut per_shard = vec![VecDeque::new(); shards];
+        for (seq, c) in chunks.iter().enumerate() {
+            per_shard[c.shard].push_back((seq as u64, *c));
         }
-    }
-    noise.push(Op::Fence);
-    let noise_core = sys.extra_cores[0];
-    sys.soc
-        .component_mut::<InOrderCore>(noise_core)
-        .expect("noise core")
-        .load_program(noise);
-
-    // Same benchmark program as run_cohort.
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let in_q = sys.alloc_queue(8, n as u32);
-    let out_q = sys.alloc_queue(8, m.max(1) as u32);
-    let csr = scenario.workload.csr().map(|bytes| {
-        let va = sys.alloc_buffer(bytes.len() as u64, 64);
-        sys.write_guest(va, &bytes);
-        (va, bytes.len() as u64)
-    });
-    let driver = sys.drivers[0].clone();
-    let root_pa = sys.space.root_pa();
-    let mut program = driver.register_ops(
-        root_pa,
-        &in_q.descriptor,
-        &out_q.descriptor,
-        csr.as_ref().map(|(va, b)| (*va, *b)),
-        scenario.backoff,
-    );
-    push_pop_body(&mut program, scenario, &in_q, &out_q);
-    program.append(driver.unregister_ops());
-    install_and_arm(&mut sys, &driver, program);
-    finish_run(sys, scenario)
-}
-
-/// Emits the interleaved push/pop batch loop shared by the Cohort
-/// scenarios (§5.3 structure).
-fn push_pop_body(
-    program: &mut Program,
-    scenario: &Scenario,
-    in_q: &cohort_queue::QueueLayout,
-    out_q: &cohort_queue::QueueLayout,
-) {
-    let data = scenario.input_words();
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let batch = scenario.batch;
-    let costs = scenario.costs;
-    let out_per_in = (
-        scenario.workload.words_out_per_block(),
-        scenario.workload.words_in_per_block(),
-    );
-    let wpb_out = scenario.workload.words_out_per_block();
-    let mut i = 0u64;
-    let mut j = 0u64;
-    while i < n {
-        let push_end = (i + batch).min(n);
-        while i < push_end {
-            program.push(Op::Alu(costs.push_loop_alu));
-            program.push(Op::Store {
-                va: in_q.descriptor.element_va(i),
-                value: data[i as usize],
-            });
-            i += 1;
-        }
-        program.push(Op::Fence);
-        program.push(Op::Alu(1));
-        program.push(Op::Store {
-            va: in_q.descriptor.write_index_va,
-            value: i,
-        });
-        let pop_end = (i * out_per_in.0 / out_per_in.1).min(m);
-        while j < pop_end {
-            let block_end = (j + wpb_out).min(pop_end);
-            program.push(Op::WaitGe {
-                va: out_q.descriptor.write_index_va,
-                value: block_end,
-            });
-            while j < block_end {
-                program.push(Op::Alu(costs.pop_loop_alu));
-                program.push(Op::Load {
-                    va: out_q.descriptor.element_va(j),
-                    record: true,
-                });
-                j += 1;
+        let mut merge = SeqMerge::new();
+        let mut merged = Vec::new();
+        while per_shard.iter().any(|q| !q.is_empty()) {
+            for s in 0..shards {
+                if let Some((seq, c)) = per_shard[s].pop_front() {
+                    let words: Vec<u64> = (0..c.out_words)
+                        .map(|w| {
+                            let va = out_qs[s].descriptor.element_va(c.out_off + w);
+                            let bytes = sys.read_guest(va, 8);
+                            u64::from_le_bytes(bytes.try_into().expect("8B"))
+                        })
+                        .collect();
+                    merge.push(seq, (s, c.in_words, words)).expect("unique seq");
+                }
+            }
+            for (_, (shard, in_words, words)) in merge.drain_ready() {
+                pool.complete(shard, in_words);
+                merged.extend(words);
             }
         }
-        if pop_end > 0 {
-            program.push(Op::Alu(1));
-            program.push(Op::Store {
-                va: out_q.descriptor.read_index_va,
-                value: pop_end,
-            });
-        }
-    }
-    program.push(Op::Fence);
+        let mirror_drained = (0..shards).all(|s| pool.occupancy(s) == 0);
+        recorded == expected && merged == expected && merge.is_drained() && mirror_drained
+    };
+    Ok(run_and_collect(
+        sys,
+        scenario.trace,
+        scenario.queue_size,
+        verify,
+    ))
 }
 
 /// A fully custom single-engine run: any accelerator, any input stream,
@@ -1547,22 +1478,12 @@ impl CustomRun {
             policy,
             trace,
         } = self;
-        let spec = SystemSpec {
-            cfg: soc,
-            policy,
-            engine_accels: vec![accel],
-            ..SystemSpec::default()
-        };
-        let mut sys = SimSystem::build(spec, Program::new());
+        let mut sys = build_system_with(soc, policy, vec![accel], None, 0);
         let n = input.len() as u64;
         let m = expected.len() as u64;
         let in_q = sys.alloc_queue(8, n.max(1) as u32);
         let out_q = sys.alloc_queue(8, m.max(1) as u32);
-        let csr = csr.map(|bytes| {
-            let va = sys.alloc_buffer(bytes.len() as u64, 64);
-            sys.write_guest(va, &bytes);
-            (va, bytes.len() as u64)
-        });
+        let csr = stage_csr(&mut sys, csr.as_deref());
         let driver = sys.drivers[0].clone();
         let root_pa = sys.space.root_pa();
         let mut program =
@@ -1604,318 +1525,9 @@ impl CustomRun {
         }
         program.push(Op::Fence);
         program.append(driver.unregister_ops());
-        install_and_arm_plain(&mut sys, program);
-        sys.soc.set_tracing(trace);
-        let outcome = sys.soc.run(50_000_000);
-        let core = sys.core();
-        assert!(
-            core.is_done(),
-            "custom run stuck: quiescent={} cycle={}",
-            outcome.quiescent,
-            outcome.cycle
-        );
-        let recorded = core.recorded().to_vec();
-        let verified = recorded == expected;
-        RunResult {
-            cycles: core.core_counters().done_at,
-            instret: core.core_counters().instret.get(),
-            checksum: payload_checksum(core.core_counters().done_at, &recorded),
-            recorded,
-            verified,
-            counters: sys.soc.all_counters(),
-            histograms: sys.soc.stats().histogram_summaries(),
-            stats_json: sys.soc.stats_json(),
-            barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
-            ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
-            slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
-            slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
-            silent_by_class: silent_by_class(&sys.soc),
-            trace_json: trace.then(|| sys.soc.trace_json()),
-        }
+        arm(&mut sys, program, None, None);
+        run_and_collect(sys, trace, n, |_, recorded| recorded == expected)
     }
-}
-
-/// Runs the transparent accelerator-chaining scenario (paper Fig. 5 /
-/// §4.5): the core pushes plaintext into `encrypt_fifo`; an AES Cohort
-/// engine produces ciphertext into `hash_fifo`; a SHA Cohort engine
-/// consumes it — engine to engine, with no software in between — and the
-/// core pops digests from `result_fifo`. Verified against host-side
-/// AES-then-SHA.
-///
-/// `queue_size` must be a multiple of 8 (whole SHA blocks).
-///
-/// # Panics
-/// Panics if `queue_size` is not a multiple of 8 or the run fails.
-pub fn run_cohort_chain(scenario: &Scenario) -> RunResult {
-    assert_eq!(scenario.queue_size % 8, 0, "chain needs whole SHA blocks");
-    let spec = SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        engine_accels: vec![Box::new(Aes128Accel::new()), Box::new(Sha256Accel::new())],
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    let n = scenario.queue_size;
-    let m = n / 2; // AES keeps size; SHA quarters it... 8 in -> 4 out
-    let encrypt_q = sys.alloc_queue(8, n as u32);
-    let hash_q = sys.alloc_queue(8, n as u32);
-    let result_q = sys.alloc_queue(8, m as u32);
-    let key_va = sys.alloc_buffer(16, 64);
-    sys.write_guest(key_va, &AES_KEY);
-
-    let aes_driver = sys.drivers[0].clone();
-    let sha_driver = sys.drivers[1].clone();
-    let root_pa = sys.space.root_pa();
-
-    // Fig. 5: cohort_register(encrypt_acc, encrypt_fifo, hash_fifo);
-    //         cohort_register(hash_acc, hash_fifo, result_fifo);
-    let mut program = aes_driver.register_ops(
-        root_pa,
-        &encrypt_q.descriptor,
-        &hash_q.descriptor,
-        Some((key_va, 16)),
-        scenario.backoff,
-    );
-    program.append(sha_driver.register_ops(
-        root_pa,
-        &hash_q.descriptor,
-        &result_q.descriptor,
-        None,
-        scenario.backoff,
-    ));
-
-    let data = scenario.input_words();
-    let batch = scenario.batch;
-    for (i, &w) in data.iter().enumerate() {
-        program.push(Op::Alu(scenario.costs.push_loop_alu));
-        program.push(Op::Store {
-            va: encrypt_q.descriptor.element_va(i as u64),
-            value: w,
-        });
-        if (i as u64 + 1).is_multiple_of(batch) || i as u64 + 1 == n {
-            program.push(Op::Fence);
-            program.push(Op::Alu(1));
-            program.push(Op::Store {
-                va: encrypt_q.descriptor.write_index_va,
-                value: i as u64 + 1,
-            });
-        }
-    }
-    for j in 0..m {
-        program.push(Op::WaitGe {
-            va: result_q.descriptor.write_index_va,
-            value: j + 1,
-        });
-        program.push(Op::Alu(scenario.costs.pop_loop_alu));
-        program.push(Op::Load {
-            va: result_q.descriptor.element_va(j),
-            record: true,
-        });
-    }
-    program.push(Op::Store {
-        va: result_q.descriptor.read_index_va,
-        value: m,
-    });
-    program.push(Op::Fence);
-    program.append(sha_driver.unregister_ops());
-    program.append(aes_driver.unregister_ops());
-
-    install_and_arm_plain(&mut sys, program);
-    finish_chain_run(sys, scenario)
-}
-
-/// Runs the chain to completion and verifies the digests against the
-/// host-side AES-then-SHA reference.
-fn finish_chain_run(mut sys: SimSystem, scenario: &Scenario) -> RunResult {
-    sys.soc.set_tracing(scenario.trace);
-    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
-    let core = sys.core();
-    assert!(
-        core.is_done(),
-        "chain did not complete: quiescent={} cycle={}",
-        outcome.quiescent,
-        outcome.cycle
-    );
-    let recorded = core.recorded().to_vec();
-    // Host reference: AES-ECB then raw-block SHA-256.
-    let ct_words = Workload::Aes.reference_outputs(&scenario.input_words());
-    let expected = Workload::Sha.reference_outputs(&ct_words);
-    let verified = recorded == expected;
-    RunResult {
-        cycles: core.core_counters().done_at,
-        instret: core.core_counters().instret.get(),
-        checksum: payload_checksum(core.core_counters().done_at, &recorded),
-        recorded,
-        verified,
-        counters: sys.soc.all_counters(),
-        histograms: sys.soc.stats().histogram_summaries(),
-        stats_json: sys.soc.stats_json(),
-        barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
-        ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
-        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
-        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
-        silent_by_class: silent_by_class(&sys.soc),
-        trace_json: scenario.trace.then(|| sys.soc.trace_json()),
-    }
-}
-
-/// Cycle at which [`run_cohort_chain_failover`] kills the victim engine
-/// when the scenario carries no explicit fault plan: late enough that
-/// registration finished and the pipeline is mid-flight, early enough
-/// that plenty of elements remain to migrate.
-pub const DEFAULT_CHAIN_KILL_CYCLE: u64 = 20_000;
-
-/// The chained AES→SHA scenario of [`run_cohort_chain`] with a fail-stop
-/// fault killing the middle (SHA, engine 1) engine mid-pipeline and the
-/// failover stack armed: a third, cold-spare SHA engine; the victim's
-/// forward-progress watchdog (quiesce + drain + spill on trip); and the
-/// failover orchestrator on the victim's error IRQ, which checkpoints the
-/// authoritative queue indices from coherent memory, fences the victim
-/// behind a bumped epoch, and rebinds the same descriptors on the spare.
-///
-/// The run must record the exact fault-free digest stream — failover is
-/// allowed to cost cycles, never elements.
-///
-/// When `scenario.soc.faults` is empty a single
-/// `kill@`[`DEFAULT_CHAIN_KILL_CYCLE`]`:1` fault is injected; pass an
-/// explicit plan to control timing.
-///
-/// # Panics
-/// Panics if `queue_size` is not a multiple of 8 or the run wedges.
-pub fn run_cohort_chain_failover(scenario: &Scenario) -> RunResult {
-    assert_eq!(scenario.queue_size % 8, 0, "chain needs whole SHA blocks");
-    let mut cfg = scenario.soc.clone();
-    if cfg.faults.is_empty() {
-        cfg.faults = FaultPlan::default().at(
-            DEFAULT_CHAIN_KILL_CYCLE,
-            FaultKind::KillEngine { engine: 1 },
-        );
-    }
-    let spec = SystemSpec {
-        cfg,
-        policy: scenario.policy,
-        engine_accels: vec![
-            Box::new(Aes128Accel::new()),
-            Box::new(Sha256Accel::new()),
-            // The cold spare the victim's queues migrate onto.
-            Box::new(Sha256Accel::new()),
-        ],
-        ..SystemSpec::default()
-    };
-    let mut sys = SimSystem::build(spec, Program::new());
-
-    let n = scenario.queue_size;
-    let m = n / 2;
-    let encrypt_q = sys.alloc_queue(8, n as u32);
-    let hash_q = sys.alloc_queue(8, n as u32);
-    let result_q = sys.alloc_queue(8, m as u32);
-    let key_va = sys.alloc_buffer(16, 64);
-    sys.write_guest(key_va, &AES_KEY);
-
-    // The victim's checkpoint spill page. The engine addresses it
-    // physically, so resolve (and, under lazy mapping, fault in) the
-    // page-aligned buffer up front.
-    let spill_va = sys.alloc_buffer(PAGE_BYTES, PAGE_BYTES);
-    if sys.space.translate(&sys.soc.mem, spill_va).is_none() {
-        let mut space = sys.space.clone();
-        space.handle_fault(&mut sys.soc.mem, &mut sys.frames, spill_va);
-    }
-    let spill_pa = sys
-        .space
-        .translate(&sys.soc.mem, spill_va)
-        .expect("spill page mapped");
-
-    let aes_driver = sys.drivers[0].clone();
-    let sha_driver = sys.drivers[1].clone();
-    let spare_driver = sys.drivers[2].clone();
-    let root_pa = sys.space.root_pa();
-    let watchdog = if scenario.watchdog == 0 {
-        CHAOS_DEFAULT_WATCHDOG
-    } else {
-        scenario.watchdog
-    };
-
-    let mut program = aes_driver.register_ops(
-        root_pa,
-        &encrypt_q.descriptor,
-        &hash_q.descriptor,
-        Some((key_va, 16)),
-        scenario.backoff,
-    );
-    program.append(sha_driver.register_ops(
-        root_pa,
-        &hash_q.descriptor,
-        &result_q.descriptor,
-        None,
-        scenario.backoff,
-    ));
-    // Only the victim is watchdogged: during the outage the AES producer
-    // legitimately spins on a full hash queue — a state the watchdog does
-    // not treat as benign — while the healthy SHA states all are.
-    program.append(sha_driver.watchdog_ops(watchdog));
-    program.append(sha_driver.spill_ops(spill_pa));
-
-    let data = scenario.input_words();
-    let batch = scenario.batch;
-    for (i, &w) in data.iter().enumerate() {
-        program.push(Op::Alu(scenario.costs.push_loop_alu));
-        program.push(Op::Store {
-            va: encrypt_q.descriptor.element_va(i as u64),
-            value: w,
-        });
-        if (i as u64 + 1).is_multiple_of(batch) || i as u64 + 1 == n {
-            program.push(Op::Fence);
-            program.push(Op::Alu(1));
-            program.push(Op::Store {
-                va: encrypt_q.descriptor.write_index_va,
-                value: i as u64 + 1,
-            });
-        }
-    }
-    for j in 0..m {
-        program.push(Op::WaitGe {
-            va: result_q.descriptor.write_index_va,
-            value: j + 1,
-        });
-        program.push(Op::Alu(scenario.costs.pop_loop_alu));
-        program.push(Op::Load {
-            va: result_q.descriptor.element_va(j),
-            record: true,
-        });
-    }
-    program.push(Op::Store {
-        va: result_q.descriptor.read_index_va,
-        value: m,
-    });
-    program.push(Op::Fence);
-    program.append(spare_driver.unregister_ops());
-    program.append(sha_driver.unregister_ops());
-    program.append(aes_driver.unregister_ops());
-
-    install_and_arm_plain(&mut sys, program);
-
-    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
-    let core_id = sys.core;
-    let core = sys
-        .soc
-        .component_mut::<InOrderCore>(core_id)
-        .expect("core present");
-    sha_driver.install_failover_handler(
-        core,
-        FailoverConfig {
-            spare: spare_driver,
-            vm,
-            root_pa,
-            input: hash_q.descriptor,
-            output: result_q.descriptor,
-            csr: None,
-            backoff: scenario.backoff,
-            watchdog,
-            spill_pa,
-        },
-    );
-    finish_chain_run(sys, scenario)
 }
 
 /// Which scenario runner executes a [`Scenario`]: the declarative name
@@ -1999,6 +1611,17 @@ impl Runner {
         }
     }
 
+    /// False for the one combination that cannot run: the coherent-DMA
+    /// baselines under [`MapPolicy::Lazy`]. MAPLE's DMA has no
+    /// demand-paging path (and no engine interrupt to carry one), so a
+    /// lazily mapped buffer is a guaranteed wedge, fault plan or not.
+    /// Every Cohort-engine runner demand-pages, and MMIO touches no
+    /// memory. Checked where outside input enters (`socrun`, the fleet
+    /// spec) so the combination is a usage error rather than a panic.
+    pub fn supports_policy(&self, policy: MapPolicy) -> bool {
+        !(policy == MapPolicy::Lazy && matches!(self, Runner::Dma | Runner::DmaChaos))
+    }
+
     /// True for runners that bind engines from [`SocConfig::engines`]
     /// (the ones a `kill@C:E` shard fault can target).
     pub fn is_sharded(&self) -> bool {
@@ -2079,15 +1702,6 @@ pub fn run_scenario(
             run_cohort_sharded(&scenario, &spec)
         }
     }
-}
-
-fn install_and_arm_plain(sys: &mut SimSystem, program: Program) {
-    let core_id = sys.core;
-    let core = sys
-        .soc
-        .component_mut::<InOrderCore>(core_id)
-        .expect("core present");
-    core.load_program(program);
 }
 
 #[cfg(test)]

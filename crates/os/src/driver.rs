@@ -195,14 +195,16 @@ pub struct FailoverConfig {
 /// Reads a queue's authoritative `(write, read)` indices from coherent
 /// memory through the shared kernel VM — the checkpoint step of failover.
 ///
-/// # Panics
-/// Panics if an index VA is unmapped: registration faulted them in, so an
-/// unmapped index during failover is kernel-state corruption.
+/// Under lazy mapping an index line nobody has touched yet (a kill that
+/// lands before the first publication) is still unmapped; the kernel's
+/// read takes the ordinary demand-zero fault path, like any other access.
 pub fn read_queue_indices(
     mem: &mut dyn MemAccess,
     vm: &SharedVm,
     q: &QueueDescriptor,
 ) -> (u64, u64) {
+    fault_in(mem, vm, None, q.write_index_va);
+    fault_in(mem, vm, None, q.read_index_va);
     let mut g = vm.lock().expect("vm lock");
     let (space, _) = &mut *g;
     let wr_pa = space

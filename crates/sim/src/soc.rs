@@ -622,9 +622,7 @@ impl Soc {
 
     /// The shared run loop behind [`Soc::run`] and [`Soc::run_until`].
     ///
-    /// Per iteration: deadline check, predicate check, quiescence check
-    /// (re-consulting the predicate, which may hold on the quiescent
-    /// state), then one cycle. With `cfg.threads > 1` the cycle's step
+    /// Per iteration: the exit checks ([`Soc::loop_exit`]), then one cycle. With `cfg.threads > 1` the cycle's step
     /// phase fans out across a scoped worker pool; everything else —
     /// checks, NoC delivery, commit — runs on the main thread, so the
     /// sequential and parallel paths execute the same decisions in the
@@ -651,31 +649,41 @@ impl Soc {
         exit
     }
 
+    /// The exits both run loops check before every cycle, in this order:
+    /// deadline, predicate, quiescence — re-asking the predicate, which
+    /// may hold on the quiescent state. `None` means "step on".
+    fn loop_exit(
+        &self,
+        deadline: u64,
+        pred: &mut Option<&mut dyn FnMut(&Soc) -> bool>,
+    ) -> Option<LoopExit> {
+        if self.cycle >= deadline {
+            return Some(LoopExit::Deadline);
+        }
+        if let Some(p) = pred.as_deref_mut() {
+            if p(self) {
+                return Some(LoopExit::Pred);
+            }
+        }
+        if !self.is_quiescent() {
+            return None;
+        }
+        if let Some(p) = pred.as_deref_mut() {
+            if p(self) {
+                return Some(LoopExit::Pred);
+            }
+        }
+        Some(LoopExit::Quiescent)
+    }
+
     fn run_loop_seq(
         &mut self,
         deadline: u64,
         mut pred: Option<&mut dyn FnMut(&Soc) -> bool>,
     ) -> LoopExit {
         loop {
-            if self.cycle >= deadline {
-                return LoopExit::Deadline;
-            }
-            if let Some(p) = pred.as_deref_mut() {
-                if p(self) {
-                    return LoopExit::Pred;
-                }
-            }
-            if self.is_quiescent() {
-                return match pred.as_deref_mut() {
-                    Some(p) => {
-                        if p(self) {
-                            LoopExit::Pred
-                        } else {
-                            LoopExit::Quiescent
-                        }
-                    }
-                    None => LoopExit::Quiescent,
-                };
+            if let Some(exit) = self.loop_exit(deadline, &mut pred) {
+                return exit;
             }
             if self.skip_idle_cycles(deadline) {
                 continue;
@@ -716,25 +724,8 @@ impl Soc {
                 });
             }
             let exit = loop {
-                if self.cycle >= deadline {
-                    break LoopExit::Deadline;
-                }
-                if let Some(p) = pred.as_deref_mut() {
-                    if p(self) {
-                        break LoopExit::Pred;
-                    }
-                }
-                if self.is_quiescent() {
-                    break match pred.as_deref_mut() {
-                        Some(p) => {
-                            if p(self) {
-                                LoopExit::Pred
-                            } else {
-                                LoopExit::Quiescent
-                            }
-                        }
-                        None => LoopExit::Quiescent,
-                    };
+                if let Some(exit) = self.loop_exit(deadline, &mut pred) {
+                    break exit;
                 }
                 // Workers are parked here, so skipping a batch of proven
                 // no-op cycles pays no go/done barrier at all, and the

@@ -1,8 +1,13 @@
 //! Full-system integration tests: benchmark scenarios on the simulated SoC
 //! with end-to-end output verification.
 
-use cohort::scenarios::{run_cohort, run_cohort_chain, run_dma, run_mmio, Scenario, Workload};
+use cohort::scenarios::{
+    run_cohort, run_cohort_chain, run_cohort_chain_failover, run_cohort_interfered, run_dma,
+    run_mmio, CustomRun, Scenario, Workload, AES_KEY,
+};
+use cohort_accel::aes128::Aes128Accel;
 use cohort_os::addrspace::MapPolicy;
+use cohort_sim::faultinject::FaultPlan;
 
 #[test]
 fn cohort_sha_verifies_across_sizes_and_batches() {
@@ -83,6 +88,46 @@ fn lazy_mapping_faults_are_resolved_by_the_driver() {
     let irqs = r.counter("core", "irqs").unwrap_or(0);
     // Concurrent faults on both MTE channels coalesce into one interrupt.
     assert!(irqs > 0 && irqs <= faults, "irqs {irqs} vs faults {faults}");
+
+    // Not only `run_cohort`: every runner that hosts the workload behind
+    // Cohort engines arms the same paging stage. That covers the key and
+    // CSR buffers the host seeds before the run, the second core of the
+    // interference study, and a failover that lands before anyone has
+    // touched the victim's index lines.
+    let lazy = |workload, queue_size| {
+        let mut s = Scenario::new(workload, queue_size, 16);
+        s.policy = MapPolicy::Lazy;
+        s
+    };
+    let input = lazy(Workload::Aes, 1024).input_words();
+    let expected = Workload::Aes.reference_outputs(&input);
+    let mut custom = CustomRun::new(Box::new(Aes128Accel::new()), input, expected);
+    custom.csr = Some(AES_KEY.to_vec());
+    custom.policy = MapPolicy::Lazy;
+    let mut early_kill = lazy(Workload::Sha, 1024);
+    early_kill.soc.faults = FaultPlan::parse("kill@3000:1").expect("parses");
+    early_kill.watchdog = 20_000;
+    let rows = [
+        ("chain", run_cohort_chain(&lazy(Workload::Sha, 1024))),
+        (
+            "interfered sha",
+            run_cohort_interfered(&lazy(Workload::Sha, 1024)),
+        ),
+        (
+            "interfered aes",
+            run_cohort_interfered(&lazy(Workload::Aes, 1024)),
+        ),
+        ("custom run with a CSR", custom.run()),
+        (
+            "failover, early kill",
+            run_cohort_chain_failover(&early_kill),
+        ),
+    ];
+    for (name, r) in rows {
+        assert!(r.verified, "{name}: lazy run must still verify");
+        let faults = r.counter("engine", "faults").unwrap_or(0);
+        assert!(faults > 0, "{name}: must exercise the page-fault path");
+    }
 }
 
 #[test]
