@@ -1,89 +1,18 @@
-//! Regenerates every table and figure, writing markdown into `results/`.
-use cohort::scenarios::Workload;
-use cohort_bench::report::{self, paper_table3};
+//! Regenerates every table and figure (`cohort_bench::report::ARTEFACTS`),
+//! writing markdown into `results/` or the directory given as argument.
+use cohort_bench::report::ARTEFACTS;
 use cohort_bench::sweep::Sweep;
-use cohort_sim::config::SocConfig;
 use std::fs;
 
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| "results".into());
     fs::create_dir_all(&out_dir).expect("create results dir");
-    let mut sweep = Sweep::new_verbose();
-
-    let write = |name: &str, content: String| {
-        let path = format!("{out_dir}/{name}");
-        fs::write(&path, content).expect("write result");
+    let mut sweep = Sweep::new();
+    sweep.verbose = true;
+    for (file, title, render) in ARTEFACTS {
+        let path = format!("{out_dir}/{file}");
+        fs::write(&path, format!("# {title}\n\n{}", render(&mut sweep))).expect("write result");
         println!("wrote {path}");
-    };
-
-    write(
-        "table2.md",
-        format!(
-            "# Table 2 — Benchmark Tuning Parameters\n\n{}",
-            cohort_bench::params::table2_markdown()
-        ),
-    );
-    write(
-        "fig8.md",
-        format!(
-            "# Figure 8 — Program latency with SHA accelerator\n\n{}\n## Observability counters (Cohort, batch 64)\n\n{}",
-            report::latency_figure(&mut sweep, Workload::Sha),
-            report::stats_figure(&mut sweep, Workload::Sha)
-        ),
-    );
-    write(
-        "fig9.md",
-        format!(
-            "# Figure 9 — Program latency with AES accelerator\n\n{}\n## Observability counters (Cohort, batch 64)\n\n{}",
-            report::latency_figure(&mut sweep, Workload::Aes),
-            report::stats_figure(&mut sweep, Workload::Aes)
-        ),
-    );
-    let t3 = format!(
-        "# Table 3 — Peak speedups (Cohort batch = 64)\n\n## SHA speedup\n\n{}\n## AES speedup\n\n{}",
-        report::table3_block(
-            &mut sweep,
-            Workload::Sha,
-            &paper_table3::SHA_MMIO,
-            &paper_table3::SHA_DMA,
-            &paper_table3::SHA_BATCHING
-        ),
-        report::table3_block(
-            &mut sweep,
-            Workload::Aes,
-            &paper_table3::AES_MMIO,
-            &paper_table3::AES_DMA,
-            &paper_table3::AES_BATCHING
-        ),
-    );
-    write("table3.md", t3);
-    write(
-        "fig10.md",
-        format!(
-            "# Figure 10 — IPC performance with SHA accelerator\n\n{}",
-            report::ipc_figure(&mut sweep, Workload::Sha)
-        ),
-    );
-    write(
-        "fig11.md",
-        format!(
-            "# Figure 11 — IPC performance with AES accelerator\n\n{}",
-            report::ipc_figure(&mut sweep, Workload::Aes)
-        ),
-    );
-    write(
-        "table4.md",
-        format!(
-            "# Table 4 — FPGA resource utilisation\n\n{}",
-            report::table4_markdown(&SocConfig::default())
-        ),
-    );
-    write(
-        "scaling.md",
-        format!(
-            "# Shard scaling — multi-engine queue sharding\n\n{}",
-            report::scaling_figure(&mut sweep)
-        ),
-    );
+    }
     println!("done.");
 }

@@ -2,47 +2,47 @@
 //!
 //! ```text
 //! cargo run --release -p cohort-bench --bin socrun -- \
-//!     [--workload sha|aes] \
-//!     [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|mesh16] \
-//!     [--queue N] [--batch N] [--backoff N] [--policy eager|lazy|huge] \
-//!     [--tlb N] [--faults SPEC] [--dram SPEC] [--watchdog N] [--counters] \
-//!     [--threads N] [--stats FILE] [--trace FILE]
+//!     [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|shard|mesh16] \
+//!     [--workload sha|aes] [--queue N] [--batch N] [--backoff N] \
+//!     [--policy eager|lazy|huge] [--watchdog N] [--threads N] [--shards N] \
+//!     [--placement rr|occupancy] [--skew] [--engines N] [--faults SPEC] \
+//!     [--dram SPEC] \
+//!     [--tlb N] [--counters] [--stats FILE] [--trace FILE] [--bench-out FILE]
 //! ```
 //!
 //! Prints latency, IPC and (with `--counters`) every component's
 //! performance counters for one configuration — the quickest way to poke
-//! at the model. `--stats FILE` writes the stats-registry snapshot
-//! (counters + histogram summaries) as JSON; `--trace FILE` enables the
-//! cycle-stamped event trace and writes Chrome `trace_event` JSON that
-//! loads in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//! at the model. `--mode` and the last line of flags are `socrun`'s own;
+//! the lines between are the run parameters, i.e. the keys of
+//! `cohort_bench::run_params::KEYS`: spelled, parsed and range-checked by
+//! that table exactly as a fleet spec's `key = value` lines are, and
+//! admitted or refused (exit 2) by the same `cohort::scenarios::admit`.
 //!
-//! `--faults` takes a deterministic fault-injection spec, e.g.
-//! `stall@5000:forever;storm@20000:2`, `kill@20000:1` (fail-stop engine 1),
-//! `maple-kill@15000` or `random:seed=7,count=4` (see
-//! `cohort_sim::faultinject::FaultPlan::parse` for the grammar); `chaos`
-//! mode runs the Cohort benchmark with the full recovery stack armed,
-//! `failover` runs the AES→SHA chain with a cold spare and the failover
-//! orchestrator (a `kill@…` fault plan routes here by default),
-//! `dma-chaos` runs the DMA baseline hardened for MAPLE faults, and
-//! `--watchdog` overrides the engine's forward-progress budget.
+//! `--stats FILE` writes the stats-registry snapshot (counters + histogram
+//! summaries) as JSON; `--trace FILE` enables the cycle-stamped event
+//! trace and writes Chrome `trace_event` JSON that loads in Perfetto
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`. `--faults` takes a
+//! deterministic fault-injection spec, e.g. `stall@5000:forever`,
+//! `kill@20000:1` or `random:seed=7,count=4` (grammar:
+//! `cohort_sim::faultinject::FaultPlan::parse`, summarised by the usage
+//! text along with which mode arms which recovery stack).
 
-use cohort::scenarios::{
-    run_scenario, sharded_engines_for, RunResult, Runner, Scenario, ShardSpec, Workload,
-};
-use cohort_os::addrspace::MapPolicy;
-use cohort_os::driver::Placement;
-use cohort_sim::dram::DramConfig;
-use cohort_sim::faultinject::{FaultKind, FaultPlan};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Workload};
+use cohort_bench::run_params::{RunParams, KEYS, SOLO_SEED};
 
 fn usage() -> ! {
+    let modes = Runner::ALL.map(|r| r.name()).join("|");
+    let flags = KEYS.iter().filter_map(|k| Some((k.flag?, k.hint)));
+    let flags: Vec<String> = flags
+        .map(|(flag, hint)| format!("[--{flag} {hint}]").replace(" ]", "]"))
+        .collect();
+    let rows: Vec<String> = flags.chunks(4).map(|row| row.join(" ")).collect();
     eprintln!(
-        "usage: socrun [--workload sha|aes]\n\
-         \u{20}             [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|shard|mesh16]\n\
-         \u{20}             [--queue N] [--batch N] [--backoff N] [--policy eager|lazy|huge]\n\
-         \u{20}             [--tlb N] [--faults SPEC] [--dram SPEC] [--watchdog N] [--counters]\n\
-         \u{20}             [--threads N]\n\
-         \u{20}             [--shards N] [--placement rr|occupancy] [--engines N] [--skew]\n\
-         \u{20}             [--stats FILE] [--trace FILE] [--bench-out FILE]\n\
+        "usage: socrun [--mode {modes}]\n\
+         \u{20}             {}\n\
+         \u{20}             [--tlb N] [--counters] [--stats FILE] [--trace FILE] [--bench-out FILE]\n\
+         routing: without --mode, --shards picks shard, and a fault plan the mode armed\n\
+         \u{20}        for it (kill: failover, maple-*: dma-chaos, anything else: chaos)\n\
          sharding: --shards N splits the stream over N engines (mode shard);\n\
          \u{20}         --engines overrides the spare-inclusive pool size,\n\
          \u{20}         --skew makes every 4th element run heavy;\n\
@@ -56,8 +56,15 @@ fn usage() -> ! {
          dram spec: `default`, or comma-separated overrides of\n\
          \u{20}          channels=N,banks=N,rowlines=N,hit=C,miss=C,queue=N,\n\
          \u{20}          mshrs=N,ejection=N — enables the bank/channel DRAM\n\
-         \u{20}          contention model (flat-latency memory when absent)"
+         \u{20}          contention model (flat-latency memory when absent)",
+        rows.join("\n              ")
     );
+    std::process::exit(2)
+}
+
+/// A refused input: one line saying what and why, exit code 2.
+fn refuse(msg: String) -> ! {
+    eprintln!("socrun: {msg}");
     std::process::exit(2)
 }
 
@@ -81,160 +88,84 @@ fn bench_json(r: &RunResult, args: &str, queue: u64) -> String {
 }
 
 fn main() {
-    let mut workload = Workload::Sha;
-    let mut mode = "cohort".to_string();
-    let mut queue = 1024u64;
-    let mut batch = 64u64;
-    let mut backoff: Option<u64> = None;
-    let mut policy = MapPolicy::Eager;
+    // One run has no seed set to vary a fault plan over: `random:seed=7`
+    // means schedule 7.
+    let mut params = RunParams {
+        workload: Workload::Sha,
+        queue: 1024,
+        batch: 64,
+        vary_fault_seed: false,
+        ..RunParams::default()
+    };
+    let mut given: Vec<&str> = Vec::new();
+    let mut mode: Option<String> = None;
     let mut tlb: Option<usize> = None;
-    let mut dram: Option<DramConfig> = None;
-    let mut faults: Option<FaultPlan> = None;
-    let mut watchdog: Option<u64> = None;
     let mut counters = false;
-    let mut stats_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut shards: Option<usize> = None;
-    let mut placement = Placement::RoundRobin;
-    let mut engines: Option<usize> = None;
-    let mut skew = false;
-    let mut threads: Option<usize> = None;
-    let mut bench_out: Option<String> = None;
+    let (mut stats_path, mut trace_path, mut bench_out) = (None, None, None);
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = || it.next().cloned().unwrap_or_else(|| usage());
+        let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--workload" => {
-                workload = match value().as_str() {
-                    "sha" => Workload::Sha,
-                    "aes" => Workload::Aes,
-                    _ => usage(),
-                }
-            }
-            "--mode" => mode = value(),
-            "--queue" => queue = value().parse().unwrap_or_else(|_| usage()),
-            "--batch" => batch = value().parse().unwrap_or_else(|_| usage()),
-            "--backoff" => backoff = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--policy" => {
-                policy = match value().as_str() {
-                    "eager" => MapPolicy::Eager,
-                    "lazy" => MapPolicy::Lazy,
-                    "huge" => MapPolicy::HugePages,
-                    _ => usage(),
-                }
-            }
+            "--mode" => mode = Some(value()),
             "--tlb" => tlb = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--dram" => {
-                dram = Some(DramConfig::from_spec(&value()).unwrap_or_else(|e| {
-                    eprintln!("socrun: {e}");
-                    usage()
-                }))
-            }
-            "--faults" => {
-                faults = Some(FaultPlan::parse(&value()).unwrap_or_else(|e| {
-                    eprintln!("socrun: {e}");
-                    usage()
-                }))
-            }
-            "--watchdog" => watchdog = Some(value().parse().unwrap_or_else(|_| usage())),
             "--counters" => counters = true,
             "--stats" => stats_path = Some(value()),
             "--trace" => trace_path = Some(value()),
-            "--shards" => shards = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--placement" => {
-                placement = value().parse().unwrap_or_else(|e: String| {
-                    eprintln!("socrun: {e}");
-                    usage()
-                })
-            }
-            "--engines" => engines = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--threads" => threads = Some(value().parse().unwrap_or_else(|_| usage())),
-            "--skew" => skew = true,
             "--bench-out" => bench_out = Some(value()),
-            _ => usage(),
+            // Every other flag is a run parameter: the key table knows its
+            // spelling, whether it takes a value, and what values it takes.
+            other => {
+                let name = other.strip_prefix("--").unwrap_or_else(|| usage());
+                let key = KEYS.iter().find(|k| k.flag == Some(name));
+                let key = key.unwrap_or_else(|| usage());
+                // A switch takes no value: giving it says `true`.
+                let text = (!key.is_switch()).then(&mut value);
+                let set = params.set_text(key, text.as_deref().unwrap_or("true"));
+                set.unwrap_or_else(|e| refuse(format!("{flag}: {e}")));
+                given.push(key.name);
+            }
         }
     }
 
-    let mut scenario = Scenario::new(workload, queue, batch);
-    scenario.policy = policy;
-    if let Some(b) = backoff {
-        scenario.backoff = b;
-    }
+    // Without --mode: --shards routes to the sharded runner (which arms
+    // its own failover when a fault plan kills a shard engine), and a
+    // fault plan picks the runner armed to recover from it — engine
+    // fail-stops the chain-failover scenario, MAPLE faults the hardened
+    // DMA baseline, everything else the chaos runner. The labels are the
+    // fault grammar's own words (`kill@…`, `maple-kill@…`, `maple-stall@…`).
+    let planned = |label: &str| {
+        let mut kinds = params.faults.events.iter().map(|e| e.kind.label());
+        kinds.any(|l| l.starts_with(label))
+    };
+    let runner = match &mode {
+        Some(name) => Runner::parse(name).unwrap_or_else(|| usage()),
+        None if given.contains(&"shards") => Runner::Sharded,
+        None if !given.contains(&"faults") => Runner::Cohort,
+        None if planned("kill") => Runner::Failover,
+        None if planned("maple-") => Runner::DmaChaos,
+        None => Runner::Chaos,
+    };
+    let (mut scenario, shard_spec) = params.to_scenario(runner, SOLO_SEED);
     if let Some(t) = tlb {
         scenario.soc.tlb_entries = t;
     }
-    scenario.soc.dram = dram;
-    if let Some(t) = threads {
-        scenario.soc = scenario.soc.clone().with_threads(t);
-    }
-    // --shards routes to the sharded runner (which arms its own failover
-    // when a fault plan kills a shard engine).
-    if shards.is_some() && mode == "cohort" {
-        mode = "shard".to_string();
-    }
-    if let Some(plan) = faults {
-        // A fault plan without an explicit mode picks the runner armed to
-        // recover from it: engine fail-stops route to the chain-failover
-        // scenario, MAPLE faults to the hardened DMA baseline, everything
-        // else to the chaos runner.
-        if mode == "cohort" {
-            mode = if plan
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::KillEngine { .. }))
-            {
-                "failover".to_string()
-            } else if plan
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, FaultKind::KillMaple | FaultKind::MapleStall { .. }))
-            {
-                "dma-chaos".to_string()
-            } else {
-                "chaos".to_string()
-            };
-        }
-        scenario.soc.faults = plan;
-    }
-    if let Some(w) = watchdog {
-        scenario.watchdog = w;
-    }
     scenario.trace = trace_path.is_some();
 
-    let runner = Runner::parse(&mode).unwrap_or_else(|| usage());
-    if !runner.supports_policy(policy) {
-        eprintln!(
-            "socrun: mode {runner} cannot run under --policy {policy:?}: \
-             MAPLE's DMA has no demand-paging path"
-        );
-        usage()
-    }
-    let shard_spec = match runner {
-        Runner::Sharded => {
-            let n = shards.unwrap_or(1);
-            // Spare-inclusive pool: explicit --engines wins; otherwise one
-            // engine per shard plus a spare when a kill targets a shard.
-            scenario.soc.engines =
-                engines.unwrap_or_else(|| sharded_engines_for(&scenario.soc.faults, n));
-            Some(ShardSpec::new(n).with_placement(placement).with_skew(skew))
-        }
-        _ => None,
-    };
     let start = std::time::Instant::now();
-    let r: RunResult = run_scenario(runner, &scenario, shard_spec.as_ref()).unwrap_or_else(|e| {
-        eprintln!("socrun: {e}");
-        std::process::exit(2);
-    });
+    let r = run_scenario(runner, &scenario, shard_spec.as_ref())
+        .unwrap_or_else(|e| refuse(format!("mode {runner} refused: {e}")));
     let wall = start.elapsed();
 
-    print!("workload={workload:?} mode={mode} queue={queue} batch={batch} policy={policy:?}");
-    if mode == "shard" {
+    let p = &params;
+    print!(
+        "workload={:?} mode={runner} queue={} batch={} policy={:?}",
+        p.workload, p.queue, p.batch, p.policy
+    );
+    if runner == Runner::Sharded {
         print!(
-            " shards={} placement={placement} engines={} skew={skew}",
-            shards.unwrap_or(1),
-            scenario.soc.engines
+            " shards={} placement={} engines={} skew={}",
+            p.shards, p.placement, scenario.soc.engines, p.skew
         );
     }
     println!();
@@ -242,7 +173,7 @@ fn main() {
         "latency: {} cycles ({:.1} kcycles, {:.2} cycles/element)",
         r.cycles,
         r.cycles as f64 / 1000.0,
-        r.cycles as f64 / queue as f64
+        r.cycles as f64 / p.queue as f64
     );
     println!("instructions: {}  IPC: {:.3}", r.instret, r.ipc());
     println!("verified: {}  (host wall time {:.2?})", r.verified, wall);
@@ -259,31 +190,26 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &stats_path {
-        std::fs::write(path, &r.stats_json).unwrap_or_else(|e| {
+    let write = |what: &str, path: &str, content: &str, note: &str| {
+        std::fs::write(path, content).unwrap_or_else(|e| {
             eprintln!("socrun: cannot write {path}: {e}");
             std::process::exit(1);
         });
-        println!("stats: wrote {path}");
+        println!("{what}: wrote {path}{note}");
+    };
+    if let Some(path) = &stats_path {
+        write("stats", path, &r.stats_json, "");
     }
     if let Some(path) = &trace_path {
         let json = r.trace_json.as_deref().unwrap_or("[]");
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("trace: wrote {path} (load in https://ui.perfetto.dev)");
+        write("trace", path, json, " (load in https://ui.perfetto.dev)");
     }
     if let Some(path) = &bench_out {
         let args = format!(
-            "workload={workload:?} mode={mode} queue={queue} batch={batch} shards={} placement={placement} skew={skew}",
-            shards.unwrap_or(1)
+            "workload={:?} mode={runner} queue={} batch={} shards={} placement={} skew={}",
+            p.workload, p.queue, p.batch, p.shards, p.placement, p.skew
         );
-        std::fs::write(path, bench_json(&r, &args, queue)).unwrap_or_else(|e| {
-            eprintln!("socrun: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("bench: wrote {path}");
+        write("bench", path, &bench_json(&r, &args, p.queue), "");
     }
     if !r.verified {
         std::process::exit(1);

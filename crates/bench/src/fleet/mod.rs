@@ -21,7 +21,8 @@ pub mod runner;
 pub mod spec;
 pub mod summary;
 
+pub use crate::run_params::RunParams;
 pub use check::{run_check, CHECK_BASELINE_PATH, CHECK_TOLERANCE};
 pub use runner::{run_fleet, run_one, Outcome, RunRecord};
-pub use spec::{FleetSpec, RunParams, ScenarioSpec, SpecError};
+pub use spec::{FleetSpec, ScenarioSpec, SpecError};
 pub use summary::{compare_baseline, summarize, Dist, FleetSummary, ScenarioSummary};

@@ -1,15 +1,16 @@
 //! Campaign execution: fan-out across host threads, per-run outcome
 //! classification, and the per-run JSON record.
 //!
-//! The fan-out reuses the `Sweep::run_seeds` shape — a shared atomic
-//! cursor over the job list, `std::thread::scope` workers, results
-//! written into index-addressed slots — so records come back in spec
-//! order regardless of which thread ran which job, and the whole
-//! campaign is bit-identical at any `host_threads` setting. Each job
+//! The fan-out is a shared atomic cursor over the job list,
+//! `std::thread::scope` workers and results written into index-addressed
+//! slots, so records come back in spec order regardless of which thread
+//! ran which job, and the whole campaign is bit-identical at any
+//! `host_threads` setting. Each job
 //! runs under `catch_unwind`, so one wedged seed becomes a classified
 //! `hung` record instead of tearing down the campaign.
 
-use super::spec::{FleetSpec, RunParams};
+use super::spec::FleetSpec;
+use crate::run_params::RunParams;
 use cohort::scenarios::{run_scenario, RunResult, Runner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -296,9 +297,10 @@ pub fn run_one(
             }
             rec
         }
-        // A shard-binding error at run time means spec validation has a
-        // hole; surface it as a named failure, not a crash.
-        Ok(Err(e)) => hung_record(scenario, seed, format!("shard binding failed: {e}")),
+        // The loader asks the same admission check at load time, so a
+        // refusal here means parameters that never went through it;
+        // surface it as a named failure, not a crash.
+        Ok(Err(e)) => hung_record(scenario, seed, format!("runner {runner} refused: {e}")),
         Err(payload) => hung_record(scenario, seed, panic_message(payload.as_ref())),
     }
 }

@@ -3,11 +3,14 @@
 //!
 //! A spec names a campaign and a list of scenarios; each scenario is a
 //! [`Runner`] plus the full parameter set a run needs ([`RunParams`]).
-//! Everything a run could get wrong — unknown runner, queue size that
-//! violates the runner's block granularity, a fault plan the runner
-//! cannot survive, an out-of-range kill target, a malformed seed range —
-//! is rejected *at load time* with a structured [`SpecError`] naming the
-//! offending line, instead of an assert ten minutes into a campaign.
+//! This module owns what is about the file: sections, line numbers, seed
+//! sets and overrides. What a key means belongs to the key table
+//! ([`crate::run_params::KEYS`]) and whether a resolved scenario may run
+//! to the simulator's own admission check ([`admit`]); both are asked
+//! *at load time*, so a queue that is not whole blocks, a fault plan the
+//! runner cannot survive or an out-of-range kill target is a structured
+//! [`SpecError`] naming the offending line, instead of a budget overrun
+//! ten minutes into a campaign.
 //!
 //! The grammar is a deliberately small TOML subset (no external parser
 //! crates): `[campaign]` / `[defaults]` tables, `[[scenario]]` /
@@ -15,11 +18,9 @@
 //! an integer (decimal or `0x` hex, `_` separators allowed), a bool, a
 //! `"string"`, or a flat `[a, b, c]` list. `#` starts a comment.
 
-use cohort::scenarios::{sharded_engines_for, Runner, Scenario, ShardSpec, Workload};
-use cohort_os::addrspace::MapPolicy;
-use cohort_os::driver::Placement;
-use cohort_sim::dram::DramConfig;
-use cohort_sim::faultinject::{splitmix64, FaultKind, FaultPlan, FaultSpecError, MAX_FAULT_CYCLE};
+use crate::run_params::{parse_int, ParamError, RunParams, Value, KEYS};
+use cohort::scenarios::{admit, Refusal, Runner};
+use cohort_sim::faultinject::FaultSpecError;
 
 /// Upper bound on total runs in one campaign — a typo guard, not a
 /// scaling limit (500-seed chaos campaigns sit far below it).
@@ -27,9 +28,6 @@ pub const MAX_TOTAL_RUNS: usize = 100_000;
 
 /// Upper bound on seeds per scenario.
 pub const MAX_SEEDS_PER_SCENARIO: usize = 10_000;
-
-/// Largest queue a spec may ask for (memory guard).
-pub const MAX_QUEUE: u64 = 1 << 20;
 
 /// A structured spec-validation error. Every variant carries enough to
 /// point at the exact offending entry.
@@ -111,37 +109,19 @@ pub enum SpecError {
         /// The structured fault-grammar error.
         err: FaultSpecError,
     },
-    /// A queue size violating the runner's block granularity.
-    QueueGranularity {
+    /// A resolved scenario the simulator's admission check refuses: queue
+    /// or batch granularity, mapping policy, a fault the runner cannot
+    /// survive, a kill target out of range, shard/engine arithmetic.
+    Refused {
+        /// 1-based line that bound the parameters to their runner (the
+        /// scenario's `runner =`, an override's `scenario =`).
+        line: usize,
         /// Scenario name.
         scenario: String,
-        /// Requested queue size.
-        queue: u64,
-        /// Required multiple.
-        multiple: u64,
-        /// The runner imposing it.
+        /// The runner asked.
         runner: Runner,
-    },
-    /// A fault the scenario's runner has no recovery story for — it
-    /// would wedge or trivially fail the run, so it is a spec bug.
-    FaultUnsupported {
-        /// Scenario name.
-        scenario: String,
-        /// The fault label (`kill`, `maple-kill`, …).
-        fault: &'static str,
-        /// The runner.
-        runner: Runner,
-        /// Why the combination is rejected.
-        why: &'static str,
-    },
-    /// A kill fault targeting an engine the scenario does not bind.
-    EngineTarget {
-        /// Scenario name.
-        scenario: String,
-        /// Requested engine index.
-        engine: u64,
-        /// Engines the scenario binds.
-        engines: usize,
+        /// The broken rule.
+        err: Refusal,
     },
     /// An `[[override]]` naming a scenario that does not exist.
     OverrideTarget {
@@ -190,34 +170,14 @@ impl std::fmt::Display for SpecError {
             SpecError::Fault { scenario, err } => {
                 write!(f, "spec: scenario {scenario:?}: {err}")
             }
-            SpecError::QueueGranularity {
+            SpecError::Refused {
+                line,
                 scenario,
-                queue,
-                multiple,
                 runner,
+                err,
             } => write!(
                 f,
-                "spec: scenario {scenario:?}: queue {queue} is not a multiple \
-                 of {multiple} (required by runner {runner})"
-            ),
-            SpecError::FaultUnsupported {
-                scenario,
-                fault,
-                runner,
-                why,
-            } => write!(
-                f,
-                "spec: scenario {scenario:?}: {fault} fault is not supported \
-                 by runner {runner}: {why}"
-            ),
-            SpecError::EngineTarget {
-                scenario,
-                engine,
-                engines,
-            } => write!(
-                f,
-                "spec: scenario {scenario:?}: kill targets engine {engine} \
-                 but the scenario binds {engines} shard engine(s)"
+                "spec line {line}: scenario {scenario:?} (runner {runner}): {err}"
             ),
             SpecError::OverrideTarget { scenario } => {
                 write!(f, "spec: [[override]] names unknown scenario {scenario:?}")
@@ -232,127 +192,6 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-/// The full parameter set of one run, before the seed is applied.
-/// Defaults reproduce `Scenario::new(Aes, 256, 16)` with platform
-/// settings, single shard, round-robin placement, no faults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunParams {
-    /// Accelerator workload (`"sha"` / `"aes"`).
-    pub workload: Workload,
-    /// Total input elements == input queue length.
-    pub queue: u64,
-    /// Pointer-update batching factor.
-    pub batch: u64,
-    /// RCM backoff window in cycles.
-    pub backoff: u64,
-    /// Page-mapping policy (`"eager"` / `"lazy"` / `"hugepage"`).
-    pub policy: MapPolicy,
-    /// Engine forward-progress watchdog budget (0 = runner default).
-    pub watchdog: u64,
-    /// Simulator worker threads per run (results are thread-invariant).
-    pub sim_threads: usize,
-    /// Shard count for the sharded runner.
-    pub shards: usize,
-    /// Shard placement policy (`"rr"` / `"occupancy"`).
-    pub placement: Placement,
-    /// Skewed element-run sizes for the sharded runner.
-    pub skew: bool,
-    /// Explicit engine count; `None` derives shards + spare-for-kill.
-    pub engines: Option<usize>,
-    /// Parsed base fault plan (before per-seed variation).
-    pub faults: FaultPlan,
-    /// The fault grammar as written (reports echo it).
-    pub faults_text: String,
-    /// Max cycles of per-seed jitter added to each explicit fault's
-    /// firing cycle (deterministic in the seed; 0 = none).
-    pub fault_jitter: u64,
-    /// When true (default), the run seed is mixed into the random fault
-    /// schedule's seed, so every seed explores a different schedule.
-    pub vary_fault_seed: bool,
-    /// Opt-in DRAM contention model (`dram = "spec"` in the same grammar
-    /// as `socrun --dram`); `None` keeps the flat-latency memory system.
-    pub dram: Option<DramConfig>,
-}
-
-impl Default for RunParams {
-    fn default() -> Self {
-        Self {
-            workload: Workload::Aes,
-            queue: 256,
-            batch: 16,
-            backoff: 700,
-            policy: MapPolicy::Eager,
-            watchdog: 0,
-            sim_threads: 1,
-            shards: 1,
-            placement: Placement::RoundRobin,
-            skew: false,
-            engines: None,
-            faults: FaultPlan::default(),
-            faults_text: String::new(),
-            fault_jitter: 0,
-            vary_fault_seed: true,
-            dram: None,
-        }
-    }
-}
-
-impl RunParams {
-    /// Engines the SoC will instantiate for a sharded run: explicit when
-    /// the spec set `engines =`, else shards plus a spare when the fault
-    /// plan kills a shard.
-    pub fn resolved_engines(&self) -> usize {
-        self.engines
-            .unwrap_or_else(|| sharded_engines_for(&self.faults, self.shards))
-    }
-
-    /// The fault plan for one run seed: explicit event cycles jittered by
-    /// `fault_jitter` and the random schedule reseeded with the run seed
-    /// mixed in. Both are pure functions of `(params, seed)`, so a
-    /// reported failing seed replays the exact same schedule.
-    pub fn plan_for_seed(&self, seed: u64) -> FaultPlan {
-        let mut plan = self.faults.clone();
-        if self.fault_jitter > 0 {
-            for (i, ev) in plan.events.iter_mut().enumerate() {
-                let mut st = seed ^ 0xf1ee_7c0d_0000_0000u64.wrapping_add((i as u64) << 8);
-                let delta = splitmix64(&mut st) % (self.fault_jitter + 1);
-                ev.at_cycle = (ev.at_cycle + delta).min(MAX_FAULT_CYCLE);
-            }
-        }
-        if self.vary_fault_seed {
-            if let Some(r) = plan.random.as_mut() {
-                let mut st = r.seed ^ seed.rotate_left(17);
-                r.seed = splitmix64(&mut st);
-            }
-        }
-        plan
-    }
-
-    /// Materialises the scenario (and shard spec, for sharded runners)
-    /// for one seed.
-    pub fn to_scenario(&self, runner: Runner, seed: u64) -> (Scenario, Option<ShardSpec>) {
-        let mut s = Scenario::new(self.workload, self.queue, self.batch);
-        s.policy = self.policy;
-        s.backoff = self.backoff;
-        s.watchdog = self.watchdog;
-        s.seed = seed;
-        s.soc.threads = self.sim_threads.max(1);
-        s.soc.faults = self.plan_for_seed(seed);
-        s.soc.dram = self.dram.clone();
-        let shard = if runner == Runner::Sharded {
-            s.soc.engines = self.resolved_engines();
-            Some(
-                ShardSpec::new(self.shards)
-                    .with_placement(self.placement)
-                    .with_skew(self.skew),
-            )
-        } else {
-            None
-        };
-        (s, shard)
-    }
-}
 
 /// One scenario of a campaign: a runner, a seed set, base parameters and
 /// fully-resolved per-seed overrides.
@@ -465,14 +304,8 @@ impl FleetSpec {
 
         // [defaults]
         let mut defaults = RunParams::default();
-        for (key, value, line) in &raw.defaults {
-            if !apply_param(&mut defaults, key, value, *line, "defaults")? {
-                return Err(SpecError::UnknownKey {
-                    line: *line,
-                    section: "defaults".into(),
-                    key: key.clone(),
-                });
-            }
+        for entry in &raw.defaults {
+            apply_param(&mut defaults, entry, "defaults", "defaults")?;
         }
 
         // [[scenario]]
@@ -491,7 +324,7 @@ impl FleetSpec {
             let mut runner = None;
             let mut seeds = None;
             let mut base = defaults.clone();
-            for (key, value, line) in table {
+            for entry @ (key, value, line) in table {
                 match key.as_str() {
                     "name" => sc_name = Some(expect_str(key, value, *line)?),
                     "runner" => {
@@ -507,15 +340,7 @@ impl FleetSpec {
                         runner = Some((parsed, *line));
                     }
                     "seeds" => seeds = Some(parse_seeds(value, *line)?),
-                    _ => {
-                        if !apply_param(&mut base, key, value, *line, &ctx)? {
-                            return Err(SpecError::UnknownKey {
-                                line: *line,
-                                section: "scenario".into(),
-                                key: key.clone(),
-                            });
-                        }
-                    }
+                    _ => apply_param(&mut base, entry, "scenario", &ctx)?,
                 }
             }
             let sc_name = sc_name.ok_or_else(|| SpecError::MissingKey {
@@ -534,7 +359,7 @@ impl FleetSpec {
                 (None, Some((s, _))) => s.clone(),
                 (None, None) => (0..8).collect(),
             };
-            validate_params(&sc_name, runner, &base, runner_line)?;
+            admit_params(&sc_name, runner, &base, runner_line)?;
             scenarios.push(ScenarioSpec {
                 name: sc_name,
                 runner,
@@ -578,17 +403,10 @@ impl FleetSpec {
                 });
             }
             let mut params = sc.base.clone();
-            let ctx = sc.name.clone();
-            for (key, value, line) in &patch {
-                if !apply_param(&mut params, key, value, *line, &ctx)? {
-                    return Err(SpecError::UnknownKey {
-                        line: *line,
-                        section: "override".into(),
-                        key: key.clone(),
-                    });
-                }
+            for entry in &patch {
+                apply_param(&mut params, entry, "override", &sc.name)?;
             }
-            validate_params(&sc.name, sc.runner, &params, target_line)?;
+            admit_params(&sc.name, sc.runner, &params, target_line)?;
             sc.overrides.retain(|(s, _)| *s != seed);
             sc.overrides.push((seed, params));
         }
@@ -608,203 +426,45 @@ impl FleetSpec {
     }
 }
 
-/// Applies one `key = value` pair to a [`RunParams`]; `Ok(false)` means
-/// the key is not a run parameter (the caller owns the unknown-key error
-/// so it can name its section). `ctx` names the owning scenario (or
-/// section) so fault-grammar errors stay attributable.
+/// Applies one `key = value` pair of `section` through the key table.
+/// `scenario` names the owner so fault-grammar errors stay attributable.
 fn apply_param(
     p: &mut RunParams,
-    key: &str,
-    value: &Value,
-    line: usize,
-    ctx: &str,
-) -> Result<bool, SpecError> {
-    let bad = |msg: String| SpecError::BadValue {
-        line,
-        key: key.to_string(),
-        msg,
+    (key, value, line): &(String, Value, usize),
+    section: &str,
+    scenario: &str,
+) -> Result<(), SpecError> {
+    let (line, key) = (*line, key.clone());
+    let Some(k) = KEYS.iter().find(|k| k.name == key) else {
+        let section = section.to_string();
+        return Err(SpecError::UnknownKey { line, section, key });
     };
-    match key {
-        "workload" => {
-            p.workload = match expect_str(key, value, line)?.as_str() {
-                "sha" => Workload::Sha,
-                "aes" => Workload::Aes,
-                other => return Err(bad(format!("unknown workload {other:?} (sha|aes)"))),
-            }
-        }
-        "queue" => {
-            p.queue = expect_int(key, value, line)?;
-            if p.queue == 0 || p.queue > MAX_QUEUE {
-                return Err(bad(format!("queue must be in 1..={MAX_QUEUE}")));
-            }
-        }
-        "batch" => p.batch = expect_int(key, value, line)?.max(1),
-        "backoff" => p.backoff = expect_int(key, value, line)?,
-        "policy" => {
-            p.policy = match expect_str(key, value, line)?.as_str() {
-                "eager" => MapPolicy::Eager,
-                "lazy" => MapPolicy::Lazy,
-                "hugepage" | "huge" => MapPolicy::HugePages,
-                other => {
-                    return Err(bad(format!(
-                        "unknown policy {other:?} (eager|lazy|hugepage)"
-                    )))
-                }
-            }
-        }
-        "watchdog" => p.watchdog = expect_int(key, value, line)?,
-        "sim_threads" => p.sim_threads = (expect_int(key, value, line)? as usize).max(1),
-        "shards" => {
-            p.shards = expect_int(key, value, line)? as usize;
-            if p.shards == 0 || p.shards > 64 {
-                return Err(bad("shards must be in 1..=64".into()));
-            }
-        }
-        "placement" => {
-            let text = expect_str(key, value, line)?;
-            p.placement = text.parse::<Placement>().map_err(bad)?;
-        }
-        "skew" => p.skew = expect_bool(key, value, line)?,
-        "engines" => {
-            let n = expect_int(key, value, line)? as usize;
-            if n == 0 || n > 64 {
-                return Err(bad("engines must be in 1..=64".into()));
-            }
-            p.engines = Some(n);
-        }
-        "faults" => {
-            let text = expect_str(key, value, line)?;
-            p.faults = FaultPlan::parse(&text).map_err(|err| SpecError::Fault {
-                scenario: ctx.to_string(),
-                err,
-            })?;
-            p.faults_text = text;
-        }
-        "fault_jitter" => p.fault_jitter = expect_int(key, value, line)?,
-        "vary_fault_seed" => p.vary_fault_seed = expect_bool(key, value, line)?,
-        "dram" => {
-            let text = expect_str(key, value, line)?;
-            p.dram = Some(DramConfig::from_spec(&text).map_err(|e| bad(e.to_string()))?);
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
+    p.set(k, value).map_err(|e| match e {
+        ParamError::BadValue(msg) => SpecError::BadValue { line, key, msg },
+        ParamError::Fault(err) => SpecError::Fault {
+            scenario: scenario.to_string(),
+            err,
+        },
+    })
 }
 
-/// Cross-field validation of one resolved parameter set: queue
-/// granularity, runner/policy and fault/runner compatibility, and
-/// shard/engine arithmetic. `line` is where the set was bound to its
-/// runner (the scenario's `runner =`, an override's `scenario =`), for
-/// errors that no single key owns.
-fn validate_params(
+/// Asks the simulator whether one resolved parameter set may run. `line`
+/// is where the set was bound to its runner, for rules no single key owns.
+fn admit_params(
     scenario: &str,
     runner: Runner,
     p: &RunParams,
     line: usize,
 ) -> Result<(), SpecError> {
-    if !runner.supports_policy(p.policy) {
-        return Err(SpecError::BadValue {
-            line,
-            key: "policy".into(),
-            msg: format!(
-                "scenario {scenario:?}: runner {runner} cannot run under {:?} mapping \
-                 (MAPLE's DMA has no demand-paging path)",
-                p.policy
-            ),
-        });
-    }
-    let multiple = runner.queue_multiple(p.workload);
-    if !p.queue.is_multiple_of(multiple) {
-        return Err(SpecError::QueueGranularity {
-            scenario: scenario.to_string(),
-            queue: p.queue,
-            multiple,
-            runner,
-        });
-    }
-    let unsupported = |fault: &'static str, why: &'static str| SpecError::FaultUnsupported {
+    // Admission reads fault kinds and targets, never cycles, so any seed's
+    // plan stands for the whole seed set.
+    let (s, shard) = p.to_scenario(runner, 0);
+    admit(runner, &s, shard.as_ref()).map_err(|err| SpecError::Refused {
+        line,
         scenario: scenario.to_string(),
-        fault,
         runner,
-        why,
-    };
-    for ev in p.faults.schedule() {
-        match ev.kind {
-            FaultKind::KillEngine { engine } => match runner {
-                Runner::Sharded => {
-                    if engine as usize >= p.shards {
-                        return Err(SpecError::EngineTarget {
-                            scenario: scenario.to_string(),
-                            engine,
-                            engines: p.shards,
-                        });
-                    }
-                }
-                Runner::Failover => {
-                    if engine != 1 {
-                        return Err(unsupported(
-                            "kill",
-                            "the failover chain arms only the middle (SHA, \
-                             engine 1) engine; kill@C:1 is the survivable fault",
-                        ));
-                    }
-                }
-                Runner::Mesh16 => {
-                    if engine >= 4 {
-                        return Err(SpecError::EngineTarget {
-                            scenario: scenario.to_string(),
-                            engine,
-                            engines: 4,
-                        });
-                    }
-                }
-                _ => {
-                    return Err(unsupported(
-                        "kill",
-                        "no failover stack is armed; a fail-stop would wedge the run",
-                    ))
-                }
-            },
-            FaultKind::MapleStall { .. } | FaultKind::KillMaple if runner != Runner::DmaChaos => {
-                return Err(unsupported(
-                    ev.kind.label(),
-                    "only the dma-chaos runner reads back MAPLE's \
-                     dead-unit sentinel instead of hanging",
-                ));
-            }
-            _ => {}
-        }
-    }
-    if runner == Runner::Sharded {
-        let needed = sharded_engines_for(&p.faults, p.shards);
-        let engines = p.resolved_engines();
-        if engines < needed {
-            return Err(SpecError::BadValue {
-                line: 0,
-                key: "engines".into(),
-                msg: format!(
-                    "scenario {scenario:?} needs {needed} engine(s) \
-                     ({} shard(s){}) but the spec binds {engines}",
-                    p.shards,
-                    if needed > p.shards {
-                        " plus a failover spare"
-                    } else {
-                        ""
-                    }
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// A scalar or flat-list TOML value.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Int(u64),
-    Bool(bool),
-    Str(String),
-    List(Vec<Value>),
+        err,
+    })
 }
 
 fn expect_str(key: &str, value: &Value, line: usize) -> Result<String, SpecError> {
@@ -825,17 +485,6 @@ fn expect_int(key: &str, value: &Value, line: usize) -> Result<u64, SpecError> {
             line,
             key: key.to_string(),
             msg: format!("expected an integer, got {other:?}"),
-        }),
-    }
-}
-
-fn expect_bool(key: &str, value: &Value, line: usize) -> Result<bool, SpecError> {
-    match value {
-        Value::Bool(b) => Ok(*b),
-        other => Err(SpecError::BadValue {
-            line,
-            key: key.to_string(),
-            msg: format!("expected true/false, got {other:?}"),
         }),
     }
 }
@@ -1041,19 +690,11 @@ fn parse_value(text: &str, line: usize) -> Result<Value, SpecError> {
         .ok_or_else(|| syntax(format!("cannot parse value {text:?}")))
 }
 
-/// Decimal or `0x` hex, with `_` separators.
-fn parse_int(text: &str) -> Option<u64> {
-    let t = text.trim().replace('_', "");
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        t.parse().ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cohort_os::addrspace::MapPolicy;
+    use cohort_os::driver::ShardError;
 
     const MINIMAL: &str = r#"
         [campaign]
@@ -1105,6 +746,14 @@ mod tests {
         assert_eq!(sc.params_for(2).batch, 8, "override inherits the base");
     }
 
+    fn size(what: &'static str, value: u64, multiple: u64) -> Refusal {
+        Refusal::Granularity {
+            what,
+            value,
+            multiple,
+        }
+    }
+
     #[test]
     fn structured_errors_name_the_problem() {
         let no_name = FleetSpec::parse("[campaign]\nseeds = \"0..2\"").unwrap_err();
@@ -1122,19 +771,39 @@ mod tests {
         .unwrap_err();
         assert!(matches!(bad_runner, SpecError::BadValue { line: 5, .. }));
 
-        let bad_queue = FleetSpec::parse(
-            "[campaign]\nname = \"x\"\n[[scenario]]\nname = \"s\"\nrunner = \"chain\"\nqueue = 65",
-        )
-        .unwrap_err();
-        assert_eq!(
-            bad_queue,
-            SpecError::QueueGranularity {
-                scenario: "s".into(),
-                queue: 65,
-                multiple: 8,
-                runner: Runner::Chain,
-            }
-        );
+        // Whole blocks, for every runner: the chains' SHA blocks, and the
+        // single-engine runners that used to load and then hang.
+        for (params, runner, err) in [
+            (
+                "runner = \"chain\"\nqueue = 65",
+                Runner::Chain,
+                size("queue", 65, 8),
+            ),
+            (
+                "runner = \"cohort\"\nworkload = \"sha\"\nqueue = 60",
+                Runner::Cohort,
+                size("queue", 60, 8),
+            ),
+            (
+                "runner = \"cohort\"\nworkload = \"sha\"\nbatch = 4",
+                Runner::Cohort,
+                size("batch", 4, 8),
+            ),
+        ] {
+            let refused = FleetSpec::parse(&format!(
+                "[campaign]\nname = \"x\"\n[[scenario]]\nname = \"s\"\n{params}"
+            ))
+            .unwrap_err();
+            assert_eq!(
+                refused,
+                SpecError::Refused {
+                    line: 5,
+                    scenario: "s".into(),
+                    runner,
+                    err,
+                }
+            );
+        }
 
         let dup = FleetSpec::parse(
             "[campaign]\nname = \"x\"\n[[scenario]]\nname = \"s\"\nrunner = \"cohort\"\n\
@@ -1163,7 +832,7 @@ mod tests {
         ] {
             let err = FleetSpec::parse(&format!("[campaign]\nname = \"x\"\n{spec}")).unwrap_err();
             assert!(
-                matches!(&err, SpecError::BadValue { line: l, key, .. } if *l == line && key == "policy"),
+                matches!(&err, SpecError::Refused { line: l, err: Refusal::Policy(MapPolicy::Lazy), .. } if *l == line),
                 "{spec:?}: {err}"
             );
         }
@@ -1184,7 +853,12 @@ mod tests {
         .unwrap_err();
         assert!(matches!(
             err,
-            SpecError::FaultUnsupported { fault: "kill", .. }
+            SpecError::Refused {
+                line: 5,
+                runner: Runner::Cohort,
+                err: Refusal::Fault { fault: "kill", .. },
+                ..
+            }
         ));
 
         // kill past the shard pool.
@@ -1195,10 +869,14 @@ mod tests {
         .unwrap_err();
         assert_eq!(
             err,
-            SpecError::EngineTarget {
+            SpecError::Refused {
+                line: 5,
                 scenario: "s".into(),
-                engine: 2,
-                engines: 2,
+                runner: Runner::Sharded,
+                err: Refusal::KillTarget {
+                    engine: 2,
+                    engines: 2,
+                },
             }
         );
 
@@ -1231,29 +909,18 @@ mod tests {
              shards = 2\nfaults = \"kill@10000:1\"\nqueue = 64\nengines = 2",
         )
         .unwrap_err();
-        assert!(matches!(err, SpecError::BadValue { .. }));
-    }
-
-    #[test]
-    fn per_seed_fault_variation_is_deterministic_and_bounded() {
-        let mut p = RunParams {
-            faults: FaultPlan::parse("kill@10000:1").expect("parses"),
-            fault_jitter: 5000,
-            ..RunParams::default()
-        };
-        p.shards = 2;
-        let a = p.plan_for_seed(7);
-        let b = p.plan_for_seed(7);
-        assert_eq!(a, b, "same seed, same plan");
-        let c = p.plan_for_seed(8);
-        let cycle = a.events[0].at_cycle;
-        assert!(
-            (10_000..=15_000).contains(&cycle),
-            "jitter bounded: {cycle}"
-        );
-        // Different seeds usually move the cycle (not guaranteed for any
-        // single pair, but this pair is fixed and known to differ).
-        assert_ne!(a.events[0].at_cycle, c.events[0].at_cycle);
+        assert!(matches!(
+            err,
+            SpecError::Refused {
+                line: 5,
+                err: Refusal::Pool(ShardError::NotEnoughEngines {
+                    requested: 2,
+                    engines: 2,
+                    spares: 1
+                }),
+                ..
+            }
+        ));
     }
 
     #[test]

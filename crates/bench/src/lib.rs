@@ -1,23 +1,28 @@
 //! # cohort-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§5, §6):
+//! Regenerates every table and figure of the paper's evaluation (§5, §6).
+//! One binary, `all`, walks one table ([`report::ARTEFACTS`]) and writes
+//! `results/`:
 //!
-//! | Binary | Paper artefact |
+//! | File | Paper artefact |
 //! |---|---|
-//! | `table2` | Table 2 — benchmark tuning parameters |
-//! | `fig8`   | Fig. 8 — SHA latency vs queue size |
-//! | `fig9`   | Fig. 9 — AES latency vs queue size |
-//! | `table3` | Table 3 — peak speedups |
-//! | `fig10`  | Fig. 10 — SHA IPC speedups |
-//! | `fig11`  | Fig. 11 — AES IPC speedups |
-//! | `table4` | Table 4 — FPGA resource utilisation (analytic model) |
-//! | `all`    | everything above, written to `results/` |
+//! | `table2.md` | Table 2 — benchmark tuning parameters |
+//! | `fig8.md`   | Fig. 8 — SHA latency vs queue size |
+//! | `fig9.md`   | Fig. 9 — AES latency vs queue size |
+//! | `table3.md` | Table 3 — peak speedups |
+//! | `fig10.md`  | Fig. 10 — SHA IPC speedups |
+//! | `fig11.md`  | Fig. 11 — AES IPC speedups |
+//! | `table4.md` | Table 4 — FPGA resource utilisation (analytic model) |
+//! | `scaling.md`, `scaling_dram.md` | shard scaling, flat and under DRAM contention |
 //!
 //! Runs are memoized in a [`sweep::Sweep`] so figures sharing data points
-//! (e.g. Fig. 8 and Fig. 10) simulate each configuration once.
+//! (e.g. Fig. 8 and Fig. 10) simulate each configuration once. Every way
+//! into a run — `socrun`, the fleet loader, the sweep — fills a
+//! [`run_params::RunParams`] from one key table.
 
 pub mod area;
 pub mod fleet;
 pub mod params;
 pub mod report;
+pub mod run_params;
 pub mod sweep;

@@ -1,14 +1,12 @@
 //! Memoized benchmark execution across figures.
 
-use cohort::scenarios::{
-    run_cohort, run_cohort_sharded, run_dma, run_mmio, RunResult, Scenario, ShardSpec, Workload,
-};
+use crate::run_params::{RunParams, SOLO_SEED};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Workload};
 use cohort_os::driver::Placement;
-use cohort_sim::config::SocConfig;
 use cohort_sim::dram::DramConfig;
-use std::collections::HashMap;
 
-/// Communication API under test (Table 2 "communication modes").
+/// Communication API under test (Table 2 "communication modes"): the
+/// figure-column label of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Cohort engine + SPSC queues, with a batching factor.
@@ -32,13 +30,15 @@ impl std::fmt::Display for Mode {
     }
 }
 
-/// A memoizing runner: each `(workload, mode, queue_size)` configuration is
-/// simulated once and the [`RunResult`] shared between figures.
+/// A memoizing runner: each `(runner, parameters)` configuration is
+/// simulated once, through the same [`RunParams::to_scenario`] +
+/// [`run_scenario`] door as every other front end, and the [`RunResult`]
+/// shared between figures.
 #[derive(Default)]
 pub struct Sweep {
-    cache: HashMap<(Workload, Mode, u64), RunResult>,
-    #[allow(clippy::type_complexity)]
-    shard_cache: HashMap<(Workload, usize, Placement, bool, u64, Option<DramConfig>), RunResult>,
+    /// A few hundred entries at most, compared whole: no second, hashable
+    /// copy of the parameter set to keep in step with [`RunParams`].
+    cache: Vec<(Runner, RunParams, RunResult)>,
     /// If true, print one progress line per fresh simulation.
     pub verbose: bool,
 }
@@ -49,71 +49,62 @@ impl Sweep {
         Self::default()
     }
 
-    /// Creates an empty sweep cache that logs each fresh simulation.
-    pub fn new_verbose() -> Self {
-        Self {
-            verbose: true,
-            ..Self::default()
-        }
-    }
-
-    /// Runs (or recalls) one configuration.
+    /// Runs (or recalls) `params` on `runner`.
     ///
     /// # Panics
-    /// Panics if the simulated output fails end-to-end verification — a
-    /// benchmark number is only reported for runs whose accelerator output
-    /// matched the host-side reference.
-    pub fn run(&mut self, workload: Workload, mode: Mode, queue_size: u64) -> &RunResult {
-        let key = (workload, mode, queue_size);
-        if !self.cache.contains_key(&key) {
-            if self.verbose {
-                eprintln!("  simulating {workload:?} {mode} queue={queue_size} ...");
-            }
-            let scenario = match mode {
-                Mode::Cohort { batch } => Scenario::new(workload, queue_size, batch),
-                _ => Scenario::new(workload, queue_size, 64),
-            };
-            let result = match mode {
-                Mode::Cohort { .. } => run_cohort(&scenario),
-                Mode::Mmio => run_mmio(&scenario),
-                Mode::Dma => run_dma(&scenario),
-            };
-            assert!(
-                result.verified,
-                "unverified run: {workload:?} {mode} queue={queue_size}"
+    /// Panics if the run is refused or its output fails end-to-end
+    /// verification — a benchmark number is only reported for runs whose
+    /// accelerator output matched the host-side reference.
+    fn memoized(&mut self, runner: Runner, params: RunParams) -> &RunResult {
+        let mut cached = self.cache.iter();
+        let hit = cached.position(|(r, p, _)| (*r, p) == (runner, &params));
+        let index = hit.unwrap_or_else(|| {
+            let what = format!(
+                "{runner} {:?} queue={} batch={} shards={}",
+                params.workload, params.queue, params.batch, params.shards
             );
-            self.cache.insert(key, result);
-        }
-        &self.cache[&key]
+            if self.verbose {
+                eprintln!("  simulating {what} ...");
+            }
+            let (scenario, shard) = params.to_scenario(runner, SOLO_SEED);
+            let result = run_scenario(runner, &scenario, shard.as_ref())
+                .unwrap_or_else(|e| panic!("refused run: {what}: {e}"));
+            assert!(result.verified, "unverified run: {what}");
+            self.cache.push((runner, params, result));
+            self.cache.len() - 1
+        });
+        &self.cache[index].2
+    }
+
+    /// Runs (or recalls) one single-engine configuration.
+    ///
+    /// # Panics
+    /// Panics if the run is refused or fails verification.
+    pub fn run(&mut self, workload: Workload, mode: Mode, queue_size: u64) -> &RunResult {
+        let (runner, batch) = match mode {
+            Mode::Cohort { batch } => (Runner::Cohort, batch),
+            Mode::Mmio => (Runner::Mmio, 64),
+            Mode::Dma => (Runner::Dma, 64),
+        };
+        let params = RunParams {
+            workload,
+            queue: queue_size,
+            batch,
+            ..RunParams::default()
+        };
+        self.memoized(runner, params)
     }
 
     /// Runs (or recalls) one sharded configuration: the logical stream
     /// split over `shards` engines under the given placement policy, with
-    /// uniform or skewed element runs.
+    /// uniform or skewed element runs. `dram: None` is the flat-latency
+    /// memory system, `Some(cfg)` the bank/channel contention model; it is
+    /// part of the memoization key like every other parameter, so flat and
+    /// contended runs of the same geometry never alias.
     ///
     /// # Panics
-    /// Panics if the pool cannot bind (the shard count is validated
-    /// upstream by callers with user input) or the run fails end-to-end
-    /// verification.
+    /// Panics if the run is refused or fails verification.
     pub fn run_sharded(
-        &mut self,
-        workload: Workload,
-        shards: usize,
-        placement: Placement,
-        skewed: bool,
-        queue_size: u64,
-    ) -> &RunResult {
-        self.run_sharded_mem(workload, shards, placement, skewed, queue_size, None)
-    }
-
-    /// [`Sweep::run_sharded`] with an explicit memory system: `dram: None`
-    /// is the flat-latency baseline, `Some(cfg)` enables the bank/channel
-    /// contention model. The memory system is part of the memoization key,
-    /// so flat and contended runs of the same geometry never alias.
-    ///
-    /// # Panics
-    /// Same as [`Sweep::run_sharded`].
-    pub fn run_sharded_mem(
         &mut self,
         workload: Workload,
         shards: usize,
@@ -122,35 +113,17 @@ impl Sweep {
         queue_size: u64,
         dram: Option<&DramConfig>,
     ) -> &RunResult {
-        let key = (
+        let params = RunParams {
             workload,
+            queue: queue_size,
+            batch: crate::params::PEAK_BATCH,
             shards,
             placement,
-            skewed,
-            queue_size,
-            dram.cloned(),
-        );
-        if !self.shard_cache.contains_key(&key) {
-            if self.verbose {
-                eprintln!(
-                    "  simulating {workload:?} sharded n={shards} {placement} skew={skewed} queue={queue_size} mem={} ...",
-                    if dram.is_some() { "dram" } else { "flat" }
-                );
-            }
-            let mut scenario = Scenario::new(workload, queue_size, crate::params::PEAK_BATCH);
-            scenario.soc = SocConfig::default().with_engines(shards);
-            scenario.soc.dram = dram.cloned();
-            let spec = ShardSpec::new(shards)
-                .with_placement(placement)
-                .with_skew(skewed);
-            let result = run_cohort_sharded(&scenario, &spec).expect("pool binds");
-            assert!(
-                result.verified,
-                "unverified sharded run: {workload:?} n={shards} {placement} queue={queue_size}"
-            );
-            self.shard_cache.insert(key.clone(), result);
-        }
-        &self.shard_cache[&key]
+            skew: skewed,
+            dram: dram.cloned(),
+            ..RunParams::default()
+        };
+        self.memoized(Runner::Sharded, params)
     }
 
     /// Latency in kilocycles (the Fig. 8/9 y-axis).
@@ -200,60 +173,6 @@ impl Sweep {
             .unwrap_or(0)
     }
 
-    /// Runs one configuration across many seeds on a pool of host
-    /// threads, one full simulation per seed. Seeds are claimed from a
-    /// shared atomic cursor, so the pool load-balances; results come
-    /// back in seed order regardless of which thread ran which seed.
-    /// Every run is end-to-end verified, same as [`Sweep::run`].
-    ///
-    /// This parallelism is *across* simulations and composes with the
-    /// per-simulation component parallelism in
-    /// [`cohort_sim::config::SocConfig::threads`]: sweeps of many small
-    /// runs scale better here, single huge runs scale better there.
-    ///
-    /// # Panics
-    /// Panics if any seed's run fails verification or a worker panics.
-    pub fn run_seeds(
-        workload: Workload,
-        mode: Mode,
-        queue_size: u64,
-        seeds: &[u64],
-        host_threads: usize,
-    ) -> Vec<RunResult> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let threads = host_threads.clamp(1, seeds.len().max(1));
-        let next = AtomicUsize::new(0);
-        let out: Vec<Mutex<Option<RunResult>>> = seeds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seed) = seeds.get(i) else { break };
-                    let mut scenario = match mode {
-                        Mode::Cohort { batch } => Scenario::new(workload, queue_size, batch),
-                        _ => Scenario::new(workload, queue_size, 64),
-                    };
-                    scenario.seed = seed;
-                    let result = match mode {
-                        Mode::Cohort { .. } => run_cohort(&scenario),
-                        Mode::Mmio => run_mmio(&scenario),
-                        Mode::Dma => run_dma(&scenario),
-                    };
-                    assert!(
-                        result.verified,
-                        "unverified run: {workload:?} {mode} queue={queue_size} seed={seed:#x}"
-                    );
-                    *out[i].lock().unwrap() = Some(result);
-                });
-            }
-        });
-        out.into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every seed simulated"))
-            .collect()
-    }
-
     /// IPC speedup of Cohort over a baseline (Figs. 10/11).
     pub fn ipc_speedup(
         &mut self,
@@ -283,19 +202,6 @@ mod tests {
             .cycles;
         assert_eq!(a, b);
         assert_eq!(sweep.cache.len(), 1);
-    }
-
-    #[test]
-    fn parallel_seed_sweep_matches_serial() {
-        let seeds = [0x5eed, 0xfeed, 0xdead_beef];
-        let serial = Sweep::run_seeds(Workload::Aes, Mode::Cohort { batch: 8 }, 64, &seeds, 1);
-        let parallel = Sweep::run_seeds(Workload::Aes, Mode::Cohort { batch: 8 }, 64, &seeds, 3);
-        assert_eq!(serial.len(), seeds.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.cycles, p.cycles);
-            assert_eq!(s.checksum, p.checksum);
-            assert_eq!(s.stats_json, p.stats_json);
-        }
     }
 
     #[test]

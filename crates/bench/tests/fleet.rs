@@ -9,6 +9,7 @@
 //! bit-identical at any *host* fan-out width — thread scheduling may
 //! reorder execution but never leak into what gets reported.
 
+use cohort::scenarios::{Refusal, Runner};
 use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, SpecError};
 use std::path::PathBuf;
 
@@ -197,18 +198,20 @@ fn spec_errors_are_structured() {
         // Kill faults are rejected on runners with no failover stack.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\nfaults = \"kill@100:0\"\n",
-            |e| matches!(e, SpecError::FaultUnsupported { scenario, fault, .. }
-                if scenario == "a" && *fault == "kill"),
+            |e| matches!(e, SpecError::Refused { line: 6, scenario, runner: Runner::Cohort,
+                err: Refusal::Fault { fault: "kill", .. } } if scenario == "a"),
         ),
         // A kill targeting a shard the scenario does not bind.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"shard\"\nshards = 2\nfaults = \"kill@100:5\"\n",
-            |e| matches!(e, SpecError::EngineTarget { engine: 5, .. }),
+            |e| matches!(e, SpecError::Refused { line: 6, runner: Runner::Sharded,
+                err: Refusal::KillTarget { engine: 5, engines: 2 }, .. }),
         ),
         // Queue size must honour the runner's block granularity.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"shard\"\nworkload = \"sha\"\nqueue = 100\n",
-            |e| matches!(e, SpecError::QueueGranularity { queue: 100, .. }),
+            |e| matches!(e, SpecError::Refused { line: 6,
+                err: Refusal::Granularity { what: "queue", value: 100, multiple: 8 }, .. }),
         ),
         // Overrides must name an existing scenario...
         (

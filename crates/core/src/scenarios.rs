@@ -651,6 +651,7 @@ fn finish(sys: SimSystem, scenario: &Scenario) -> RunResult {
 /// Cohort"): SPSC queues + `cohort_register`, pushes with batched
 /// write-index publication, pops with batched read-index release.
 pub fn run_cohort(scenario: &Scenario) -> RunResult {
+    assert_admitted(Runner::Cohort, scenario);
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
     let (program, ..) = single_engine_program(&mut sys, scenario, None);
     arm(&mut sys, program, None, None);
@@ -664,6 +665,7 @@ pub fn run_cohort(scenario: &Scenario) -> RunResult {
 /// cycles for the slowdown, and read the noise core's stores from
 /// [`RunResult::counters`].
 pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
+    assert_admitted(Runner::Interfered, scenario);
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 1);
 
     // The interference working set: 2x the L2, streamed repeatedly. It is
@@ -704,6 +706,7 @@ pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
 /// The run must still record the exact fault-free output: chaos is allowed
 /// to cost cycles, never correctness.
 pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
+    assert_admitted(Runner::Chaos, scenario);
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
     let (program, in_q, out_q) =
         single_engine_program(&mut sys, scenario, Some(armed_watchdog(scenario)));
@@ -799,6 +802,7 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
 /// output received before the next block's input ("the core cannot achieve
 /// memory-level parallelism").
 pub fn run_mmio(scenario: &Scenario) -> RunResult {
+    assert_admitted(Runner::Mmio, scenario);
     let mut sys = build_system(
         scenario,
         Vec::new(),
@@ -835,7 +839,7 @@ pub fn run_mmio(scenario: &Scenario) -> RunResult {
 /// cost) and waits for completion; results are stored coherently and read
 /// back at the end.
 pub fn run_dma(scenario: &Scenario) -> RunResult {
-    dma_baseline(scenario, false)
+    dma_baseline(scenario, Runner::Dma)
 }
 
 /// The coherent-DMA (decoupled access-execute) baseline of [`run_dma`]
@@ -850,13 +854,16 @@ pub fn run_dma(scenario: &Scenario) -> RunResult {
 /// stream is the clean error report software acts on (`verified` is then
 /// false and `maple.fail_stops` counts the abort).
 pub fn run_dma_chaos(scenario: &Scenario) -> RunResult {
-    dma_baseline(scenario, true)
+    dma_baseline(scenario, Runner::DmaChaos)
 }
 
-/// The DMA baseline. `hardened` records each block's `DMA_DONE` word (what
-/// software checks for the dead-unit sentinel) and verifies the output
-/// buffer from guest memory; otherwise the core reads the results back.
-fn dma_baseline(scenario: &Scenario, hardened: bool) -> RunResult {
+/// The DMA baseline. Hardened ([`Runner::DmaChaos`]), it records each
+/// block's `DMA_DONE` word (what software checks for the dead-unit
+/// sentinel) and verifies the output buffer from guest memory; otherwise
+/// the core reads the results back.
+fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
+    assert_admitted(runner, scenario);
+    let hardened = runner == Runner::DmaChaos;
     let mut sys = build_system(
         scenario,
         Vec::new(),
@@ -938,12 +945,11 @@ fn dma_baseline(scenario: &Scenario, hardened: bool) -> RunResult {
 /// core pops digests from `result_fifo`. Verified against host-side
 /// AES-then-SHA.
 ///
-/// `queue_size` must be a multiple of 8 (whole SHA blocks).
-///
 /// # Panics
-/// Panics if `queue_size` is not a multiple of 8 or the run fails.
+/// Panics if [`admit`] refuses the scenario (`queue_size` must be whole
+/// SHA blocks) or the run fails.
 pub fn run_cohort_chain(scenario: &Scenario) -> RunResult {
-    chain(scenario, false)
+    chain(scenario, Runner::Chain)
 }
 
 /// Cycle at which [`run_cohort_chain_failover`] kills the victim engine
@@ -968,7 +974,7 @@ pub const DEFAULT_CHAIN_KILL_CYCLE: u64 = 20_000;
 /// explicit plan to control timing.
 ///
 /// # Panics
-/// Panics if `queue_size` is not a multiple of 8 or the run wedges.
+/// Panics if [`admit`] refuses the scenario or the run wedges.
 pub fn run_cohort_chain_failover(scenario: &Scenario) -> RunResult {
     let mut scenario = scenario.clone();
     if scenario.soc.faults.is_empty() {
@@ -977,13 +983,14 @@ pub fn run_cohort_chain_failover(scenario: &Scenario) -> RunResult {
             FaultKind::KillEngine { engine: 1 },
         );
     }
-    chain(&scenario, true)
+    chain(&scenario, Runner::Failover)
 }
 
-/// The AES→SHA chain on engines 0 and 1; with `failover`, engine 2 is the
-/// cold SHA spare the victim (engine 1) migrates onto.
-fn chain(scenario: &Scenario, failover: bool) -> RunResult {
-    assert_eq!(scenario.queue_size % 8, 0, "chain needs whole SHA blocks");
+/// The AES→SHA chain on engines 0 and 1; for [`Runner::Failover`], engine
+/// 2 is the cold SHA spare the victim (engine 1) migrates onto.
+fn chain(scenario: &Scenario, runner: Runner) -> RunResult {
+    assert_admitted(runner, scenario);
+    let failover = runner == Runner::Failover;
     let mut accels: Vec<Box<dyn Accelerator>> =
         vec![Box::new(Aes128Accel::new()), Box::new(Sha256Accel::new())];
     if failover {
@@ -1127,8 +1134,9 @@ impl ShardSpec {
 /// run it).
 pub fn mesh16_scenario(queue_size: u64, batch: u64) -> (Scenario, ShardSpec) {
     let mut scenario = Scenario::new(Workload::Aes, queue_size, batch);
-    scenario.soc = SocConfig::default().with_engines(4);
-    (scenario, ShardSpec::new(4).with_background_cores(11))
+    scenario.soc = SocConfig::default().with_engines(MESH16_SHARDS);
+    let spec = ShardSpec::new(MESH16_SHARDS).with_background_cores(11);
+    (scenario, spec)
 }
 
 /// Blocks per element run in the uniform (non-skewed) sharded scenario.
@@ -1205,19 +1213,13 @@ fn shard_chunk_blocks(scenario: &Scenario, skewed: bool) -> Vec<u64> {
 /// zero.
 ///
 /// # Errors
-/// [`ShardError`] when `spec` asks for zero shards or for more shards
-/// (plus the failover spare, when a kill fault targets one) than
-/// [`SocConfig::engines`] provides.
-///
-/// # Panics
-/// Panics if `queue_size` is not whole accelerator blocks.
-pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunResult, ShardError> {
+/// Whatever [`admit`] refuses for [`Runner::Sharded`]: among the rest,
+/// zero shards, or more shards (plus the failover spare, when a kill fault
+/// targets one) than [`SocConfig::engines`] provides.
+pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunResult, Refusal> {
+    admit(Runner::Sharded, scenario, Some(spec))?;
     let wpb_in = scenario.workload.words_in_per_block();
     let wpb_out = scenario.workload.words_out_per_block();
-    assert!(
-        scenario.queue_size.is_multiple_of(wpb_in),
-        "sharded scenario needs whole accelerator blocks"
-    );
 
     // A kill fault aimed at a shard engine requires a spare to heal onto.
     let faults = scenario.soc.faults.schedule();
@@ -1232,7 +1234,8 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
     let accels = (0..scenario.soc.engines).map(|_| scenario.workload.make_accel());
     let extra_cores = spec.shards + spec.background_cores;
     let mut sys = build_system(scenario, accels.collect(), None, extra_cores);
-    let mut pool = ShardPool::bind(&sys.drivers, spec.shards, spares, spec.placement)?;
+    let mut pool = ShardPool::bind(&sys.drivers, spec.shards, spares, spec.placement)
+        .expect("admitted pools bind");
     let shards = pool.shards();
 
     // Split, then place every run through the pool (this is where the
@@ -1599,29 +1602,6 @@ impl Runner {
         }
     }
 
-    /// Queue-size granularity this runner requires: the chain pipelines
-    /// need whole SHA blocks, the sharded runners whole accelerator
-    /// blocks. Validating `queue % multiple == 0` at spec-load time turns
-    /// a mid-run assert into a structured error.
-    pub fn queue_multiple(&self, workload: Workload) -> u64 {
-        match self {
-            Runner::Chain | Runner::Failover => 8,
-            Runner::Sharded | Runner::Mesh16 => workload.words_in_per_block(),
-            _ => 1,
-        }
-    }
-
-    /// False for the one combination that cannot run: the coherent-DMA
-    /// baselines under [`MapPolicy::Lazy`]. MAPLE's DMA has no
-    /// demand-paging path (and no engine interrupt to carry one), so a
-    /// lazily mapped buffer is a guaranteed wedge, fault plan or not.
-    /// Every Cohort-engine runner demand-pages, and MMIO touches no
-    /// memory. Checked where outside input enters (`socrun`, the fleet
-    /// spec) so the combination is a usage error rather than a panic.
-    pub fn supports_policy(&self, policy: MapPolicy) -> bool {
-        !(policy == MapPolicy::Lazy && matches!(self, Runner::Dma | Runner::DmaChaos))
-    }
-
     /// True for runners that bind engines from [`SocConfig::engines`]
     /// (the ones a `kill@C:E` shard fault can target).
     pub fn is_sharded(&self) -> bool {
@@ -1643,7 +1623,8 @@ impl std::fmt::Display for Runner {
 
 /// Engines the SoC must instantiate for a sharded run: one per shard,
 /// plus one spare when the fault plan kills a shard engine (the failover
-/// target). Mirrored by `socrun --shards` and the fleet loader.
+/// target). What `socrun --shards` and the fleet loader size the pool
+/// with when no explicit engine count is given.
 pub fn sharded_engines_for(faults: &FaultPlan, shards: usize) -> usize {
     let kill_targets_shard = faults
         .schedule()
@@ -1652,23 +1633,198 @@ pub fn sharded_engines_for(faults: &FaultPlan, shards: usize) -> usize {
     shards + usize::from(kill_targets_shard)
 }
 
-/// Runs `scenario` through `runner` — the single dispatch point behind
-/// `socrun` and the fleet runner. `shard` parameterises the sharded
-/// runner (ignored elsewhere); [`Runner::Mesh16`] builds its own 4-shard,
-/// 11-noise-core spec and forces the engine count the mesh needs.
+/// Why [`admit`] refused a run: one variant per rule, carrying the facts
+/// that broke it. The caller knows (and says) which runner was asked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// A size that is not a whole number of accelerator blocks.
+    Granularity {
+        /// Which size: `"queue"` or `"batch"`.
+        what: &'static str,
+        /// The size asked for.
+        value: u64,
+        /// Required multiple.
+        multiple: u64,
+    },
+    /// A mapping policy the runner cannot run under.
+    Policy(MapPolicy),
+    /// A fault the runner has no recovery story for — it would wedge or
+    /// trivially fail the run.
+    Fault {
+        /// The fault label (`kill`, `maple-kill`, …).
+        fault: &'static str,
+        /// Why the combination is refused.
+        why: &'static str,
+    },
+    /// A kill fault aimed at an engine the run does not bind as a shard.
+    KillTarget {
+        /// Requested engine index.
+        engine: u64,
+        /// Shard engines the run binds.
+        engines: usize,
+    },
+    /// The shard pool cannot bind: no shards, or fewer engines than shards
+    /// plus the failover spare a shard kill needs.
+    Pool(ShardError),
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Refusal::Granularity {
+                what,
+                value,
+                multiple,
+            } => write!(
+                f,
+                "{what} {value} is not a multiple of {multiple} (whole accelerator blocks)"
+            ),
+            Refusal::Policy(policy) => write!(
+                f,
+                "cannot run under {policy:?} mapping (MAPLE's DMA has no demand-paging path)"
+            ),
+            Refusal::Fault { fault, why } => write!(f, "{fault} fault is not supported: {why}"),
+            Refusal::KillTarget { engine, engines } => write!(
+                f,
+                "kill targets engine {engine} but the run binds {engines} shard engine(s)"
+            ),
+            Refusal::Pool(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for Refusal {}
+
+/// Shard engines of the [`Runner::Mesh16`] geometry.
+const MESH16_SHARDS: usize = 4;
+
+/// The admission check: may `runner` run `scenario` (under `shard`, for
+/// [`Runner::Sharded`])? Each rule names an input that would otherwise
+/// burn its whole cycle budget and die in "scenario did not complete",
+/// wedge behind a dead engine, or fail verification by construction.
+/// [`run_scenario`] asks first and returns the answer; the `run_*`
+/// constructors assert it. Outside input (`socrun`, the fleet loader) is
+/// refused through this same function, with its own context attached.
 ///
 /// # Errors
-/// [`ShardError`] when a sharded spec asks for more shards than
-/// [`SocConfig::engines`] provides.
+/// The first broken rule, in the order policy, queue, batch, faults, pool.
+pub fn admit(
+    runner: Runner,
+    scenario: &Scenario,
+    shard: Option<&ShardSpec>,
+) -> Result<(), Refusal> {
+    // MAPLE's DMA has no demand-paging path (and no engine interrupt to
+    // carry one), so a lazily mapped buffer is a guaranteed wedge, fault
+    // plan or not. Every Cohort-engine runner demand-pages, and MMIO
+    // touches no memory.
+    if scenario.policy == MapPolicy::Lazy && matches!(runner, Runner::Dma | Runner::DmaChaos) {
+        return Err(Refusal::Policy(scenario.policy));
+    }
+    // An accelerator answers whole blocks only; the words of a partial one
+    // are never popped. The chains run AES into SHA whatever the
+    // scenario's workload says, so they need whole SHA blocks.
+    let multiple = match runner {
+        Runner::Chain | Runner::Failover => Workload::Sha.words_in_per_block(),
+        _ => scenario.workload.words_in_per_block(),
+    };
+    let whole_blocks = |what, value: u64| {
+        if value.is_multiple_of(multiple) {
+            return Ok(());
+        }
+        Err(Refusal::Granularity {
+            what,
+            value,
+            multiple,
+        })
+    };
+    whole_blocks("queue", scenario.queue_size)?;
+    // The single-engine program pops what a batch produced before it
+    // pushes the next, so a batch that ends mid-block waits forever (one
+    // that covers the whole queue ends with it). The other programs
+    // publish per batch but pop per block or per run.
+    let pops_per_batch = matches!(runner, Runner::Cohort | Runner::Interfered | Runner::Chaos);
+    if pops_per_batch && scenario.batch < scenario.queue_size {
+        whole_blocks("batch", scenario.batch)?;
+    }
+
+    let shards = match runner {
+        Runner::Sharded => shard.map_or(1, |s| s.shards),
+        Runner::Mesh16 => MESH16_SHARDS,
+        _ => 0,
+    };
+    let mut spares = 0;
+    // Kills and MAPLE faults are explicit-only (the random schedule never
+    // draws them), so the explicit events are all there is to check.
+    for ev in &scenario.soc.faults.events {
+        let why = match (ev.kind, runner) {
+            (FaultKind::KillEngine { engine }, Runner::Sharded | Runner::Mesh16) => {
+                if engine as usize >= shards {
+                    let engines = shards;
+                    return Err(Refusal::KillTarget { engine, engines });
+                }
+                spares = 1;
+                continue;
+            }
+            (FaultKind::KillEngine { engine: 1 }, Runner::Failover) => continue,
+            (FaultKind::KillEngine { .. }, Runner::Failover) => {
+                "the failover chain arms only the middle (SHA, engine 1) \
+                 engine; kill@C:1 is the survivable fault"
+            }
+            (FaultKind::KillEngine { .. }, _) => {
+                "no failover stack is armed; a fail-stop would wedge the run"
+            }
+            (FaultKind::MapleStall { .. } | FaultKind::KillMaple, r) if r != Runner::DmaChaos => {
+                "only the dma-chaos runner reads back MAPLE's dead-unit \
+                 sentinel instead of hanging"
+            }
+            _ => continue,
+        };
+        let fault = ev.kind.label();
+        return Err(Refusal::Fault { fault, why });
+    }
+    // The mesh sizes its own pool; a sharded run brings `soc.engines`.
+    if runner == Runner::Sharded {
+        let engines = scenario.soc.engines;
+        if shards == 0 {
+            return Err(Refusal::Pool(ShardError::NoShards));
+        }
+        if engines < shards + spares {
+            return Err(Refusal::Pool(ShardError::NotEnoughEngines {
+                requested: shards,
+                engines,
+                spares,
+            }));
+        }
+    }
+    Ok(())
+}
+
+/// What the `run_*` constructors do with [`admit`]'s answer: a refused
+/// input is the caller's bug, reported in one line before anything is
+/// simulated.
+fn assert_admitted(runner: Runner, scenario: &Scenario) {
+    if let Err(e) = admit(runner, scenario, None) {
+        panic!("runner {runner} refused the scenario: {e}");
+    }
+}
+
+/// Runs `scenario` through `runner` — the single dispatch point behind
+/// `socrun`, the fleet runner and the figure sweep. `shard` parameterises
+/// the sharded runner (ignored elsewhere); [`Runner::Mesh16`] builds its
+/// own 4-shard, 11-noise-core spec and forces the engine count the mesh
+/// needs.
+///
+/// # Errors
+/// Whatever [`admit`] refuses, before anything is built.
 ///
 /// # Panics
-/// Panics where the underlying runners do: queue-granularity violations
-/// and runs that exceed their cycle budget.
+/// Panics if an admitted run exceeds its cycle budget.
 pub fn run_scenario(
     runner: Runner,
     scenario: &Scenario,
     shard: Option<&ShardSpec>,
-) -> Result<RunResult, ShardError> {
+) -> Result<RunResult, Refusal> {
+    admit(runner, scenario, shard)?;
     match runner {
         Runner::Cohort => Ok(run_cohort(scenario)),
         Runner::Mmio => Ok(run_mmio(scenario)),
@@ -1678,27 +1834,14 @@ pub fn run_scenario(
         Runner::Chaos => Ok(run_cohort_chaos(scenario)),
         Runner::Failover => Ok(run_cohort_chain_failover(scenario)),
         Runner::DmaChaos => Ok(run_dma_chaos(scenario)),
-        Runner::Sharded => {
-            let default_spec;
-            let spec = match shard {
-                Some(s) => s,
-                None => {
-                    default_spec = ShardSpec::new(1);
-                    &default_spec
-                }
-            };
-            run_cohort_sharded(scenario, spec)
-        }
+        Runner::Sharded => run_cohort_sharded(scenario, shard.unwrap_or(&ShardSpec::new(1))),
         Runner::Mesh16 => {
-            let (mesh, spec) = mesh16_scenario(scenario.queue_size, scenario.batch);
+            let (_, spec) = mesh16_scenario(scenario.queue_size, scenario.batch);
             let mut scenario = scenario.clone();
             // A kill fault on a mesh shard needs the failover spare on
             // top of the mesh's fixed 4-engine pool; fault-free meshes
             // keep exactly the canonical geometry (and its baselines).
-            scenario.soc.engines = mesh
-                .soc
-                .engines
-                .max(sharded_engines_for(&scenario.soc.faults, spec.shards));
+            scenario.soc.engines = sharded_engines_for(&scenario.soc.faults, spec.shards);
             run_cohort_sharded(&scenario, &spec)
         }
     }
@@ -1780,12 +1923,88 @@ mod tests {
         let err = run_cohort_sharded(&scenario, &ShardSpec::new(3)).unwrap_err();
         assert!(matches!(
             err,
-            ShardError::NotEnoughEngines {
+            Refusal::Pool(ShardError::NotEnoughEngines {
                 requested: 3,
                 engines: 2,
                 spares: 0
-            }
+            })
         ));
+    }
+
+    /// The refusal table at the first door: one inadmissible input per
+    /// row, and `run_scenario` must return the rule that names it (the
+    /// fleet loader and `socrun` are driven over the same inputs in
+    /// `crates/bench/tests/socrun_cli.rs`).
+    #[test]
+    fn run_scenario_refuses_inadmissible_inputs_by_rule() {
+        use Runner::*;
+        use Workload::{Aes, Sha};
+        let size = |what, value, multiple| Refusal::Granularity {
+            what,
+            value,
+            multiple,
+        };
+        let fault = |fault| Refusal::Fault { fault, why: "" };
+        let faulty = |wl, spec| {
+            let mut s = Scenario::new(wl, 64, 8);
+            s.soc.faults = FaultPlan::parse(spec).expect("fault grammar");
+            s
+        };
+        let mut lazy = Scenario::new(Aes, 64, 8);
+        lazy.policy = MapPolicy::Lazy;
+        let mut rows: Vec<(Runner, Scenario, Refusal)> = Vec::new();
+        for r in [Cohort, Mmio, Dma, Interfered, Chaos, DmaChaos] {
+            rows.push((r, Scenario::new(Sha, 60, 8), size("queue", 60, 8)));
+            rows.push((r, Scenario::new(Aes, 63, 2), size("queue", 63, 2)));
+        }
+        for r in [Chain, Failover] {
+            rows.push((r, Scenario::new(Aes, 60, 2), size("queue", 60, 8)));
+        }
+        for r in [Cohort, Interfered, Chaos] {
+            rows.push((r, Scenario::new(Sha, 64, 4), size("batch", 4, 8)));
+            rows.push((r, Scenario::new(Aes, 64, 3), size("batch", 3, 2)));
+        }
+        for r in [Cohort, Chain, Mmio] {
+            rows.push((r, faulty(Sha, "kill@2000:0"), fault("kill")));
+        }
+        rows.push((Failover, faulty(Sha, "kill@2000:0"), fault("kill")));
+        for r in [Cohort, Mmio, Dma, Chaos, Sharded] {
+            rows.push((r, faulty(Aes, "maple-kill@100"), fault("maple-kill")));
+            rows.push((r, faulty(Aes, "maple-stall@100:50"), fault("maple-stall")));
+        }
+        let target = |engine, engines| Refusal::KillTarget { engine, engines };
+        let mut two_shards = faulty(Aes, "kill@2000:5");
+        two_shards.soc.engines = 2;
+        rows.push((Sharded, two_shards.clone(), target(5, 2)));
+        rows.push((Mesh16, faulty(Aes, "kill@2000:4"), target(4, 4)));
+        two_shards.soc.faults = FaultPlan::parse("kill@2000:1").expect("fault grammar");
+        let no_spare = ShardError::NotEnoughEngines {
+            requested: 2,
+            engines: 2,
+            spares: 1,
+        };
+        rows.push((Sharded, two_shards, Refusal::Pool(no_spare)));
+        for r in [Dma, DmaChaos] {
+            rows.push((r, lazy.clone(), Refusal::Policy(MapPolicy::Lazy)));
+        }
+
+        for (runner, scenario, want) in rows {
+            let got = run_scenario(runner, &scenario, Some(&ShardSpec::new(2)))
+                .expect_err("must be refused before anything is simulated");
+            let same_rule = match (got, want) {
+                (Refusal::Fault { fault: a, .. }, Refusal::Fault { fault: b, .. }) => a == b,
+                _ => got == want,
+            };
+            assert!(same_rule, "{runner}: got {got:?} ({got}), want {want:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "runner cohort refused the scenario: queue 60 is not a multiple of 8"
+    )]
+    fn constructors_assert_admission() {
+        run_cohort(&Scenario::new(Workload::Sha, 60, 8));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use cohort::scenarios::{
     run_cohort, run_cohort_chain, run_cohort_chain_failover, run_cohort_interfered, run_dma,
-    run_mmio, CustomRun, Scenario, Workload, AES_KEY,
+    run_mmio, run_scenario, CustomRun, Runner, Scenario, ShardSpec, Workload, AES_KEY,
 };
 use cohort_accel::aes128::Aes128Accel;
 use cohort_os::addrspace::MapPolicy;
@@ -226,4 +226,45 @@ fn latency_scales_roughly_linearly_with_queue_size() {
         (2.5..6.0).contains(&ratio),
         "4x data should be ~4x cycles, got {ratio:.2}"
     );
+}
+
+/// Admitted means it completes: over every runner and a grid of sizes on
+/// both sides of every granularity rule, whatever the admission check lets
+/// through must finish verified. A rule that is too loose fails here (as a
+/// budget overrun) instead of shipping; one that is too tight loses rows.
+#[test]
+fn admitted_runs_complete_and_verify() {
+    let mut admitted = Vec::new();
+    for runner in Runner::ALL {
+        for wl in [Workload::Sha, Workload::Aes] {
+            for queue in [56u64, 60, 63, 64] {
+                for batch in [1u64, 2, 3, 4, 8, 12, 16, 100] {
+                    let mut s = Scenario::new(wl, queue, batch);
+                    s.soc.engines = 2;
+                    // `Err` is the admission check's refusal, nothing else.
+                    let Ok(r) = run_scenario(runner, &s, Some(&ShardSpec::new(2))) else {
+                        continue;
+                    };
+                    assert!(r.verified, "{runner} {wl:?} queue={queue} batch={batch}");
+                    admitted.push((runner, wl, queue, batch));
+                }
+            }
+        }
+    }
+    // Rows that run today and no rule may take away.
+    for row in [
+        (Runner::Sharded, Workload::Sha, 64, 4),
+        (Runner::Chain, Workload::Sha, 64, 4),
+        (Runner::Mmio, Workload::Sha, 64, 4),
+        (Runner::Dma, Workload::Sha, 64, 4),
+        (Runner::Mesh16, Workload::Aes, 64, 1),
+        (Runner::Cohort, Workload::Aes, 60, 12),
+        (Runner::Cohort, Workload::Sha, 64, 100),
+    ] {
+        assert!(admitted.contains(&row), "lost row {row:?}");
+    }
+    // Whole blocks: SHA at 56 and 64, AES also at 60, chains at 56 and 64
+    // for either workload; on the single-engine program only, batches of
+    // whole blocks (SHA 8 and 16, AES the even ones) or past the queue.
+    assert_eq!(admitted.len(), 3 * (6 + 18) + 5 * (16 + 24) + 2 * 32);
 }
