@@ -123,11 +123,6 @@ impl StftAccel {
             windowed: true,
         }
     }
-
-    /// Frame size in samples.
-    pub fn frame_size(&self) -> usize {
-        self.n
-    }
 }
 
 impl Accelerator for StftAccel {

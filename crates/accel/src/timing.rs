@@ -135,7 +135,7 @@ impl TimedAccel {
     /// True when no work is buffered or in flight. A sub-word output
     /// residue (< 8 bytes) or a partial input block still counts as idle —
     /// both wait on external action.
-    pub fn is_idle(&self, _cycle: u64) -> bool {
+    pub fn is_idle(&self) -> bool {
         self.pending_out.is_none()
             && self.in_ratchet.blocks_available() == 0
             && self.out_bytes.len() < 8
@@ -240,7 +240,7 @@ mod tests {
         }
         assert_eq!(digest, sha256_raw_block(&block).to_vec());
         assert_eq!(t.blocks_done(), 1);
-        assert!(t.is_idle(c));
+        assert!(t.is_idle());
     }
 
     #[test]
@@ -309,7 +309,7 @@ mod tests {
         let words = t.drain_words();
         assert_eq!(words.len(), 8, "two 32-byte digests rescued");
         assert_eq!(t.blocks_done(), 2);
-        assert!(t.is_idle(1), "nothing left in flight after an abort drain");
+        assert!(t.is_idle(), "nothing left in flight after an abort drain");
         // A partial block must NOT be processed: it migrates to the
         // resuming engine instead via [`TimedAccel::take_staged_words`].
         t.push_word(7);

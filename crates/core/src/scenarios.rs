@@ -1602,12 +1602,6 @@ impl Runner {
         }
     }
 
-    /// True for runners that bind engines from [`SocConfig::engines`]
-    /// (the ones a `kill@C:E` shard fault can target).
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, Runner::Sharded | Runner::Mesh16)
-    }
-
     /// True for runners that host the workload behind Cohort engines at
     /// all (false for the MMIO/DMA baselines, which use MAPLE).
     pub fn uses_cohort_engines(&self) -> bool {

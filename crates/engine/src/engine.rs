@@ -21,6 +21,13 @@
 //!   accelerator output words, writes data elements, and only then updates
 //!   the output queue's write index — data-before-pointer ordering, at
 //!   data-block granularity to reduce coherence traffic (§4.2.2, §4.3).
+//!
+//! Both endpoints are one build, `Endpoint` — an MTE channel, the queue
+//! registers, a coherency-manager monitor, a back-off window and a watchdog
+//! stamp — instantiated twice under the two state machines (`ConsState`,
+//! `ProdState`), which is all that differs. Each side monitors the index
+//! its peer publishes: the consumer the input queue's write index, the
+//! producer the output queue's read index.
 
 use cohort_os::driver::regs;
 use cohort_os::mmu::{DeviceMmu, TlbResult, WalkMachine, WalkStep};
@@ -49,9 +56,10 @@ enum MteOp {
     Write { va: u64 },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum ChState {
     /// Pick up the next segment and translate it.
+    #[default]
     Translate,
     /// A PTE read is outstanding.
     WalkWait,
@@ -68,7 +76,7 @@ enum ChState {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Channel {
     op: Option<MteOp>,
     buf: Vec<u8>,
@@ -85,31 +93,16 @@ struct Channel {
 }
 
 impl Channel {
-    fn new() -> Self {
-        Self {
-            op: None,
-            buf: Vec::new(),
-            offset: 0,
-            state: ChState::Translate,
-            walk: None,
-            done: false,
-            transient: false,
-            last_pa: 0,
-        }
-    }
-
     fn idle(&self) -> bool {
         self.op.is_none()
     }
 
-    fn start_read(&mut self, va: u64, len: usize) {
-        self.start_read_opts(va, len, false)
-    }
-
-    fn start_read_opts(&mut self, va: u64, len: usize, transient: bool) {
+    /// Starts `op` over `buf`: the bytes to write, or a buffer of the
+    /// length to read.
+    fn start(&mut self, op: MteOp, buf: Vec<u8>, transient: bool) {
         debug_assert!(self.op.is_none());
-        self.op = Some(MteOp::Read { va });
-        self.buf = vec![0u8; len];
+        self.op = Some(op);
+        self.buf = buf;
         self.offset = 0;
         self.state = ChState::Translate;
         self.walk = None;
@@ -117,26 +110,20 @@ impl Channel {
         self.transient = transient;
     }
 
-    fn start_write_opts(&mut self, va: u64, data: Vec<u8>, transient: bool) {
-        debug_assert!(self.op.is_none());
-        self.op = Some(MteOp::Write { va });
-        self.buf = data;
-        self.offset = 0;
-        self.state = ChState::Translate;
-        self.walk = None;
-        self.done = false;
-        self.transient = transient;
-    }
-
-    fn take_done(&mut self) -> Option<Vec<u8>> {
-        if self.done {
+    /// Retires a completed operation (its bytes stay in `buf`); false while
+    /// none has completed.
+    fn finish(&mut self) -> bool {
+        let done = std::mem::take(&mut self.done);
+        if done {
             self.op = None;
-            self.done = false;
-            Some(std::mem::take(&mut self.buf))
-        } else {
-            None
         }
+        done
     }
+}
+
+/// The little-endian word at byte `off` of an MTE buffer.
+fn word_at(buf: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(buf[off..off + 8].try_into().expect("8-byte word"))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,6 +214,29 @@ impl QueueRegs {
     }
 }
 
+/// What the consumer and the producer endpoint are both built from
+/// (Fig. 6); held as `ep[CH_CONS]` / `ep[CH_PROD]`.
+#[derive(Debug, Default)]
+struct Endpoint {
+    /// This side's MTE channel.
+    ch: Channel,
+    /// The queue this side is bound to (input / output).
+    q: QueueRegs,
+    /// RCM monitored line: the index the peer publishes (input write
+    /// index / output read index).
+    rcm_line: Option<u64>,
+    rcm_dirty: bool,
+    /// Current backoff window (capped exponential, resets on progress).
+    backoff: u64,
+    /// Last cycle this endpoint demonstrably made progress.
+    progress_at: u64,
+    /// Last observed progress signature (state label, elements moved,
+    /// channel offset, staged bytes — 0 on the consumer side).
+    sig: (&'static str, u64, usize, usize),
+    /// Cycle this endpoint entered its current state (trace spans).
+    since: u64,
+}
+
 /// Performance counters of the engine (paper §5.1: "performance counter
 /// data comes from each Cohort Engine"). Fields are registry-backed
 /// [`Counter`] handles: once the engine is attached to a SoC the same
@@ -299,20 +309,15 @@ pub struct CohortEngine {
     accel: TimedAccel,
     raw_regs: std::collections::HashMap<u64, u64>,
     enabled: bool,
-    channels: [Channel; 2],
+    /// The two endpoints, indexed by `CH_CONS` / `CH_PROD`.
+    ep: [Endpoint; 2],
     cons: ConsState,
     prod: ProdState,
-    in_q: QueueRegs,
-    out_q: QueueRegs,
     rd: u64,
     known_wr: u64,
     wr: u64,
     known_rd: u64,
-    /// RCM monitored lines (input write index / output read index).
-    rcm_in_line: Option<u64>,
-    rcm_in_dirty: bool,
-    rcm_out_line: Option<u64>,
-    rcm_out_dirty: bool,
+    /// Programmed base backoff window (`regs::BACKOFF`).
     backoff: u64,
     wcm_turnaround: u64,
     mte_shared: bool,
@@ -324,10 +329,6 @@ pub struct CohortEngine {
     out_occupancy: Histogram,
     trace: Option<Trace>,
     tid: u64,
-    /// Cycle the consumer entered its current state (trace spans).
-    cons_since: u64,
-    /// Cycle the producer entered its current state (trace spans).
-    prod_since: u64,
     irq_outstanding: bool,
     /// A CSR-buffer read is outstanding on the consumer channel.
     csr_pending: bool,
@@ -339,20 +340,6 @@ pub struct CohortEngine {
     err_irq_outstanding: bool,
     /// Forward-progress budget in cycles (0 = watchdog disabled).
     watchdog_cycles: u64,
-    /// Last cycle the consumer endpoint demonstrably made progress.
-    cons_progress_at: u64,
-    /// Last observed consumer progress signature (state label, elements
-    /// consumed, channel offset).
-    cons_sig: (&'static str, u64, usize),
-    /// Last cycle the producer endpoint demonstrably made progress.
-    prod_progress_at: u64,
-    /// Last observed producer progress signature.
-    prod_sig: (&'static str, u64, usize, usize),
-    /// Current consumer backoff window (capped exponential, resets on
-    /// progress).
-    backoff_cons: u64,
-    /// Current producer backoff window.
-    backoff_prod: u64,
     /// Distribution of backoff windows actually taken (log2 buckets via
     /// the histogram's own bucketing).
     backoff_window: Histogram,
@@ -420,19 +407,13 @@ impl CohortEngine {
             accel: TimedAccel::new(accel),
             raw_regs: std::collections::HashMap::new(),
             enabled: false,
-            channels: [Channel::new(), Channel::new()],
+            ep: Default::default(),
             cons: ConsState::Off,
             prod: ProdState::Off,
-            in_q: QueueRegs::default(),
-            out_q: QueueRegs::default(),
             rd: 0,
             known_wr: 0,
             wr: 0,
             known_rd: 0,
-            rcm_in_line: None,
-            rcm_in_dirty: false,
-            rcm_out_line: None,
-            rcm_out_dirty: false,
             backoff: 16,
             wcm_turnaround: cfg.timing.wcm_turnaround,
             mte_shared: cfg.timing.mte_shared,
@@ -443,20 +424,12 @@ impl CohortEngine {
             out_occupancy: Histogram::new(),
             trace: None,
             tid: 0,
-            cons_since: 0,
-            prod_since: 0,
             irq_outstanding: false,
             csr_pending: false,
             error_status: 0,
             error_since: 0,
             err_irq_outstanding: false,
             watchdog_cycles: 0,
-            cons_progress_at: 0,
-            cons_sig: ("", 0, 0),
-            prod_progress_at: 0,
-            prod_sig: ("", 0, 0, 0),
-            backoff_cons: 16,
-            backoff_prod: 16,
             backoff_window: Histogram::new(),
             fault_state: None,
             engine_index: 0,
@@ -507,13 +480,6 @@ impl CohortEngine {
         self.known_wr.saturating_sub(self.rd)
     }
 
-    /// Shared handle to the per-step input-occupancy histogram (the
-    /// `engine#<id>.in_queue_occupancy` registry entry); its p50 is the
-    /// per-engine load summary the bench baseline records.
-    pub fn in_occupancy_histogram(&self) -> Histogram {
-        self.in_occupancy.clone()
-    }
-
     /// A point-in-time summary of the engine's migratable state, for
     /// tests and diagnostics. The authoritative queue indices live in
     /// coherent memory; these are the engine's internal views.
@@ -535,17 +501,18 @@ impl CohortEngine {
         self.error_status
     }
 
-    /// Arms the forward-progress watchdog directly (tests; the driver
-    /// path writes `regs::WATCHDOG`).
-    pub fn set_watchdog(&mut self, cycles: u64) {
-        self.watchdog_cycles = cycles;
-    }
-
     /// True while the accelerator is held stalled by fault injection.
     fn stalled(&self, cycle: u64) -> bool {
         self.fault_state
             .as_ref()
             .is_some_and(|f| f.accel_stalled(cycle))
+    }
+
+    /// Emits a "fault"-category trace instant when tracing is on.
+    fn trace_fault(&self, name: &'static str, cycle: u64, args: Vec<(&'static str, String)>) {
+        if let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) {
+            trace.instant(self.tid, "fault", name, cycle, args);
+        }
     }
 
     /// Counter snapshot.
@@ -571,22 +538,26 @@ impl CohortEngine {
     /// of the hardened engine. A failure must NOT panic (a misprogrammed
     /// device register is an error condition, not a model bug): it sets
     /// the sticky `ERR_BAD_DESCRIPTOR` bit instead.
-    fn validated_queue(
-        &self,
-        wr: u64,
-        rd: u64,
-        base: u64,
-        elem: u64,
-        len: u64,
-    ) -> Option<QueueRegs> {
+    ///
+    /// `bank` is `regs::IN_WR_VA` or `regs::OUT_WR_VA`: the two register
+    /// banks are laid out alike.
+    fn validated_queue(&self, bank: u64) -> Option<QueueRegs> {
+        let [wr_va, rd_va, base_va, elem, len] = [
+            regs::IN_WR_VA,
+            regs::IN_RD_VA,
+            regs::IN_BASE_VA,
+            regs::IN_ELEM,
+            regs::IN_LEN,
+        ]
+        .map(|r| self.reg(bank + (r - regs::IN_WR_VA)));
         let (Ok(elem32), Ok(len32)) = (u32::try_from(elem), u32::try_from(len)) else {
             return None;
         };
-        QueueDescriptor::try_new(wr, rd, base, elem32, len32).ok()?;
+        QueueDescriptor::try_new(wr_va, rd_va, base_va, elem32, len32).ok()?;
         Some(QueueRegs {
-            wr_va: wr,
-            rd_va: rd,
-            base_va: base,
+            wr_va,
+            rd_va,
+            base_va,
             elem,
             len,
         })
@@ -606,46 +577,31 @@ impl CohortEngine {
             self.raise_error(ctx, regs::ERR_STALE_EPOCH);
             return;
         }
-        let in_q = self.validated_queue(
-            self.reg(regs::IN_WR_VA),
-            self.reg(regs::IN_RD_VA),
-            self.reg(regs::IN_BASE_VA),
-            self.reg(regs::IN_ELEM),
-            self.reg(regs::IN_LEN),
-        );
-        let out_q = self.validated_queue(
-            self.reg(regs::OUT_WR_VA),
-            self.reg(regs::OUT_RD_VA),
-            self.reg(regs::OUT_BASE_VA),
-            self.reg(regs::OUT_ELEM),
-            self.reg(regs::OUT_LEN),
-        );
-        let (Some(in_q), Some(out_q)) = (in_q, out_q) else {
+        let queues = [regs::IN_WR_VA, regs::OUT_WR_VA].map(|bank| self.validated_queue(bank));
+        let [Some(in_q), Some(out_q)] = queues else {
             self.raise_error(ctx, regs::ERR_BAD_DESCRIPTOR);
             return;
         };
-        self.in_q = in_q;
-        self.out_q = out_q;
         self.bound_epoch = epoch;
         self.mmu.set_root(self.reg(regs::PT_ROOT_PA));
         self.backoff = self.reg(regs::BACKOFF);
-        self.backoff_cons = self.backoff;
-        self.backoff_prod = self.backoff;
         self.watchdog_cycles = self.reg(regs::WATCHDOG);
+        // Field by field, not `Endpoint::default()`: the channel and the
+        // trace stamp carry over an enable.
+        for (ep, q) in self.ep.iter_mut().zip([in_q, out_q]) {
+            ep.q = q;
+            ep.rcm_line = None;
+            ep.rcm_dirty = false;
+            ep.backoff = self.backoff;
+            ep.progress_at = ctx.cycle;
+            ep.sig = ("", 0, 0, 0);
+        }
         self.accel.reset();
         self.stage.clear();
         self.rd = 0;
         self.known_wr = 0;
         self.wr = 0;
         self.known_rd = 0;
-        self.rcm_in_line = None;
-        self.rcm_in_dirty = false;
-        self.rcm_out_line = None;
-        self.rcm_out_dirty = false;
-        self.cons_progress_at = ctx.cycle;
-        self.prod_progress_at = ctx.cycle;
-        self.cons_sig = ("", 0, 0);
-        self.prod_sig = ("", 0, 0, 0);
         self.cons = if self.reg(regs::CSR_LEN) > 0 {
             ConsState::Csr
         } else {
@@ -663,15 +619,8 @@ impl CohortEngine {
             self.counters.rebinds.inc();
             self.failover_rebind.record(ctx.cycle.saturating_sub(t0));
             self.resume_watch = Some((t0, self.counters.produced.get()));
-            if let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) {
-                trace.instant(
-                    self.tid,
-                    "fault",
-                    "failover_rebind",
-                    ctx.cycle,
-                    vec![("epoch", format!("{epoch}"))],
-                );
-            }
+            let args = vec![("epoch", format!("{epoch}"))];
+            self.trace_fault("failover_rebind", ctx.cycle, args);
         }
     }
 
@@ -687,7 +636,10 @@ impl CohortEngine {
         }
         let n_in = ctx.mem.read_u64(pa);
         let n_out = ctx.mem.read_u64(pa + 8);
-        if n_in + n_out == 0 || n_in + n_out > 510 {
+        // Both counts come from guest memory: the sum saturates, so
+        // garbage cannot wrap around the bound.
+        let total = n_in.saturating_add(n_out);
+        if total == 0 || total > 510 {
             return; // empty, or not a spill image this engine wrote
         }
         for i in 0..n_in {
@@ -712,18 +664,11 @@ impl CohortEngine {
         self.cons = ConsState::Halted;
         self.prod = ProdState::Halted;
         self.csr_pending = false;
-        for ch in &mut self.channels {
-            *ch = Channel::new();
+        for ep in &mut self.ep {
+            ep.ch = Channel::default();
         }
-        if let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) {
-            trace.instant(
-                self.tid,
-                "fault",
-                "error_irq",
-                ctx.cycle,
-                vec![("status", format!("{:#x}", self.error_status))],
-            );
-        }
+        let args = vec![("status", format!("{:#x}", self.error_status))];
+        self.trace_fault("error_irq", ctx.cycle, args);
         if !self.err_irq_outstanding {
             self.err_irq_outstanding = true;
             self.counters.error_irqs.inc();
@@ -778,13 +723,11 @@ impl CohortEngine {
         }
         self.cons = ConsState::Off;
         self.prod = ProdState::Off;
-        if let Some(l) = self.rcm_in_line.take() {
-            self.port.unpin(l);
-            self.port.relinquish(ctx, l);
-        }
-        if let Some(l) = self.rcm_out_line.take() {
-            self.port.unpin(l);
-            self.port.relinquish(ctx, l);
+        for ep in &mut self.ep {
+            if let Some(l) = ep.rcm_line.take() {
+                self.port.unpin(l);
+                self.port.relinquish(ctx, l);
+            }
         }
         self.port.unpin_all();
     }
@@ -833,12 +776,11 @@ impl CohortEngine {
                 // writes a different physical line. Marking both sides
                 // dirty forces a pointer re-read, which re-arms each
                 // monitor on the freshly translated line.
-                self.rcm_in_dirty = true;
-                self.rcm_out_dirty = true;
+                self.ep.iter_mut().for_each(|ep| ep.rcm_dirty = true);
             }
             regs::FAULT_RESOLVE => {
                 self.irq_outstanding = false;
-                for ch in &mut self.channels {
+                for ch in self.ep.iter_mut().map(|ep| &mut ep.ch) {
                     if matches!(ch.state, ChState::WaitFault) {
                         ch.state = ChState::Translate;
                         ch.walk = None;
@@ -847,14 +789,12 @@ impl CohortEngine {
             }
             regs::BACKOFF => {
                 self.backoff = value;
-                self.backoff_cons = value;
-                self.backoff_prod = value;
+                self.ep.iter_mut().for_each(|ep| ep.backoff = value);
                 self.raw_regs.insert(off, value);
             }
             regs::WATCHDOG => {
                 self.watchdog_cycles = value;
-                self.cons_progress_at = ctx.cycle;
-                self.prod_progress_at = ctx.cycle;
+                self.ep.iter_mut().for_each(|ep| ep.progress_at = ctx.cycle);
                 self.raw_regs.insert(off, value);
             }
             regs::ERROR_STATUS => self.clear_error(ctx),
@@ -904,19 +844,21 @@ impl CohortEngine {
                 if is_pte {
                     self.walk_feed(ctx, ch);
                 } else {
-                    let state = self.channels[ch].state;
+                    let state = self.ep[ch].ch.state;
                     if let ChState::AccessWait { pa, seg, write } = state {
                         self.complete_segment(ctx, ch, pa, seg, write);
                     }
                 }
             }
             PortEvent::Invalidated { line } => {
-                if self.rcm_in_line == Some(line) {
-                    self.counters.rcm_invalidations.inc();
-                    self.rcm_in_dirty = true;
-                }
-                if self.rcm_out_line == Some(line) {
-                    self.rcm_out_dirty = true;
+                for (side, ep) in self.ep.iter_mut().enumerate() {
+                    if ep.rcm_line == Some(line) {
+                        ep.rcm_dirty = true;
+                        if side == CH_CONS {
+                            // Input side only: see `EngineCounters`.
+                            self.counters.rcm_invalidations.inc();
+                        }
+                    }
                 }
             }
             PortEvent::Downgraded { .. } => {}
@@ -925,12 +867,13 @@ impl CohortEngine {
 
     /// Feeds the just-fetched PTE into the channel's walker.
     fn walk_feed(&mut self, ctx: &mut Ctx<'_>, ch_idx: usize) {
-        let pte_pa = match self.channels[ch_idx].walk.as_ref().map(|w| w.step()) {
+        let pte_pa = match self.ep[ch_idx].ch.walk.as_ref().map(|w| w.step()) {
             Some(WalkStep::NeedPte { pa }) => pa,
             _ => return,
         };
         let pte = ctx.mem.read_u64(pte_pa);
-        let step = self.channels[ch_idx]
+        let step = self.ep[ch_idx]
+            .ch
             .walk
             .as_mut()
             .expect("walk in progress")
@@ -946,17 +889,17 @@ impl CohortEngine {
                 ..
             } => {
                 self.mmu.insert(va_page, pa_page, size);
-                self.channels[ch_idx].walk = None;
-                self.channels[ch_idx].state = ChState::Translate;
+                self.ep[ch_idx].ch.walk = None;
+                self.ep[ch_idx].ch.state = ChState::Translate;
                 // Retry the access next advance (same step continues).
                 self.advance_channel(ctx, ch_idx);
             }
             WalkStep::Fault => {
                 self.mmu.note_fault();
                 self.counters.faults.inc();
-                let va = self.channels[ch_idx].walk.expect("walk").va();
-                self.channels[ch_idx].walk = None;
-                self.channels[ch_idx].state = ChState::WaitFault;
+                let va = self.ep[ch_idx].ch.walk.expect("walk").va();
+                self.ep[ch_idx].ch.walk = None;
+                self.ep[ch_idx].ch.state = ChState::WaitFault;
                 if !self.irq_outstanding {
                     self.irq_outstanding = true;
                     ctx.send(
@@ -978,14 +921,14 @@ impl CohortEngine {
         {
             Outcome::Hit { .. } => {
                 // PTE already in the MTE buffer: feed immediately.
-                self.channels[ch_idx].state = ChState::WalkWait;
+                self.ep[ch_idx].ch.state = ChState::WalkWait;
                 self.walk_feed(ctx, ch_idx);
             }
-            Outcome::Pending => self.channels[ch_idx].state = ChState::WalkWait,
+            Outcome::Pending => self.ep[ch_idx].ch.state = ChState::WalkWait,
             Outcome::Retry => {
                 // Conflicting transaction; retried from Translate next cycle.
-                self.channels[ch_idx].state = ChState::Translate;
-                self.channels[ch_idx].walk = None;
+                self.ep[ch_idx].ch.state = ChState::Translate;
+                self.ep[ch_idx].ch.walk = None;
             }
         }
     }
@@ -999,7 +942,7 @@ impl CohortEngine {
         write: bool,
     ) {
         let finished = {
-            let ch = &mut self.channels[ch_idx];
+            let ch = &mut self.ep[ch_idx].ch;
             let off = ch.offset;
             if write {
                 ctx.mem.write_bytes(pa, &ch.buf[off..off + seg]);
@@ -1011,13 +954,13 @@ impl CohortEngine {
             ch.state = ChState::Translate;
             ch.offset >= ch.buf.len()
         };
-        if self.channels[ch_idx].transient {
+        if self.ep[ch_idx].ch.transient {
             // Streaming data: give the line back (the engine has no data
             // cache; it bridges, it does not hold).
             self.port.relinquish(ctx, line_of(pa));
         }
         if finished {
-            self.channels[ch_idx].done = true;
+            self.ep[ch_idx].ch.done = true;
             return;
         }
         self.advance_channel(ctx, ch_idx);
@@ -1027,7 +970,7 @@ impl CohortEngine {
     /// access for the current line segment.
     fn advance_channel(&mut self, ctx: &mut Ctx<'_>, ch_idx: usize) {
         let (va, write, seg) = {
-            let ch = &self.channels[ch_idx];
+            let ch = &self.ep[ch_idx].ch;
             let Some(op) = &ch.op else { return };
             if ch.done {
                 return;
@@ -1059,7 +1002,7 @@ impl CohortEngine {
                     .request_opts(ctx, pa, write, Self::token(ch_idx, false), full_line)
                 {
                     Outcome::Hit { ready_at } => {
-                        self.channels[ch_idx].state = ChState::AccessHit {
+                        self.ep[ch_idx].ch.state = ChState::AccessHit {
                             at: ready_at,
                             pa,
                             seg,
@@ -1067,7 +1010,7 @@ impl CohortEngine {
                         };
                     }
                     Outcome::Pending => {
-                        self.channels[ch_idx].state = ChState::AccessWait { pa, seg, write };
+                        self.ep[ch_idx].ch.state = ChState::AccessWait { pa, seg, write };
                     }
                     Outcome::Retry => { /* stay in Translate; retry next cycle */ }
                 }
@@ -1077,78 +1020,46 @@ impl CohortEngine {
                 let WalkStep::NeedPte { pa } = walk.step() else {
                     unreachable!("fresh walk always needs a PTE")
                 };
-                self.channels[ch_idx].walk = Some(walk);
+                self.ep[ch_idx].ch.walk = Some(walk);
                 self.issue_pte_read(ctx, ch_idx, pa);
             }
         }
     }
 
-    /// Arms the input-side RCM on the line of the last pointer read.
-    fn arm_rcm_in(&mut self) {
-        let line = line_of(self.channels[CH_CONS].last_pa);
-        if self.rcm_in_line != Some(line) {
-            if let Some(old) = self.rcm_in_line {
+    /// Arms `side`'s RCM on the line of the index read that has just
+    /// completed, and clears the signal that read answered.
+    fn arm_rcm(&mut self, side: usize) {
+        let ep = &mut self.ep[side];
+        let line = line_of(ep.ch.last_pa);
+        if ep.rcm_line != Some(line) {
+            if let Some(old) = ep.rcm_line {
                 self.port.unpin(old);
             }
             self.port.pin(line);
-            self.rcm_in_line = Some(line);
+            ep.rcm_line = Some(line);
         }
-        // Close the arming race: if the line was invalidated (or evicted)
-        // between the pointer-read grant and this arm, the writer's signal
-        // already passed — mark it pending rather than waiting forever.
-        if self.port.state_of(line).is_none() {
-            self.rcm_in_dirty = true;
-        }
+        ep.rcm_dirty = false;
     }
 
-    fn arm_rcm_out(&mut self) {
-        let line = line_of(self.channels[CH_PROD].last_pa);
-        if self.rcm_out_line != Some(line) {
-            if let Some(old) = self.rcm_out_line {
-                self.port.unpin(old);
-            }
-            self.port.pin(line);
-            self.rcm_out_line = Some(line);
-        }
-        if self.port.state_of(line).is_none() {
-            self.rcm_out_dirty = true;
-        }
+    /// True when `side`'s RCM has a pending (or missed) signal. The
+    /// second term closes the arming race: if the line was invalidated (or
+    /// evicted) between the pointer-read grant and the arm, the writer's
+    /// signal already passed — an absent line counts as pending rather
+    /// than being waited on forever.
+    fn rcm_pending(&self, side: usize) -> bool {
+        let ep = &self.ep[side];
+        ep.rcm_dirty || ep.rcm_line.is_some_and(|l| self.port.state_of(l).is_none())
     }
 
-    /// True when the input-side RCM has a pending (or missed) signal.
-    fn rcm_in_pending(&self) -> bool {
-        self.rcm_in_dirty
-            || self
-                .rcm_in_line
-                .is_some_and(|l| self.port.state_of(l).is_none())
-    }
-
-    /// True when the output-side RCM has a pending (or missed) signal.
-    fn rcm_out_pending(&self) -> bool {
-        self.rcm_out_dirty
-            || self
-                .rcm_out_line
-                .is_some_and(|l| self.port.state_of(l).is_none())
-    }
-
-    /// Takes one consumer-side backoff window: records it in the
+    /// Takes one backoff window on `side`: records it in the
     /// `backoff_window` histogram, then doubles the next window up to
     /// 16× the programmed base (capped exponential; reset to the base
     /// whenever data actually moves). Returns the window's end cycle.
-    fn take_cons_backoff(&mut self, cycle: u64) -> u64 {
-        let win = self.backoff_cons;
+    fn take_backoff(&mut self, side: usize, cycle: u64) -> u64 {
+        let win = self.ep[side].backoff;
         self.backoff_window.record(win);
         let cap = self.backoff.saturating_mul(16).max(self.backoff);
-        self.backoff_cons = win.saturating_mul(2).max(1).min(cap);
-        cycle + win
-    }
-
-    /// Producer-side twin of [`CohortEngine::take_cons_backoff`].
-    fn take_prod_backoff(&mut self, cycle: u64) -> u64 {
-        let win = self.backoff_prod;
-        self.backoff_window.record(win);
-        let cap = self.backoff.saturating_mul(16).max(self.backoff);
-        self.backoff_prod = win.saturating_mul(2).max(1).min(cap);
+        self.ep[side].backoff = win.saturating_mul(2).max(1).min(cap);
         cycle + win
     }
 
@@ -1156,68 +1067,107 @@ impl CohortEngine {
     /// start a new operation when the other endpoint's is complete;
     /// otherwise one operation per endpoint may be in flight.
     fn mte_free(&self, me: usize) -> bool {
-        !self.mte_shared || self.channels[1 - me].idle()
+        !self.mte_shared || self.ep[1 - me].ch.idle()
+    }
+
+    /// Starts an MTE read of `len` bytes at `va` on `side`'s channel.
+    fn mte_read(&mut self, ctx: &mut Ctx<'_>, side: usize, va: u64, len: usize, transient: bool) {
+        let buf = vec![0u8; len];
+        self.ep[side].ch.start(MteOp::Read { va }, buf, transient);
+        self.advance_channel(ctx, side);
+    }
+
+    /// Starts an MTE write of `data` at `va` on `side`'s channel. Every
+    /// write streams (data block or own index): the line is not kept.
+    fn mte_write(&mut self, ctx: &mut Ctx<'_>, side: usize, va: u64, data: Vec<u8>) {
+        self.ep[side].ch.start(MteOp::Write { va }, data, true);
+        self.advance_channel(ctx, side);
+    }
+
+    /// One 8-byte queue-index read on `side`'s channel: yields the value
+    /// once the read has completed; until then starts it as soon as the
+    /// channel and the MTE are free.
+    fn poll_index(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        side: usize,
+        va: u64,
+        transient: bool,
+    ) -> Option<u64> {
+        if self.ep[side].ch.finish() {
+            return Some(word_at(&self.ep[side].ch.buf, 0));
+        }
+        if self.ep[side].ch.idle() && self.mte_free(side) {
+            self.mte_read(ctx, side, va, 8, transient);
+        }
+        None
+    }
+
+    /// Publishes the index `side` owns — the consumer's read index, the
+    /// producer's write index — from the engine's internal view.
+    fn publish_index(&mut self, ctx: &mut Ctx<'_>, side: usize) {
+        let q = &self.ep[side].q;
+        let (va, index) = if side == CH_CONS {
+            (q.rd_va, self.rd)
+        } else {
+            (q.wr_va, self.wr)
+        };
+        self.mte_write(ctx, side, va, index.to_le_bytes().to_vec());
     }
 
     /// Elements the consumer moves per accelerator data block.
     fn in_chunk_elems(&self) -> u64 {
-        (self.accel.descriptor().input_block_bytes as u64 / self.in_q.elem).max(1)
+        (self.accel.descriptor().input_block_bytes as u64 / self.ep[CH_CONS].q.elem).max(1)
     }
 
     /// Elements the producer publishes per flush (§4.3: pointer updates at
     /// data-block granularity, bounded by the endpoint's staging buffer —
     /// a hardware FIFO of a few cache lines).
     fn out_chunk_elems(&self) -> u64 {
-        let stage_cap = (4 * LINE_BYTES) / self.out_q.elem;
-        (self.accel.descriptor().output_block_bytes as u64 / self.out_q.elem)
-            .clamp(1, stage_cap.max(1))
+        let elem = self.ep[CH_PROD].q.elem;
+        let stage_cap = (4 * LINE_BYTES) / elem;
+        (self.accel.descriptor().output_block_bytes as u64 / elem).clamp(1, stage_cap.max(1))
     }
 
     fn step_consumer(&mut self, ctx: &mut Ctx<'_>) {
+        let q = self.ep[CH_CONS].q;
         match self.cons {
             ConsState::Off => {}
             ConsState::Csr => {
-                if self.channels[CH_CONS].idle() && self.mte_free(CH_CONS) {
+                if self.ep[CH_CONS].ch.idle() && self.mte_free(CH_CONS) {
                     let va = self.reg(regs::CSR_BASE_VA);
                     let len = self.reg(regs::CSR_LEN) as usize;
-                    self.channels[CH_CONS].start_read_opts(va, len, true);
-                    self.advance_channel(ctx, CH_CONS);
+                    self.mte_read(ctx, CH_CONS, va, len, true);
                     self.csr_pending = true;
                     self.cons = ConsState::InitRd; // continues after completion
                 }
             }
             ConsState::InitRd => {
-                if let Some(buf) = self.channels[CH_CONS].take_done() {
-                    if self.csr_pending {
-                        self.csr_pending = false;
-                        if self.accel.configure(&buf).is_err() {
-                            // A bad CSR buffer is user error, not a model
-                            // bug: latch it and wait for software.
-                            self.raise_error(ctx, regs::ERR_CSR_REJECTED);
-                            return;
-                        }
-                        // fall through to issue the rd read below
-                    } else {
-                        self.rd = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-                        self.cons = ConsState::InitWr;
+                // The CSR buffer comes off the channel before the read
+                // index goes on it.
+                if self.csr_pending {
+                    if !self.ep[CH_CONS].ch.finish() {
+                        return;
+                    }
+                    self.csr_pending = false;
+                    if self.accel.configure(&self.ep[CH_CONS].ch.buf).is_err() {
+                        // A bad CSR buffer is user error, not a model
+                        // bug: latch it and wait for software.
+                        self.raise_error(ctx, regs::ERR_CSR_REJECTED);
                         return;
                     }
                 }
-                if self.channels[CH_CONS].idle() && self.mte_free(CH_CONS) {
-                    self.channels[CH_CONS].start_read_opts(self.in_q.rd_va, 8, true);
-                    self.advance_channel(ctx, CH_CONS);
+                if let Some(rd) = self.poll_index(ctx, CH_CONS, q.rd_va, true) {
+                    self.rd = rd;
+                    self.cons = ConsState::InitWr;
                 }
             }
             ConsState::InitWr | ConsState::ReadWr => {
-                if let Some(buf) = self.channels[CH_CONS].take_done() {
-                    self.known_wr = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-                    self.arm_rcm_in();
-                    self.rcm_in_dirty = false;
+                if let Some(wr) = self.poll_index(ctx, CH_CONS, q.wr_va, false) {
+                    self.known_wr = wr;
+                    self.arm_rcm(CH_CONS);
                     self.cons = ConsState::Judge;
                     self.step_consumer(ctx);
-                } else if self.channels[CH_CONS].idle() && self.mte_free(CH_CONS) {
-                    self.channels[CH_CONS].start_read(self.in_q.wr_va, 8);
-                    self.advance_channel(ctx, CH_CONS);
                 }
             }
             ConsState::Judge => {
@@ -1226,76 +1176,58 @@ impl CohortEngine {
                     if !self.mte_free(CH_CONS) {
                         return; // shared MTE busy with the producer side
                     }
-                    let n = self
-                        .in_chunk_elems()
-                        .min(available)
-                        .min(self.in_q.contig(self.rd));
-                    let va = self.in_q.slot_va(self.rd);
-                    self.channels[CH_CONS].start_read_opts(va, (n * self.in_q.elem) as usize, true);
-                    self.advance_channel(ctx, CH_CONS);
-                    self.backoff_cons = self.backoff; // progress: reset backoff
+                    let n = self.in_chunk_elems().min(available).min(q.contig(self.rd));
+                    let len = (n * q.elem) as usize;
+                    self.mte_read(ctx, CH_CONS, q.slot_va(self.rd), len, true);
+                    self.ep[CH_CONS].backoff = self.backoff; // progress: reset backoff
                     self.cons = ConsState::Fetch { n };
-                } else if self.rcm_in_pending() {
+                } else if self.rcm_pending(CH_CONS) {
                     // Missed publications while busy: re-read after backoff.
                     self.counters.backoffs.inc();
-                    let until = self.take_cons_backoff(ctx.cycle);
+                    let until = self.take_backoff(CH_CONS, ctx.cycle);
                     self.cons = ConsState::Backoff { until };
                 } else {
                     self.cons = ConsState::Waiting;
                 }
             }
             ConsState::Waiting => {
-                if self.rcm_in_pending() {
+                if self.rcm_pending(CH_CONS) {
                     self.counters.backoffs.inc();
-                    let until = self.take_cons_backoff(ctx.cycle);
+                    let until = self.take_backoff(CH_CONS, ctx.cycle);
                     self.cons = ConsState::Backoff { until };
                 }
             }
             ConsState::Backoff { until } => {
                 if ctx.cycle >= until {
-                    self.rcm_in_dirty = false;
+                    self.ep[CH_CONS].rcm_dirty = false;
                     self.cons = ConsState::ReadWr;
                     self.step_consumer(ctx);
                 }
             }
             ConsState::Fetch { n } => {
-                if let Some(buf) = self.channels[CH_CONS].take_done() {
-                    self.channels[CH_CONS].buf = buf; // keep data for feeding
+                // The fetched data stays in the channel buffer for feeding.
+                if self.ep[CH_CONS].ch.finish() {
                     self.cons = ConsState::Feed { fed: 0, n };
                 }
             }
-            ConsState::Feed { fed, n } => {
-                let data = std::mem::take(&mut self.channels[CH_CONS].buf);
-                let mut fed = fed;
+            ConsState::Feed { mut fed, n } => {
+                let data = &self.ep[CH_CONS].ch.buf;
+                let len = data.len();
                 // A stalled accelerator holds ready low: nothing is fed.
-                if fed < data.len() && !self.stalled(ctx.cycle) && self.accel.ready(ctx.cycle) {
-                    let word =
-                        u64::from_le_bytes(data[fed..fed + 8].try_into().expect("8-byte word"));
-                    self.accel.push_word(word);
+                if fed < len && !self.stalled(ctx.cycle) && self.accel.ready(ctx.cycle) {
+                    self.accel.push_word(word_at(data, fed));
                     fed += 8;
                 }
-                if fed >= data.len() {
-                    if !self.mte_free(CH_CONS) {
-                        self.channels[CH_CONS].buf = data;
-                        self.cons = ConsState::Feed { fed, n };
-                        return;
-                    }
+                self.cons = ConsState::Feed { fed, n };
+                if fed >= len && self.mte_free(CH_CONS) {
                     self.rd += n;
                     self.counters.consumed.add(n);
-                    self.channels[CH_CONS].start_write_opts(
-                        self.in_q.rd_va,
-                        self.rd.to_le_bytes().to_vec(),
-                        true,
-                    );
-                    self.advance_channel(ctx, CH_CONS);
+                    self.publish_index(ctx, CH_CONS);
                     self.cons = ConsState::UpdateRd;
-                } else {
-                    self.channels[CH_CONS].buf = data;
-                    self.cons = ConsState::Feed { fed, n };
                 }
             }
             ConsState::UpdateRd => {
-                if self.channels[CH_CONS].take_done().is_some() {
+                if self.ep[CH_CONS].ch.finish() {
                     self.cons = ConsState::Judge;
                     self.step_consumer(ctx);
                 }
@@ -1318,41 +1250,45 @@ impl CohortEngine {
                 self.stage.extend_from_slice(&w.to_le_bytes());
             }
         }
+        let q = self.ep[CH_PROD].q;
+        if matches!(self.prod, ProdState::BackoffFull { until } if ctx.cycle >= until) {
+            // The window is over: go on to the re-read in this same step
+            // (below, not by re-entering — the top pops a word).
+            self.ep[CH_PROD].rcm_dirty = false;
+            self.prod = ProdState::ReadRd;
+        }
         match self.prod {
-            ProdState::Off => {}
-            ProdState::InitRd => {
-                if let Some(buf) = self.channels[CH_PROD].take_done() {
-                    self.known_rd = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-                    self.arm_rcm_out();
-                    self.rcm_out_dirty = false;
-                    self.prod = ProdState::InitWr;
-                } else if self.channels[CH_PROD].idle() && self.mte_free(CH_PROD) {
-                    self.channels[CH_PROD].start_read(self.out_q.rd_va, 8);
-                    self.advance_channel(ctx, CH_PROD);
+            ProdState::Off | ProdState::BackoffFull { .. } | ProdState::Halted => {}
+            ProdState::InitRd | ProdState::ReadRd => {
+                if let Some(rd) = self.poll_index(ctx, CH_PROD, q.rd_va, false) {
+                    self.known_rd = rd;
+                    self.arm_rcm(CH_PROD);
+                    self.prod = if self.prod == ProdState::InitRd {
+                        ProdState::InitWr
+                    } else {
+                        ProdState::Collect
+                    };
                 }
             }
             ProdState::InitWr => {
-                if let Some(buf) = self.channels[CH_PROD].take_done() {
-                    self.wr = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
+                if let Some(wr) = self.poll_index(ctx, CH_PROD, q.wr_va, true) {
+                    self.wr = wr;
                     self.prod = ProdState::Collect;
-                } else if self.channels[CH_PROD].idle() && self.mte_free(CH_PROD) {
-                    self.channels[CH_PROD].start_read_opts(self.out_q.wr_va, 8, true);
-                    self.advance_channel(ctx, CH_PROD);
                 }
             }
             ProdState::Collect => {
-                let elem = self.out_q.elem as usize;
+                let elem = q.elem as usize;
                 let staged_elems = (self.stage.len() / elem) as u64;
                 if staged_elems == 0 {
                     return;
                 }
-                let free = self.out_q.len - self.wr.wrapping_sub(self.known_rd);
+                let free = q.len - self.wr.wrapping_sub(self.known_rd);
                 if free == 0 {
                     // Ring full by our view: wait for the consumer to move
                     // its read index (invalidation on the pinned rd line).
                     self.counters.full_stalls.inc();
-                    if self.rcm_out_pending() {
-                        let until = self.take_prod_backoff(ctx.cycle);
+                    if self.rcm_pending(CH_PROD) {
+                        let until = self.take_backoff(CH_PROD, ctx.cycle);
                         self.prod = ProdState::BackoffFull { until };
                     }
                     return;
@@ -1368,24 +1304,15 @@ impl CohortEngine {
                 let n = staged_elems
                     .min(want.max(1))
                     .min(free)
-                    .min(self.out_q.contig(self.wr));
+                    .min(q.contig(self.wr));
                 let bytes = (n as usize) * elem;
                 let data: Vec<u8> = self.stage.drain(..bytes).collect();
-                self.channels[CH_PROD].start_write_opts(self.out_q.slot_va(self.wr), data, true);
-                self.advance_channel(ctx, CH_PROD);
-                self.backoff_prod = self.backoff; // progress: reset backoff
+                self.mte_write(ctx, CH_PROD, q.slot_va(self.wr), data);
+                self.ep[CH_PROD].backoff = self.backoff; // progress: reset backoff
                 self.prod = ProdState::WriteData { n };
             }
-            ProdState::BackoffFull { until } => {
-                if ctx.cycle >= until {
-                    self.rcm_out_dirty = false;
-                    self.prod = ProdState::ReadRd;
-                    self.step_producer_tail(ctx);
-                }
-            }
-            ProdState::ReadRd => self.step_producer_tail(ctx),
             ProdState::WriteData { n } => {
-                if self.channels[CH_PROD].take_done().is_some() {
+                if self.ep[CH_PROD].ch.finish() {
                     // WCM ordering: the data write completed coherently;
                     // wait out the ordering drain, then publish the index.
                     self.prod = ProdState::WcmDrain {
@@ -1398,34 +1325,15 @@ impl CohortEngine {
                 if ctx.cycle >= until && self.mte_free(CH_PROD) {
                     self.wr += n;
                     self.counters.produced.add(n);
-                    self.channels[CH_PROD].start_write_opts(
-                        self.out_q.wr_va,
-                        self.wr.to_le_bytes().to_vec(),
-                        true,
-                    );
-                    self.advance_channel(ctx, CH_PROD);
+                    self.publish_index(ctx, CH_PROD);
                     self.prod = ProdState::UpdateWr;
                 }
             }
             ProdState::UpdateWr => {
-                if self.channels[CH_PROD].take_done().is_some() {
+                if self.ep[CH_PROD].ch.finish() {
                     self.prod = ProdState::Collect;
                 }
             }
-            ProdState::Halted => {}
-        }
-    }
-
-    fn step_producer_tail(&mut self, ctx: &mut Ctx<'_>) {
-        // ReadRd state body (shared by the backoff path).
-        if let Some(buf) = self.channels[CH_PROD].take_done() {
-            self.known_rd = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-            self.arm_rcm_out();
-            self.rcm_out_dirty = false;
-            self.prod = ProdState::Collect;
-        } else if self.channels[CH_PROD].idle() && self.mte_free(CH_PROD) {
-            self.channels[CH_PROD].start_read(self.out_q.rd_va, 8);
-            self.advance_channel(ctx, CH_PROD);
         }
     }
 
@@ -1502,7 +1410,7 @@ impl CohortEngine {
                 // with wr unpublished. Put it back in front of the stage:
                 // the flush below rewrites the same slots with the same
                 // bytes, so the completed prefix is rewritten harmlessly.
-                let buf = std::mem::take(&mut self.channels[CH_PROD].buf);
+                let buf = std::mem::take(&mut self.ep[CH_PROD].ch.buf);
                 self.stage.splice(0..0, buf);
             }
             ProdState::WcmDrain { n, .. } => {
@@ -1523,12 +1431,8 @@ impl CohortEngine {
                 // read index stays unadvanced and a resuming binding
                 // refetches the whole chunk (a resume resets the ratchet,
                 // so rescued words could not survive it).
-                let data = std::mem::take(&mut self.channels[CH_CONS].buf);
-                let mut off = fed;
-                while off + 8 <= data.len() {
-                    let w = u64::from_le_bytes(data[off..off + 8].try_into().expect("8-byte word"));
-                    self.accel.push_word(w);
-                    off += 8;
+                for word in self.ep[CH_CONS].ch.buf[fed..].chunks_exact(8) {
+                    self.accel.push_word(word_at(word, 0));
                 }
                 self.rd += n;
                 self.counters.consumed.add(n);
@@ -1539,18 +1443,19 @@ impl CohortEngine {
         }
         // Refresh the consumer's published read index so the ring-full
         // check below uses fresh state, not a stale snapshot.
-        if self.out_q.len > 0 {
-            if let Some(pa) = self.translate_now(ctx, self.out_q.rd_va) {
+        let [in_q, out_q] = [self.ep[CH_CONS].q, self.ep[CH_PROD].q];
+        if out_q.len > 0 {
+            if let Some(pa) = self.translate_now(ctx, out_q.rd_va) {
                 self.known_rd = ctx.mem.read_u64(pa);
             }
         }
-        let elem = self.out_q.elem.max(8) as usize;
+        let elem = out_q.elem.max(8) as usize;
         let mut drained = 0u64;
         while wr_valid && self.stage.len() >= elem {
-            if self.out_q.len <= self.wr.wrapping_sub(self.known_rd) {
+            if out_q.len <= self.wr.wrapping_sub(self.known_rd) {
                 break; // ring full: the rest spills below
             }
-            let va = self.out_q.slot_va(self.wr);
+            let va = out_q.slot_va(self.wr);
             let data: Vec<u8> = self.stage.drain(..elem).collect();
             if let Some(pa) = self.translate_now(ctx, va) {
                 ctx.mem.write_bytes(pa, &data);
@@ -1578,50 +1483,52 @@ impl CohortEngine {
                 pa += 8;
             }
             for chunk in leftovers.chunks_exact(8) {
-                ctx.mem
-                    .write_u64(pa, u64::from_le_bytes(chunk.try_into().expect("word")));
+                ctx.mem.write_u64(pa, word_at(chunk, 0));
                 pa += 8;
             }
         }
         // Republish both indices: an UpdateRd/UpdateWr that died in
         // flight is functionally completed here, and memory becomes the
         // single source of truth for the checkpoint.
-        if rd_valid && self.in_q.len > 0 {
-            if let Some(pa) = self.translate_now(ctx, self.in_q.rd_va) {
+        if rd_valid && in_q.len > 0 {
+            if let Some(pa) = self.translate_now(ctx, in_q.rd_va) {
                 ctx.mem.write_u64(pa, self.rd);
             }
         }
-        if wr_valid && self.out_q.len > 0 {
-            if let Some(pa) = self.translate_now(ctx, self.out_q.wr_va) {
+        if wr_valid && out_q.len > 0 {
+            if let Some(pa) = self.translate_now(ctx, out_q.wr_va) {
                 ctx.mem.write_u64(pa, self.wr);
             }
         }
         drained
     }
 
-    /// True while the consumer endpoint waits on software, not hardware:
-    /// such a wait restarts the watchdog timer at every step.
-    fn cons_benign(&self, dead: bool) -> bool {
-        !dead
-            && matches!(
-                self.cons,
-                ConsState::Off | ConsState::Waiting | ConsState::Halted
-            )
+    /// The state labels of the two machines, by side (trace span names).
+    fn labels(&self) -> [&'static str; 2] {
+        [self.cons.label(), self.prod.label()]
     }
 
-    /// The producer-side counterpart of [`CohortEngine::cons_benign`].
-    fn prod_benign(&self, dead: bool) -> bool {
+    /// True while `side` waits on software, not hardware: such a wait
+    /// restarts the watchdog timer at every step.
+    fn benign(&self, side: usize, dead: bool) -> bool {
         !dead
-            && (matches!(self.prod, ProdState::Off | ProdState::Halted)
-                || (matches!(self.prod, ProdState::Collect)
-                    && self.stage.len() < self.out_q.elem as usize))
+            && if side == CH_CONS {
+                matches!(
+                    self.cons,
+                    ConsState::Off | ConsState::Waiting | ConsState::Halted
+                )
+            } else {
+                matches!(self.prod, ProdState::Off | ProdState::Halted)
+                    || (matches!(self.prod, ProdState::Collect)
+                        && self.stage.len() < self.ep[CH_PROD].q.elem as usize)
+            }
     }
 
     /// The per-direction forward-progress watchdog. "Progress" is a
     /// change in the endpoint's observable signature (state label, element
-    /// counter, channel offset); benign waiting states reset the timer. A
-    /// budget overrun aborts the in-flight transaction, drains staged
-    /// output, and latches the direction's watchdog error bit.
+    /// counter, channel offset, staged bytes); benign waiting states reset
+    /// the timer. A budget overrun aborts the in-flight transaction, drains
+    /// staged output, and latches the direction's watchdog error bit.
     fn check_watchdog(&mut self, ctx: &mut Ctx<'_>) {
         if self.watchdog_cycles == 0 || self.error_status != 0 {
             return;
@@ -1630,51 +1537,31 @@ impl CohortEngine {
         // wait is a wedge once the engine is dead, so the dead-man's
         // handle always fires within one budget of the kill.
         let dead = self.killed();
-        let cons_sig = (
-            self.cons.label(),
-            self.counters.consumed.get(),
-            self.channels[CH_CONS].offset,
-        );
-        if self.cons_benign(dead) || cons_sig != self.cons_sig {
-            self.cons_sig = cons_sig;
-            self.cons_progress_at = ctx.cycle;
+        let labels = self.labels();
+        let moved = [self.counters.consumed.get(), self.counters.produced.get()];
+        let staged = [0, self.stage.len()];
+        let mut bits = 0;
+        for side in [CH_CONS, CH_PROD] {
+            let offset = self.ep[side].ch.offset;
+            let sig = (labels[side], moved[side], offset, staged[side]);
+            if self.benign(side, dead) || sig != self.ep[side].sig {
+                self.ep[side].sig = sig;
+                self.ep[side].progress_at = ctx.cycle;
+            }
+            if ctx.cycle.saturating_sub(self.ep[side].progress_at) > self.watchdog_cycles {
+                bits |= [regs::ERR_WATCHDOG_CONS, regs::ERR_WATCHDOG_PROD][side];
+            }
         }
-        let prod_sig = (
-            self.prod.label(),
-            self.counters.produced.get(),
-            self.channels[CH_PROD].offset,
-            self.stage.len(),
-        );
-        if self.prod_benign(dead) || prod_sig != self.prod_sig {
-            self.prod_sig = prod_sig;
-            self.prod_progress_at = ctx.cycle;
-        }
-        let cons_tripped = ctx.cycle.saturating_sub(self.cons_progress_at) > self.watchdog_cycles;
-        let prod_tripped = ctx.cycle.saturating_sub(self.prod_progress_at) > self.watchdog_cycles;
-        if !cons_tripped && !prod_tripped {
+        if bits == 0 {
             return;
         }
         self.counters.watchdog_trips.inc();
-        if let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) {
-            trace.instant(
-                self.tid,
-                "fault",
-                "watchdog_trip",
-                ctx.cycle,
-                vec![
-                    ("cons", self.cons.label().into()),
-                    ("prod", self.prod.label().into()),
-                ],
-            );
-        }
+        let args = vec![
+            ("cons", labels[CH_CONS].into()),
+            ("prod", labels[CH_PROD].into()),
+        ];
+        self.trace_fault("watchdog_trip", ctx.cycle, args);
         self.watchdog_drain(ctx);
-        let mut bits = 0;
-        if cons_tripped {
-            bits |= regs::ERR_WATCHDOG_CONS;
-        }
-        if prod_tripped {
-            bits |= regs::ERR_WATCHDOG_PROD;
-        }
         if dead {
             bits |= regs::ERR_ENGINE_DEAD;
             if let Some(at) = self.dead_since {
@@ -1722,40 +1609,21 @@ impl ProdState {
 }
 
 impl CohortEngine {
-    /// Emits state-residency spans when the consumer/producer state
-    /// machines changed label this step, and advances the enter stamps.
-    fn trace_state_spans(&mut self, cycle: u64, prev_cons: &'static str, prev_prod: &'static str) {
-        let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) else {
-            // Keep the stamps fresh so spans are correct once enabled.
-            if self.cons.label() != prev_cons {
-                self.cons_since = cycle;
+    /// Emits a state-residency span for each state machine that changed
+    /// label this step, and advances the enter stamps (also with tracing
+    /// off, so spans are correct once it is enabled).
+    fn trace_state_spans(&mut self, cycle: u64, prev: [&'static str; 2]) {
+        let now = self.labels();
+        for side in [CH_CONS, CH_PROD] {
+            if now[side] == prev[side] {
+                continue;
             }
-            if self.prod.label() != prev_prod {
-                self.prod_since = cycle;
+            let since = std::mem::replace(&mut self.ep[side].since, cycle);
+            if let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) {
+                let dur = cycle.saturating_sub(since).max(1);
+                let args = vec![("next", now[side].into())];
+                trace.complete(self.tid, "engine", prev[side], since, dur, args);
             }
-            return;
-        };
-        if self.cons.label() != prev_cons {
-            trace.complete(
-                self.tid,
-                "engine",
-                prev_cons,
-                self.cons_since,
-                cycle.saturating_sub(self.cons_since).max(1),
-                vec![("next", self.cons.label().into())],
-            );
-            self.cons_since = cycle;
-        }
-        if self.prod.label() != prev_prod {
-            trace.complete(
-                self.tid,
-                "engine",
-                prev_prod,
-                self.prod_since,
-                cycle.saturating_sub(self.prod_since).max(1),
-                vec![("next", self.prod.label().into())],
-            );
-            self.prod_since = cycle;
         }
     }
 }
@@ -1847,9 +1715,7 @@ impl Component for CohortEngine {
             // and the watchdog is what detects the wedge.
             if self.dead_since.is_none() {
                 self.dead_since = Some(ctx.cycle);
-                if let Some(trace) = self.trace.as_ref().filter(|t| t.is_enabled()) {
-                    trace.instant(self.tid, "fault", "fail_stop", ctx.cycle, vec![]);
-                }
+                self.trace_fault("fail_stop", ctx.cycle, vec![]);
             }
             self.check_watchdog(ctx);
             return;
@@ -1863,11 +1729,11 @@ impl Component for CohortEngine {
         if !self.stalled(ctx.cycle) {
             self.accel.step(ctx.cycle);
         }
-        let (prev_cons, prev_prod) = (self.cons.label(), self.prod.label());
+        let prev = self.labels();
         self.step_consumer(ctx);
         self.step_producer(ctx);
         self.check_watchdog(ctx);
-        self.trace_state_spans(ctx.cycle, prev_cons, prev_prod);
+        self.trace_state_spans(ctx.cycle, prev);
         if let Some((t0, base)) = self.resume_watch {
             if self.counters.produced.get() > base {
                 self.failover_resume.record(ctx.cycle.saturating_sub(t0));
@@ -1903,7 +1769,7 @@ impl Component for CohortEngine {
             // and faults resolve via port messages, whose delivery forces
             // a stepped cycle anyway.
             let chan = |i: usize| -> u64 {
-                let ch = &self.channels[i];
+                let ch = &self.ep[i].ch;
                 if ch.op.is_none() || ch.done {
                     return u64::MAX; // nothing in flight / endpoint's move
                 }
@@ -1915,11 +1781,11 @@ impl Component for CohortEngine {
             };
             // An endpoint mid-transfer is frozen until its channel either
             // completes (`done`, consumed next step) or frees up.
-            let actionable = |i: usize| self.channels[i].op.is_none() || self.channels[i].done;
+            let actionable = |i: usize| self.ep[i].ch.op.is_none() || self.ep[i].ch.done;
             let cons = match self.cons {
                 ConsState::Off | ConsState::Halted => u64::MAX,
                 ConsState::Waiting => {
-                    if self.rcm_in_pending() {
+                    if self.rcm_pending(CH_CONS) {
                         1
                     } else {
                         // Wakes only when the pinned rd line is touched,
@@ -1929,7 +1795,7 @@ impl Component for CohortEngine {
                 }
                 ConsState::Backoff { until } => until.saturating_sub(now),
                 ConsState::Feed { fed, .. } => {
-                    if fed < self.channels[CH_CONS].buf.len() {
+                    if fed < self.ep[CH_CONS].ch.buf.len() {
                         if self.stalled(now) {
                             // Frozen feed; the un-stall edge is a fault
                             // window the SoC injector term bounds.
@@ -1965,7 +1831,7 @@ impl Component for CohortEngine {
                     // A full element acts (or counts a full-stall) every
                     // cycle; a partial one waits on accelerator output,
                     // which the accel bound below covers.
-                    if self.stage.len() >= self.out_q.elem as usize {
+                    if self.stage.len() >= self.ep[CH_PROD].q.elem as usize {
                         1
                     } else {
                         u64::MAX
@@ -2005,11 +1871,11 @@ impl Component for CohortEngine {
             // Bound the skip to the trip cycle of any non-benign endpoint
             // (benign sides reset their timer at every stepped cycle and
             // can never trip).
-            if !self.cons_benign(dead) {
-                k = k.min((self.cons_progress_at + self.watchdog_cycles + 1).saturating_sub(now));
-            }
-            if !self.prod_benign(dead) {
-                k = k.min((self.prod_progress_at + self.watchdog_cycles + 1).saturating_sub(now));
+            for side in [CH_CONS, CH_PROD] {
+                if !self.benign(side, dead) {
+                    let trip = self.ep[side].progress_at + self.watchdog_cycles + 1;
+                    k = k.min(trip.saturating_sub(now));
+                }
             }
         }
         k.max(1)
@@ -2031,11 +1897,10 @@ impl Component for CohortEngine {
         // killed in its sleep and must then trip one budget after its
         // last benign cycle, not after the last cycle it was stepped.
         if self.watchdog_cycles != 0 && self.error_status == 0 {
-            if self.cons_benign(false) {
-                self.cons_progress_at += skipped;
-            }
-            if self.prod_benign(false) {
-                self.prod_progress_at += skipped;
+            for side in [CH_CONS, CH_PROD] {
+                if self.benign(side, false) {
+                    self.ep[side].progress_at += skipped;
+                }
             }
         }
     }
@@ -2053,14 +1918,14 @@ impl Component for CohortEngine {
         // clears ERROR_STATUS, regardless of residual staged data.
         let halted =
             matches!(self.cons, ConsState::Halted) && matches!(self.prod, ProdState::Halted);
-        self.channels.iter().all(Channel::idle)
+        self.ep.iter().all(|ep| ep.ch.idle())
             && self.port.is_idle()
             && (halted
                 || (matches!(self.cons, ConsState::Waiting | ConsState::Off)
                     && matches!(self.prod, ProdState::Collect | ProdState::Off)
-                    && !self.rcm_in_pending()
-                    && self.stage.len() < self.out_q.elem as usize
-                    && self.accel.is_idle(0)))
+                    && !self.rcm_pending(CH_CONS)
+                    && self.stage.len() < self.ep[CH_PROD].q.elem as usize
+                    && self.accel.is_idle()))
     }
 
     fn counters(&self) -> Vec<(String, u64)> {

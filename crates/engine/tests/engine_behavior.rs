@@ -216,6 +216,29 @@ fn null_accelerator_streams_words_in_order() {
     assert_eq!(rig.engine_counter("produced"), 32);
 }
 
+/// `SPILL_PA` points into guest memory, so the two counts the enable
+/// sequence reads there are outside input. Counts whose sum wraps are not
+/// a spill image: the enable must ignore them, not restore 2^64 words.
+#[test]
+fn garbage_spill_image_is_ignored_on_enable() {
+    let mut rig = rig(Box::new(NullFifo::new()));
+    let in_q = rig.alloc_queue(8, 8);
+    let out_q = rig.alloc_queue(8, 8);
+    let spill_pa = rig.frames.alloc();
+    rig.soc.mem.write_u64(spill_pa, u64::MAX);
+    rig.soc.mem.write_u64(spill_pa + 8, 2);
+    let words = [11, 22, 33, 44];
+    let root = rig.space.root_pa();
+    let mut p = rig.driver.spill_ops(spill_pa);
+    p.append(stream_program(&rig.driver, root, &in_q, &out_q, &words, 4));
+    rig.load(p);
+    rig.run();
+    let core = rig.soc.component::<InOrderCore>(rig.core).unwrap();
+    assert_eq!(core.recorded(), &words[..]);
+    assert_eq!(rig.engine_counter("consumed"), 4);
+    assert_eq!(rig.engine_counter("produced"), 4);
+}
+
 #[test]
 fn sha_engine_digest_is_correct() {
     let mut rig = rig(Box::new(Sha256Accel::new()));

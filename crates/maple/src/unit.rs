@@ -221,19 +221,7 @@ impl MapleUnit {
             return;
         }
         match off {
-            regs::PUSH => {
-                // Accept if the accelerator is ready; otherwise hold the
-                // response (the core stalls — §2.1 semantics). An injected
-                // stall holds `ready` low.
-                if self.accel.ready(ctx.cycle) && !self.stalled(ctx.cycle) {
-                    self.accel.push_word(value);
-                    self.counters.mmio_pushes.inc();
-                    ctx.send_delayed(src, Msg::MmioWriteResp { tag }, self.mmio_latency);
-                } else {
-                    self.held.push_back(HeldMmio::Push { src, tag, value });
-                }
-                return;
-            }
+            regs::PUSH => return self.arrive(ctx, HeldMmio::Push { src, tag, value }),
             regs::CSR_DATA => {
                 self.csr_stage.extend_from_slice(&value.to_le_bytes());
             }
@@ -284,78 +272,62 @@ impl MapleUnit {
             return;
         }
         match off {
-            regs::POP => {
-                if self.stalled(ctx.cycle) {
-                    // Producer valid held low by the injected stall.
-                    self.held.push_back(HeldMmio::Pop { src, tag });
-                } else if let Some(w) = self.accel.pop_word(ctx.cycle) {
-                    self.counters.mmio_pops.inc();
-                    ctx.send_delayed(src, Msg::MmioReadResp { tag, value: w }, self.mmio_latency);
-                } else {
-                    self.held.push_back(HeldMmio::Pop { src, tag });
-                }
-            }
-            regs::DMA_DONE => {
-                if self.dma_state == DmaState::Idle {
-                    ctx.send_delayed(
-                        src,
-                        Msg::MmioReadResp {
-                            tag,
-                            value: self.dst_off,
-                        },
-                        self.mmio_latency,
-                    );
-                } else {
-                    self.held.push_back(HeldMmio::Done { src, tag });
-                }
-            }
+            regs::POP => self.arrive(ctx, HeldMmio::Pop { src, tag }),
+            regs::DMA_DONE => self.arrive(ctx, HeldMmio::Done { src, tag }),
             other => panic!("MAPLE read of unknown register offset {other:#x}"),
         }
     }
 
-    /// Serves held (blocking) MMIO requests that can now complete.
-    fn serve_held(&mut self, ctx: &mut Ctx<'_>) {
-        let mut remaining = VecDeque::new();
-        while let Some(h) = self.held.pop_front() {
-            match h {
-                HeldMmio::Push { src, tag, value } => {
-                    if self.accel.ready(ctx.cycle) {
-                        self.accel.push_word(value);
-                        self.counters.mmio_pushes.inc();
-                        ctx.send_delayed(src, Msg::MmioWriteResp { tag }, self.mmio_latency);
-                    } else {
-                        remaining.push_back(h);
-                    }
+    /// One handshake of a blocking request: a push needs the accelerator
+    /// ready, a pop needs an output word, a completion poll needs the DMA
+    /// idle. Answers it and returns true, or returns false with nothing
+    /// changed — the response is held and the core stalls (§2.1 semantics).
+    fn try_serve(&mut self, ctx: &mut Ctx<'_>, h: HeldMmio) -> bool {
+        let (src, resp) = match h {
+            HeldMmio::Push { src, tag, value } => {
+                if !self.accel.ready(ctx.cycle) {
+                    return false;
                 }
-                HeldMmio::Pop { src, tag } => {
-                    if let Some(w) = self.accel.pop_word(ctx.cycle) {
-                        self.counters.mmio_pops.inc();
-                        ctx.send_delayed(
-                            src,
-                            Msg::MmioReadResp { tag, value: w },
-                            self.mmio_latency,
-                        );
-                    } else {
-                        remaining.push_back(h);
-                    }
-                }
-                HeldMmio::Done { src, tag } => {
-                    if self.dma_state == DmaState::Idle {
-                        ctx.send_delayed(
-                            src,
-                            Msg::MmioReadResp {
-                                tag,
-                                value: self.dst_off,
-                            },
-                            self.mmio_latency,
-                        );
-                    } else {
-                        remaining.push_back(h);
-                    }
-                }
+                self.accel.push_word(value);
+                self.counters.mmio_pushes.inc();
+                (src, Msg::MmioWriteResp { tag })
             }
+            HeldMmio::Pop { src, tag } => {
+                let Some(value) = self.accel.pop_word(ctx.cycle) else {
+                    return false;
+                };
+                self.counters.mmio_pops.inc();
+                (src, Msg::MmioReadResp { tag, value })
+            }
+            HeldMmio::Done { src, tag } => {
+                if self.dma_state != DmaState::Idle {
+                    return false;
+                }
+                let value = self.dst_off;
+                (src, Msg::MmioReadResp { tag, value })
+            }
+        };
+        ctx.send_delayed(src, resp, self.mmio_latency);
+        true
+    }
+
+    /// A blocking request arrives: served at once if it can be, else held.
+    /// An injected stall holds valid/ready low across the accelerator
+    /// interface, so a push or pop waits it out; `DMA_DONE` does not cross
+    /// that interface and is answered whenever the DMA is idle.
+    fn arrive(&mut self, ctx: &mut Ctx<'_>, h: HeldMmio) {
+        let gated = !matches!(h, HeldMmio::Done { .. }) && self.stalled(ctx.cycle);
+        if gated || !self.try_serve(ctx, h) {
+            self.held.push_back(h);
         }
-        self.held = remaining;
+    }
+
+    /// Serves held (blocking) MMIO requests that can now complete; the
+    /// rest stay held in arrival order.
+    fn serve_held(&mut self, ctx: &mut Ctx<'_>) {
+        let mut held = std::mem::take(&mut self.held);
+        held.retain(|&h| !self.try_serve(ctx, h));
+        self.held = held;
     }
 
     /// Starts a translated coherent access; returns false if one is
@@ -476,11 +448,11 @@ impl MapleUnit {
     }
 
     /// Everything was read, fed, computed and written back.
-    fn dma_finished(&self, cycle: u64) -> bool {
+    fn dma_finished(&self) -> bool {
         self.src_off >= self.dma_len
             && self.in_buf.is_empty()
             && self.fed * 8 >= self.dma_len
-            && self.accel.is_idle(cycle)
+            && self.accel.is_idle()
             && self.out_stage.is_empty()
             && matches!(self.access, Access::None)
     }
@@ -518,7 +490,7 @@ impl MapleUnit {
                 self.out_stage.extend_from_slice(&w.to_le_bytes());
             }
         }
-        if self.dma_finished(ctx.cycle) {
+        if self.dma_finished() {
             self.dma_state = DmaState::Idle;
             self.counters.dma_transfers.inc();
         }
@@ -624,7 +596,7 @@ impl Component for MapleUnit {
             let slot_free = matches!(self.access, Access::None);
             if (slot_free && (self.dma_wants_flush() || self.dma_wants_fetch()))
                 || (self.in_buf.len() >= 8 && self.accel.ready(now))
-                || self.dma_finished(now)
+                || self.dma_finished()
             {
                 return 1;
             }

@@ -236,12 +236,6 @@ impl CohortDriver {
         }
     }
 
-    /// Overrides the syscall cost model.
-    pub fn with_cost(mut self, cost: SyscallCost) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The engine's register bank base.
     pub fn mmio_base(&self) -> u64 {
         self.mmio_base

@@ -109,53 +109,12 @@ impl TagArray {
     }
 
     /// Inserts `line` in `state`, evicting the LRU victim of the set if the
-    /// set is full. Returns the evicted `(line, state)` if any.
+    /// set is full, but never a victim for which `busy` returns true (e.g.
+    /// lines with an in-flight directory transaction). Returns the evicted
+    /// `(line, state)` if any, or `Err(())` if the set is full of busy
+    /// lines; the caller should retry later.
     ///
     /// If the line is already resident its state is overwritten instead.
-    pub fn insert(&mut self, line: u64, state: LineState) -> Option<(u64, LineState)> {
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_slice(line);
-        // Already resident: update in place.
-        for e in self.entries[range.clone()].iter_mut().flatten() {
-            if e.tag == line {
-                e.state = state;
-                e.lru = tick;
-                return None;
-            }
-        }
-        // Free way?
-        for slot in self.entries[range.clone()].iter_mut() {
-            if slot.is_none() {
-                *slot = Some(Entry {
-                    tag: line,
-                    state,
-                    lru: tick,
-                });
-                return None;
-            }
-        }
-        // Evict LRU.
-        let victim_idx = self.entries[range.clone()]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.as_ref().map_or(u64::MAX, |e| e.lru))
-            .map(|(i, _)| i)
-            .expect("non-empty set");
-        let slot = &mut self.entries[range.start + victim_idx];
-        let victim = slot.take().map(|e| (e.tag, e.state));
-        *slot = Some(Entry {
-            tag: line,
-            state,
-            lru: tick,
-        });
-        victim
-    }
-
-    /// Like [`TagArray::insert`], but never evicts a victim for which
-    /// `busy` returns true (e.g. lines with an in-flight directory
-    /// transaction). Returns `Err(())` if the set is full of busy lines;
-    /// the caller should retry later.
     #[allow(clippy::result_unit_err)]
     pub fn insert_with_victim_filter(
         &mut self,
@@ -166,6 +125,7 @@ impl TagArray {
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_slice(line);
+        // Already resident: update in place.
         for e in self.entries[range.clone()].iter_mut().flatten() {
             if e.tag == line {
                 e.state = state;
@@ -173,6 +133,7 @@ impl TagArray {
                 return Ok(None);
             }
         }
+        // Free way?
         for slot in self.entries[range.clone()].iter_mut() {
             if slot.is_none() {
                 *slot = Some(Entry {
@@ -183,6 +144,7 @@ impl TagArray {
                 return Ok(None);
             }
         }
+        // Evict the LRU line that is not busy.
         let victim_idx = self.entries[range.clone()]
             .iter()
             .enumerate()
@@ -229,11 +191,17 @@ mod tests {
         TagArray::new(CacheConfig::new(4 * LINE_BYTES, 2))
     }
 
+    /// An insert with no busy lines: it can always pick a victim.
+    fn insert(t: &mut TagArray, line: u64, state: LineState) -> Option<(u64, LineState)> {
+        t.insert_with_victim_filter(line, state, |_| false)
+            .expect("no line is busy")
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut t = tiny();
         assert_eq!(t.state(0x40), None);
-        assert_eq!(t.insert(0x40, LineState::S), None);
+        assert_eq!(insert(&mut t, 0x40, LineState::S), None);
         assert_eq!(t.state(0x40), Some(LineState::S));
         assert!(t.set_state(0x40, LineState::M));
         assert_eq!(t.state(0x40), Some(LineState::M));
@@ -243,10 +211,10 @@ mod tests {
     fn eviction_is_lru_within_set() {
         let mut t = tiny();
         // Lines 0, 0x80, 0x100 all map to set 0 (stride = sets*64 = 128).
-        assert_eq!(t.insert(0x000, LineState::S), None);
-        assert_eq!(t.insert(0x100, LineState::S), None);
+        assert_eq!(insert(&mut t, 0x000, LineState::S), None);
+        assert_eq!(insert(&mut t, 0x100, LineState::S), None);
         t.touch(0x000); // make 0x100 the LRU
-        let evicted = t.insert(0x200, LineState::M);
+        let evicted = insert(&mut t, 0x200, LineState::M);
         assert_eq!(evicted, Some((0x100, LineState::S)));
         assert!(t.contains(0x000));
         assert!(t.contains(0x200));
@@ -255,7 +223,7 @@ mod tests {
     #[test]
     fn remove_returns_state() {
         let mut t = tiny();
-        t.insert(0x40, LineState::M);
+        insert(&mut t, 0x40, LineState::M);
         assert_eq!(t.remove(0x40), Some(LineState::M));
         assert_eq!(t.remove(0x40), None);
     }
@@ -263,8 +231,8 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place() {
         let mut t = tiny();
-        t.insert(0x40, LineState::S);
-        assert_eq!(t.insert(0x40, LineState::M), None);
+        insert(&mut t, 0x40, LineState::S);
+        assert_eq!(insert(&mut t, 0x40, LineState::M), None);
         assert_eq!(t.len(), 1);
         assert_eq!(t.state(0x40), Some(LineState::M));
     }
@@ -273,9 +241,9 @@ mod tests {
     fn different_sets_do_not_conflict() {
         let mut t = tiny();
         // 0x00 -> set 0, 0x40 -> set 1 for 2-set geometry.
-        t.insert(0x00, LineState::S);
-        t.insert(0x40, LineState::S);
-        t.insert(0x80, LineState::S); // set 0 again
+        insert(&mut t, 0x00, LineState::S);
+        insert(&mut t, 0x40, LineState::S);
+        insert(&mut t, 0x80, LineState::S); // set 0 again
         assert_eq!(t.len(), 3);
     }
 }

@@ -191,12 +191,6 @@ impl SocConfig {
         self
     }
 
-    /// Convenience builder-style override of the timing constants.
-    pub fn with_timing(mut self, timing: TimingConfig) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// Convenience builder-style override of the engine-pool size.
     pub fn with_engines(mut self, n: usize) -> Self {
         self.engines = n;

@@ -493,11 +493,6 @@ impl FaultState {
         self.stall_until.store(until, Ordering::Relaxed);
     }
 
-    /// Clears an accelerator stall.
-    pub fn clear_accel_stall(&self) {
-        self.stall_until.store(0, Ordering::Relaxed);
-    }
-
     /// True while the accelerator interface is held low.
     pub fn accel_stalled(&self, cycle: u64) -> bool {
         cycle < self.stall_until.load(Ordering::Relaxed)
@@ -1129,8 +1124,6 @@ mod tests {
         assert!(!fs.accel_stalled(100));
         fs.stall_accel(FOREVER);
         assert!(fs.accel_stalled(u64::MAX - 1));
-        fs.clear_accel_stall();
-        assert!(!fs.accel_stalled(0));
 
         assert_eq!(fs.latency_factor(0), 1);
         fs.set_latency_spike(50, 8);

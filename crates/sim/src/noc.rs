@@ -241,16 +241,6 @@ impl Noc {
         self.heap.is_empty()
     }
 
-    /// Total messages delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.get()
-    }
-
-    /// Total flits injected so far (1 head flit + 1 per 8 payload bytes).
-    pub fn flits(&self) -> u64 {
-        self.flits.get()
-    }
-
     /// Per-message latency distribution (cycles from injection to
     /// delivery, including sender-side delay).
     pub fn hop_latency(&self) -> &Histogram {

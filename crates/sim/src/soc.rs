@@ -785,16 +785,6 @@ impl Soc {
             .collect()
     }
 
-    /// Total messages the NoC has delivered.
-    pub fn noc_delivered(&self) -> u64 {
-        self.noc.delivered()
-    }
-
-    /// Total flits the NoC has carried.
-    pub fn noc_flits(&self) -> u64 {
-        self.noc.flits()
-    }
-
     /// The stats registry rendered as JSON (see [`Stats::to_json`]).
     pub fn stats_json(&self) -> String {
         self.stats.to_json()

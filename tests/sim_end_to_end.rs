@@ -157,6 +157,26 @@ fn huge_pages_reduce_tlb_misses() {
 }
 
 #[test]
+fn shared_mte_verifies_and_is_no_faster_at_queue_256() {
+    // Fig. 6's single MTE (`TimingConfig::mte_shared`): the endpoints take
+    // turns on it. The output is the same; at this size the turn-taking
+    // costs cycles (SHA 43,821 vs 43,755, AES 64,871 vs 60,871).
+    for wl in [Workload::Sha, Workload::Aes] {
+        let split = Scenario::new(wl, 256, 8);
+        let mut shared = split.clone();
+        shared.soc.timing.mte_shared = true;
+        let (split, shared) = (run_cohort(&split), run_cohort(&shared));
+        assert!(split.verified && shared.verified, "{wl:?}");
+        assert!(
+            shared.cycles >= split.cycles,
+            "{wl:?}: shared {} vs split {}",
+            shared.cycles,
+            split.cycles
+        );
+    }
+}
+
+#[test]
 fn rcm_observes_invalidations() {
     let r = run_cohort(&Scenario::new(Workload::Sha, 256, 16));
     let invs = r.counter("engine", "rcm_invalidations").unwrap();
