@@ -5,8 +5,9 @@
 //!     [--queue N] [--threads LIST] [--reps N] [--out FILE] [--check]
 //! ```
 //!
-//! Runs the sharded-AES scenario and the 16-core big.LITTLE mesh at each
-//! host-thread count in LIST (default `1,2,4,8`), measures sim-cycles per
+//! Runs the sharded-AES scenario, the 16-core big.LITTLE mesh and the
+//! single-engine Cohort SHA run at each host-thread count in LIST
+//! (default `1,2,4,8`), measures sim-cycles per
 //! wall-second, and writes a markdown report (default
 //! `results/simperf.md`). Every multi-threaded run's checksum is asserted
 //! bit-identical to the single-threaded run of the same scenario — the
@@ -22,11 +23,13 @@
 //! really step fewer than 60% of its slots on the cycles it does step
 //! (per-slot sleep) and to keep silent steps (nothing received, nothing
 //! staged, hint back at 1) under 50% of those, and the mesh16 case to
-//! batch at least 1.4x fewer barriers, with barriers + fast-forwarded
-//! cycles still adding up to the forced-1 cycle count on both.
+//! batch at least 1.4x fewer barriers and the single-engine case — one
+//! core that mostly spins on its output index, asleep until the
+//! invalidation — at least 4x fewer, with barriers + fast-forwarded
+//! cycles still adding up to the forced-1 cycle count on all three.
 
 use cohort::scenarios::{
-    mesh16_scenario, run_cohort_sharded, RunResult, Scenario, ShardSpec, Workload,
+    mesh16_scenario, run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload,
 };
 use cohort_sim::config::{Lookahead, SocConfig};
 use std::time::Instant;
@@ -46,12 +49,15 @@ struct Measured {
     best_wall: f64,
 }
 
-/// A named scenario constructor, so both benchmarks share the measure /
+/// A named scenario constructor, so every benchmark shares the measure /
 /// report / assert pipeline.
 struct Case {
     name: &'static str,
+    runner: Runner,
     scenario: Scenario,
-    spec: ShardSpec,
+    spec: Option<ShardSpec>,
+    /// `--check` floor on forced-1 barriers over batched barriers.
+    need_drop: f64,
 }
 
 fn cases(queue: u64) -> Vec<Case> {
@@ -61,13 +67,29 @@ fn cases(queue: u64) -> Vec<Case> {
     let mut out = vec![
         Case {
             name: "sharded-aes (4 engines)",
+            runner: Runner::Sharded,
             scenario: sharded,
-            spec: ShardSpec::new(4),
+            spec: Some(ShardSpec::new(4)),
+            need_drop: 3.0,
         },
+        // Back-pressured store buffers used to pin mesh16 at 1.0x.
         Case {
             name: "mesh16 big.LITTLE",
+            runner: Runner::Sharded,
             scenario: mesh,
-            spec: mesh_spec,
+            spec: Some(mesh_spec),
+            need_drop: 1.4,
+        },
+        // One engine, one core that spins on the output index between
+        // batches: where sleeping through the spin loop matters most.
+        // 2.2x at queue 1024 and 2.7x at 256 while the spinning core was
+        // stepped, 5.0x and 5.9x since it sleeps until the invalidation.
+        Case {
+            name: "cohort-sha (1 engine)",
+            runner: Runner::Cohort,
+            scenario: Scenario::new(Workload::Sha, queue, 64),
+            spec: None,
+            need_drop: 4.0,
         },
     ];
     // Batching pays off in latency-bound phases (accelerator compute
@@ -80,8 +102,10 @@ fn cases(queue: u64) -> Vec<Case> {
         small.soc = SocConfig::default().with_engines(4);
         out.push(Case {
             name: "sharded-aes latency-bound (queue 256)",
+            runner: Runner::Sharded,
             scenario: small,
-            spec: ShardSpec::new(4),
+            spec: Some(ShardSpec::new(4)),
+            need_drop: 3.0,
         });
     }
     out
@@ -98,7 +122,7 @@ fn measure(case: &Case, threads: usize, reps: usize, lookahead: Lookahead) -> Me
     let mut result = None;
     for _ in 0..reps.max(1) {
         let start = Instant::now();
-        let r = run_cohort_sharded(&scenario, &case.spec).unwrap_or_else(|e| {
+        let r = run_scenario(case.runner, &scenario, case.spec.as_ref()).unwrap_or_else(|e| {
             eprintln!("simperf: {e}");
             std::process::exit(2);
         });
@@ -304,18 +328,12 @@ fn main() {
         );
         println!("  {silent_line}");
         report.push_str(&format!("{silent_line}.\n\n"));
-        // Back-pressured store buffers used to pin mesh16 at 1.0x.
-        let need_drop = if case.name.starts_with("sharded-aes") {
-            3.0
-        } else {
-            1.4
-        };
-        if check && barrier_drop < need_drop {
+        if check && barrier_drop < case.need_drop {
             all_ok = false;
             eprintln!(
                 "simperf: BATCHING REGRESSION: {} barrier activations dropped only \
-                 {barrier_drop:.2}x vs forced-1 (need >= {need_drop}x)",
-                case.name
+                 {barrier_drop:.2}x vs forced-1 (need >= {}x)",
+                case.name, case.need_drop
             );
         }
         // Forced-1 pays one barrier per simulated cycle, so its barrier

@@ -108,8 +108,8 @@ impl SimSystem {
         for (i, accel) in engine_accels.into_iter().enumerate() {
             let mmio = ENGINE_MMIO_BASE + (i as u64) * ENGINE_MMIO_STRIDE;
             let irq = COHORT_IRQ + i as u32;
-            let mut engine = CohortEngine::new(dir, &cfg, mmio, core, irq, accel);
-            engine.set_fault_state(soc.fault_state().clone());
+            let faults = soc.fault_state().clone();
+            let mut engine = CohortEngine::new(dir, &cfg, mmio, core, irq, accel, faults);
             engine.set_engine_index(i as u64);
             let tile = TileCoord::new(1, i as u16);
             let id = soc.add_component(tile, Box::new(engine));

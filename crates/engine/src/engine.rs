@@ -343,8 +343,10 @@ pub struct CohortEngine {
     /// Distribution of backoff windows actually taken (log2 buckets via
     /// the histogram's own bucketing).
     backoff_window: Histogram,
-    /// SoC-wide fault switches (accelerator stall injection).
-    fault_state: Option<FaultState>,
+    /// SoC-wide fault switches: injected accelerator stalls and
+    /// fail-stops are read from them, and the watchdog checkpoint
+    /// announces its protocol-bypassing writes through them.
+    fault_state: FaultState,
     /// This engine's index in the SoC-wide fail-stop kill mask.
     engine_index: u64,
     /// Lowest queue-binding epoch this engine may run (`EPOCH_FENCE`).
@@ -387,7 +389,11 @@ impl CohortEngine {
     /// * `mmio_base` — base physical address of the register bank (map
     ///   `mmio_base..mmio_base + regs::BANK_BYTES`);
     /// * `irq_target`/`irq_num` — where page-fault interrupts go;
-    /// * `accel` — the hosted accelerator.
+    /// * `accel` — the hosted accelerator;
+    /// * `faults` — the SoC's fault switches
+    ///   ([`cohort_sim::soc::Soc::fault_state`]). Not optional: an engine
+    ///   wired to switches of its own would announce its checkpoint
+    ///   writes to nobody.
     pub fn new(
         dir: CompId,
         cfg: &SocConfig,
@@ -395,6 +401,7 @@ impl CohortEngine {
         irq_target: CompId,
         irq_num: u32,
         accel: Box<dyn cohort_accel::Accelerator>,
+        faults: FaultState,
     ) -> Self {
         let lines = cfg.mte_lines.max(4);
         Self {
@@ -431,7 +438,7 @@ impl CohortEngine {
             err_irq_outstanding: false,
             watchdog_cycles: 0,
             backoff_window: Histogram::new(),
-            fault_state: None,
+            fault_state: faults,
             engine_index: 0,
             min_epoch: 0,
             bound_epoch: 0,
@@ -442,12 +449,6 @@ impl CohortEngine {
             failover_rebind: Histogram::new(),
             failover_resume: Histogram::new(),
         }
-    }
-
-    /// Connects the engine to the SoC-wide fault switches so injected
-    /// accelerator stalls gate the valid/ready interface.
-    pub fn set_fault_state(&mut self, faults: FaultState) {
-        self.fault_state = Some(faults);
     }
 
     /// Sets this engine's index in the SoC-wide fail-stop kill mask, so a
@@ -461,9 +462,7 @@ impl CohortEngine {
     /// model): MMIO stays serviceable so software can fence and disable
     /// the victim, and the watchdog detects the wedge.
     fn killed(&self) -> bool {
-        self.fault_state
-            .as_ref()
-            .is_some_and(|f| f.engine_killed(self.engine_index))
+        self.fault_state.engine_killed(self.engine_index)
     }
 
     /// This engine's index in the SoC (assigned at build time).
@@ -503,9 +502,7 @@ impl CohortEngine {
 
     /// True while the accelerator is held stalled by fault injection.
     fn stalled(&self, cycle: u64) -> bool {
-        self.fault_state
-            .as_ref()
-            .is_some_and(|f| f.accel_stalled(cycle))
+        self.fault_state.accel_stalled(cycle)
     }
 
     /// Emits a "fault"-category trace instant when tracing is on.
@@ -649,6 +646,8 @@ impl CohortEngine {
             let w = ctx.mem.read_u64(pa + 16 + (n_in + i) * 8);
             self.stage.extend_from_slice(&w.to_le_bytes());
         }
+        // Engine-private memory: no core reads the spill page, so this
+        // plain write needs no announcement.
         ctx.mem.write_u64(pa, 0);
         ctx.mem.write_u64(pa + 8, 0);
     }
@@ -1391,7 +1390,11 @@ impl CohortEngine {
     ///
     /// Together with the epoch fence this makes migration exactly-once:
     /// memory afterwards accounts for every element precisely once.
-    /// Returns elements flushed into the ring.
+    /// "Functionally" also means behind the coherence protocol's back —
+    /// no line is acquired, so a core spinning on the write index keeps
+    /// its copy — and the drain ends by announcing that
+    /// ([`FaultState::announce_bypass_write`]). Returns elements flushed
+    /// into the ring.
     fn watchdog_drain(&mut self, ctx: &mut Ctx<'_>) -> u64 {
         // The internal index views are only authoritative once the
         // endpoint's init reads completed; before that, memory already
@@ -1500,6 +1503,9 @@ impl CohortEngine {
                 ctx.mem.write_u64(pa, self.wr);
             }
         }
+        // Every write above is a plain store with no grant behind it: a
+        // core spinning on the write index keeps its S copy of the line.
+        self.fault_state.announce_bypass_write();
         drained
     }
 

@@ -15,7 +15,7 @@ use cohort_sim::component::TileCoord;
 use cohort_sim::config::SocConfig;
 use cohort_sim::core::{HandlerAction, InOrderCore, IrqHandler};
 use cohort_sim::directory::Directory;
-use cohort_sim::faultinject::{FaultState, FOREVER};
+use cohort_sim::faultinject::FOREVER;
 use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 
@@ -43,7 +43,8 @@ fn rig_with(cfg: SocConfig, accel: Box<dyn cohort_accel::Accelerator>) -> Rig {
     let mut core = InOrderCore::new(dir, &cfg, Program::new());
     core.set_translator(Box::new(space.translator()));
     let core = soc.add_component(TileCoord::new(0, 1), Box::new(core));
-    let engine = CohortEngine::new(dir, &cfg, ENGINE_MMIO, core, IRQ, accel);
+    let faults = soc.fault_state().clone();
+    let engine = CohortEngine::new(dir, &cfg, ENGINE_MMIO, core, IRQ, accel, faults);
     let engine = soc.add_component(TileCoord::new(1, 0), Box::new(engine));
     soc.map_mmio(ENGINE_MMIO..ENGINE_MMIO + regs::BANK_BYTES, engine);
     Rig {
@@ -599,12 +600,7 @@ fn watchdog_trips_on_stalled_accelerator() {
     let out_q = rig.alloc_queue(8, 8);
     rig.install_noop_error_handler();
     // Wedge the accelerator for the whole run.
-    let state = FaultState::default();
-    state.stall_accel(FOREVER);
-    rig.soc
-        .component_mut::<CohortEngine>(rig.engine)
-        .unwrap()
-        .set_fault_state(state);
+    rig.soc.fault_state().stall_accel(FOREVER);
     let root = rig.space.root_pa();
     let mut p = rig
         .driver
@@ -650,10 +646,6 @@ fn kill_landing_on_a_sleeping_engine_matches_forced_stepping() {
         let mut rig = rig_with(cfg, Box::new(NullFifo::new()));
         let plan = FaultPlan::default().at(12_000, FaultKind::KillEngine { engine: 0 });
         let faults = rig.soc.fault_state().clone();
-        rig.soc
-            .component_mut::<CohortEngine>(rig.engine)
-            .unwrap()
-            .set_fault_state(faults.clone());
         rig.soc.add_component(
             TileCoord::new(1, 1),
             Box::new(FaultInjector::new(&plan, faults)),

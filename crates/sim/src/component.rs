@@ -3,6 +3,7 @@
 
 use std::collections::VecDeque;
 
+use crate::faultinject::FaultState;
 use crate::msg::{Envelope, Msg};
 use crate::stage::StagedMem;
 use crate::stats::{Counter, Histogram, Stats};
@@ -138,9 +139,10 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// The observability context handed to a component when it joins a SoC
+/// The context handed to a component when it joins a SoC
 /// ([`Component::attach`]): the shared [`Stats`] registry, the shared
-/// [`Trace`] handle, and the component's scope (`name#id`).
+/// [`Trace`] handle, the shared fault switches, and the component's
+/// scope (`name#id`).
 ///
 /// Helper methods create registry entries under the component's scope, so
 /// two engines never collide on counter names.
@@ -150,6 +152,9 @@ pub struct Observability {
     pub stats: Stats,
     /// The SoC-wide event trace.
     pub trace: Trace,
+    /// The SoC-wide fault switches (a clone shares the cells): what a
+    /// component's hint may read besides the component itself.
+    pub faults: FaultState,
     /// Scope prefix (`name#id`) for registry names.
     pub scope: String,
     /// Trace thread id (the component's [`CompId`] index).
@@ -239,7 +244,9 @@ pub trait Component: Send {
     /// [`Component::fast_forward`] must then reconcile exactly. So every
     /// state that reports `N > 1` must be waiting on a timer of the
     /// component's own or on a message: a component that polls memory
-    /// must report 1 while it polls. The hint may read the component
+    /// must report 1 while it polls (but see the held-line rule below:
+    /// polling one's own coherent copy is not polling memory). The hint
+    /// may read the component
     /// itself, `now`, and the shared [`crate::faultinject::FaultState`]
     /// switches (the SoC retakes every hint when one flips or a fault
     /// window closes) — nothing else. It must also be consistent over
@@ -270,6 +277,51 @@ pub trait Component: Send {
     /// for a held pop or a running DMA whose stage has room, and a
     /// running DMA as one only if the access slot is free and wanted, a
     /// word can be fed, or the transfer is complete.
+    ///
+    /// **The held-line rule.** Polling a word of a line the agent holds in
+    /// its own coherent cache is not polling memory. The directory
+    /// invalidates that copy before it lets anyone write the line, so the
+    /// outcome of the poll can change only behind a message — the
+    /// invalidation, an inclusive recall, a fill that evicts the line, an
+    /// interrupt whose handler writes the word — or behind an *announced*
+    /// edit (next paragraph). Until then the loop is a timer pattern, and
+    /// [`Component::fast_forward`] replays it in closed form. The core
+    /// applies it to `WaitGe`: when the loop issues its load to a line it
+    /// holds and finds the word below target, it remembers the address;
+    /// while that memo stands, the state is `Ready`/`SpinDone` with the
+    /// `WaitGe` still at `pc`, the line is still held, the store buffer
+    /// is empty and no interrupt is pending, it reports `u64::MAX`. The
+    /// memo is taken afresh by every issue and dropped by a successful
+    /// check, by one of the core's own stores retiring into the polled
+    /// line (the one writer that keeps the copy), by loading a program
+    /// and by [`Component::forget_memory`]. The rule has one premise the model
+    /// does not enforce, which the NoC therefore checks: once two
+    /// coherence messages about one line between one pair of components
+    /// have been delivered out of order
+    /// ([`crate::faultinject::FaultState::line_order_broken`]), a held
+    /// copy may be one the directory has lost track of, and nobody parks
+    /// on one again.
+    ///
+    /// **The announce rule.** A write that bypasses the protocol stages a
+    /// flip. Some code stores to memory with a plain `ctx.mem.write_*`
+    /// and no grant behind it, so a cache may go on holding the line:
+    /// host logic handed the staged memory — a page-fault storm's hook
+    /// and a core's own page-fault hook (they edit page tables, and a
+    /// polled address may stop translating), an interrupt handler's
+    /// custom action (the chaos software fallback publishes the very
+    /// index its core polls) — and the engine's watchdog checkpoint (it
+    /// republishes the queue indices a core may be spinning on). The
+    /// component that runs one calls
+    /// [`crate::faultinject::FaultState::announce_bypass_write`] in the
+    /// step that stages the write: at that cycle's barrier the SoC
+    /// settles every sleeper against the memory the skipped cycles ran
+    /// under, has it forget what it remembered of memory, and takes its
+    /// hint again — the path a fault flip takes, with no switch moved. A
+    /// new bypassing writer that forgets to announce is caught in debug
+    /// builds: the core asserts on entry to every step that, if it is
+    /// still parked, its address still translates where it did and the
+    /// word is still below target, which under `Lookahead::Force1` looks
+    /// on the very cycle after the write committed.
     ///
     /// Over-stepping is always sound (the SoC may step anywhere inside
     /// the window); only an overshoot — returning `N` when the component
@@ -303,12 +355,31 @@ pub trait Component: Send {
     /// cycle for this); one `l1.hits` per line the blocked drain
     /// prefetches and holds in M, plus one LRU touch of each such line —
     /// touches only order lines, so any number of identical rounds
-    /// leaves the order of one. Engine: one sample of each occupancy
+    /// leaves the order of one. A core parked in a spin loop owes whole
+    /// iterations instead, computed from the period `max(l1_hit, 1) +
+    /// spin_alu` and never looped over: per check that fell in the window
+    /// one `spin_iters` and `spin_insts` retired, per issue one `l1.hits`
+    /// and the LRU touch, nothing for `loads` (a `WaitGe` counts none), and
+    /// `state`/`busy_until` left in the phase of the window's last event,
+    /// so that the step that follows — wherever in the iteration the
+    /// window ends — does what forced stepping does on that cycle.
+    /// Engine: one sample of each occupancy
     /// histogram and the benign endpoints' watchdog restart. MAPLE:
     /// nothing — it keeps no per-cycle books.
     fn fast_forward(&mut self, skipped: u64) {
         let _ = skipped;
     }
+
+    /// Drops whatever the component remembers about the *contents* of
+    /// memory (the core's "this word was below target" memo). The SoC
+    /// calls it on every component, after settling it and before taking
+    /// its hint again, whenever memory may have been edited outside the
+    /// coherence protocol: an announced edit or fault flip at the
+    /// barrier, a fault-window edge, run-loop entry and
+    /// [`crate::soc::Soc::step`] (harness code owns `soc.mem` between
+    /// calls). The default does nothing: a component that keeps no such
+    /// memory has nothing to forget.
+    fn forget_memory(&mut self) {}
 
     /// Performance counters exposed by this component.
     fn counters(&self) -> Vec<(String, u64)> {

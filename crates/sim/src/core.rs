@@ -10,6 +10,7 @@
 
 use crate::component::{CompId, Component, Ctx, Observability};
 use crate::config::SocConfig;
+use crate::faultinject::FaultState;
 use crate::mem::MemAccess;
 use crate::msg::Msg;
 use crate::port::{CoherentPort, Outcome, PortEvent};
@@ -184,6 +185,14 @@ pub struct InOrderCore {
     next_cycle: u64,
     spin_alu: u64,
     spin_insts: u64,
+    /// Physical address the `WaitGe` at `pc` last issued its load to, if
+    /// the line was held and the word was below target at that moment,
+    /// while nothing this core knows of can have changed either since (see
+    /// [`InOrderCore::parked`]).
+    spin_memo: Option<u64>,
+    /// The SoC's fault switches, from [`Component::attach`]: a core has
+    /// none until it joins a SoC, and nothing steps it before.
+    faults: Option<FaultState>,
     translator: Box<dyn Translator>,
     recorded: Vec<u64>,
     mmio_tag: u64,
@@ -225,6 +234,8 @@ impl InOrderCore {
             next_cycle: 0,
             spin_alu: cfg.timing.spin_alu,
             spin_insts: cfg.timing.spin_insts,
+            spin_memo: None,
+            faults: None,
             translator: Box::new(Identity),
             recorded: Vec::new(),
             mmio_tag: 0,
@@ -259,6 +270,7 @@ impl InOrderCore {
         self.busy_until = 0;
         self.sb.clear();
         self.sb_waiting = false;
+        self.spin_memo = None;
         self.recorded.clear();
         self.handler_writes.clear();
         self.irq_pending.clear();
@@ -300,10 +312,21 @@ impl InOrderCore {
             hook(&mut ctx.mem, va),
             "fatal core-side page fault at va {va:#x}"
         );
+        // The hook edits page tables behind every cache.
+        Self::announce_bypass_write(&self.faults);
         self.counters.core_faults.inc();
         self.counters.instret.add(self.trap_insts);
         self.busy_until = ctx.cycle + self.trap_cost;
         None
+    }
+
+    /// Announces host logic this core is about to run, or has just run,
+    /// against its staged memory: stores with no grant behind them.
+    fn announce_bypass_write(faults: &Option<FaultState>) {
+        let faults = faults.as_ref();
+        faults
+            .expect("a core is stepped only inside a SoC")
+            .announce_bypass_write();
     }
 
     fn sb_forward(&self, pa: u64) -> Option<u64> {
@@ -351,6 +374,76 @@ impl InOrderCore {
         }
     }
 
+    /// The spin park. `Some((va, pa, value))` while the core is inside a
+    /// `WaitGe` loop on a word of a line it holds in its own cache, seen
+    /// below target when the loop last issued its load, with nothing else
+    /// to do: the store buffer is empty and no interrupt is pending. Such
+    /// a loop cannot end by itself — the word changes only behind an
+    /// invalidation of the line or an announced protocol-bypassing edit —
+    /// so it is a timer pattern that [`InOrderCore::replay_spin`]
+    /// reproduces in closed form.
+    fn parked(&self) -> Option<(u64, u64, u64)> {
+        let pa = self.spin_memo?;
+        let &Op::WaitGe { va, value } = self.ops.get(self.pc)? else {
+            return None;
+        };
+        let in_loop = match self.state {
+            CState::Ready => true,
+            CState::SpinDone { pa: polled, .. } => polled == pa,
+            _ => false,
+        };
+        // A held line is one the directory will invalidate before the
+        // next write only while the network keeps the protocol's order.
+        let parked = in_loop
+            && self.port.state_of(pa).is_some()
+            && self.sb.is_empty()
+            && !self.sb_waiting
+            && self.irq_pending.is_empty()
+            && self.faults.as_ref().is_some_and(|f| !f.line_order_broken());
+        parked.then_some((va, pa, value))
+    }
+
+    /// What stepping a parked core through cycles `next_cycle ..
+    /// next_cycle + skipped` would have done, every check failing: the
+    /// loop issues its load, checks `max(l1_hit, 1)` cycles later and
+    /// re-issues `spin_alu` cycles after that (in the same step if 0).
+    /// Per check one `spin_iters` and `spin_insts` retired, per issue one
+    /// `l1.hits` and an LRU touch; `state`/`busy_until` are left in the
+    /// phase of the last event before the window's end.
+    fn replay_spin(&mut self, pa: u64, value: u64, skipped: u64) {
+        let (from, to) = (self.next_cycle, self.next_cycle + skipped);
+        let hit = self.port.hit_latency();
+        let to_check = hit.max(1);
+        let period = to_check + self.spin_alu;
+        // The issue that opens the first iteration: the next one, or the
+        // one that already led to `SpinDone` (it lies before `from`).
+        let first_issue = match self.state {
+            CState::SpinDone { at, .. } => at.max(from) - to_check,
+            _ => self.busy_until.max(from),
+        };
+        let first_check = first_issue + to_check;
+        // How many of `first`, `first + period`, ... lie below `x`.
+        let below = |first: u64, x: u64| x.saturating_sub(first).div_ceil(period);
+        let issues = below(first_issue, to) - below(first_issue, from);
+        let checks = below(first_check, to) - below(first_check, from);
+        if issues + checks == 0 {
+            return;
+        }
+        self.counters.spin_iters.add(checks);
+        self.counters.instret.add(checks * self.spin_insts);
+        self.port.replay_read_hits(pa, issues);
+        // A check precedes the issue of its own step (`spin_alu == 0`).
+        let last = |first: u64| first + (below(first, to) - 1) * period;
+        let last_issue = last(first_issue);
+        if below(first_check, to) > 0 && last(first_check) > last_issue {
+            self.state = CState::Ready;
+            self.busy_until = last(first_check) + self.spin_alu;
+        } else {
+            let at = last_issue + hit;
+            self.state = CState::SpinDone { at, pa, value };
+        }
+    }
+
     fn drain_sb(&mut self, ctx: &mut Ctx<'_>) {
         if self.sb.is_empty() {
             return;
@@ -366,13 +459,24 @@ impl InOrderCore {
         }
         if let Some(&(pa, value)) = self.sb.front() {
             match self.port.request(ctx, pa, true, SB_TOKEN) {
-                Outcome::Hit { .. } => {
-                    ctx.mem.write_u64(pa, value);
-                    self.sb.pop_front();
-                }
+                Outcome::Hit { .. } => self.retire_store(ctx, pa, value),
                 Outcome::Pending => self.sb_waiting = true,
                 Outcome::Retry => {}
             }
+        }
+    }
+
+    /// Writes the store buffer's head, `(pa, value)`, to memory and pops
+    /// it. The one writer that changes a line this core goes on holding
+    /// is the core itself: a spin loop on that line must look again.
+    fn retire_store(&mut self, ctx: &mut Ctx<'_>, pa: u64, value: u64) {
+        ctx.mem.write_u64(pa, value);
+        self.sb.pop_front();
+        if self
+            .spin_memo
+            .is_some_and(|polled| crate::line_of(polled) == crate::line_of(pa))
+        {
+            self.spin_memo = None;
         }
     }
 
@@ -385,8 +489,7 @@ impl InOrderCore {
                         // Write through immediately; the grant is the
                         // serialization point.
                         if let Some(&(pa, value)) = self.sb.front() {
-                            ctx.mem.write_u64(pa, value);
-                            self.sb.pop_front();
+                            self.retire_store(ctx, pa, value);
                         }
                     }
                     LOAD_TOKEN => match self.state {
@@ -423,6 +526,7 @@ impl InOrderCore {
             self.pc += 1;
             self.state = CState::Ready;
             self.busy_until = ctx.cycle + 1;
+            self.spin_memo = None; // the wait it described is over
         } else {
             self.state = CState::Ready;
             self.busy_until = ctx.cycle + self.spin_alu; // loop back edge
@@ -443,7 +547,13 @@ impl InOrderCore {
         let entry_cycles = handler.entry_cycles;
         let writes = match &mut handler.action {
             HandlerAction::MmioWrite { pa, value } => vec![(*pa, *value)],
-            HandlerAction::Custom(f) => f(&mut ctx.mem, payload, ctx.cycle),
+            HandlerAction::Custom(f) => {
+                // Host logic stores to guest memory with no grant behind
+                // it (the chaos software fallback publishes the very
+                // index this core polls).
+                Self::announce_bypass_write(&self.faults);
+                f(&mut ctx.mem, payload, ctx.cycle)
+            }
         };
         self.handler_writes.extend(writes);
         // The handler's register writes are issued after its entry cost;
@@ -529,6 +639,8 @@ impl InOrderCore {
                 self.pc += 1;
             }
             Op::WaitGe { va, value } => {
+                // What this issue finds replaces what the last one saw.
+                self.spin_memo = None;
                 let Some(pa) = self.translate(ctx, va) else {
                     return;
                 };
@@ -539,6 +651,10 @@ impl InOrderCore {
                             pa,
                             value,
                         };
+                        // Taken here, where translation and word are read
+                        // from the same memory: while the memo stands, the
+                        // check this load leads to can only fail.
+                        self.spin_memo = (ctx.mem.read_u64(pa) < value).then_some(pa);
                     }
                     Outcome::Pending => self.state = CState::WaitSpin { pa, value },
                     Outcome::Retry => self.busy_until = ctx.cycle + 1,
@@ -603,9 +719,27 @@ impl Component for InOrderCore {
             obs.adopt_counter(name, counter);
         }
         self.port.port_counters().register(obs, "l1");
+        self.faults = Some(obs.faults.clone());
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
+        // A parked core relies on every writer that bypasses the protocol
+        // announcing itself. Under `Force1` this looks every cycle, so it
+        // fires on the cycle after an unannounced edit committed.
+        #[cfg(debug_assertions)]
+        if let Some((va, pa, value)) = self.parked() {
+            let (now_pa, word) = (
+                self.translator.translate(&ctx.mem, va),
+                ctx.mem.read_u64(pa),
+            );
+            assert!(
+                now_pa == Some(pa) && word < value,
+                "core parked on {va:#x} -> {pa:#x} below {value} finds {now_pa:x?} holding {word} \
+                 at cycle {} with the line still held: a write that bypasses the coherence \
+                 protocol must announce itself (FaultState::announce_bypass_write)",
+                ctx.cycle
+            );
+        }
         self.next_cycle = ctx.cycle + 1;
         // 1. Messages.
         while let Some(env) = ctx.recv() {
@@ -695,6 +829,12 @@ impl Component for InOrderCore {
         if !self.irq_pending.is_empty() || (!self.sb.is_empty() && !self.sb_drain_blocked()) {
             return 1;
         }
+        // Polling a held line is not polling memory: only a message (Inv,
+        // recall, an evicting fill, an IRQ) or an announced edit, which
+        // re-hints everyone, ends the loop.
+        if self.parked().is_some() {
+            return u64::MAX;
+        }
         match self.state {
             // Only an inbound message (a load of a Done core's flag, an
             // IRQ) can wake these; the SoC's inbox/NoC bounds cover that.
@@ -716,6 +856,11 @@ impl Component for InOrderCore {
     }
 
     fn fast_forward(&mut self, skipped: u64) {
+        if let Some((_, pa, value)) = self.parked() {
+            self.replay_spin(pa, value, skipped);
+            self.next_cycle += skipped;
+            return;
+        }
         // Reconcile the per-cycle stall accounting (step phase 3) for the
         // skipped window. The waking step processes its message *before*
         // that accounting runs, so a wait window [enter+1, wake) under
@@ -752,6 +897,10 @@ impl Component for InOrderCore {
             self.port.replay_prefetch_polls(line, skipped);
         }
         self.next_cycle += skipped;
+    }
+
+    fn forget_memory(&mut self) {
+        self.spin_memo = None;
     }
 
     fn counters(&self) -> Vec<(String, u64)> {

@@ -452,20 +452,39 @@ fn parse_duration(s: &str) -> Result<u64, FaultSpecError> {
 /// of step order or thread placement.
 #[derive(Debug, Clone, Copy)]
 enum FaultOp {
-    StallAccel { until: u64 },
-    LatencySpike { until: u64, factor: u64 },
-    KillEngine { engine: u64 },
-    StallMaple { until: u64 },
+    StallAccel {
+        until: u64,
+    },
+    LatencySpike {
+        until: u64,
+        factor: u64,
+    },
+    KillEngine {
+        engine: u64,
+    },
+    StallMaple {
+        until: u64,
+    },
     KillMaple,
+    /// Moves no switch: a write that bypassed the coherence protocol was
+    /// staged this cycle (see [`FaultState::announce_bypass_write`]).
+    BypassWrite,
+    /// Staged by the NoC, not the injector (see
+    /// [`FaultState::line_order_broken`]).
+    LineOrderBroken,
 }
 
-/// Live fault switches shared between the injector, the NoC and the
-/// engine. Cloning shares the cells (like [`Counter`]); the default state
-/// injects nothing.
+/// Live fault switches shared between the injector, the NoC, the engine
+/// and the cores. Cloning shares the cells (like [`Counter`]); the default
+/// state injects nothing.
 ///
 /// The [`FaultInjector`] *stages* its flips (`stage_*`) and the SoC
 /// applies them at the cycle barrier (`FaultState::commit_staged`);
-/// harness code running between cycles uses the immediate setters.
+/// harness code running between cycles uses the immediate setters. Two
+/// entries are staged by others: whoever writes memory behind the
+/// coherence protocol's back ([`FaultState::announce_bypass_write`]), and
+/// the NoC when it breaks the order the protocol assumes
+/// ([`FaultState::line_order_broken`]).
 #[derive(Debug, Clone, Default)]
 pub struct FaultState {
     /// Flips staged by the injector this cycle, applied at the barrier.
@@ -484,6 +503,9 @@ pub struct FaultState {
     maple_stall_until: Arc<AtomicU64>,
     /// Non-zero once the MAPLE unit is fail-stopped.
     maple_dead: Arc<AtomicU64>,
+    /// Set once the NoC has let a coherence message overtake an earlier
+    /// one about the same line between the same pair.
+    line_order_broken: Arc<AtomicBool>,
 }
 
 impl FaultState {
@@ -547,6 +569,23 @@ impl FaultState {
         self.maple_dead.load(Ordering::Relaxed) != 0
     }
 
+    /// True once the NoC has delivered, or is about to deliver, two
+    /// coherence messages about one line between one pair of components
+    /// out of the order they were sent in (see [`crate::noc`]). From then
+    /// on a line held in a private cache may be one the directory no
+    /// longer lists — an invalidation overtook its grant, an eviction
+    /// notice arrived after the re-fetch — so holding a line stops
+    /// implying "I will hear of the next write to it". Never cleared: such
+    /// a copy can outlive the disorder that made it.
+    pub fn line_order_broken(&self) -> bool {
+        self.line_order_broken.load(Ordering::Relaxed)
+    }
+
+    /// Stages [`FaultState::line_order_broken`] for the cycle barrier.
+    pub(crate) fn stage_line_order_broken(&self) {
+        self.stage(FaultOp::LineOrderBroken);
+    }
+
     /// The next cycle strictly after `cycle` at which an open fault
     /// window closes (its `until` edge), if any. Window *opens* are
     /// always driven by the injector's schedule (or harness code between
@@ -593,6 +632,20 @@ impl FaultState {
         self.stage(FaultOp::KillMaple);
     }
 
+    /// Announces that the calling component stages, this cycle, a write
+    /// to memory some agent may hold in its coherent cache — a plain
+    /// `ctx.mem.write_*` with no grant behind it (a storm, page-fault or
+    /// interrupt hook's host logic, the engine's watchdog checkpoint). It
+    /// rides the staged-flip path and moves no switch: the barrier
+    /// settles every sleeper against the pre-edit memory, has it forget
+    /// what it remembered of memory ([`Component::forget_memory`]) and
+    /// takes its hint again, so a core asleep in a spin loop on its own
+    /// copy of the word wakes exactly as forced stepping would see the
+    /// edit.
+    pub fn announce_bypass_write(&self) {
+        self.stage(FaultOp::BypassWrite);
+    }
+
     fn stage(&self, op: FaultOp) {
         self.pending
             .lock()
@@ -626,6 +679,8 @@ impl FaultState {
                 FaultOp::KillEngine { engine } => self.kill_engine(engine),
                 FaultOp::StallMaple { until } => self.stall_maple(until),
                 FaultOp::KillMaple => self.kill_maple(),
+                FaultOp::BypassWrite => {}
+                FaultOp::LineOrderBroken => self.line_order_broken.store(true, Ordering::Relaxed),
             }
         }
     }
@@ -747,7 +802,13 @@ impl FaultInjector {
             }
             FaultKind::PageFaultStorm { pages } => {
                 let evicted = match self.storm_hook.as_mut() {
-                    Some(hook) => hook(&mut ctx.mem, pages),
+                    Some(hook) => {
+                        let evicted = hook(&mut ctx.mem, pages);
+                        // The hook edits page tables behind every cache:
+                        // a VA some core polls may stop translating.
+                        self.state.announce_bypass_write();
+                        evicted
+                    }
                     None => 0,
                 };
                 self.evicted_pages.add(evicted);

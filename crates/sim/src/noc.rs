@@ -10,6 +10,17 @@
 //! injection order, so delivery order is invariant under component
 //! registration order (part of the determinism contract, see
 //! `docs/architecture.md`).
+//!
+//! The directory protocol relies on more than this model gives it: two
+//! messages about one line between one pair of components must arrive in
+//! the order sent. But a line grant (eight body flits) is slower than a
+//! recall sent within eight cycles of it, and a message sent in the last
+//! cycles of a latency spike is slower than the next one. The protocol
+//! survives the swap — data lives in `PhysMem`, so a copy the directory
+//! lost track of still reads fresh values — but an agent can be left
+//! holding a line that no write will invalidate. The NoC watches for it
+//! ([`Noc::inject_delayed`]) and trips [`FaultState::line_order_broken`]
+//! the first time it happens.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,6 +28,7 @@ use std::collections::BinaryHeap;
 use crate::component::{CompId, TileCoord};
 use crate::config::TimingConfig;
 use crate::faultinject::FaultState;
+use crate::hash::U64Map;
 use crate::msg::Envelope;
 use crate::stats::{Counter, Histogram, Stats};
 use crate::trace::Trace;
@@ -67,6 +79,9 @@ pub struct Noc {
     per_hop: u64,
     heap: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
+    /// Latest delivery cycle of any coherence message injected so far,
+    /// per `(src, dst)` pair: a message due no earlier overtakes nothing.
+    latest: U64Map<u64>,
     delivered: Counter,
     flits: Counter,
     hop_latency: Histogram,
@@ -90,6 +105,9 @@ impl Noc {
             per_hop: timing.noc_per_hop,
             heap: BinaryHeap::new(),
             seq: 0,
+            // Room for a few hundred pairs from the start, so that the
+            // table does not regrow among a run's large allocations.
+            latest: U64Map::with_capacity_and_hasher(256, Default::default()),
             delivered: Counter::new(),
             flits: Counter::new(),
             hop_latency: Histogram::new(),
@@ -151,6 +169,12 @@ impl Noc {
     }
 
     /// Like [`Noc::inject`] with extra sender-side delay before injection.
+    ///
+    /// A coherence message that will arrive ahead of an earlier one about
+    /// the same line between the same two components breaks the order
+    /// the directory protocol assumes; the first such message stages
+    /// [`FaultState::line_order_broken`]. Called at the cycle barrier, so
+    /// the flip commits with this cycle's.
     pub fn inject_delayed(
         &mut self,
         cycle: u64,
@@ -179,8 +203,24 @@ impl Noc {
             }
             trace.complete(NOC_TRACE_TID, "noc", env.msg.kind(), cycle, lat, args);
         }
+        let at = cycle + lat;
+        if let Some(line) = env.msg.line() {
+            let latest = self
+                .latest
+                .entry((env.src.0 as u64) << 32 | dst.0 as u64)
+                .or_default();
+            if at >= *latest {
+                *latest = at;
+            } else if self.heap.iter().any(|Reverse(m)| {
+                m.at > at && m.dst == dst && m.env.src == env.src && m.env.msg.line() == Some(line)
+            }) {
+                if let Some(f) = self.faults.as_ref().filter(|f| !f.line_order_broken()) {
+                    f.stage_line_order_broken();
+                }
+            }
+        }
         self.heap.push(Reverse(InFlight {
-            at: cycle + lat,
+            at,
             src: (from.y, from.x),
             seq: self.seq,
             dst,
@@ -279,6 +319,33 @@ mod tests {
         noc.deliver_due(100, |_, e| seen.push(e.msg.line().unwrap()));
         assert_eq!(seen, vec![0x40, 0x80]);
         assert!(noc.is_empty());
+    }
+
+    #[test]
+    fn overtaking_about_one_line_between_one_pair_trips_the_switch() {
+        // A line grant carries eight body flits, so a head-flit message
+        // sent up to seven cycles behind it arrives first. About another
+        // line, to another component, or in a dead heat (injection order
+        // wins) that is the model working as intended; about the same
+        // line it is the disorder the directory protocol does not expect.
+        let faults = FaultState::default();
+        let mut noc = Noc::new(&TimingConfig::default());
+        noc.set_fault_state(faults.clone());
+        let (a, b) = (TileCoord::new(0, 0), TileCoord::new(1, 0));
+        let mut send = |cycle, dst, msg| {
+            let src = CompId(0);
+            noc.inject(cycle, a, b, CompId(dst), Envelope { src, msg });
+        };
+        send(0, 1, Msg::DataS { line: 0x40 });
+        send(1, 1, Msg::Inv { line: 0x80 });
+        send(1, 2, Msg::Inv { line: 0x40 });
+        send(8, 1, Msg::Inv { line: 0x40 });
+        assert!(!faults.has_staged());
+        send(10, 1, Msg::DataM { line: 0xc0 });
+        send(11, 1, Msg::Downgrade { line: 0xc0 });
+        assert!(faults.has_staged() && !faults.line_order_broken());
+        faults.commit_staged();
+        assert!(faults.line_order_broken());
     }
 
     #[test]

@@ -230,6 +230,18 @@ impl CoherentPort {
         }
     }
 
+    /// Applies what `hits` consecutive read hits on the held line of `pa`
+    /// would have left behind (caller checked [`CoherentPort::state_of`]):
+    /// one hit each, and the line most recently used — any number of
+    /// touches orders the set like one.
+    pub fn replay_read_hits(&mut self, pa: u64, hits: u64) {
+        if hits > 0 {
+            let held = self.cache.touch(line_of(pa));
+            debug_assert!(held.is_some(), "replayed hits on a line not held");
+            self.counters.hits.add(hits);
+        }
+    }
+
     /// True if the port could handle `msg` (coherence traffic).
     pub fn wants(msg: &Msg) -> bool {
         matches!(

@@ -34,7 +34,12 @@
 //! the fault switches, so every slot is re-hinted whenever those change
 //! value — at a staged flip (sleepers are reconciled against the
 //! *pre-flip* state first), at a window edge, and at run-loop entry
-//! (harness code may have changed anything in between). Under
+//! (harness code may have changed anything in between). A write that
+//! bypasses the coherence protocol is announced as a flip that moves no
+//! switch ([`FaultState::announce_bypass_write`]): a core asleep in a
+//! spin loop on its own copy of the word hears of it in no other way, and
+//! at each of these points every component is told to forget what it
+//! remembered of memory ([`Component::forget_memory`]). Under
 //! [`Lookahead::Force1`] nobody ever sleeps; it stays the reference.
 
 use std::collections::VecDeque;
@@ -355,6 +360,7 @@ impl Soc {
         let obs = Observability {
             stats: self.stats.clone(),
             trace: self.trace.clone(),
+            faults: self.faults.clone(),
             scope,
             tid: id.0 as u64,
         };
@@ -386,6 +392,9 @@ impl Soc {
     /// stepping every slot whether or not it is asleep.
     pub fn step(&mut self) {
         for slot in &mut self.slots {
+            // The caller owns `mem` between calls, as between runs.
+            slot.sync(self.cycle);
+            slot.comp.forget_memory();
             slot.wake_at = slot.wake_at.min(self.cycle);
         }
         self.step_awake();
@@ -464,9 +473,10 @@ impl Soc {
             slots[i].outbox = outbox;
         }
         if self.faults.has_staged() {
-            // A flip changes what hints and `fast_forward` read: close
-            // every sleeper's books against the pre-flip switches, then
-            // take everyone's hint again under the new ones.
+            // A flip changes what hints and `fast_forward` read, and an
+            // announced write what a sleeper assumed of memory: close
+            // every sleeper's books against the pre-flip state, then take
+            // everyone's hint again under the new one.
             for slot in slots.iter_mut() {
                 slot.sync(self.cycle + 1);
             }
@@ -478,14 +488,17 @@ impl Soc {
         }
     }
 
-    /// Brings every slot's books up to the current cycle and, under
-    /// [`Lookahead::Auto`], retakes every hint. Called whenever something
-    /// hints may read has changed outside the slots' own steps: a fault
-    /// flip, a fault-window edge, or harness code between runs.
+    /// Brings every slot's books up to the current cycle, has it forget
+    /// what it remembers of memory and, under [`Lookahead::Auto`], retakes
+    /// its hint. Called whenever something hints rest on has changed
+    /// outside the slots' own steps: a fault flip or an announced
+    /// protocol-bypassing write, a fault-window edge, or harness code
+    /// between runs.
     fn rehint_all(&mut self) {
         let now = self.cycle;
         for slot in &mut self.slots {
             slot.sync(now);
+            slot.comp.forget_memory();
             if self.cfg.lookahead == Lookahead::Auto {
                 slot.rehint(now);
             }
@@ -1718,6 +1731,363 @@ mod tests {
             auto_steps * 2 < *cycles,
             "three slots, {cycles} cycles, {auto_steps} slot-steps: the cores must sleep"
         );
+    }
+
+    /// The word the spin-park tests poll, the value that ends the wait,
+    /// and the slot of the core that waits (right behind the directory).
+    const FLAG: u64 = 0x2000;
+    const FLAG_TARGET: u64 = 5;
+    const SPINNER: CompId = CompId(1);
+
+    /// A probe that acts at fixed cycles: each entry of `sends` goes to
+    /// the spinner on its cycle, and at `write.0` the probe stores
+    /// `write.2` to `write.1` with a plain `ctx.mem` write — behind the
+    /// back of any cache holding the line — announcing it if `announce`.
+    struct Meddler {
+        sends: VecDeque<(u64, crate::msg::Msg)>,
+        write: Option<(u64, u64, u64)>,
+        announce: bool,
+        faults: FaultState,
+    }
+
+    impl Meddler {
+        fn new(soc: &Soc) -> Self {
+            Self {
+                sends: VecDeque::new(),
+                write: None,
+                announce: true,
+                faults: soc.fault_state().clone(),
+            }
+        }
+    }
+
+    impl Component for Meddler {
+        fn name(&self) -> &str {
+            "meddler"
+        }
+        fn step(&mut self, ctx: &mut Ctx<'_>) {
+            while ctx.recv().is_some() {}
+            while self.sends.front().is_some_and(|s| s.0 <= ctx.cycle) {
+                let (_, msg) = self.sends.pop_front().expect("peeked");
+                ctx.send(SPINNER, msg);
+            }
+            if let Some((_, pa, value)) = self.write.take_if(|w| w.0 <= ctx.cycle) {
+                ctx.mem.write_u64(pa, value);
+                if self.announce {
+                    self.faults.announce_bypass_write();
+                }
+            }
+        }
+        fn is_idle(&self) -> bool {
+            self.sends.is_empty() && self.write.is_none()
+        }
+        fn quiescent_for(&self, now: u64) -> u64 {
+            let next = self.sends.front().map(|s| s.0);
+            let next = next.into_iter().chain(self.write.map(|w| w.0)).min();
+            next.map_or(u64::MAX, |at| at.saturating_sub(now).max(1))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Everything observable about a spin-park run, for `Force1` ≡ `Auto`
+    /// comparisons: stop cycle, the spinner's `(done_at, spin_iters,
+    /// instret, l1.hits, recorded)`, and the stats registry.
+    type SpinRun = (u64, (u64, u64, u64, u64, Vec<u64>), String);
+
+    /// Runs a SoC of a directory, a core that executes `prologue`, spins
+    /// on [`FLAG`] and records it (tuned by `tune` before it joins), and
+    /// whatever `rest` adds. Returns the run and its slot-steps.
+    fn spin_run(
+        cfg: &SocConfig,
+        prologue: &[Op],
+        tune: impl FnOnce(&mut InOrderCore),
+        rest: impl FnOnce(&mut Soc, CompId),
+    ) -> (SpinRun, u64) {
+        let mut soc = Soc::new(cfg.clone());
+        let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(cfg)));
+        let mut program = Program::new();
+        for op in prologue {
+            program.push(op.clone());
+        }
+        program.push(Op::WaitGe {
+            va: FLAG,
+            value: FLAG_TARGET,
+        });
+        program.push(Op::Load {
+            va: FLAG,
+            record: true,
+        });
+        let mut spinner = InOrderCore::new(dir, cfg, program);
+        tune(&mut spinner);
+        let id = soc.add_component(TileCoord::new(0, 1), Box::new(spinner));
+        assert_eq!(id, SPINNER);
+        rest(&mut soc, dir);
+        let out = soc.run(200_000);
+        let core = soc.component::<InOrderCore>(SPINNER).expect("the spinner");
+        assert!(core.is_done(), "still spinning at {}", out.cycle);
+        let c = core.core_counters();
+        let hits = core.counters().into_iter().find(|(n, _)| n == "l1_hits");
+        let books = (
+            c.done_at,
+            c.spin_iters.get(),
+            c.instret.get(),
+            hits.expect("l1_hits").1,
+            core.recorded().to_vec(),
+        );
+        (
+            (out.cycle, books, soc.stats_json()),
+            soc.kernel_counter("kernel.slot_steps"),
+        )
+    }
+
+    /// [`spin_run`] under both modes: asserts that they agree and returns
+    /// the run with the slot-steps `Auto` took.
+    fn spin_run_both(
+        cfg: &SocConfig,
+        what: &str,
+        prologue: &[Op],
+        tune: impl Fn(&mut InOrderCore),
+        rest: impl Fn(&mut Soc, CompId),
+    ) -> (SpinRun, u64) {
+        let run = |lookahead| {
+            let cfg = cfg.clone().with_lookahead(lookahead);
+            spin_run(&cfg, prologue, &tune, &rest)
+        };
+        let (f1, _) = run(Lookahead::Force1);
+        let (auto, steps) = run(Lookahead::Auto);
+        assert_eq!(f1, auto, "{what}: Auto diverged from Force1");
+        (auto, steps)
+    }
+
+    /// The `(l1_hit, spin_alu)` grid of the spin-park tests with each
+    /// one's period: every shape of the iteration, `l1_hit <= 1` (the
+    /// check is the very next step) and `spin_alu == 0` (check and
+    /// re-issue share a step) included.
+    fn spin_timings() -> impl Iterator<Item = (SocConfig, u64)> {
+        let hits = [0u64, 1, 2, 3].into_iter();
+        let grid = hits.flat_map(|hit| [0u64, 1, 4].map(|alu| (hit, alu)));
+        grid.map(|(l1_hit, spin_alu)| {
+            let mut cfg = SocConfig::default();
+            cfg.timing.l1_hit = l1_hit;
+            cfg.timing.spin_alu = spin_alu;
+            (cfg, l1_hit.max(1) + spin_alu)
+        })
+    }
+
+    /// A producer core that publishes [`FLAG_TARGET`] after `delay` cycles.
+    fn publisher(dir: CompId, cfg: &SocConfig, delay: u64) -> Box<InOrderCore> {
+        let mut p = Program::new();
+        p.push(Op::Alu(delay as u32));
+        p.push(Op::Store {
+            va: FLAG,
+            value: FLAG_TARGET,
+        });
+        p.push(Op::Fence);
+        Box::new(InOrderCore::new(dir, cfg, p))
+    }
+
+    #[test]
+    fn spinning_core_sleeps_until_the_invalidation_whatever_its_phase() {
+        // The producer's store invalidates the spinner's copy at every
+        // offset into the iteration, for every shape of iteration: the
+        // replayed checks, retired instructions, hits and the phase the
+        // spinner wakes in must be exactly forced stepping's. And it
+        // sleeps through the wait: the run costs the same few dozen
+        // slot-steps however long the producer takes.
+        for (cfg, period) in spin_timings() {
+            let mut steps_by_delay = Vec::new();
+            for delay in (3_000..3_000 + period).chain([30_000]) {
+                let what = format!("{:?} delay {delay}", cfg.timing);
+                let rest = |soc: &mut Soc, dir| {
+                    soc.add_component(TileCoord::new(1, 0), publisher(dir, &cfg, delay));
+                };
+                let (run, steps) = spin_run_both(&cfg, &what, &[], |_| {}, rest);
+                let (_, (_, spin_iters, ..), _) = run;
+                // All but the first fetch of the wait is spent in the loop.
+                let least = (delay - 100) / period;
+                assert!(spin_iters >= least, "{what}: {spin_iters} checks");
+                steps_by_delay.push(steps);
+            }
+            assert!(
+                steps_by_delay.iter().all(|&steps| steps < 60),
+                "slot-steps must not grow with the wait: {steps_by_delay:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn interrupt_wakes_a_spinning_core_in_every_phase_and_announces_its_handler() {
+        // Nobody publishes the flag coherently: the interrupt's handler
+        // writes it through `ctx.mem`, as the chaos software fallback
+        // publishes the index its own core is polling. The core must wake
+        // on the IRQ in whatever phase it lands, charge the handler where
+        // forced stepping does, and announce the handler's write so that
+        // it does not trust its memo afterwards. Two ignored messages
+        // before it force settles in mid-sleep.
+        use crate::core::{HandlerAction, IrqHandler};
+        use crate::msg::Msg;
+        for (cfg, period) in spin_timings() {
+            for at in 2_000..2_000 + period {
+                let what = format!("{:?} irq at {at}", cfg.timing);
+                let tune = |core: &mut InOrderCore| {
+                    let publish = HandlerAction::Custom(Box::new(|mem, _, _| {
+                        mem.write_u64(FLAG, FLAG_TARGET);
+                        Vec::new()
+                    }));
+                    let handler = IrqHandler {
+                        entry_cycles: 40,
+                        entry_insts: 12,
+                        action: publish,
+                    };
+                    core.register_irq_handler(3, handler);
+                };
+                let rest = |soc: &mut Soc, _| {
+                    let mut meddler = Meddler::new(soc);
+                    let ignored = Msg::MmioWriteResp { tag: 0 };
+                    meddler.sends = [
+                        (at - 700, ignored.clone()),
+                        (at - 3, ignored),
+                        (at, Msg::Irq { irq: 3, payload: 0 }),
+                    ]
+                    .into();
+                    soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
+                };
+                let (_, steps) = spin_run_both(&cfg, &what, &[], tune, rest);
+                assert!(steps < 120, "{what}: {steps} slot-steps");
+            }
+        }
+    }
+
+    #[test]
+    fn own_store_to_the_polled_word_ends_the_wait() {
+        // The one writer that never invalidates the core's copy is the
+        // core: it loads the flag (a shared copy), buffers the store that
+        // satisfies its own wait, and starts polling before the upgrade is
+        // granted. The loop's first load sees the old word; the store
+        // retires under it; the next check must see the new one.
+        let prologue = [
+            Op::Load {
+                va: FLAG,
+                record: false,
+            },
+            Op::Store {
+                va: FLAG,
+                value: FLAG_TARGET,
+            },
+        ];
+        let cfg = SocConfig::default();
+        let (run, _) = spin_run_both(&cfg, "own store", &prologue, |_| {}, |_, _| {});
+        let (_, (_, spin_iters, ..), _) = run;
+        assert!(
+            spin_iters >= 2,
+            "the wait must begin before the store lands"
+        );
+    }
+
+    #[test]
+    fn fill_that_evicts_the_polled_line_ends_the_park() {
+        // A direct-mapped L1 and a store buffer that drains one line at a
+        // time: the spinner starts polling while four of its stores are
+        // still buffered, and the last of them lands in the flag's set.
+        // Its fill evicts the polled line in mid-spin — the memo stands,
+        // the store buffer is empty, but the line is gone, so the core
+        // must go and fetch it again rather than sleep on a copy it no
+        // longer has (it would miss the producer's invalidation).
+        use crate::config::CacheConfig;
+        let mut cfg = SocConfig {
+            l1: CacheConfig::new(8 * crate::LINE_BYTES, 1),
+            ..SocConfig::default()
+        };
+        cfg.timing.sb_mshrs = 1;
+        let same_set = FLAG + 8 * crate::LINE_BYTES;
+        let prologue: Vec<Op> = [0x10040, 0x10080, 0x100c0, same_set]
+            .into_iter()
+            .map(|va| Op::Store { va, value: 1 })
+            .collect();
+        let rest = |soc: &mut Soc, dir| {
+            soc.add_component(TileCoord::new(1, 0), publisher(dir, &cfg, 5_000));
+        };
+        let (run, steps) = spin_run_both(&cfg, "evicted", &prologue, |_| {}, rest);
+        let stats = run.2;
+        assert!(
+            stats.contains("\"core#1.l1.evictions\": 2"),
+            "the flag's line must go and come back: {stats}"
+        );
+        assert!(steps < 200, "{steps} slot-steps");
+    }
+
+    /// A translator that is a pure function of memory, as the park
+    /// requires: every address is offset by the word at `SWITCH`.
+    struct Switched;
+    const SWITCH: u64 = 0x8000;
+    impl crate::translate::Translator for Switched {
+        fn translate(&self, mem: &dyn crate::mem::MemAccess, va: u64) -> Option<u64> {
+            Some(va + mem.read_u64(SWITCH))
+        }
+    }
+
+    #[test]
+    fn announced_bypass_write_wakes_the_spinner_like_forced_stepping() {
+        // Two edits no protocol message accompanies, each at every offset
+        // into the iteration — between a load's issue and its check too:
+        // the polled word itself, and the translation of the polled
+        // address (the flag's new home already holds the target). The
+        // writer announces them, so the sleeping core is settled against
+        // the old memory and stepped against the new.
+        for (cfg, period) in spin_timings() {
+            for at in 2_000..2_000 + period {
+                for edit in [(FLAG, FLAG_TARGET), (SWITCH, 0x1000)] {
+                    let what = format!("{:?} write {edit:x?} at {at}", cfg.timing);
+                    let tune = |core: &mut InOrderCore| core.set_translator(Box::new(Switched));
+                    let rest = |soc: &mut Soc, _| {
+                        soc.mem.write_u64(FLAG + 0x1000, FLAG_TARGET);
+                        let mut meddler = Meddler::new(soc);
+                        meddler.write = Some((at, edit.0, edit.1));
+                        soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
+                    };
+                    let (_, steps) = spin_run_both(&cfg, &what, &[], tune, rest);
+                    assert!(steps < 120, "{what}: {steps} slot-steps");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn broken_line_order_keeps_the_spinner_awake() {
+        // Once the NoC has delivered two messages about one line out of
+        // order, a held line may be one the directory lost track of, so
+        // holding it no longer promises an invalidation: the core polls
+        // on, one iteration at a time, as it did before it learnt to sleep.
+        let cfg = SocConfig::default();
+        let period = cfg.timing.l1_hit + cfg.timing.spin_alu;
+        let rest = |soc: &mut Soc, dir| {
+            soc.fault_state().stage_line_order_broken();
+            soc.add_component(TileCoord::new(1, 0), publisher(dir, &cfg, 3_000));
+        };
+        let (_, steps) = spin_run_both(&cfg, "line order broken", &[], |_| {}, rest);
+        assert!(steps > 2 * 2_900 / period, "{steps} slot-steps");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "must announce itself")]
+    fn unannounced_bypass_write_trips_the_wake_assertion() {
+        // The same edit of the polled word, not announced. Under `Auto`
+        // the spinner would sleep on for ever; forced stepping looks
+        // every cycle and names the cycle after the writer's.
+        let cfg = SocConfig::default().with_lookahead(Lookahead::Force1);
+        let rest = |soc: &mut Soc, _| {
+            let mut meddler = Meddler::new(soc);
+            meddler.write = Some((2_000, FLAG, FLAG_TARGET));
+            meddler.announce = false;
+            soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
+        };
+        spin_run(&cfg, &[], |_| {}, rest);
     }
 
     #[test]

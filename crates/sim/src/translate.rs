@@ -12,6 +12,17 @@ use crate::mem::MemAccess;
 /// Takes memory as `&dyn MemAccess` so walkers read page tables through
 /// the calling component's staged view (own same-cycle PTE writes
 /// visible, other components' staged writes not).
+///
+/// A translator must be a pure function of that memory and `va`: no
+/// cache of its own, no state that moves between calls. A core asleep in
+/// a spin loop ([`crate::component::Component::quiescent_for`], the
+/// held-line rule) relies on it — the address it polls translates where
+/// it did for as long as nobody edits memory, and whoever edits page
+/// tables announces it
+/// ([`crate::faultinject::FaultState::announce_bypass_write`]). Page
+/// tables are edited by host logic only (the OS layer's hooks), never by
+/// a simulated store: translation reads `PhysMem` directly, so a core
+/// would not hear of such a store through its cache.
 pub trait Translator: Send {
     /// Translates `va`; `None` denotes a fault (the core panics — core-side
     /// faults are outside the modelled experiments).

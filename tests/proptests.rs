@@ -1240,3 +1240,174 @@ fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
     }
     assert!(slept, "no run ever left its cores asleep");
 }
+
+/// The spin park is invisible on real cores: over SoCs of one or two
+/// producer cores that publish rising values into a few flag words after
+/// random delays and one to three consumer cores that `WaitGe` on them
+/// between ALU work, recorded loads and stores of their own (so the store
+/// buffer is sometimes busy when the wait begins), with random spin-loop
+/// timing, store-buffer geometry and, in half the cases, an L1 small
+/// enough that the consumers' own stores evict the polled line — and a
+/// fault injector flipping switches under them: accelerator stalls, which
+/// re-hint every sleeper in mid-park, and latency spikes, which let the
+/// NoC reorder messages about one line and so end all parking — `Auto`
+/// and `Force1` agree at 1 and 2 threads on the stop cycle, every core's
+/// `done_at` and recorded loads, the flag words and the whole stats
+/// registry (the replayed `spin_iters`, `instret` and `l1.hits`
+/// included). Across the case set the consumers really did sleep.
+#[test]
+fn spin_park_is_unobservable_on_fuzzed_core_socs() {
+    use cohort_sim::component::TileCoord;
+    use cohort_sim::config::{CacheConfig, Lookahead, SocConfig};
+    use cohort_sim::core::InOrderCore;
+    use cohort_sim::directory::Directory;
+    use cohort_sim::faultinject::{FaultInjector, FaultKind, FaultPlan};
+    use cohort_sim::program::{Op, Program};
+    use cohort_sim::LINE_BYTES;
+
+    const FLAGS: u64 = 0x4000;
+    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+        let mut rng = Rng::new(seed);
+        let mut cfg = SocConfig::default()
+            .with_lookahead(lookahead)
+            .with_threads(threads);
+        cfg.timing.l1_hit = rng.range(0, 4);
+        cfg.timing.spin_alu = rng.range(0, 6);
+        cfg.timing.spin_insts = rng.range(1, 5);
+        cfg.timing.store_buffer = rng.range(1, 10) as usize;
+        cfg.timing.sb_mshrs = rng.range(1, 5) as usize;
+        if rng.range(0, 2) == 0 {
+            cfg.l1 = CacheConfig::new(8 * LINE_BYTES, rng.range(1, 3) as u32);
+        }
+        let mut soc = cohort_sim::soc::Soc::new(cfg.clone());
+        let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
+
+        // Flag `f` lives in one of two lines and counts up to `tops[f]`;
+        // producer `f % producers` owns it.
+        let flags: Vec<u64> = (0..rng.range(1, 4))
+            .map(|f| FLAGS + rng.range(0, 2) * LINE_BYTES + 8 * f)
+            .collect();
+        let tops: Vec<u64> = flags.iter().map(|_| rng.range(1, 6)).collect();
+        let producers = rng.range(1, 3);
+        let mut programs = Vec::new();
+        for p in 0..producers {
+            let mut prog = Program::new();
+            let mut next: Vec<u64> = flags.iter().map(|_| 1).collect();
+            loop {
+                let owned = (0..flags.len()).filter(|&f| f as u64 % producers == p);
+                let open: Vec<usize> = owned.filter(|&f| next[f] <= tops[f]).collect();
+                if open.is_empty() {
+                    break;
+                }
+                let f = open[rng.range(0, open.len() as u64) as usize];
+                prog.push(Op::Alu(rng.range(1, 900) as u32));
+                prog.push(Op::Store {
+                    va: flags[f],
+                    value: next[f],
+                });
+                next[f] += 1;
+                if rng.range(0, 2) == 0 {
+                    prog.push(Op::Fence);
+                }
+            }
+            prog.push(Op::Fence);
+            programs.push(prog);
+        }
+        for c in 0..rng.range(1, 4) {
+            let mut prog = Program::new();
+            for _ in 0..rng.range(2, 9) {
+                let f = rng.range(0, flags.len() as u64) as usize;
+                match rng.range(0, 6) {
+                    0 => prog.push(Op::Alu(rng.range(1, 60) as u32)),
+                    1 => prog.push(Op::Load {
+                        va: flags[f],
+                        record: true,
+                    }),
+                    2 => {
+                        for _ in 0..rng.range(1, 10) {
+                            prog.push(Op::Store {
+                                va: 0x10_0000 * (c + 1) + rng.range(0, 24) * LINE_BYTES,
+                                value: rng.next_u64(),
+                            });
+                        }
+                    }
+                    _ => prog.push(Op::WaitGe {
+                        va: flags[f],
+                        value: rng.range(1, tops[f] + 1),
+                    }),
+                }
+            }
+            prog.push(Op::Fence);
+            programs.push(prog);
+        }
+        let cores: Vec<_> = programs
+            .into_iter()
+            .enumerate()
+            .map(|(i, prog)| {
+                let core = InOrderCore::new(dir, &cfg, prog);
+                soc.add_component(
+                    TileCoord::new(1 + i as u16 % 3, i as u16 / 3),
+                    Box::new(core),
+                )
+            })
+            .collect();
+        let mut plan = FaultPlan::default();
+        for _ in 0..rng.range(0, 4) {
+            let cycles = rng.range(50, 1_200);
+            let kind = if rng.range(0, 2) == 0 {
+                FaultKind::AccelStall { cycles }
+            } else {
+                let factor = rng.range(2, 6);
+                FaultKind::LatencySpike { cycles, factor }
+            };
+            plan = plan.at(rng.range(1, 4_000), kind);
+        }
+        let injector = FaultInjector::new(&plan, soc.fault_state().clone());
+        soc.add_component(TileCoord::new(0, 3), Box::new(injector));
+
+        let outcome = soc.run(2_000_000);
+        assert!(
+            outcome.quiescent,
+            "seed {seed:#x} stuck at {}",
+            outcome.cycle
+        );
+        let per_core: Vec<(u64, Vec<u64>)> = cores
+            .iter()
+            .map(|&id| {
+                let core = soc.component::<InOrderCore>(id).expect("a core");
+                (core.core_counters().done_at, core.recorded().to_vec())
+            })
+            .collect();
+        let words: Vec<u64> = flags.iter().map(|&pa| soc.mem.read_u64(pa)).collect();
+        assert_eq!(words, tops, "seed {seed:#x}: every flag reaches its top");
+        let observable = (outcome, per_core, words, soc.stats_json());
+        (observable, soc.kernel_counter("kernel.slot_steps"))
+    };
+
+    let (mut f1_steps, mut auto_steps) = (0, 0);
+    for case in 0..CASES {
+        let seed = 0x5b19_0a2c + case;
+        let (reference, steps) = run(seed, Lookahead::Force1, 1);
+        f1_steps += steps;
+        for (lookahead, threads) in [
+            (Lookahead::Force1, 2),
+            (Lookahead::Auto, 1),
+            (Lookahead::Auto, 2),
+        ] {
+            let (observable, steps) = run(seed, lookahead, threads);
+            assert_eq!(
+                reference, observable,
+                "{lookahead:?} at {threads} thread(s) diverged from Force1 (seed {seed:#x})"
+            );
+            if (lookahead, threads) == (Lookahead::Auto, 1) {
+                auto_steps += steps;
+            }
+        }
+    }
+    // Most of these runs is waiting: a spinning core that is stepped per
+    // iteration alone keeps `Auto` above a fifth of forced stepping.
+    assert!(
+        auto_steps * 20 < f1_steps,
+        "{auto_steps} of {f1_steps} slot-steps: the consumers must sleep"
+    );
+}

@@ -19,6 +19,7 @@ use cohort::scenarios::{
 use cohort_accel::aes128::Aes128Accel;
 use cohort_accel::nullfifo::NullFifo;
 use cohort_os::addrspace::MapPolicy;
+use cohort_sim::config::Lookahead;
 use cohort_sim::faultinject::FaultPlan;
 
 use MapPolicy::{Eager, Lazy};
@@ -76,6 +77,18 @@ const ROWS: &[Row] = &[
     Row { runner: Runner::Chaos, workload: Aes, queue: 1024, batch: 8, policy: Lazy, faults: "stall@3000:1500;storm@5000:2", shards: 0, want: [236461, 95825, 0xf9c1c83b746df50c, 0xae722fea563fcf23] },
     Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Lazy, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [95282, 31628, 0x2664f210a3c69985, 0x19dd5a532cb99e51] },
     Row { runner: Runner::Mesh16, workload: Aes, queue: 64, batch: 8, policy: Lazy, faults: "", shards: 0, want: [18357, 3614, 0x04047f6fd90d5694, 0x04b9307cd60c0671] },
+    // Recorded at PR 19's parent. In each the victim's watchdog checkpoint
+    // republishes the write index the benchmark core is spinning on, with
+    // a plain store: the core must see it as forced stepping does.
+    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0x39816f07d951f5d5] },
+    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0x577a58e54d25ae28] },
+    Row { runner: Runner::Failover, workload: Sha, queue: 512, batch: 16, policy: Eager, faults: "kill@8500:1", shards: 0, want: [56255, 20794, 0xc6d74d533cdd6ce3, 0xfad75bb2ce0192f3] },
+    // Also recorded at PR 19's parent. A latency spike closes while
+    // messages about the polled index line are in flight: a later one
+    // overtakes an earlier one and the benchmark core is left holding a
+    // copy the directory does not list, which no write will invalidate.
+    Row { runner: Runner::Cohort, workload: Aes, queue: 256, batch: 8, policy: Eager, faults: "spike@15000:2000:4", shards: 0, want: [61664, 24016, 0xe15c01d33b79c422, 0x4017235f5907f2a1] },
+    Row { runner: Runner::Sharded, workload: Aes, queue: 384, batch: 8, policy: Eager, faults: "spike@10500:2000:4", shards: 3, want: [26813, 8707, 0x0438fb0f776170a0, 0xc15a1e4965d095f4] },
 ];
 
 /// `[cycles, instret, checksum, fnv1a(stats_json)]` of the two
@@ -93,10 +106,11 @@ fn observed(r: &RunResult) -> [u64; 4] {
     [r.cycles, r.instret, r.checksum, fnv1a(&r.stats_json)]
 }
 
-fn run_row(row: &Row) -> RunResult {
+fn run_row(row: &Row, lookahead: Lookahead) -> RunResult {
     let mut s = Scenario::new(row.workload, row.queue, row.batch);
     s.policy = row.policy;
     s.watchdog = 20_000;
+    s.soc.lookahead = lookahead;
     s.soc.faults = FaultPlan::parse(row.faults).expect("fault spec parses");
     let spec = (row.runner == Runner::Sharded).then(|| {
         s.soc.engines = sharded_engines_for(&s.soc.faults, row.shards);
@@ -109,7 +123,7 @@ fn run_row(row: &Row) -> RunResult {
 fn every_runner_reproduces_its_recorded_numbers() {
     let mut wrong = Vec::new();
     for row in ROWS {
-        let r = run_row(row);
+        let r = run_row(row, Lookahead::Auto);
         let Row {
             runner,
             workload,
@@ -150,8 +164,8 @@ fn every_runner_has_a_row_per_workload() {
     }
 }
 
-#[test]
-fn custom_runs_reproduce_their_recorded_numbers() {
+/// The null-FIFO and AES-via-CSR [`CustomRun`]s, in that order.
+fn custom_runs(lookahead: Lookahead) -> [RunResult; 2] {
     let input: Vec<u64> = (0..96u64).map(|i| i * 3 + 1).collect();
     let mut null = CustomRun::new(
         Box::new(NullFifo::with_geometry(64, 1)),
@@ -159,21 +173,43 @@ fn custom_runs_reproduce_their_recorded_numbers() {
         input,
     );
     null.batch = 8;
-    let r = null.run();
-    assert!(r.verified);
-    assert_eq!(observed(&r), CUSTOM_NULL, "null FIFO: {:#x?}", observed(&r));
+    null.soc.lookahead = lookahead;
 
     let input: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
     let expected = Aes.reference_outputs(&input);
     let mut aes = CustomRun::new(Box::new(Aes128Accel::new()), input, expected);
     aes.csr = Some(AES_KEY.to_vec());
     aes.batch = 16;
-    let r = aes.run();
-    assert!(r.verified);
-    assert_eq!(
-        observed(&r),
-        CUSTOM_AES_CSR,
-        "AES via CSR: {:#x?}",
-        observed(&r)
-    );
+    aes.soc.lookahead = lookahead;
+    [null.run(), aes.run()]
+}
+
+#[test]
+fn custom_runs_reproduce_their_recorded_numbers() {
+    let [null, aes] = custom_runs(Lookahead::Auto);
+    assert!(null.verified && aes.verified);
+    let (null, aes) = (observed(&null), observed(&aes));
+    assert_eq!(null, CUSTOM_NULL, "null FIFO: {null:#x?}");
+    assert_eq!(aes, CUSTOM_AES_CSR, "AES via CSR: {aes:#x?}");
+}
+
+/// The table above pins `Auto` against values of an earlier commit; this
+/// pins it against forced stepping at this one, so a row that a new hint
+/// breaks is caught even if it was recorded after the hint went in.
+#[test]
+fn every_row_matches_force1() {
+    for row in ROWS {
+        assert_eq!(
+            observed(&run_row(row, Lookahead::Force1)),
+            row.want,
+            "{} {:?} {:?} {:?} under Force1",
+            row.runner,
+            row.workload,
+            row.policy,
+            row.faults
+        );
+    }
+    let [null, aes] = custom_runs(Lookahead::Force1);
+    assert_eq!(observed(&null), CUSTOM_NULL, "null FIFO under Force1");
+    assert_eq!(observed(&aes), CUSTOM_AES_CSR, "AES via CSR under Force1");
 }
