@@ -34,6 +34,8 @@
 //! assert_eq!(digest.len(), 32);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accelerator;
 pub mod aes128;
 pub mod aesctr;

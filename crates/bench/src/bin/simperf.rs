@@ -1,24 +1,23 @@
-//! Simulator-throughput benchmark for the parallel step kernel.
+//! Simulator-throughput benchmark for the step kernel.
 //!
 //! ```text
 //! cargo run --release -p cohort-bench --bin simperf -- \
-//!     [--queue N] [--threads LIST] [--reps N] [--out FILE] [--check]
+//!     [--queue N] [--reps N] [--out FILE] [--check]
 //! ```
 //!
 //! Runs the sharded-AES scenario, the 16-core big.LITTLE mesh and the
-//! single-engine Cohort SHA run at each host-thread count in LIST
-//! (default `1,2,4,8`), measures sim-cycles per
-//! wall-second, and writes a markdown report (default
-//! `results/simperf.md`). Every multi-threaded run's checksum is asserted
-//! bit-identical to the single-threaded run of the same scenario — the
-//! determinism contract, enforced on every invocation. Each case also runs
-//! one `Lookahead::Force1` reference leg: its checksum and cycle count
-//! must match the batched (`Auto`) runs exactly, and the barrier-activation
-//! drop it reveals is reported in the `batch` column.
+//! single-engine Cohort SHA run, measures sim-cycles per wall-second, and
+//! writes a markdown report (default `results/simperf.md`), one row per
+//! case. Each case also runs one `Lookahead::Force1` reference leg: its
+//! checksum and cycle count must match the batched (`Auto`) run exactly,
+//! and the barrier-activation drop it reveals is reported in the `batch`
+//! column. `slots/barrier` is slot-steps over barrier activations: how
+//! many components a stepped cycle really steps, i.e. the most a step
+//! phase split over host threads could ever hand out.
 //!
-//! `--check` is the CI smoke mode: a small queue, threads `1,2`, one rep,
-//! no report unless `--out` is given; exit status is the contract — which
-//! in this mode additionally requires the sharded-AES case to batch at
+//! `--check` is the CI smoke mode: a small queue, one rep, no report
+//! unless `--out` is given; exit status is the contract — which in this
+//! mode additionally requires the sharded-AES case to batch at
 //! least 3x fewer barriers than forced cycle-by-cycle stepping, to
 //! really step fewer than 60% of its slots on the cycles it does step
 //! (per-slot sleep) and to keep silent steps (nothing received, nothing
@@ -35,10 +34,7 @@ use cohort_sim::config::{Lookahead, SocConfig};
 use std::time::Instant;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: simperf [--queue N] [--threads LIST] [--reps N] [--out FILE] [--check]\n\
-         \u{20}        LIST is comma-separated host-thread counts, e.g. 1,2,4,8"
-    );
+    eprintln!("usage: simperf [--queue N] [--reps N] [--out FILE] [--check]");
     std::process::exit(2)
 }
 
@@ -111,13 +107,9 @@ fn cases(queue: u64) -> Vec<Case> {
     out
 }
 
-fn measure(case: &Case, threads: usize, reps: usize, lookahead: Lookahead) -> Measured {
+fn measure(case: &Case, reps: usize, lookahead: Lookahead) -> Measured {
     let mut scenario = case.scenario.clone();
-    scenario.soc = scenario
-        .soc
-        .clone()
-        .with_threads(threads)
-        .with_lookahead(lookahead);
+    scenario.soc.lookahead = lookahead;
     let mut best_wall = f64::INFINITY;
     let mut result = None;
     for _ in 0..reps.max(1) {
@@ -127,11 +119,7 @@ fn measure(case: &Case, threads: usize, reps: usize, lookahead: Lookahead) -> Me
             std::process::exit(2);
         });
         best_wall = best_wall.min(start.elapsed().as_secs_f64());
-        assert!(
-            r.verified,
-            "unverified run: {} threads={threads}",
-            case.name
-        );
+        assert!(r.verified, "unverified run: {} {lookahead:?}", case.name);
         result = Some(r);
     }
     Measured {
@@ -155,7 +143,6 @@ fn silent_pct(r: &RunResult) -> f64 {
 
 fn main() {
     let mut queue = 2048u64;
-    let mut thread_list = vec![1usize, 2, 4, 8];
     let mut reps = 3usize;
     let mut out: Option<String> = Some("results/simperf.md".to_string());
     let mut check = false;
@@ -163,21 +150,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     let mut out_explicit = false;
-    let mut threads_explicit = false;
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--queue" => queue = value().parse().unwrap_or_else(|_| usage()),
-            "--threads" => {
-                thread_list = value()
-                    .split(',')
-                    .map(|t| t.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if thread_list.is_empty() {
-                    usage()
-                }
-                threads_explicit = true;
-            }
             "--reps" => reps = value().parse().unwrap_or_else(|_| usage()),
             "--out" => {
                 out = Some(value());
@@ -189,12 +165,6 @@ fn main() {
     }
     if check {
         queue = queue.min(256);
-        // CI runners with enough cores pass an explicit list (e.g.
-        // `--threads 1,2,4`) to exercise real parallel legs; the default
-        // smoke matrix stays the cheap 1-vs-2 contract check.
-        if !threads_explicit {
-            thread_list = vec![1, 2];
-        }
         reps = 1;
         if !out_explicit {
             out = None;
@@ -206,100 +176,74 @@ fn main() {
     report.push_str(&cohort_bench::report::host_header());
     report.push_str("# Simulator throughput (`simperf`)\n\n");
     report.push_str(&format!(
-        "Host: {host_cores} CPU core(s) visible to the process. Queue size {queue}, \
-         best of {reps} rep(s) per cell. Checksums are asserted bit-identical across \
-         all thread counts on every run of this tool.\n\n"
+        "Host: {host_cores} CPU core(s) visible to the process; every run is one host thread. \
+         Queue size {queue}, best of {reps} rep(s) per case. Each case's cycles and checksum \
+         are asserted equal to its forced cycle-by-cycle (`Force1`) run on every run of this \
+         tool.\n\n"
     ));
-    if host_cores < *thread_list.iter().max().unwrap_or(&1) {
-        report.push_str(&format!(
-            "> **Caveat:** this host exposes only {host_cores} core(s), so thread counts \
-             above that measure synchronisation overhead, not parallel speedup — the \
-             workers time-slice one CPU. Re-run on a multi-core host for speedup numbers; \
-             the determinism columns are meaningful regardless.\n\n"
-        ));
-    }
 
     let mut all_ok = true;
     for case in cases(queue) {
         println!("== {} ==", case.name);
         report.push_str(&format!("## {}\n\n", case.name));
         report.push_str(
-            "| threads | sim cycles | wall (ms) | Msim-cycles/s | speedup vs 1T | batch | slots stepped % | silent % | checksum |\n\
-             |---:|---:|---:|---:|---:|---:|---:|---:|---|\n",
+            "| sim cycles | wall (ms) | Msim-cycles/s | batch | slots/barrier | slots stepped % | silent % | checksum |\n\
+             |---:|---:|---:|---:|---:|---:|---:|---|\n",
         );
         // Forced cycle-by-cycle reference: the batching baseline and the
-        // strongest equivalence witness (identical checksum AND cycles).
-        let f1 = measure(&case, 1, reps, Lookahead::Force1);
-        let mut base: Option<Measured> = None;
-        for &t in &thread_list {
-            let m = measure(&case, t, reps, Lookahead::Auto);
-            let rate = m.result.cycles as f64 / m.best_wall / 1e6;
-            let speedup = base.as_ref().map_or(1.0, |b| b.best_wall / m.best_wall);
-            // Mean cycles simulated per barrier activation (1.0 = no
-            // batching): stepped + skipped cycles over stepped cycles.
-            let batch = (m.result.barrier_activations + m.result.ff_cycles) as f64
-                / m.result.barrier_activations.max(1) as f64;
-            let stepped_pct = slots_stepped_pct(&m.result);
-            let silent = silent_pct(&m.result);
-            let mut ok = base
-                .as_ref()
-                .is_none_or(|b| b.result.checksum == m.result.checksum);
-            if f1.result.checksum != m.result.checksum || f1.result.cycles != m.result.cycles {
-                ok = false;
-                eprintln!(
-                    "simperf: BATCHING VIOLATION: {} threads={t} (cycles {}, checksum {:#018x}) \
-                     != forced-1 (cycles {}, checksum {:#018x})",
-                    case.name,
-                    m.result.cycles,
-                    m.result.checksum,
-                    f1.result.cycles,
-                    f1.result.checksum
-                );
-            }
-            if !ok {
-                all_ok = false;
-                eprintln!(
-                    "simperf: DETERMINISM VIOLATION: {} threads={t} checksum {:#018x} != 1T {:#018x}",
-                    case.name,
-                    m.result.checksum,
-                    base.as_ref().map_or(f1.result.checksum, |b| b.result.checksum)
-                );
-            }
-            println!(
-                "  threads={t}: {} cycles in {:.1} ms ({:.2} Mcyc/s, {:.2}x vs 1T, batch {batch:.1}, slots stepped {stepped_pct:.0}%, silent {silent:.0}%) checksum={:#018x}{}",
-                m.result.cycles,
-                m.best_wall * 1e3,
-                rate,
-                speedup,
-                m.result.checksum,
-                if ok { "" } else { "  <-- MISMATCH" }
+        // equivalence witness (identical checksum AND cycles).
+        let f1 = measure(&case, reps, Lookahead::Force1);
+        let auto = measure(&case, reps, Lookahead::Auto);
+        let rate = auto.result.cycles as f64 / auto.best_wall / 1e6;
+        // Mean cycles simulated per barrier activation (1.0 = no
+        // batching): stepped + skipped cycles over stepped cycles.
+        let batch = (auto.result.barrier_activations + auto.result.ff_cycles) as f64
+            / auto.result.barrier_activations.max(1) as f64;
+        let slots_per_barrier =
+            auto.result.slot_steps as f64 / auto.result.barrier_activations.max(1) as f64;
+        let stepped_pct = slots_stepped_pct(&auto.result);
+        let silent = silent_pct(&auto.result);
+        let ok =
+            (f1.result.checksum, f1.result.cycles) == (auto.result.checksum, auto.result.cycles);
+        if !ok {
+            all_ok = false;
+            eprintln!(
+                "simperf: BATCHING VIOLATION: {} (cycles {}, checksum {:#018x}) \
+                 != forced-1 (cycles {}, checksum {:#018x})",
+                case.name,
+                auto.result.cycles,
+                auto.result.checksum,
+                f1.result.cycles,
+                f1.result.checksum
             );
-            report.push_str(&format!(
-                "| {t} | {} | {:.1} | {:.2} | {speedup:.2}x | {batch:.1} | {stepped_pct:.0} | {silent:.0} | `{:#018x}`{} |\n",
-                m.result.cycles,
-                m.best_wall * 1e3,
-                rate,
-                m.result.checksum,
-                if ok { "" } else { " **MISMATCH**" }
-            ));
-            if base.is_none() {
-                base = Some(m);
-            }
         }
-        let auto = base.as_ref().expect("at least one thread count");
+        println!(
+            "  {} cycles in {:.1} ms ({rate:.2} Mcyc/s, batch {batch:.1}, {slots_per_barrier:.2} slots/barrier, slots stepped {stepped_pct:.0}%, silent {silent:.0}%) checksum={:#018x}{}",
+            auto.result.cycles,
+            auto.best_wall * 1e3,
+            auto.result.checksum,
+            if ok { "" } else { "  <-- MISMATCH" }
+        );
+        report.push_str(&format!(
+            "| {} | {:.1} | {rate:.2} | {batch:.1} | {slots_per_barrier:.2} | {stepped_pct:.0} | {silent:.0} | `{:#018x}`{} |\n",
+            auto.result.cycles,
+            auto.best_wall * 1e3,
+            auto.result.checksum,
+            if ok { "" } else { " **MISMATCH**" }
+        ));
         let barrier_drop =
             f1.result.barrier_activations as f64 / auto.result.barrier_activations.max(1) as f64;
         let wall_gain = f1.best_wall / auto.best_wall;
         println!(
             "  batching: {} -> {} barriers ({barrier_drop:.1}x fewer), \
-             1T wall {:.1} ms -> {:.1} ms ({wall_gain:.2}x)",
+             wall {:.1} ms -> {:.1} ms ({wall_gain:.2}x)",
             f1.result.barrier_activations,
             auto.result.barrier_activations,
             f1.best_wall * 1e3,
             auto.best_wall * 1e3,
         );
         report.push_str(&format!(
-            "\nLookahead batching vs forced cycle-by-cycle (1 thread): \
+            "\nLookahead batching vs forced cycle-by-cycle: \
              {} -> {} barrier activations (**{barrier_drop:.1}x** fewer), \
              {} cycles fast-forwarded, wall {:.1} ms -> {:.1} ms \
              ({wall_gain:.2}x). Cycles and checksums are bit-identical \
@@ -317,7 +261,7 @@ fn main() {
             .map(|(class, n)| format!("{class} {n}"))
             .collect();
         let silent_line = format!(
-            "Silent steps (1 thread): {} of {} slot-steps ({})",
+            "Silent steps: {} of {} slot-steps ({})",
             auto.result.silent_steps(),
             auto.result.slot_steps,
             if by_class.is_empty() {
@@ -346,7 +290,6 @@ fn main() {
                 case.name, f1.result.barrier_activations
             );
         }
-        let stepped_pct = slots_stepped_pct(&auto.result);
         if check && case.name.starts_with("sharded-aes") && stepped_pct >= 60.0 {
             all_ok = false;
             eprintln!(
@@ -357,7 +300,6 @@ fn main() {
         }
         // Measured 43% (58% before the hints learnt that a buffered word
         // is an event only if its sink can take it).
-        let silent = silent_pct(&auto.result);
         if check && case.name.starts_with("sharded-aes") && silent >= 50.0 {
             all_ok = false;
             eprintln!(
@@ -379,8 +321,8 @@ fn main() {
         println!("report: wrote {path}");
     }
     if !all_ok {
-        eprintln!("simperf: FAILED — parallel runs diverged from single-threaded results");
+        eprintln!("simperf: FAILED");
         std::process::exit(1);
     }
-    println!("determinism: all thread counts bit-identical");
+    println!("determinism: Auto bit-identical to Force1 on every case");
 }

@@ -4,7 +4,7 @@
 //! cargo run --release -p cohort-bench --bin socrun -- \
 //!     [--mode cohort|mmio|dma|chain|interfered|chaos|failover|dma-chaos|shard|mesh16] \
 //!     [--workload sha|aes] [--queue N] [--batch N] [--backoff N] \
-//!     [--policy eager|lazy|huge] [--watchdog N] [--threads N] [--shards N] \
+//!     [--policy eager|lazy|huge] [--watchdog N] [--shards N] \
 //!     [--placement rr|occupancy] [--skew] [--engines N] [--faults SPEC] \
 //!     [--dram SPEC] \
 //!     [--tlb N] [--counters] [--stats FILE] [--trace FILE] [--bench-out FILE]
@@ -47,8 +47,6 @@ fn usage() -> ! {
          \u{20}         --engines overrides the spare-inclusive pool size,\n\
          \u{20}         --skew makes every 4th element run heavy;\n\
          \u{20}         mode mesh16 is the 16-core big.LITTLE mesh (4 shards + noise)\n\
-         parallel: --threads N steps components on N host threads; results\n\
-         \u{20}         (incl. the printed checksum) are bit-identical at any N\n\
          record: --bench-out writes {{cycles, throughput, occupancy p50}} JSON\n\
          fault spec: stall@C:D|forever; spike@C:D:F; storm@C:P; corrupt@C;\n\
          \u{20}           kill@C[:E]; maple-stall@C:D; maple-kill@C;\n\

@@ -20,6 +20,8 @@
 //! into a run — `socrun`, the fleet loader, the sweep — fills a
 //! [`run_params::RunParams`] from one key table.
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod fleet;
 pub mod params;

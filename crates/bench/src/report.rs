@@ -202,11 +202,10 @@ pub fn stats_figure(sweep: &mut Sweep, workload: Workload) -> String {
 }
 
 /// Machine-readable host header for generated reports: states the core
-/// count of the machine that produced the numbers, so a report generated
-/// in a 1-core container is detectable (by CI or a human) instead of
-/// silently presenting overhead as scaling. Render it as the first line
-/// of every report whose numbers depend on host parallelism (`simperf`'s;
-/// nothing in [`ARTEFACTS`] does).
+/// count of the machine that produced the numbers, so a snapshot taken in
+/// a small shared container is detectable (by CI or a human). Render it
+/// as the first line of every report that holds wall-clock numbers
+/// (`simperf`'s; nothing in [`ARTEFACTS`] does).
 pub fn host_header() -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!("<!-- host_cores={cores} -->\n")

@@ -38,8 +38,6 @@ pub struct RunParams {
     pub policy: MapPolicy,
     /// Engine forward-progress watchdog budget (0 = runner default).
     pub watchdog: u64,
-    /// Simulator worker threads per run (results are thread-invariant).
-    pub sim_threads: usize,
     /// Shard count for the sharded runner.
     pub shards: usize,
     /// Shard placement policy.
@@ -70,7 +68,6 @@ impl Default for RunParams {
             backoff: 700,
             policy: MapPolicy::Eager,
             watchdog: 0,
-            sim_threads: 1,
             shards: 1,
             placement: Placement::RoundRobin,
             skew: false,
@@ -122,7 +119,6 @@ impl RunParams {
         s.backoff = self.backoff;
         s.watchdog = self.watchdog;
         s.seed = seed;
-        s.soc.threads = self.sim_threads.max(1);
         s.soc.faults = self.plan_for_seed(seed);
         s.soc.dram = self.dram.clone();
         let shard = if runner == Runner::Sharded {
@@ -274,14 +270,13 @@ const ANY: u64 = u64::MAX;
 /// `[[scenario]]` and `[[override]]` tables and, under [`Key::flag`],
 /// `socrun`'s run-parameter flags.
 #[rustfmt::skip] // a table: one key per row
-pub const KEYS: [Key; 15] = [
+pub const KEYS: [Key; 14] = [
     key("workload", Some("workload"), "sha|aes", Set::Str(set_workload)),
     key("queue", Some("queue"), "N", Set::Int(1, MAX_QUEUE, |p, n| p.queue = n)),
     key("batch", Some("batch"), "N", Set::Int(0, ANY, |p, n| p.batch = n.max(1))),
     key("backoff", Some("backoff"), "N", Set::Int(0, ANY, |p, n| p.backoff = n)),
     key("policy", Some("policy"), "eager|lazy|huge", Set::Str(set_policy)),
     key("watchdog", Some("watchdog"), "N", Set::Int(0, ANY, |p, n| p.watchdog = n)),
-    key("sim_threads", Some("threads"), "N", Set::Int(0, ANY, |p, n| p.sim_threads = n.max(1) as usize)),
     key("shards", Some("shards"), "N", Set::Int(1, 64, |p, n| p.shards = n as usize)),
     key("placement", Some("placement"), "rr|occupancy", Set::Str(set_placement)),
     key("skew", Some("skew"), "", Set::Bool(|p, b| p.skew = b)),

@@ -3,11 +3,11 @@
 //! and the CI check matrix, plus a splitmix64 fuzz of the spec loader.
 //!
 //! The determinism tests are the fleet-level extension of the simulator's
-//! cross-thread contract (`crates/bench/tests/determinism.rs`): not only
-//! must each `(scenario, seed)` run be bit-identical at any *simulator*
-//! thread count, the whole campaign's per-run records and summary must be
-//! bit-identical at any *host* fan-out width — thread scheduling may
-//! reorder execution but never leak into what gets reported.
+//! determinism contract (`crates/bench/tests/determinism.rs`): not only
+//! is each `(scenario, seed)` run a pure function of its inputs, the
+//! whole campaign's per-run records and summary must be bit-identical at
+//! any *host* fan-out width — thread scheduling may reorder execution but
+//! never leak into what gets reported.
 
 use cohort::scenarios::{Refusal, Runner};
 use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, SpecError};
@@ -174,6 +174,14 @@ fn spec_errors_are_structured() {
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\nbogus = 3\n",
             |e| matches!(e, SpecError::UnknownKey { line: 7, section, key }
                 if section == "scenario" && key == "bogus"),
+        ),
+        // A run has no thread count to set (host fan-out is `host_threads`,
+        // under [campaign]): a key asking for one is unknown like any other.
+        (
+            "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\nsim_threads = 2\n",
+            |e| matches!(e, SpecError::UnknownKey { line: 7, section, .. }
+                if section == "scenario")
+                && e.to_string().starts_with("spec line 7: unknown key"),
         ),
         // An empty seed range.
         (

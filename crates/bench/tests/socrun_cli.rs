@@ -185,8 +185,15 @@ fn routed_runs_are_admitted_or_refused_like_explicit_ones() {
         assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
         assert!(stderr.contains(flag) && stderr.contains(says), "{stderr}");
     }
-    // The keys that vary a plan over a seed set are not flags.
-    let (code, stderr) = socrun(&["--fault_jitter", "5"]);
-    assert_eq!(code, Some(2));
-    assert!(stderr.starts_with("usage: socrun"), "{stderr}");
+    // The keys that vary a plan over a seed set are not flags, and the
+    // step kernel has no thread count to set.
+    for flag in ["--fault_jitter", "--threads"] {
+        let (code, stderr) = socrun(&[flag, "2"]);
+        assert_eq!(code, Some(2), "{flag}");
+        assert!(stderr.starts_with("usage: socrun"), "{flag}: {stderr}");
+        assert!(
+            !stderr.contains(flag),
+            "{flag} is not in the usage: {stderr}"
+        );
+    }
 }

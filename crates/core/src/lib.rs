@@ -54,6 +54,8 @@
 //! handle.unregister();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod native;
 pub mod ring;
 pub mod scenarios;

@@ -217,8 +217,8 @@ pub struct RunResult {
     /// Order-sensitive checksum over the run's observable payload (final
     /// cycle plus every recorded word). This is the value the determinism
     /// contract pins down: for a given scenario and seed it is
-    /// bit-identical at any `SocConfig::threads` setting and any
-    /// component registration order.
+    /// bit-identical under either `Lookahead` mode and any component
+    /// registration order.
     pub checksum: u64,
     /// Chrome `trace_event` JSON, present when the scenario enabled
     /// tracing. Loadable in Perfetto / `chrome://tracing`.
@@ -1091,7 +1091,7 @@ pub struct ShardSpec {
     /// working set — background memory traffic that contends for the
     /// shared cache without participating in the benchmark. The noise
     /// programs are deterministic, so results stay bit-identical for a
-    /// given spec at any thread count.
+    /// given spec.
     pub background_cores: usize,
 }
 
@@ -1130,8 +1130,7 @@ impl ShardSpec {
 /// cores stream background stores through the shared L2 — 16 in-order
 /// cores total, placed on the mesh alongside the directory, the engines
 /// and the MAPLE unit. This is the standard many-component workload for
-/// the parallel step kernel (`simperf`, the determinism suite and CI all
-/// run it).
+/// the step kernel (`simperf`, the determinism suite and CI all run it).
 pub fn mesh16_scenario(queue_size: u64, batch: u64) -> (Scenario, ShardSpec) {
     let mut scenario = Scenario::new(Workload::Aes, queue_size, batch);
     scenario.soc = SocConfig::default().with_engines(MESH16_SHARDS);

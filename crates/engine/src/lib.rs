@@ -10,6 +10,8 @@
 //! [`cohort_os::driver::regs`] by the Cohort kernel driver; user code never
 //! touches it (§4.4).
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 
 pub use cohort_accel::timing::TimedAccel;

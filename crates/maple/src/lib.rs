@@ -19,6 +19,8 @@
 //!
 //! Both modes live in one [`MapleUnit`] component, selected per run.
 
+#![forbid(unsafe_code)]
+
 pub mod unit;
 
 pub use unit::{MapleCounters, MapleUnit, DEAD_SENTINEL};

@@ -21,6 +21,8 @@
 //!   expand into MMIO programming sequences, TLB-shootdown (MMU notifier)
 //!   flushes, and the page-fault interrupt handler.
 
+#![forbid(unsafe_code)]
+
 pub mod addrspace;
 pub mod driver;
 pub mod frame;

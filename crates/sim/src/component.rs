@@ -193,10 +193,10 @@ impl Observability {
 /// awake for (see [`Component::quiescent_for`]). A component should drain
 /// its inbox every step even when otherwise idle.
 ///
-/// Components are `Send` so the SoC may step them from worker threads
-/// ([`crate::config::SocConfig::threads`]); they are never shared between
-/// threads (`Sync` is not required) — each slot is stepped by exactly one
-/// thread per cycle.
+/// Components are `Send`, so a whole SoC may be handed to another thread
+/// between runs; within a run every component is stepped on the thread
+/// that called [`crate::soc::Soc::run`], and none is ever shared between
+/// threads (`Sync` is not required).
 pub trait Component: Send {
     /// Short human-readable name, used in stats dumps.
     fn name(&self) -> &str;

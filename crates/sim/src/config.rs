@@ -111,8 +111,7 @@ impl Default for TimingConfig {
 /// steps only the slots with work; and when the earliest of the next NoC
 /// delivery, the next fault-window edge and every slot's wake time lies
 /// K ≥ 2 cycles ahead, the run loop jumps the cycle counter instead of
-/// stepping K provable no-op cycles (and, in parallel runs, pays no
-/// go/done barrier for them). Results are bit-identical to
+/// stepping K provable no-op cycles. Results are bit-identical to
 /// [`Lookahead::Force1`] by construction — hints are conservative lower
 /// bounds, and slept per-cycle bookkeeping is reconciled by
 /// `Component::fast_forward`.
@@ -150,11 +149,12 @@ pub struct SocConfig {
     pub mte_lines: u64,
     /// Deterministic fault-injection plan (empty by default: no faults).
     pub faults: crate::faultinject::FaultPlan,
-    /// Host threads the simulation kernel steps components across
-    /// (default 1: sequential). Results are bit-identical at any thread
-    /// count — the write-staging layer pins cross-component visibility to
-    /// the cycle barrier (see `docs/architecture.md`, "Parallel kernel &
-    /// determinism contract").
+    /// Inert: nothing in the workspace reads it, and a run is the same
+    /// run at any value. It exists because `benchmark/src/layers.rs:373`
+    /// assigns `scenario.soc.threads = 2` for its `par2` leg; the
+    /// `benchmark` PR that drops that leg (ROADMAP, open items) removes
+    /// this field with it.
+    #[doc(hidden)]
     pub threads: usize,
     /// Cycle-batching policy (default [`Lookahead::Auto`]).
     pub lookahead: Lookahead,
@@ -206,13 +206,6 @@ impl SocConfig {
     /// Convenience builder-style override of the fault-injection plan.
     pub fn with_faults(mut self, faults: crate::faultinject::FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Convenience builder-style override of the simulation-kernel thread
-    /// count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 

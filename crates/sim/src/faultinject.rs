@@ -449,7 +449,7 @@ fn parse_duration(s: &str) -> Result<u64, FaultSpecError> {
 
 /// A fault-switch flip staged during a step and applied at the cycle
 /// barrier, so every component observes it from the next cycle regardless
-/// of step order or thread placement.
+/// of step order.
 #[derive(Debug, Clone, Copy)]
 enum FaultOp {
     StallAccel {

@@ -49,6 +49,8 @@
 //! # let _ = core_id;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod component;
 pub mod config;
@@ -60,7 +62,6 @@ pub(crate) mod hash;
 pub mod mem;
 pub mod msg;
 pub mod noc;
-pub(crate) mod parallel;
 pub mod port;
 pub mod program;
 pub mod soc;

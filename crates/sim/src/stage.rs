@@ -11,11 +11,11 @@
 //! * **Order independence.** A component never observes another
 //!   component's same-cycle write — cross-component visibility is defined
 //!   by the cycle barrier, not by where a component happens to sit in the
-//!   step loop. Permuting registration order (or stepping components on
-//!   different threads) cannot change what anyone reads.
-//! * **Parallel safety.** During the step phase every component owns its
-//!   log exclusively and reads `PhysMem` immutably, so slots can be
-//!   stepped concurrently without synchronising on memory.
+//!   step loop. Permuting registration order cannot change what anyone
+//!   reads.
+//! * **No aliasing.** During the step phase every component owns its log
+//!   exclusively and `PhysMem` is only read, so the step phase borrows
+//!   memory immutably and each slot mutably — nothing is shared mutably.
 //!
 //! Same-cycle writes by *different* components to the same byte commit in
 //! slot order (last slot wins). The coherence protocol makes that case a
@@ -51,12 +51,6 @@ impl WriteLog {
     /// True when nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Number of staged writes this cycle — the per-component activity
-    /// sample feeding the SoC's cost-aware stripe model.
-    pub fn staged_ops(&self) -> usize {
-        self.entries.len()
     }
 
     /// Stages `data` for physical address `pa`.

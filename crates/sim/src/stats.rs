@@ -6,15 +6,13 @@
 //! hot path while the registry can snapshot all of them at any time
 //! without `&mut` access to the component — including mid-run.
 //!
-//! **Single-writer rule.** Every counter and histogram has exactly one
-//! writing thread at a time: the thread stepping the owning slot, or the
-//! main thread for the NoC's and the kernel's (ownership moves between
-//! cycles only across the step/commit barrier, which orders the
-//! accesses). Updates are therefore a relaxed load and a relaxed store,
-//! not a locked read-modify-write — the engine alone records two
-//! occupancy histograms per step. The cells stay atomic so that readers
-//! on other threads are race-free; a snapshot taken mid-step may see a
-//! histogram between two of its field updates, exactly as before. Two
+//! **Single-writer rule.** Every counter and histogram is written by one
+//! thread only: the one running the SoC, which steps every component,
+//! the NoC and the kernel. Updates are therefore a relaxed load and a
+//! relaxed store, not a locked read-modify-write — the engine alone
+//! records two occupancy histograms per step. The cells stay atomic so
+//! that readers on other threads are race-free; a snapshot taken
+//! mid-step may see a histogram between two of its field updates. Two
 //! threads adding to one handle concurrently would lose updates.
 //!
 //! Counter names are `scope.counter` where scope is the component's

@@ -737,7 +737,6 @@ const DRAM_FUZZ_SPEC: &str = "channels=1,banks=2,queue=2,miss=60,mshrs=4,ejectio
 fn fuzzed_dram_soc(
     rng: &mut Rng,
     lookahead: cohort_sim::config::Lookahead,
-    threads: usize,
 ) -> (
     cohort_sim::soc::Soc,
     cohort_sim::component::CompId,
@@ -748,8 +747,7 @@ fn fuzzed_dram_soc(
     let dram = cohort_sim::dram::DramConfig::from_spec(DRAM_FUZZ_SPEC).expect("fuzz spec parses");
     let cfg = cohort_sim::config::SocConfig::default()
         .with_dram(dram)
-        .with_lookahead(lookahead)
-        .with_threads(threads);
+        .with_lookahead(lookahead);
     let mut soc = cohort_sim::soc::Soc::new(cfg.clone());
     let dir = soc.add_component(
         TileCoord::new(0, 0),
@@ -798,8 +796,7 @@ fn dram_hints_never_overshoot_bank_events() {
     let mut rng = Rng::new(0xd7a3);
     let mut saw_dram_bound = false;
     for _ in 0..CASES {
-        let (mut soc, dir, sends) =
-            fuzzed_dram_soc(&mut rng, cohort_sim::config::Lookahead::Auto, 1);
+        let (mut soc, dir, sends) = fuzzed_dram_soc(&mut rng, cohort_sim::config::Lookahead::Auto);
         let deadline = 6_000u64;
         while soc.cycle < deadline {
             let now = soc.cycle;
@@ -833,22 +830,21 @@ fn dram_hints_never_overshoot_bank_events() {
     );
 }
 
-/// With DRAM enabled, forced cycle-by-cycle stepping, automatic lookahead
-/// batching, and a second worker thread are all observationally
-/// equivalent: same end state, same per-cycle grant deliveries, same
-/// directory/DRAM counters. The kernel invariant
-/// `barriers + ff_cycles == cycles` holds on the batched runs, and across
-/// the case set the starved geometry must actually exercise fills,
-/// channel-queue rejects and MSHR waits.
+/// With DRAM enabled, forced cycle-by-cycle stepping and automatic
+/// lookahead batching are observationally equivalent: same end state,
+/// same per-cycle grant deliveries, same directory/DRAM counters. The
+/// kernel invariant `barriers + ff_cycles == cycles` holds on the batched
+/// runs, and across the case set the starved geometry must actually
+/// exercise fills, channel-queue rejects and MSHR waits.
 #[test]
-fn dram_lookahead_modes_and_thread_counts_agree() {
+fn dram_lookahead_modes_agree() {
     use cohort_sim::component::{CompId, Component as _};
     use cohort_sim::config::Lookahead;
     use cohort_sim::directory::Directory;
 
-    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+    let run = |seed: u64, lookahead: Lookahead| {
         let mut rng = Rng::new(seed);
-        let (mut soc, dir, _) = fuzzed_dram_soc(&mut rng, lookahead, threads);
+        let (mut soc, dir, _) = fuzzed_dram_soc(&mut rng, lookahead);
         let outcome = soc.run(20_000);
         let deliveries: Vec<Vec<u64>> = [CompId(1), CompId(2)]
             .iter()
@@ -869,17 +865,14 @@ fn dram_lookahead_modes_and_thread_counts_agree() {
     let (mut skipped_any, mut rejected_any, mut stalled_any) = (false, false, false);
     for case in 0..CASES {
         let seed = 0xd7a7 + case;
-        let f1 = run(seed, Lookahead::Force1, 1);
-        let auto = run(seed, Lookahead::Auto, 1);
-        let auto2 = run(seed, Lookahead::Auto, 2);
+        let f1 = run(seed, Lookahead::Force1);
+        let auto = run(seed, Lookahead::Auto);
         assert_eq!(f1.3, 0, "Force1 must never fast-forward");
-        for other in [&auto, &auto2] {
-            assert_eq!(
-                (&f1.0, &f1.1, &f1.2),
-                (&other.0, &other.1, &other.2),
-                "observable state diverged between modes (seed {seed:#x})"
-            );
-        }
+        assert_eq!(
+            (&f1.0, &f1.1, &f1.2),
+            (&auto.0, &auto.1, &auto.2),
+            "observable state diverged between modes (seed {seed:#x})"
+        );
         assert_eq!(
             auto.4 + auto.3,
             auto.5,
@@ -1043,20 +1036,18 @@ impl cohort_sim::component::Component for TimerProbe {
 /// Per-slot sleep/wake is invisible: over SoCs of probes with random
 /// timer periods (some never firing, some firing every cycle) that ping
 /// random peers, alongside [`ScheduledSender`]s with random one-shot
-/// schedules, `Auto` and `Force1` agree at 1 and 2 threads on the stop
-/// cycle, every delivery cycle, the probes' memory words and the whole
-/// stats registry (the per-cycle `ticks` included) — and across the case
-/// set stepped cycles really did leave slots asleep.
+/// schedules, `Auto` and `Force1` agree on the stop cycle, every
+/// delivery cycle, the probes' memory words and the whole stats registry
+/// (the per-cycle `ticks` included) — and across the case set stepped
+/// cycles really did leave slots asleep.
 #[test]
 fn per_slot_sleep_is_unobservable_on_fuzzed_probe_socs() {
     use cohort_sim::component::{CompId, TileCoord};
     use cohort_sim::config::{Lookahead, SocConfig};
 
-    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+    let run = |seed: u64, lookahead: Lookahead| {
         let mut rng = Rng::new(seed);
-        let cfg = SocConfig::default()
-            .with_lookahead(lookahead)
-            .with_threads(threads);
+        let cfg = SocConfig::default().with_lookahead(lookahead);
         let mut soc = cohort_sim::soc::Soc::new(cfg);
         let probes = rng.range(2, 6);
         let senders = rng.range(1, 3);
@@ -1118,20 +1109,14 @@ fn per_slot_sleep_is_unobservable_on_fuzzed_probe_socs() {
     let mut partial_sleep = false;
     for case in 0..CASES {
         let seed = 0x51ee9 + case;
-        let (reference, _, f1_sleeps) = run(seed, Lookahead::Force1, 1);
+        let (reference, _, f1_sleeps) = run(seed, Lookahead::Force1);
         assert_eq!(f1_sleeps, 0, "Force1 must step every slot every cycle");
-        for (lookahead, threads) in [
-            (Lookahead::Force1, 2),
-            (Lookahead::Auto, 1),
-            (Lookahead::Auto, 2),
-        ] {
-            let (observable, steps, sleeps) = run(seed, lookahead, threads);
-            assert_eq!(
-                reference, observable,
-                "{lookahead:?} at {threads} thread(s) diverged from Force1 (seed {seed:#x})"
-            );
-            partial_sleep |= steps > 0 && sleeps > 0;
-        }
+        let (observable, steps, sleeps) = run(seed, Lookahead::Auto);
+        assert_eq!(
+            reference, observable,
+            "Auto diverged from Force1 (seed {seed:#x})"
+        );
+        partial_sleep |= steps > 0 && sleeps > 0;
     }
     assert!(
         partial_sleep,
@@ -1143,11 +1128,11 @@ fn per_slot_sleep_is_unobservable_on_fuzzed_probe_socs() {
 /// to four in-order cores behind one directory, each running random
 /// bursts of stores (onto a few lines every core fights over and a few
 /// of its own), ALU delays, fences and recorded loads, with random
-/// store-buffer depth and MSHR count, `Auto` and `Force1` agree at 1 and
-/// 2 threads on the stop cycle, every core's `done_at` and recorded
-/// loads, the contended words and the whole stats registry (the
-/// reconciled `sb_full_stalls` and `l1.hits` included) — and across the
-/// case set the cores really did sleep.
+/// store-buffer depth and MSHR count, `Auto` and `Force1` agree on the
+/// stop cycle, every core's `done_at` and recorded loads, the contended
+/// words and the whole stats registry (the reconciled `sb_full_stalls`
+/// and `l1.hits` included) — and across the case set the cores really
+/// did sleep.
 #[test]
 fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
     use cohort_sim::component::TileCoord;
@@ -1158,11 +1143,9 @@ fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
     use cohort_sim::LINE_BYTES;
 
     const SHARED: u64 = 0x4000;
-    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+    let run = |seed: u64, lookahead: Lookahead| {
         let mut rng = Rng::new(seed);
-        let mut cfg = SocConfig::default()
-            .with_lookahead(lookahead)
-            .with_threads(threads);
+        let mut cfg = SocConfig::default().with_lookahead(lookahead);
         cfg.timing.store_buffer = rng.range(1, 12) as usize;
         cfg.timing.sb_mshrs = rng.range(1, 6) as usize;
         let mut soc = cohort_sim::soc::Soc::new(cfg.clone());
@@ -1222,21 +1205,15 @@ fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
     let mut slept = false;
     for case in 0..CASES / 2 {
         let seed = 0x5b_51ee9 + case;
-        let (reference, ..) = run(seed, Lookahead::Force1, 1);
-        for (lookahead, threads) in [
-            (Lookahead::Force1, 2),
-            (Lookahead::Auto, 1),
-            (Lookahead::Auto, 2),
-        ] {
-            let (observable, steps, barriers) = run(seed, lookahead, threads);
-            assert_eq!(
-                reference, observable,
-                "{lookahead:?} at {threads} thread(s) diverged from Force1 (seed {seed:#x})"
-            );
-            // Fewer slot-steps than barriers: on average not even one of
-            // the three-plus slots was awake per stepped cycle.
-            slept |= lookahead == Lookahead::Auto && steps < barriers;
-        }
+        let (reference, ..) = run(seed, Lookahead::Force1);
+        let (observable, steps, barriers) = run(seed, Lookahead::Auto);
+        assert_eq!(
+            reference, observable,
+            "Auto diverged from Force1 (seed {seed:#x})"
+        );
+        // Fewer slot-steps than barriers: on average not even one of
+        // the three-plus slots was awake per stepped cycle.
+        slept |= steps < barriers;
     }
     assert!(slept, "no run ever left its cores asleep");
 }
@@ -1251,10 +1228,10 @@ fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
 /// fault injector flipping switches under them: accelerator stalls, which
 /// re-hint every sleeper in mid-park, and latency spikes, which let the
 /// NoC reorder messages about one line and so end all parking — `Auto`
-/// and `Force1` agree at 1 and 2 threads on the stop cycle, every core's
-/// `done_at` and recorded loads, the flag words and the whole stats
-/// registry (the replayed `spin_iters`, `instret` and `l1.hits`
-/// included). Across the case set the consumers really did sleep.
+/// and `Force1` agree on the stop cycle, every core's `done_at` and
+/// recorded loads, the flag words and the whole stats registry (the
+/// replayed `spin_iters`, `instret` and `l1.hits` included). Across the
+/// case set the consumers really did sleep.
 #[test]
 fn spin_park_is_unobservable_on_fuzzed_core_socs() {
     use cohort_sim::component::TileCoord;
@@ -1266,11 +1243,9 @@ fn spin_park_is_unobservable_on_fuzzed_core_socs() {
     use cohort_sim::LINE_BYTES;
 
     const FLAGS: u64 = 0x4000;
-    let run = |seed: u64, lookahead: Lookahead, threads: usize| {
+    let run = |seed: u64, lookahead: Lookahead| {
         let mut rng = Rng::new(seed);
-        let mut cfg = SocConfig::default()
-            .with_lookahead(lookahead)
-            .with_threads(threads);
+        let mut cfg = SocConfig::default().with_lookahead(lookahead);
         cfg.timing.l1_hit = rng.range(0, 4);
         cfg.timing.spin_alu = rng.range(0, 6);
         cfg.timing.spin_insts = rng.range(1, 5);
@@ -1387,22 +1362,14 @@ fn spin_park_is_unobservable_on_fuzzed_core_socs() {
     let (mut f1_steps, mut auto_steps) = (0, 0);
     for case in 0..CASES {
         let seed = 0x5b19_0a2c + case;
-        let (reference, steps) = run(seed, Lookahead::Force1, 1);
+        let (reference, steps) = run(seed, Lookahead::Force1);
         f1_steps += steps;
-        for (lookahead, threads) in [
-            (Lookahead::Force1, 2),
-            (Lookahead::Auto, 1),
-            (Lookahead::Auto, 2),
-        ] {
-            let (observable, steps) = run(seed, lookahead, threads);
-            assert_eq!(
-                reference, observable,
-                "{lookahead:?} at {threads} thread(s) diverged from Force1 (seed {seed:#x})"
-            );
-            if (lookahead, threads) == (Lookahead::Auto, 1) {
-                auto_steps += steps;
-            }
-        }
+        let (observable, steps) = run(seed, Lookahead::Auto);
+        assert_eq!(
+            reference, observable,
+            "Auto diverged from Force1 (seed {seed:#x})"
+        );
+        auto_steps += steps;
     }
     // Most of these runs is waiting: a spinning core that is stepped per
     // iteration alone keeps `Auto` above a fifth of forced stepping.
