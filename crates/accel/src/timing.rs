@@ -105,8 +105,8 @@ impl TimedAccel {
         self.out_bytes.len()
     }
 
-    /// Cycles until the pipeline next changes state on its own, assuming
-    /// no further input and uninterrupted stepping — the accelerator's
+    /// Cycles until the pipeline next changes state on its own (0 = at
+    /// `cycle`), assuming no further input — the accelerator's
     /// contribution to its host's `quiescent_for` lookahead hint.
     /// `sink_ready` is the host's word on whether anyone would call
     /// [`Self::pop_word`] this cycle: a buffered output word is an event
@@ -115,14 +115,14 @@ impl TimedAccel {
     /// sooner.
     pub fn next_event(&self, cycle: u64, sink_ready: bool) -> u64 {
         if sink_ready && self.out_bytes.len() >= 8 {
-            return 1; // a word can pop on the very next cycle
+            return 0; // a word can pop this cycle
         }
         if self.pending_out.is_some() {
             // The in-flight block retires at `busy_until`.
-            return self.busy_until.saturating_sub(cycle).max(1);
+            return self.busy_until.saturating_sub(cycle);
         }
         if self.in_ratchet.blocks_available() > 0 {
-            return 1; // a staged block launches at the next step
+            return 0; // a staged block launches at the next step
         }
         u64::MAX
     }
@@ -264,21 +264,22 @@ mod tests {
         t.step(0); // launches, busy until 50
         t.step(50); // retires: one word buffered, nothing in flight
         assert_eq!(t.output_len(), 8);
-        assert_eq!(t.next_event(51, true), 1, "a ready sink pops it");
+        assert_eq!(t.next_event(51, true), 0, "a ready sink pops it");
         assert_eq!(
             t.next_event(51, false),
             u64::MAX,
             "blocked sink, idle pipeline: only a drain or a push acts"
         );
         t.push_word(2);
-        assert_eq!(t.next_event(51, false), 1, "a staged block launches");
+        assert_eq!(t.next_event(51, false), 0, "a staged block launches");
         t.step(51); // launches, busy until 101
         assert_eq!(
             t.next_event(60, false),
             41,
             "blocked sink: the next event is the retire at busy_until"
         );
-        assert_eq!(t.next_event(60, true), 1);
+        assert_eq!(t.next_event(60, true), 0);
+        assert_eq!(t.next_event(100, false), 1, "no clamp: 1 is one cycle away");
     }
 
     #[test]

@@ -18,14 +18,15 @@
 //! `--check` is the CI smoke mode: a small queue, one rep, no report
 //! unless `--out` is given; exit status is the contract — which in this
 //! mode additionally requires the sharded-AES case to batch at
-//! least 3x fewer barriers than forced cycle-by-cycle stepping, to
+//! least 4.8x fewer barriers than forced cycle-by-cycle stepping, to
 //! really step fewer than 60% of its slots on the cycles it does step
 //! (per-slot sleep) and to keep silent steps (nothing received, nothing
-//! staged, hint back at 1) under 50% of those, and the mesh16 case to
-//! batch at least 1.4x fewer barriers and the single-engine case — one
+//! staged, hint back at 0) under 25% of those, and the mesh16 case to
+//! batch at least 1.8x fewer barriers and the single-engine case — one
 //! core that mostly spins on its output index, asleep until the
-//! invalidation — at least 4x fewer, with barriers + fast-forwarded
-//! cycles still adding up to the forced-1 cycle count on all three.
+//! invalidation — at least 6.3x fewer, with barriers + fast-forwarded
+//! cycles still adding up to the forced-1 cycle count and every barrier
+//! stepping at least one slot (`slots/barrier >= 1.0`) on all three.
 
 use cohort::scenarios::{
     mesh16_scenario, run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload,
@@ -52,7 +53,9 @@ struct Case {
     runner: Runner,
     scenario: Scenario,
     spec: Option<ShardSpec>,
-    /// `--check` floor on forced-1 barriers over batched barriers.
+    /// `--check` floor on forced-1 barriers over batched barriers: between
+    /// what the case measured while a hint of 1 still bought a step (in
+    /// the comments below) and what it measures since hints are exact.
     need_drop: f64,
 }
 
@@ -66,7 +69,7 @@ fn cases(queue: u64) -> Vec<Case> {
             runner: Runner::Sharded,
             scenario: sharded,
             spec: Some(ShardSpec::new(4)),
-            need_drop: 3.0,
+            need_drop: 4.8, // 4.5x -> 5.4x at `--check`
         },
         // Back-pressured store buffers used to pin mesh16 at 1.0x.
         Case {
@@ -74,18 +77,19 @@ fn cases(queue: u64) -> Vec<Case> {
             runner: Runner::Sharded,
             scenario: mesh,
             spec: Some(mesh_spec),
-            need_drop: 1.4,
+            need_drop: 1.8, // 1.7x -> 1.9x
         },
         // One engine, one core that spins on the output index between
         // batches: where sleeping through the spin loop matters most.
         // 2.2x at queue 1024 and 2.7x at 256 while the spinning core was
-        // stepped, 5.0x and 5.9x since it sleeps until the invalidation.
+        // stepped, 5.0x and 5.9x since it sleeps until the invalidation,
+        // 6.0x and 7.1x since an L1 hit's second cycle is slept through.
         Case {
             name: "cohort-sha (1 engine)",
             runner: Runner::Cohort,
             scenario: Scenario::new(Workload::Sha, queue, 64),
             spec: None,
-            need_drop: 4.0,
+            need_drop: 6.3,
         },
     ];
     // Batching pays off in latency-bound phases (accelerator compute
@@ -101,7 +105,7 @@ fn cases(queue: u64) -> Vec<Case> {
             runner: Runner::Sharded,
             scenario: small,
             spec: Some(ShardSpec::new(4)),
-            need_drop: 3.0,
+            need_drop: 4.8,
         });
     }
     out
@@ -135,7 +139,7 @@ fn slots_stepped_pct(r: &RunResult) -> f64 {
 }
 
 /// Share of the really stepped slots whose step was silent (nothing
-/// received, nothing staged, hint back at 1), in percent — what a tighter
+/// received, nothing staged, hint back at 0), in percent — what a tighter
 /// `quiescent_for` could still put to sleep.
 fn silent_pct(r: &RunResult) -> f64 {
     100.0 * r.silent_steps() as f64 / r.slot_steps.max(1) as f64
@@ -298,14 +302,24 @@ fn main() {
                 case.name
             );
         }
-        // Measured 43% (58% before the hints learnt that a buffered word
-        // is an event only if its sink can take it).
-        if check && case.name.starts_with("sharded-aes") && silent >= 50.0 {
+        // Measured 11% (35% while a hint of 1 still bought a step, 58%
+        // before the hints learnt that a buffered word is an event only
+        // if its sink can take it).
+        if check && case.name.starts_with("sharded-aes") && silent >= 25.0 {
             all_ok = false;
             eprintln!(
                 "simperf: SILENT-STEP REGRESSION: {} stepped silently on {silent:.1}% of its \
-                 slot-steps (need < 50%): {silent_line}",
+                 slot-steps (need < 25%): {silent_line}",
                 case.name
+            );
+        }
+        // A barrier that steps nobody should have been a jump.
+        if check && auto.result.slot_steps < auto.result.barrier_activations {
+            all_ok = false;
+            eprintln!(
+                "simperf: EMPTY BARRIERS: {} stepped {} slots over {} barriers \
+                 (need slots/barrier >= 1.0)",
+                case.name, auto.result.slot_steps, auto.result.barrier_activations
             );
         }
     }

@@ -1766,7 +1766,7 @@ impl Component for CohortEngine {
         let dead = self.killed();
         let mut k = if dead {
             if self.dead_since.is_none() {
-                return 1; // the next step latches dead_since and traces it
+                return 0; // the next step latches dead_since and traces it
             }
             u64::MAX // frozen datapath: only the watchdog (below) can act
         } else {
@@ -1780,7 +1780,7 @@ impl Component for CohortEngine {
                     return u64::MAX; // nothing in flight / endpoint's move
                 }
                 match ch.state {
-                    ChState::Translate => 1, // issues or retries every cycle
+                    ChState::Translate => 0, // issues or retries every cycle
                     ChState::AccessHit { at, .. } => at.saturating_sub(now),
                     ChState::WalkWait | ChState::WaitFault | ChState::AccessWait { .. } => u64::MAX,
                 }
@@ -1792,7 +1792,7 @@ impl Component for CohortEngine {
                 ConsState::Off | ConsState::Halted => u64::MAX,
                 ConsState::Waiting => {
                     if self.rcm_pending(CH_CONS) {
-                        1
+                        0
                     } else {
                         // Wakes only when the pinned rd line is touched,
                         // and invalidations arrive as port messages.
@@ -1807,14 +1807,14 @@ impl Component for CohortEngine {
                             // window the SoC injector term bounds.
                             u64::MAX
                         } else if self.accel.ready(now) {
-                            1 // a word goes in this coming cycle
+                            0 // a word goes in this coming cycle
                         } else {
                             // Back-pressured mid-chunk: ready rises when
                             // the in-flight block retires.
                             self.accel.next_event(now, self.stage_ready())
                         }
                     } else {
-                        1 // finalise: publish the read index
+                        0 // finalise: publish the read index
                     }
                 }
                 ConsState::Csr
@@ -1824,12 +1824,12 @@ impl Component for CohortEngine {
                 | ConsState::Fetch { .. }
                 | ConsState::UpdateRd => {
                     if actionable(CH_CONS) {
-                        1
+                        0
                     } else {
                         u64::MAX
                     }
                 }
-                ConsState::Judge => 1,
+                ConsState::Judge => 0,
             };
             let prod = match self.prod {
                 ProdState::Off | ProdState::Halted => u64::MAX,
@@ -1838,7 +1838,7 @@ impl Component for CohortEngine {
                     // cycle; a partial one waits on accelerator output,
                     // which the accel bound below covers.
                     if self.stage.len() >= self.ep[CH_PROD].q.elem as usize {
-                        1
+                        0
                     } else {
                         u64::MAX
                     }
@@ -1852,7 +1852,7 @@ impl Component for CohortEngine {
                 | ProdState::WriteData { .. }
                 | ProdState::UpdateWr => {
                     if actionable(CH_PROD) {
-                        1
+                        0
                     } else {
                         u64::MAX
                     }
@@ -1884,7 +1884,7 @@ impl Component for CohortEngine {
                 }
             }
         }
-        k.max(1)
+        k
     }
 
     fn fast_forward(&mut self, skipped: u64) {

@@ -696,6 +696,104 @@ fn kill_landing_on_a_sleeping_engine_matches_forced_stepping() {
 }
 
 #[test]
+fn kill_inside_a_one_cycle_sleep_matches_forced_stepping() {
+    // A hint of exactly 1 puts the engine to sleep for one cycle. With a
+    // base back-off window of 2 every publication the engine hears of
+    // ends in one (enter `Backoff` at c, sleep c + 1, re-read at c + 2),
+    // and a kill three cycles before a wedged consumer's watchdog trip
+    // makes another (latch the fail-stop at trip - 2, sleep, trip). The
+    // kill is placed on the cycle before and on the very cycle of every
+    // one-cycle sleep forced stepping can point at, and on every cycle
+    // around the trip: the slept cycle's occupancy samples must be taken
+    // against the pre-kill switches and the wake-up must land where
+    // forced stepping acts. (`AccessHit` never hints 1 here: the engine's
+    // port answers a hit on the next cycle, so its hint is 0 at every
+    // step. Nor can a one-cycle sleep hide a benign endpoint's watchdog
+    // restart: the other endpoint's timer was running and trips first.)
+    use cohort_sim::component::Component as _;
+    use cohort_sim::config::Lookahead;
+    use cohort_sim::faultinject::{FaultInjector, FaultKind, FaultPlan};
+    let build = |lookahead: Lookahead, wedged: bool, kill_at: Option<u64>| {
+        let cfg = SocConfig::default().with_lookahead(lookahead);
+        let mut rig = rig_with(cfg, Box::new(NullFifo::new()));
+        if let Some(at) = kill_at {
+            let plan = FaultPlan::default().at(at, FaultKind::KillEngine { engine: 0 });
+            let faults = rig.soc.fault_state().clone();
+            rig.soc.add_component(
+                TileCoord::new(1, 1),
+                Box::new(FaultInjector::new(&plan, faults)),
+            );
+        }
+        if wedged {
+            rig.soc.fault_state().stall_accel(FOREVER);
+        }
+        rig.install_noop_error_handler();
+        let in_q = rig.alloc_queue(8, 8);
+        let out_q = rig.alloc_queue(8, 8);
+        let root = rig.space.root_pa();
+        let mut p = rig
+            .driver
+            .register_ops(root, &in_q.descriptor, &out_q.descriptor, None, 2);
+        p.append(rig.driver.watchdog_ops(300));
+        // One publication per word, spaced so that each finds the engine
+        // waiting and sends it through a back-off of its own.
+        for i in 0..8u64 {
+            p.push(Op::Store {
+                va: in_q.descriptor.element_va(i),
+                value: i,
+            });
+            p.push(Op::Fence);
+            p.push(Op::Store {
+                va: in_q.descriptor.write_index_va,
+                value: i + 1,
+            });
+            p.push(Op::Alu(150));
+        }
+        // Outlive the kill and the watchdog budget behind it.
+        p.push(Op::Alu(1_000));
+        rig.load(p);
+        rig
+    };
+    // Scout under forced stepping, one cycle per `run`: the cycles the
+    // engine would sleep through on a hint of exactly 1 while it streams,
+    // and the cycle its watchdog trips.
+    let scout = |wedged: bool| {
+        let mut rig = build(Lookahead::Force1, wedged, None);
+        let (mut ones, mut trip) = (Vec::new(), None);
+        while !rig.soc.run(1).quiescent {
+            let e = rig.soc.component::<CohortEngine>(rig.engine).unwrap();
+            let consumed = e.engine_counters().consumed.get();
+            if (1..8).contains(&consumed) && e.quiescent_for(rig.soc.cycle) == 1 {
+                ones.push(rig.soc.cycle);
+            }
+            if trip.is_none() && e.engine_counters().watchdog_trips.get() == 1 {
+                trip = Some(rig.soc.cycle - 1);
+            }
+        }
+        (ones, trip)
+    };
+    let (ones, no_trip) = scout(false);
+    assert!(ones.len() >= 7, "a back-off per publication: {ones:?}");
+    assert_eq!(no_trip, None, "the fault-free stream never trips");
+    let trip = scout(true).1.expect("the wedged consumer trips");
+    let run = |wedged: bool, kill_at: u64, lookahead: Lookahead| {
+        let mut rig = build(lookahead, wedged, Some(kill_at));
+        rig.run();
+        assert_eq!(rig.engine_counter("watchdog_trips"), 1);
+        (rig.soc.cycle, rig.soc.stats_json())
+    };
+    let around_sleeps = ones.iter().flat_map(|&c| [(false, c - 1), (false, c)]);
+    let around_trip = (trip - 6..=trip + 1).map(|at| (true, at));
+    for (wedged, kill_at) in around_sleeps.chain(around_trip) {
+        assert_eq!(
+            run(wedged, kill_at, Lookahead::Force1),
+            run(wedged, kill_at, Lookahead::Auto),
+            "kill at {kill_at} (wedged: {wedged}, sleeps {ones:?}, trip {trip})"
+        );
+    }
+}
+
+#[test]
 fn producer_blocked_on_a_full_stage_sleeps_and_matches_forced_stepping() {
     // 256 words go through a one-cycle FIFO: the accelerator hands back a
     // word per cycle while the producer endpoint publishes one element

@@ -566,7 +566,7 @@ impl Component for MapleUnit {
 
     fn quiescent_for(&self, now: u64) -> u64 {
         if !self.dead_latched && self.dead() {
-            return 1; // the next step latches the fail-stop and aborts
+            return 0; // the next step latches the fail-stop and aborts
         }
         if self.dead_latched {
             // Frozen datapath: only incoming messages (serviced at
@@ -583,7 +583,7 @@ impl Component for MapleUnit {
         if self.stalled(now) {
             // Injected stall: the datapath below is frozen, and the
             // un-stall edge is a fault window the SoC injector bounds.
-            return k.max(1);
+            return k;
         }
         // A buffered word is an event only if its sink can take it this
         // cycle: the DMA loop needs the access slot free, a word to feed
@@ -598,19 +598,19 @@ impl Component for MapleUnit {
                 || (self.in_buf.len() >= 8 && self.accel.ready(now))
                 || self.dma_finished()
             {
-                return 1;
+                return 0;
             }
             sink_ready = self.dma_stage_ready();
         }
         for h in &self.held {
             match h {
-                HeldMmio::Push { .. } if self.accel.ready(now) => return 1,
-                HeldMmio::Done { .. } if !running => return 1,
+                HeldMmio::Push { .. } if self.accel.ready(now) => return 0,
+                HeldMmio::Done { .. } if !running => return 0,
                 HeldMmio::Pop { .. } => sink_ready = true,
                 _ => {}
             }
         }
-        k.min(self.accel.next_event(now, sink_ready)).max(1)
+        k.min(self.accel.next_event(now, sink_ready))
     }
 
     fn is_idle(&self) -> bool {

@@ -227,13 +227,15 @@ pub trait Component: Send {
     /// when every component is idle and no messages are in flight.
     fn is_idle(&self) -> bool;
 
-    /// Conservative lookahead hint: the number of upcoming cycles
-    /// (starting at `now`) for which stepping this component would be a
-    /// provable no-op, **assuming its inbox stays empty — whatever other
-    /// components commit to memory or send to each other meanwhile.** The
-    /// SoC turns the hint into the slot's wake time and does not step the
-    /// component again until then, or until a message arrives for it,
-    /// while the rest of the SoC keeps running
+    /// Lookahead hint: the exact distance from `now` to the component's
+    /// next own action, **assuming its inbox stays empty — whatever other
+    /// components commit to memory or send to each other meanwhile.** 0
+    /// means it acts at `now`; `N` means stepping it at `now..now + N - 1`
+    /// would be a provable no-op and it acts at `now + N`; `u64::MAX`
+    /// means only an inbound message can wake it. The SoC adds the hint to
+    /// `now` to get the slot's entry in its wake table and does not step
+    /// the component again until that cycle, or until a message arrives
+    /// for it, while the rest of the SoC keeps running
     /// ([`crate::config::Lookahead`]).
     ///
     /// The contract: if `quiescent_for(now)` returns `N`, then stepping
@@ -242,9 +244,9 @@ pub trait Component: Send {
     /// state-machine transitions — *except* pure per-cycle bookkeeping
     /// (stall counters, occupancy histograms) which
     /// [`Component::fast_forward`] must then reconcile exactly. So every
-    /// state that reports `N > 1` must be waiting on a timer of the
+    /// state that reports `N > 0` must be waiting on a timer of the
     /// component's own or on a message: a component that polls memory
-    /// must report 1 while it polls (but see the held-line rule below:
+    /// must report 0 while it polls (but see the held-line rule below:
     /// polling one's own coherent copy is not polling memory). The hint
     /// may read the component
     /// itself, `now`, and the shared [`crate::faultinject::FaultState`]
@@ -323,17 +325,15 @@ pub trait Component: Send {
     /// word is still below target, which under `Lookahead::Force1` looks
     /// on the very cycle after the write committed.
     ///
-    /// Over-stepping is always sound (the SoC may step anywhere inside
-    /// the window); only an overshoot — returning `N` when the component
-    /// would have acted at `now + j`, `j < N` — breaks determinism. A
-    /// hint of 1 cannot tell "acts at `now`" from "acts at `now + 1`", so
-    /// the SoC reads it as "awake". Return `u64::MAX` when only an
-    /// inbound message can wake the component. The default of 1 makes
-    /// unported components correct by construction: they are stepped
-    /// every cycle, exactly as before.
+    /// Under-reporting is always sound (the SoC may step anywhere inside
+    /// the window, and a timer's own hint is a plain `due - now`, no
+    /// clamp); only an overshoot — returning `N` when the component would
+    /// have acted at `now + j`, `j < N` — breaks determinism. The default
+    /// of 0 makes unported components correct by construction: they are
+    /// stepped every cycle.
     fn quiescent_for(&self, now: u64) -> u64 {
         let _ = now;
-        1
+        0
     }
 
     /// Reconciles per-cycle bookkeeping for `skipped` consecutive cycles
@@ -345,7 +345,7 @@ pub trait Component: Send {
     /// `skipped` individual steps would have recorded or restarted (e.g.
     /// `stall_cycles += skipped`, `occupancy.record_n(frozen_depth,
     /// skipped)`, a timer that every idle step re-arms) and nothing else.
-    /// The default does nothing, matching the default hint of 1 (a
+    /// The default does nothing, matching the default hint of 0 (a
     /// component that is stepped every cycle never sleeps).
     ///
     /// What the agents reconcile per skipped cycle. Core: one

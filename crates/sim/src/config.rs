@@ -108,12 +108,12 @@ impl Default for TimingConfig {
 /// Under [`Lookahead::Auto`] each slot sleeps until the wake time its
 /// [`crate::component::Component::quiescent_for`] hint gave when it was
 /// last stepped (or until a message arrives for it), so a stepped cycle
-/// steps only the slots with work; and when the earliest of the next NoC
-/// delivery, the next fault-window edge and every slot's wake time lies
-/// K ≥ 2 cycles ahead, the run loop jumps the cycle counter instead of
-/// stepping K provable no-op cycles. Results are bit-identical to
-/// [`Lookahead::Force1`] by construction — hints are conservative lower
-/// bounds, and slept per-cycle bookkeeping is reconciled by
+/// steps only the slots with work; and when nobody is awake, the run loop
+/// jumps the cycle counter to the earliest of the next NoC delivery, the
+/// next fault-window edge and every slot's wake time — one cycle ahead or
+/// many — instead of stepping provable no-op cycles. Results are
+/// bit-identical to [`Lookahead::Force1`] by construction — hints never
+/// overshoot, and slept per-cycle bookkeeping is reconciled by
 /// `Component::fast_forward`.
 ///
 /// One caveat: `Soc::run_until` predicates that key on the raw cycle

@@ -827,7 +827,7 @@ impl Component for InOrderCore {
         // an event only if its sink can take it: unless the drain is
         // blocked it issues a request or retires the head next step.
         if !self.irq_pending.is_empty() || (!self.sb.is_empty() && !self.sb_drain_blocked()) {
-            return 1;
+            return 0;
         }
         // Polling a held line is not polling memory: only a message (Inv,
         // recall, an evicting fill, an IRQ) or an announced edit, which
@@ -844,14 +844,12 @@ impl Component for InOrderCore {
             | CState::WaitMmio { .. }
             | CState::WaitHandlerMmio => u64::MAX,
             // Hit-path completions fire exactly at their stamp.
-            CState::LoadDone { at, .. } | CState::SpinDone { at, .. } => {
-                at.saturating_sub(now).max(1)
-            }
+            CState::LoadDone { at, .. } | CState::SpinDone { at, .. } => at.saturating_sub(now),
             // Back-pressured by the store buffer: `exec` stalls every
             // cycle until a grant (a message) moves the head.
             CState::Ready if self.exec_stalls() => u64::MAX,
             // An ALU/trap busy window ends exactly at busy_until.
-            CState::Ready => self.busy_until.saturating_sub(now).max(1),
+            CState::Ready => self.busy_until.saturating_sub(now),
         }
     }
 

@@ -592,7 +592,7 @@ impl Component for Directory {
         // too; ingress-parked requests are admitted only when a grant
         // frees an MSHR, and grants are themselves heap- or ack-driven.
         match self.delayed.peek() {
-            Some(Reverse(d)) => d.at.saturating_sub(now).max(1),
+            Some(Reverse(d)) => d.at.saturating_sub(now),
             None => u64::MAX,
         }
     }

@@ -912,7 +912,7 @@ impl Component for FaultInjector {
         // SoC's inbox check covers. No per-cycle bookkeeping, so the
         // default no-op `fast_forward` is exact.
         match self.schedule.front() {
-            Some(e) => e.at_cycle.saturating_sub(now).max(1),
+            Some(e) => e.at_cycle.saturating_sub(now),
             None => u64::MAX,
         }
     }

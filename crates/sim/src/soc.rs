@@ -20,18 +20,23 @@
 //! kernel & determinism contract"). The whole kernel is one loop on the
 //! calling thread ([`Soc::run`]).
 //!
-//! # Per-slot sleep/wake
+//! # The wake table
 //!
-//! Under [`Lookahead::Auto`] a stepped cycle steps only the slots that
-//! have work. Right after a slot is stepped, its
-//! [`Component::quiescent_for`] hint is turned into a wake time
-//! (`Slot::wake_at`); until then the slot is skipped unless a message
-//! lands in its inbox, and the cycles it slept through are reconciled
-//! with one [`Component::fast_forward`] call when it next steps. The
-//! global fast-forward is the special case "everyone is asleep": the
-//! horizon is the minimum wake time, so it costs no hint calls. Hints read
-//! the fault switches, so every slot is re-hinted whenever those change
-//! value — at a staged flip (sleepers are reconciled against the
+//! [`Soc::wake`] holds, per slot, the first cycle at which the slot must
+//! be stepped, and is the single answer to "who is stepped at cycle `c`".
+//! A step at `c` sets the entry to `c + 1` plus the component's fresh
+//! [`Component::quiescent_for`] hint (0 = acts at once, so `c + 1`); a
+//! delivery at `c` lowers the destination's entry to `c`. Each iteration
+//! of the run loop makes one pass over the table that yields the awake
+//! list (ascending slot index) and the earliest later wake time. If the
+//! list is empty, the loop jumps to the earliest of that time, the next
+//! NoC delivery, the next fault-window edge and the deadline — be it one
+//! cycle away — with no step and no commit. Otherwise it steps the list
+//! and commits the list, so a barrier costs O(awake slots) and every
+//! barrier steps somebody. The cycles a slot slept through are reconciled
+//! with one [`Component::fast_forward`] call when it next steps. Hints
+//! read the fault switches, so every slot is re-hinted whenever those
+//! change value — at a staged flip (sleepers are reconciled against the
 //! *pre-flip* state first), at a window edge, and at run-loop entry
 //! (harness code may have changed anything in between). A write that
 //! bypasses the coherence protocol is announced as a flip that moves no
@@ -39,7 +44,8 @@
 //! spin loop on its own copy of the word hears of it in no other way, and
 //! at each of these points every component is told to forget what it
 //! remembered of memory ([`Component::forget_memory`]). Under
-//! [`Lookahead::Force1`] nobody ever sleeps; it stays the reference.
+//! [`Lookahead::Force1`] the table stays at 0 and nobody ever sleeps; it
+//! is the reference.
 
 use std::collections::VecDeque;
 
@@ -55,23 +61,14 @@ use crate::trace::Trace;
 
 struct Slot {
     comp: Box<dyn Component>,
-    tile: TileCoord,
     inbox: VecDeque<Envelope>,
     /// Messages staged during this cycle's step, injected at commit.
     outbox: Vec<Outgoing>,
     /// Memory writes staged during this cycle's step, applied at commit.
     log: WriteLog,
-    /// First cycle at which the component may act on its own, from its
-    /// hint right after it was last stepped (or re-hinted). The slot
-    /// sleeps while `cycle < wake_at` and its inbox is empty.
-    wake_at: u64,
     /// First cycle this component has not accounted for yet: every
     /// earlier cycle was stepped or reconciled by `fast_forward`.
     synced_to: u64,
-    /// The slot's last step was silent: empty inbox, nothing staged, and
-    /// the fresh hint said "awake" again — a step the hint could have
-    /// slept through. Only read for a slot stepped this cycle.
-    silent: bool,
     /// `kernel.silent_steps.<name>`, shared by every slot of the class.
     silent_class: Counter,
 }
@@ -80,78 +77,19 @@ impl Slot {
     /// Reconciles the cycles `synced_to..upto` the slot slept through.
     fn sync(&mut self, upto: u64) {
         if self.synced_to < upto {
-            debug_assert!(
-                upto <= self.wake_at,
-                "{} slept through its own wake time {} (to {upto})",
-                self.comp.name(),
-                self.wake_at
-            );
             self.comp.fast_forward(upto - self.synced_to);
             self.synced_to = upto;
         }
     }
 
-    /// Recomputes `wake_at` from a fresh hint for cycle `now`. A hint of
-    /// 1 cannot tell "acts at `now`" from "acts at `now + 1`", so it
-    /// means awake.
-    fn rehint(&mut self, now: u64) {
-        let hint = self.comp.quiescent_for(now);
-        self.wake_at = if hint <= 1 {
-            now
+    /// The slot's wake-table entry as of `now`: `now` if mail is waiting,
+    /// else `now` plus a fresh hint.
+    fn wake_from(&self, now: u64) -> u64 {
+        if self.inbox.is_empty() {
+            now.saturating_add(self.comp.quiescent_for(now))
         } else {
-            now.saturating_add(hint)
-        };
-    }
-
-    /// True if the step phase of `cycle` stepped this slot.
-    fn stepped_in(&self, cycle: u64) -> bool {
-        self.synced_to > cycle
-    }
-}
-
-/// Steps one slot against the read-only memory image unless it is asleep
-/// (`cycle < wake_at`, empty inbox). A slot that does step first
-/// reconciles the cycles it slept through and afterwards, under
-/// [`Lookahead::Auto`], takes its next wake time from a fresh hint. All
-/// effects land in the slot's own staging buffers.
-fn step_slot_if_awake(
-    slot: &mut Slot,
-    i: usize,
-    cycle: u64,
-    mem: &PhysMem,
-    mmio: &MmioMap,
-    lookahead: Lookahead,
-) {
-    if cycle < slot.wake_at && slot.inbox.is_empty() {
-        // Shadow audit: nothing may be left staged by a sleeper, and a
-        // fresh hint must still cover the standing one — it reads only
-        // the component and the fault switches, and neither has changed.
-        debug_assert!(slot.outbox.is_empty() && slot.log.is_empty());
-        debug_assert!(
-            cycle.saturating_add(slot.comp.quiescent_for(cycle)) >= slot.wake_at,
-            "{} promised to sleep until {} but at {cycle} hints {}",
-            slot.comp.name(),
-            slot.wake_at,
-            slot.comp.quiescent_for(cycle)
-        );
-        return;
-    }
-    slot.sync(cycle);
-    let had_mail = !slot.inbox.is_empty();
-    let mut ctx = Ctx {
-        cycle,
-        self_id: CompId(i),
-        mem: StagedMem::new(mem, &mut slot.log),
-        inbox: &mut slot.inbox,
-        outbox: &mut slot.outbox,
-        mmio_map: mmio,
-    };
-    slot.comp.step(&mut ctx);
-    slot.synced_to = cycle + 1;
-    if lookahead == Lookahead::Auto {
-        slot.rehint(cycle + 1);
-        slot.silent =
-            !had_mail && slot.outbox.is_empty() && slot.log.is_empty() && slot.wake_at == cycle + 1;
+            now
+        }
     }
 }
 
@@ -170,9 +108,9 @@ struct KernelStats {
     slot_steps: Counter,
     /// Slots a stepped cycle skipped because they were asleep.
     slot_sleeps: Counter,
-    /// Steps that did nothing the kernel can see and were followed by a
-    /// hint of 1 again (`Slot::silent`): the hint's missed sleeps. Also
-    /// kept per component class as `kernel.silent_steps.<name>`.
+    /// Steps that received nothing, staged nothing and were followed by
+    /// a hint of 0 again: the hint's missed sleeps. Also kept per
+    /// component class as `kernel.silent_steps.<name>`.
     silent_steps: Counter,
 }
 
@@ -223,6 +161,14 @@ pub struct Soc {
     pub mem: PhysMem,
     noc: Noc,
     slots: Vec<Slot>,
+    /// Each slot's tile, for routing.
+    tiles: Vec<TileCoord>,
+    /// The wake table: per slot, the first cycle at which it must be
+    /// stepped (see the module docs). All 0 under [`Lookahead::Force1`].
+    wake: Vec<u64>,
+    /// The slots the current cycle steps, ascending; refilled from `wake`
+    /// by [`Soc::scan_wake`].
+    awake: Vec<usize>,
     mmio_map: MmioMap,
     cfg: SocConfig,
     stats: Stats,
@@ -261,6 +207,9 @@ impl Soc {
             mem: PhysMem::new(),
             noc,
             slots: Vec::new(),
+            tiles: Vec::new(),
+            wake: Vec::new(),
+            awake: Vec::new(),
             mmio_map: MmioMap::default(),
             cfg,
             stats,
@@ -322,15 +271,14 @@ impl Soc {
             .counter(&format!("kernel.silent_steps.{}", comp.name()));
         self.slots.push(Slot {
             comp,
-            tile,
             inbox: VecDeque::new(),
             outbox: Vec::new(),
             log: WriteLog::new(),
-            wake_at: 0,
             synced_to: self.cycle,
-            silent: false,
             silent_class,
         });
+        self.tiles.push(tile);
+        self.wake.push(0);
         id
     }
 
@@ -342,79 +290,110 @@ impl Soc {
     /// Advances the SoC by one cycle (step phase + commit), stepping every
     /// slot whether or not it is asleep.
     pub fn step(&mut self) {
-        for slot in &mut self.slots {
+        for (slot, wake) in self.slots.iter_mut().zip(&mut self.wake) {
             // The caller owns `mem` between calls, as between runs.
             slot.sync(self.cycle);
             slot.comp.forget_memory();
-            slot.wake_at = slot.wake_at.min(self.cycle);
+            *wake = (*wake).min(self.cycle);
         }
+        self.deliver_due();
+        self.scan_wake();
         self.step_awake();
     }
 
-    /// One stepped cycle: deliveries, the step phase over the slots that
-    /// are awake, commit.
-    fn step_awake(&mut self) {
-        self.deliver_due();
-        let (slots, mem, mmio) = (&mut self.slots, &self.mem, &self.mmio_map);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            step_slot_if_awake(slot, i, self.cycle, mem, mmio, self.cfg.lookahead);
-        }
-        self.commit_cycle();
+    /// Places every message due this cycle into its destination inbox and
+    /// wakes the destination.
+    fn deliver_due(&mut self) {
+        let (slots, wake, cycle) = (&mut self.slots, &mut self.wake, self.cycle);
+        self.noc.deliver_due(cycle, |dst, env| {
+            slots[dst.0].inbox.push_back(env);
+            wake[dst.0] = wake[dst.0].min(cycle);
+        });
     }
 
-    /// Places every message due this cycle into its destination inbox.
-    fn deliver_due(&mut self) {
-        let slots = &mut self.slots;
-        self.noc.deliver_due(self.cycle, |dst, env| {
-            slots[dst.0].inbox.push_back(env);
-        });
+    /// One pass over the wake table: lists the slots due this cycle in
+    /// `awake` and returns the earliest wake time of the others.
+    fn scan_wake(&mut self) -> u64 {
+        self.awake.clear();
+        let mut next = u64::MAX;
+        for (i, &at) in self.wake.iter().enumerate() {
+            if at <= self.cycle {
+                self.awake.push(i);
+            } else {
+                next = next.min(at);
+            }
+        }
+        next
+    }
+
+    /// One stepped cycle: steps the awake list against the read-only
+    /// memory image, then commits it. A slot first reconciles the cycles
+    /// it slept through and afterwards, under [`Lookahead::Auto`], takes
+    /// its next wake time from a fresh hint. All effects land in the
+    /// slot's own staging buffers, so the order of the steps is free:
+    /// debug builds go back to front on odd cycles to witness it.
+    fn step_awake(&mut self) {
+        let (cycle, auto) = (self.cycle, self.cfg.lookahead == Lookahead::Auto);
+        let reversed = cfg!(debug_assertions) && cycle % 2 == 1;
+        let mut silent = 0;
+        let n = self.awake.len();
+        for k in 0..n {
+            let i = self.awake[if reversed { n - 1 - k } else { k }];
+            let slot = &mut self.slots[i];
+            slot.sync(cycle);
+            let had_mail = !slot.inbox.is_empty();
+            let mut ctx = Ctx {
+                cycle,
+                self_id: CompId(i),
+                mem: StagedMem::new(&self.mem, &mut slot.log),
+                inbox: &mut slot.inbox,
+                outbox: &mut slot.outbox,
+                mmio_map: &self.mmio_map,
+            };
+            slot.comp.step(&mut ctx);
+            slot.synced_to = cycle + 1;
+            if auto {
+                self.wake[i] = slot.wake_from(cycle + 1);
+                let staged = !slot.outbox.is_empty() || !slot.log.is_empty();
+                if !had_mail && !staged && self.wake[i] == cycle + 1 {
+                    silent += 1;
+                    slot.silent_class.inc();
+                }
+            }
+        }
+        self.kernel.silent_steps.add(silent);
+        self.commit_cycle();
     }
 
     /// The cycle barrier: applies the stepped slots' staged writes to
     /// memory and staged messages to the NoC in slot order, commits staged
     /// fault-switch flips, and advances the cycle.
     fn commit_cycle(&mut self) {
+        let stepped = self.awake.len() as u64;
+        debug_assert!(
+            stepped > 0 || self.slots.is_empty(),
+            "a barrier stepped nobody"
+        );
         self.kernel.barriers.inc();
-        let (slots, mem, noc) = (&mut self.slots, &mut self.mem, &mut self.noc);
-        let (mut stepped, mut silent) = (0, 0);
-        for slot in slots.iter_mut() {
-            if slot.stepped_in(self.cycle) {
-                stepped += 1;
-                if slot.silent {
-                    silent += 1;
-                    slot.silent_class.inc();
-                }
-                slot.log.commit(mem);
-            }
-        }
         self.kernel.slot_steps.add(stepped);
-        self.kernel.slot_sleeps.add(slots.len() as u64 - stepped);
-        self.kernel.silent_steps.add(silent);
-        for i in 0..slots.len() {
-            if slots[i].outbox.is_empty() {
-                continue;
+        self.kernel
+            .slot_sleeps
+            .add(self.slots.len() as u64 - stepped);
+        let (mem, noc, tiles) = (&mut self.mem, &mut self.noc, &self.tiles);
+        for &i in &self.awake {
+            let slot = &mut self.slots[i];
+            slot.log.commit(mem);
+            for out in slot.outbox.drain(..) {
+                let (src, dst) = (tiles[i], tiles[out.dst.0]);
+                noc.inject_delayed(self.cycle, src, dst, out.dst, out.env, out.extra_delay);
             }
-            let src_tile = slots[i].tile;
-            let mut outbox = std::mem::take(&mut slots[i].outbox);
-            for out in outbox.drain(..) {
-                let dst_tile = slots[out.dst.0].tile;
-                noc.inject_delayed(
-                    self.cycle,
-                    src_tile,
-                    dst_tile,
-                    out.dst,
-                    out.env,
-                    out.extra_delay,
-                );
-            }
-            slots[i].outbox = outbox;
         }
         if self.faults.has_staged() {
             // A flip changes what hints and `fast_forward` read, and an
             // announced write what a sleeper assumed of memory: close
             // every sleeper's books against the pre-flip state, then take
             // everyone's hint again under the new one.
-            for slot in slots.iter_mut() {
+            for slot in &mut self.slots {
                 slot.sync(self.cycle + 1);
             }
             self.faults.commit_staged();
@@ -433,11 +412,11 @@ impl Soc {
     /// between runs.
     fn rehint_all(&mut self) {
         let now = self.cycle;
-        for slot in &mut self.slots {
+        for (slot, wake) in self.slots.iter_mut().zip(&mut self.wake) {
             slot.sync(now);
             slot.comp.forget_memory();
             if self.cfg.lookahead == Lookahead::Auto {
-                slot.rehint(now);
+                *wake = slot.wake_from(now);
             }
         }
         self.rehint_at = self.faults.next_window_edge(now).unwrap_or(u64::MAX);
@@ -450,72 +429,77 @@ impl Soc {
             })
     }
 
-    /// The conservative lookahead horizon from the current cycle: the
-    /// number of upcoming cycles (≥ 1) in which provably no slot has
-    /// anything to do, i.e. the distance to the earliest of
-    ///
-    /// * the cycle budget (`deadline`),
-    /// * the next NoC delivery ([`crate::noc::Noc::next_delivery`]),
-    /// * the next fault-window edge
-    ///   ([`FaultState::next_window_edge`]; window *opens* are bounded by
-    ///   the injector's own wake time),
-    /// * every slot's wake time.
-    ///
-    /// It asks no component anything: wake times were taken from the
-    /// [`Component::quiescent_for`] hints when the slots last stepped.
-    /// Any pending inbox pins the horizon to 1 (the delivery must be
-    /// consumed by a real step). A horizon of `k ≥ 2` means cycles
-    /// `now .. now + k - 1` may be skipped. Under [`Lookahead::Force1`]
-    /// this is constantly 1. Public so the horizon-soundness property
-    /// tests can probe it directly.
-    pub fn lookahead_horizon(&self, deadline: u64) -> u64 {
-        if self.cfg.lookahead == Lookahead::Force1 {
-            return 1;
-        }
-        let mut wake = deadline.min(self.rehint_at);
-        if let Some(at) = self.noc.next_delivery() {
-            wake = wake.min(at);
-        }
-        for s in &self.slots {
-            if !s.inbox.is_empty() {
-                return 1;
-            }
-            wake = wake.min(s.wake_at);
-        }
-        wake.saturating_sub(self.cycle).max(1)
+    /// The earliest cycle at which anything can happen, given the
+    /// earliest wake-table entry `wake`: that, the cycle budget
+    /// (`deadline`), the next NoC delivery
+    /// ([`crate::noc::Noc::next_delivery`]) or the next fault-window edge
+    /// ([`FaultState::next_window_edge`]; window *opens* are bounded by the
+    /// injector's own wake time), whichever comes first.
+    fn next_event(&self, wake: u64, deadline: u64) -> u64 {
+        let delivery = self.noc.next_delivery().unwrap_or(u64::MAX);
+        wake.min(deadline).min(self.rehint_at).min(delivery)
     }
 
-    /// Skips `k` cycles in which every slot is asleep: only the cycle
-    /// counter moves. Each slot reconciles its bookkeeping when it next
-    /// steps. No step, no commit.
-    fn fast_forward_cycles(&mut self, k: u64) {
-        // Shadow audit: nothing staged, nothing due inside the window.
-        debug_assert!(self.slots.iter().all(|s| {
-            s.inbox.is_empty()
-                && s.outbox.is_empty()
-                && s.log.is_empty()
-                && s.wake_at >= self.cycle + k
-        }));
-        debug_assert!(self
-            .noc
-            .next_delivery()
-            .is_none_or(|at| at >= self.cycle + k));
-        self.kernel.ff_cycles.add(k);
-        self.cycle += k;
+    /// The conservative lookahead horizon from the current cycle: the
+    /// number of upcoming cycles (≥ 1) in which provably no slot has
+    /// anything to do, i.e. the distance to [`Soc::next_event`] over the
+    /// whole wake table. It asks no component anything: the table was
+    /// filled from the [`Component::quiescent_for`] hints when the slots
+    /// last stepped, and a pending inbox holds its slot's entry at or
+    /// below `now`. A horizon of `k ≥ 2` means cycles `now .. now + k - 1`
+    /// may be skipped; 1 says only that the current cycle cannot be
+    /// proved idle from here. Under [`Lookahead::Force1`] this is
+    /// constantly 1. The run loop does not use it (its own pass over the
+    /// table also yields the awake list); it is public so the
+    /// horizon-soundness property tests can probe it directly.
+    pub fn lookahead_horizon(&self, deadline: u64) -> u64 {
+        let wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
+        (self.next_event(wake, deadline).saturating_sub(self.cycle)).max(1)
+    }
+
+    /// Debug builds' shadow audit, a full walk: a sleeper has nothing
+    /// staged and no mail, and a fresh hint still covers its standing
+    /// wake time — it reads only the component and the fault switches,
+    /// and neither has changed.
+    fn audit_sleepers(&self) {
+        for (slot, &wake) in self.slots.iter().zip(&self.wake) {
+            if wake <= self.cycle {
+                continue;
+            }
+            assert!(slot.inbox.is_empty() && slot.outbox.is_empty() && slot.log.is_empty());
+            let hint = slot.comp.quiescent_for(self.cycle);
+            assert!(
+                self.cycle.saturating_add(hint) >= wake,
+                "{} promised to sleep until {wake} but at {} hints {hint}",
+                slot.comp.name(),
+                self.cycle
+            );
+        }
     }
 
     /// What the run loop does before stepping a cycle: re-hint at a
-    /// fault-window edge, then jump over the cycles nobody is awake for.
-    /// Returns true if it jumped (the caller re-checks its exits).
+    /// fault-window edge, deliver, scan the wake table and, if nobody is
+    /// awake, jump to the next cycle somebody is — only the cycle counter
+    /// moves, no step, no commit; each slot reconciles its bookkeeping
+    /// when it next steps. Returns true if it jumped (the caller re-checks
+    /// its exits), false if `awake` is ready to be stepped.
     fn skip_idle_cycles(&mut self, deadline: u64) -> bool {
         if self.cycle >= self.rehint_at {
             self.rehint_all();
         }
-        let k = self.lookahead_horizon(deadline);
-        if k >= 2 {
-            self.fast_forward_cycles(k);
+        self.deliver_due();
+        let wake = self.scan_wake();
+        if cfg!(debug_assertions) {
+            self.audit_sleepers();
         }
-        k >= 2
+        if !self.awake.is_empty() {
+            return false;
+        }
+        let to = self.next_event(wake, deadline);
+        debug_assert!(to > self.cycle, "an idle cycle with an event due");
+        self.kernel.ff_cycles.add(to - self.cycle);
+        self.cycle = to;
+        true
     }
 
     /// Runs until the SoC is quiescent or `max_cycles` elapse. A budget of
@@ -1361,7 +1345,7 @@ mod tests {
                 .pings
                 .front()
                 .map_or(u64::MAX, |&c| c.saturating_sub(now));
-            timer.min(ping).max(1)
+            timer.min(ping)
         }
         fn fast_forward(&mut self, skipped: u64) {
             self.ticks.add(skipped);
@@ -1379,7 +1363,13 @@ mod tests {
     /// and the stats registry.
     type NapperRun = (u64, Vec<(u64, Vec<u64>, Vec<u64>)>, String);
 
-    fn napper_run(lookahead: Lookahead, budget: u64, build: impl Fn(&mut Soc)) -> (NapperRun, u64) {
+    /// Runs `build`'s SoC for `budget` cycles; returns what it showed and
+    /// its `[barrier_activations, ff_cycles, slot_steps, slot_sleeps]`.
+    fn napper_run(
+        lookahead: Lookahead,
+        budget: u64,
+        build: impl Fn(&mut Soc),
+    ) -> (NapperRun, [u64; 4]) {
         let mut soc = Soc::new(SocConfig::default().with_lookahead(lookahead));
         build(&mut soc);
         let out = soc.run(budget);
@@ -1387,8 +1377,14 @@ mod tests {
             .filter_map(|i| soc.component::<Napper>(CompId(i)))
             .map(|n| (n.ticks.get(), n.acted_at.clone(), n.received_at.clone()))
             .collect();
-        let sleeps = soc.kernel_counter("kernel.slot_sleeps");
-        ((out.cycle, nappers, soc.stats_json()), sleeps)
+        let kernel = [
+            "barrier_activations",
+            "ff_cycles",
+            "slot_steps",
+            "slot_sleeps",
+        ]
+        .map(|name| soc.kernel_counter(&format!("kernel.{name}")));
+        ((out.cycle, nappers, soc.stats_json()), kernel)
     }
 
     #[test]
@@ -1407,8 +1403,8 @@ mod tests {
                 Box::new(Napper::new(0, &[300, 301], CompId(0), &f)),
             );
         };
-        let (f1, f1_sleeps) = napper_run(Lookahead::Force1, 1_000, build);
-        let (auto, auto_sleeps) = napper_run(Lookahead::Auto, 1_000, build);
+        let (f1, [.., f1_sleeps]) = napper_run(Lookahead::Force1, 1_000, build);
+        let (auto, [.., auto_sleeps]) = napper_run(Lookahead::Auto, 1_000, build);
         assert_eq!(f1, auto);
         let (ticks, _, received_at) = &auto.1[0];
         assert_eq!(received_at.len(), 2);
@@ -1466,10 +1462,76 @@ mod tests {
             soc.add_component(TileCoord::new(1, 0), Box::new(FaultInjector::new(&plan, f)));
         };
         let (f1, _) = napper_run(Lookahead::Force1, 600, build);
-        let (auto, sleeps) = napper_run(Lookahead::Auto, 600, build);
+        let (auto, [.., sleeps]) = napper_run(Lookahead::Auto, 600, build);
         assert_eq!(f1, auto);
         assert_eq!(auto.1[0].1, [64, 351, 415, 479, 543]);
         assert!(sleeps > 0);
+    }
+
+    #[test]
+    fn period_two_timer_is_stepped_on_exactly_every_second_cycle() {
+        // A hint of 1 is a sleep of one cycle, not "awake": the timer is
+        // stepped at 2, 4, …, 998 and every odd cycle is a one-cycle jump.
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            soc.add_component(
+                TileCoord::new(0, 0),
+                Box::new(Napper::new(2, &[], CompId(0), &f)),
+            );
+        };
+        let (f1, _) = napper_run(Lookahead::Force1, 1_000, build);
+        let (auto, [barriers, ff, steps, _]) = napper_run(Lookahead::Auto, 1_000, build);
+        assert_eq!(f1, auto);
+        let (ticks, acted_at, _) = &auto.1[0];
+        assert_eq!(*acted_at, (1..500).map(|k| 2 * k).collect::<Vec<u64>>());
+        assert_eq!(*ticks, 1_000, "one tick per cycle, stepped or slept");
+        assert_eq!((barriers, steps, ff), (499, 499, 501));
+    }
+
+    #[test]
+    fn mail_on_the_one_slept_cycle_is_read_on_that_cycle() {
+        // Slot 0 acts on even cycles and sleeps through each odd one on a
+        // hint of 1; two pings on consecutive cycles put one delivery on a
+        // slept cycle, which must step the slot then and there without
+        // moving its timer.
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            soc.add_component(
+                TileCoord::new(0, 0),
+                Box::new(Napper::new(2, &[], CompId(1), &f)),
+            );
+            soc.add_component(
+                TileCoord::new(1, 0),
+                Box::new(Napper::new(0, &[300, 301], CompId(0), &f)),
+            );
+        };
+        let (f1, _) = napper_run(Lookahead::Force1, 1_000, build);
+        let (auto, [barriers, _, steps, _]) = napper_run(Lookahead::Auto, 1_000, build);
+        assert_eq!(f1, auto);
+        let (_, acted_at, received_at) = &auto.1[0];
+        assert_eq!(received_at.len(), 2);
+        assert_eq!(received_at[1], received_at[0] + 1);
+        assert!(acted_at.iter().all(|at| at % 2 == 0), "{acted_at:?}");
+        // 499 timer steps, the odd delivery's, and the sender's two (the
+        // one at 300 shares the timer's barrier).
+        assert_eq!((barriers, steps), (501, 502));
+    }
+
+    #[test]
+    fn work_one_cycle_away_is_a_jump_not_a_barrier() {
+        // The only pending work is a send at cycle 1: cycle 0 is skipped
+        // (one `ff_cycles`), not stepped to find nothing to do.
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            soc.add_component(
+                TileCoord::new(0, 0),
+                Box::new(Napper::new(0, &[1], CompId(0), &f)),
+            );
+        };
+        let (f1, _) = napper_run(Lookahead::Force1, 2, build);
+        let (auto, [barriers, ff, steps, _]) = napper_run(Lookahead::Auto, 2, build);
+        assert_eq!(f1, auto);
+        assert_eq!((barriers, ff, steps), (1, 1, 1));
     }
 
     #[test]
@@ -1587,7 +1649,7 @@ mod tests {
         fn quiescent_for(&self, now: u64) -> u64 {
             let next = self.sends.front().map(|s| s.0);
             let next = next.into_iter().chain(self.write.map(|w| w.0)).min();
-            next.map_or(u64::MAX, |at| at.saturating_sub(now).max(1))
+            next.map_or(u64::MAX, |at| at.saturating_sub(now))
         }
         fn as_any(&self) -> &dyn std::any::Any {
             self
