@@ -53,6 +53,7 @@ impl ConfigError {
 /// `descriptor().input_block_bytes` bytes and returns the produced output
 /// (possibly empty for accelerators that buffer internally, possibly
 /// variable-length). Hosts apply the descriptor's latency.
+// `Send`: `cohort::native::cohort_register` moves the box into its thread.
 pub trait Accelerator: Send {
     /// Static properties.
     fn descriptor(&self) -> AccelDescriptor;

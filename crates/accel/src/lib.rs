@@ -12,10 +12,7 @@
 //! * [`stft`] — a fixed-point short-time Fourier transform (mentioned in
 //!   §4.3), windowed radix-2 FFT;
 //! * [`nullfifo`] — the AXI-Stream FIFO "null accelerator" used to validate
-//!   the stream interface;
-//! * [`hmac`] and [`aesctr`] — additional SBIO workloads (HMAC-SHA256
-//!   message authentication and the AES-CTR stream cipher) built on the
-//!   same primitives.
+//!   the stream interface.
 //!
 //! All of them implement the [`Accelerator`] trait: blocks of bytes in,
 //! bytes out, with a per-block pipeline latency used by the timing wrappers
@@ -38,9 +35,7 @@
 
 pub mod accelerator;
 pub mod aes128;
-pub mod aesctr;
 pub mod h264;
-pub mod hmac;
 pub mod nullfifo;
 pub mod ratchet;
 pub mod sha256;

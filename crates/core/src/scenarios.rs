@@ -32,7 +32,7 @@ use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 use cohort_sim::stats::HistogramSummary;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The two accelerators of interest (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -553,7 +553,7 @@ fn arm_failover(
         core_mut(&mut sys.soc, sys.core),
         FailoverConfig {
             spare: sys.drivers[spare].clone(),
-            vm: Arc::clone(&vm),
+            vm: Rc::clone(&vm),
             root_pa: sys.space.root_pa(),
             input: input.descriptor,
             output: output.descriptor,
@@ -582,12 +582,12 @@ fn arm(sys: &mut SimSystem, program: Program, vm: Option<SharedVm>, swap: Option
     let core = core_mut(&mut sys.soc, sys.core);
     for driver in &sys.drivers {
         match swap {
-            Some(s) => driver.install_fault_handler_with_swap(core, Arc::clone(&vm), s.clone()),
-            None => driver.install_fault_handler(core, Arc::clone(&vm)),
+            Some(s) => driver.install_fault_handler_with_swap(core, Rc::clone(&vm), s.clone()),
+            None => driver.install_fault_handler(core, Rc::clone(&vm)),
         }
     }
     for &id in &sys.extra_cores {
-        let (vm, swap) = (Arc::clone(&vm), swap.cloned());
+        let (vm, swap) = (Rc::clone(&vm), swap.cloned());
         core_mut(&mut sys.soc, id).set_fault_hook(Box::new(move |mem, va| {
             fault_in(mem, &vm, swap.as_ref(), va);
             true
@@ -729,13 +729,12 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
                 page += PAGE_BYTES;
             }
         }
-        let storm_vm = Arc::clone(&vm);
+        let storm_vm = Rc::clone(&vm);
         let storm_swap = swap.clone();
         let mut next = 0usize;
         let hook: StormHook = Box::new(move |mem, pages| {
             let mut evicted = 0u64;
-            let mut g = storm_vm.lock().expect("vm lock");
-            let (space, _frames) = &mut *g;
+            let (space, _frames) = &mut *storm_vm.borrow_mut();
             for _ in 0..pages {
                 if candidates.is_empty() {
                     break;
@@ -743,10 +742,7 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
                 let va = candidates[next % candidates.len()];
                 next += 1;
                 if let Some(pa) = space.translate(mem, va) {
-                    storm_swap
-                        .lock()
-                        .expect("swap lock")
-                        .insert(va, pa & !(PAGE_BYTES - 1));
+                    storm_swap.borrow_mut().insert(va, pa & !(PAGE_BYTES - 1));
                     if space.unmap(mem, va) {
                         evicted += 1;
                     }
@@ -765,7 +761,7 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
     // from scratch keeps the path idempotent — partial hardware progress
     // before the failure is simply overwritten.
     let expected = scenario.workload.reference_outputs(&scenario.input_words());
-    let fb_vm = Arc::clone(&vm);
+    let fb_vm = Rc::clone(&vm);
     let fb_swap = swap.clone();
     let out_desc = out_q.descriptor;
     let fallback: SoftwareFallback = Box::new(move |mem| {
@@ -774,8 +770,7 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
         let publish = (out_desc.write_index_va, expected.len() as u64);
         for (va, value) in stores.chain([publish]) {
             fault_in(mem, &fb_vm, Some(&fb_swap), va);
-            let g = fb_vm.lock().expect("vm lock");
-            let pa = g.0.translate(mem, va).expect("mapped");
+            let pa = fb_vm.borrow().0.translate(mem, va).expect("mapped");
             mem.write_u64(pa, value);
         }
     });

@@ -16,6 +16,7 @@ use cohort_sim::config::SocConfig;
 use cohort_sim::core::InOrderCore;
 use cohort_sim::directory::Directory;
 use cohort_sim::faultinject::FaultInjector;
+use cohort_sim::mem::MemAccess;
 use cohort_sim::program::Program;
 use cohort_sim::soc::Soc;
 

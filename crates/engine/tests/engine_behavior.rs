@@ -16,6 +16,7 @@ use cohort_sim::config::SocConfig;
 use cohort_sim::core::{HandlerAction, InOrderCore, IrqHandler};
 use cohort_sim::directory::Directory;
 use cohort_sim::faultinject::FOREVER;
+use cohort_sim::mem::MemAccess;
 use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 

@@ -6,6 +6,7 @@ use cohort_os::mmu::{DeviceMmu, TlbResult, WalkMachine, WalkStep};
 use cohort_sim::component::{CompId, Component, Ctx, Observability};
 use cohort_sim::config::{CacheConfig, SocConfig};
 use cohort_sim::faultinject::FaultState;
+use cohort_sim::mem::MemAccess;
 use cohort_sim::msg::Msg;
 use cohort_sim::port::{CoherentPort, Outcome, PortEvent};
 use cohort_sim::stats::Counter;

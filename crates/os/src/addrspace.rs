@@ -205,7 +205,7 @@ impl AddressSpace {
         dst_base + page_off
     }
 
-    /// A cheap, `Send` translator handle for core-side accesses.
+    /// A `Copy` translator handle for core-side accesses: just the root.
     pub fn translator(&self) -> SpaceTranslator {
         SpaceTranslator {
             root_pa: self.root_pa,

@@ -12,12 +12,13 @@
 
 use crate::addrspace::AddressSpace;
 use crate::frame::FrameAllocator;
-use cohort_queue::{DescriptorError, QueueDescriptor};
+use cohort_queue::QueueDescriptor;
 use cohort_sim::core::{HandlerAction, InOrderCore, IrqHandler};
 use cohort_sim::mem::MemAccess;
 use cohort_sim::program::{Op, Program};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// The Cohort engine's uncached configuration register map: byte offsets
 /// from the engine's MMIO base, each register 8 bytes (paper §4.2: the
@@ -152,17 +153,17 @@ impl Default for SyscallCost {
 
 /// Shared kernel memory-management state: one address space + frame pool
 /// visible to every fault handler (engine interrupt path and core path).
-pub type SharedVm = Arc<Mutex<(AddressSpace, FrameAllocator)>>;
+pub type SharedVm = Rc<RefCell<(AddressSpace, FrameAllocator)>>;
 
 /// A software recovery path run (with functional memory access) when the
 /// engine's error retries are exhausted — the graceful-degradation hook.
-pub type SoftwareFallback = Box<dyn FnMut(&mut dyn MemAccess) + Send>;
+pub type SoftwareFallback = Box<dyn FnMut(&mut dyn MemAccess)>;
 
 /// A forward-progress probe polled by the error handler: returns a value
 /// that strictly grows while the engine moves elements (e.g. consumed +
 /// produced + drained). Used to reset the bounded-retry budget after a
 /// recovery demonstrably succeeded.
-pub type ProgressProbe = Box<dyn FnMut() -> u64 + Send>;
+pub type ProgressProbe = Box<dyn FnMut() -> u64>;
 
 /// Everything the failover orchestrator needs to migrate a victim
 /// engine's queues onto a spare: the spare's driver, the process state
@@ -205,8 +206,7 @@ pub fn read_queue_indices(
 ) -> (u64, u64) {
     fault_in(mem, vm, None, q.write_index_va);
     fault_in(mem, vm, None, q.read_index_va);
-    let mut g = vm.lock().expect("vm lock");
-    let (space, _) = &mut *g;
+    let (space, _) = &*vm.borrow();
     let wr_pa = space
         .translate(mem, q.write_index_va)
         .expect("write index mapped");
@@ -268,36 +268,6 @@ impl CohortDriver {
     ) -> Program {
         input.validate().expect("input descriptor invalid");
         output.validate().expect("output descriptor invalid");
-        self.build_register(root_pa, input, output, csr, backoff)
-    }
-
-    /// Fallible form of [`CohortDriver::register_ops`]: returns the
-    /// violated invariant instead of panicking, for callers that want to
-    /// surface `cohort_register` failure as an errno rather than a crash.
-    ///
-    /// # Errors
-    /// Returns the first [`DescriptorError`] found in either descriptor.
-    pub fn try_register_ops(
-        &self,
-        root_pa: u64,
-        input: &QueueDescriptor,
-        output: &QueueDescriptor,
-        csr: Option<(u64, u64)>,
-        backoff: u64,
-    ) -> Result<Program, DescriptorError> {
-        input.validate()?;
-        output.validate()?;
-        Ok(self.build_register(root_pa, input, output, csr, backoff))
-    }
-
-    fn build_register(
-        &self,
-        root_pa: u64,
-        input: &QueueDescriptor,
-        output: &QueueDescriptor,
-        csr: Option<(u64, u64)>,
-        backoff: u64,
-    ) -> Program {
         let mut p = Program::new();
         p.push(Op::KernelCost {
             cycles: self.cost.cycles,
@@ -438,7 +408,7 @@ impl CohortDriver {
         swap: Option<SwapStore>,
     ) {
         let resolve_reg = self.reg(regs::FAULT_RESOLVE);
-        let engine_vm = Arc::clone(&vm);
+        let engine_vm = Rc::clone(&vm);
         let engine_swap = swap.clone();
         core.register_irq_handler(
             self.irq,
@@ -607,7 +577,7 @@ impl CohortDriver {
     /// Creates the shared kernel view of a process's memory management
     /// state used by [`CohortDriver::install_fault_handler`].
     pub fn shared_vm(space: AddressSpace, frames: FrameAllocator) -> SharedVm {
-        Arc::new(Mutex::new((space, frames)))
+        Rc::new(RefCell::new((space, frames)))
     }
 }
 
@@ -848,11 +818,11 @@ impl ShardPool {
 /// window. With a byte snapshot those late writes would be silently
 /// rolled back on page-in — observed as a consumer spinning forever on a
 /// write index that went backwards.
-pub type SwapStore = Arc<Mutex<HashMap<u64, u64>>>;
+pub type SwapStore = Rc<RefCell<HashMap<u64, u64>>>;
 
 /// Creates an empty [`SwapStore`].
 pub fn swap_store() -> SwapStore {
-    Arc::new(Mutex::new(HashMap::new()))
+    Rc::new(RefCell::new(HashMap::new()))
 }
 
 /// The shared kernel fault path: remap the parked frame if `swap` holds
@@ -862,13 +832,12 @@ pub fn swap_store() -> SwapStore {
 /// interrupt handlers do.
 pub fn fault_in(mem: &mut dyn MemAccess, vm: &SharedVm, swap: Option<&SwapStore>, va: u64) {
     use crate::sv39::PAGE_BYTES;
-    let mut g = vm.lock().expect("vm lock");
-    let (space, frames) = &mut *g;
+    let (space, frames) = &mut *vm.borrow_mut();
     if space.translate(mem, va).is_some() {
         return;
     }
     let page_va = va & !(PAGE_BYTES - 1);
-    let parked = swap.and_then(|s| s.lock().expect("swap lock").remove(&page_va));
+    let parked = swap.and_then(|s| s.borrow_mut().remove(&page_va));
     match parked {
         Some(pa) => space.map_page(mem, frames, page_va, pa),
         None => {
@@ -951,19 +920,6 @@ mod tests {
         let (mut i, o) = descs();
         i.length = 0;
         let _ = d.register_ops(0, &i, &o, None, 0);
-    }
-
-    #[test]
-    fn try_register_returns_error_not_panic() {
-        use cohort_queue::DescriptorError;
-        let d = CohortDriver::new(0x4000_0000, 5);
-        let (i, mut o) = descs();
-        assert!(d.try_register_ops(0x100_0000, &i, &o, None, 32).is_ok());
-        o.length = 48; // not a power of two
-        assert_eq!(
-            d.try_register_ops(0x100_0000, &i, &o, None, 32),
-            Err(DescriptorError::NotPowerOfTwo(48))
-        );
     }
 
     #[test]

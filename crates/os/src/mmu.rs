@@ -245,7 +245,7 @@ mod tests {
     use super::*;
     use crate::frame::FrameAllocator;
     use crate::sv39::pte_flags;
-    use cohort_sim::mem::PhysMem;
+    use cohort_sim::mem::{MemAccess, PhysMem};
 
     fn mapped_space() -> (PhysMem, u64, u64) {
         let mut mem = PhysMem::new();

@@ -15,8 +15,7 @@ fn shared_vm_maps_exactly_once_across_paths() {
 
     // Engine-path fault resolution.
     {
-        let mut g = vm.lock().unwrap();
-        let (space, frames) = &mut *g;
+        let (space, frames) = &mut *vm.borrow_mut();
         assert!(space.translate(&mem, va).is_none());
         space.handle_fault(&mut mem, frames, va);
         let pa1 = space.translate(&mem, va).unwrap();
@@ -38,8 +37,7 @@ fn fault_handlers_share_one_frame_pool() {
     let va_b = space.malloc(&mut mem, &mut frames, 4096, 4096);
     let vm = CohortDriver::shared_vm(space, frames);
     let (pa_a, pa_b) = {
-        let mut g = vm.lock().unwrap();
-        let (space, frames) = &mut *g;
+        let (space, frames) = &mut *vm.borrow_mut();
         let a = space.handle_fault(&mut mem, frames, va_a);
         let b = space.handle_fault(&mut mem, frames, va_b);
         (a, b)

@@ -193,11 +193,11 @@ impl Observability {
 /// awake for (see [`Component::quiescent_for`]). A component should drain
 /// its inbox every step even when otherwise idle.
 ///
-/// Components are `Send`, so a whole SoC may be handed to another thread
-/// between runs; within a run every component is stepped on the thread
-/// that called [`crate::soc::Soc::run`], and none is ever shared between
-/// threads (`Sync` is not required).
-pub trait Component: Send {
+/// A SoC lives and dies on the thread that built it: components hold
+/// `Rc` handles onto the stats, trace and fault cells, so neither they
+/// nor the [`crate::soc::Soc`] can be moved to or shared with another
+/// thread.
+pub trait Component {
     /// Short human-readable name, used in stats dumps.
     fn name(&self) -> &str;
 

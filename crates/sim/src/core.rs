@@ -42,12 +42,12 @@ pub enum HandlerAction {
 /// number of blocking MMIO writes `(pa, value)` issued strictly in order
 /// (each waits for the previous response — the failover orchestrator's
 /// rebind sequence relies on this ordering).
-pub type CustomHandler = Box<dyn FnMut(&mut dyn MemAccess, u64, u64) -> Vec<(u64, u64)> + Send>;
+pub type CustomHandler = Box<dyn FnMut(&mut dyn MemAccess, u64, u64) -> Vec<(u64, u64)>>;
 
 /// Kernel page-fault path: maps the faulting page and returns true, or
 /// returns false for a fatal fault. Runs against the core's staged memory
 /// view, so its page-table writes commit at the cycle barrier.
-pub type FaultHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> bool + Send>;
+pub type FaultHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> bool>;
 
 impl std::fmt::Debug for HandlerAction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

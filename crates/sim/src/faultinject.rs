@@ -27,9 +27,9 @@
 //! registry and emitted as trace instants so Perfetto shows each fault
 //! next to the engine's recovery spans.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::component::{Component, Ctx, Observability};
 use crate::mem::MemAccess;
@@ -486,52 +486,52 @@ enum FaultOp {
 /// the NoC when it breaks the order the protocol assumes
 /// ([`FaultState::line_order_broken`]).
 #[derive(Debug, Clone, Default)]
-pub struct FaultState {
-    /// Flips staged by the injector this cycle, applied at the barrier.
-    pending: Arc<Mutex<Vec<FaultOp>>>,
-    /// True while `pending` is non-empty, so the barrier of a cycle that
-    /// staged nothing — nearly all of them — takes no lock.
-    has_staged: Arc<AtomicBool>,
+pub struct FaultState(Rc<Switches>);
+
+#[derive(Debug, Default)]
+struct Switches {
+    /// Flips staged this cycle, applied at the barrier.
+    pending: RefCell<Vec<FaultOp>>,
     /// Accelerator valid/ready held low while `cycle < stall_until`.
-    stall_until: Arc<AtomicU64>,
+    stall_until: Cell<u64>,
     /// NoC latency multiplied while `cycle < spike_until`.
-    spike_until: Arc<AtomicU64>,
-    spike_factor: Arc<AtomicU64>,
+    spike_until: Cell<u64>,
+    spike_factor: Cell<u64>,
     /// Bitmask of fail-stopped engines (bit `i` = engine `i` is dead).
-    kill_mask: Arc<AtomicU64>,
+    kill_mask: Cell<u64>,
     /// MAPLE datapath held while `cycle < maple_stall_until`.
-    maple_stall_until: Arc<AtomicU64>,
-    /// Non-zero once the MAPLE unit is fail-stopped.
-    maple_dead: Arc<AtomicU64>,
+    maple_stall_until: Cell<u64>,
+    /// Set once the MAPLE unit is fail-stopped.
+    maple_dead: Cell<bool>,
     /// Set once the NoC has let a coherence message overtake an earlier
     /// one about the same line between the same pair.
-    line_order_broken: Arc<AtomicBool>,
+    line_order_broken: Cell<bool>,
 }
 
 impl FaultState {
     /// Holds the accelerator interface low until `until` ([`FOREVER`] for
     /// a permanently wedged accelerator).
     pub fn stall_accel(&self, until: u64) {
-        self.stall_until.store(until, Ordering::Relaxed);
+        self.0.stall_until.set(until);
     }
 
     /// True while the accelerator interface is held low.
     pub fn accel_stalled(&self, cycle: u64) -> bool {
-        cycle < self.stall_until.load(Ordering::Relaxed)
+        cycle < self.0.stall_until.get()
     }
 
     /// Opens a latency-spike window: messages injected before `until`
     /// take `factor`× their modelled latency.
     pub fn set_latency_spike(&self, until: u64, factor: u64) {
-        self.spike_factor.store(factor.max(1), Ordering::Relaxed);
-        self.spike_until.store(until, Ordering::Relaxed);
+        self.0.spike_factor.set(factor.max(1));
+        self.0.spike_until.set(until);
     }
 
     /// The multiplicative NoC latency factor in effect at `cycle` (1 when
     /// no spike window is open).
     pub fn latency_factor(&self, cycle: u64) -> u64 {
-        if cycle < self.spike_until.load(Ordering::Relaxed) {
-            self.spike_factor.load(Ordering::Relaxed).max(1)
+        if cycle < self.0.spike_until.get() {
+            self.0.spike_factor.get().max(1)
         } else {
             1
         }
@@ -540,33 +540,33 @@ impl FaultState {
     /// Permanently fail-stops engine `engine` (no un-kill: fail-stop is
     /// by definition terminal; recovery is migration, not revival).
     pub fn kill_engine(&self, engine: u64) {
-        self.kill_mask
-            .fetch_or(1u64 << (engine & 63), Ordering::Relaxed);
+        let mask = &self.0.kill_mask;
+        mask.set(mask.get() | 1u64 << (engine & 63));
     }
 
     /// True once engine `engine` has been fail-stopped.
     pub fn engine_killed(&self, engine: u64) -> bool {
-        self.kill_mask.load(Ordering::Relaxed) & (1u64 << (engine & 63)) != 0
+        self.0.kill_mask.get() & (1u64 << (engine & 63)) != 0
     }
 
     /// Holds the MAPLE datapath until `until`.
     pub fn stall_maple(&self, until: u64) {
-        self.maple_stall_until.store(until, Ordering::Relaxed);
+        self.0.maple_stall_until.set(until);
     }
 
     /// True while the MAPLE datapath is held.
     pub fn maple_stalled(&self, cycle: u64) -> bool {
-        cycle < self.maple_stall_until.load(Ordering::Relaxed)
+        cycle < self.0.maple_stall_until.get()
     }
 
     /// Permanently fail-stops the MAPLE unit.
     pub fn kill_maple(&self) {
-        self.maple_dead.store(1, Ordering::Relaxed);
+        self.0.maple_dead.set(true);
     }
 
     /// True once the MAPLE unit has been fail-stopped.
     pub fn maple_killed(&self) -> bool {
-        self.maple_dead.load(Ordering::Relaxed) != 0
+        self.0.maple_dead.get()
     }
 
     /// True once the NoC has delivered, or is about to deliver, two
@@ -578,7 +578,7 @@ impl FaultState {
     /// implying "I will hear of the next write to it". Never cleared: such
     /// a copy can outlive the disorder that made it.
     pub fn line_order_broken(&self) -> bool {
-        self.line_order_broken.load(Ordering::Relaxed)
+        self.0.line_order_broken.get()
     }
 
     /// Stages [`FaultState::line_order_broken`] for the cycle barrier.
@@ -596,9 +596,9 @@ impl FaultState {
     pub fn next_window_edge(&self, cycle: u64) -> Option<u64> {
         let mut edge = u64::MAX;
         for until in [
-            self.stall_until.load(Ordering::Relaxed),
-            self.spike_until.load(Ordering::Relaxed),
-            self.maple_stall_until.load(Ordering::Relaxed),
+            self.0.stall_until.get(),
+            self.0.spike_until.get(),
+            self.0.maple_stall_until.get(),
         ] {
             if until > cycle {
                 edge = edge.min(until);
@@ -647,13 +647,7 @@ impl FaultState {
     }
 
     fn stage(&self, op: FaultOp) {
-        self.pending
-            .lock()
-            .expect("no step panics while staging a flip")
-            .push(op);
-        // Pairs with the Acquire in `has_staged`; the ops themselves are
-        // published by the mutex.
-        self.has_staged.store(true, Ordering::Release);
+        self.0.pending.borrow_mut().push(op);
     }
 
     /// True if a flip was staged since the last
@@ -661,18 +655,13 @@ impl FaultState {
     /// flip changes what sleeping components' hints were computed
     /// against, so it must settle them before committing it.
     pub(crate) fn has_staged(&self) -> bool {
-        self.has_staged.load(Ordering::Acquire)
+        !self.0.pending.borrow().is_empty()
     }
 
     /// Applies every staged flip, in staging order. Called by the SoC at
     /// the cycle barrier when [`FaultState::has_staged`].
     pub(crate) fn commit_staged(&self) {
-        let mut pending = self
-            .pending
-            .lock()
-            .expect("no step panics while staging a flip");
-        self.has_staged.store(false, Ordering::Relaxed);
-        for op in pending.drain(..) {
+        for op in self.0.pending.borrow_mut().drain(..) {
             match op {
                 FaultOp::StallAccel { until } => self.stall_accel(until),
                 FaultOp::LatencySpike { until, factor } => self.set_latency_spike(until, factor),
@@ -680,7 +669,7 @@ impl FaultState {
                 FaultOp::StallMaple { until } => self.stall_maple(until),
                 FaultOp::KillMaple => self.kill_maple(),
                 FaultOp::BypassWrite => {}
-                FaultOp::LineOrderBroken => self.line_order_broken.store(true, Ordering::Relaxed),
+                FaultOp::LineOrderBroken => self.0.line_order_broken.set(true),
             }
         }
     }
@@ -692,7 +681,7 @@ impl FaultState {
 /// injected from above rather than implemented here. It runs during the
 /// injector's step, so its page-table writes commit at the cycle barrier
 /// like any other component write.
-pub type StormHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> u64 + Send>;
+pub type StormHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> u64>;
 
 /// The fault-injection component: owns the resolved schedule and applies
 /// each event on its due cycle.

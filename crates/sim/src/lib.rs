@@ -33,6 +33,7 @@
 //! use cohort_sim::core::InOrderCore;
 //! use cohort_sim::directory::Directory;
 //! use cohort_sim::component::TileCoord;
+//! use cohort_sim::mem::MemAccess;
 //! use cohort_sim::program::{Op, Program};
 //!
 //! let cfg = SocConfig::default();

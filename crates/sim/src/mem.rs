@@ -98,50 +98,25 @@ impl PhysMem {
         (pa >> PAGE_SHIFT, (pa as usize) & (PAGE_BYTES - 1))
     }
 
-    /// Reads one byte.
-    pub fn read_u8(&self, pa: u64) -> u8 {
-        let (page, off) = Self::split(pa);
-        self.pages.get(&page).map_or(0, |p| p[off])
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, pa: u64, value: u8) {
-        let (page, off) = Self::split(pa);
-        self.page_mut(page)[off] = value;
-    }
-
     fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_BYTES] {
         self.pages
             .entry(page)
             .or_insert_with(|| Box::new([0u8; PAGE_BYTES]))
     }
+}
 
-    /// Reads a little-endian `u64`. The access may span frames.
-    pub fn read_u64(&self, pa: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read_bytes(pa, &mut buf);
-        u64::from_le_bytes(buf)
+impl MemAccess for PhysMem {
+    fn read_u8(&self, pa: u64) -> u8 {
+        let (page, off) = Self::split(pa);
+        self.pages.get(&page).map_or(0, |p| p[off])
     }
 
-    /// Writes a little-endian `u64`. The access may span frames.
-    pub fn write_u64(&mut self, pa: u64, value: u64) {
-        self.write_bytes(pa, &value.to_le_bytes());
+    fn write_u8(&mut self, pa: u64, value: u8) {
+        let (page, off) = Self::split(pa);
+        self.page_mut(page)[off] = value;
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&self, pa: u64) -> u32 {
-        let mut buf = [0u8; 4];
-        self.read_bytes(pa, &mut buf);
-        u32::from_le_bytes(buf)
-    }
-
-    /// Writes a little-endian `u32`.
-    pub fn write_u32(&mut self, pa: u64, value: u32) {
-        self.write_bytes(pa, &value.to_le_bytes());
-    }
-
-    /// Fills `buf` from memory starting at `pa`.
-    pub fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
+    fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
         let mut pa = pa;
         let mut done = 0;
         while done < buf.len() {
@@ -156,8 +131,7 @@ impl PhysMem {
         }
     }
 
-    /// Copies `data` into memory starting at `pa`.
-    pub fn write_bytes(&mut self, pa: u64, data: &[u8]) {
+    fn write_bytes(&mut self, pa: u64, data: &[u8]) {
         let mut pa = pa;
         let mut done = 0;
         while done < data.len() {
@@ -167,31 +141,6 @@ impl PhysMem {
             done += n;
             pa += n as u64;
         }
-    }
-
-    /// Reads `len` bytes into a fresh vector.
-    pub fn read_vec(&self, pa: u64, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.read_bytes(pa, &mut v);
-        v
-    }
-}
-
-impl MemAccess for PhysMem {
-    fn read_u8(&self, pa: u64) -> u8 {
-        PhysMem::read_u8(self, pa)
-    }
-
-    fn write_u8(&mut self, pa: u64, value: u8) {
-        PhysMem::write_u8(self, pa, value);
-    }
-
-    fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
-        PhysMem::read_bytes(self, pa, buf);
-    }
-
-    fn write_bytes(&mut self, pa: u64, data: &[u8]) {
-        PhysMem::write_bytes(self, pa, data);
     }
 }
 

@@ -22,7 +22,7 @@
 //!
 //! # The wake table
 //!
-//! [`Soc::wake`] holds, per slot, the first cycle at which the slot must
+//! `Soc::wake` holds, per slot, the first cycle at which the slot must
 //! be stepped, and is the single answer to "who is stepped at cycle `c`".
 //! A step at `c` sets the entry to `c + 1` plus the component's fresh
 //! [`Component::quiescent_for`] hint (0 = acts at once, so `c + 1`); a
@@ -442,7 +442,7 @@ impl Soc {
 
     /// The conservative lookahead horizon from the current cycle: the
     /// number of upcoming cycles (≥ 1) in which provably no slot has
-    /// anything to do, i.e. the distance to [`Soc::next_event`] over the
+    /// anything to do, i.e. the distance to `Soc::next_event` over the
     /// whole wake table. It asks no component anything: the table was
     /// filled from the [`Component::quiescent_for`] hints when the slots
     /// last stepped, and a pending inbox holds its slot's entry at or
@@ -646,6 +646,7 @@ mod tests {
     use crate::component::TileCoord;
     use crate::core::InOrderCore;
     use crate::directory::Directory;
+    use crate::mem::MemAccess;
     use crate::program::{Op, Program};
 
     fn build(program: Program) -> (Soc, CompId) {

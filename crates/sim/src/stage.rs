@@ -116,77 +116,27 @@ impl<'a> StagedMem<'a> {
     pub fn new(base: &'a PhysMem, log: &'a mut WriteLog) -> Self {
         Self { base, log }
     }
+}
 
-    /// Reads one byte (own staged writes visible).
-    pub fn read_u8(&self, pa: u64) -> u8 {
+/// Reads see own staged writes; writes are staged.
+impl MemAccess for StagedMem<'_> {
+    fn read_u8(&self, pa: u64) -> u8 {
         let mut buf = [0u8; 1];
         self.read_bytes(pa, &mut buf);
         buf[0]
     }
 
-    /// Stages a one-byte write.
-    pub fn write_u8(&mut self, pa: u64, value: u8) {
+    fn write_u8(&mut self, pa: u64, value: u8) {
         self.log.push(pa, &[value]);
     }
 
-    /// Reads a little-endian `u64` (own staged writes visible).
-    pub fn read_u64(&self, pa: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read_bytes(pa, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Stages a little-endian `u64` write.
-    pub fn write_u64(&mut self, pa: u64, value: u64) {
-        self.log.push(pa, &value.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u32` (own staged writes visible).
-    pub fn read_u32(&self, pa: u64) -> u32 {
-        let mut buf = [0u8; 4];
-        self.read_bytes(pa, &mut buf);
-        u32::from_le_bytes(buf)
-    }
-
-    /// Stages a little-endian `u32` write.
-    pub fn write_u32(&mut self, pa: u64, value: u32) {
-        self.log.push(pa, &value.to_le_bytes());
-    }
-
-    /// Fills `buf` from committed memory, then overlays own staged writes.
-    pub fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
+    fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
         self.base.read_bytes(pa, buf);
         self.log.overlay(pa, buf);
     }
 
-    /// Stages a byte-slice write.
-    pub fn write_bytes(&mut self, pa: u64, data: &[u8]) {
-        self.log.push(pa, data);
-    }
-
-    /// Reads `len` bytes into a fresh vector (own staged writes visible).
-    pub fn read_vec(&self, pa: u64, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.read_bytes(pa, &mut v);
-        v
-    }
-}
-
-impl MemAccess for StagedMem<'_> {
-    fn read_u8(&self, pa: u64) -> u8 {
-        StagedMem::read_u8(self, pa)
-    }
-
-    fn write_u8(&mut self, pa: u64, value: u8) {
-        StagedMem::write_u8(self, pa, value);
-    }
-
-    fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
-        StagedMem::read_bytes(self, pa, buf);
-    }
-
     fn write_bytes(&mut self, pa: u64, data: &[u8]) {
-        StagedMem::write_bytes(self, pa, data);
+        self.log.push(pa, data);
     }
 }
 

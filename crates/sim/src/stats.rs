@@ -2,27 +2,24 @@
 //!
 //! Every component registers named monotonic [`Counter`]s and log2-bucket
 //! [`Histogram`]s here at attach time (`Component::attach`). The
-//! handles are `Arc`-backed, so the component updates its own copy on the
+//! handles are `Rc`-backed, so the component updates its own copy on the
 //! hot path while the registry can snapshot all of them at any time
 //! without `&mut` access to the component — including mid-run.
 //!
-//! **Single-writer rule.** Every counter and histogram is written by one
-//! thread only: the one running the SoC, which steps every component,
-//! the NoC and the kernel. Updates are therefore a relaxed load and a
-//! relaxed store, not a locked read-modify-write — the engine alone
-//! records two occupancy histograms per step. The cells stay atomic so
-//! that readers on other threads are race-free; a snapshot taken
-//! mid-step may see a histogram between two of its field updates. Two
-//! threads adding to one handle concurrently would lose updates.
+//! A run is one host thread: the one that built the SoC steps every
+//! component, the NoC and the kernel, and takes the snapshots. The cells
+//! are plain `Cell`s, so no handle can reach another thread and an update
+//! is a load and a store — the engine alone records two occupancy
+//! histograms per step.
 //!
 //! Counter names are `scope.counter` where scope is the component's
 //! `name#id` (e.g. `engine#3.backoffs`, `dir#0.inv_sent`). The registry
 //! serialises to a stable, dependency-free JSON document via
 //! [`Stats::to_json`]; `socrun --stats out.json` writes exactly that.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// A monotonic event counter.
 ///
@@ -30,7 +27,7 @@ use std::sync::{Arc, Mutex};
 /// registry observes every later increment made through the component's
 /// copy.
 #[derive(Debug, Default, Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
     /// Fresh counter at zero (unregistered until adopted by a registry).
@@ -44,16 +41,16 @@ impl Counter {
         self.add(1);
     }
 
-    /// Increments by `n` (wrapping). Single writer: see the module docs.
+    /// Increments by `n` (wrapping).
     #[inline]
     pub fn add(&self, n: u64) {
-        bump(&self.0, n);
+        self.0.set(self.0.get().wrapping_add(n));
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.get()
     }
 
     /// Resets to zero **through the shared cell**, so registry-adopted
@@ -61,7 +58,7 @@ impl Counter {
     /// program into an already-attached component; counters stay monotonic
     /// within a run.
     pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+        self.0.set(0);
     }
 
     /// Overwrites the value. For mirroring an external monotonic source
@@ -69,46 +66,37 @@ impl Counter {
     /// registry; the mirrored source must itself be monotonic.
     #[inline]
     pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+        self.0.set(v);
     }
-}
-
-/// `cell += n` (wrapping) for a cell with a single writer.
-#[inline]
-fn bump(cell: &AtomicU64, n: u64) {
-    cell.store(
-        cell.load(Ordering::Relaxed).wrapping_add(n),
-        Ordering::Relaxed,
-    );
 }
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 const BUCKETS: usize = 65;
 
 struct HistogramInner {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: [Cell<u64>; BUCKETS],
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
 }
 
 /// A log2-bucketed histogram of `u64` samples (latencies, occupancies).
 ///
 /// Bucket `0` holds the value zero; bucket `i > 0` holds values in
-/// `[2^(i-1), 2^i)`. Recording is a handful of relaxed loads and stores, so
+/// `[2^(i-1), 2^i)`. Recording is a handful of loads and stores, so
 /// the handle is safe to hit from a simulation hot loop.
 #[derive(Clone)]
-pub struct Histogram(Arc<HistogramInner>);
+pub struct Histogram(Rc<HistogramInner>);
 
 impl Default for Histogram {
     fn default() -> Self {
-        Self(Arc::new(HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+        Self(Rc::new(HistogramInner {
+            buckets: std::array::from_fn(|_| Cell::new(0)),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            min: Cell::new(u64::MAX),
+            max: Cell::new(0),
         }))
     }
 }
@@ -173,48 +161,39 @@ impl Histogram {
     /// [`Histogram::record`] `n` times (the sum wraps, as `n` individual
     /// wrapping adds would). Used by
     /// [`crate::component::Component::fast_forward`] to reconcile
-    /// per-cycle histograms over a skipped window in one update. Single
-    /// writer: see the module docs.
+    /// per-cycle histograms over a skipped window in one update.
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
         let h = &*self.0;
-        bump(&h.buckets[Self::bucket_of(value)], n);
-        bump(&h.count, n);
-        bump(&h.sum, value.wrapping_mul(n));
-        if value < h.min.load(Ordering::Relaxed) {
-            h.min.store(value, Ordering::Relaxed);
-        }
-        if value > h.max.load(Ordering::Relaxed) {
-            h.max.store(value, Ordering::Relaxed);
-        }
+        let bucket = &h.buckets[Self::bucket_of(value)];
+        bucket.set(bucket.get().wrapping_add(n));
+        h.count.set(h.count.get().wrapping_add(n));
+        h.sum.set(h.sum.get().wrapping_add(value.wrapping_mul(n)));
+        h.min.set(h.min.get().min(value));
+        h.max.set(h.max.get().max(value));
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.count.get()
     }
 
     /// Summarises the current contents.
     pub fn summary(&self) -> HistogramSummary {
         let h = &*self.0;
-        let count = h.count.load(Ordering::Relaxed);
-        let sum = h.sum.load(Ordering::Relaxed);
-        let buckets: Vec<u64> = h
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let count = h.count.get();
+        let sum = h.sum.get();
         let pct = |p: f64| -> u64 {
             if count == 0 {
                 return 0;
             }
             let target = (p * count as f64).ceil() as u64;
             let mut seen = 0;
-            for (i, &b) in buckets.iter().enumerate() {
-                seen += b;
+            for (i, b) in h.buckets.iter().enumerate() {
+                seen += b.get();
                 if seen >= target {
                     return Self::bucket_top(i);
                 }
@@ -224,12 +203,8 @@ impl Histogram {
         HistogramSummary {
             count,
             sum,
-            min: if count == 0 {
-                0
-            } else {
-                h.min.load(Ordering::Relaxed)
-            },
-            max: h.max.load(Ordering::Relaxed),
+            min: if count == 0 { 0 } else { h.min.get() },
+            max: h.max.get(),
             mean: if count == 0 {
                 0.0
             } else {
@@ -252,12 +227,12 @@ struct Registry {
 /// histograms. Cloning shares the registry.
 #[derive(Clone, Default)]
 pub struct Stats {
-    inner: Arc<Mutex<Registry>>,
+    inner: Rc<RefCell<Registry>>,
 }
 
 impl std::fmt::Debug for Stats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let reg = self.inner.lock().unwrap();
+        let reg = self.inner.borrow();
         f.debug_struct("Stats")
             .field("counters", &reg.counters.len())
             .field("histograms", &reg.histograms.len())
@@ -274,8 +249,7 @@ impl Stats {
     /// Gets or creates the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
         self.inner
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .counters
             .entry(name.to_string())
             .or_default()
@@ -287,8 +261,7 @@ impl Stats {
     /// any previous registration of the same name.
     pub fn adopt_counter(&self, name: &str, counter: &Counter) {
         self.inner
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .counters
             .insert(name.to_string(), counter.clone());
     }
@@ -296,8 +269,7 @@ impl Stats {
     /// Gets or creates the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         self.inner
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .histograms
             .entry(name.to_string())
             .or_default()
@@ -307,8 +279,7 @@ impl Stats {
     /// Registers an existing histogram handle under `name`.
     pub fn adopt_histogram(&self, name: &str, histogram: &Histogram) {
         self.inner
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .histograms
             .insert(name.to_string(), histogram.clone());
     }
@@ -316,8 +287,7 @@ impl Stats {
     /// All counters, sorted by name.
     pub fn counter_values(&self) -> Vec<(String, u64)> {
         self.inner
-            .lock()
-            .unwrap()
+            .borrow()
             .counters
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
@@ -327,8 +297,7 @@ impl Stats {
     /// All histogram summaries, sorted by name.
     pub fn histogram_summaries(&self) -> Vec<(String, HistogramSummary)> {
         self.inner
-            .lock()
-            .unwrap()
+            .borrow()
             .histograms
             .iter()
             .map(|(k, v)| (k.clone(), v.summary()))

@@ -14,14 +14,14 @@
 //! id) named via metadata events; the whole SoC is `pid` 1.
 //!
 //! Tracing is disabled by default: the only cost on that path is one
-//! relaxed atomic load behind [`Trace::is_enabled`], which every emit
+//! `Cell` load behind [`Trace::is_enabled`], which every emit
 //! helper checks before touching the ring. When the ring fills, the oldest
 //! events are dropped — the tail of a run is usually the interesting part.
 
 use crate::stats::json_string;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Default ring capacity (events) when tracing is enabled.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
@@ -46,18 +46,18 @@ pub struct TraceEvent {
 }
 
 struct TraceInner {
-    enabled: AtomicBool,
+    enabled: Cell<bool>,
     capacity: usize,
-    ring: Mutex<VecDeque<TraceEvent>>,
+    ring: RefCell<VecDeque<TraceEvent>>,
     /// `tid` → thread name, emitted as `thread_name` metadata.
-    threads: Mutex<Vec<(u64, String)>>,
-    dropped: std::sync::atomic::AtomicU64,
+    threads: RefCell<Vec<(u64, String)>>,
+    dropped: Cell<u64>,
 }
 
 /// Cloneable tracing handle; see the module docs.
 #[derive(Clone)]
 pub struct Trace {
-    inner: Arc<TraceInner>,
+    inner: Rc<TraceInner>,
 }
 
 impl Default for Trace {
@@ -70,7 +70,7 @@ impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trace")
             .field("enabled", &self.is_enabled())
-            .field("events", &self.inner.ring.lock().unwrap().len())
+            .field("events", &self.inner.ring.borrow().len())
             .finish()
     }
 }
@@ -79,31 +79,31 @@ impl Trace {
     /// Creates a disabled trace with the given ring capacity.
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Arc::new(TraceInner {
-                enabled: AtomicBool::new(false),
+            inner: Rc::new(TraceInner {
+                enabled: Cell::new(false),
                 capacity: capacity.max(1),
-                ring: Mutex::new(VecDeque::new()),
-                threads: Mutex::new(Vec::new()),
-                dropped: std::sync::atomic::AtomicU64::new(0),
+                ring: RefCell::new(VecDeque::new()),
+                threads: RefCell::new(Vec::new()),
+                dropped: Cell::new(0),
             }),
         }
     }
 
     /// Turns event recording on or off. Already-recorded events are kept.
     pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
+        self.inner.enabled.set(on);
     }
 
     /// True when events are being recorded. The disabled fast path is this
     /// single load.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+        self.inner.enabled.get()
     }
 
     /// Names the Perfetto thread for `tid` (component id).
     pub fn name_thread(&self, tid: u64, name: &str) {
-        let mut threads = self.inner.threads.lock().unwrap();
+        let mut threads = self.inner.threads.borrow_mut();
         if let Some(slot) = threads.iter_mut().find(|(t, _)| *t == tid) {
             slot.1 = name.to_string();
         } else {
@@ -112,10 +112,10 @@ impl Trace {
     }
 
     fn push(&self, ev: TraceEvent) {
-        let mut ring = self.inner.ring.lock().unwrap();
+        let mut ring = self.inner.ring.borrow_mut();
         if ring.len() >= self.inner.capacity {
             ring.pop_front();
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+            self.inner.dropped.set(self.inner.dropped.get() + 1);
         }
         ring.push_back(ev);
     }
@@ -171,7 +171,7 @@ impl Trace {
 
     /// Number of recorded events currently in the ring.
     pub fn len(&self) -> usize {
-        self.inner.ring.lock().unwrap().len()
+        self.inner.ring.borrow().len()
     }
 
     /// True when the ring holds no events.
@@ -181,7 +181,7 @@ impl Trace {
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        self.inner.dropped.get()
     }
 
     /// Serialises the ring as Chrome `trace_event` JSON
@@ -190,7 +190,7 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n");
         let mut first = true;
-        for (tid, name) in self.inner.threads.lock().unwrap().iter() {
+        for (tid, name) in self.inner.threads.borrow().iter() {
             if !first {
                 out.push_str(",\n");
             }
@@ -201,7 +201,7 @@ impl Trace {
                 json_string(name)
             ));
         }
-        for ev in self.inner.ring.lock().unwrap().iter() {
+        for ev in self.inner.ring.borrow().iter() {
             if !first {
                 out.push_str(",\n");
             }

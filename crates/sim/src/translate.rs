@@ -23,7 +23,7 @@ use crate::mem::MemAccess;
 /// tables are edited by host logic only (the OS layer's hooks), never by
 /// a simulated store: translation reads `PhysMem` directly, so a core
 /// would not hear of such a store through its cache.
-pub trait Translator: Send {
+pub trait Translator {
     /// Translates `va`; `None` denotes a fault (the core panics — core-side
     /// faults are outside the modelled experiments).
     fn translate(&self, mem: &dyn MemAccess, va: u64) -> Option<u64>;

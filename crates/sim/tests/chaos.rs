@@ -5,6 +5,7 @@
 use cohort_sim::component::{Component, TileCoord};
 use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::{FaultInjector, FaultKind, FaultPlan, RandomFaults, FOREVER};
+use cohort_sim::mem::MemAccess;
 use cohort_sim::soc::Soc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -5,7 +5,9 @@
 //! error state — never a deadlock, never a panic. These tests drive each
 //! class through [`cohort::scenarios::run_cohort_chaos`], which arms the
 //! whole stack: watchdog, swap-backed fault handler, storm hook, and the
-//! bounded-retry error handler with a software fallback.
+//! bounded-retry error handler with a software fallback. The last test
+//! builds the paging part of that stack by hand so that it can look at the
+//! run between cycles.
 
 use cohort::scenarios::{run_cohort, run_cohort_chaos, RunResult, Scenario, Workload};
 use cohort_sim::config::SocConfig;
@@ -207,4 +209,143 @@ fn chaos_transitions_are_visible_in_the_trace() {
         "watchdog trip instant present"
     );
     assert!(trace.contains("error_irq"), "error IRQ instant present");
+}
+
+/// A lazily-mapped SHA run with two page-fault storms and tracing on. The
+/// storm hook, the core's fault hook and the engine's page-fault IRQ
+/// handler share one `SharedVm` and one `SwapStore`. Returns whether the
+/// output verified, and the final stats JSON. With `snapshots`, the stats
+/// and the trace are rendered before every cycle of the run.
+fn lazy_storm_run(snapshots: bool) -> (bool, String) {
+    use cohort::system::{SimSystem, SystemSpec};
+    use cohort_os::addrspace::MapPolicy;
+    use cohort_os::driver::swap_store;
+    use cohort_os::sv39::PAGE_BYTES;
+    use cohort_os::CohortDriver;
+    use cohort_sim::core::InOrderCore;
+    use cohort_sim::faultinject::FaultInjector;
+    use cohort_sim::program::{Op, Program};
+    use std::rc::Rc;
+
+    let scenario = Scenario::new(Workload::Sha, 64, 8);
+    let plan = FaultPlan::default()
+        .at(2_500, FaultKind::PageFaultStorm { pages: 2 })
+        .at(4_500, FaultKind::PageFaultStorm { pages: 2 });
+    let spec = SystemSpec {
+        cfg: SocConfig::default().with_faults(plan),
+        policy: MapPolicy::Lazy,
+        engine_accels: vec![scenario.workload.make_accel()],
+        ..SystemSpec::default()
+    };
+    let mut sys = SimSystem::build(spec, Program::new());
+    let (n, m) = (scenario.queue_size, scenario.output_words());
+    // A page of padding puts the two queues on pages of their own.
+    let in_q = sys.alloc_queue(8, n as u32).descriptor;
+    sys.alloc_buffer(PAGE_BYTES, PAGE_BYTES);
+    let out_q = sys.alloc_queue(8, m as u32).descriptor;
+    let driver = sys.drivers[0].clone();
+    // The core touches the input queue before the engine is enabled and
+    // the engine the output queue before the core pops, so each of them
+    // takes a first-touch fault.
+    let mut program = Program::new();
+    for (i, w) in (0..n).zip(scenario.input_words()) {
+        program.push(Op::Store {
+            va: in_q.element_va(i),
+            value: w,
+        });
+        if i + 1 == scenario.batch {
+            program.append(driver.register_ops(sys.space.root_pa(), &in_q, &out_q, None, 700));
+        }
+        if (i + 1) % scenario.batch == 0 {
+            program.push(Op::Fence);
+            program.push(Op::Store {
+                va: in_q.write_index_va,
+                value: i + 1,
+            });
+        }
+    }
+    for j in 0..m {
+        program.push(Op::WaitGe {
+            va: out_q.write_index_va,
+            value: j + 1,
+        });
+        program.push(Op::Load {
+            va: out_q.element_va(j),
+            record: true,
+        });
+    }
+    program.push(Op::Store {
+        va: out_q.read_index_va,
+        value: m,
+    });
+    program.push(Op::Fence);
+    program.append(driver.unregister_ops());
+
+    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
+    let swap = swap_store();
+    let (storm_vm, storm_swap) = (Rc::clone(&vm), swap.clone());
+    let pages: Vec<u64> = [in_q.base_va, out_q.base_va]
+        .map(|va| va & !(PAGE_BYTES - 1))
+        .into();
+    let mut next = 0;
+    sys.soc
+        .component_mut::<FaultInjector>(sys.injector.expect("plan is not empty"))
+        .expect("injector present")
+        .set_storm_hook(Box::new(move |mem, count| {
+            let (space, _) = &mut *storm_vm.borrow_mut();
+            let mut evicted = 0;
+            for _ in 0..count {
+                let va = pages[next % pages.len()];
+                next += 1;
+                if let Some(pa) = space.translate(mem, va) {
+                    storm_swap.borrow_mut().insert(va, pa & !(PAGE_BYTES - 1));
+                    evicted += u64::from(space.unmap(mem, va));
+                }
+            }
+            evicted
+        }));
+    let core_id = sys.core;
+    let core = sys
+        .soc
+        .component_mut::<InOrderCore>(core_id)
+        .expect("core present");
+    core.load_program(program);
+    driver.install_fault_handler_with_swap(core, vm, swap);
+
+    sys.soc.set_tracing(true);
+    let done = sys.soc.run_until(20_000_000, |soc| {
+        if snapshots {
+            assert!(soc.stats_json().contains("\"counters\""));
+            assert!(soc.trace_json().contains("\"traceEvents\""));
+        }
+        soc.component::<InOrderCore>(core_id)
+            .is_some_and(InOrderCore::is_done)
+    });
+    // Two of each: the first touch, and a page coming back from swap.
+    let counters = sys.soc.stats().counter_values();
+    for key in [".evicted_pages", ".core_faults", "engine#0.faults"] {
+        let hit = counters.iter().find(|(name, _)| name.ends_with(key));
+        assert!(
+            hit.is_some_and(|(_, v)| *v >= 2),
+            "{hit:?}: the storm hook, the core fault hook and the engine \
+             IRQ handler must all have run"
+        );
+    }
+    let expected = scenario.workload.reference_outputs(&scenario.input_words());
+    (
+        done && sys.core().recorded() == expected,
+        sys.soc.stats_json(),
+    )
+}
+
+/// The stats, trace, fault and VM cells are `RefCell`s shared between
+/// components and hooks: a borrow held from one step into the next, or a
+/// cell borrowed twice in one cycle, would panic here.
+#[test]
+fn mid_run_snapshots_of_a_lazy_storm_run_change_nothing() {
+    let (verified, watched) = lazy_storm_run(true);
+    assert!(verified, "the watched run verifies");
+    let (verified, unwatched) = lazy_storm_run(false);
+    assert!(verified, "the unwatched run verifies");
+    assert_eq!(watched, unwatched);
 }

@@ -16,7 +16,7 @@ use cohort_os::sv39::{self, pte_flags, PageSize};
 use cohort_queue::mpsc::mpsc_channel;
 use cohort_queue::typed::{typed, QueueElement};
 use cohort_queue::{spsc_channel, QueueLayout};
-use cohort_sim::mem::PhysMem;
+use cohort_sim::mem::{MemAccess, PhysMem};
 
 const CASES: u64 = 64;
 
@@ -334,41 +334,6 @@ fn typed_wide_roundtrip() {
         }
         assert_eq!(rx.pop(), None);
         assert_eq!(<[u64; 4] as QueueElement>::WORDS, 4);
-    }
-}
-
-/// HMAC keys longer than a block hash down to the same MAC as their digest
-/// used directly (RFC 2104 key preprocessing).
-#[test]
-fn hmac_long_key_equivalence() {
-    use cohort_accel::hmac::hmac_sha256;
-    let mut rng = Rng::new(0x6ac);
-    for _ in 0..CASES {
-        let key_len = rng.range(65, 128) as usize;
-        let key = rng.bytes(key_len);
-        let data_len = rng.range(0, 64) as usize;
-        let data = rng.bytes(data_len);
-        let direct = hmac_sha256(&key, &data);
-        let via_digest = hmac_sha256(&sha256(&key), &data);
-        assert_eq!(direct, via_digest);
-    }
-}
-
-/// AES-CTR encryption is an involution for any key/counter/payload.
-#[test]
-fn aes_ctr_involution() {
-    use cohort_accel::aesctr::ctr_xor;
-    let mut rng = Rng::new(0xc7);
-    for _ in 0..CASES {
-        let key: [u8; 16] = rng.array();
-        let ctr: [u8; 16] = rng.array();
-        let len = rng.range(0, 128) as usize;
-        let data = rng.bytes(len);
-        let cipher = Aes128::new(&key);
-        let mut buf = data.clone();
-        ctr_xor(&cipher, &ctr, &mut buf);
-        ctr_xor(&cipher, &ctr, &mut buf);
-        assert_eq!(buf, data);
     }
 }
 
