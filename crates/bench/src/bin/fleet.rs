@@ -4,22 +4,18 @@
 //! cohort-fleet --spec FILE [--out-dir DIR] [--threads N] [--strict]
 //!              [--baseline FILE] [--scenario NAME] [--seed N]
 //!              [--max-seeds N] [--verbose]
-//! cohort-fleet --check [--baseline FILE] [--bless] [--threads N]
 //! ```
 //!
-//! The first form runs a campaign spec and writes
-//! `results/fleet_<name>.{json,md}` (summary + report) and
-//! `results/fleet_<name>_runs.json` (per-run records). Exit code 1 when
-//! any run fails to survive under `--strict`, or when `--baseline`
-//! detects a >5% p50-cycle drift. `--scenario`/`--seed` narrow the spec
-//! for reproducing a reported failure; with `--seed` the full per-run
-//! record is printed to stdout.
-//!
-//! The second form is the CI gate: the built-in sharded-AES matrix
-//! ({1,2,4} shards × 8 seeds) against `results/fleet_baseline.json`.
-//! `--bless` rewrites the baseline instead of comparing.
+//! Runs a campaign spec and writes `results/fleet_<name>.{json,md}`
+//! (summary + report) and `results/fleet_<name>_runs.json` (per-run
+//! records). Exit code 1 when any run fails to survive under `--strict`,
+//! or when `--baseline` detects a >5% p50-cycle drift or a scenario
+//! missing on either side. `--scenario`/`--seed`/`--max-seeds` narrow the
+//! spec for reproducing a reported failure (with `--seed` the full
+//! per-run record is printed to stdout), so they are refused next to
+//! `--baseline`. A committed baseline is re-blessed by running its spec.
 
-use cohort_bench::fleet::{check, run_fleet, summarize, FleetSpec, Outcome, RunRecord};
+use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, RunRecord};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -31,11 +27,9 @@ fn usage() -> ! {
         "usage: cohort-fleet --spec FILE [--out-dir DIR] [--threads N] [--strict]\n\
          \x20                   [--baseline FILE] [--scenario NAME] [--seed N]\n\
          \x20                   [--max-seeds N] [--verbose]\n\
-         \x20      cohort-fleet --check [--baseline FILE] [--bless] [--threads N]\n\
          \n\
          Runs a declarative scenario campaign (see examples/fleet/) and writes\n\
-         results/fleet_<name>.{{json,md}} plus per-run records. --check runs the\n\
-         built-in sharded-AES matrix against results/fleet_baseline.json."
+         results/fleet_<name>.{{json,md}} plus per-run records."
     );
     std::process::exit(2)
 }
@@ -50,8 +44,6 @@ struct Args {
     seed: Option<u64>,
     max_seeds: Option<usize>,
     verbose: bool,
-    check: bool,
-    bless: bool,
 }
 
 fn parse_args() -> Args {
@@ -65,8 +57,6 @@ fn parse_args() -> Args {
         seed: None,
         max_seeds: None,
         verbose: false,
-        check: false,
-        bless: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -95,8 +85,6 @@ fn parse_args() -> Args {
                 args.max_seeds = Some(value("--max-seeds").parse().unwrap_or_else(|_| usage()))
             }
             "--verbose" => args.verbose = true,
-            "--check" => args.check = true,
-            "--bless" => args.bless = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("cohort-fleet: unknown argument {other:?}");
@@ -132,63 +120,20 @@ fn records_json(records: &[RunRecord]) -> String {
     s
 }
 
-fn run_check_mode(args: &Args) -> ExitCode {
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(check::CHECK_BASELINE_PATH));
-    if args.bless {
-        let (summary, _records) = match check::run_check(None, args.threads, args.verbose) {
-            Ok(ok) => ok,
-            Err((problems, ..)) => {
-                for p in &problems {
-                    eprintln!("cohort-fleet --check: {p}");
-                }
-                eprintln!("cohort-fleet: refusing to bless a failing matrix");
-                return ExitCode::FAILURE;
-            }
-        };
-        write_file(&baseline_path, &summary.json());
-        return ExitCode::SUCCESS;
-    }
-    let baseline = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-        eprintln!(
-            "cohort-fleet: cannot read baseline {} ({e}); run --check --bless first",
-            baseline_path.display()
-        );
-        std::process::exit(2);
-    });
-    match check::run_check(Some(&baseline), args.threads, args.verbose) {
-        Ok((summary, _)) => {
-            for sc in &summary.scenarios {
-                eprintln!(
-                    "check {}: {} runs, p50 {} cycles — within ±{:.0}% of baseline",
-                    sc.name,
-                    sc.runs,
-                    sc.cycles.p50,
-                    check::CHECK_TOLERANCE * 100.0
-                );
-            }
-            eprintln!("cohort-fleet --check: OK");
-            ExitCode::SUCCESS
-        }
-        Err((problems, ..)) => {
-            for p in &problems {
-                eprintln!("cohort-fleet --check: {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args = parse_args();
-    if args.check {
-        return run_check_mode(&args);
-    }
     let Some(spec_path) = args.spec.clone() else {
         usage()
     };
+    if args.baseline.is_some()
+        && (args.scenario.is_some() || args.seed.is_some() || args.max_seeds.is_some())
+    {
+        eprintln!(
+            "cohort-fleet: --baseline gates the whole spec; \
+             --scenario, --seed and --max-seeds narrow it"
+        );
+        std::process::exit(2);
+    }
     let mut spec = FleetSpec::load(&spec_path).unwrap_or_else(|e| {
         eprintln!("cohort-fleet: {e}");
         std::process::exit(2);

@@ -326,8 +326,9 @@ impl FleetSummary {
 /// summary JSON, per scenario, on the `cycles_p50` scalar.
 ///
 /// # Errors
-/// One message per scenario that is missing from the baseline or whose
-/// p50 cycles drifted more than `tolerance` (fractional, e.g. 0.05).
+/// One message per scenario that is missing from the baseline or from the
+/// run, or whose p50 cycles drifted more than `tolerance` (fractional,
+/// e.g. 0.05).
 pub fn compare_baseline(
     current: &FleetSummary,
     baseline_json: &str,
@@ -354,11 +355,26 @@ pub fn compare_baseline(
             ));
         }
     }
+    // A scenario dropped from the spec must not quietly shrink the gate.
+    for name in scan_scenario_names(baseline_json) {
+        if !current.scenarios.iter().any(|sc| sc.name == name) {
+            problems.push(format!("baseline scenario {name:?} missing from the run"));
+        }
+    }
     if problems.is_empty() {
         Ok(())
     } else {
         Err(problems)
     }
+}
+
+/// Every scenario name in a summary JSON, in order (only scenarios carry
+/// a `"name"` key).
+fn scan_scenario_names(json: &str) -> Vec<&str> {
+    json.split("\"name\": \"")
+        .skip(1)
+        .filter_map(|rest| rest.find('"').map(|end| &rest[..end]))
+        .collect()
 }
 
 /// Pulls `"cycles_p50": N` for a named scenario out of a summary JSON by
@@ -400,5 +416,27 @@ mod tests {
         assert_eq!(scan_scenario_p50(json, "a"), Some(1234));
         assert_eq!(scan_scenario_p50(json, "b"), Some(777));
         assert_eq!(scan_scenario_p50(json, "c"), None);
+    }
+
+    #[test]
+    fn baseline_gates_both_directions() {
+        let text = "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n\
+                    [[scenario]]\nname = \"a\"\nrunner = \"cohort\"\n\
+                    [[scenario]]\nname = \"b\"\nrunner = \"cohort\"\n";
+        let full = FleetSpec::parse(text).expect("spec parses");
+        let baseline = summarize(&full, &[]).json();
+        assert_eq!(
+            compare_baseline(&summarize(&full, &[]), &baseline, 0.05),
+            Ok(())
+        );
+
+        let mut narrowed = FleetSpec::parse(text).expect("spec parses");
+        assert!(narrowed.retain_scenario("a"));
+        assert_eq!(
+            compare_baseline(&summarize(&narrowed, &[]), &baseline, 0.05),
+            Err(vec![
+                "baseline scenario \"b\" missing from the run".to_string()
+            ])
+        );
     }
 }

@@ -14,6 +14,7 @@
 //! | `fig11.md`  | Fig. 11 — AES IPC speedups |
 //! | `table4.md` | Table 4 — FPGA resource utilisation (analytic model) |
 //! | `scaling.md`, `scaling_dram.md` | shard scaling, flat and under DRAM contention |
+//! | `kernel.md` | step-kernel record: `Auto` vs `Force1` barriers, sleeps, silent steps |
 //!
 //! Runs are memoized in a [`sweep::Sweep`] so figures sharing data points
 //! (e.g. Fig. 8 and Fig. 10) simulate each configuration once. Every way

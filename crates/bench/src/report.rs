@@ -3,8 +3,10 @@
 use crate::area::{table4, Table4Row};
 use crate::params::{min_batch, AES_BATCHES, PEAK_BATCH, QUEUE_SIZES, SHA_BATCHES, TABLE3_SIZES};
 use crate::sweep::{Mode, Sweep};
-use cohort::scenarios::Workload;
-use cohort_sim::config::SocConfig;
+use cohort::scenarios::{
+    mesh16_scenario, run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload,
+};
+use cohort_sim::config::{Lookahead, SocConfig};
 
 /// One file of `results/`: its name, its `# ` heading, and what renders
 /// the rest from the shared sweep.
@@ -14,7 +16,7 @@ pub type Artefact = (&'static str, &'static str, fn(&mut Sweep) -> String);
 /// writes them. All of it is simulated cycles or arithmetic, so every file
 /// is the same on any host.
 #[rustfmt::skip] // a table: one artefact per row
-pub const ARTEFACTS: [Artefact; 9] = [
+pub const ARTEFACTS: [Artefact; 10] = [
     ("table2.md", "Table 2 — Benchmark Tuning Parameters", |_| crate::params::table2_markdown()),
     ("fig8.md", "Figure 8 — Program latency with SHA accelerator", |sw| latency_report(sw, Workload::Sha)),
     ("fig9.md", "Figure 9 — Program latency with AES accelerator", |sw| latency_report(sw, Workload::Aes)),
@@ -24,7 +26,122 @@ pub const ARTEFACTS: [Artefact; 9] = [
     ("table4.md", "Table 4 — FPGA resource utilisation", |_| table4_markdown(&SocConfig::default())),
     ("scaling.md", "Shard scaling — multi-engine queue sharding", scaling_figure),
     ("scaling_dram.md", "Shard scaling under DRAM contention — where the knee is", scaling_dram_report),
+    ("kernel.md", "Step kernel — lookahead batching vs forced cycle-by-cycle stepping", |_| kernel_report()),
 ];
+
+/// One case of the kernel record (`kernel.md`) and of the determinism
+/// suite's kernel-floor test: a scenario run under both `Force1` and
+/// `Auto`.
+pub struct KernelCase {
+    /// Row label.
+    pub name: &'static str,
+    runner: Runner,
+    scenario: Scenario,
+    spec: Option<ShardSpec>,
+    /// Least Force1-over-Auto barrier drop the test accepts: between what
+    /// the case measured while a hint of 1 still bought a step (in the
+    /// comments below) and what it measures since hints are exact.
+    pub min_drop: f64,
+}
+
+impl KernelCase {
+    /// Runs the case under `lookahead`.
+    ///
+    /// # Panics
+    /// Panics if the run is refused or fails verification.
+    pub fn run(&self, lookahead: Lookahead) -> RunResult {
+        let mut scenario = self.scenario.clone();
+        scenario.soc.lookahead = lookahead;
+        let r = run_scenario(self.runner, &scenario, self.spec.as_ref())
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name));
+        assert!(r.verified, "{}: unverified under {lookahead:?}", self.name);
+        r
+    }
+}
+
+/// The kernel cases, all at queue 256.
+pub fn kernel_cases() -> [KernelCase; 3] {
+    let mut sharded = Scenario::new(Workload::Aes, 256, 8);
+    sharded.soc = SocConfig::default().with_engines(4);
+    let (mesh, mesh_spec) = mesh16_scenario(256, 8);
+    [
+        KernelCase {
+            name: "sharded-aes (4 engines)",
+            runner: Runner::Sharded,
+            scenario: sharded,
+            spec: Some(ShardSpec::new(4)),
+            min_drop: 4.8, // 4.5x -> 5.4x
+        },
+        // Back-pressured store buffers used to pin mesh16 at 1.0x.
+        KernelCase {
+            name: "mesh16 big.LITTLE",
+            runner: Runner::Sharded,
+            scenario: mesh,
+            spec: Some(mesh_spec),
+            min_drop: 1.8, // 1.7x -> 1.9x
+        },
+        // One engine, one core that spins on the output index between
+        // batches: where sleeping through the spin loop matters most.
+        // 2.7x while the spinning core was stepped, 5.9x since it sleeps
+        // until the invalidation, 7.1x since an L1 hit's second cycle is
+        // slept through.
+        KernelCase {
+            name: "cohort-sha (1 engine)",
+            runner: Runner::Cohort,
+            scenario: Scenario::new(Workload::Sha, 256, 64),
+            spec: None,
+            min_drop: 6.3,
+        },
+    ]
+}
+
+/// The kernel record: per [`kernel_cases`] row, what `Auto` stepped,
+/// jumped and slept through against the `Force1` reference leg. Host
+/// speed is `benchmark/`'s to measure; every number here is a count.
+fn kernel_report() -> String {
+    let mut s = String::from(
+        "| case | cycles | Force1 barriers | barriers | ff cycles | barrier drop | slots/barrier \
+         | slots stepped % | silent % | checksum |\n\
+         |---|---:|---:|---:|---:|---:|---:|---:|---|---|\n",
+    );
+    for case in kernel_cases() {
+        let f1 = case.run(Lookahead::Force1);
+        let auto = case.run(Lookahead::Auto);
+        let barriers = auto.barrier_activations.max(1) as f64;
+        let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+        let by_class: Vec<String> = auto
+            .silent_by_class
+            .iter()
+            .map(|(class, n)| format!("{class} {n}"))
+            .collect();
+        s.push_str(&format!(
+            "| {} | {} | {} | {} | {} | {:.1}x | {:.2} | {:.0} | {:.0}: {} of {} ({}) | `{:#018x}` |\n",
+            case.name,
+            auto.cycles,
+            f1.barrier_activations,
+            auto.barrier_activations,
+            auto.ff_cycles,
+            f1.barrier_activations as f64 / barriers,
+            auto.slot_steps as f64 / barriers,
+            pct(auto.slot_steps, auto.slot_steps + auto.slot_sleeps),
+            pct(auto.silent_steps(), auto.slot_steps),
+            auto.silent_steps(),
+            auto.slot_steps,
+            if by_class.is_empty() { "none".into() } else { by_class.join(", ") },
+            auto.checksum,
+        ));
+    }
+    s.push_str(
+        "\n(queue 256. `Force1` steps every slot on every cycle, so its barrier count is the \
+         number of cycles simulated, past the measured `cycles` where a run simulates on; \
+         `Auto` steps only the awake slots and jumps over cycles no slot acts on (ff cycles), \
+         with the same cycles, checksum and stats. Slots stepped % is of the \
+         slot-cycles on stepped cycles; silent % is of the stepped slots, the steps that \
+         received nothing, staged nothing and hinted 0 again, split per component class. \
+         The determinism suite holds every row to `Force1` and to its floors.)\n",
+    );
+    s
+}
 
 /// Fig. 8 / Fig. 9 as committed: the latency series, then the counters of
 /// the same memoized runs.
@@ -199,16 +316,6 @@ pub fn stats_figure(sweep: &mut Sweep, workload: Workload) -> String {
 (observability-registry counters for the Cohort runs above; see `socrun --stats` for the full registry including histograms)
 ");
     s
-}
-
-/// Machine-readable host header for generated reports: states the core
-/// count of the machine that produced the numbers, so a snapshot taken in
-/// a small shared container is detectable (by CI or a human). Render it
-/// as the first line of every report that holds wall-clock numbers
-/// (`simperf`'s; nothing in [`ARTEFACTS`] does).
-pub fn host_header() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!("<!-- host_cores={cores} -->\n")
 }
 
 /// Renders the shard-scaling figure: AES throughput of the sharded driver

@@ -15,10 +15,15 @@ use cohort::scenarios::{
     mesh16_scenario, run_cohort_chain_failover, run_cohort_chaos, run_cohort_sharded, RunResult,
     Scenario, ShardSpec, Workload,
 };
+use cohort_bench::report::kernel_cases;
 use cohort_sim::config::{Lookahead, SocConfig};
 use cohort_sim::faultinject::FaultPlan;
 
-fn assert_auto_matches_force1(name: &str, run: impl Fn(Lookahead) -> RunResult) {
+/// Returns the `(Force1, Auto)` runs.
+fn assert_auto_matches_force1(
+    name: &str,
+    run: impl Fn(Lookahead) -> RunResult,
+) -> (RunResult, RunResult) {
     let base = run(Lookahead::Force1);
     assert!(base.verified, "{name}: Force1 run failed verification");
     assert_eq!(
@@ -40,6 +45,48 @@ fn assert_auto_matches_force1(name: &str, run: impl Fn(Lookahead) -> RunResult) 
         base.stats_json, auto.stats_json,
         "{name}: stats registry diverged"
     );
+    (base, auto)
+}
+
+/// The kernel record's cases (`results/kernel.md`) equal `Force1` and
+/// keep their floors: every cycle is a barrier or a jump, every barrier
+/// steps a slot, and barriers drop at least `min_drop`-fold.
+#[test]
+fn kernel_cases_match_force1_and_keep_their_floors() {
+    for case in kernel_cases() {
+        let name = case.name;
+        let (f1, auto) = assert_auto_matches_force1(name, |lookahead| case.run(lookahead));
+        let barriers = auto.barrier_activations;
+        assert_eq!(
+            barriers + auto.ff_cycles,
+            f1.barrier_activations,
+            "{name}: barriers + ff cycles must add up to the Force1 cycle count"
+        );
+        assert!(
+            auto.slot_steps >= barriers,
+            "{name}: a barrier stepped nobody"
+        );
+        let drop = f1.barrier_activations as f64 / barriers as f64;
+        assert!(
+            drop >= case.min_drop,
+            "{name}: barrier drop {drop:.2}x < {}x",
+            case.min_drop
+        );
+        if name.starts_with("sharded-aes") {
+            // Measured 11% and 11% (35% silent while a hint of 1 still
+            // bought a step, 58% before the hints learnt that a buffered
+            // word is an event only if its sink can take it).
+            let slot_cycles = auto.slot_steps + auto.slot_sleeps;
+            assert!(
+                10 * auto.slot_steps < 6 * slot_cycles,
+                "{name}: >= 60% of slots stepped"
+            );
+            assert!(
+                4 * auto.silent_steps() < auto.slot_steps,
+                "{name}: >= 25% silent steps"
+            );
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Fleet-runner integration suite: host-thread determinism, compound
-//! chaos campaigns, structured spec errors, the committed example specs
-//! and the CI check matrix, plus a splitmix64 fuzz of the spec loader.
+//! chaos campaigns, structured spec and CLI errors, the committed example
+//! specs and the two baseline-gated campaigns, plus a splitmix64 fuzz of
+//! the spec loader.
 //!
 //! The determinism tests are the fleet-level extension of the simulator's
 //! determinism contract (`crates/bench/tests/determinism.rs`): not only
@@ -244,10 +245,14 @@ fn spec_errors_are_structured() {
     }
 }
 
-fn example_path(name: &str) -> PathBuf {
+fn repo_path(path: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../examples/fleet")
-        .join(name)
+        .join("../..")
+        .join(path)
+}
+
+fn example_path(name: &str) -> PathBuf {
+    repo_path("examples/fleet").join(name)
 }
 
 /// Every committed example spec parses, and a 2-seed truncation of each
@@ -280,28 +285,52 @@ fn example_specs_parse_and_smoke() {
     }
 }
 
-/// The CI check matrix reproduces the blessed baseline exactly (the
-/// simulator is cycle-deterministic, so the committed p50s must match on
-/// any host, not merely within tolerance).
+/// The two campaigns CI gates with `--baseline` reproduce their committed
+/// summaries byte for byte (the simulator is cycle-deterministic, so the
+/// match holds on any host, not merely within the drift tolerance).
 #[test]
-fn check_matrix_matches_blessed_baseline() {
-    let baseline_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(cohort_bench::fleet::CHECK_BASELINE_PATH);
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("{}: {e}", baseline_path.display()));
-    let (summary, records) = cohort_bench::fleet::run_check(Some(&baseline), 0, false)
-        .unwrap_or_else(|(problems, ..)| panic!("check failed: {problems:?}"));
-    assert_eq!(summary.scenarios.len(), 3);
-    assert!(records.iter().all(|r| r.outcome == Outcome::Pass));
-    // Bit-exact, not just within the drift gate.
-    for sc in &summary.scenarios {
-        assert!(
-            baseline.contains(&format!("\"cycles_p50\": {}", sc.cycles.p50)),
-            "{}: p50 {} not in blessed baseline — re-bless with --check --bless",
-            sc.name,
-            sc.cycles.p50
+fn gate_campaigns_match_their_committed_summaries() {
+    for name in ["baseline_check", "ci_smoke"] {
+        let spec = FleetSpec::load(&example_path(&format!("{name}.toml")))
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let summary = summarize(&spec, &run_fleet(&spec, 0, false));
+        let committed = repo_path(&format!("results/fleet_{name}.json"));
+        assert_eq!(
+            summary.json(),
+            std::fs::read_to_string(&committed)
+                .unwrap_or_else(|e| panic!("{}: {e}", committed.display())),
+            "{name}: re-bless by running examples/fleet/{name}.toml"
         );
+    }
+}
+
+/// `--baseline` gates a whole spec, so a narrowed run is refused (exit 2)
+/// before anything is simulated or written.
+#[test]
+fn narrowed_runs_cannot_be_gated_on_a_baseline() {
+    let out_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("narrowed_baseline");
+    for narrow in [
+        ["--scenario", "shard1"],
+        ["--seed", "0"],
+        ["--max-seeds", "1"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cohort-fleet"))
+            .arg("--spec")
+            .arg(example_path("baseline_check.toml"))
+            .arg("--baseline")
+            .arg(repo_path("results/fleet_baseline_check.json"))
+            .arg("--out-dir")
+            .arg(&out_dir)
+            .args(narrow)
+            .output()
+            .expect("cohort-fleet runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{narrow:?}: {stderr}");
+        assert!(
+            stderr.contains("--baseline gates the whole spec"),
+            "{stderr}"
+        );
+        assert!(!out_dir.exists(), "{narrow:?} wrote {}", out_dir.display());
     }
 }
 

@@ -1125,7 +1125,8 @@ impl ShardSpec {
 /// cores stream background stores through the shared L2 — 16 in-order
 /// cores total, placed on the mesh alongside the directory, the engines
 /// and the MAPLE unit. This is the standard many-component workload for
-/// the step kernel (`simperf`, the determinism suite and CI all run it).
+/// the step kernel (`results/kernel.md`, the determinism suite and CI all
+/// run it).
 pub fn mesh16_scenario(queue_size: u64, batch: u64) -> (Scenario, ShardSpec) {
     let mut scenario = Scenario::new(Workload::Aes, queue_size, batch);
     scenario.soc = SocConfig::default().with_engines(MESH16_SHARDS);
