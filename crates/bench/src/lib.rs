@@ -15,6 +15,7 @@
 //! | `table4.md` | Table 4 — FPGA resource utilisation (analytic model) |
 //! | `scaling.md`, `scaling_dram.md` | shard scaling, flat and under DRAM contention |
 //! | `kernel.md` | step-kernel record: `Auto` vs `Force1` barriers, sleeps, silent steps |
+//! | `ablation.md` | design-choice sweeps: RCM backoff, engine TLB size, mapping policy, null-accelerator floor |
 //!
 //! Runs are memoized in a [`sweep::Sweep`] so figures sharing data points
 //! (e.g. Fig. 8 and Fig. 10) simulate each configuration once. Every way

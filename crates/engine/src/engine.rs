@@ -1804,8 +1804,8 @@ impl Component for CohortEngine {
                 ConsState::Feed { fed, .. } => {
                     if fed < self.ep[CH_CONS].ch.buf.len() {
                         if self.stalled(now) {
-                            // Frozen feed; the un-stall edge is a fault
-                            // window the SoC injector term bounds.
+                            // Frozen feed; the injector re-hints everyone
+                            // when the stall window closes.
                             u64::MAX
                         } else if self.accel.ready(now) {
                             0 // a word goes in this coming cycle
@@ -1860,8 +1860,8 @@ impl Component for CohortEngine {
                 }
             };
             let accel = if self.stalled(now) {
-                // A stalled pipeline is frozen solid; the un-stall edge
-                // is a fault window the SoC injector term bounds.
+                // A stalled pipeline is frozen solid; the injector
+                // re-hints everyone when the stall window closes.
                 u64::MAX
             } else {
                 // A buffered output word is an event only while the

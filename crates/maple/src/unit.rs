@@ -583,7 +583,7 @@ impl Component for MapleUnit {
         };
         if self.stalled(now) {
             // Injected stall: the datapath below is frozen, and the
-            // un-stall edge is a fault window the SoC injector bounds.
+            // injector re-hints everyone when the stall window closes.
             return k;
         }
         // A buffered word is an event only if its sink can take it this

@@ -250,8 +250,8 @@ pub trait Component {
     /// polling one's own coherent copy is not polling memory). The hint
     /// may read the component
     /// itself, `now`, and the shared [`crate::faultinject::FaultState`]
-    /// switches (the SoC retakes every hint when one flips or a fault
-    /// window closes) — nothing else. It must also be consistent over
+    /// switches (the SoC retakes every hint at each staged flip, a window's
+    /// close included) — nothing else. It must also be consistent over
     /// time: while the component is not stepped and no switch changes,
     /// `t + quiescent_for(t)` must not decrease (debug builds assert it
     /// on every slept cycle). All five implementations hold to this: the
@@ -261,7 +261,7 @@ pub trait Component {
     /// accelerator and watchdog timers or on port messages — the RCM
     /// learns of an index write from an invalidation, not by polling; the
     /// MAPLE unit on its hit and accelerator timers or on MMIO and port
-    /// messages; the fault injector on its schedule.
+    /// messages; the fault injector on its schedule and window closes.
     ///
     /// **The sink rule.** Holding data is not an event: a buffered word
     /// is one only if its sink can take it this cycle. A back-pressured
@@ -374,8 +374,8 @@ pub trait Component {
     /// memory (the core's "this word was below target" memo). The SoC
     /// calls it on every component, after settling it and before taking
     /// its hint again, whenever memory may have been edited outside the
-    /// coherence protocol: an announced edit or fault flip at the
-    /// barrier, a fault-window edge, run-loop entry and
+    /// coherence protocol: a staged flip at the barrier (an announced
+    /// edit, a fault switch, a window's close), run-loop entry and
     /// [`crate::soc::Soc::step`] (harness code owns `soc.mem` between
     /// calls). The default does nothing: a component that keeps no such
     /// memory has nothing to forget.

@@ -109,9 +109,9 @@ impl Default for TimingConfig {
 /// [`crate::component::Component::quiescent_for`] hint gave when it was
 /// last stepped (or until a message arrives for it), so a stepped cycle
 /// steps only the slots with work; and when nobody is awake, the run loop
-/// jumps the cycle counter to the earliest of the next NoC delivery, the
-/// next fault-window edge and every slot's wake time — one cycle ahead or
-/// many — instead of stepping provable no-op cycles. Results are
+/// jumps the cycle counter to the earlier of the next NoC delivery and
+/// every slot's wake time — one cycle ahead or many — instead of stepping
+/// provable no-op cycles. Results are
 /// bit-identical to [`Lookahead::Force1`] by construction — hints never
 /// overshoot, and slept per-cycle bookkeeping is reconciled by
 /// `Component::fast_forward`.

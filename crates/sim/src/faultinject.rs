@@ -22,10 +22,10 @@
 //!   garbage MMIO writes land in the engine's configuration registers
 //!   while it is enabled, exercising the sticky `ERROR_STATUS` path.
 //!
-//! The [`FaultInjector`] component owns the resolved schedule and applies
-//! each event on its due cycle; injections are counted in the stats
-//! registry and emitted as trace instants so Perfetto shows each fault
-//! next to the engine's recovery spans.
+//! The [`FaultInjector`] component owns the resolved schedule, applies
+//! each event on its due cycle and times the close of each window it
+//! opens; injections are counted in the stats registry and emitted as
+//! trace instants so Perfetto shows each fault next to recovery spans.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -101,7 +101,7 @@ pub enum FaultSpecError {
         /// The requested engine index.
         engine: u64,
     },
-    /// A cycle (or random-window bound) past [`MAX_FAULT_CYCLE`].
+    /// A cycle, window length or random-window bound past [`MAX_FAULT_CYCLE`].
     CycleOutOfRange {
         /// The requested cycle.
         cycle: u64,
@@ -331,8 +331,8 @@ impl FaultPlan {
     /// # Errors
     /// Returns a structured [`FaultSpecError`] naming the offending token:
     /// malformed entries, non-numeric fields, engine ids past
-    /// [`MAX_ENGINE_ID`] and cycles past [`MAX_FAULT_CYCLE`] are all
-    /// rejected here rather than misbehaving at run time.
+    /// [`MAX_ENGINE_ID`] and cycles or lengths past [`MAX_FAULT_CYCLE`] are
+    /// all rejected here rather than misbehaving at run time.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
         let mut plan = FaultPlan::default();
         for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
@@ -379,10 +379,7 @@ impl FaultPlan {
                     entry: entry.to_string(),
                 })?;
             let mut parts = rest.split(':');
-            let at_cycle = parse_u64(parts.next().unwrap_or(""))?;
-            if at_cycle > MAX_FAULT_CYCLE {
-                return Err(FaultSpecError::CycleOutOfRange { cycle: at_cycle });
-            }
+            let at_cycle = parse_cycles(parts.next().unwrap_or(""))?;
             let args: Vec<&str> = parts.collect();
             let arity = |expected| FaultSpecError::BadArity {
                 entry: entry.to_string(),
@@ -394,7 +391,7 @@ impl FaultPlan {
                 },
                 ("stall", _) => return Err(arity("stall@C:D")),
                 ("spike", [d, f]) => FaultKind::LatencySpike {
-                    cycles: parse_u64(d)?,
+                    cycles: parse_cycles(d)?,
                     factor: parse_u64(f)?.max(1),
                 },
                 ("spike", _) => return Err(arity("spike@C:D:F")),
@@ -439,11 +436,19 @@ fn parse_u64(s: &str) -> Result<u64, FaultSpecError> {
         })
 }
 
+/// A cycle or a window length: past [`MAX_FAULT_CYCLE`] is a typo.
+fn parse_cycles(s: &str) -> Result<u64, FaultSpecError> {
+    let cycle = parse_u64(s)?;
+    let in_range = (cycle <= MAX_FAULT_CYCLE).then_some(cycle);
+    in_range.ok_or(FaultSpecError::CycleOutOfRange { cycle })
+}
+
+/// A stall length: [`parse_cycles`], or `forever`.
 fn parse_duration(s: &str) -> Result<u64, FaultSpecError> {
     if s.trim() == "forever" {
         Ok(FOREVER)
     } else {
-        parse_u64(s)
+        parse_cycles(s)
     }
 }
 
@@ -466,9 +471,10 @@ enum FaultOp {
         until: u64,
     },
     KillMaple,
-    /// Moves no switch: a write that bypassed the coherence protocol was
-    /// staged this cycle (see [`FaultState::announce_bypass_write`]).
-    BypassWrite,
+    /// Moves no switch; the barrier settles, forgets and re-hints everyone.
+    /// Staged for a write that bypassed the coherence protocol
+    /// ([`FaultState::announce_bypass_write`]) and for a window's close.
+    Rehint,
     /// Staged by the NoC, not the injector (see
     /// [`FaultState::line_order_broken`]).
     LineOrderBroken,
@@ -479,12 +485,12 @@ enum FaultOp {
 /// state injects nothing.
 ///
 /// The [`FaultInjector`] *stages* its flips (`stage_*`) and the SoC
-/// applies them at the cycle barrier (`FaultState::commit_staged`);
-/// harness code running between cycles uses the immediate setters. Two
-/// entries are staged by others: whoever writes memory behind the
-/// coherence protocol's back ([`FaultState::announce_bypass_write`]), and
-/// the NoC when it breaks the order the protocol assumes
-/// ([`FaultState::line_order_broken`]).
+/// applies them at the cycle barrier (`FaultState::commit_staged`), a
+/// window's close included; harness code running between cycles uses the
+/// immediate setters. Two entries are staged by others: whoever writes
+/// memory behind the coherence protocol's back
+/// ([`FaultState::announce_bypass_write`]), and the NoC when it breaks the
+/// order the protocol assumes ([`FaultState::line_order_broken`]).
 #[derive(Debug, Clone, Default)]
 pub struct FaultState(Rc<Switches>);
 
@@ -510,7 +516,8 @@ struct Switches {
 
 impl FaultState {
     /// Holds the accelerator interface low until `until` ([`FOREVER`] for
-    /// a permanently wedged accelerator).
+    /// a permanently wedged accelerator). A finite window set here between
+    /// runs closes with no re-hint: only the injector times its closes.
     pub fn stall_accel(&self, until: u64) {
         self.0.stall_until.set(until);
     }
@@ -522,6 +529,7 @@ impl FaultState {
 
     /// Opens a latency-spike window: messages injected before `until`
     /// take `factor`× their modelled latency.
+    /// A finite window set here between runs closes with no re-hint.
     pub fn set_latency_spike(&self, until: u64, factor: u64) {
         self.0.spike_factor.set(factor.max(1));
         self.0.spike_until.set(until);
@@ -550,6 +558,7 @@ impl FaultState {
     }
 
     /// Holds the MAPLE datapath until `until`.
+    /// A finite window set here between runs closes with no re-hint.
     pub fn stall_maple(&self, until: u64) {
         self.0.maple_stall_until.set(until);
     }
@@ -584,27 +593,6 @@ impl FaultState {
     /// Stages [`FaultState::line_order_broken`] for the cycle barrier.
     pub(crate) fn stage_line_order_broken(&self) {
         self.stage(FaultOp::LineOrderBroken);
-    }
-
-    /// The next cycle strictly after `cycle` at which an open fault
-    /// window closes (its `until` edge), if any. Window *opens* are
-    /// always driven by the injector's schedule (or harness code between
-    /// cycles), so together with the injector's own lookahead hint this
-    /// bounds every cycle at which `accel_stalled`/`latency_factor`/
-    /// `maple_stalled` can change value. A [`FOREVER`] window has no edge
-    /// and imposes no bound: nothing ever changes inside it.
-    pub fn next_window_edge(&self, cycle: u64) -> Option<u64> {
-        let mut edge = u64::MAX;
-        for until in [
-            self.0.stall_until.get(),
-            self.0.spike_until.get(),
-            self.0.maple_stall_until.get(),
-        ] {
-            if until > cycle {
-                edge = edge.min(until);
-            }
-        }
-        (edge != u64::MAX).then_some(edge)
     }
 
     /// Stages an accelerator stall for the cycle barrier.
@@ -643,7 +631,7 @@ impl FaultState {
     /// copy of the word wakes exactly as forced stepping would see the
     /// edit.
     pub fn announce_bypass_write(&self) {
-        self.stage(FaultOp::BypassWrite);
+        self.stage(FaultOp::Rehint);
     }
 
     fn stage(&self, op: FaultOp) {
@@ -668,7 +656,7 @@ impl FaultState {
                 FaultOp::KillEngine { engine } => self.kill_engine(engine),
                 FaultOp::StallMaple { until } => self.stall_maple(until),
                 FaultOp::KillMaple => self.kill_maple(),
-                FaultOp::BypassWrite => {}
+                FaultOp::Rehint => {}
                 FaultOp::LineOrderBroken => self.0.line_order_broken.set(true),
             }
         }
@@ -687,6 +675,8 @@ pub type StormHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> u64>;
 /// each event on its due cycle.
 pub struct FaultInjector {
     schedule: VecDeque<FaultEvent>,
+    /// The last cycle of each open window this injector will close.
+    closes: Vec<u64>,
     state: FaultState,
     /// Engine TLB-flush register (storms flush so evictions are observed).
     tlb_flush_pa: Option<u64>,
@@ -722,6 +712,7 @@ impl FaultInjector {
     pub fn new(plan: &FaultPlan, state: FaultState) -> Self {
         Self {
             schedule: plan.schedule().into(),
+            closes: Vec::new(),
             state,
             tlb_flush_pa: None,
             corrupt_writes: Vec::new(),
@@ -771,21 +762,29 @@ impl FaultInjector {
         }
     }
 
+    /// The `until` of a window of `cycles` opened at `now`. Hints read its
+    /// switch, so a finite window is closed by a [`FaultOp::Rehint`] staged
+    /// on its last cycle; one of a cycle or less is already past at the
+    /// re-hint of the barrier that opens it.
+    fn open_window(&mut self, now: u64, cycles: u64) -> u64 {
+        let until = now.saturating_add(cycles);
+        if until != FOREVER && until.saturating_sub(1) > now {
+            self.closes.push(until - 1);
+        }
+        until
+    }
+
     fn apply(&mut self, ctx: &mut Ctx<'_>, ev: FaultEvent) {
         match ev.kind {
             FaultKind::AccelStall { cycles } => {
-                let until = if cycles == FOREVER {
-                    FOREVER
-                } else {
-                    ctx.cycle.saturating_add(cycles)
-                };
+                let until = self.open_window(ctx.cycle, cycles);
                 self.state.stage_stall_accel(until);
                 self.stalls.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("until", format!("{until}"))]);
             }
             FaultKind::LatencySpike { cycles, factor } => {
-                self.state
-                    .stage_latency_spike(ctx.cycle.saturating_add(cycles), factor);
+                let until = self.open_window(ctx.cycle, cycles);
+                self.state.stage_latency_spike(until, factor);
                 self.spikes.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("factor", format!("{factor}"))]);
             }
@@ -838,11 +837,7 @@ impl FaultInjector {
                 self.emit(ctx.cycle, &ev.kind, vec![("engine", format!("{engine}"))]);
             }
             FaultKind::MapleStall { cycles } => {
-                let until = if cycles == FOREVER {
-                    FOREVER
-                } else {
-                    ctx.cycle.saturating_add(cycles)
-                };
+                let until = self.open_window(ctx.cycle, cycles);
                 self.state.stage_stall_maple(until);
                 self.stalls.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("until", format!("{until}"))]);
@@ -888,22 +883,27 @@ impl Component for FaultInjector {
             let ev = self.schedule.pop_front().expect("peeked");
             self.apply(ctx, ev);
         }
+        let open = self.closes.len();
+        self.closes.retain(|&last| last > ctx.cycle);
+        if self.closes.len() < open {
+            self.state.stage(FaultOp::Rehint);
+        }
     }
 
     fn is_idle(&self) -> bool {
+        // A pending close is not work: a window may outlive the workload.
         self.schedule.is_empty()
     }
 
     fn quiescent_for(&self, now: u64) -> u64 {
         // The schedule is sorted (see `schedule_is_deterministic_and_sorted`),
-        // so the head event bounds the injector's next action. Everything
-        // else the injector does is a reaction to inbound acks, which the
-        // SoC's inbox check covers. No per-cycle bookkeeping, so the
-        // default no-op `fast_forward` is exact.
-        match self.schedule.front() {
-            Some(e) => e.at_cycle.saturating_sub(now),
-            None => u64::MAX,
-        }
+        // so its head and the earliest pending close bound the injector's
+        // next action. Everything else it does is a reaction to inbound
+        // acks, which the SoC's inbox check covers. No per-cycle
+        // bookkeeping, so the default no-op `fast_forward` is exact.
+        let head = self.schedule.front().map(|e| e.at_cycle);
+        let next = self.closes.iter().copied().chain(head).min();
+        next.map_or(u64::MAX, |at| at.saturating_sub(now))
     }
 
     fn counters(&self) -> Vec<(String, u64)> {
@@ -1092,6 +1092,22 @@ mod tests {
             Err(FaultSpecError::CycleOutOfRange { cycle: too_late })
         );
         assert!(FaultPlan::parse(&format!("corrupt@{MAX_FAULT_CYCLE}")).is_ok());
+        // Nor may a window length stand in for `forever`: a u64::MAX stall
+        // or a permanent x4 NoC is a typo too.
+        for spec in [
+            format!("stall@100:{}", u64::MAX),
+            format!("spike@0:{too_late}:4"),
+            format!("maple-stall@100:{too_late}"),
+        ] {
+            assert!(
+                matches!(
+                    FaultPlan::parse(&spec),
+                    Err(FaultSpecError::CycleOutOfRange { .. })
+                ),
+                "{spec}"
+            );
+        }
+        assert!(FaultPlan::parse(&format!("spike@0:{MAX_FAULT_CYCLE}:4")).is_ok());
     }
 
     #[test]

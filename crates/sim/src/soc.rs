@@ -30,19 +30,19 @@
 //! of the run loop makes one pass over the table that yields the awake
 //! list (ascending slot index) and the earliest later wake time. If the
 //! list is empty, the loop jumps to the earliest of that time, the next
-//! NoC delivery, the next fault-window edge and the deadline — be it one
-//! cycle away — with no step and no commit. Otherwise it steps the list
-//! and commits the list, so a barrier costs O(awake slots) and every
-//! barrier steps somebody. The cycles a slot slept through are reconciled
-//! with one [`Component::fast_forward`] call when it next steps. Hints
-//! read the fault switches, so every slot is re-hinted whenever those
-//! change value — at a staged flip (sleepers are reconciled against the
-//! *pre-flip* state first), at a window edge, and at run-loop entry
-//! (harness code may have changed anything in between). A write that
-//! bypasses the coherence protocol is announced as a flip that moves no
-//! switch ([`FaultState::announce_bypass_write`]): a core asleep in a
-//! spin loop on its own copy of the word hears of it in no other way, and
-//! at each of these points every component is told to forget what it
+//! NoC delivery and the deadline — be it one cycle away — with no step and
+//! no commit. Otherwise it steps the list and commits the list, so a
+//! barrier costs O(awake slots) and every barrier steps somebody. The
+//! cycles a slot slept through are reconciled with one
+//! [`Component::fast_forward`] call when it next steps. Hints read the
+//! fault switches, so every slot is re-hinted at every staged flip
+//! (sleepers are reconciled against the *pre-flip* state first) and at
+//! run-loop entry (harness code may have changed anything in between).
+//! Two flips move no switch: a fault window's close, which the injector
+//! that opened the window times itself, and a write that bypasses the
+//! coherence protocol ([`FaultState::announce_bypass_write`]), which a
+//! core asleep in a spin loop on its own copy hears of in no other way.
+//! At each of these points every component is told to forget what it
 //! remembered of memory ([`Component::forget_memory`]). Under
 //! [`Lookahead::Force1`] the table stays at 0 and nobody ever sleeps; it
 //! is the reference.
@@ -175,10 +175,6 @@ pub struct Soc {
     trace: Trace,
     faults: FaultState,
     kernel: KernelStats,
-    /// Cycle at which every slot's hint goes stale because a fault window
-    /// closes (`u64::MAX` if none is open): hints read the fault switches,
-    /// so the run loop re-hints everyone there.
-    rehint_at: u64,
 }
 
 impl std::fmt::Debug for Soc {
@@ -216,7 +212,6 @@ impl Soc {
             trace,
             faults,
             kernel: KernelStats::new(),
-            rehint_at: u64::MAX,
         }
     }
 
@@ -407,9 +402,9 @@ impl Soc {
     /// Brings every slot's books up to the current cycle, has it forget
     /// what it remembers of memory and, under [`Lookahead::Auto`], retakes
     /// its hint. Called whenever something hints rest on has changed
-    /// outside the slots' own steps: a fault flip or an announced
-    /// protocol-bypassing write, a fault-window edge, or harness code
-    /// between runs.
+    /// outside the slots' own steps: a staged flip (a fault switch, a
+    /// window's close, an announced protocol-bypassing write), or harness
+    /// code between runs.
     fn rehint_all(&mut self) {
         let now = self.cycle;
         for (slot, wake) in self.slots.iter_mut().zip(&mut self.wake) {
@@ -419,7 +414,6 @@ impl Soc {
                 *wake = slot.wake_from(now);
             }
         }
-        self.rehint_at = self.faults.next_window_edge(now).unwrap_or(u64::MAX);
     }
 
     fn is_quiescent(&self) -> bool {
@@ -431,13 +425,12 @@ impl Soc {
 
     /// The earliest cycle at which anything can happen, given the
     /// earliest wake-table entry `wake`: that, the cycle budget
-    /// (`deadline`), the next NoC delivery
-    /// ([`crate::noc::Noc::next_delivery`]) or the next fault-window edge
-    /// ([`FaultState::next_window_edge`]; window *opens* are bounded by the
-    /// injector's own wake time), whichever comes first.
+    /// (`deadline`) or the next NoC delivery
+    /// ([`crate::noc::Noc::next_delivery`]), whichever comes first. Fault
+    /// windows open and close on the injector's own wake times.
     fn next_event(&self, wake: u64, deadline: u64) -> u64 {
         let delivery = self.noc.next_delivery().unwrap_or(u64::MAX);
-        wake.min(deadline).min(self.rehint_at).min(delivery)
+        wake.min(deadline).min(delivery)
     }
 
     /// The conservative lookahead horizon from the current cycle: the
@@ -477,16 +470,13 @@ impl Soc {
         }
     }
 
-    /// What the run loop does before stepping a cycle: re-hint at a
-    /// fault-window edge, deliver, scan the wake table and, if nobody is
-    /// awake, jump to the next cycle somebody is — only the cycle counter
-    /// moves, no step, no commit; each slot reconciles its bookkeeping
-    /// when it next steps. Returns true if it jumped (the caller re-checks
-    /// its exits), false if `awake` is ready to be stepped.
+    /// What the run loop does before stepping a cycle: deliver, scan the
+    /// wake table and, if nobody is awake, jump to the next cycle somebody
+    /// is — only the cycle counter moves, no step, no commit; each slot
+    /// reconciles its bookkeeping when it next steps. Returns true if it
+    /// jumped (the caller re-checks its exits), false if `awake` is ready
+    /// to be stepped.
     fn skip_idle_cycles(&mut self, deadline: u64) -> bool {
-        if self.cycle >= self.rehint_at {
-            self.rehint_all();
-        }
         self.deliver_due();
         let wake = self.scan_wake();
         if cfg!(debug_assertions) {
@@ -1335,8 +1325,8 @@ mod tests {
             false
         }
         fn quiescent_for(&self, now: u64) -> u64 {
-            // While stalled the timer is frozen; the un-stall edge is a
-            // fault window the SoC re-hints at.
+            // While stalled the timer is frozen; the injector that opened
+            // the window stages its close, and that barrier re-hints.
             let timer = if self.period == 0 || self.faults.accel_stalled(now) {
                 u64::MAX
             } else {
@@ -1451,7 +1441,9 @@ mod tests {
         // An injector holds the stall switch over cycles 101..=350 (the
         // flip commits at the end of cycle 100). The napper's 64-cycle
         // timer is frozen for the window and must fire on the very cycle
-        // the window closes — a cycle nothing but the fault switch marks.
+        // the window closes — a cycle only the injector's close marks:
+        // it steps on the window's last cycle, 350, and that barrier
+        // re-hints everyone.
         use crate::faultinject::{FaultInjector, FaultKind, FaultPlan};
         let build = |soc: &mut Soc| {
             let f = soc.fault_state().clone();
@@ -1463,10 +1455,18 @@ mod tests {
             soc.add_component(TileCoord::new(1, 0), Box::new(FaultInjector::new(&plan, f)));
         };
         let (f1, _) = napper_run(Lookahead::Force1, 600, build);
-        let (auto, [.., sleeps]) = napper_run(Lookahead::Auto, 600, build);
+        let (auto, kernel) = napper_run(Lookahead::Auto, 600, build);
         assert_eq!(f1, auto);
         assert_eq!(auto.1[0].1, [64, 351, 415, 479, 543]);
-        assert!(sleeps > 0);
+        // Seven barriers of one step each: the napper's five and the
+        // injector's open (100) and close (350).
+        assert_eq!(kernel, [7, 593, 7, 7]);
+        let barriers_by = |budget| napper_run(Lookahead::Auto, budget, build).1[0];
+        assert_eq!(
+            (barriers_by(350), barriers_by(351)),
+            (2, 3),
+            "the close is at 350"
+        );
     }
 
     #[test]

@@ -89,6 +89,9 @@ const ROWS: &[Row] = &[
     // copy the directory does not list, which no write will invalidate.
     Row { runner: Runner::Cohort, workload: Aes, queue: 256, batch: 8, policy: Eager, faults: "spike@15000:2000:4", shards: 0, want: [61664, 24016, 0xe15c01d33b79c422, 0x4017235f5907f2a1] },
     Row { runner: Runner::Sharded, workload: Aes, queue: 384, batch: 8, policy: Eager, faults: "spike@10500:2000:4", shards: 3, want: [26813, 8707, 0x0438fb0f776170a0, 0xc15a1e4965d095f4] },
+    // A spike window that outlives the workload (see
+    // `a_window_that_outlives_the_work_does_not_hold_the_run`).
+    Row { runner: Runner::Chaos, workload: Sha, queue: 64, batch: 8, policy: Eager, faults: "spike@10000:100000:2", shards: 0, want: [15189, 5663, 0x79ff7d8f1f6caa60, 0xecf05f379ec3252c] },
 ];
 
 /// `[cycles, instret, checksum, fnv1a(stats_json)]` of the two
@@ -161,6 +164,24 @@ fn every_runner_has_a_row_per_workload() {
                 "no golden row for {runner} {workload:?}"
             );
         }
+    }
+}
+
+/// The spike row's window closes at cycle 110,000, long after the work is
+/// done. A pending close is not work: the SoC must stop where it would
+/// without the window. The row alone cannot see the difference, because
+/// nothing keeps per-cycle books once the work is done; where the SoC
+/// stopped can, as every cycle it simulated was either stepped or jumped.
+#[test]
+fn a_window_that_outlives_the_work_does_not_hold_the_run() {
+    let row = ROWS
+        .iter()
+        .find(|r| r.faults == "spike@10000:100000:2")
+        .expect("the outliving-window row");
+    for lookahead in [Lookahead::Force1, Lookahead::Auto] {
+        let r = run_row(row, lookahead);
+        let stopped_at = r.barrier_activations + r.ff_cycles;
+        assert_eq!(stopped_at, r.cycles + 1, "{lookahead:?}");
     }
 }
 
