@@ -282,8 +282,10 @@ pub trait Component {
     ///
     /// **The held-line rule.** Polling a word of a line the agent holds in
     /// its own coherent cache is not polling memory. The directory
-    /// invalidates that copy before it lets anyone write the line, so the
-    /// outcome of the poll can change only behind a message — the
+    /// invalidates that copy before it lets anyone write the line, and the
+    /// NoC delivers messages about one line between one pair in the order
+    /// sent, so every held copy is one the directory lists.
+    /// The outcome of the poll can change only behind a message — the
     /// invalidation, an inclusive recall, a fill that evicts the line, an
     /// interrupt whose handler writes the word — or behind an *announced*
     /// edit (next paragraph). Until then the loop is a timer pattern, and
@@ -296,13 +298,7 @@ pub trait Component {
     /// memo is taken afresh by every issue and dropped by a successful
     /// check, by one of the core's own stores retiring into the polled
     /// line (the one writer that keeps the copy), by loading a program
-    /// and by [`Component::forget_memory`]. The rule has one premise the model
-    /// does not enforce, which the NoC therefore checks: once two
-    /// coherence messages about one line between one pair of components
-    /// have been delivered out of order
-    /// ([`crate::faultinject::FaultState::line_order_broken`]), a held
-    /// copy may be one the directory has lost track of, and nobody parks
-    /// on one again.
+    /// and by [`Component::forget_memory`].
     ///
     /// **The announce rule.** A write that bypasses the protocol stages a
     /// flip. Some code stores to memory with a plain `ctx.mem.write_*`

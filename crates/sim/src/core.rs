@@ -392,14 +392,11 @@ impl InOrderCore {
             CState::SpinDone { pa: polled, .. } => polled == pa,
             _ => false,
         };
-        // A held line is one the directory will invalidate before the
-        // next write only while the network keeps the protocol's order.
         let parked = in_loop
             && self.port.state_of(pa).is_some()
             && self.sb.is_empty()
             && !self.sb_waiting
-            && self.irq_pending.is_empty()
-            && self.faults.as_ref().is_some_and(|f| !f.line_order_broken());
+            && self.irq_pending.is_empty();
         parked.then_some((va, pa, value))
     }
 

@@ -475,9 +475,6 @@ enum FaultOp {
     /// Staged for a write that bypassed the coherence protocol
     /// ([`FaultState::announce_bypass_write`]) and for a window's close.
     Rehint,
-    /// Staged by the NoC, not the injector (see
-    /// [`FaultState::line_order_broken`]).
-    LineOrderBroken,
 }
 
 /// Live fault switches shared between the injector, the NoC, the engine
@@ -487,10 +484,9 @@ enum FaultOp {
 /// The [`FaultInjector`] *stages* its flips (`stage_*`) and the SoC
 /// applies them at the cycle barrier (`FaultState::commit_staged`), a
 /// window's close included; harness code running between cycles uses the
-/// immediate setters. Two entries are staged by others: whoever writes
+/// immediate setters. One entry is staged by others: whoever writes
 /// memory behind the coherence protocol's back
-/// ([`FaultState::announce_bypass_write`]), and the NoC when it breaks the
-/// order the protocol assumes ([`FaultState::line_order_broken`]).
+/// ([`FaultState::announce_bypass_write`]).
 #[derive(Debug, Clone, Default)]
 pub struct FaultState(Rc<Switches>);
 
@@ -509,9 +505,6 @@ struct Switches {
     maple_stall_until: Cell<u64>,
     /// Set once the MAPLE unit is fail-stopped.
     maple_dead: Cell<bool>,
-    /// Set once the NoC has let a coherence message overtake an earlier
-    /// one about the same line between the same pair.
-    line_order_broken: Cell<bool>,
 }
 
 impl FaultState {
@@ -578,23 +571,6 @@ impl FaultState {
         self.0.maple_dead.get()
     }
 
-    /// True once the NoC has delivered, or is about to deliver, two
-    /// coherence messages about one line between one pair of components
-    /// out of the order they were sent in (see [`crate::noc`]). From then
-    /// on a line held in a private cache may be one the directory no
-    /// longer lists — an invalidation overtook its grant, an eviction
-    /// notice arrived after the re-fetch — so holding a line stops
-    /// implying "I will hear of the next write to it". Never cleared: such
-    /// a copy can outlive the disorder that made it.
-    pub fn line_order_broken(&self) -> bool {
-        self.0.line_order_broken.get()
-    }
-
-    /// Stages [`FaultState::line_order_broken`] for the cycle barrier.
-    pub(crate) fn stage_line_order_broken(&self) {
-        self.stage(FaultOp::LineOrderBroken);
-    }
-
     /// Stages an accelerator stall for the cycle barrier.
     pub(crate) fn stage_stall_accel(&self, until: u64) {
         self.stage(FaultOp::StallAccel { until });
@@ -657,7 +633,6 @@ impl FaultState {
                 FaultOp::StallMaple { until } => self.stall_maple(until),
                 FaultOp::KillMaple => self.kill_maple(),
                 FaultOp::Rehint => {}
-                FaultOp::LineOrderBroken => self.0.line_order_broken.set(true),
             }
         }
     }

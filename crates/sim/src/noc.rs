@@ -11,16 +11,15 @@
 //! registration order (part of the determinism contract, see
 //! `docs/architecture.md`).
 //!
-//! The directory protocol relies on more than this model gives it: two
-//! messages about one line between one pair of components must arrive in
-//! the order sent. But a line grant (eight body flits) is slower than a
-//! recall sent within eight cycles of it, and a message sent in the last
-//! cycles of a latency spike is slower than the next one. The protocol
-//! survives the swap — data lives in `PhysMem`, so a copy the directory
-//! lost track of still reads fresh values — but an agent can be left
-//! holding a line that no write will invalidate. The NoC watches for it
-//! ([`Noc::inject_delayed`]) and trips [`FaultState::line_order_broken`]
-//! the first time it happens.
+//! The directory protocol also relies on two messages about one line
+//! between one pair of components arriving in the order sent, as they do
+//! on P-Mesh's dimension-ordered routes. Latency alone would break it: a
+//! line grant (eight body flits) is slower than a recall sent within
+//! eight cycles of it, and a message sent in the last cycles of a latency
+//! spike is slower than the next one. So a coherence message is never
+//! due before an earlier one about the same line between the same pair
+//! ([`Noc::inject_delayed`]); messages about other lines keep their
+//! modelled cycles.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -170,11 +169,10 @@ impl Noc {
 
     /// Like [`Noc::inject`] with extra sender-side delay before injection.
     ///
-    /// A coherence message that will arrive ahead of an earlier one about
-    /// the same line between the same two components breaks the order
-    /// the directory protocol assumes; the first such message stages
-    /// [`FaultState::line_order_broken`]. Called at the cycle barrier, so
-    /// the flip commits with this cycle's.
+    /// A coherence message that its modelled latency would deliver ahead
+    /// of an earlier one about the same line between the same two
+    /// components is held back to that message's cycle, and the
+    /// `(cycle, src tile, seq)` key then delivers it second.
     pub fn inject_delayed(
         &mut self,
         cycle: u64,
@@ -185,9 +183,26 @@ impl Noc {
         extra: u64,
     ) {
         let spike = self.faults.as_ref().map_or(1, |f| f.latency_factor(cycle));
-        let lat = (self.latency(from, to, env.msg.payload_bytes()) + extra)
+        let modelled = (self.latency(from, to, env.msg.payload_bytes()) + extra)
             .max(1)
             .saturating_mul(spike);
+        let mut at = cycle + modelled;
+        if let Some(line) = env.msg.line() {
+            let latest = self
+                .latest
+                .entry((env.src.0 as u64) << 32 | dst.0 as u64)
+                .or_default();
+            if at >= *latest {
+                *latest = at;
+            } else {
+                for Reverse(m) in &self.heap {
+                    if m.dst == dst && m.env.src == env.src && m.env.msg.line() == Some(line) {
+                        at = at.max(m.at);
+                    }
+                }
+            }
+        }
+        let lat = at - cycle;
         self.seq += 1;
         self.flits.add(1 + env.msg.payload_bytes() / 8);
         self.hop_latency.record(lat);
@@ -202,22 +217,6 @@ impl Noc {
                 args.push(("line", format!("{line:#x}")));
             }
             trace.complete(NOC_TRACE_TID, "noc", env.msg.kind(), cycle, lat, args);
-        }
-        let at = cycle + lat;
-        if let Some(line) = env.msg.line() {
-            let latest = self
-                .latest
-                .entry((env.src.0 as u64) << 32 | dst.0 as u64)
-                .or_default();
-            if at >= *latest {
-                *latest = at;
-            } else if self.heap.iter().any(|Reverse(m)| {
-                m.at > at && m.dst == dst && m.env.src == env.src && m.env.msg.line() == Some(line)
-            }) {
-                if let Some(f) = self.faults.as_ref().filter(|f| !f.line_order_broken()) {
-                    f.stage_line_order_broken();
-                }
-            }
         }
         self.heap.push(Reverse(InFlight {
             at,
@@ -322,15 +321,14 @@ mod tests {
     }
 
     #[test]
-    fn overtaking_about_one_line_between_one_pair_trips_the_switch() {
+    fn one_lines_messages_between_one_pair_arrive_in_the_order_sent() {
         // A line grant carries eight body flits, so a head-flit message
-        // sent up to seven cycles behind it arrives first. About another
-        // line, to another component, or in a dead heat (injection order
-        // wins) that is the model working as intended; about the same
-        // line it is the disorder the directory protocol does not expect.
-        let faults = FaultState::default();
+        // sent up to seven cycles behind it would arrive first. About
+        // another line, to another component, or in a dead heat (injection
+        // order wins) that is the model working as intended, and each
+        // message keeps its modelled cycle; about the same line the later
+        // message is held back to the earlier one's cycle and goes second.
         let mut noc = Noc::new(&TimingConfig::default());
-        noc.set_fault_state(faults.clone());
         let (a, b) = (TileCoord::new(0, 0), TileCoord::new(1, 0));
         let mut send = |cycle, dst, msg| {
             let src = CompId(0);
@@ -340,12 +338,110 @@ mod tests {
         send(1, 1, Msg::Inv { line: 0x80 });
         send(1, 2, Msg::Inv { line: 0x40 });
         send(8, 1, Msg::Inv { line: 0x40 });
-        assert!(!faults.has_staged());
         send(10, 1, Msg::DataM { line: 0xc0 });
         send(11, 1, Msg::Downgrade { line: 0xc0 });
-        assert!(faults.has_staged() && !faults.line_order_broken());
-        faults.commit_staged();
-        assert!(faults.line_order_broken());
+        let mut got = Vec::new();
+        for cycle in 0..100 {
+            noc.deliver_due(cycle, |dst, e| got.push((cycle, dst.0, e.msg)));
+        }
+        let (head, grant) = (noc.latency(a, b, 0), noc.latency(a, b, 64));
+        assert_eq!(grant, head + 8);
+        let want = vec![
+            (1 + head, 1, Msg::Inv { line: 0x80 }),
+            (1 + head, 2, Msg::Inv { line: 0x40 }),
+            (grant, 1, Msg::DataS { line: 0x40 }),
+            (grant, 1, Msg::Inv { line: 0x40 }),
+            (10 + grant, 1, Msg::DataM { line: 0xc0 }),
+            (10 + grant, 1, Msg::Downgrade { line: 0xc0 }),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn fuzzed_traffic_keeps_each_lines_order_and_otherwise_its_modelled_cycle() {
+        // Three components on three tiles send head-flit and line-sized
+        // messages about four lines, one ejection per destination per
+        // cycle, with or without a latency spike. Consecutive messages on
+        // one (src, dst, line) triple are always of different kinds, so a
+        // swap shows as a different kind at the front of the triple.
+        use crate::faultinject::splitmix64;
+        use std::collections::{HashMap, VecDeque};
+        const HEAD: [fn(u64) -> Msg; 4] = [
+            |line| Msg::Inv { line },
+            |line| Msg::Downgrade { line },
+            |line| Msg::GetS { line },
+            |line| Msg::InvAck { line },
+        ];
+        const GRANT: [fn(u64) -> Msg; 2] = [|line| Msg::DataS { line }, |line| Msg::DataM { line }];
+        #[derive(Default)]
+        struct Triple {
+            sent: usize,
+            /// In injection order: the message, its modelled cycle, and
+            /// whether nothing was in flight ahead of it when sent.
+            flight: VecDeque<(Msg, u64, bool)>,
+        }
+        let tiles = [
+            TileCoord::new(0, 0),
+            TileCoord::new(2, 1),
+            TileCoord::new(1, 3),
+        ];
+        for seed in 0..64 {
+            let mut rng = seed;
+            let mut draw = |n: u64| splitmix64(&mut rng) % n;
+            let faults = FaultState::default();
+            if draw(2) == 0 {
+                faults.set_latency_spike(100 + draw(200), 2 + draw(3));
+            }
+            let mut noc = Noc::new(&TimingConfig::default());
+            noc.set_fault_state(faults.clone());
+            noc.set_ejection_width(1);
+            let mut triples: HashMap<(usize, usize, u64), Triple> = HashMap::new();
+            let mut ejected: HashMap<(usize, u64), u64> = HashMap::new();
+            let mut cycle: u64 = 0;
+            while cycle < 400 || !noc.is_empty() {
+                noc.deliver_due(cycle, |dst, e| {
+                    let line = e.msg.line().expect("coherence traffic only");
+                    let key = (e.src.0, dst.0, line);
+                    let triple = triples.get_mut(&key).expect("sent on this triple");
+                    let (msg, modelled, alone) = triple.flight.pop_front().expect("in flight");
+                    assert_eq!(e.msg, msg, "seed {seed}: {key:?} out of order at {cycle}");
+                    assert!(cycle >= modelled, "seed {seed}: {msg:?} early");
+                    // Alone on its triple, a message is late only by
+                    // cycles its destination spent ejecting another.
+                    if alone {
+                        for c in modelled..cycle {
+                            let n = ejected.get(&(dst.0, c)).copied().unwrap_or(0);
+                            assert_eq!(n, 1, "seed {seed}: {msg:?} held at {c}");
+                        }
+                    }
+                    *ejected.entry((dst.0, cycle)).or_default() += 1;
+                });
+                let sends = if cycle < 400 { draw(3) } else { 0 };
+                for _ in 0..sends {
+                    let src = draw(3) as usize;
+                    let dst = (src + 1 + draw(2) as usize) % 3;
+                    let line = 0x40 * (1 + draw(4));
+                    let triple = triples.entry((src, dst, line)).or_default();
+                    triple.sent += 1;
+                    let msg = match draw(2) {
+                        0 => HEAD[triple.sent % HEAD.len()](line),
+                        _ => GRANT[triple.sent % GRANT.len()](line),
+                    };
+                    let (from, to) = (tiles[src], tiles[dst]);
+                    let lat = noc.latency(from, to, msg.payload_bytes());
+                    let modelled = cycle + lat.max(1) * faults.latency_factor(cycle);
+                    let alone = triple.flight.is_empty();
+                    triple.flight.push_back((msg.clone(), modelled, alone));
+                    let env = Envelope {
+                        src: CompId(src),
+                        msg,
+                    };
+                    noc.inject(cycle, from, to, CompId(dst), env);
+                }
+                cycle += 1;
+            }
+            assert!(triples.values().all(|t| t.flight.is_empty()));
+        }
     }
 
     #[test]

@@ -1923,22 +1923,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn broken_line_order_keeps_the_spinner_awake() {
-        // Once the NoC has delivered two messages about one line out of
-        // order, a held line may be one the directory lost track of, so
-        // holding it no longer promises an invalidation: the core polls
-        // on, one iteration at a time, as it did before it learnt to sleep.
-        let cfg = SocConfig::default();
-        let period = cfg.timing.l1_hit + cfg.timing.spin_alu;
-        let rest = |soc: &mut Soc, dir| {
-            soc.fault_state().stage_line_order_broken();
-            soc.add_component(TileCoord::new(1, 0), publisher(dir, &cfg, 3_000));
-        };
-        let (_, steps) = spin_run_both(&cfg, "line order broken", &[], |_| {}, rest);
-        assert!(steps > 2 * 2_900 / period, "{steps} slot-steps");
-    }
-
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "must announce itself")]

@@ -1203,8 +1203,8 @@ fn store_buffer_sleep_is_unobservable_on_fuzzed_core_socs() {
 /// timing, store-buffer geometry and, in half the cases, an L1 small
 /// enough that the consumers' own stores evict the polled line — and a
 /// fault injector flipping switches under them: accelerator stalls, which
-/// re-hint every sleeper in mid-park, and latency spikes, which let the
-/// NoC reorder messages about one line and so end all parking — `Auto`
+/// re-hint every sleeper in mid-park, and latency spikes, under which the
+/// NoC holds back messages that would overtake one about their line — `Auto`
 /// and `Force1` agree on the stop cycle, every core's `done_at` and
 /// recorded loads, the flag words and the whole stats registry (the
 /// replayed `spin_iters`, `instret` and `l1.hits` included). Across the

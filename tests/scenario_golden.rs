@@ -83,15 +83,16 @@ const ROWS: &[Row] = &[
     Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0x39816f07d951f5d5] },
     Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0x577a58e54d25ae28] },
     Row { runner: Runner::Failover, workload: Sha, queue: 512, batch: 16, policy: Eager, faults: "kill@8500:1", shards: 0, want: [56255, 20794, 0xc6d74d533cdd6ce3, 0xfad75bb2ce0192f3] },
-    // Also recorded at PR 19's parent. A latency spike closes while
-    // messages about the polled index line are in flight: a later one
-    // overtakes an earlier one and the benchmark core is left holding a
-    // copy the directory does not list, which no write will invalidate.
-    Row { runner: Runner::Cohort, workload: Aes, queue: 256, batch: 8, policy: Eager, faults: "spike@15000:2000:4", shards: 0, want: [61664, 24016, 0xe15c01d33b79c422, 0x4017235f5907f2a1] },
-    Row { runner: Runner::Sharded, workload: Aes, queue: 384, batch: 8, policy: Eager, faults: "spike@10500:2000:4", shards: 3, want: [26813, 8707, 0x0438fb0f776170a0, 0xc15a1e4965d095f4] },
+    // A latency spike closes while messages about the polled index line
+    // are in flight: the later ones would overtake the earlier ones, and
+    // the NoC holds each back to the cycle of the last one about its line
+    // between the same pair. These rows pin that clamp and the parked
+    // benchmark core it keeps correct.
+    Row { runner: Runner::Cohort, workload: Aes, queue: 256, batch: 8, policy: Eager, faults: "spike@15000:2000:4", shards: 0, want: [61633, 23992, 0x6d416e4124d5f64b, 0x29333b6c0f671431] },
+    Row { runner: Runner::Sharded, workload: Aes, queue: 384, batch: 8, policy: Eager, faults: "spike@10500:2000:4", shards: 3, want: [27887, 7168, 0xccaf284f0daadf9c, 0x2c6449ee8d75bb18] },
     // A spike window that outlives the workload (see
     // `a_window_that_outlives_the_work_does_not_hold_the_run`).
-    Row { runner: Runner::Chaos, workload: Sha, queue: 64, batch: 8, policy: Eager, faults: "spike@10000:100000:2", shards: 0, want: [15189, 5663, 0x79ff7d8f1f6caa60, 0xecf05f379ec3252c] },
+    Row { runner: Runner::Chaos, workload: Sha, queue: 64, batch: 8, policy: Eager, faults: "spike@10000:100000:2", shards: 0, want: [15213, 5663, 0x84c18ce88c09db9f, 0x3885842e5d074994] },
 ];
 
 /// `[cycles, instret, checksum, fnv1a(stats_json)]` of the two
