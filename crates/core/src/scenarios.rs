@@ -338,9 +338,9 @@ fn build_system_with(
         policy,
         engine_accels,
         maple_accel,
-        extra_core_programs: vec![Program::new(); extra_cores],
+        extra_cores,
     };
-    SimSystem::build(spec, Program::new())
+    SimSystem::build(spec)
 }
 
 /// [`build_system_with`] the scenario's SoC configuration and map policy.
@@ -581,10 +581,7 @@ fn arm(sys: &mut SimSystem, program: Program, vm: Option<SharedVm>, swap: Option
     let vm = vm.unwrap_or_else(|| kernel_vm(sys));
     let core = core_mut(&mut sys.soc, sys.core);
     for driver in &sys.drivers {
-        match swap {
-            Some(s) => driver.install_fault_handler_with_swap(core, Rc::clone(&vm), s.clone()),
-            None => driver.install_fault_handler(core, Rc::clone(&vm)),
-        }
+        driver.install_fault_handler(core, Rc::clone(&vm), swap.cloned());
     }
     for &id in &sys.extra_cores {
         let (vm, swap) = (Rc::clone(&vm), swap.cloned());
@@ -789,7 +786,7 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
     arm(&mut sys, program, Some(vm), Some(&swap));
     let driver = sys.drivers[0].clone();
     let core = core_mut(&mut sys.soc, sys.core);
-    driver.install_error_handler_with_probe(core, 2, Some(fallback), Some(probe));
+    driver.install_error_handler(core, 2, fallback, probe);
     finish(sys, scenario)
 }
 

@@ -78,21 +78,25 @@ pub struct SystemSpec {
     pub engine_accels: Vec<Box<dyn cohort_accel::Accelerator>>,
     /// Accelerator hosted behind the MAPLE baseline unit, if any.
     pub maple_accel: Option<Box<dyn cohort_accel::Accelerator>>,
-    /// Programs for additional cores (the platform's second Ariane, used
-    /// for interference studies). They share the benchmark address space.
-    pub extra_core_programs: Vec<Program>,
+    /// Additional cores (the platform's second Ariane, used for
+    /// interference studies and shard producers), built with empty
+    /// programs that harnesses load later. They share the benchmark
+    /// address space.
+    pub extra_cores: usize,
 }
 
 impl SimSystem {
     /// Builds the SoC: directory at (0,0), the benchmark core at (0,1),
     /// Cohort engines at (1,0), (1,1), ... and MAPLE at (1,1) or beyond.
-    pub fn build(spec: SystemSpec, program: Program) -> Self {
+    /// Every core starts with an empty program
+    /// ([`InOrderCore::load_program`] gives it one).
+    pub fn build(spec: SystemSpec) -> Self {
         let SystemSpec {
             cfg,
             policy,
             engine_accels,
             maple_accel,
-            extra_core_programs,
+            extra_cores,
         } = spec;
         let mut soc = Soc::new(cfg.clone());
         let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
@@ -100,7 +104,7 @@ impl SimSystem {
         let mut frames = FrameAllocator::new(DRAM_BASE, DRAM_END);
         let space = AddressSpace::new(&mut frames, policy);
 
-        let mut core_model = InOrderCore::new(dir, &cfg, program);
+        let mut core_model = InOrderCore::new(dir, &cfg, Program::new());
         core_model.set_translator(Box::new(space.translator()));
         let core = soc.add_component(TileCoord::new(0, 1), Box::new(core_model));
 
@@ -109,8 +113,7 @@ impl SimSystem {
         for (i, accel) in engine_accels.into_iter().enumerate() {
             let mmio = ENGINE_MMIO_BASE + (i as u64) * ENGINE_MMIO_STRIDE;
             let irq = COHORT_IRQ + i as u32;
-            let faults = soc.fault_state().clone();
-            let mut engine = CohortEngine::new(dir, &cfg, mmio, core, irq, accel, faults);
+            let mut engine = CohortEngine::new(dir, &cfg, mmio, core, irq, accel);
             engine.set_engine_index(i as u64);
             let tile = TileCoord::new(1, i as u16);
             let id = soc.add_component(tile, Box::new(engine));
@@ -119,12 +122,13 @@ impl SimSystem {
             drivers.push(CohortDriver::new(mmio, irq));
         }
 
-        let mut extra_cores = Vec::new();
-        for (i, p) in extra_core_programs.into_iter().enumerate() {
-            let mut c = InOrderCore::new(dir, &cfg, p);
-            c.set_translator(Box::new(space.translator()));
-            extra_cores.push(soc.add_component(TileCoord::new(0, 2 + i as u16), Box::new(c)));
-        }
+        let extra_cores = (0..extra_cores)
+            .map(|i| {
+                let mut c = InOrderCore::new(dir, &cfg, Program::new());
+                c.set_translator(Box::new(space.translator()));
+                soc.add_component(TileCoord::new(0, 2 + i as u16), Box::new(c))
+            })
+            .collect();
 
         // Fault injector rides on its own tile so its MMIO pokes traverse
         // the NoC like any other agent's. Descriptor corruption targets
@@ -138,8 +142,7 @@ impl SimSystem {
         });
 
         let maple = maple_accel.map(|accel| {
-            let mut unit = MapleUnit::new(dir, &cfg, MAPLE_MMIO_BASE, accel);
-            unit.set_fault_state(soc.fault_state().clone());
+            let unit = MapleUnit::new(dir, &cfg, MAPLE_MMIO_BASE, accel);
             let id = soc.add_component(TileCoord::new(1, 1), Box::new(unit));
             soc.map_mmio(
                 MAPLE_MMIO_BASE..MAPLE_MMIO_BASE + cohort_maple::regs::BANK_BYTES,

@@ -273,31 +273,6 @@ pub struct EngineCounters {
     pub rebinds: Counter,
 }
 
-/// Snapshot of the engine's migratable state, exported by
-/// [`CohortEngine::checkpoint`]: internal index views, bytes staged in
-/// the datapath, and the binding epoch. Failover tests use it to argue
-/// the exactly-once invariant; the orchestrator itself trusts only the
-/// indices in coherent memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineCheckpoint {
-    /// Elements consumed from the input queue (internal view).
-    pub rd: u64,
-    /// Elements produced into the output queue (internal view).
-    pub wr: u64,
-    /// Last input write index observed.
-    pub known_wr: u64,
-    /// Last output read index observed.
-    pub known_rd: u64,
-    /// Bytes in the producer staging buffer.
-    pub staged_bytes: usize,
-    /// Bytes buffered at the accelerator output.
-    pub accel_output_bytes: usize,
-    /// Epoch of the currently bound descriptors.
-    pub bound_epoch: u64,
-    /// True once a fail-stop fault froze the datapath.
-    pub dead: bool,
-}
-
 /// The Cohort engine component. Construct with [`CohortEngine::new`], map
 /// its register bank with [`cohort_sim::soc::Soc::map_mmio`], and program
 /// it through [`cohort_os::CohortDriver`].
@@ -344,9 +319,10 @@ pub struct CohortEngine {
     /// Distribution of backoff windows actually taken (log2 buckets via
     /// the histogram's own bucketing).
     backoff_window: Histogram,
-    /// SoC-wide fault switches: injected accelerator stalls and
-    /// fail-stops are read from them, and the watchdog checkpoint
-    /// announces its protocol-bypassing writes through them.
+    /// SoC-wide fault switches, from [`Component::attach`]: injected
+    /// accelerator stalls and fail-stops are read from them, and the
+    /// watchdog checkpoint announces its protocol-bypassing writes
+    /// through them.
     fault_state: FaultState,
     /// This engine's index in the SoC-wide fail-stop kill mask.
     engine_index: u64,
@@ -390,11 +366,7 @@ impl CohortEngine {
     /// * `mmio_base` — base physical address of the register bank (map
     ///   `mmio_base..mmio_base + regs::BANK_BYTES`);
     /// * `irq_target`/`irq_num` — where page-fault interrupts go;
-    /// * `accel` — the hosted accelerator;
-    /// * `faults` — the SoC's fault switches
-    ///   ([`cohort_sim::soc::Soc::fault_state`]). Not optional: an engine
-    ///   wired to switches of its own would announce its checkpoint
-    ///   writes to nobody.
+    /// * `accel` — the hosted accelerator.
     pub fn new(
         dir: CompId,
         cfg: &SocConfig,
@@ -402,7 +374,6 @@ impl CohortEngine {
         irq_target: CompId,
         irq_num: u32,
         accel: Box<dyn cohort_accel::Accelerator>,
-        faults: FaultState,
     ) -> Self {
         let lines = cfg.mte_lines.max(4);
         Self {
@@ -439,7 +410,7 @@ impl CohortEngine {
             err_irq_outstanding: false,
             watchdog_cycles: 0,
             backoff_window: Histogram::new(),
-            fault_state: faults,
+            fault_state: FaultState::default(),
             engine_index: 0,
             min_epoch: 0,
             bound_epoch: 0,
@@ -469,31 +440,6 @@ impl CohortEngine {
     /// This engine's index in the SoC (assigned at build time).
     pub fn engine_index(&self) -> u64 {
         self.engine_index
-    }
-
-    /// Current input-queue occupancy as the engine sees it: elements the
-    /// producer has published (`known_wr`) that the consumer endpoint has
-    /// not yet read. This is the quantity a shard pool's software
-    /// occupancy mirror tracks, exposed so tests can compare mirror
-    /// against ground truth.
-    pub fn in_queue_occupancy(&self) -> u64 {
-        self.known_wr.saturating_sub(self.rd)
-    }
-
-    /// A point-in-time summary of the engine's migratable state, for
-    /// tests and diagnostics. The authoritative queue indices live in
-    /// coherent memory; these are the engine's internal views.
-    pub fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint {
-            rd: self.rd,
-            wr: self.wr,
-            known_wr: self.known_wr,
-            known_rd: self.known_rd,
-            staged_bytes: self.stage.len(),
-            accel_output_bytes: self.accel.output_len(),
-            bound_epoch: self.bound_epoch,
-            dead: self.killed(),
-        }
     }
 
     /// Current sticky error bits (`regs::ERR_*`; 0 = healthy).
@@ -1679,6 +1625,7 @@ impl Component for CohortEngine {
         self.port.port_counters().register(obs, "mte");
         self.trace = Some(obs.trace.clone());
         self.tid = obs.tid;
+        self.fault_state = obs.faults.clone();
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
@@ -1954,13 +1901,5 @@ impl Component for CohortEngine {
             ("resumes".into(), c.resumes.get()),
             ("rebinds".into(), c.rebinds.get()),
         ]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -15,4 +15,4 @@
 pub mod engine;
 
 pub use cohort_accel::timing::TimedAccel;
-pub use engine::{CohortEngine, EngineCheckpoint, EngineCounters};
+pub use engine::{CohortEngine, EngineCounters};

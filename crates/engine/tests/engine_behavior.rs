@@ -44,8 +44,7 @@ fn rig_with(cfg: SocConfig, accel: Box<dyn cohort_accel::Accelerator>) -> Rig {
     let mut core = InOrderCore::new(dir, &cfg, Program::new());
     core.set_translator(Box::new(space.translator()));
     let core = soc.add_component(TileCoord::new(0, 1), Box::new(core));
-    let faults = soc.fault_state().clone();
-    let engine = CohortEngine::new(dir, &cfg, ENGINE_MMIO, core, IRQ, accel, faults);
+    let engine = CohortEngine::new(dir, &cfg, ENGINE_MMIO, core, IRQ, accel);
     let engine = soc.add_component(TileCoord::new(1, 0), Box::new(engine));
     soc.map_mmio(ENGINE_MMIO..ENGINE_MMIO + regs::BANK_BYTES, engine);
     Rig {

@@ -106,8 +106,10 @@ pub struct MapleUnit {
     walk: Option<WalkMachine>,
     mmio_latency: u64,
     counters: MapleCounters,
-    /// SoC-wide fault switches (stall / fail-stop injection).
-    fault_state: Option<FaultState>,
+    /// SoC-wide fault switches, from [`Component::attach`]: injected
+    /// stalls gate the accelerator/DMA datapath, and a fail-stop fault
+    /// aborts cleanly instead of hanging the core's blocking accesses.
+    fault_state: FaultState,
     /// The fail-stop abort already ran (flush once, stay dead).
     dead_latched: bool,
 }
@@ -151,7 +153,7 @@ impl MapleUnit {
             walk: None,
             mmio_latency: cfg.timing.mmio_device,
             counters: MapleCounters::default(),
-            fault_state: None,
+            fault_state: FaultState::default(),
             dead_latched: false,
         }
     }
@@ -161,25 +163,14 @@ impl MapleUnit {
         &self.counters
     }
 
-    /// Connects the unit to the SoC-wide fault switches, so injected
-    /// stalls gate the accelerator/DMA datapath and a fail-stop fault
-    /// aborts cleanly instead of hanging the core's blocking accesses.
-    pub fn set_fault_state(&mut self, faults: FaultState) {
-        self.fault_state = Some(faults);
-    }
-
     /// True while an injected stall holds the accelerator datapath.
     fn stalled(&self, cycle: u64) -> bool {
-        self.fault_state
-            .as_ref()
-            .is_some_and(|f| f.maple_stalled(cycle))
+        self.fault_state.maple_stalled(cycle)
     }
 
     /// True once a fail-stop fault permanently killed the unit.
     fn dead(&self) -> bool {
-        self.fault_state
-            .as_ref()
-            .is_some_and(FaultState::maple_killed)
+        self.fault_state.maple_killed()
     }
 
     /// The fail-stop abort: run once when the kill is first observed.
@@ -365,7 +356,9 @@ impl MapleUnit {
                 };
             }
             Outcome::Pending => self.access = Access::Wait { pa, len, write },
-            Outcome::Retry => self.access = Access::Wait { pa, len, write }, // re-issued below
+            // No `Completed` follows a retry: free the slot, and the DMA
+            // loop derives the access again next step.
+            Outcome::Retry => self.access = Access::None,
         }
     }
 
@@ -634,6 +627,7 @@ impl Component for MapleUnit {
             obs.adopt_counter(name, counter);
         }
         self.port.port_counters().register(obs, "port");
+        self.fault_state = obs.faults.clone();
     }
 
     fn counters(&self) -> Vec<(String, u64)> {
@@ -649,13 +643,5 @@ impl Component for MapleUnit {
             ("tlb_hits".into(), m.hits),
             ("tlb_misses".into(), m.misses),
         ]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -11,6 +11,7 @@ use cohort_sim::component::TileCoord;
 use cohort_sim::config::{Lookahead, SocConfig};
 use cohort_sim::core::InOrderCore;
 use cohort_sim::directory::Directory;
+use cohort_sim::faultinject::FOREVER;
 use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 
@@ -151,6 +152,41 @@ fn csr_configures_the_accelerator_over_mmio() {
         .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
         .collect();
     assert_eq!(got, expect);
+}
+
+#[test]
+fn injected_stall_holds_a_blocking_push() {
+    // The unit reads the SoC's fault switches, which it gets on joining
+    // the SoC: a stall holds valid/ready low across the accelerator
+    // interface, so the core's blocking push waits until it is lifted.
+    let mut rig = rig(Box::new(NullFifo::new()));
+    let maple = cohort_sim::component::CompId(2);
+    let mut p = Program::new();
+    p.push(Op::MmioStore {
+        pa: MAPLE_MMIO + regs::PUSH,
+        value: 1,
+    });
+    rig.soc
+        .component_mut::<InOrderCore>(rig.core)
+        .unwrap()
+        .load_program(p);
+    let pushes = |soc: &Soc| {
+        let unit = soc.component::<MapleUnit>(maple).unwrap();
+        unit.maple_counters().mmio_pushes.get()
+    };
+    rig.soc.fault_state().stall_maple(FOREVER);
+    let out = rig.soc.run(10_000);
+    assert!(!out.quiescent, "the push is held, not served");
+    assert_eq!(pushes(&rig.soc), 0);
+    let core = rig.soc.component::<InOrderCore>(rig.core).unwrap();
+    assert!(!core.is_done());
+
+    rig.soc.fault_state().stall_maple(0);
+    let out = rig.soc.run(10_000);
+    assert!(out.quiescent, "lifting the stall releases the push");
+    assert_eq!(pushes(&rig.soc), 1);
+    let core = rig.soc.component::<InOrderCore>(rig.core).unwrap();
+    assert!(core.is_done());
 }
 
 #[test]

@@ -383,25 +383,12 @@ impl CohortDriver {
     /// register; §4.2.4/§4.4) and the kernel's fault path for the core's
     /// own accesses. Both share one view of the address space and frame
     /// pool, exactly like the real kernel's mm.
-    pub fn install_fault_handler(&self, core: &mut InOrderCore, vm: SharedVm) {
-        self.install_fault_machinery(core, vm, None);
-    }
-
-    /// [`CohortDriver::install_fault_handler`] with a swap backing store:
-    /// when a freshly mapped page has stashed contents (a fault-injection
-    /// storm paged it out), the handler copies them into the new frame —
-    /// the model of a page-in from swap. Required for storm recovery to be
-    /// data-lossless.
-    pub fn install_fault_handler_with_swap(
-        &self,
-        core: &mut InOrderCore,
-        vm: SharedVm,
-        swap: SwapStore,
-    ) {
-        self.install_fault_machinery(core, vm, Some(swap));
-    }
-
-    fn install_fault_machinery(
+    ///
+    /// With a `swap` backing store, a freshly mapped page that has stashed
+    /// contents (a fault-injection storm paged it out) gets them copied
+    /// into the new frame — the model of a page-in from swap. Storm
+    /// recovery needs it to be data-lossless.
+    pub fn install_fault_handler(
         &self,
         core: &mut InOrderCore,
         vm: SharedVm,
@@ -432,27 +419,18 @@ impl CohortDriver {
     /// the engine from the in-memory queue indices) up to `max_retries`
     /// times; past that it runs `fallback` — the software-only queue path
     /// of §4.4's graceful-degradation contract — and disables the engine.
+    ///
+    /// `progress` is a forward-progress probe (typically the engine's
+    /// consumed+produced+drained element total). When it shows the engine
+    /// made progress since the previous error IRQ, the previous recovery
+    /// *worked* and the retry counter resets — so a later, unrelated fault
+    /// gets the full retry budget instead of inheriting exhausted state.
     pub fn install_error_handler(
         &self,
         core: &mut InOrderCore,
         max_retries: u64,
-        fallback: Option<SoftwareFallback>,
-    ) {
-        self.install_error_handler_with_probe(core, max_retries, fallback, None);
-    }
-
-    /// [`CohortDriver::install_error_handler`] with a forward-progress
-    /// probe (typically the engine's consumed+produced+drained element
-    /// total). When the probe shows the engine made progress since the
-    /// previous error IRQ, the previous recovery *worked* and the retry
-    /// counter resets — so a later, unrelated fault gets the full retry
-    /// budget instead of inheriting exhausted state.
-    pub fn install_error_handler_with_probe(
-        &self,
-        core: &mut InOrderCore,
-        max_retries: u64,
-        mut fallback: Option<SoftwareFallback>,
-        mut progress: Option<ProgressProbe>,
+        mut fallback: SoftwareFallback,
+        mut progress: ProgressProbe,
     ) {
         let status_reg = self.reg(regs::ERROR_STATUS);
         let enable_reg = self.reg(regs::ENABLE);
@@ -464,23 +442,19 @@ impl CohortDriver {
                 entry_cycles: 400,
                 entry_insts: 300,
                 action: HandlerAction::Custom(Box::new(move |mem, _error_bits, _cycle| {
-                    if let Some(p) = progress.as_mut() {
-                        let now = p();
-                        if last_progress.is_some_and(|prev| now > prev) {
-                            // The engine moved elements since the last
-                            // incident: that recovery succeeded, so this
-                            // fault is a new one with a fresh budget.
-                            tries = 0;
-                        }
-                        last_progress = Some(now);
+                    let now = progress();
+                    if last_progress.is_some_and(|prev| now > prev) {
+                        // The engine moved elements since the last
+                        // incident: that recovery succeeded, so this
+                        // fault is a new one with a fresh budget.
+                        tries = 0;
                     }
+                    last_progress = Some(now);
                     if tries < max_retries {
                         tries += 1;
                         vec![(status_reg, 0)]
                     } else {
-                        if let Some(f) = fallback.as_mut() {
-                            f(mem);
-                        }
+                        fallback(mem);
                         vec![(enable_reg, 0)]
                     }
                 })),
@@ -676,8 +650,9 @@ pub struct ShardAssignment {
 /// placed minus weight completed — which is what the occupancy-aware
 /// policy steers on. The mirror deliberately tracks the driver's view,
 /// not the engine's registers: reading `CONSUMED` over MMIO on every
-/// placement would cost more than the imbalance it avoids. Tests compare
-/// the mirror against `CohortEngine::in_queue_occupancy` ground truth.
+/// placement would cost more than the imbalance it avoids. The sharded
+/// run's verifier checks the books balance: once the merge has drained,
+/// every shard's mirror reads 0 ([`ShardPool::occupancy`]).
 ///
 /// Failover composes per shard: a killed shard's queues migrate onto a
 /// spare through the existing epoch-fenced path

@@ -196,8 +196,9 @@ impl Observability {
 /// A SoC lives and dies on the thread that built it: components hold
 /// `Rc` handles onto the stats, trace and fault cells, so neither they
 /// nor the [`crate::soc::Soc`] can be moved to or shared with another
-/// thread.
-pub trait Component {
+/// thread. Harness code reaches a concrete component through the `Any`
+/// supertrait ([`crate::soc::Soc::component`]).
+pub trait Component: std::any::Any {
     /// Short human-readable name, used in stats dumps.
     fn name(&self) -> &str;
 
@@ -381,12 +382,6 @@ pub trait Component {
     fn counters(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
-
-    /// Downcast support for harness inspection.
-    fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 #[cfg(test)]

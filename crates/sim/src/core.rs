@@ -190,9 +190,9 @@ pub struct InOrderCore {
     /// while nothing this core knows of can have changed either since (see
     /// [`InOrderCore::parked`]).
     spin_memo: Option<u64>,
-    /// The SoC's fault switches, from [`Component::attach`]: a core has
-    /// none until it joins a SoC, and nothing steps it before.
-    faults: Option<FaultState>,
+    /// The SoC's fault switches, from [`Component::attach`] (nothing steps
+    /// a core before it joins a SoC).
+    faults: FaultState,
     translator: Box<dyn Translator>,
     recorded: Vec<u64>,
     mmio_tag: u64,
@@ -235,7 +235,7 @@ impl InOrderCore {
             spin_alu: cfg.timing.spin_alu,
             spin_insts: cfg.timing.spin_insts,
             spin_memo: None,
-            faults: None,
+            faults: FaultState::default(),
             translator: Box::new(Identity),
             recorded: Vec::new(),
             mmio_tag: 0,
@@ -313,20 +313,11 @@ impl InOrderCore {
             "fatal core-side page fault at va {va:#x}"
         );
         // The hook edits page tables behind every cache.
-        Self::announce_bypass_write(&self.faults);
+        self.faults.announce_bypass_write();
         self.counters.core_faults.inc();
         self.counters.instret.add(self.trap_insts);
         self.busy_until = ctx.cycle + self.trap_cost;
         None
-    }
-
-    /// Announces host logic this core is about to run, or has just run,
-    /// against its staged memory: stores with no grant behind them.
-    fn announce_bypass_write(faults: &Option<FaultState>) {
-        let faults = faults.as_ref();
-        faults
-            .expect("a core is stepped only inside a SoC")
-            .announce_bypass_write();
     }
 
     fn sb_forward(&self, pa: u64) -> Option<u64> {
@@ -548,7 +539,7 @@ impl InOrderCore {
                 // Host logic stores to guest memory with no grant behind
                 // it (the chaos software fallback publishes the very
                 // index this core polls).
-                Self::announce_bypass_write(&self.faults);
+                self.faults.announce_bypass_write();
                 f(&mut ctx.mem, payload, ctx.cycle)
             }
         };
@@ -716,7 +707,7 @@ impl Component for InOrderCore {
             obs.adopt_counter(name, counter);
         }
         self.port.port_counters().register(obs, "l1");
-        self.faults = Some(obs.faults.clone());
+        self.faults = obs.faults.clone();
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) {
@@ -916,13 +907,5 @@ impl Component for InOrderCore {
             ("irqs".into(), c.irqs.get()),
             ("core_faults".into(), c.core_faults.get()),
         ]
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -70,12 +70,9 @@ struct Req {
 enum Phase {
     /// Waiting for a scheduled tag/fill access to complete.
     WaitAccess,
-    /// Waiting for an inclusive-eviction recall of `vline` to finish.
-    WaitVictim {
-        #[allow(dead_code)]
-        vline: u64,
-        remaining: u32,
-    },
+    /// Waiting for an inclusive-eviction recall to finish (the victim
+    /// line's own transaction is `BlockedVictim` on this one).
+    WaitVictim { remaining: u32 },
     /// Waiting for invalidation acks before granting exclusive.
     WaitInvAcks { remaining: u32 },
     /// Waiting for the previous exclusive owner to downgrade.
@@ -335,7 +332,6 @@ impl Directory {
                         ctx.send(*h, Msg::Inv { line: vline });
                     }
                     self.txns.get_mut(&line).expect("txn").phase = Phase::WaitVictim {
-                        vline,
                         remaining: holders.len() as u32,
                     };
                 }
@@ -458,7 +454,7 @@ impl Directory {
                 let done = {
                     let ptxn = self.txns.get_mut(&parent).expect("parent txn");
                     match &mut ptxn.phase {
-                        Phase::WaitVictim { remaining, .. } => {
+                        Phase::WaitVictim { remaining } => {
                             *remaining -= 1;
                             *remaining == 0
                         }
@@ -639,13 +635,5 @@ impl Component for Directory {
             v.extend(dram.counter_snapshot());
         }
         v
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -302,10 +302,10 @@ impl DramModel {
     }
 
     /// Earliest cycle after `now` at which any channel retires a request
-    /// (`None` when fully drained). This is the model's contribution to the
-    /// directory's `quiescent_for` hint; because every accepted request
-    /// also has a completion event in the directory's delayed heap, the
-    /// hint derived from that heap never overshoots this bound.
+    /// (`None` when fully drained). The directory does not call it: every
+    /// accepted request also has a completion event in the directory's
+    /// delayed heap, which its `quiescent_for` hint reads. Tests use it as
+    /// an oracle that the hint never overshoots the model's own events.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         self.channels
             .iter()

@@ -891,14 +891,6 @@ impl Component for FaultInjector {
             ("kills".into(), self.kills.get()),
         ]
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

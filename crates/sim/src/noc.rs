@@ -86,7 +86,9 @@ pub struct Noc {
     hop_latency: Histogram,
     hops: Histogram,
     trace: Option<Trace>,
-    faults: Option<FaultState>,
+    /// The shared fault switches: messages injected inside a
+    /// latency-spike window take `factor`× their modelled latency.
+    faults: FaultState,
     /// Messages ejected into one destination per cycle before the rest
     /// slip a cycle (`None` = unlimited, the default). Enabled by the
     /// DRAM contention model so a hot destination (the directory) also
@@ -97,8 +99,9 @@ pub struct Noc {
 }
 
 impl Noc {
-    /// Creates a NoC using the latency constants from `timing`.
-    pub fn new(timing: &TimingConfig) -> Self {
+    /// Creates a NoC using the latency constants from `timing`, reading
+    /// the latency-spike switch from `faults`.
+    pub fn new(timing: &TimingConfig, faults: FaultState) -> Self {
         Self {
             base: timing.noc_base,
             per_hop: timing.noc_per_hop,
@@ -112,7 +115,7 @@ impl Noc {
             hop_latency: Histogram::new(),
             hops: Histogram::new(),
             trace: None,
-            faults: None,
+            faults,
             ejection_width: None,
             ejection_deferred: Counter::new(),
         }
@@ -123,13 +126,6 @@ impl Noc {
     /// model is enabled.
     pub fn set_ejection_width(&mut self, width: u64) {
         self.ejection_width = (width > 0).then_some(width);
-    }
-
-    /// Connects the NoC to the shared fault switches: messages injected
-    /// inside a latency-spike window take `factor`× their modelled
-    /// latency. Called by the SoC.
-    pub fn set_fault_state(&mut self, faults: FaultState) {
-        self.faults = Some(faults);
     }
 
     /// Registers the NoC's counters and histograms in `stats` and keeps a
@@ -182,7 +178,7 @@ impl Noc {
         env: Envelope,
         extra: u64,
     ) {
-        let spike = self.faults.as_ref().map_or(1, |f| f.latency_factor(cycle));
+        let spike = self.faults.latency_factor(cycle);
         let modelled = (self.latency(from, to, env.msg.payload_bytes()) + extra)
             .max(1)
             .saturating_mul(spike);
@@ -301,7 +297,7 @@ mod tests {
 
     #[test]
     fn latency_grows_with_distance_and_size() {
-        let noc = Noc::new(&TimingConfig::default());
+        let noc = Noc::new(&TimingConfig::default(), FaultState::default());
         let a = TileCoord::new(0, 0);
         let b = TileCoord::new(1, 1);
         assert!(noc.latency(a, b, 0) > noc.latency(a, a, 0));
@@ -310,7 +306,7 @@ mod tests {
 
     #[test]
     fn fifo_between_same_pair() {
-        let mut noc = Noc::new(&TimingConfig::default());
+        let mut noc = Noc::new(&TimingConfig::default(), FaultState::default());
         let a = TileCoord::new(0, 0);
         noc.inject(0, a, a, CompId(1), env(0x40));
         noc.inject(0, a, a, CompId(1), env(0x80));
@@ -328,7 +324,7 @@ mod tests {
         // order wins) that is the model working as intended, and each
         // message keeps its modelled cycle; about the same line the later
         // message is held back to the earlier one's cycle and goes second.
-        let mut noc = Noc::new(&TimingConfig::default());
+        let mut noc = Noc::new(&TimingConfig::default(), FaultState::default());
         let (a, b) = (TileCoord::new(0, 0), TileCoord::new(1, 0));
         let mut send = |cycle, dst, msg| {
             let src = CompId(0);
@@ -392,8 +388,7 @@ mod tests {
             if draw(2) == 0 {
                 faults.set_latency_spike(100 + draw(200), 2 + draw(3));
             }
-            let mut noc = Noc::new(&TimingConfig::default());
-            noc.set_fault_state(faults.clone());
+            let mut noc = Noc::new(&TimingConfig::default(), faults.clone());
             noc.set_ejection_width(1);
             let mut triples: HashMap<(usize, usize, u64), Triple> = HashMap::new();
             let mut ejected: HashMap<(usize, u64), u64> = HashMap::new();
@@ -446,7 +441,7 @@ mod tests {
 
     #[test]
     fn not_delivered_early() {
-        let mut noc = Noc::new(&TimingConfig::default());
+        let mut noc = Noc::new(&TimingConfig::default(), FaultState::default());
         let a = TileCoord::new(0, 0);
         let b = TileCoord::new(3, 0);
         noc.inject(0, a, b, CompId(1), env(0));
@@ -460,9 +455,8 @@ mod tests {
 
     #[test]
     fn latency_spike_window_multiplies_and_closes() {
-        let mut noc = Noc::new(&TimingConfig::default());
         let fs = FaultState::default();
-        noc.set_fault_state(fs.clone());
+        let mut noc = Noc::new(&TimingConfig::default(), fs.clone());
         let a = TileCoord::new(0, 0);
         let b = TileCoord::new(1, 0);
         let base = noc.latency(a, b, 0);
@@ -483,7 +477,7 @@ mod tests {
             noc_per_hop: 0,
             ..TimingConfig::default()
         };
-        let mut noc = Noc::new(&timing);
+        let mut noc = Noc::new(&timing, FaultState::default());
         let a = TileCoord::new(0, 0);
         noc.inject(5, a, a, CompId(0), env(0));
         let mut n = 0;

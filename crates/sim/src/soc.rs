@@ -47,6 +47,7 @@
 //! [`Lookahead::Force1`] the table stays at 0 and nobody ever sleeps; it
 //! is the reference.
 
+use std::any::Any;
 use std::collections::VecDeque;
 
 use crate::component::{CompId, Component, Ctx, MmioMap, Observability, Outgoing, TileCoord};
@@ -192,12 +193,11 @@ impl Soc {
         let stats = Stats::new();
         let trace = Trace::default();
         let faults = FaultState::default();
-        let mut noc = Noc::new(&cfg.timing);
+        let mut noc = Noc::new(&cfg.timing, faults.clone());
         if let Some(dram) = &cfg.dram {
             noc.set_ejection_width(dram.noc_ejection);
         }
         noc.attach(&stats, &trace);
-        noc.set_fault_state(faults.clone());
         Self {
             cycle: 0,
             mem: PhysMem::new(),
@@ -215,9 +215,10 @@ impl Soc {
         }
     }
 
-    /// The SoC-wide fault switches. Cloning shares the cells: hand clones
-    /// to components (e.g. the Cohort engine) so a
-    /// [`crate::faultinject::FaultInjector`] can perturb them live.
+    /// The SoC-wide fault switches. Cloning shares the cells: components
+    /// get a clone in [`Component::attach`] (`Observability::faults`), and
+    /// a [`crate::faultinject::FaultInjector`] built on another clone
+    /// perturbs them live.
     pub fn fault_state(&self) -> &FaultState {
         &self.faults
     }
@@ -574,7 +575,7 @@ impl Soc {
     pub fn component<T: 'static>(&self, id: CompId) -> Option<&T> {
         self.slots
             .get(id.0)
-            .and_then(|s| s.comp.as_any().downcast_ref::<T>())
+            .and_then(|s| (s.comp.as_ref() as &dyn Any).downcast_ref::<T>())
     }
 
     /// Mutable typed access to a component; `None` if `id` is out of range
@@ -582,7 +583,7 @@ impl Soc {
     pub fn component_mut<T: 'static>(&mut self, id: CompId) -> Option<&mut T> {
         self.slots
             .get_mut(id.0)
-            .and_then(|s| s.comp.as_any_mut().downcast_mut::<T>())
+            .and_then(|s| (s.comp.as_mut() as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Name and counters of every component, for diagnostics.
@@ -941,12 +942,6 @@ mod tests {
             fn is_idle(&self) -> bool {
                 self.done_at.is_some()
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let time = |full_line: bool| {
             let cfg = SocConfig::default();
@@ -1050,6 +1045,7 @@ mod tests {
         assert!(soc.component::<InOrderCore>(CompId(99)).is_none());
         assert!(soc.component_mut::<InOrderCore>(CompId(99)).is_none());
         assert!(soc.component::<Directory>(core).is_none(), "wrong type");
+        assert!(soc.component_mut::<Directory>(core).is_none(), "wrong type");
         assert!(soc.component::<InOrderCore>(core).is_some());
     }
 
@@ -1072,12 +1068,6 @@ mod tests {
         fn is_idle(&self) -> bool {
             true
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     impl Component for Reader {
         fn name(&self) -> &str {
@@ -1090,12 +1080,6 @@ mod tests {
         }
         fn is_idle(&self) -> bool {
             true
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1257,12 +1241,6 @@ mod tests {
         fn quiescent_for(&self, _now: u64) -> u64 {
             u64::MAX
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// A probe for the wake rules. It acts every `period` cycles (never,
@@ -1340,12 +1318,6 @@ mod tests {
         }
         fn fast_forward(&mut self, skipped: u64) {
             self.ticks.add(skipped);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1617,12 +1589,12 @@ mod tests {
     }
 
     impl Meddler {
-        fn new(soc: &Soc) -> Self {
+        fn new() -> Self {
             Self {
                 sends: VecDeque::new(),
                 write: None,
                 announce: true,
-                faults: soc.fault_state().clone(),
+                faults: FaultState::default(),
             }
         }
     }
@@ -1630,6 +1602,9 @@ mod tests {
     impl Component for Meddler {
         fn name(&self) -> &str {
             "meddler"
+        }
+        fn attach(&mut self, obs: &Observability) {
+            self.faults = obs.faults.clone();
         }
         fn step(&mut self, ctx: &mut Ctx<'_>) {
             while ctx.recv().is_some() {}
@@ -1651,12 +1626,6 @@ mod tests {
             let next = self.sends.front().map(|s| s.0);
             let next = next.into_iter().chain(self.write.map(|w| w.0)).min();
             next.map_or(u64::MAX, |at| at.saturating_sub(now))
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1813,7 +1782,7 @@ mod tests {
                     core.register_irq_handler(3, handler);
                 };
                 let rest = |soc: &mut Soc, _| {
-                    let mut meddler = Meddler::new(soc);
+                    let mut meddler = Meddler::new();
                     let ignored = Msg::MmioWriteResp { tag: 0 };
                     meddler.sends = [
                         (at - 700, ignored.clone()),
@@ -1912,7 +1881,7 @@ mod tests {
                     let tune = |core: &mut InOrderCore| core.set_translator(Box::new(Switched));
                     let rest = |soc: &mut Soc, _| {
                         soc.mem.write_u64(FLAG + 0x1000, FLAG_TARGET);
-                        let mut meddler = Meddler::new(soc);
+                        let mut meddler = Meddler::new();
                         meddler.write = Some((at, edit.0, edit.1));
                         soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
                     };
@@ -1932,7 +1901,7 @@ mod tests {
         // every cycle and names the cycle after the writer's.
         let cfg = SocConfig::default().with_lookahead(Lookahead::Force1);
         let rest = |soc: &mut Soc, _| {
-            let mut meddler = Meddler::new(soc);
+            let mut meddler = Meddler::new();
             meddler.write = Some((2_000, FLAG, FLAG_TARGET));
             meddler.announce = false;
             soc.add_component(TileCoord::new(1, 0), Box::new(meddler));

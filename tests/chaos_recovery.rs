@@ -237,7 +237,7 @@ fn lazy_storm_run(snapshots: bool) -> (bool, String) {
         engine_accels: vec![scenario.workload.make_accel()],
         ..SystemSpec::default()
     };
-    let mut sys = SimSystem::build(spec, Program::new());
+    let mut sys = SimSystem::build(spec);
     let (n, m) = (scenario.queue_size, scenario.output_words());
     // A page of padding puts the two queues on pages of their own.
     let in_q = sys.alloc_queue(8, n as u32).descriptor;
@@ -310,7 +310,7 @@ fn lazy_storm_run(snapshots: bool) -> (bool, String) {
         .component_mut::<InOrderCore>(core_id)
         .expect("core present");
     core.load_program(program);
-    driver.install_fault_handler_with_swap(core, vm, swap);
+    driver.install_fault_handler(core, vm, Some(swap));
 
     sys.soc.set_tracing(true);
     let done = sys.soc.run_until(20_000_000, |soc| {

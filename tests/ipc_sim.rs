@@ -93,15 +93,7 @@ fn two_processes_share_queues_around_an_engine() {
     core_b.set_translator(Box::new(space_b.translator()));
     let core_b = soc.add_component(TileCoord::new(0, 2), Box::new(core_b));
 
-    let engine = CohortEngine::new(
-        dir,
-        &cfg,
-        ENGINE_MMIO,
-        core_a,
-        7,
-        Box::new(NullFifo::new()),
-        soc.fault_state().clone(),
-    );
+    let engine = CohortEngine::new(dir, &cfg, ENGINE_MMIO, core_a, 7, Box::new(NullFifo::new()));
     let engine = soc.add_component(TileCoord::new(1, 0), Box::new(engine));
     soc.map_mmio(ENGINE_MMIO..ENGINE_MMIO + regs::BANK_BYTES, engine);
 

@@ -503,14 +503,6 @@ impl cohort_sim::component::Component for ScheduledSender {
             .front()
             .map_or(u64::MAX, |&c| c.saturating_sub(now))
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Builds a fuzzed probe SoC: two [`ScheduledSender`]s pinging each other
@@ -680,14 +672,6 @@ impl cohort_sim::component::Component for DramRequester {
         self.sends
             .front()
             .map_or(u64::MAX, |&(c, _)| c.saturating_sub(now))
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -994,14 +978,6 @@ impl cohort_sim::component::Component for TimerProbe {
 
     fn fast_forward(&mut self, skipped: u64) {
         self.ticks.add(skipped);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
