@@ -11,7 +11,7 @@
 use crate::component::{CompId, Component, Ctx, Observability};
 use crate::config::SocConfig;
 use crate::faultinject::FaultState;
-use crate::mem::MemAccess;
+use crate::mem::{MemAccess, PAGE_SHIFT};
 use crate::msg::Msg;
 use crate::port::{CoherentPort, Outcome, PortEvent};
 use crate::program::{Op, Program};
@@ -21,6 +21,30 @@ use std::collections::{HashMap, VecDeque};
 
 const LOAD_TOKEN: u64 = 1;
 const SB_TOKEN: u64 = 2;
+
+/// The core's last few translations, VA page -> PA page, replaced
+/// round-robin. Translations are page-granular ([`Translator`]) and page
+/// tables change only under an announced write, so the memo stands until
+/// the core is told to forget memory, gets a new translator or runs its
+/// page-fault hook.
+#[derive(Debug, Default)]
+struct PageMemo {
+    pages: [Option<(u64, u64)>; 4],
+    next: usize,
+}
+
+impl PageMemo {
+    fn get(&self, va: u64) -> Option<u64> {
+        let page = va >> PAGE_SHIFT;
+        let (_, pa_page) = self.pages.iter().flatten().find(|e| e.0 == page)?;
+        Some(pa_page << PAGE_SHIFT | va & ((1 << PAGE_SHIFT) - 1))
+    }
+
+    fn insert(&mut self, va: u64, pa: u64) {
+        self.pages[self.next] = Some((va >> PAGE_SHIFT, pa >> PAGE_SHIFT));
+        self.next = (self.next + 1) % self.pages.len();
+    }
+}
 
 /// What a modelled interrupt handler does after its entry cost.
 pub enum HandlerAction {
@@ -194,6 +218,7 @@ pub struct InOrderCore {
     /// a core before it joins a SoC).
     faults: FaultState,
     translator: Box<dyn Translator>,
+    page_memo: PageMemo,
     recorded: Vec<u64>,
     mmio_tag: u64,
     /// Remaining blocking MMIO writes queued by an interrupt handler,
@@ -237,6 +262,7 @@ impl InOrderCore {
             spin_memo: None,
             faults: FaultState::default(),
             translator: Box::new(Identity),
+            page_memo: PageMemo::default(),
             recorded: Vec::new(),
             mmio_tag: 0,
             handler_writes: VecDeque::new(),
@@ -258,6 +284,7 @@ impl InOrderCore {
     /// Installs a virtual-memory translator for this core's accesses.
     pub fn set_translator(&mut self, t: Box<dyn Translator>) {
         self.translator = t;
+        self.page_memo = PageMemo::default();
     }
 
     /// Replaces the program and resets execution state and counters
@@ -301,7 +328,16 @@ impl InOrderCore {
     /// (charges trap cost, maps the page, and the caller retries the op
     /// next cycle by returning `None`).
     fn translate(&mut self, ctx: &mut Ctx<'_>, va: u64) -> Option<u64> {
+        if let Some(pa) = self.page_memo.get(va) {
+            debug_assert!(
+                self.translator.translate(&ctx.mem, va) == Some(pa),
+                "the page memo maps {va:#x} to {pa:#x}, the translator no longer does: an edit \
+                 of page tables must announce itself (FaultState::announce_bypass_write)"
+            );
+            return Some(pa);
+        }
         if let Some(pa) = self.translator.translate(&ctx.mem, va) {
+            self.page_memo.insert(va, pa);
             return Some(pa);
         }
         let hook = self
@@ -312,7 +348,9 @@ impl InOrderCore {
             hook(&mut ctx.mem, va),
             "fatal core-side page fault at va {va:#x}"
         );
-        // The hook edits page tables behind every cache.
+        // The hook edits page tables behind every cache, this core's memo
+        // included.
+        self.page_memo = PageMemo::default();
         self.faults.announce_bypass_write();
         self.counters.core_faults.inc();
         self.counters.instret.add(self.trap_insts);
@@ -887,6 +925,7 @@ impl Component for InOrderCore {
 
     fn forget_memory(&mut self) {
         self.spin_memo = None;
+        self.page_memo = PageMemo::default();
     }
 
     fn counters(&self) -> Vec<(String, u64)> {

@@ -8,7 +8,7 @@
 
 use crate::hash::U64Map;
 
-const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 const PAGE_BYTES: usize = 1 << PAGE_SHIFT;
 
 /// Byte-addressable memory access, implemented by [`PhysMem`] (direct) and
@@ -116,6 +116,18 @@ impl MemAccess for PhysMem {
         self.page_mut(page)[off] = value;
     }
 
+    fn read_u64(&self, pa: u64) -> u64 {
+        let (page, off) = Self::split(pa);
+        if off > PAGE_BYTES - 8 {
+            let mut buf = [0u8; 8];
+            self.read_bytes(pa, &mut buf);
+            return u64::from_le_bytes(buf);
+        }
+        self.pages.get(&page).map_or(0, |p| {
+            u64::from_le_bytes(p[off..off + 8].try_into().expect("eight bytes"))
+        })
+    }
+
     fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
         let mut pa = pa;
         let mut done = 0;
@@ -170,6 +182,17 @@ mod tests {
         m.write_u64(pa, u64::MAX);
         assert_eq!(m.read_u64(pa), u64::MAX);
         assert_eq!(m.resident_pages(), 2);
+    }
+
+    #[test]
+    fn u64_reads_agree_with_byte_reads_near_a_page_end() {
+        let mut m = PhysMem::new();
+        let data: Vec<u8> = (1..=32).collect();
+        m.write_bytes(PAGE_BYTES as u64 - 16, &data);
+        for pa in PAGE_BYTES as u64 - 16..PAGE_BYTES as u64 + 8 {
+            let bytes: [u8; 8] = m.read_vec(pa, 8).try_into().unwrap();
+            assert_eq!(m.read_u64(pa), u64::from_le_bytes(bytes), "at {pa:#x}");
+        }
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! due before an earlier one about the same line between the same pair
 //! ([`Noc::inject_delayed`]); messages about other lines keep their
 //! modelled cycles.
+//!
+//! Messages in flight wait in one queue per destination, in that
+//! `(cycle, src tile, seq)` order. Injection returns the delivery cycle,
+//! so the SoC wakes the destination for it and drains its queue
+//! ([`Noc::deliver_to`]) just before stepping it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::component::{CompId, TileCoord};
 use crate::config::TimingConfig;
@@ -43,7 +47,6 @@ struct InFlight {
     /// different sources break on mesh position, not injection order.
     src: (u16, u16),
     seq: u64,
-    dst: CompId,
     env: Envelope,
 }
 
@@ -53,21 +56,15 @@ impl InFlight {
     }
 }
 
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
+/// Inserts `m` into `queue` by key, walking back from the tail: a
+/// destination's arrivals are almost always in order.
+fn insert(queue: &mut VecDeque<InFlight>, m: InFlight) {
+    let key = m.key();
+    let at = queue
+        .iter()
+        .rposition(|n| n.key() < key)
+        .map_or(0, |p| p + 1);
+    queue.insert(at, m);
 }
 
 /// The mesh interconnect: computes delivery times and holds in-flight
@@ -76,7 +73,10 @@ impl Ord for InFlight {
 pub struct Noc {
     base: u64,
     per_hop: u64,
-    heap: BinaryHeap<Reverse<InFlight>>,
+    /// In-flight messages per destination slot, in key order.
+    queues: Vec<VecDeque<InFlight>>,
+    /// Messages in flight over all queues.
+    in_flight: usize,
     seq: u64,
     /// Latest delivery cycle of any coherence message injected so far,
     /// per `(src, dst)` pair: a message due no earlier overtakes nothing.
@@ -105,7 +105,8 @@ impl Noc {
         Self {
             base: timing.noc_base,
             per_hop: timing.noc_per_hop,
-            heap: BinaryHeap::new(),
+            queues: Vec::new(),
+            in_flight: 0,
             seq: 0,
             // Room for a few hundred pairs from the start, so that the
             // table does not regrow among a run's large allocations.
@@ -150,20 +151,9 @@ impl Noc {
         self.base + from.hops_to(to) * self.per_hop + serialization
     }
 
-    /// Injects a message at `cycle`; it will be delivered after the routing
-    /// latency (always at least one cycle later).
-    pub fn inject(
-        &mut self,
-        cycle: u64,
-        from: TileCoord,
-        to: TileCoord,
-        dst: CompId,
-        env: Envelope,
-    ) {
-        self.inject_delayed(cycle, from, to, dst, env, 0);
-    }
-
-    /// Like [`Noc::inject`] with extra sender-side delay before injection.
+    /// Injects a message at `cycle` with `extra` cycles of sender-side
+    /// delay; it will be delivered after that and the routing latency
+    /// (always at least one cycle later). Returns the delivery cycle.
     ///
     /// A coherence message that its modelled latency would deliver ahead
     /// of an earlier one about the same line between the same two
@@ -177,12 +167,16 @@ impl Noc {
         dst: CompId,
         env: Envelope,
         extra: u64,
-    ) {
+    ) -> u64 {
         let spike = self.faults.latency_factor(cycle);
         let modelled = (self.latency(from, to, env.msg.payload_bytes()) + extra)
             .max(1)
             .saturating_mul(spike);
         let mut at = cycle + modelled;
+        if self.queues.len() <= dst.0 {
+            self.queues.resize_with(dst.0 + 1, VecDeque::new);
+        }
+        let queue = &mut self.queues[dst.0];
         if let Some(line) = env.msg.line() {
             let latest = self
                 .latest
@@ -191,8 +185,8 @@ impl Noc {
             if at >= *latest {
                 *latest = at;
             } else {
-                for Reverse(m) in &self.heap {
-                    if m.dst == dst && m.env.src == env.src && m.env.msg.line() == Some(line) {
+                for m in queue.iter() {
+                    if m.env.src == env.src && m.env.msg.line() == Some(line) {
                         at = at.max(m.at);
                     }
                 }
@@ -214,66 +208,65 @@ impl Noc {
             }
             trace.complete(NOC_TRACE_TID, "noc", env.msg.kind(), cycle, lat, args);
         }
-        self.heap.push(Reverse(InFlight {
-            at,
-            src: (from.y, from.x),
-            seq: self.seq,
-            dst,
-            env,
-        }));
+        let src = (from.y, from.x);
+        insert(
+            queue,
+            InFlight {
+                at,
+                src,
+                seq: self.seq,
+                env,
+            },
+        );
+        self.in_flight += 1;
+        at
     }
 
-    /// Pops every message due at or before `cycle`.
+    /// Hands `sink` every message for `dst` due at or before `cycle`, in
+    /// `(cycle, src tile, seq)` order.
     ///
     /// With an ejection width armed, at most `width` messages per due
-    /// cycle reach any one destination; the overflow is re-queued one
-    /// cycle later (keeping its original `(src, seq)` tie-break key, so
-    /// ordering stays deterministic and source-FIFO). The re-queued cycle
-    /// is visible through [`Noc::next_delivery`], which is what keeps
-    /// lookahead batching from jumping over the slipped deliveries.
-    pub fn deliver_due(&mut self, cycle: u64, mut sink: impl FnMut(CompId, Envelope)) {
-        // (dst, count) for the due-cycle currently being drained; the heap
-        // pops in `(at, src, seq)` order, so a change of `at` resets it.
-        let mut draining_at = u64::MAX;
-        let mut counts: Vec<(CompId, u64)> = Vec::new();
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.at > cycle {
-                break;
-            }
-            let Reverse(m) = self.heap.pop().expect("peeked");
+    /// cycle reach the destination; the overflow slips one cycle (keeping
+    /// its `(src, seq)` tie-break key, so ordering stays deterministic and
+    /// source-FIFO). The slipped cycle is visible through
+    /// [`Noc::next_delivery_to`], which is what wakes the destination for
+    /// it.
+    pub fn deliver_to(&mut self, dst: CompId, cycle: u64, mut sink: impl FnMut(Envelope)) {
+        let Some(queue) = self.queues.get_mut(dst.0) else {
+            return;
+        };
+        // The due cycle being drained and how many it has ejected.
+        let (mut draining_at, mut ejected) = (u64::MAX, 0);
+        while queue.front().is_some_and(|m| m.at <= cycle) {
+            let m = queue.pop_front().expect("checked");
             if let Some(width) = self.ejection_width {
                 if m.at != draining_at {
-                    draining_at = m.at;
-                    counts.clear();
+                    (draining_at, ejected) = (m.at, 0);
                 }
-                let slot = match counts.iter_mut().find(|(d, _)| *d == m.dst) {
-                    Some((_, n)) => n,
-                    None => {
-                        counts.push((m.dst, 0));
-                        &mut counts.last_mut().expect("just pushed").1
-                    }
-                };
-                if *slot >= width {
+                if ejected >= width {
                     self.ejection_deferred.inc();
-                    self.heap.push(Reverse(InFlight { at: m.at + 1, ..m }));
+                    insert(queue, InFlight { at: m.at + 1, ..m });
                     continue;
                 }
-                *slot += 1;
+                ejected += 1;
             }
+            self.in_flight -= 1;
             self.delivered.inc();
-            sink(m.dst, m.env);
+            sink(m.env);
         }
     }
 
-    /// Cycle of the earliest pending delivery, if any (used to fast-forward
-    /// quiescent periods).
-    pub fn next_delivery(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(m)| m.at)
+    /// Cycle of the earliest pending delivery to `dst`, `u64::MAX` if none.
+    pub fn next_delivery_to(&self, dst: CompId) -> u64 {
+        self.queues
+            .get(dst.0)
+            .and_then(VecDeque::front)
+            .map_or(u64::MAX, |m| m.at)
     }
 
     /// True when no messages are in flight.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.in_flight == 0
     }
 
     /// Per-message latency distribution (cycles from injection to
@@ -308,10 +301,10 @@ mod tests {
     fn fifo_between_same_pair() {
         let mut noc = Noc::new(&TimingConfig::default(), FaultState::default());
         let a = TileCoord::new(0, 0);
-        noc.inject(0, a, a, CompId(1), env(0x40));
-        noc.inject(0, a, a, CompId(1), env(0x80));
+        noc.inject_delayed(0, a, a, CompId(1), env(0x40), 0);
+        noc.inject_delayed(0, a, a, CompId(1), env(0x80), 0);
         let mut seen = Vec::new();
-        noc.deliver_due(100, |_, e| seen.push(e.msg.line().unwrap()));
+        noc.deliver_to(CompId(1), 100, |e| seen.push(e.msg.line().unwrap()));
         assert_eq!(seen, vec![0x40, 0x80]);
         assert!(noc.is_empty());
     }
@@ -328,7 +321,7 @@ mod tests {
         let (a, b) = (TileCoord::new(0, 0), TileCoord::new(1, 0));
         let mut send = |cycle, dst, msg| {
             let src = CompId(0);
-            noc.inject(cycle, a, b, CompId(dst), Envelope { src, msg });
+            noc.inject_delayed(cycle, a, b, CompId(dst), Envelope { src, msg }, 0);
         };
         send(0, 1, Msg::DataS { line: 0x40 });
         send(1, 1, Msg::Inv { line: 0x80 });
@@ -338,7 +331,9 @@ mod tests {
         send(11, 1, Msg::Downgrade { line: 0xc0 });
         let mut got = Vec::new();
         for cycle in 0..100 {
-            noc.deliver_due(cycle, |dst, e| got.push((cycle, dst.0, e.msg)));
+            for dst in [1, 2] {
+                noc.deliver_to(CompId(dst), cycle, |e| got.push((cycle, dst, e.msg)));
+            }
         }
         let (head, grant) = (noc.latency(a, b, 0), noc.latency(a, b, 64));
         assert_eq!(grant, head + 8);
@@ -394,23 +389,25 @@ mod tests {
             let mut ejected: HashMap<(usize, u64), u64> = HashMap::new();
             let mut cycle: u64 = 0;
             while cycle < 400 || !noc.is_empty() {
-                noc.deliver_due(cycle, |dst, e| {
-                    let line = e.msg.line().expect("coherence traffic only");
-                    let key = (e.src.0, dst.0, line);
-                    let triple = triples.get_mut(&key).expect("sent on this triple");
-                    let (msg, modelled, alone) = triple.flight.pop_front().expect("in flight");
-                    assert_eq!(e.msg, msg, "seed {seed}: {key:?} out of order at {cycle}");
-                    assert!(cycle >= modelled, "seed {seed}: {msg:?} early");
-                    // Alone on its triple, a message is late only by
-                    // cycles its destination spent ejecting another.
-                    if alone {
-                        for c in modelled..cycle {
-                            let n = ejected.get(&(dst.0, c)).copied().unwrap_or(0);
-                            assert_eq!(n, 1, "seed {seed}: {msg:?} held at {c}");
+                for dst in 0..3 {
+                    noc.deliver_to(CompId(dst), cycle, |e| {
+                        let line = e.msg.line().expect("coherence traffic only");
+                        let key = (e.src.0, dst, line);
+                        let triple = triples.get_mut(&key).expect("sent on this triple");
+                        let (msg, modelled, alone) = triple.flight.pop_front().expect("in flight");
+                        assert_eq!(e.msg, msg, "seed {seed}: {key:?} out of order at {cycle}");
+                        assert!(cycle >= modelled, "seed {seed}: {msg:?} early");
+                        // Alone on its triple, a message is late only by
+                        // cycles its destination spent ejecting another.
+                        if alone {
+                            for c in modelled..cycle {
+                                let n = ejected.get(&(dst, c)).copied().unwrap_or(0);
+                                assert_eq!(n, 1, "seed {seed}: {msg:?} held at {c}");
+                            }
                         }
-                    }
-                    *ejected.entry((dst.0, cycle)).or_default() += 1;
-                });
+                        *ejected.entry((dst, cycle)).or_default() += 1;
+                    });
+                }
                 let sends = if cycle < 400 { draw(3) } else { 0 };
                 for _ in 0..sends {
                     let src = draw(3) as usize;
@@ -431,7 +428,7 @@ mod tests {
                         src: CompId(src),
                         msg,
                     };
-                    noc.inject(cycle, from, to, CompId(dst), env);
+                    noc.inject_delayed(cycle, from, to, CompId(dst), env, 0);
                 }
                 cycle += 1;
             }
@@ -444,12 +441,13 @@ mod tests {
         let mut noc = Noc::new(&TimingConfig::default(), FaultState::default());
         let a = TileCoord::new(0, 0);
         let b = TileCoord::new(3, 0);
-        noc.inject(0, a, b, CompId(1), env(0));
+        noc.inject_delayed(0, a, b, CompId(1), env(0), 0);
         let mut n = 0;
-        noc.deliver_due(1, |_, _| n += 1);
+        noc.deliver_to(CompId(1), 1, |_| n += 1);
         assert_eq!(n, 0, "3-hop message cannot arrive after 1 cycle");
-        assert!(noc.next_delivery().unwrap() > 1);
-        noc.deliver_due(1000, |_, _| n += 1);
+        assert_eq!(noc.next_delivery_to(CompId(1)), noc.latency(a, b, 0));
+        assert_eq!(noc.next_delivery_to(CompId(0)), u64::MAX, "none for slot 0");
+        noc.deliver_to(CompId(1), 1000, |_| n += 1);
         assert_eq!(n, 1);
     }
 
@@ -461,11 +459,11 @@ mod tests {
         let b = TileCoord::new(1, 0);
         let base = noc.latency(a, b, 0);
         fs.set_latency_spike(100, 4);
-        noc.inject(0, a, b, CompId(1), env(0x40)); // inside the window
-        assert_eq!(noc.next_delivery(), Some(4 * base));
-        noc.inject(100, a, b, CompId(1), env(0x80)); // window closed
+        noc.inject_delayed(0, a, b, CompId(1), env(0x40), 0); // inside the window
+        assert_eq!(noc.next_delivery_to(CompId(1)), 4 * base);
+        noc.inject_delayed(100, a, b, CompId(1), env(0x80), 0); // window closed
         let mut due: Vec<u64> = Vec::new();
-        noc.deliver_due(1_000, |_, e| due.push(e.msg.line().unwrap()));
+        noc.deliver_to(CompId(1), 1_000, |e| due.push(e.msg.line().unwrap()));
         assert_eq!(due.len(), 2);
         assert_eq!(noc.hop_latency().count(), 2);
     }
@@ -479,9 +477,9 @@ mod tests {
         };
         let mut noc = Noc::new(&timing, FaultState::default());
         let a = TileCoord::new(0, 0);
-        noc.inject(5, a, a, CompId(0), env(0));
+        noc.inject_delayed(5, a, a, CompId(0), env(0), 0);
         let mut n = 0;
-        noc.deliver_due(5, |_, _| n += 1);
+        noc.deliver_to(CompId(0), 5, |_| n += 1);
         assert_eq!(n, 0, "same-cycle delivery is not allowed");
     }
 }

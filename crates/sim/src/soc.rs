@@ -25,14 +25,16 @@
 //! `Soc::wake` holds, per slot, the first cycle at which the slot must
 //! be stepped, and is the single answer to "who is stepped at cycle `c`".
 //! A step at `c` sets the entry to `c + 1` plus the component's fresh
-//! [`Component::quiescent_for`] hint (0 = acts at once, so `c + 1`); a
-//! delivery at `c` lowers the destination's entry to `c`. Each iteration
-//! of the run loop makes one pass over the table that yields the awake
-//! list (ascending slot index) and the earliest later wake time. If the
-//! list is empty, the loop jumps to the earliest of that time, the next
-//! NoC delivery and the deadline — be it one cycle away — with no step and
-//! no commit. Otherwise it steps the list and commits the list, so a
-//! barrier costs O(awake slots) and every barrier steps somebody. The
+//! [`Component::quiescent_for`] hint (0 = acts at once, so `c + 1`), or
+//! to its next NoC delivery if sooner; injecting a message lowers its
+//! destination's entry to the delivery cycle, and a slot takes its due
+//! mail ([`Noc::deliver_to`]) just before it steps. Each iteration of the
+//! run loop makes one pass over the table that yields the awake list
+//! (ascending slot index) and the earliest later wake time. If the list
+//! is empty, the loop jumps to the earlier of that time and the deadline
+//! — be it one cycle away — with no step and no commit. Otherwise it
+//! steps the list and commits the list, so a barrier costs O(awake
+//! slots) and every barrier steps somebody. The
 //! cycles a slot slept through are reconciled with one
 //! [`Component::fast_forward`] call when it next steps. Hints read the
 //! fault switches, so every slot is re-hinted at every staged flip
@@ -292,19 +294,8 @@ impl Soc {
             slot.comp.forget_memory();
             *wake = (*wake).min(self.cycle);
         }
-        self.deliver_due();
         self.scan_wake();
         self.step_awake();
-    }
-
-    /// Places every message due this cycle into its destination inbox and
-    /// wakes the destination.
-    fn deliver_due(&mut self) {
-        let (slots, wake, cycle) = (&mut self.slots, &mut self.wake, self.cycle);
-        self.noc.deliver_due(cycle, |dst, env| {
-            slots[dst.0].inbox.push_back(env);
-            wake[dst.0] = wake[dst.0].min(cycle);
-        });
     }
 
     /// One pass over the wake table: lists the slots due this cycle in
@@ -324,10 +315,11 @@ impl Soc {
 
     /// One stepped cycle: steps the awake list against the read-only
     /// memory image, then commits it. A slot first reconciles the cycles
-    /// it slept through and afterwards, under [`Lookahead::Auto`], takes
-    /// its next wake time from a fresh hint. All effects land in the
-    /// slot's own staging buffers, so the order of the steps is free:
-    /// debug builds go back to front on odd cycles to witness it.
+    /// it slept through and takes its due mail, and afterwards, under
+    /// [`Lookahead::Auto`], takes its next wake time from a fresh hint and
+    /// its next delivery. All effects land in the slot's own staging
+    /// buffers, so the order of the steps is free: debug builds go back to
+    /// front on odd cycles to witness it.
     fn step_awake(&mut self) {
         let (cycle, auto) = (self.cycle, self.cfg.lookahead == Lookahead::Auto);
         let reversed = cfg!(debug_assertions) && cycle % 2 == 1;
@@ -337,6 +329,8 @@ impl Soc {
             let i = self.awake[if reversed { n - 1 - k } else { k }];
             let slot = &mut self.slots[i];
             slot.sync(cycle);
+            self.noc
+                .deliver_to(CompId(i), cycle, |env| slot.inbox.push_back(env));
             let had_mail = !slot.inbox.is_empty();
             let mut ctx = Ctx {
                 cycle,
@@ -349,9 +343,11 @@ impl Soc {
             slot.comp.step(&mut ctx);
             slot.synced_to = cycle + 1;
             if auto {
-                self.wake[i] = slot.wake_from(cycle + 1);
+                let hinted = slot.wake_from(cycle + 1);
+                self.wake[i] = hinted.min(self.noc.next_delivery_to(CompId(i)));
+                // Judged on the hint alone: mail on its way is no missed sleep.
                 let staged = !slot.outbox.is_empty() || !slot.log.is_empty();
-                if !had_mail && !staged && self.wake[i] == cycle + 1 {
+                if !had_mail && !staged && hinted == cycle + 1 {
                     silent += 1;
                     slot.silent_class.inc();
                 }
@@ -362,7 +358,8 @@ impl Soc {
     }
 
     /// The cycle barrier: applies the stepped slots' staged writes to
-    /// memory and staged messages to the NoC in slot order, commits staged
+    /// memory and staged messages to the NoC in slot order (each lowering
+    /// its destination's wake entry to its delivery cycle), commits staged
     /// fault-switch flips, and advances the cycle.
     fn commit_cycle(&mut self) {
         let stepped = self.awake.len() as u64;
@@ -375,13 +372,15 @@ impl Soc {
         self.kernel
             .slot_sleeps
             .add(self.slots.len() as u64 - stepped);
-        let (mem, noc, tiles) = (&mut self.mem, &mut self.noc, &self.tiles);
+        let (mem, noc, tiles, wake) = (&mut self.mem, &mut self.noc, &self.tiles, &mut self.wake);
         for &i in &self.awake {
             let slot = &mut self.slots[i];
             slot.log.commit(mem);
             for out in slot.outbox.drain(..) {
                 let (src, dst) = (tiles[i], tiles[out.dst.0]);
-                noc.inject_delayed(self.cycle, src, dst, out.dst, out.env, out.extra_delay);
+                let at =
+                    noc.inject_delayed(self.cycle, src, dst, out.dst, out.env, out.extra_delay);
+                wake[out.dst.0] = wake[out.dst.0].min(at);
             }
         }
         if self.faults.has_staged() {
@@ -408,11 +407,13 @@ impl Soc {
     /// code between runs.
     fn rehint_all(&mut self) {
         let now = self.cycle;
-        for (slot, wake) in self.slots.iter_mut().zip(&mut self.wake) {
+        for (i, (slot, wake)) in self.slots.iter_mut().zip(&mut self.wake).enumerate() {
             slot.sync(now);
             slot.comp.forget_memory();
             if self.cfg.lookahead == Lookahead::Auto {
-                *wake = slot.wake_from(now);
+                *wake = slot
+                    .wake_from(now)
+                    .min(self.noc.next_delivery_to(CompId(i)));
             }
         }
     }
@@ -425,13 +426,12 @@ impl Soc {
     }
 
     /// The earliest cycle at which anything can happen, given the
-    /// earliest wake-table entry `wake`: that, the cycle budget
-    /// (`deadline`) or the next NoC delivery
-    /// ([`crate::noc::Noc::next_delivery`]), whichever comes first. Fault
-    /// windows open and close on the injector's own wake times.
+    /// earliest wake-table entry `wake`: that or the cycle budget
+    /// (`deadline`), whichever comes first. NoC deliveries are in the
+    /// table, and fault windows open and close on the injector's own wake
+    /// times.
     fn next_event(&self, wake: u64, deadline: u64) -> u64 {
-        let delivery = self.noc.next_delivery().unwrap_or(u64::MAX);
-        wake.min(deadline).min(delivery)
+        wake.min(deadline)
     }
 
     /// The conservative lookahead horizon from the current cycle: the
@@ -439,12 +439,12 @@ impl Soc {
     /// anything to do, i.e. the distance to `Soc::next_event` over the
     /// whole wake table. It asks no component anything: the table was
     /// filled from the [`Component::quiescent_for`] hints when the slots
-    /// last stepped, and a pending inbox holds its slot's entry at or
-    /// below `now`. A horizon of `k ≥ 2` means cycles `now .. now + k - 1`
-    /// may be skipped; 1 says only that the current cycle cannot be
-    /// proved idle from here. Under [`Lookahead::Force1`] this is
-    /// constantly 1. The run loop does not use it (its own pass over the
-    /// table also yields the awake list); it is public so the
+    /// last stepped, and a message in flight holds its destination's entry
+    /// at or below its delivery cycle. A horizon of `k ≥ 2` means cycles
+    /// `now .. now + k - 1` may be skipped; 1 says only that the current
+    /// cycle cannot be proved idle from here. Under [`Lookahead::Force1`]
+    /// this is constantly 1. The run loop does not use it (its own pass
+    /// over the table also yields the awake list); it is public so the
     /// horizon-soundness property tests can probe it directly.
     pub fn lookahead_horizon(&self, deadline: u64) -> u64 {
         let wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
@@ -452,15 +452,22 @@ impl Soc {
     }
 
     /// Debug builds' shadow audit, a full walk: a sleeper has nothing
-    /// staged and no mail, and a fresh hint still covers its standing
-    /// wake time — it reads only the component and the fault switches,
-    /// and neither has changed.
+    /// staged and no mail, wakes no later than its next delivery (so
+    /// `next_event` need not ask the NoC), and a fresh hint still covers
+    /// its standing wake time — it reads only the component and the fault
+    /// switches, and neither has changed.
     fn audit_sleepers(&self) {
-        for (slot, &wake) in self.slots.iter().zip(&self.wake) {
+        for (i, (slot, &wake)) in self.slots.iter().zip(&self.wake).enumerate() {
             if wake <= self.cycle {
                 continue;
             }
             assert!(slot.inbox.is_empty() && slot.outbox.is_empty() && slot.log.is_empty());
+            let mail = self.noc.next_delivery_to(CompId(i));
+            assert!(
+                wake <= mail,
+                "{} sleeps past its mail at {mail}",
+                slot.comp.name()
+            );
             let hint = slot.comp.quiescent_for(self.cycle);
             assert!(
                 self.cycle.saturating_add(hint) >= wake,
@@ -471,14 +478,13 @@ impl Soc {
         }
     }
 
-    /// What the run loop does before stepping a cycle: deliver, scan the
-    /// wake table and, if nobody is awake, jump to the next cycle somebody
-    /// is — only the cycle counter moves, no step, no commit; each slot
-    /// reconciles its bookkeeping when it next steps. Returns true if it
-    /// jumped (the caller re-checks its exits), false if `awake` is ready
-    /// to be stepped.
+    /// What the run loop does before stepping a cycle: scan the wake table
+    /// and, if nobody is awake, jump to the next cycle somebody is — only
+    /// the cycle counter moves, no step, no commit; each slot reconciles
+    /// its bookkeeping when it next steps. Returns true if it jumped (the
+    /// caller re-checks its exits), false if `awake` is ready to be
+    /// stepped.
     fn skip_idle_cycles(&mut self, deadline: u64) -> bool {
-        self.deliver_due();
         let wake = self.scan_wake();
         if cfg!(debug_assertions) {
             self.audit_sleepers();
@@ -1857,7 +1863,8 @@ mod tests {
     }
 
     /// A translator that is a pure function of memory, as the park
-    /// requires: every address is offset by the word at `SWITCH`.
+    /// requires: every address is offset by the word at `SWITCH` (whole
+    /// pages in every test, so it is page-granular too).
     struct Switched;
     const SWITCH: u64 = 0x8000;
     impl crate::translate::Translator for Switched {
@@ -1907,6 +1914,80 @@ mod tests {
             soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
         };
         spin_run(&cfg, &[], |_| {}, rest);
+    }
+
+    /// A word the remap tests load twice: it holds 1 in its first frame
+    /// and 2 in the frame a `SWITCH` of one page moves it to.
+    const DATA: u64 = 0x5000;
+
+    /// Runs a core that loads [`DATA`], computes for 3,000 cycles and
+    /// loads it again, while a meddler remaps every page by one at cycle
+    /// 2,000 (the flag's new home holds the target, so the wait after the
+    /// loads ends at once). Returns the run.
+    fn remap_run(cfg: &SocConfig, announce: bool) -> SpinRun {
+        let load = Op::Load {
+            va: DATA,
+            record: true,
+        };
+        let prologue = [load.clone(), Op::Alu(3_000), load];
+        let tune = |core: &mut InOrderCore| core.set_translator(Box::new(Switched));
+        let rest = |soc: &mut Soc, _| {
+            soc.mem.write_u64(DATA, 1);
+            soc.mem.write_u64(DATA + 0x1000, 2);
+            soc.mem.write_u64(FLAG + 0x1000, FLAG_TARGET);
+            let mut meddler = Meddler::new();
+            meddler.write = Some((2_000, SWITCH, 0x1000));
+            meddler.announce = announce;
+            soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
+        };
+        if announce {
+            spin_run_both(cfg, "remap", &prologue, tune, rest).0
+        } else {
+            spin_run(cfg, &prologue, tune, rest).0
+        }
+    }
+
+    #[test]
+    fn announced_remap_moves_the_next_load_to_the_new_frame() {
+        // The core remembers the page's translation from the first load;
+        // the announced remap makes it forget, so the second load reads
+        // the new frame, under `Auto` exactly as under forced stepping.
+        let (_, (.., recorded), _) = remap_run(&SocConfig::default(), true);
+        assert_eq!(recorded, [1, 2, FLAG_TARGET]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "the page memo maps 0x5000 to 0x5000")]
+    fn unannounced_remap_trips_the_page_memo_assertion() {
+        remap_run(&SocConfig::default(), false);
+    }
+
+    #[test]
+    fn mail_to_a_slot_that_sleeps_forever_steps_it_on_each_delivery_cycle() {
+        // Slot 0 hints `u64::MAX`: only mail wakes it. Slot 1 pings it at
+        // 300 and 600 and sleeps in between, so right after a send the
+        // delivery is the next event of the whole SoC. Each of the four
+        // barriers steps one slot — the two sends, the two deliveries, on
+        // their cycles — and the run jumps over everything else.
+        let (from, to) = (TileCoord::new(2, 1), TileCoord::new(0, 0));
+        let build = |soc: &mut Soc| {
+            let f = soc.fault_state().clone();
+            soc.add_component(to, Box::new(Napper::new(0, &[], CompId(1), &f)));
+            soc.add_component(from, Box::new(Napper::new(0, &[300, 600], CompId(0), &f)));
+        };
+        let (f1, _) = napper_run(Lookahead::Force1, 1_000, build);
+        let (auto, kernel) = napper_run(Lookahead::Auto, 1_000, build);
+        assert_eq!(f1, auto);
+        let ping = crate::msg::Msg::MmioWriteResp { tag: 0 };
+        let noc = Noc::new(&SocConfig::default().timing, FaultState::default());
+        let lat = noc.latency(from, to, ping.payload_bytes());
+        assert_eq!(auto.1[0].2, [300 + lat, 600 + lat]);
+        assert_eq!(kernel, [4, 996, 4, 4]);
+        let mut soc = Soc::new(SocConfig::default());
+        build(&mut soc);
+        soc.run(301);
+        assert_eq!(soc.lookahead_horizon(u64::MAX), 300 + lat - 301);
     }
 
     #[test]

@@ -130,6 +130,15 @@ impl MemAccess for StagedMem<'_> {
         self.log.push(pa, &[value]);
     }
 
+    fn read_u64(&self, pa: u64) -> u64 {
+        if self.log.is_empty() {
+            return self.base.read_u64(pa);
+        }
+        let mut buf = [0u8; 8];
+        self.read_bytes(pa, &mut buf);
+        u64::from_le_bytes(buf)
+    }
+
     fn read_bytes(&self, pa: u64, buf: &mut [u8]) {
         self.base.read_bytes(pa, buf);
         self.log.overlay(pa, buf);

@@ -14,12 +14,14 @@ use crate::mem::MemAccess;
 /// visible, other components' staged writes not).
 ///
 /// A translator must be a pure function of that memory and `va`: no
-/// cache of its own, no state that moves between calls. A core asleep in
-/// a spin loop ([`crate::component::Component::quiescent_for`], the
-/// held-line rule) relies on it — the address it polls translates where
-/// it did for as long as nobody edits memory, and whoever edits page
-/// tables announces it
-/// ([`crate::faultinject::FaultState::announce_bypass_write`]). Page
+/// cache of its own, no state that moves between calls. Translations are
+/// page-granular (4 KiB): every address of a page maps into one frame at
+/// the same offset. A core relies on both — it remembers its last few
+/// page translations, and asleep in a spin loop
+/// ([`crate::component::Component::quiescent_for`], the held-line rule)
+/// it trusts the address it polls to translate where it did — for as
+/// long as nobody edits memory, and whoever edits page tables announces
+/// it ([`crate::faultinject::FaultState::announce_bypass_write`]). Page
 /// tables are edited by host logic only (the OS layer's hooks), never by
 /// a simulated store: translation reads `PhysMem` directly, so a core
 /// would not hear of such a store through its cache.
