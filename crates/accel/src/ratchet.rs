@@ -58,12 +58,16 @@ impl Ratchet {
         self.push_bytes(&word.to_le_bytes());
     }
 
-    /// Pops one full block if available.
-    pub fn pop_block(&mut self) -> Option<Vec<u8>> {
+    /// Pops the oldest full block, handing it to `f` where it lies (no
+    /// copy), and returns what `f` made of it. `None`, and `f` not run,
+    /// while no full block is buffered.
+    pub fn pop_block_with<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         if self.buf.len() < self.block_bytes {
             return None;
         }
-        Some(self.buf.drain(..self.block_bytes).collect())
+        let out = f(&self.buf.make_contiguous()[..self.block_bytes]);
+        self.buf.drain(..self.block_bytes);
+        Some(out)
     }
 
     /// Pops one 64-bit word if at least 8 bytes are buffered.
@@ -114,14 +118,38 @@ mod tests {
         let mut r = Ratchet::new(64);
         for i in 0..7u64 {
             r.push_word(i);
-            assert!(r.pop_block().is_none());
+            assert!(r.pop_block_with(<[u8]>::to_vec).is_none());
         }
         r.push_word(7);
-        let block = r.pop_block().expect("full block");
+        let block = r.pop_block_with(<[u8]>::to_vec).expect("full block");
         assert_eq!(block.len(), 64);
         assert_eq!(&block[..8], &0u64.to_le_bytes());
         assert_eq!(&block[56..], &7u64.to_le_bytes());
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn blocks_come_out_in_order_as_the_ring_wraps() {
+        // Three words in, one 16-byte block out per round: the head walks
+        // around the ring buffer, so some blocks straddle its end.
+        let mut r = Ratchet::new(16);
+        let mut next_out = 0u64;
+        for round in 0..40u64 {
+            for w in 0..3 {
+                r.push_word(round * 3 + w);
+            }
+            let expect: Vec<u8> = [next_out, next_out + 1]
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect();
+            assert_eq!(r.pop_block_with(<[u8]>::to_vec), Some(expect));
+            next_out += 2;
+            assert_eq!(r.len() as u64, 8 * (round + 1), "one word per round stays");
+        }
+        let mut r = Ratchet::new(16);
+        r.push_word(1);
+        assert_eq!(r.pop_block_with(|_| unreachable!()), None::<()>);
+        assert_eq!(r.len(), 8, "a partial block stays");
     }
 
     #[test]
@@ -154,7 +182,7 @@ mod tests {
         let mut r = Ratchet::new(8);
         r.push_bytes(&[0; 20]);
         assert_eq!(r.blocks_available(), 2);
-        r.pop_block().unwrap();
+        r.pop_block_with(|_| ()).unwrap();
         assert_eq!(r.blocks_available(), 1);
         assert_eq!(r.len(), 12);
     }

@@ -82,8 +82,10 @@ impl TimedAccel {
                 self.out_bytes.extend(out);
                 self.blocks_done += 1;
             }
-            if let Some(block) = self.in_ratchet.pop_block() {
-                let out = self.accel.process_block(&block);
+            if let Some(out) = self
+                .in_ratchet
+                .pop_block_with(|b| self.accel.process_block(b))
+            {
                 self.pending_out = Some(out);
                 self.busy_until = cycle + self.accel.descriptor().latency_cycles;
             }
@@ -156,8 +158,11 @@ impl TimedAccel {
             self.blocks_done += 1;
             self.busy_until = 0;
         }
-        while let Some(block) = self.in_ratchet.pop_block() {
-            self.out_bytes.extend(self.accel.process_block(&block));
+        while let Some(out) = self
+            .in_ratchet
+            .pop_block_with(|b| self.accel.process_block(b))
+        {
+            self.out_bytes.extend(out);
             self.blocks_done += 1;
         }
         let mut out = Vec::new();

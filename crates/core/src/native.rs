@@ -129,8 +129,8 @@ pub fn cohort_register(
                     in_ratchet.push_word(word);
                     progressed = true;
                 }
-                while let Some(b) = in_ratchet.pop_block() {
-                    out_ratchet.push_bytes(&accel.process_block(&b));
+                while let Some(out) = in_ratchet.pop_block_with(|b| accel.process_block(b)) {
+                    out_ratchet.push_bytes(&out);
                     progressed = true;
                 }
                 while let Some(w) = out_ratchet.pop_word() {

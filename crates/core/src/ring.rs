@@ -95,8 +95,8 @@ impl CohortRing {
                         let mut ratchet = Ratchet::new(block);
                         ratchet.push_bytes(&sqe.payload);
                         let mut result = Vec::new();
-                        while let Some(b) = ratchet.pop_block() {
-                            result.extend(accel.process_block(&b));
+                        while let Some(out) = ratchet.pop_block_with(|b| accel.process_block(b)) {
+                            result.extend(out);
                         }
                         if let Some(tail) = ratchet.flush_padded() {
                             result.extend(accel.process_block(&tail));

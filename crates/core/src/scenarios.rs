@@ -808,6 +808,11 @@ pub fn run_mmio(scenario: &Scenario) -> RunResult {
     let wpb_in = scenario.workload.words_in_per_block() as usize;
     let wpb_out = scenario.workload.words_out_per_block();
     let costs = scenario.costs;
+    // Two ops per word pushed and per word popped, in one allocation. At
+    // queue 8192 the program is 0.8 MB; grown by doubling it would reach
+    // 1.5 MB and, whenever the heap could not extend it in place, hold
+    // the old and the new buffer at once.
+    program.reserve(2 * (data.len() + data.len().div_ceil(wpb_in) * wpb_out as usize));
     for block in data.chunks(wpb_in) {
         for &w in block {
             program.push(Op::Alu(costs.mmio_loop_alu));
@@ -874,6 +879,11 @@ fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
     // Stage the input in memory (cached stores, like the Cohort push loop).
     let data = scenario.input_words();
     let costs = scenario.costs;
+    // Sized once, as in `run_mmio`: two ops per staged word, the fence,
+    // six per DMA block and, unhardened, two per word read back.
+    let blocks = (n * 8).div_ceil(costs.dma_block_bytes) as usize;
+    let readback = if hardened { 0 } else { 2 * m as usize };
+    program.reserve(2 * data.len() + 1 + 6 * blocks + readback);
     for (i, &w) in data.iter().enumerate() {
         program.push(Op::Alu(costs.push_loop_alu));
         program.push(Op::Store {

@@ -77,6 +77,10 @@ enum ChState {
     },
 }
 
+/// One MTE channel. It owns its data buffer for the whole run: each
+/// operation refills it in place (a read sizes it, a write copies its
+/// bytes in), so an MTE operation allocates nothing once the buffer has
+/// grown to the largest transfer.
 #[derive(Debug, Default)]
 struct Channel {
     op: Option<MteOp>,
@@ -98,17 +102,18 @@ impl Channel {
         self.op.is_none()
     }
 
-    /// Starts `op` over `buf`: the bytes to write, or a buffer of the
-    /// length to read.
-    fn start(&mut self, op: MteOp, buf: Vec<u8>, transient: bool) {
+    /// Starts `op` and hands back the emptied buffer, for the caller to
+    /// fill with the bytes to write or size to the length to read.
+    fn start(&mut self, op: MteOp, transient: bool) -> &mut Vec<u8> {
         debug_assert!(self.op.is_none());
         self.op = Some(op);
-        self.buf = buf;
         self.offset = 0;
         self.state = ChState::Translate;
         self.walk = None;
         self.done = false;
         self.transient = transient;
+        self.buf.clear();
+        &mut self.buf
     }
 
     /// Retires a completed operation (its bytes stay in `buf`); false while
@@ -1018,15 +1023,10 @@ impl CohortEngine {
 
     /// Starts an MTE read of `len` bytes at `va` on `side`'s channel.
     fn mte_read(&mut self, ctx: &mut Ctx<'_>, side: usize, va: u64, len: usize, transient: bool) {
-        let buf = vec![0u8; len];
-        self.ep[side].ch.start(MteOp::Read { va }, buf, transient);
-        self.advance_channel(ctx, side);
-    }
-
-    /// Starts an MTE write of `data` at `va` on `side`'s channel. Every
-    /// write streams (data block or own index): the line is not kept.
-    fn mte_write(&mut self, ctx: &mut Ctx<'_>, side: usize, va: u64, data: Vec<u8>) {
-        self.ep[side].ch.start(MteOp::Write { va }, data, true);
+        self.ep[side]
+            .ch
+            .start(MteOp::Read { va }, transient)
+            .resize(len, 0);
         self.advance_channel(ctx, side);
     }
 
@@ -1050,15 +1050,19 @@ impl CohortEngine {
     }
 
     /// Publishes the index `side` owns — the consumer's read index, the
-    /// producer's write index — from the engine's internal view.
+    /// producer's write index — from the engine's internal view. Every
+    /// MTE write streams (data block or own index): the line is not kept.
     fn publish_index(&mut self, ctx: &mut Ctx<'_>, side: usize) {
-        let q = &self.ep[side].q;
+        let ep = &mut self.ep[side];
         let (va, index) = if side == CH_CONS {
-            (q.rd_va, self.rd)
+            (ep.q.rd_va, self.rd)
         } else {
-            (q.wr_va, self.wr)
+            (ep.q.wr_va, self.wr)
         };
-        self.mte_write(ctx, side, va, index.to_le_bytes().to_vec());
+        ep.ch
+            .start(MteOp::Write { va }, true)
+            .extend_from_slice(&index.to_le_bytes());
+        self.advance_channel(ctx, side);
     }
 
     /// Elements the consumer moves per accelerator data block.
@@ -1252,8 +1256,12 @@ impl CohortEngine {
                     .min(free)
                     .min(q.contig(self.wr));
                 let bytes = (n as usize) * elem;
-                let data: Vec<u8> = self.stage.drain(..bytes).collect();
-                self.mte_write(ctx, CH_PROD, q.slot_va(self.wr), data);
+                let va = q.slot_va(self.wr);
+                self.ep[CH_PROD]
+                    .ch
+                    .start(MteOp::Write { va }, true)
+                    .extend(self.stage.drain(..bytes));
+                self.advance_channel(ctx, CH_PROD);
                 self.ep[CH_PROD].backoff = self.backoff; // progress: reset backoff
                 self.prod = ProdState::WriteData { n };
             }

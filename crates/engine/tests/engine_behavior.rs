@@ -171,6 +171,14 @@ fn stream_program(
     out_words: u64,
 ) -> Program {
     let mut p = driver.register_ops(root, &in_q.descriptor, &out_q.descriptor, None, 32);
+    p.append(stream_ops(in_q, out_q, words, out_words));
+    p.append(driver.unregister_ops());
+    p
+}
+
+/// Feeds `words` to an enabled engine and records `out_words` results.
+fn stream_ops(in_q: &QueueLayout, out_q: &QueueLayout, words: &[u64], out_words: u64) -> Program {
+    let mut p = Program::new();
     for (i, &w) in words.iter().enumerate() {
         p.push(Op::Store {
             va: in_q.descriptor.element_va(i as u64),
@@ -197,7 +205,6 @@ fn stream_program(
         value: out_words,
     });
     p.push(Op::Fence);
-    p.append(driver.unregister_ops());
     p
 }
 
@@ -591,6 +598,48 @@ fn error_status_write_resumes_engine_after_software_fix() {
         "stream works after resume, status clear"
     );
     assert_eq!(rig.engine_counter("resumes"), 1);
+}
+
+/// An abort leaves the aborted channels' tokens joined on the line their
+/// port is still waiting for, and the restarted channels join it again.
+/// With a 20 000-cycle DRAM fill, all four abort/restart rounds land
+/// before the first page-walk read is granted. Both channels' walks wait
+/// on the root page-table line, so if each round added its two tokens the
+/// second restart would pass the port's `MAX_JOINED`; the stream must
+/// instead run once the grant arrives.
+#[test]
+fn restarts_while_a_walk_read_is_in_flight_rejoin_its_line() {
+    let mut cfg = SocConfig::default();
+    cfg.timing.dram = 20_000;
+    let mut rig = rig_with(cfg, Box::new(NullFifo::new()));
+    let in_q = rig.alloc_queue(8, 8);
+    let out_q = rig.alloc_queue(8, 8);
+    rig.install_noop_error_handler();
+    let root = rig.space.root_pa();
+    let mut p = rig
+        .driver
+        .register_ops(root, &in_q.descriptor, &out_q.descriptor, None, 32);
+    for _ in 0..4 {
+        // Rewriting a descriptor register of a running engine aborts it;
+        // clearing the error re-runs the enable sequence.
+        p.push(Op::MmioStore {
+            pa: ENGINE_MMIO + regs::IN_LEN,
+            value: 8,
+        });
+        p.push(Op::MmioStore {
+            pa: ENGINE_MMIO + regs::ERROR_STATUS,
+            value: 0,
+        });
+    }
+    let words = [5, 6, 7, 8];
+    p.append(stream_ops(&in_q, &out_q, &words, 4));
+    p.append(rig.driver.unregister_ops());
+    rig.load(p);
+    rig.run();
+    let core = rig.soc.component::<InOrderCore>(rig.core).unwrap();
+    assert_eq!(core.recorded(), &words[..]);
+    assert_eq!(rig.engine_counter("resumes"), 4);
+    assert_eq!(rig.engine_counter("error_irqs"), 4);
 }
 
 #[test]

@@ -139,6 +139,31 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// Runs `f` as one step of component `me` at `cycle`, outside any SoC:
+/// memory is empty, `inbox` is what was delivered, and the return value
+/// is what the step sent. Unit tests drive a single agent with it.
+#[cfg(test)]
+pub(crate) fn step_alone(
+    me: CompId,
+    cycle: u64,
+    inbox: &mut VecDeque<Envelope>,
+    f: impl FnOnce(&mut Ctx<'_>),
+) -> Vec<Outgoing> {
+    let mem = crate::mem::PhysMem::new();
+    let mut log = crate::stage::WriteLog::new();
+    let mut outbox = Vec::new();
+    let mut ctx = Ctx {
+        cycle,
+        self_id: me,
+        mem: StagedMem::new(&mem, &mut log),
+        inbox,
+        outbox: &mut outbox,
+        mmio_map: &MmioMap::default(),
+    };
+    f(&mut ctx);
+    outbox
+}
+
 /// The context handed to a component when it joins a SoC
 /// ([`Component::attach`]): the shared [`Stats`] registry, the shared
 /// [`Trace`] handle, the shared fault switches, and the component's

@@ -13,7 +13,7 @@ use crate::config::SocConfig;
 use crate::faultinject::FaultState;
 use crate::mem::{MemAccess, PAGE_SHIFT};
 use crate::msg::Msg;
-use crate::port::{CoherentPort, Outcome, PortEvent};
+use crate::port::{CoherentPort, Outcome, PortEvent, PortEvents};
 use crate::program::{Op, Program};
 use crate::stats::Counter;
 use crate::translate::{Identity, Translator};
@@ -506,7 +506,7 @@ impl InOrderCore {
         }
     }
 
-    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: Vec<PortEvent>) {
+    fn handle_events(&mut self, ctx: &mut Ctx<'_>, events: PortEvents) {
         for ev in events {
             if let PortEvent::Completed { token } = ev {
                 match token {

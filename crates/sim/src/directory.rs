@@ -20,8 +20,16 @@
 //! and the directory additionally caps concurrent transactions at the
 //! configured MSHR count — overflow waits at the ingress, which is how
 //! memory saturation propagates back to cores and engines.
+//!
+//! Nothing on a transaction's path allocates once the run is warm. A
+//! line's state is decided and rewritten in place through one map entry;
+//! a finished transaction's request queue and a dropped sharer set go back
+//! to a spare list the next transaction or `Shared` state takes from.
+//! Each spare list keeps at most `SPARE_CAP` (64) buffers, so a burst of
+//! recalls cannot grow it for the rest of the run.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::cache::{LineState, TagArray};
@@ -34,19 +42,81 @@ use crate::stats::{Counter, Histogram};
 use crate::trace::Trace;
 
 /// Directory-side sharing state for a line cached above the L2.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum DirState {
-    /// Read-only copies at these agents.
+    /// Read-only copies at these agents, in the order they joined.
     Shared(Vec<CompId>),
     /// Exclusive/modified copy at this agent.
     Owned(CompId),
 }
 
 impl DirState {
-    fn holders(&self) -> Vec<CompId> {
+    /// The agents holding a copy (sharers in join order, or the owner).
+    fn agents(&self) -> &[CompId] {
         match self {
-            DirState::Shared(v) => v.clone(),
-            DirState::Owned(o) => vec![*o],
+            DirState::Shared(v) => v,
+            DirState::Owned(o) => std::slice::from_ref(o),
+        }
+    }
+}
+
+/// Most emptied buffers one spare list keeps.
+const SPARE_CAP: usize = 64;
+
+/// Emptied buffers of one kind, kept for reuse (at most [`SPARE_CAP`]).
+#[derive(Debug)]
+struct Spares<C>(Vec<C>);
+
+impl<C: Default> Spares<C> {
+    /// A spare buffer, or a fresh one if none is left.
+    fn take(&mut self) -> C {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Keeps an emptied buffer for reuse; a full list drops it instead.
+    fn give(&mut self, buf: C) {
+        if self.0.len() < SPARE_CAP {
+            self.0.push(buf);
+        }
+    }
+}
+
+impl Spares<Vec<CompId>> {
+    /// A sharer set holding `agent` alone.
+    fn set_of(&mut self, agent: CompId) -> Vec<CompId> {
+        let mut set = self.take();
+        set.push(agent);
+        set
+    }
+
+    /// Keeps the sharer set of a state that is being dropped or replaced.
+    fn retire(&mut self, old: DirState) {
+        if let DirState::Shared(mut set) = old {
+            set.clear();
+            self.give(set);
+        }
+    }
+}
+
+/// The directory's handle on the event trace: a field of its own, so
+/// `proceed` can trace while it holds a line's state entry.
+#[derive(Debug, Default)]
+struct CohTrace {
+    trace: Option<Trace>,
+    tid: u64,
+}
+
+impl CohTrace {
+    /// Emits a coherence-transition instant event when tracing is on.
+    fn instant(&self, cycle: u64, name: &'static str, line: u64, agent: CompId) {
+        if let Some(t) = self.trace.as_ref().filter(|t| t.is_enabled()) {
+            t.instant(
+                self.tid,
+                "coherence",
+                name,
+                cycle,
+                vec![("line", format!("{line:#x}")), ("agent", agent.to_string())],
+            );
         }
     }
 }
@@ -165,9 +235,12 @@ pub struct Directory {
     waiting: VecDeque<(u64, Req)>,
     /// Ingress-queue occupancy observed by each stalled request.
     mshr_wait_depth: Histogram,
+    /// Request queues of finished transactions.
+    spare_queues: Spares<VecDeque<Req>>,
+    /// Sharer sets of dropped `Shared` states.
+    spare_sets: Spares<Vec<CompId>>,
     counters: DirCounters,
-    trace: Option<Trace>,
-    tid: u64,
+    coh: CohTrace,
 }
 
 impl std::fmt::Debug for Directory {
@@ -194,9 +267,10 @@ impl Directory {
             mshr_limit: cfg.dram.as_ref().map_or(usize::MAX, |d| d.mshrs),
             waiting: VecDeque::new(),
             mshr_wait_depth: Histogram::new(),
+            spare_queues: Spares(Vec::new()),
+            spare_sets: Spares(Vec::new()),
             counters: DirCounters::default(),
-            trace: None,
-            tid: 0,
+            coh: CohTrace::default(),
         }
     }
 
@@ -220,19 +294,6 @@ impl Directory {
         }));
     }
 
-    /// Emits a coherence-transition instant event when tracing is on.
-    fn trace_coh(&self, cycle: u64, name: &'static str, line: u64, agent: CompId) {
-        if let Some(t) = self.trace.as_ref().filter(|t| t.is_enabled()) {
-            t.instant(
-                self.tid,
-                "coherence",
-                name,
-                cycle,
-                vec![("line", format!("{line:#x}")), ("agent", agent.to_string())],
-            );
-        }
-    }
-
     fn on_request(&mut self, ctx: &mut Ctx<'_>, line: u64, req: Req) {
         match req.kind {
             ReqKind::GetS => self.counters.gets.inc(),
@@ -254,7 +315,7 @@ impl Directory {
             self.waiting.push_back((line, req));
             return;
         }
-        let mut queue = VecDeque::new();
+        let mut queue = self.spare_queues.take();
         queue.push_back(req);
         self.txns.insert(
             line,
@@ -309,106 +370,117 @@ impl Directory {
             }
             Ok(None) => self.proceed(ctx, line),
             Ok(Some((vline, _))) => {
-                let holders = self
-                    .states
-                    .get(&vline)
-                    .map(|s| s.holders())
-                    .unwrap_or_default();
+                let holders = self.states.get(&vline).map_or(&[][..], DirState::agents);
                 if holders.is_empty() {
-                    self.states.remove(&vline);
+                    if let Some(old) = self.states.remove(&vline) {
+                        self.spare_sets.retire(old);
+                    }
                     self.proceed(ctx, line);
                 } else {
                     self.counters.recalls.inc();
-                    self.txns.insert(
-                        vline,
-                        Txn {
-                            queue: VecDeque::new(),
-                            phase: Phase::BlockedVictim { parent: line },
-                        },
-                    );
-                    for h in &holders {
+                    for &h in holders {
                         self.counters.inv_sent.inc();
-                        self.trace_coh(ctx.cycle, "Recall", vline, *h);
-                        ctx.send(*h, Msg::Inv { line: vline });
+                        self.coh.instant(ctx.cycle, "Recall", vline, h);
+                        ctx.send(h, Msg::Inv { line: vline });
                     }
-                    self.txns.get_mut(&line).expect("txn").phase = Phase::WaitVictim {
-                        remaining: holders.len() as u32,
+                    let remaining = holders.len() as u32;
+                    let victim = Txn {
+                        queue: self.spare_queues.take(),
+                        phase: Phase::BlockedVictim { parent: line },
                     };
+                    self.txns.insert(vline, victim);
+                    self.txns.get_mut(&line).expect("txn").phase = Phase::WaitVictim { remaining };
                 }
             }
         }
     }
 
+    /// Serves the request at the head of `line`'s queue: decides through
+    /// the line's state entry and rewrites it in place, then grants, or
+    /// sends the downgrade or invalidations the grant waits on.
     fn proceed(&mut self, ctx: &mut Ctx<'_>, line: u64) {
         let req = *self
             .txns
             .get(&line)
             .and_then(|t| t.queue.front())
             .expect("proceed with empty queue");
-        let state = self.states.get(&line).cloned();
-        match (req.kind, state) {
-            (ReqKind::GetS, None) => {
-                self.states.insert(line, DirState::Shared(vec![req.from]));
-                self.grant(ctx, line, req, Msg::DataS { line });
+        let from = req.from;
+        let wait = match self.states.entry(line) {
+            Entry::Vacant(e) => {
+                e.insert(match req.kind {
+                    ReqKind::GetS => DirState::Shared(self.spare_sets.set_of(from)),
+                    ReqKind::GetM => DirState::Owned(from),
+                });
+                None
             }
-            (ReqKind::GetS, Some(DirState::Shared(mut set))) => {
-                if !set.contains(&req.from) {
-                    set.push(req.from);
-                }
-                self.states.insert(line, DirState::Shared(set));
-                self.grant(ctx, line, req, Msg::DataS { line });
-            }
-            (ReqKind::GetS, Some(DirState::Owned(o))) if o == req.from => {
-                self.states.insert(line, DirState::Shared(vec![req.from]));
-                self.grant(ctx, line, req, Msg::DataS { line });
-            }
-            (ReqKind::GetS, Some(DirState::Owned(o))) => {
-                self.counters.downgrades.inc();
-                self.trace_coh(ctx.cycle, "Downgrade", line, o);
-                ctx.send(o, Msg::Downgrade { line });
-                self.txns.get_mut(&line).expect("txn").phase =
-                    Phase::WaitDowngradeAck { prev_owner: o };
-            }
-            (ReqKind::GetM, None) => {
-                self.states.insert(line, DirState::Owned(req.from));
-                self.grant(ctx, line, req, Msg::DataM { line });
-            }
-            (ReqKind::GetM, Some(DirState::Shared(set))) => {
-                let targets: Vec<CompId> = set.iter().copied().filter(|c| *c != req.from).collect();
-                if targets.is_empty() {
-                    self.states.insert(line, DirState::Owned(req.from));
-                    self.grant(ctx, line, req, Msg::DataM { line });
-                } else {
-                    for t in &targets {
-                        self.counters.inv_sent.inc();
-                        self.trace_coh(ctx.cycle, "Inv", line, *t);
-                        ctx.send(*t, Msg::Inv { line });
+            Entry::Occupied(mut e) => {
+                let state = e.get_mut();
+                match (req.kind, &mut *state) {
+                    (ReqKind::GetS, DirState::Shared(set)) => {
+                        if !set.contains(&from) {
+                            set.push(from);
+                        }
+                        None
                     }
-                    self.txns.get_mut(&line).expect("txn").phase = Phase::WaitInvAcks {
-                        remaining: targets.len() as u32,
-                    };
+                    (ReqKind::GetS, DirState::Owned(o)) if *o == from => {
+                        *state = DirState::Shared(self.spare_sets.set_of(from));
+                        None
+                    }
+                    (ReqKind::GetS, DirState::Owned(o)) => {
+                        let o = *o;
+                        self.counters.downgrades.inc();
+                        self.coh.instant(ctx.cycle, "Downgrade", line, o);
+                        ctx.send(o, Msg::Downgrade { line });
+                        Some(Phase::WaitDowngradeAck { prev_owner: o })
+                    }
+                    (ReqKind::GetM, DirState::Shared(set)) => {
+                        let mut remaining = 0;
+                        for &t in set.iter().filter(|&&t| t != from) {
+                            self.counters.inv_sent.inc();
+                            self.coh.instant(ctx.cycle, "Inv", line, t);
+                            ctx.send(t, Msg::Inv { line });
+                            remaining += 1;
+                        }
+                        if remaining == 0 {
+                            let old = std::mem::replace(state, DirState::Owned(from));
+                            self.spare_sets.retire(old);
+                            None
+                        } else {
+                            Some(Phase::WaitInvAcks { remaining })
+                        }
+                    }
+                    (ReqKind::GetM, DirState::Owned(o)) if *o == from => None,
+                    (ReqKind::GetM, DirState::Owned(o)) => {
+                        let o = *o;
+                        self.counters.inv_sent.inc();
+                        self.coh.instant(ctx.cycle, "Inv", line, o);
+                        ctx.send(o, Msg::Inv { line });
+                        Some(Phase::WaitInvAcks { remaining: 1 })
+                    }
                 }
             }
-            (ReqKind::GetM, Some(DirState::Owned(o))) if o == req.from => {
-                self.grant(ctx, line, req, Msg::DataM { line });
-            }
-            (ReqKind::GetM, Some(DirState::Owned(o))) => {
-                self.counters.inv_sent.inc();
-                self.trace_coh(ctx.cycle, "Inv", line, o);
-                ctx.send(o, Msg::Inv { line });
-                self.txns.get_mut(&line).expect("txn").phase = Phase::WaitInvAcks { remaining: 1 };
+        };
+        match wait {
+            Some(phase) => self.txns.get_mut(&line).expect("txn").phase = phase,
+            None => {
+                let msg = match req.kind {
+                    ReqKind::GetS => Msg::DataS { line },
+                    ReqKind::GetM => Msg::DataM { line },
+                };
+                self.grant(ctx, line, req, msg);
             }
         }
     }
 
     fn grant(&mut self, ctx: &mut Ctx<'_>, line: u64, req: Req, msg: Msg) {
-        self.trace_coh(ctx.cycle, msg.kind(), line, req.from);
+        self.coh.instant(ctx.cycle, msg.kind(), line, req.from);
         ctx.send(req.from, msg);
         let txn = self.txns.get_mut(&line).expect("txn");
         txn.queue.pop_front();
         txn.phase = Phase::WaitAccess;
         if txn.queue.is_empty() {
-            self.txns.remove(&line);
+            let txn = self.txns.remove(&line).expect("txn");
+            self.spare_queues.give(txn.queue);
         } else {
             // Serialize back-to-back requests through the tag pipeline.
             self.schedule(ctx.cycle + self.l2_hit, line, DelayedKind::Proceed);
@@ -447,7 +519,9 @@ impl Directory {
                     .get(&line)
                     .and_then(|t| t.queue.front())
                     .expect("GetM txn");
-                self.states.insert(line, DirState::Owned(req.from));
+                if let Some(old) = self.states.insert(line, DirState::Owned(req.from)) {
+                    self.spare_sets.retire(old);
+                }
                 self.grant(ctx, line, req, Msg::DataM { line });
             }
             Next::Victim { parent } => {
@@ -462,14 +536,17 @@ impl Directory {
                     }
                 };
                 if done {
-                    self.states.remove(&line);
-                    let vtxn = self.txns.remove(&line).expect("victim txn");
+                    if let Some(old) = self.states.remove(&line) {
+                        self.spare_sets.retire(old);
+                    }
+                    let mut queue = self.txns.remove(&line).expect("victim txn").queue;
                     self.proceed(ctx, parent);
                     // Requests that queued on the victim while it was being
                     // recalled start over as fresh transactions.
-                    for req in vtxn.queue {
+                    while let Some(req) = queue.pop_front() {
                         self.on_request(ctx, line, req);
                     }
+                    self.spare_queues.give(queue);
                 }
             }
         }
@@ -488,11 +565,13 @@ impl Directory {
             .get(&line)
             .and_then(|t| t.queue.front())
             .expect("GetS txn");
-        let mut set = vec![prev_owner];
+        let mut set = self.spare_sets.set_of(prev_owner);
         if req.from != prev_owner {
             set.push(req.from);
         }
-        self.states.insert(line, DirState::Shared(set));
+        if let Some(old) = self.states.insert(line, DirState::Shared(set)) {
+            self.spare_sets.retire(old);
+        }
         self.grant(ctx, line, req, Msg::DataS { line });
     }
 
@@ -507,7 +586,8 @@ impl Directory {
             Some(DirState::Shared(set)) => {
                 set.retain(|c| *c != from);
                 if set.is_empty() {
-                    self.states.remove(&line);
+                    let old = self.states.remove(&line).expect("shared state");
+                    self.spare_sets.retire(old);
                 }
             }
             Some(DirState::Owned(o)) if *o == from => {
@@ -614,8 +694,10 @@ impl Component for Directory {
             obs.adopt_histogram("mshr_wait_depth", &self.mshr_wait_depth);
             dram.attach(obs);
         }
-        self.trace = Some(obs.trace.clone());
-        self.tid = obs.tid;
+        self.coh = CohTrace {
+            trace: Some(obs.trace.clone()),
+            tid: obs.tid,
+        };
     }
 
     fn counters(&self) -> Vec<(String, u64)> {
@@ -635,5 +717,118 @@ impl Component for Directory {
             v.extend(dram.counter_snapshot());
         }
         v
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use crate::component::{step_alone, Outgoing, TileCoord};
+    use crate::config::CacheConfig;
+    use crate::core::InOrderCore;
+    use crate::program::{Op, Program};
+    use crate::soc::Soc;
+
+    /// Steps `dir` alone through cycles `start..start + 200`, `mail`
+    /// delivered on the first; returns everything it sent, in order.
+    fn run_alone(dir: &mut Directory, start: u64, mail: Vec<Envelope>) -> Vec<Outgoing> {
+        let mut inbox = VecDeque::from(mail);
+        let mut sent = Vec::new();
+        for cycle in start..start + 200 {
+            sent.extend(step_alone(CompId(0), cycle, &mut inbox, |ctx| {
+                dir.step(ctx)
+            }));
+        }
+        sent
+    }
+
+    /// Destinations of the sent messages `pick` selects.
+    fn sent_to(sent: &[Outgoing], pick: fn(&Msg) -> bool) -> Vec<CompId> {
+        sent.iter()
+            .filter(|o| pick(&o.env.msg))
+            .map(|o| o.dst)
+            .collect()
+    }
+
+    #[test]
+    fn getm_invalidates_sharers_in_join_order() {
+        let mut dir = Directory::new(&SocConfig::default());
+        let line = 0x8000;
+        let sharers = [5, 3, 7].map(CompId);
+        let writer = CompId(9);
+        let gets = sharers.map(|src| Envelope {
+            src,
+            msg: Msg::GetS { line },
+        });
+        let sent = run_alone(&mut dir, 0, gets.to_vec());
+        assert_eq!(sent_to(&sent, |m| matches!(m, Msg::DataS { .. })), sharers);
+
+        let getm = Envelope {
+            src: writer,
+            msg: Msg::GetM {
+                line,
+                no_fetch: false,
+            },
+        };
+        let sent = run_alone(&mut dir, 1000, vec![getm]);
+        assert_eq!(
+            sent_to(&sent, |m| matches!(m, Msg::Inv { .. })),
+            sharers,
+            "Invs go out in the order the sharers joined"
+        );
+
+        let acks = sharers.map(|src| Envelope {
+            src,
+            msg: Msg::InvAck { line },
+        });
+        let sent = run_alone(&mut dir, 2000, acks.to_vec());
+        assert_eq!(sent_to(&sent, |m| matches!(m, Msg::DataM { .. })), [writer]);
+        assert!(dir.is_idle());
+    }
+
+    #[test]
+    fn a_recall_heavy_run_keeps_every_spare_list_within_its_cap() {
+        // Two cores write and read back 256 lines each through a 4-line
+        // L2: nearly every fill recalls a victim one of them holds.
+        let cfg = SocConfig {
+            l2: CacheConfig::new(4 * crate::LINE_BYTES, 2),
+            ..SocConfig::default()
+        };
+        let mut soc = Soc::new(cfg.clone());
+        let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
+        for core in 0..2u64 {
+            let va = |i: u64| (core * 256 + i) * crate::LINE_BYTES;
+            let mut p = Program::new();
+            for i in 0..256 {
+                p.push(Op::Store {
+                    va: va(i),
+                    value: i,
+                });
+            }
+            p.push(Op::Fence);
+            for i in 0..256 {
+                p.push(Op::Load {
+                    va: va(i),
+                    record: false,
+                });
+            }
+            let tile = TileCoord::new(1 + core as u16, 0);
+            soc.add_component(tile, Box::new(InOrderCore::new(dir, &cfg, p)));
+        }
+        assert!(soc.run(10_000_000).quiescent);
+        let d = soc.component::<Directory>(dir).unwrap();
+        let recalls = d.dir_counters().recalls.get();
+        assert!(recalls > 4 * SPARE_CAP as u64, "only {recalls} recalls");
+        for (name, len) in [
+            ("queues", d.spare_queues.0.len()),
+            ("sets", d.spare_sets.0.len()),
+        ] {
+            assert!(
+                len <= SPARE_CAP,
+                "{len} spare {name} after {recalls} recalls"
+            );
+        }
     }
 }

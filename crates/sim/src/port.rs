@@ -5,6 +5,10 @@
 //! engine (with a tiny line buffer instead of a full cache) and the MAPLE
 //! baseline unit — all of them participate in coherence the same way, which
 //! is exactly the premise of queue coherence.
+//!
+//! Nothing on a transaction's path allocates: the accesses joined on a
+//! pending line and the events one message raises are [`InlineList`]s of
+//! at most [`MAX_JOINED`] entries, kept in join order.
 
 use crate::cache::{LineState, TagArray};
 use crate::component::Observability;
@@ -55,10 +59,62 @@ pub enum PortEvent {
     },
 }
 
+/// Most tokens one line's transaction can have joined, and so most events
+/// one message raises. A token joins a line at most once, so the bound is
+/// the number of distinct tokens an agent uses: the Cohort engine's two
+/// MTE channels × {PTE read, data access}, a core's load and store-buffer
+/// drain, a MAPLE unit's PTE read and data access. An engine channel
+/// waits on one token at a time, so only an abort (`raise_error`, the
+/// watchdog drain) that restarts the engine before the grant can leave a
+/// third or fourth joined; a restart that rejoins its own old token adds
+/// nothing.
+pub const MAX_JOINED: usize = 4;
+
+/// Up to [`MAX_JOINED`] values held inline and iterated in push order —
+/// the tokens joined on a pending line and the events
+/// [`CoherentPort::handle`] returns, so neither costs a heap allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct InlineList<T: Copy> {
+    items: [Option<T>; MAX_JOINED],
+}
+
+impl<T: Copy> InlineList<T> {
+    fn new() -> Self {
+        Self {
+            items: [None; MAX_JOINED],
+        }
+    }
+
+    /// Appends `item`.
+    ///
+    /// # Panics
+    /// Panics past [`MAX_JOINED`] entries: a port whose agent joins more
+    /// accesses on one line needs a larger cap, not a second path.
+    fn push(&mut self, item: T) {
+        let Some(slot) = self.items.iter_mut().find(|s| s.is_none()) else {
+            panic!("more than MAX_JOINED ({MAX_JOINED}) accesses joined one line");
+        };
+        *slot = Some(item);
+    }
+}
+
+impl<T: Copy> IntoIterator for InlineList<T> {
+    type Item = T;
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<T>, MAX_JOINED>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().flatten()
+    }
+}
+
+/// What [`CoherentPort::handle`] returns: the events of one message, in
+/// the order they happened (completions in join order).
+pub type PortEvents = InlineList<PortEvent>;
+
 #[derive(Debug)]
 struct PendingLine {
     want_m: bool,
-    tokens: Vec<u64>,
+    tokens: InlineList<u64>,
 }
 
 /// Counters exposed by a port. Fields are registry-backed
@@ -171,24 +227,31 @@ impl CoherentPort {
                     if write && !p.want_m {
                         return Outcome::Retry;
                     }
-                    p.tokens.push(token);
+                    // A token already joined here belongs to an access its
+                    // agent aborted and re-issued before the grant: the one
+                    // completion serves both, so a restart never grows the
+                    // list.
+                    if !p.tokens.into_iter().any(|t| t == token) {
+                        p.tokens.push(token);
+                    }
                     return Outcome::Pending;
                 }
                 debug_assert!(held.is_none() || write, "read of held line should have hit");
-                self.issue(ctx, line, write, full_line, vec![token]);
+                self.issue(ctx, line, write, full_line, Some(token));
                 Outcome::Pending
             }
         }
     }
 
-    /// Opens a directory transaction on `line`, completing `tokens`.
+    /// Opens a directory transaction on `line`, completing `token` (if
+    /// any) when it is granted.
     fn issue(
         &mut self,
         ctx: &mut Ctx<'_>,
         line: u64,
         want_m: bool,
         no_fetch: bool,
-        tokens: Vec<u64>,
+        token: Option<u64>,
     ) {
         self.counters.misses.inc();
         let msg = if want_m {
@@ -197,6 +260,10 @@ impl CoherentPort {
             Msg::GetS { line }
         };
         ctx.send(self.dir, msg);
+        let mut tokens = InlineList::new();
+        if let Some(token) = token {
+            tokens.push(token);
+        }
         self.pending.insert(line, PendingLine { want_m, tokens });
     }
 
@@ -209,7 +276,7 @@ impl CoherentPort {
         if self.cache.touch(line) == Some(LineState::M) {
             self.counters.hits.inc();
         } else if !self.pending.contains_key(&line) {
-            self.issue(ctx, line, true, false, Vec::new());
+            self.issue(ctx, line, true, false, None);
         }
     }
 
@@ -252,8 +319,8 @@ impl CoherentPort {
 
     /// Processes one coherence message addressed to this agent, emitting
     /// zero or more [`PortEvent`]s.
-    pub fn handle(&mut self, env: &Envelope, ctx: &mut Ctx<'_>) -> Vec<PortEvent> {
-        let mut events = Vec::new();
+    pub fn handle(&mut self, env: &Envelope, ctx: &mut Ctx<'_>) -> PortEvents {
+        let mut events = PortEvents::new();
         match env.msg {
             Msg::DataS { line } | Msg::DataM { line } => {
                 let state = if matches!(env.msg, Msg::DataM { .. }) {
@@ -352,5 +419,73 @@ impl CoherentPort {
     /// Hit latency in cycles.
     pub fn hit_latency(&self) -> u64 {
         self.hit_latency
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::VecDeque;
+
+    use super::*;
+    use crate::component::step_alone;
+
+    const DIR: CompId = CompId(0);
+    const ME: CompId = CompId(1);
+    const LINE: u64 = 0x4000;
+
+    /// Joins a read of `LINE` under each of `tokens`, in order.
+    fn join_reads(port: &mut CoherentPort, tokens: &[u64]) -> Vec<crate::component::Outgoing> {
+        step_alone(ME, 0, &mut VecDeque::new(), |ctx| {
+            for &token in tokens {
+                let outcome = port.request(ctx, LINE + token, false, token);
+                assert_eq!(outcome, Outcome::Pending, "token {token}");
+            }
+        })
+    }
+
+    /// Delivers the `DataS` for `LINE` and returns the events it raises.
+    fn grant(port: &mut CoherentPort) -> Vec<PortEvent> {
+        let grant = Envelope {
+            src: DIR,
+            msg: Msg::DataS { line: LINE },
+        };
+        let mut events = Vec::new();
+        step_alone(ME, 40, &mut VecDeque::new(), |ctx| {
+            events.extend(port.handle(&grant, ctx));
+        });
+        assert!(port.is_idle());
+        events
+    }
+
+    #[test]
+    fn joined_requests_complete_in_join_order() {
+        let mut port = CoherentPort::new(DIR, CacheConfig::new(1024, 2), 1);
+        let sent = join_reads(&mut port, &[7, 3, 9, 1]);
+        assert_eq!(sent.len(), 1, "one GetS serves all four");
+        assert!(matches!(sent[0].env.msg, Msg::GetS { line: LINE }));
+        assert_eq!(
+            grant(&mut port),
+            [7, 3, 9, 1].map(|token| PortEvent::Completed { token })
+        );
+    }
+
+    #[test]
+    fn a_rejoined_token_completes_once() {
+        // An agent that aborts and re-issues its accesses before the grant
+        // (the engine's error path) joins the same tokens again.
+        let mut port = CoherentPort::new(DIR, CacheConfig::new(1024, 2), 1);
+        let sent = join_reads(&mut port, &[1, 5, 1, 5, 1, 5, 0, 4]);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(
+            grant(&mut port),
+            [1, 5, 0, 4].map(|token| PortEvent::Completed { token })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more than MAX_JOINED (4) accesses joined one line")]
+    fn a_join_past_the_cap_panics() {
+        let mut port = CoherentPort::new(DIR, CacheConfig::new(1024, 2), 1);
+        join_reads(&mut port, &[1, 2, 3, 4, 5]);
     }
 }

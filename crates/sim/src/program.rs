@@ -92,6 +92,12 @@ impl Program {
         Self::default()
     }
 
+    /// Reserves room for `additional` more ops, so a long program is
+    /// built in one allocation instead of copied at every doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ops.reserve(additional);
+    }
+
     /// Appends one op.
     pub fn push(&mut self, op: Op) {
         self.ops.push(op);

@@ -112,9 +112,7 @@ fn ratchet_roundtrip() {
         let mut r = Ratchet::new(block);
         r.push_bytes(&data);
         let mut out = Vec::new();
-        while let Some(b) = r.pop_block() {
-            out.extend(b);
-        }
+        while r.pop_block_with(|b| out.extend_from_slice(b)).is_some() {}
         assert_eq!(&out[..], &data[..out.len()]);
         assert!(
             data.len() - out.len() < block,
