@@ -8,7 +8,9 @@
 //! combination may run. [`KEYS`] is the only place where a key's
 //! spelling, value words and range are written down.
 
-use cohort::scenarios::{sharded_engines_for, Runner, Scenario, ShardSpec, Workload};
+use cohort::scenarios::{
+    sharded_engines_for, Runner, Scenario, ShardSpec, Workload, DEFAULT_BACKOFF,
+};
 use cohort_os::addrspace::MapPolicy;
 use cohort_os::driver::Placement;
 use cohort_sim::dram::DramConfig;
@@ -65,7 +67,7 @@ impl Default for RunParams {
             workload: Workload::Aes,
             queue: 256,
             batch: 16,
-            backoff: 700,
+            backoff: DEFAULT_BACKOFF,
             policy: MapPolicy::Eager,
             watchdog: 0,
             shards: 1,

@@ -23,7 +23,7 @@ use cohort_os::driver::{
 };
 use cohort_os::sv39::PAGE_BYTES;
 use cohort_os::CohortDriver;
-use cohort_queue::{QueueLayout, SeqMerge};
+use cohort_queue::{QueueDescriptor, QueueLayout, SeqMerge};
 use cohort_sim::component::CompId;
 use cohort_sim::config::SocConfig;
 use cohort_sim::core::InOrderCore;
@@ -32,6 +32,8 @@ use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 use cohort_sim::stats::HistogramSummary;
 use std::collections::VecDeque;
+use std::iter::once;
+use std::ops::Range;
 use std::rc::Rc;
 
 /// The two accelerators of interest (Table 2).
@@ -134,6 +136,10 @@ impl Default for BaselineCosts {
     }
 }
 
+/// RCM backoff window in cycles a [`Scenario`] or [`CustomRun`] starts
+/// with.
+pub const DEFAULT_BACKOFF: u64 = 700;
+
 /// Full configuration of one benchmark run.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -172,7 +178,7 @@ impl Scenario {
             batch: batch.max(1),
             soc: SocConfig::default(),
             policy: MapPolicy::Eager,
-            backoff: 700,
+            backoff: DEFAULT_BACKOFF,
             seed: 0x5eed,
             costs: BaselineCosts::default(),
             trace: false,
@@ -311,8 +317,11 @@ fn silent_by_class(soc: &Soc) -> Vec<(String, u64)> {
 //
 //   1. build system    — `build_system`: engines / MAPLE / extra cores
 //   2. stage CSR/key   — `stage_csr` (guest buffer), `maple_csr_ops` (MMIO)
-//   3. emit program(s) — `single_engine_program` (`push_pop_body`), and
-//                        the chain, DMA, MMIO, sharded and custom emitters
+//   3. emit program(s) — driver ops as literal segments, the loop as a
+//                        stream composed of `push`, `publish`, `gate_pop`
+//                        and `release` (`single_engine_program`, and the
+//                        chain, sharded and custom runners); the MMIO and
+//                        DMA baselines stream their own MMIO loops
 //   4. arm recovery    — `arm_failover`, then `arm` (program load + demand
 //                        paging; there is no way to load the benchmark
 //                        program that skips the paging hook)
@@ -401,69 +410,115 @@ fn maple_csr_ops(program: &mut Program, workload: Workload) {
     program.push(maple_store(maple_regs::CSR_COMMIT, csr.len() as u64));
 }
 
-/// Fence + one-ALU index arithmetic + write-index store: the batched
-/// publication idiom shared by every producer.
-fn publish_index(p: &mut Program, write_index_va: u64, value: u64) {
-    p.push(Op::Fence);
-    p.push(Op::Alu(1));
-    p.push(Op::Store {
-        va: write_index_va,
-        value,
-    });
+// Stage 3's building blocks: the §5.3 loop, written once. Each is a
+// lazily generated op stream (`Program::stream`), so no program holds its
+// loop's ops in memory.
+
+/// A software loop over `body`: each op after the loop's `alu`
+/// instructions of index arithmetic and branching. A struct rather than a
+/// `flat_map` into pairs, which takes twice the host time per op.
+fn looped<I: Iterator<Item = Op>>(alu: u32, body: I) -> Looped<I> {
+    let held = None;
+    Looped { alu, body, held }
 }
 
-/// Emits the interleaved push/pop batch loop shared by the single-engine
-/// Cohort scenarios (§5.3 structure).
+struct Looped<I> {
+    alu: u32,
+    body: I,
+    /// The body op due after the ALU op just yielded.
+    held: Option<Op>,
+}
+
+impl<I: Iterator<Item = Op>> Iterator for Looped<I> {
+    type Item = Op;
+
+    fn next(&mut self) -> Option<Op> {
+        self.held.take().or_else(|| {
+            self.held = Some(self.body.next()?);
+            Some(Op::Alu(self.alu))
+        })
+    }
+}
+
+/// `slots` cut into consecutive runs of `len` (the last may be shorter).
+fn runs(slots: Range<u64>, len: u64) -> impl Iterator<Item = Range<u64>> {
+    let end = slots.end;
+    slots
+        .step_by(len as usize)
+        .map(move |s| s..(s + len).min(end))
+}
+
+/// The words of `data` at `range`.
+fn words(data: &Rc<[u64]>, range: Range<u64>) -> impl Iterator<Item = u64> {
+    let data = Rc::clone(data);
+    range.map(move |i| data[i as usize])
+}
+
+/// The push loop: `words` into `q`'s slots from `first` on.
+fn push(
+    q: QueueDescriptor,
+    alu: u32,
+    first: u64,
+    words: impl Iterator<Item = u64>,
+) -> impl Iterator<Item = Op> {
+    let stores = (first..).zip(words).map(move |(i, value)| Op::Store {
+        va: q.element_va(i),
+        value,
+    });
+    looped(alu, stores)
+}
+
+/// Publishes write index `pushed` of `q`: a release fence orders the data
+/// before it (§4.2.3), then one ALU instruction of index arithmetic and
+/// the store.
+fn publish(q: QueueDescriptor, pushed: u64) -> [Op; 3] {
+    let (va, value) = (q.write_index_va, pushed);
+    [Op::Fence, Op::Alu(1), Op::Store { va, value }]
+}
+
+/// The pop loop: waits until `q`'s write index covers `slots`, then pops
+/// them, recording each word.
+fn gate_pop(q: QueueDescriptor, alu: u32, slots: Range<u64>) -> impl Iterator<Item = Op> {
+    let (va, value) = (q.write_index_va, slots.end);
+    let loads = slots.map(move |j| Op::Load {
+        va: q.element_va(j),
+        record: true,
+    });
+    once(Op::WaitGe { va, value }).chain(looped(alu, loads))
+}
+
+/// Hands `q`'s slots before `popped` back to the producer: one ALU
+/// instruction of index arithmetic, then the read-index store.
+fn release(q: QueueDescriptor, popped: u64) -> [Op; 2] {
+    let (va, value) = (q.read_index_va, popped);
+    [Op::Alu(1), Op::Store { va, value }]
+}
+
+/// The single-engine Cohort loop (§5.3): per batch, push it and publish
+/// the write index, pop every output block it completes, then release
+/// what has been popped.
 fn push_pop_body(
-    program: &mut Program,
     scenario: &Scenario,
-    in_q: &QueueLayout,
-    out_q: &QueueLayout,
-) {
-    let data = scenario.input_words();
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let costs = scenario.costs;
+    data: &Rc<[u64]>,
+    in_q: QueueDescriptor,
+    out_q: QueueDescriptor,
+) -> impl Iterator<Item = Op> {
+    let (m, costs) = (scenario.output_words(), scenario.costs);
     let wpb_in = scenario.workload.words_in_per_block();
     let wpb_out = scenario.workload.words_out_per_block();
-    let mut i = 0u64;
-    let mut j = 0u64;
-    while i < n {
-        let push_end = (i + scenario.batch).min(n);
-        while i < push_end {
-            program.push(Op::Alu(costs.push_loop_alu));
-            program.push(Op::Store {
-                va: in_q.descriptor.element_va(i),
-                value: data[i as usize],
-            });
-            i += 1;
-        }
-        publish_index(program, in_q.descriptor.write_index_va, i);
-        let pop_end = (i * wpb_out / wpb_in).min(m);
-        while j < pop_end {
-            let block_end = (j + wpb_out).min(pop_end);
-            program.push(Op::WaitGe {
-                va: out_q.descriptor.write_index_va,
-                value: block_end,
-            });
-            while j < block_end {
-                program.push(Op::Alu(costs.pop_loop_alu));
-                program.push(Op::Load {
-                    va: out_q.descriptor.element_va(j),
-                    record: true,
-                });
-                j += 1;
-            }
-        }
-        if pop_end > 0 {
-            program.push(Op::Alu(1));
-            program.push(Op::Store {
-                va: out_q.descriptor.read_index_va,
-                value: pop_end,
-            });
-        }
-    }
-    program.push(Op::Fence);
+    // The output words the first `pushed` input words complete.
+    let done = move |pushed: u64| (pushed * wpb_out / wpb_in).min(m);
+    let data = Rc::clone(data);
+    runs(0..scenario.queue_size, scenario.batch).flat_map(move |batch| {
+        let popped = done(batch.end);
+        let blocks = runs(done(batch.start)..popped, wpb_out);
+        let input = words(&data, batch.clone());
+        let released = (popped > 0).then(|| release(out_q, popped));
+        push(in_q, costs.push_loop_alu, batch.start, input)
+            .chain(publish(in_q, batch.end))
+            .chain(blocks.flat_map(move |b| gate_pop(out_q, costs.pop_loop_alu, b)))
+            .chain(released.into_iter().flatten())
+    })
 }
 
 /// Stages 2–3 of the single-engine Cohort runners: the queue pair and the
@@ -472,6 +527,7 @@ fn push_pop_body(
 fn single_engine_program(
     sys: &mut SimSystem,
     scenario: &Scenario,
+    data: &Rc<[u64]>,
     watchdog: Option<u64>,
 ) -> (Program, QueueLayout, QueueLayout) {
     let in_q = sys.alloc_queue(8, scenario.queue_size as u32);
@@ -488,7 +544,13 @@ fn single_engine_program(
     if let Some(cycles) = watchdog {
         program.append(driver.watchdog_ops(cycles));
     }
-    push_pop_body(&mut program, scenario, &in_q, &out_q);
+    program.stream(push_pop_body(
+        scenario,
+        data,
+        in_q.descriptor,
+        out_q.descriptor,
+    ));
+    program.push(Op::Fence);
     program.append(driver.unregister_ops());
     (program, in_q, out_q)
 }
@@ -636,9 +698,8 @@ fn run_and_collect(
 }
 
 /// [`run_and_collect`] with the usual verifier: the recorded words equal
-/// the workload's host-side reference.
-fn finish(sys: SimSystem, scenario: &Scenario) -> RunResult {
-    let expected = scenario.workload.reference_outputs(&scenario.input_words());
+/// `expected`, the workload's host-side reference.
+fn finish(sys: SimSystem, scenario: &Scenario, expected: &[u64]) -> RunResult {
     run_and_collect(sys, scenario.trace, scenario.queue_size, |_, recorded| {
         recorded == expected
     })
@@ -649,10 +710,11 @@ fn finish(sys: SimSystem, scenario: &Scenario) -> RunResult {
 /// write-index publication, pops with batched read-index release.
 pub fn run_cohort(scenario: &Scenario) -> RunResult {
     assert_admitted(Runner::Cohort, scenario);
+    let data: Rc<[u64]> = scenario.input_words().into();
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
-    let (program, ..) = single_engine_program(&mut sys, scenario, None);
+    let (program, ..) = single_engine_program(&mut sys, scenario, &data, None);
     arm(&mut sys, program, None, None);
-    finish(sys, scenario)
+    finish(sys, scenario, &scenario.workload.reference_outputs(&data))
 }
 
 /// Runs the Cohort benchmark while a second Ariane core (the platform has
@@ -669,22 +731,21 @@ pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
     // allocated before the queues.
     let footprint = 2 * sys.soc.config().l2.capacity_bytes;
     let buf = sys.alloc_buffer(footprint, 64);
-    let mut noise = Program::new();
     let passes = (scenario.queue_size / 64).max(2);
-    for p in 0..passes {
-        for line in 0..footprint / 64 {
-            noise.push(Op::Store {
-                va: buf + line * 64,
-                value: p ^ line,
-            });
-        }
-    }
+    let mut noise = Program::new();
+    noise.stream((0..passes).flat_map(move |p| {
+        (0..footprint / 64).map(move |line| Op::Store {
+            va: buf + line * 64,
+            value: p ^ line,
+        })
+    }));
     noise.push(Op::Fence);
     core_mut(&mut sys.soc, sys.extra_cores[0]).load_program(noise);
 
-    let (program, ..) = single_engine_program(&mut sys, scenario, None);
+    let data: Rc<[u64]> = scenario.input_words().into();
+    let (program, ..) = single_engine_program(&mut sys, scenario, &data, None);
     arm(&mut sys, program, None, None);
-    finish(sys, scenario)
+    finish(sys, scenario, &scenario.workload.reference_outputs(&data))
 }
 
 /// Runs the Cohort benchmark under the fault-injection plan carried in
@@ -704,9 +765,10 @@ pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
 /// to cost cycles, never correctness.
 pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
     assert_admitted(Runner::Chaos, scenario);
+    let data: Rc<[u64]> = scenario.input_words().into();
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
-    let (program, in_q, out_q) =
-        single_engine_program(&mut sys, scenario, Some(armed_watchdog(scenario)));
+    let watchdog = Some(armed_watchdog(scenario));
+    let (program, in_q, out_q) = single_engine_program(&mut sys, scenario, &data, watchdog);
 
     // One kernel mm view shared by every recovery path, plus the swap
     // store that keeps storm evictions lossless.
@@ -757,14 +819,15 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
     // entire output stream and publishes the final write index. Recomputing
     // from scratch keeps the path idempotent — partial hardware progress
     // before the failure is simply overwritten.
-    let expected = scenario.workload.reference_outputs(&scenario.input_words());
+    let expected: Rc<[u64]> = scenario.workload.reference_outputs(&data).into();
+    let fb_expected = Rc::clone(&expected);
     let fb_vm = Rc::clone(&vm);
     let fb_swap = swap.clone();
     let out_desc = out_q.descriptor;
     let fallback: SoftwareFallback = Box::new(move |mem| {
-        let words = expected.iter().enumerate();
+        let words = fb_expected.iter().enumerate();
         let stores = words.map(|(j, &w)| (out_desc.element_va(j as u64), w));
-        let publish = (out_desc.write_index_va, expected.len() as u64);
+        let publish = (out_desc.write_index_va, fb_expected.len() as u64);
         for (va, value) in stores.chain([publish]) {
             fault_in(mem, &fb_vm, Some(&fb_swap), va);
             let pa = fb_vm.borrow().0.translate(mem, va).expect("mapped");
@@ -787,7 +850,7 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
     let driver = sys.drivers[0].clone();
     let core = core_mut(&mut sys.soc, sys.core);
     driver.install_error_handler(core, 2, fallback, probe);
-    finish(sys, scenario)
+    finish(sys, scenario, &expected)
 }
 
 /// Runs the MMIO baseline (§5.1): word-at-a-time, fully blocking accesses,
@@ -803,32 +866,21 @@ pub fn run_mmio(scenario: &Scenario) -> RunResult {
     );
     let mut program = Program::new();
     maple_csr_ops(&mut program, scenario.workload);
-
-    let data = scenario.input_words();
-    let wpb_in = scenario.workload.words_in_per_block() as usize;
-    let wpb_out = scenario.workload.words_out_per_block();
-    let costs = scenario.costs;
-    // Two ops per word pushed and per word popped, in one allocation. At
-    // queue 8192 the program is 0.8 MB; grown by doubling it would reach
-    // 1.5 MB and, whenever the heap could not extend it in place, hold
-    // the old and the new buffer at once.
-    program.reserve(2 * (data.len() + data.len().div_ceil(wpb_in) * wpb_out as usize));
-    for block in data.chunks(wpb_in) {
-        for &w in block {
-            program.push(Op::Alu(costs.mmio_loop_alu));
-            program.push(maple_store(maple_regs::PUSH, w));
-        }
-        for _ in 0..wpb_out {
-            program.push(Op::Alu(costs.mmio_loop_alu));
-            program.push(Op::MmioLoad {
-                pa: MAPLE_MMIO_BASE + maple_regs::POP,
-                record: true,
-            });
-        }
-    }
+    let data: Rc<[u64]> = scenario.input_words().into();
+    let alu = scenario.costs.mmio_loop_alu;
+    let wpb_out = scenario.workload.words_out_per_block() as usize;
+    let (pa, record) = (MAPLE_MMIO_BASE + maple_regs::POP, true);
+    let pop = Op::MmioLoad { pa, record };
+    let wpb_in = scenario.workload.words_in_per_block();
+    let blocks = runs(0..scenario.queue_size, wpb_in);
+    let block_data = Rc::clone(&data);
+    program.stream(blocks.flat_map(move |block| {
+        let pushes = words(&block_data, block).map(|w| maple_store(maple_regs::PUSH, w));
+        looped(alu, pushes.chain(std::iter::repeat_n(pop, wpb_out)))
+    }));
 
     arm(&mut sys, program, None, None);
-    finish(sys, scenario)
+    finish(sys, scenario, &scenario.workload.reference_outputs(&data))
 }
 
 /// Runs the coherent-DMA baseline (§5.1): the core stages input in memory,
@@ -877,60 +929,51 @@ fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
     maple_csr_ops(&mut program, scenario.workload);
 
     // Stage the input in memory (cached stores, like the Cohort push loop).
-    let data = scenario.input_words();
+    let data: Rc<[u64]> = scenario.input_words().into();
     let costs = scenario.costs;
-    // Sized once, as in `run_mmio`: two ops per staged word, the fence,
-    // six per DMA block and, unhardened, two per word read back.
-    let blocks = (n * 8).div_ceil(costs.dma_block_bytes) as usize;
-    let readback = if hardened { 0 } else { 2 * m as usize };
-    program.reserve(2 * data.len() + 1 + 6 * blocks + readback);
-    for (i, &w) in data.iter().enumerate() {
-        program.push(Op::Alu(costs.push_loop_alu));
-        program.push(Op::Store {
-            va: in_va + (i as u64) * 8,
-            value: w,
+    let staged = (0..n)
+        .zip(words(&data, 0..n))
+        .map(move |(i, value)| Op::Store {
+            va: in_va + i * 8,
+            value,
         });
-    }
+    program.stream(looped(costs.push_loop_alu, staged));
     program.push(Op::Fence);
 
-    // One programmed transfer per DMA block.
-    let in_bytes = n * 8;
-    let ratio_out = scenario.workload.words_out_per_block() * 8;
-    let ratio_in = scenario.workload.words_in_per_block() * 8;
-    let mut src_off = 0u64;
-    let mut dst_off = 0u64;
-    while src_off < in_bytes {
-        let len = costs.dma_block_bytes.min(in_bytes - src_off);
-        program.push(Op::KernelCost {
-            cycles: u64::from(costs.dma_api_alu),
-            insts: u64::from(costs.dma_api_alu) / 5,
-        });
-        program.push(maple_store(maple_regs::DMA_SRC, in_va + src_off));
-        program.push(maple_store(maple_regs::DMA_DST, out_va + dst_off));
-        program.push(maple_store(maple_regs::DMA_LEN, len));
-        program.push(maple_store(maple_regs::DMA_START, 1));
-        program.push(Op::MmioLoad {
-            pa: MAPLE_MMIO_BASE + maple_regs::DMA_DONE,
-            record: hardened,
-        });
-        src_off += len;
-        dst_off += len * ratio_out / ratio_in;
-    }
+    // One programmed transfer per DMA block; every block but the last is
+    // full, so block `k`'s output lands `k` blocks' worth of output in.
+    let block = costs.dma_block_bytes;
+    let wpb_in = scenario.workload.words_in_per_block();
+    let out_per_block = block * scenario.workload.words_out_per_block() / wpb_in;
+    let (cycles, insts) = (
+        u64::from(costs.dma_api_alu),
+        u64::from(costs.dma_api_alu) / 5,
+    );
+    let (pa, record) = (MAPLE_MMIO_BASE + maple_regs::DMA_DONE, hardened);
+    let transfers = runs(0..n * 8, block).zip(0..).flat_map(move |(src, k)| {
+        [
+            Op::KernelCost { cycles, insts },
+            maple_store(maple_regs::DMA_SRC, in_va + src.start),
+            maple_store(maple_regs::DMA_DST, out_va + k * out_per_block),
+            maple_store(maple_regs::DMA_LEN, src.end - src.start),
+            maple_store(maple_regs::DMA_START, 1),
+            Op::MmioLoad { pa, record },
+        ]
+    });
+    program.stream(transfers);
     if !hardened {
-        for j in 0..m {
-            program.push(Op::Alu(costs.pop_loop_alu));
-            program.push(Op::Load {
-                va: out_va + j * 8,
-                record: true,
-            });
-        }
+        let reads = (0..m).map(move |j| Op::Load {
+            va: out_va + j * 8,
+            record: true,
+        });
+        program.stream(looped(costs.pop_loop_alu, reads));
     }
 
     arm(&mut sys, program, None, None);
-    if !hardened {
-        return finish(sys, scenario);
-    }
     let expected = scenario.workload.reference_outputs(&data);
+    if !hardened {
+        return finish(sys, scenario, &expected);
+    }
     run_and_collect(sys, scenario.trace, n, |sys, recorded| {
         let out_bytes = sys.read_guest(out_va, (m.max(1) * 8) as usize);
         let outputs = out_bytes
@@ -1032,34 +1075,20 @@ fn chain(scenario: &Scenario, runner: Runner) -> RunResult {
     });
 
     let costs = scenario.costs;
-    let data = scenario.input_words();
-    for (i, &w) in data.iter().enumerate() {
-        let pushed = i as u64 + 1;
-        program.push(Op::Alu(costs.push_loop_alu));
-        program.push(Op::Store {
-            va: encrypt_q.descriptor.element_va(i as u64),
-            value: w,
-        });
-        if pushed.is_multiple_of(scenario.batch) || pushed == n {
-            publish_index(&mut program, encrypt_q.descriptor.write_index_va, pushed);
-        }
-    }
-    for j in 0..m {
-        program.push(Op::WaitGe {
-            va: result_q.descriptor.write_index_va,
-            value: j + 1,
-        });
-        program.push(Op::Alu(costs.pop_loop_alu));
-        program.push(Op::Load {
-            va: result_q.descriptor.element_va(j),
-            record: true,
-        });
-    }
-    program.push(Op::Store {
-        va: result_q.descriptor.read_index_va,
-        value: m,
+    let data: Rc<[u64]> = scenario.input_words().into();
+    let (encrypt, result) = (encrypt_q.descriptor, result_q.descriptor);
+    let plaintext = Rc::clone(&data);
+    let producer = runs(0..n, scenario.batch).flat_map(move |batch| {
+        let input = words(&plaintext, batch.clone());
+        push(encrypt, costs.push_loop_alu, batch.start, input).chain(publish(encrypt, batch.end))
     });
-    program.push(Op::Fence);
+    // Every digest word is popped behind its own gate, and the result
+    // queue is released once, after the last pop, with no index
+    // arithmetic: the chain's recorded numbers pin this sequence.
+    let consumer = (0..m).flat_map(move |j| gate_pop(result, costs.pop_loop_alu, j..j + 1));
+    program.stream(producer.chain(consumer));
+    let (va, value) = (result.read_index_va, m);
+    program.extend([Op::Store { va, value }, Op::Fence]);
     if failover {
         program.append(sys.drivers[2].unregister_ops());
     }
@@ -1145,12 +1174,13 @@ pub fn mesh16_scenario(queue_size: u64, batch: u64) -> (Scenario, ShardSpec) {
 const UNIFORM_CHUNK_BLOCKS: u64 = 4;
 
 /// One contiguous run of accelerator blocks after placement: where its
-/// input lands in its shard's input ring and where its output appears in
-/// the shard's output ring. The index of the chunk in the plan vector is
-/// its global sequence number.
+/// words start in the logical stream, where its input lands in its shard's
+/// input ring and where its output appears in the shard's output ring. The
+/// index of the chunk in the plan vector is its global sequence number.
 #[derive(Debug, Clone, Copy)]
 struct ShardChunk {
     shard: usize,
+    data_off: u64,
     in_off: u64,
     in_words: u64,
     out_off: u64,
@@ -1242,7 +1272,7 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
 
     // Split, then place every run through the pool (this is where the
     // policies differ), accumulating per-shard ring offsets.
-    let mut chunks = Vec::new();
+    let mut chunks: Vec<ShardChunk> = Vec::new();
     let mut in_totals = vec![0u64; shards];
     let mut out_totals = vec![0u64; shards];
     for blocks in shard_chunk_blocks(scenario, spec.skewed) {
@@ -1251,6 +1281,7 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         let placed = pool.place(in_words);
         chunks.push(ShardChunk {
             shard: placed.shard,
+            data_off: chunks.last().map_or(0, |c| c.data_off + c.in_words),
             in_off: in_totals[placed.shard],
             in_words,
             out_off: out_totals[placed.shard],
@@ -1268,37 +1299,30 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
     let csr = stage_csr(&mut sys, scenario.workload.csr().as_deref());
 
     // Producer programs: shard `s`'s core streams its runs in shard-FIFO
-    // order, publishing the write index every `batch` words and at end of
-    // stream. Data stores always precede the index publication (fence) —
-    // the data-before-pointer contract, per shard.
-    let data = scenario.input_words();
-    let costs = scenario.costs;
-    let mut producer_progs: Vec<Program> = (0..shards).map(|_| Program::new()).collect();
-    let mut pushed = vec![0u64; shards];
-    let mut published = vec![0u64; shards];
-    let mut data_pos = 0usize;
-    for c in &chunks {
-        let p = &mut producer_progs[c.shard];
-        for w in 0..c.in_words {
-            p.push(Op::Alu(costs.push_loop_alu));
-            p.push(Op::Store {
-                va: in_qs[c.shard].descriptor.element_va(c.in_off + w),
-                value: data[data_pos],
-            });
-            data_pos += 1;
-        }
-        pushed[c.shard] += c.in_words;
-        if pushed[c.shard] - published[c.shard] >= scenario.batch {
-            publish_index(p, in_qs[c.shard].descriptor.write_index_va, pushed[c.shard]);
-            published[c.shard] = pushed[c.shard];
-        }
-    }
+    // order, publishing the write index once `batch` words have gathered
+    // since the last publication, and at end of stream. Data stores always
+    // precede the index publication (fence) — the data-before-pointer
+    // contract, per shard.
+    let data: Rc<[u64]> = scenario.input_words().into();
+    let (costs, batch) = (scenario.costs, scenario.batch);
     for s in 0..shards {
-        let p = &mut producer_progs[s];
-        if published[s] < pushed[s] {
-            publish_index(p, in_qs[s].descriptor.write_index_va, pushed[s]);
-        }
-        p.push(Op::Fence);
+        let (q, total) = (in_qs[s].descriptor, in_totals[s]);
+        let mine: Vec<ShardChunk> = chunks.iter().filter(|c| c.shard == s).copied().collect();
+        let data = Rc::clone(&data);
+        let mut published = 0;
+        let mut producer = Program::new();
+        producer.stream(mine.into_iter().flat_map(move |c| {
+            let pushed = c.in_off + c.in_words;
+            let due = pushed - published >= batch || pushed == total;
+            if due {
+                published = pushed;
+            }
+            let input = words(&data, c.data_off..c.data_off + c.in_words);
+            let publication = due.then(|| publish(q, pushed)).into_iter().flatten();
+            push(q, costs.push_loop_alu, c.in_off, input).chain(publication)
+        }));
+        producer.push(Op::Fence);
+        core_mut(&mut sys.soc, sys.extra_cores[s]).load_program(producer);
     }
 
     // Benchmark-core program: register every shard engine, arm the victim
@@ -1321,28 +1345,14 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         arm_failover(&mut sys, &mut program, scenario, (v, shards), queues, csr)
     });
 
-    let mut popped = vec![0u64; shards];
-    for c in &chunks {
-        let oq = &out_qs[c.shard].descriptor;
-        program.push(Op::WaitGe {
-            va: oq.write_index_va,
-            value: c.out_off + c.out_words,
-        });
-        for w in 0..c.out_words {
-            program.push(Op::Alu(costs.pop_loop_alu));
-            program.push(Op::Load {
-                va: oq.element_va(c.out_off + w),
-                record: true,
-            });
-        }
-        popped[c.shard] = c.out_off + c.out_words;
-    }
-    for s in 0..shards {
-        program.push(Op::Alu(1));
-        program.push(Op::Store {
-            va: out_qs[s].descriptor.read_index_va,
-            value: popped[s],
-        });
+    let outs: Vec<QueueDescriptor> = out_qs.iter().map(|q| q.descriptor).collect();
+    let gates = chunks.clone().into_iter().flat_map(move |c| {
+        let slots = c.out_off..c.out_off + c.out_words;
+        gate_pop(outs[c.shard], costs.pop_loop_alu, slots)
+    });
+    program.stream(gates);
+    for (q, &popped) in out_qs.iter().zip(&out_totals) {
+        program.extend(release(q.descriptor, popped));
     }
     program.push(Op::Fence);
     if victim.is_some() {
@@ -1350,10 +1360,6 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
     }
     for s in 0..shards {
         program.append(pool.driver(s).unregister_ops());
-    }
-
-    for (s, prog) in producer_progs.into_iter().enumerate() {
-        core_mut(&mut sys.soc, sys.extra_cores[s]).load_program(prog);
     }
 
     // Background ("LITTLE") cores: each streams stores through its own
@@ -1365,16 +1371,14 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         let lines = footprint / 64;
         let span = lines / spec.background_cores as u64;
         for b in 0..spec.background_cores {
-            let mut noise = Program::new();
             let first = b as u64 * span;
-            for pass in 0..2u64 {
-                for line in first..first + span.max(1) {
-                    noise.push(Op::Store {
-                        va: buf + (line % lines) * 64,
-                        value: (b as u64) << 32 | pass << 24 | line,
-                    });
-                }
-            }
+            let mut noise = Program::new();
+            noise.stream((0..2u64).flat_map(move |pass| {
+                (first..first + span.max(1)).map(move |line| Op::Store {
+                    va: buf + (line % lines) * 64,
+                    value: (b as u64) << 32 | pass << 24 | line,
+                })
+            }));
             noise.push(Op::Fence);
             core_mut(&mut sys.soc, sys.extra_cores[spec.shards + b]).load_program(noise);
         }
@@ -1460,7 +1464,7 @@ impl CustomRun {
             input,
             expected,
             batch: 64,
-            backoff: 700,
+            backoff: DEFAULT_BACKOFF,
             soc: SocConfig::default(),
             policy: MapPolicy::Eager,
             trace: false,
@@ -1484,6 +1488,7 @@ impl CustomRun {
             trace,
         } = self;
         let mut sys = build_system_with(soc, policy, vec![accel], None, 0);
+        let input: Rc<[u64]> = input.into();
         let n = input.len() as u64;
         let m = expected.len() as u64;
         let in_q = sys.alloc_queue(8, n.max(1) as u32);
@@ -1493,41 +1498,22 @@ impl CustomRun {
         let root_pa = sys.space.root_pa();
         let mut program =
             driver.register_ops(root_pa, &in_q.descriptor, &out_q.descriptor, csr, backoff);
-        let batch = batch.max(1);
-        for (i, &w) in input.iter().enumerate() {
-            program.push(Op::Alu(2));
-            program.push(Op::Store {
-                va: in_q.descriptor.element_va(i as u64),
-                value: w,
-            });
-            if (i as u64 + 1).is_multiple_of(batch) || i as u64 + 1 == n {
-                program.push(Op::Fence);
-                program.push(Op::Store {
-                    va: in_q.descriptor.write_index_va,
-                    value: i as u64 + 1,
-                });
-            }
-        }
-        let mut j = 0u64;
-        while j < m {
-            let end = (j + batch).min(m);
-            program.push(Op::WaitGe {
-                va: out_q.descriptor.write_index_va,
-                value: end,
-            });
-            while j < end {
-                program.push(Op::Alu(2));
-                program.push(Op::Load {
-                    va: out_q.descriptor.element_va(j),
-                    record: true,
-                });
-                j += 1;
-            }
-            program.push(Op::Store {
-                va: out_q.descriptor.read_index_va,
-                value: j,
-            });
-        }
+        let (in_q, out_q) = (in_q.descriptor, out_q.descriptor);
+        let (batch, costs) = (batch.max(1), BaselineCosts::default());
+        // A custom run stores its indices with no index arithmetic, and
+        // pops and releases its output a batch at a time: the recorded
+        // custom rows of `scenario_golden` pin this sequence.
+        let producer = runs(0..n, batch).flat_map(move |run| {
+            let (va, value) = (in_q.write_index_va, run.end);
+            let publication = [Op::Fence, Op::Store { va, value }];
+            let data = words(&input, run.clone());
+            push(in_q, costs.push_loop_alu, run.start, data).chain(publication)
+        });
+        let consumer = runs(0..m, batch).flat_map(move |run| {
+            let (va, value) = (out_q.read_index_va, run.end);
+            gate_pop(out_q, costs.pop_loop_alu, run).chain([Op::Store { va, value }])
+        });
+        program.stream(producer.chain(consumer));
         program.push(Op::Fence);
         program.append(driver.unregister_ops());
         arm(&mut sys, program, None, None);

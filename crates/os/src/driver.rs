@@ -838,12 +838,13 @@ mod tests {
         let d = CohortDriver::new(0x4000_0000, 5);
         let (i, o) = descs();
         let (i, o) = (i.with_epoch(3), o.with_epoch(3));
-        let p = d.register_ops(0x100_0000, &i, &o, Some((0x30_0000, 17)), 32);
-        let stores: Vec<_> = p
-            .ops()
+        let ops: Vec<Op> = d
+            .register_ops(0x100_0000, &i, &o, Some((0x30_0000, 17)), 32)
+            .collect();
+        let stores: Vec<_> = ops
             .iter()
-            .filter_map(|op| match op {
-                Op::MmioStore { pa, value } => Some((*pa, *value)),
+            .filter_map(|op| match *op {
+                Op::MmioStore { pa, value } => Some((pa, value)),
                 _ => None,
             })
             .collect();
@@ -858,7 +859,7 @@ mod tests {
         assert!(stores.contains(&(0x4000_0000 + regs::IN_EPOCH, 3)));
         assert!(stores.contains(&(0x4000_0000 + regs::OUT_EPOCH, 3)));
         assert!(
-            matches!(p.ops()[0], Op::KernelCost { .. }),
+            matches!(ops[0], Op::KernelCost { .. }),
             "syscall entry first"
         );
 
@@ -867,23 +868,18 @@ mod tests {
         // stays cycle-identical to a pre-epoch driver.
         let (i0, o0) = descs();
         let p0 = d.register_ops(0x100_0000, &i0, &o0, Some((0x30_0000, 17)), 32);
-        let mmio0 = p0
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, Op::MmioStore { .. }))
-            .count();
+        let mmio0 = p0.filter(|op| matches!(op, Op::MmioStore { .. })).count();
         assert_eq!(mmio0, 15, "no epoch writes for an epoch-0 binding");
     }
 
     #[test]
     fn unregister_disables_and_flushes() {
         let d = CohortDriver::new(0x4000_0000, 5);
-        let p = d.unregister_ops();
-        assert!(p
-            .ops()
+        let ops: Vec<Op> = d.unregister_ops().collect();
+        assert!(ops
             .iter()
             .any(|op| matches!(op, Op::MmioStore { pa, value: 0 } if *pa == 0x4000_0000)));
-        assert!(p.ops().iter().any(
+        assert!(ops.iter().any(
             |op| matches!(op, Op::MmioStore { pa, .. } if *pa == 0x4000_0000 + regs::TLB_FLUSH)
         ));
     }
@@ -900,10 +896,10 @@ mod tests {
     #[test]
     fn watchdog_program_writes_register() {
         let d = CohortDriver::new(0x4000_0000, 5);
-        let p = d.watchdog_ops(50_000);
-        assert!(p.ops().iter().any(|op| matches!(
+        let mut p = d.watchdog_ops(50_000);
+        assert!(p.any(|op| matches!(
             op,
-            Op::MmioStore { pa, value: 50_000 } if *pa == 0x4000_0000 + regs::WATCHDOG
+            Op::MmioStore { pa, value: 50_000 } if pa == 0x4000_0000 + regs::WATCHDOG
         )));
     }
 

@@ -196,8 +196,10 @@ impl CoreCounters {
 /// The in-order core component.
 pub struct InOrderCore {
     port: CoherentPort,
-    ops: Vec<Op>,
-    pc: usize,
+    /// The op at the program counter (`None` past the end of the program),
+    /// and the rest of the program, pulled one op at a time.
+    op: Option<Op>,
+    program: Program,
     state: CState,
     busy_until: u64,
     sb: VecDeque<(u64, u64)>, // (pa, value)
@@ -209,7 +211,7 @@ pub struct InOrderCore {
     next_cycle: u64,
     spin_alu: u64,
     spin_insts: u64,
-    /// Physical address the `WaitGe` at `pc` last issued its load to, if
+    /// Physical address the current `WaitGe` last issued its load to, if
     /// the line was held and the word was below target at that moment,
     /// while nothing this core knows of can have changed either since (see
     /// [`InOrderCore::parked`]).
@@ -236,7 +238,7 @@ pub struct InOrderCore {
 impl std::fmt::Debug for InOrderCore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InOrderCore")
-            .field("pc", &self.pc)
+            .field("op", &self.op)
             .field("state", &self.state)
             .field("instret", &self.counters.instret.get())
             .finish()
@@ -245,11 +247,11 @@ impl std::fmt::Debug for InOrderCore {
 
 impl InOrderCore {
     /// Creates a core attached to directory `dir`, executing `program`.
-    pub fn new(dir: CompId, cfg: &SocConfig, program: Program) -> Self {
+    pub fn new(dir: CompId, cfg: &SocConfig, mut program: Program) -> Self {
         Self {
             port: CoherentPort::new(dir, cfg.l1, cfg.timing.l1_hit),
-            ops: program.into_ops(),
-            pc: 0,
+            op: program.next(),
+            program,
             state: CState::Ready,
             busy_until: 0,
             sb: VecDeque::new(),
@@ -290,9 +292,9 @@ impl InOrderCore {
     /// Replaces the program and resets execution state and counters
     /// (handlers and the translator are retained). Used by harnesses that
     /// assemble the SoC before the benchmark program is known.
-    pub fn load_program(&mut self, program: Program) {
-        self.ops = program.into_ops();
-        self.pc = 0;
+    pub fn load_program(&mut self, mut program: Program) {
+        self.op = program.next();
+        self.program = program;
         self.state = CState::Ready;
         self.busy_until = 0;
         self.sb.clear();
@@ -392,11 +394,11 @@ impl InOrderCore {
                 .all(|line| self.port.prefetch_is_noop(line))
     }
 
-    /// True when `exec` could only stall at the current `pc`, cycle after
+    /// True when `exec` could only stall on the current op, cycle after
     /// cycle, until the store buffer moves.
     fn exec_stalls(&self) -> bool {
         let draining = !self.sb.is_empty() || self.sb_waiting;
-        match self.ops.get(self.pc) {
+        match self.op {
             None | Some(Op::Fence) => draining,
             Some(Op::Store { .. }) => self.sb.len() >= self.sb_limit,
             Some(_) => false,
@@ -413,7 +415,7 @@ impl InOrderCore {
     /// reproduces in closed form.
     fn parked(&self) -> Option<(u64, u64, u64)> {
         let pa = self.spin_memo?;
-        let &Op::WaitGe { va, value } = self.ops.get(self.pc)? else {
+        let Op::WaitGe { va, value } = self.op? else {
             return None;
         };
         let in_loop = match self.state {
@@ -539,7 +541,7 @@ impl InOrderCore {
             self.recorded.push(v);
         }
         self.counters.instret.inc();
-        self.pc += 1;
+        self.op = self.program.next();
         self.state = CState::Ready;
         self.busy_until = ctx.cycle;
     }
@@ -549,14 +551,14 @@ impl InOrderCore {
         self.counters.instret.add(self.spin_insts); // load + compare + branch
         let v = ctx.mem.read_u64(pa);
         if v >= value {
-            self.pc += 1;
+            self.op = self.program.next();
             self.state = CState::Ready;
             self.busy_until = ctx.cycle + 1;
             self.spin_memo = None; // the wait it described is over
         } else {
             self.state = CState::Ready;
             self.busy_until = ctx.cycle + self.spin_alu; // loop back edge
-                                                         // pc unchanged: the WaitGe op re-issues.
+                                                         // op unchanged: the WaitGe re-issues.
         }
     }
 
@@ -609,19 +611,18 @@ impl InOrderCore {
     }
 
     fn exec(&mut self, ctx: &mut Ctx<'_>) {
-        if self.pc >= self.ops.len() {
+        let Some(op) = self.op else {
             if self.sb.is_empty() && !self.sb_waiting {
                 self.state = CState::Done;
                 self.counters.done_at = ctx.cycle;
             }
             return;
-        }
-        let op = self.ops[self.pc].clone();
+        };
         match op {
             Op::Alu(n) => {
                 self.counters.instret.add(u64::from(n));
                 self.busy_until = ctx.cycle + u64::from(n);
-                self.pc += 1;
+                self.op = self.program.next();
             }
             Op::Load { va, record } => {
                 let Some(pa) = self.translate(ctx, va) else {
@@ -634,7 +635,7 @@ impl InOrderCore {
                     }
                     self.counters.instret.inc();
                     self.busy_until = ctx.cycle + 1;
-                    self.pc += 1;
+                    self.op = self.program.next();
                     return;
                 }
                 match self.port.request(ctx, pa, false, LOAD_TOKEN) {
@@ -662,7 +663,7 @@ impl InOrderCore {
                 self.counters.instret.inc();
                 self.sb.push_back((pa, value));
                 self.busy_until = ctx.cycle + 1;
-                self.pc += 1;
+                self.op = self.program.next();
             }
             Op::WaitGe { va, value } => {
                 // What this issue finds replaces what the last one saw.
@@ -690,7 +691,7 @@ impl InOrderCore {
                 if self.sb.is_empty() && !self.sb_waiting {
                     self.counters.instret.inc();
                     self.busy_until = ctx.cycle + 1;
-                    self.pc += 1;
+                    self.op = self.program.next();
                 } else {
                     self.busy_until = ctx.cycle + 1;
                 }
@@ -717,7 +718,7 @@ impl InOrderCore {
             Op::KernelCost { cycles, insts } => {
                 self.counters.instret.add(insts);
                 self.busy_until = ctx.cycle + cycles;
-                self.pc += 1;
+                self.op = self.program.next();
             }
         }
     }
@@ -780,7 +781,7 @@ impl Component for InOrderCore {
                             self.recorded.push(*value);
                         }
                         self.counters.instret.inc();
-                        self.pc += 1;
+                        self.op = self.program.next();
                         self.state = CState::Ready;
                         self.busy_until = ctx.cycle + 1;
                     }
@@ -788,7 +789,7 @@ impl Component for InOrderCore {
                 Msg::MmioWriteResp { .. } => match self.state {
                     CState::WaitMmio { .. } => {
                         self.counters.instret.inc();
-                        self.pc += 1;
+                        self.op = self.program.next();
                         self.state = CState::Ready;
                         self.busy_until = ctx.cycle + 1;
                     }
@@ -909,7 +910,7 @@ impl Component for InOrderCore {
                     stalled == 0 || self.exec_stalls(),
                     "slept over a runnable op"
                 );
-                if matches!(self.ops.get(self.pc), Some(Op::Store { .. })) {
+                if matches!(self.op, Some(Op::Store { .. })) {
                     self.counters.sb_full_stalls.add(stalled);
                 }
             }

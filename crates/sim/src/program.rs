@@ -5,9 +5,18 @@
 //! paper's benchmark pseudo-code (§5.3) without simulating a full ISA.
 //! Each op carries an implied retired-instruction count so the core can
 //! report IPC (§6.2).
+//!
+//! A [`Program`] is a sequence of segments: literal ops (the driver's
+//! register, unregister, watchdog and spill sequences; test programs) and
+//! lazily generated streams (the benchmark loops of `cohort::scenarios`).
+//! The core holds only the op at its program counter and pulls the next
+//! when that one retires, so a loop costs its generator's state, not a
+//! buffer of its ops.
+
+use std::collections::VecDeque;
 
 /// One abstract operation of a core program.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// `n` single-cycle ALU instructions (address arithmetic, loop
     /// bookkeeping, compares...).
@@ -80,10 +89,21 @@ impl Op {
     }
 }
 
-/// An ordered list of [`Op`]s for one core.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One run of a [`Program`]'s ops.
+enum Segment {
+    /// Ops pushed one at a time, taken from the front.
+    Literal(VecDeque<Op>),
+    /// Ops generated on demand.
+    Stream(Box<dyn Iterator<Item = Op>>),
+}
+
+/// The ops of one core, in order: a sequence of segments, each literal or
+/// a generated stream. A program is an iterator that the core pulls one
+/// op at a time, so a stream segment is generated only as far as the core
+/// has got.
+#[derive(Default)]
 pub struct Program {
-    ops: Vec<Op>,
+    segments: VecDeque<Segment>,
 }
 
 impl Program {
@@ -92,69 +112,64 @@ impl Program {
         Self::default()
     }
 
-    /// Reserves room for `additional` more ops, so a long program is
-    /// built in one allocation instead of copied at every doubling.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ops.reserve(additional);
-    }
-
     /// Appends one op.
     pub fn push(&mut self, op: Op) {
-        self.ops.push(op);
+        if let Some(Segment::Literal(ops)) = self.segments.back_mut() {
+            return ops.push_back(op);
+        }
+        self.segments
+            .push_back(Segment::Literal(VecDeque::from([op])));
+    }
+
+    /// Appends a stream of ops, generated only as the core reaches them.
+    pub fn stream(&mut self, ops: impl Iterator<Item = Op> + 'static) {
+        self.segments.push_back(Segment::Stream(Box::new(ops)));
     }
 
     /// Appends all ops of `other`.
-    pub fn append(&mut self, mut other: Program) {
-        self.ops.append(&mut other.ops);
+    pub fn append(&mut self, other: Program) {
+        self.segments.extend(other.segments);
     }
+}
 
-    /// Number of ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
+impl Iterator for Program {
+    type Item = Op;
 
-    /// True if the program has no ops.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Read-only view of the ops.
-    pub fn ops(&self) -> &[Op] {
-        &self.ops
-    }
-
-    /// Consumes the program, returning its ops.
-    pub fn into_ops(self) -> Vec<Op> {
-        self.ops
-    }
-
-    /// Static instruction count (spin iterations excluded).
-    pub fn static_instructions(&self) -> u64 {
-        self.ops.iter().map(Op::retired_instructions).sum()
+    fn next(&mut self) -> Option<Op> {
+        loop {
+            let op = match self.segments.front_mut()? {
+                Segment::Literal(ops) => ops.pop_front(),
+                Segment::Stream(ops) => ops.next(),
+            };
+            if op.is_some() {
+                return op;
+            }
+            self.segments.pop_front();
+        }
     }
 }
 
 impl Extend<Op> for Program {
     fn extend<T: IntoIterator<Item = Op>>(&mut self, iter: T) {
-        self.ops.extend(iter);
-    }
-}
-
-impl FromIterator<Op> for Program {
-    fn from_iter<T: IntoIterator<Item = Op>>(iter: T) -> Self {
-        Self {
-            ops: iter.into_iter().collect(),
-        }
+        iter.into_iter().for_each(|op| self.push(op));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::TileCoord;
+    use crate::config::SocConfig;
+    use crate::core::InOrderCore;
+    use crate::directory::Directory;
+    use crate::soc::Soc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn instruction_accounting() {
-        let p: Program = vec![
+        let mut p = Program::new();
+        p.extend([
             Op::Alu(3),
             Op::Store { va: 0, value: 1 },
             Op::Fence,
@@ -162,11 +177,9 @@ mod tests {
                 cycles: 100,
                 insts: 40,
             },
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(p.static_instructions(), 3 + 1 + 1 + 40);
-        assert_eq!(p.len(), 4);
+        ]);
+        let insts: Vec<u64> = p.map(|op| op.retired_instructions()).collect();
+        assert_eq!(insts, [3, 1, 1, 40]);
     }
 
     #[test]
@@ -174,8 +187,66 @@ mod tests {
         let mut a = Program::new();
         a.push(Op::Alu(1));
         let mut b = Program::new();
+        b.stream((2..4).map(Op::Alu));
         b.push(Op::Fence);
+        b.stream(std::iter::empty());
+        b.push(Op::Alu(4));
         a.append(b);
-        assert_eq!(a.ops()[1], Op::Fence);
+        a.push(Op::Alu(5));
+        let ops: Vec<Op> = a.collect();
+        let want = [1, 2, 3].map(Op::Alu).into_iter().chain([Op::Fence]);
+        assert_eq!(ops, want.chain([4, 5].map(Op::Alu)).collect::<Vec<_>>());
+    }
+
+    /// The core pulls a stream lazily: never more than the op at its
+    /// program counter. Every op here is a store, so the core's store
+    /// count is its program counter.
+    #[test]
+    fn the_core_pulls_a_stream_one_op_at_a_time() {
+        const LITERAL: u64 = 2;
+        const STREAMED: u64 = 40;
+        let pulled = Rc::new(Cell::new(0u64));
+        let mut p = Program::new();
+        for i in 0..LITERAL {
+            p.push(Op::Store {
+                va: i * 8,
+                value: i,
+            });
+        }
+        let counter = Rc::clone(&pulled);
+        p.stream((LITERAL..LITERAL + STREAMED).map(move |i| {
+            counter.set(counter.get() + 1);
+            Op::Store {
+                va: i * 64,
+                value: i,
+            }
+        }));
+        p.push(Op::Fence);
+
+        let cfg = SocConfig::default();
+        let mut soc = Soc::new(cfg.clone());
+        let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(&cfg)));
+        let core = InOrderCore::new(dir, &cfg, p);
+        let core = soc.add_component(TileCoord::new(1, 0), Box::new(core));
+        let stores = |soc: &Soc| {
+            let c = soc.component::<InOrderCore>(core).expect("core");
+            c.core_counters().stores.get()
+        };
+        let mut lagged = false;
+        for _ in 0..100_000 {
+            let pc = stores(&soc);
+            assert!(
+                pulled.get() <= (pc + 1).saturating_sub(LITERAL),
+                "{} streamed ops pulled with the core at op {pc}",
+                pulled.get()
+            );
+            lagged |= pulled.get() < STREAMED && pc > LITERAL;
+            if soc.component::<InOrderCore>(core).expect("core").is_done() {
+                break;
+            }
+            soc.step();
+        }
+        assert_eq!((stores(&soc), pulled.get()), (LITERAL + STREAMED, STREAMED));
+        assert!(lagged, "the stream was generated ahead of the core");
     }
 }

@@ -1652,9 +1652,7 @@ mod tests {
         let mut soc = Soc::new(cfg.clone());
         let dir = soc.add_component(TileCoord::new(0, 0), Box::new(Directory::new(cfg)));
         let mut program = Program::new();
-        for op in prologue {
-            program.push(op.clone());
-        }
+        program.extend(prologue.iter().copied());
         program.push(Op::WaitGe {
             va: FLAG,
             value: FLAG_TARGET,
@@ -1929,7 +1927,7 @@ mod tests {
             va: DATA,
             record: true,
         };
-        let prologue = [load.clone(), Op::Alu(3_000), load];
+        let prologue = [load, Op::Alu(3_000), load];
         let tune = |core: &mut InOrderCore| core.set_translator(Box::new(Switched));
         let rest = |soc: &mut Soc, _| {
             soc.mem.write_u64(DATA, 1);
