@@ -4,6 +4,22 @@
 //! and the accelerator model [`Aes128Accel`]: 128-bit blocks in, 128-bit
 //! ciphertext out, 41-cycle latency (paper §6.1), with the key delivered
 //! via the coherent CSR struct at registration time (paper §5.2).
+//!
+//! Encryption uses the 32-bit T-table form: the state is four big-endian
+//! column words, and each of rounds 1–9 is sixteen lookups into one
+//! 256-entry table `TE0` (SubBytes and MixColumns in one step; its byte
+//! rotations serve rows 1–3) plus the round key. The last round reads
+//! `SBOX`. Both tables are built at compile time. Every AES run
+//! encrypts each block twice, in the accelerator model and in the host
+//! reference it is verified against, so this is the form on the hot path.
+//! The byte-wise rounds (SubBytes, ShiftRows, MixColumns by bit-serial
+//! GF(2^8) multiplication) exist only in the unit tests, as the reference
+//! the T-table form is checked against block for block.
+//!
+//! Decryption stays byte-wise: only the accelerator's decrypt direction
+//! and the round-trip tests use it, no runner does, and a second table
+//! set would buy nothing measurable. Both directions read the same key
+//! schedule, the 44 column words.
 
 use crate::accelerator::{AccelDescriptor, Accelerator, ConfigError};
 
@@ -27,17 +43,39 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse S-box, derived from [`SBOX`] at first use.
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
+/// The inverse S-box, derived from [`SBOX`] at compile time.
+const INV_SBOX: [u8; 256] = invert(&SBOX);
+
+/// One encrypt round's SubBytes + MixColumns for a byte in row 0, as a
+/// big-endian column word: `TE0[x] = (2·S[x], S[x], S[x], 3·S[x])`. The
+/// same byte in row `r` contributes `TE0[x].rotate_right(8 * r)`.
+const TE0: [u32; 256] = te0(&SBOX);
+
+const fn invert(sbox: &[u8; 256]) -> [u8; 256] {
+    let mut inv = [0u8; 256];
+    let mut i = 0;
+    while i < 256 {
+        inv[sbox[i] as usize] = i as u8;
+        i += 1;
+    }
+    inv
+}
+
+const fn te0(sbox: &[u8; 256]) -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let s = sbox[i];
+        let s2 = xtime(s);
+        t[i] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        i += 1;
+    }
+    t
+}
+
+/// Multiplication by 2 in GF(2^8) with the AES polynomial 0x11b.
+const fn xtime(a: u8) -> u8 {
+    (a << 1) ^ if a & 0x80 != 0 { 0x1b } else { 0 }
 }
 
 /// Multiplication in GF(2^8) with the AES polynomial 0x11b.
@@ -47,11 +85,7 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
         if b & 1 != 0 {
             p ^= a;
         }
-        let hi = a & 0x80;
-        a <<= 1;
-        if hi != 0 {
-            a ^= 0x1b;
-        }
+        a = xtime(a);
         b >>= 1;
     }
     p
@@ -60,86 +94,56 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// An expanded AES-128 key schedule.
 #[derive(Debug, Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; 11],
+    /// The 44 key-schedule words `w[i]` of FIPS 197 §5.2, each a
+    /// big-endian column: round `r` uses `w[4r..4r + 4]`.
+    round_keys: [u32; 44],
 }
 
 impl Aes128 {
     /// Expands a 128-bit key (FIPS 197 §5.2).
     pub fn new(key: &[u8; 16]) -> Self {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+        let mut w = [0u32; 44];
+        for (i, col) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(col.try_into().expect("4 bytes"));
         }
         let mut rcon = 1u8;
         for i in 4..44 {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= rcon;
-                rcon = gmul(rcon, 2);
+                // RotWord, SubWord, then Rcon into the top byte.
+                let rot = temp.rotate_left(8).to_be_bytes();
+                temp = u32::from_be_bytes(rot.map(|b| SBOX[b as usize])) ^ (u32::from(rcon) << 24);
+                rcon = xtime(rcon);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for r in 0..11 {
-            for c in 0..4 {
-                round_keys[r][c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Self { round_keys }
+        Self { round_keys: w }
     }
 
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
-            *s ^= k;
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = SBOX[*b as usize];
+    /// XORs the round key of `round` (0..=10) into a byte-wise state.
+    fn add_round_key(&self, state: &mut [u8; 16], round: usize) {
+        let words = &self.round_keys[round * 4..round * 4 + 4];
+        for (col, w) in state.chunks_exact_mut(4).zip(words) {
+            for (s, k) in col.iter_mut().zip(w.to_be_bytes()) {
+                *s ^= k;
+            }
         }
     }
 
     fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let inv = inv_sbox();
         for b in state.iter_mut() {
-            *b = inv[*b as usize];
+            *b = INV_SBOX[*b as usize];
         }
     }
 
     /// State layout: column-major (byte `r + 4c` is row r, column c), i.e.
     /// the natural order of the input block.
-    fn shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
     fn inv_shift_rows(state: &mut [u8; 16]) {
         let s = *state;
         for r in 1..4 {
             for c in 0..4 {
                 state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
             }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().expect("col");
-            state[c * 4] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[c * 4 + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[c * 4 + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[c * 4 + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
         }
     }
 
@@ -158,33 +162,49 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..10 {
-            Self::sub_bytes(&mut state);
-            Self::shift_rows(&mut state);
-            Self::mix_columns(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
+        let rk = &self.round_keys;
+        let mut s = [0u32; 4];
+        for (c, col) in block.chunks_exact(4).enumerate() {
+            s[c] = u32::from_be_bytes(col.try_into().expect("4 bytes")) ^ rk[c];
         }
-        Self::sub_bytes(&mut state);
-        Self::shift_rows(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[10]);
-        state
+        // Output column c of ShiftRows takes row r from input column c + r.
+        let byte = |w: u32, r: u32| (w >> (24 - 8 * r)) as u8 as usize;
+        for round in 1..10 {
+            let k = &rk[round * 4..round * 4 + 4];
+            s = std::array::from_fn(|c| {
+                TE0[byte(s[c], 0)]
+                    ^ TE0[byte(s[(c + 1) % 4], 1)].rotate_right(8)
+                    ^ TE0[byte(s[(c + 2) % 4], 2)].rotate_right(16)
+                    ^ TE0[byte(s[(c + 3) % 4], 3)].rotate_right(24)
+                    ^ k[c]
+            });
+        }
+        let mut out = [0u8; 16];
+        for (c, col) in out.chunks_exact_mut(4).enumerate() {
+            let w = u32::from_be_bytes([
+                SBOX[byte(s[c], 0)],
+                SBOX[byte(s[(c + 1) % 4], 1)],
+                SBOX[byte(s[(c + 2) % 4], 2)],
+                SBOX[byte(s[(c + 3) % 4], 3)],
+            ]) ^ rk[40 + c];
+            col.copy_from_slice(&w.to_be_bytes());
+        }
+        out
     }
 
     /// Decrypts one 16-byte block.
     pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[10]);
+        self.add_round_key(&mut state, 10);
         for round in (1..10).rev() {
             Self::inv_shift_rows(&mut state);
             Self::inv_sub_bytes(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[round]);
+            self.add_round_key(&mut state, round);
             Self::inv_mix_columns(&mut state);
         }
         Self::inv_shift_rows(&mut state);
         Self::inv_sub_bytes(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[0]);
+        self.add_round_key(&mut state, 0);
         state
     }
 }
@@ -281,6 +301,70 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The byte-wise FIPS 197 §5.1 cipher: the reference the T-table
+    /// encrypt is checked against.
+    fn encrypt_bytewise(aes: &Aes128, block: &[u8; 16]) -> [u8; 16] {
+        let mut state = *block;
+        aes.add_round_key(&mut state, 0);
+        for round in 1..10 {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            aes.add_round_key(&mut state, round);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        aes.add_round_key(&mut state, 10);
+        state
+    }
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    fn shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().expect("col");
+            state[c * 4] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
+            state[c * 4 + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
+            state[c * 4 + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
+            state[c * 4 + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
+        }
+    }
+
+    /// Encrypts `pt` by both paths, checks they agree, returns the hex.
+    fn encrypt_hex(aes: &Aes128, pt: &[u8; 16]) -> String {
+        let ct = aes.encrypt_block(pt);
+        assert_eq!(ct, encrypt_bytewise(aes, pt), "T-table vs byte-wise");
+        hex(&ct)
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn random_16(state: &mut u64) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&splitmix64(state).to_le_bytes());
+        out[8..].copy_from_slice(&splitmix64(state).to_le_bytes());
+        out
+    }
+
     // FIPS 197 appendix B.
     #[test]
     fn fips_appendix_b() {
@@ -293,21 +377,27 @@ mod tests {
             0x07, 0x34,
         ];
         let aes = Aes128::new(&key);
-        assert_eq!(
-            hex(&aes.encrypt_block(&pt)),
-            "3925841d02dc09fbdc118597196a0b32"
-        );
+        assert_eq!(encrypt_hex(&aes, &pt), "3925841d02dc09fbdc118597196a0b32");
     }
 
     // FIPS 197 appendix C.1 (AES-128).
     #[test]
     fn fips_appendix_c1() {
-        let key: Vec<u8> = (0..16).collect();
-        let pt: Vec<u8> = (0..16).map(|i| i * 0x11).collect();
-        let aes = Aes128::new(key.as_slice().try_into().unwrap());
-        let ct = aes.encrypt_block(pt.as_slice().try_into().unwrap());
-        assert_eq!(hex(&ct), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        assert_eq!(aes.decrypt_block(&ct).to_vec(), pt);
+        let key: [u8; 16] = std::array::from_fn(|i| i as u8);
+        let pt: [u8; 16] = std::array::from_fn(|i| i as u8 * 0x11);
+        let aes = Aes128::new(&key);
+        assert_eq!(encrypt_hex(&aes, &pt), "69c4e0d86a7b0430d8cdb78070b4c55a");
+        assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
+    }
+
+    #[test]
+    fn ttable_encrypt_matches_bytewise() {
+        let mut rng = 0x7e0_u64;
+        for _ in 0..10_000 {
+            let aes = Aes128::new(&random_16(&mut rng));
+            let block = random_16(&mut rng);
+            assert_eq!(aes.encrypt_block(&block), encrypt_bytewise(&aes, &block));
+        }
     }
 
     #[test]

@@ -20,7 +20,9 @@ pub struct TimedAccel {
     /// Output bytes of the in-flight block, released at `busy_until`.
     pending_out: Option<Vec<u8>>,
     blocks_done: u64,
-    last_pop_cycle: u64,
+    /// Cycle of the last [`Self::pop_word`] (`None` before the first pop
+    /// and after [`Self::reset`]).
+    last_pop_cycle: Option<u64>,
 }
 
 impl std::fmt::Debug for TimedAccel {
@@ -44,7 +46,7 @@ impl TimedAccel {
             busy_until: 0,
             pending_out: None,
             blocks_done: 0,
-            last_pop_cycle: 0,
+            last_pop_cycle: None,
         }
     }
 
@@ -95,10 +97,10 @@ impl TimedAccel {
     /// Pops one 64-bit output word if available (at most one per cycle —
     /// the 64-bit producer endpoint width of §5).
     pub fn pop_word(&mut self, cycle: u64) -> Option<u64> {
-        if self.out_bytes.len() < 8 || (cycle == self.last_pop_cycle && cycle != 0) {
+        if self.out_bytes.len() < 8 || self.last_pop_cycle == Some(cycle) {
             return None;
         }
-        self.last_pop_cycle = cycle;
+        self.last_pop_cycle = Some(cycle);
         pop_le_word(&mut self.out_bytes)
     }
 
@@ -195,7 +197,7 @@ impl TimedAccel {
         self.out_bytes.clear();
         self.busy_until = 0;
         self.pending_out = None;
-        self.last_pop_cycle = 0;
+        self.last_pop_cycle = None;
     }
 }
 
@@ -214,6 +216,20 @@ mod tests {
         assert_eq!(t.pop_word(1), None, "still in the pipeline");
         t.step(3); // retires
         assert_eq!(t.pop_word(3), Some(0xabcd));
+    }
+
+    #[test]
+    fn one_pop_per_cycle_from_cycle_zero() {
+        let mut t = TimedAccel::new(Box::new(NullFifo::with_geometry(8, 0)));
+        t.push_word(1);
+        t.push_word(2);
+        for _ in 0..3 {
+            t.step(0); // zero latency: launch, then retire, at cycle 0
+        }
+        assert_eq!(t.output_len(), 16);
+        assert_eq!(t.pop_word(0), Some(1));
+        assert_eq!(t.pop_word(0), None, "a second word in the same cycle");
+        assert_eq!(t.pop_word(1), Some(2));
     }
 
     #[test]

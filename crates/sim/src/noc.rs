@@ -56,10 +56,15 @@ impl InFlight {
     }
 }
 
-/// Inserts `m` into `queue` by key, walking back from the tail: a
-/// destination's arrivals are almost always in order.
+/// Inserts `m` into `queue` by key: a destination's arrivals are almost
+/// always in order, so it appends when it can and otherwise walks back
+/// from the tail.
 fn insert(queue: &mut VecDeque<InFlight>, m: InFlight) {
     let key = m.key();
+    if queue.back().is_none_or(|n| n.key() < key) {
+        queue.push_back(m);
+        return;
+    }
     let at = queue
         .iter()
         .rposition(|n| n.key() < key)
