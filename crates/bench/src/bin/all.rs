@@ -1,5 +1,8 @@
 //! Regenerates every table and figure (`cohort_bench::report::ARTEFACTS`),
 //! writing markdown into `results/` or the directory given as argument.
+
+#![forbid(unsafe_code)]
+
 use cohort_bench::report::ARTEFACTS;
 use cohort_bench::sweep::Sweep;
 use std::fs;

@@ -15,6 +15,8 @@
 //! per-run record is printed to stdout), so they are refused next to
 //! `--baseline`. A committed baseline is re-blessed by running its spec.
 
+#![forbid(unsafe_code)]
+
 use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, RunRecord};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,5 +1,8 @@
 //! Calibration grid search: finds timing constants whose simulated ratios
 //! best match the paper's Table 3 / Figs. 10-11 targets.
+
+#![forbid(unsafe_code)]
+
 use cohort::scenarios::{run_cohort, run_dma, run_mmio, Scenario, Workload};
 
 fn ratios(

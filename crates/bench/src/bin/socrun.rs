@@ -27,6 +27,8 @@
 //! `cohort_sim::faultinject::FaultPlan::parse`, summarised by the usage
 //! text along with which mode arms which recovery stack).
 
+#![forbid(unsafe_code)]
+
 use cohort::scenarios::{run_scenario, RunResult, Runner, Workload};
 use cohort_bench::run_params::{RunParams, KEYS, SOLO_SEED};
 

@@ -11,8 +11,6 @@
 //!   a pair of real lock-free queues and runs it on its own thread, exactly
 //!   like replacing a software pipeline stage (paper Fig. 4/5). Supports
 //!   transparent chaining and runtime reconfiguration.
-//! * [`ring`] — the §7 future-work item realised: an io_uring-style
-//!   asynchronous submission/completion interface over the native runtime;
 //! * [`system`] + [`scenarios`] — the cycle-level SoC reproduction: build a
 //!   simulated OpenPiton-style multicore with Cohort engines and MAPLE
 //!   baselines, run the paper's benchmarks, and read back latency/IPC
@@ -57,7 +55,6 @@
 #![forbid(unsafe_code)]
 
 pub mod native;
-pub mod ring;
 pub mod scenarios;
 pub mod system;
 

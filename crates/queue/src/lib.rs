@@ -22,9 +22,7 @@
 //!   Boost.Lockfree integration plays (§4.1.2);
 //! * [`merge`] — the sequence-tagged merge that reassembles one logical
 //!   stream from N shard queues (the software half of driver-level queue
-//!   sharding);
-//! * [`mpsc`] — the §4.5 future-work multi-producer queue (ticket +
-//!   per-slot sequence construction) with a sketched hardware descriptor.
+//!   sharding).
 //!
 //! ## Example
 //!
@@ -39,7 +37,6 @@ pub mod batch;
 pub mod descriptor;
 pub mod layout;
 pub mod merge;
-pub mod mpsc;
 pub mod pad;
 pub mod spsc;
 pub mod typed;
@@ -48,6 +45,5 @@ pub use batch::{BatchConsumer, BatchProducer};
 pub use descriptor::{DescriptorError, QueueDescriptor, MAX_ELEMENT_BYTES};
 pub use layout::QueueLayout;
 pub use merge::{MergeError, SeqMerge, Tagged};
-pub use mpsc::{mpsc_channel, MpscConsumer, MpscProducer};
 pub use spsc::{spsc_channel, Consumer, Producer, PushError};
 pub use typed::{typed, QueueElement, TypedConsumer, TypedProducer};

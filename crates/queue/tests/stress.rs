@@ -1,66 +1,14 @@
 //! Cross-thread stress tests for the queue crate.
 //!
-//! These exercise the paths the unit tests only cover single-threaded:
-//! multi-producer contention on a ring small enough to wrap thousands of
-//! times (so ticket reservation, slot-sequence publication and the
-//! full-ring detection all race for real), and the batched adapters'
-//! flush-on-error path with the producer and consumer on separate threads.
+//! These exercise the paths the unit tests only cover single-threaded,
+//! with the producer and consumer on separate threads: the batched
+//! adapters' flush-on-error and release paths, the close flag seen from
+//! either side, and the `&self` observers racing a live producer.
 
-use cohort_queue::{mpsc_channel, spsc_channel, BatchConsumer, BatchProducer};
+use cohort_queue::{spsc_channel, BatchConsumer, BatchProducer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-
-/// Many producers hammer a ring so small that every element wraps the ring
-/// hundreds of times; the full-ring error path (seq < ticket) is hit
-/// constantly. Every element must arrive exactly once and per-producer
-/// order must hold.
-#[test]
-fn mpsc_full_ring_wrap_contention() {
-    const PRODUCERS: u64 = 8;
-    const PER: u64 = 1_500;
-    // Capacity far below producer count: pushes fail with "full" most of
-    // the time, so the reservation protocol runs under maximum contention.
-    let (tx, mut rx) = mpsc_channel::<(u64, u64)>(4);
-    let full_errors = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for p in 0..PRODUCERS {
-        let tx = tx.clone();
-        let full_errors = Arc::clone(&full_errors);
-        handles.push(thread::spawn(move || {
-            for i in 0..PER {
-                loop {
-                    match tx.push((p, i)) {
-                        Ok(()) => break,
-                        Err(_) => {
-                            full_errors.fetch_add(1, Ordering::Relaxed);
-                            thread::yield_now();
-                        }
-                    }
-                }
-            }
-        }));
-    }
-    drop(tx);
-    let mut next = [0u64; PRODUCERS as usize];
-    let mut total = 0u64;
-    while total < PRODUCERS * PER {
-        if let Some((p, i)) = rx.pop() {
-            assert_eq!(i, next[p as usize], "producer {p} reordered");
-            next[p as usize] += 1;
-            total += 1;
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-    assert_eq!(rx.pop(), None, "no phantom elements after drain");
-    // With capacity 4 and 32k elements the ring must have wrapped and the
-    // full path must have fired; if it never did the test lost its point.
-    assert!(
-        full_errors.load(Ordering::Relaxed) > 0,
-        "expected contention on a capacity-4 ring"
-    );
-}
 
 /// `full_queue_error_still_publishes_staged`, but with a real consumer
 /// thread: the producer batches far beyond the ring capacity, so progress

@@ -85,7 +85,7 @@ pub enum DramSpecError {
     Malformed(String),
     /// Unknown key.
     UnknownKey(String),
-    /// Value failed to parse as an integer.
+    /// Value failed to parse as an integer that fits the field.
     BadValue { key: String, value: String },
     /// Parsed fine but violates a structural constraint.
     Invalid(String),
@@ -101,7 +101,7 @@ impl std::fmt::Display for DramSpecError {
                  hit, miss, queue, mshrs, ejection)"
             ),
             DramSpecError::BadValue { key, value } => {
-                write!(f, "dram spec {key}={value:?}: not an unsigned integer")
+                write!(f, "dram spec {key}={value:?}: out of range or not a number")
             }
             DramSpecError::Invalid(why) => write!(f, "invalid dram spec: {why}"),
         }
@@ -117,8 +117,8 @@ impl DramConfig {
     /// e.g. `channels=1,queue=4,miss=60`.
     ///
     /// # Errors
-    /// [`DramSpecError`] on unknown keys, non-integer values, or degenerate
-    /// geometry (zero channels/banks/rows/queue/MSHRs, hit > miss).
+    /// [`DramSpecError`] on unknown keys, non-integer or out-of-range values,
+    /// or degenerate geometry (zero channels/banks/rows/queue/MSHRs, hit > miss).
     pub fn from_spec(spec: &str) -> Result<Self, DramSpecError> {
         let mut cfg = DramConfig::default();
         let spec = spec.trim();
@@ -129,18 +129,19 @@ impl DramConfig {
                     .split_once('=')
                     .ok_or_else(|| DramSpecError::Malformed(clause.to_string()))?;
                 let (key, value) = (key.trim(), value.trim());
-                let n: u64 = value.parse().map_err(|_| DramSpecError::BadValue {
+                let bad = || DramSpecError::BadValue {
                     key: key.to_string(),
                     value: value.to_string(),
-                })?;
+                };
+                let n: u64 = value.parse().map_err(|_| bad())?;
                 match key {
-                    "channels" => cfg.channels = n as u32,
-                    "banks" => cfg.banks = n as u32,
+                    "channels" => cfg.channels = u32::try_from(n).map_err(|_| bad())?,
+                    "banks" => cfg.banks = u32::try_from(n).map_err(|_| bad())?,
                     "rowlines" | "row" => cfg.row_lines = n,
                     "hit" => cfg.t_row_hit = n,
                     "miss" => cfg.t_row_miss = n,
-                    "queue" => cfg.queue_depth = n as usize,
-                    "mshrs" => cfg.mshrs = n as usize,
+                    "queue" => cfg.queue_depth = usize::try_from(n).map_err(|_| bad())?,
+                    "mshrs" => cfg.mshrs = usize::try_from(n).map_err(|_| bad())?,
                     "ejection" => cfg.noc_ejection = n,
                     _ => return Err(DramSpecError::UnknownKey(key.to_string())),
                 }
@@ -393,6 +394,27 @@ mod tests {
             DramConfig::from_spec("hit=50,miss=20"),
             Err(DramSpecError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn spec_refuses_channels_and_banks_wider_than_u32() {
+        // Narrowed to `u32`, 2^32 + 1 and 2^32 + 2 would pass as 1 channel
+        // and 2 banks.
+        for (key, value) in [
+            ("channels", "4294967297"),
+            ("banks", "4294967298"),
+            ("channels", "18446744073709551615"),
+        ] {
+            assert_eq!(
+                DramConfig::from_spec(&format!("{key}={value}")),
+                Err(DramSpecError::BadValue {
+                    key: key.to_string(),
+                    value: value.to_string(),
+                })
+            );
+        }
+        let cfg = DramConfig::from_spec("channels=4294967295,banks=4294967295").expect("parses");
+        assert_eq!((cfg.channels, cfg.banks), (u32::MAX, u32::MAX));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! runnable examples in `examples/`. The library surface simply re-exports
 //! the member crates for convenient use from those targets.
 
+#![forbid(unsafe_code)]
+
 pub use cohort;
 pub use cohort_accel;
 pub use cohort_engine;

@@ -13,7 +13,6 @@ use cohort_accel::ratchet::Ratchet;
 use cohort_accel::sha256::{sha256, Sha256};
 use cohort_os::frame::FrameAllocator;
 use cohort_os::sv39::{self, pte_flags, PageSize};
-use cohort_queue::mpsc::mpsc_channel;
 use cohort_queue::typed::{typed, QueueElement};
 use cohort_queue::{spsc_channel, QueueLayout};
 use cohort_sim::mem::{MemAccess, PhysMem};
@@ -283,37 +282,6 @@ fn queue_layout_invariants() {
     }
 }
 
-/// The MPSC queue under a single producer behaves like a FIFO for any
-/// push/pop interleaving.
-#[test]
-fn mpsc_single_producer_matches_model() {
-    let mut rng = Rng::new(0x355c);
-    for _ in 0..CASES {
-        let cap = rng.range(2, 16) as usize;
-        let n_ops = rng.range(1, 200);
-        let (tx, mut rx) = mpsc_channel::<u64>(cap);
-        let mut model: std::collections::VecDeque<u64> = Default::default();
-        let mut next = 0u64;
-        for _ in 0..n_ops {
-            if rng.range(0, 2) == 0 {
-                match tx.push(next) {
-                    Ok(()) => {
-                        model.push_back(next);
-                        next += 1;
-                    }
-                    Err(_) => assert_eq!(model.len(), cap),
-                }
-            } else {
-                assert_eq!(rx.pop(), model.pop_front());
-            }
-        }
-        while let Some(e) = model.pop_front() {
-            assert_eq!(rx.pop(), Some(e));
-        }
-        assert_eq!(rx.pop(), None);
-    }
-}
-
 /// Typed queue elements round-trip over word queues for any content.
 #[test]
 fn typed_wide_roundtrip() {
@@ -440,6 +408,81 @@ fn fault_grammar_accepts_generated_specs() {
                     "random event at {} outside [{from}, {to}) in {spec:?}",
                     ev.at_cycle
                 );
+            }
+        }
+    }
+}
+
+/// Any clause list over the DRAM spec grammar either parses to exactly the
+/// numbers written or is refused — `from_spec` never panics and never
+/// narrows. It is the parser behind `socrun --dram` and the fleet spec's
+/// `dram =` key. Values sit at the edges of the fields' widths: a
+/// `channels`/`banks` value above `u32::MAX` must be refused, not wrapped.
+#[test]
+fn dram_spec_grammar_is_total() {
+    use cohort_sim::dram::{DramConfig, DramSpecError};
+    const KEYS: [&str; 8] = [
+        "channels", "banks", "rowlines", "hit", "miss", "queue", "mshrs", "ejection",
+    ];
+    let fields = |c: &DramConfig| {
+        [
+            u64::from(c.channels),
+            u64::from(c.banks),
+            c.row_lines,
+            c.t_row_hit,
+            c.t_row_miss,
+            c.queue_depth as u64,
+            c.mshrs as u64,
+            c.noc_ejection,
+        ]
+    };
+    let mut rng = Rng::new(0xd5a7);
+    for _ in 0..(CASES * 16) {
+        let mut written = fields(&DramConfig::default());
+        let (mut garbage, mut too_wide) = (false, false);
+        let mut clauses = Vec::new();
+        for _ in 0..rng.range(1, 7) {
+            let value = match rng.range(0, 7) {
+                0 => 0,
+                1 => 1,
+                2 => rng.range(2, 100),
+                3 => u64::from(u32::MAX),
+                4 => 1 << 32,
+                5 => (1 << 32) + 1,
+                _ => u64::MAX,
+            };
+            clauses.push(match rng.range(0, 10) {
+                0 => {
+                    garbage = true;
+                    ["banana=3", "channels", "=4", ",", "hit=x", "miss=-1"]
+                        [rng.range(0, 6) as usize]
+                        .to_string()
+                }
+                _ => {
+                    let k = rng.range(0, 8) as usize;
+                    too_wide |= k < 2 && value > u64::from(u32::MAX);
+                    written[k] = value;
+                    format!(" {}={value}", KEYS[k])
+                }
+            });
+        }
+        let spec = clauses.join(",");
+        // `validate`: every field but miss and ejection nonzero, miss >= hit.
+        let valid =
+            written[0..4].iter().chain(&written[5..7]).all(|&v| v > 0) && written[4] >= written[3];
+        match DramConfig::from_spec(&spec) {
+            Ok(cfg) => {
+                assert!(!garbage && !too_wide, "accepted {spec:?} as {cfg:?}");
+                assert_eq!(fields(&cfg), written, "spec {spec:?}");
+            }
+            Err(e) => {
+                assert!(garbage || too_wide || !valid, "refused {spec:?}: {e}");
+                if too_wide && !garbage {
+                    assert!(
+                        matches!(e, DramSpecError::BadValue { .. }),
+                        "{spec:?}: {e:?}"
+                    );
+                }
             }
         }
     }
