@@ -110,7 +110,7 @@ pub fn cohort_engine(cfg: &SocConfig) -> Resources {
     // buffers; the MTE line buffer is register-based, no BRAM).
     let mte = Resources {
         luts: 2.0 * 64.0 * coef::LUT_PER_DATAPATH_BIT + 10.0 * coef::LUT_PER_FSM_STATE,
-        regs: cfg.mte_lines as f64 * 52.0 + 128.0,
+        regs: cohort_os::mte::MTE_LINES as f64 * 52.0 + 128.0,
         bram: 0.0,
         dsp: 0.0,
     };

@@ -163,19 +163,13 @@ fn main() -> ExitCode {
     if let Some(n) = args.max_seeds {
         spec.truncate_seeds(n);
     }
-    let threads = if args.threads != 0 {
-        args.threads
-    } else {
-        spec.host_threads
-    };
-
     eprintln!(
         "campaign {:?}: {} scenario(s), {} run(s)",
         spec.name,
         spec.scenarios.len(),
         spec.total_runs()
     );
-    let records = run_fleet(&spec, threads, args.verbose);
+    let records = run_fleet(&spec, args.threads, args.verbose);
     let summary = summarize(&spec, &records);
 
     // Single-run reproduction mode prints the full record to stdout.

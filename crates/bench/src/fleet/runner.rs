@@ -4,10 +4,10 @@
 //! The fan-out is a shared atomic cursor over the job list,
 //! `std::thread::scope` workers and results written into index-addressed
 //! slots, so records come back in spec order regardless of which thread
-//! ran which job, and the whole campaign is bit-identical at any
-//! `host_threads` setting. Each job
-//! runs under `catch_unwind`, so one wedged seed becomes a classified
-//! `hung` record instead of tearing down the campaign.
+//! ran which job, and the whole campaign is bit-identical at any thread
+//! count. Each job runs under `catch_unwind`, so one wedged seed (a run
+//! out of cycle budget panics) becomes a classified `hung` record instead
+//! of tearing down the campaign.
 
 use super::spec::FleetSpec;
 use crate::run_params::RunParams;
@@ -15,15 +15,13 @@ use cohort::scenarios::{run_scenario, RunResult, Runner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// How one run ended, most severe first. `Hung` and `ChecksumMismatch`
 /// are failures; the other three all delivered the exact reference
 /// output stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Outcome {
-    /// The run panicked (cycle-budget exhaustion / a wedged pipeline) or
-    /// overran the spec's wall-clock watchdog.
+    /// The run panicked (cycle-budget exhaustion / a wedged pipeline).
     Hung,
     /// The run completed but the output stream did not match the
     /// host-side reference.
@@ -273,30 +271,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Executes one `(scenario, seed)` job, classifying panics as `hung`.
-pub fn run_one(
-    scenario: &str,
-    runner: Runner,
-    params: &RunParams,
-    seed: u64,
-    hang_wall_ms: u64,
-) -> RunRecord {
-    let start = Instant::now();
+pub fn run_one(scenario: &str, runner: Runner, params: &RunParams, seed: u64) -> RunRecord {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let (s, shard) = params.to_scenario(runner, seed);
         run_scenario(runner, &s, shard.as_ref())
     }));
     match outcome {
-        Ok(Ok(r)) => {
-            let mut rec = classify(scenario, runner, params, seed, &r);
-            // The wall-clock watchdog is advisory (host-speed-dependent);
-            // it reclassifies but never aborts, and the wall time itself
-            // stays out of the serialised record.
-            if hang_wall_ms > 0 && start.elapsed().as_millis() as u64 > hang_wall_ms {
-                rec.outcome = Outcome::Hung;
-                rec.note = format!("exceeded the {hang_wall_ms} ms wall-clock watchdog");
-            }
-            rec
-        }
+        Ok(Ok(r)) => classify(scenario, runner, params, seed, &r),
         // The loader asks the same admission check at load time, so a
         // refusal here means parameters that never went through it;
         // surface it as a named failure, not a crash.
@@ -343,13 +324,7 @@ pub fn run_fleet(spec: &FleetSpec, host_threads: usize, verbose: bool) -> Vec<Ru
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(i) else { break };
-                let rec = run_one(
-                    job.scenario,
-                    job.runner,
-                    job.params,
-                    job.seed,
-                    spec.hang_wall_ms,
-                );
+                let rec = run_one(job.scenario, job.runner, job.params, job.seed);
                 if verbose {
                     let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                     eprintln!(
@@ -380,7 +355,7 @@ mod tests {
             queue: 64,
             ..RunParams::default()
         };
-        let rec = run_one("t", Runner::Cohort, &params, 1, 0);
+        let rec = run_one("t", Runner::Cohort, &params, 1);
         assert_eq!(rec.outcome, Outcome::Pass);
         assert_eq!(rec.elements, 64);
         assert!(rec.cycles > 0);
@@ -395,7 +370,7 @@ mod tests {
             watchdog: 20_000,
             ..RunParams::default()
         };
-        let rec = run_one("t", Runner::Failover, &params, 0x5eed, 0);
+        let rec = run_one("t", Runner::Failover, &params, 0x5eed);
         assert_eq!(rec.outcome, Outcome::Recovered);
         assert_eq!(rec.kills, 1);
         assert_eq!(rec.rebinds, 1);
@@ -421,8 +396,8 @@ mod tests {
             queue: 64,
             ..RunParams::default()
         };
-        let a = run_one("t", Runner::Cohort, &params, 2, 0).json();
-        let b = run_one("t", Runner::Cohort, &params, 2, 0).json();
+        let a = run_one("t", Runner::Cohort, &params, 2).json();
+        let b = run_one("t", Runner::Cohort, &params, 2).json();
         assert_eq!(a, b);
         assert!(a.starts_with("{\"scenario\": \"t\", \"seed\": 2, \"outcome\": \"pass\""));
     }

@@ -224,13 +224,6 @@ impl ScenarioSpec {
 pub struct FleetSpec {
     /// Campaign name (output files are `fleet_<name>.*`).
     pub name: String,
-    /// Host worker threads for the fan-out (0 = one per available core).
-    pub host_threads: usize,
-    /// Per-run wall-clock watchdog in milliseconds (0 = disabled). A run
-    /// exceeding it is classified `hung` — note this makes outcome
-    /// classification host-speed-dependent, so the determinism suite and
-    /// CI gates leave it at 0 and rely on the simulator's cycle budget.
-    pub hang_wall_ms: u64,
     /// The scenarios, in spec order.
     pub scenarios: Vec<ScenarioSpec>,
 }
@@ -280,14 +273,10 @@ impl FleetSpec {
         // [campaign]
         let mut name = None;
         let mut default_seeds: Option<(Vec<u64>, usize)> = None;
-        let mut host_threads = 0usize;
-        let mut hang_wall_ms = 0u64;
         for (key, value, line) in &raw.campaign {
             match key.as_str() {
                 "name" => name = Some(expect_str(key, value, *line)?),
                 "seeds" => default_seeds = Some((parse_seeds(value, *line)?, *line)),
-                "host_threads" => host_threads = expect_int(key, value, *line)? as usize,
-                "hang_wall_ms" => hang_wall_ms = expect_int(key, value, *line)?,
                 _ => {
                     return Err(SpecError::UnknownKey {
                         line: *line,
@@ -411,12 +400,7 @@ impl FleetSpec {
             sc.overrides.push((seed, params));
         }
 
-        let spec = FleetSpec {
-            name,
-            host_threads,
-            hang_wall_ms,
-            scenarios,
-        };
+        let spec = FleetSpec { name, scenarios };
         if spec.total_runs() > MAX_TOTAL_RUNS {
             return Err(SpecError::TooManyRuns {
                 runs: spec.total_runs(),

@@ -176,13 +176,25 @@ fn spec_errors_are_structured() {
             |e| matches!(e, SpecError::UnknownKey { line: 7, section, key }
                 if section == "scenario" && key == "bogus"),
         ),
-        // A run has no thread count to set (host fan-out is `host_threads`,
-        // under [campaign]): a key asking for one is unknown like any other.
+        // A run has no thread count to set (host fan-out is the
+        // `--threads` flag): a key asking for one is unknown like any other.
         (
             "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n[[scenario]]\nname = \"a\"\nrunner = \"cohort\"\nsim_threads = 2\n",
             |e| matches!(e, SpecError::UnknownKey { line: 7, section, .. }
                 if section == "scenario")
                 && e.to_string().starts_with("spec line 7: unknown key"),
+        ),
+        // Host fan-out and wall-clock budgets are not campaign keys: the
+        // flag sets the one, the cycle budget replaces the other.
+        (
+            "[campaign]\nname = \"x\"\nseeds = \"0..2\"\nhost_threads = 2\n",
+            |e| matches!(e, SpecError::UnknownKey { line: 4, section, key }
+                if section == "campaign" && key == "host_threads"),
+        ),
+        (
+            "[campaign]\nname = \"x\"\nhang_wall_ms = 100\n",
+            |e| matches!(e, SpecError::UnknownKey { line: 3, section, key }
+                if section == "campaign" && key == "hang_wall_ms"),
         ),
         // An empty seed range.
         (

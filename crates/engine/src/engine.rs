@@ -5,12 +5,10 @@
 //! * **Uncached configuration registers** — the only MMIO part of Cohort;
 //!   programmed exclusively by the kernel driver
 //!   ([`cohort_os::driver::regs`]).
-//! * **Memory transaction engine (MTE)** — two channels (consumer,
-//!   producer) that execute virtually-addressed reads/writes: translate
-//!   through the [`cohort_os::mmu::DeviceMmu`] (TLB hit, hardware
-//!   page-table walk with timed coherent PTE reads, or page-fault
-//!   interrupt), then access memory through a small fully-associative
-//!   coherent line buffer ([`cohort_sim::port::CoherentPort`]).
+//! * **Memory transaction engine (MTE)** — two
+//!   [`cohort_os::mte::MteChannel`]s (consumer, producer) sharing one
+//!   device MMU and one coherent line buffer; a walk that faults raises
+//!   the page-fault interrupt.
 //! * **Consumer endpoint** with the *Reader Coherency Manager*: after
 //!   reading the input queue's write index it holds (pins) that line
 //!   shared; a directory invalidation of the line means the producer
@@ -30,15 +28,17 @@
 //! producer the output queue's read index.
 
 use cohort_os::driver::regs;
-use cohort_os::mmu::{DeviceMmu, TlbResult, WalkMachine, WalkStep};
+use cohort_os::mmu::{DeviceMmu, TlbResult};
+use cohort_os::mte::{self, MteChannel, Stall};
+use cohort_os::sv39;
 use cohort_queue::QueueDescriptor;
 use cohort_sim::component::{CompId, Component, Ctx, Observability};
-use cohort_sim::config::{CacheConfig, SocConfig};
+use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::FaultState;
 use cohort_sim::line_of;
 use cohort_sim::mem::MemAccess;
 use cohort_sim::msg::Msg;
-use cohort_sim::port::{CoherentPort, Outcome, PortEvent};
+use cohort_sim::port::{CoherentPort, PortEvent};
 use cohort_sim::stats::{Counter, Histogram};
 use cohort_sim::trace::Trace;
 use cohort_sim::LINE_BYTES;
@@ -47,85 +47,6 @@ use cohort_accel::timing::TimedAccel;
 
 const CH_CONS: usize = 0;
 const CH_PROD: usize = 1;
-
-/// A pending MTE memory operation (virtually addressed).
-#[derive(Debug, Clone)]
-enum MteOp {
-    /// Read bytes at `va` into the (pre-sized) channel buffer.
-    Read { va: u64 },
-    /// Write the channel buffer at `va`.
-    Write { va: u64 },
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-enum ChState {
-    /// Pick up the next segment and translate it.
-    #[default]
-    Translate,
-    /// A PTE read is outstanding.
-    WalkWait,
-    /// Faulted; waiting for the driver's resolve write.
-    WaitFault,
-    /// The port access is outstanding.
-    AccessWait { pa: u64, seg: usize, write: bool },
-    /// The access hit; completes at the embedded cycle.
-    AccessHit {
-        at: u64,
-        pa: u64,
-        seg: usize,
-        write: bool,
-    },
-}
-
-/// One MTE channel. It owns its data buffer for the whole run: each
-/// operation refills it in place (a read sizes it, a write copies its
-/// bytes in), so an MTE operation allocates nothing once the buffer has
-/// grown to the largest transfer.
-#[derive(Debug, Default)]
-struct Channel {
-    op: Option<MteOp>,
-    buf: Vec<u8>,
-    offset: usize,
-    state: ChState,
-    walk: Option<WalkMachine>,
-    done: bool,
-    /// Streaming data access: the line is relinquished after use (the MTE
-    /// holds only pointer and page-table lines; data flows through).
-    transient: bool,
-    /// Physical address of the last completed segment (used to learn the
-    /// pointer lines the RCM should monitor).
-    last_pa: u64,
-}
-
-impl Channel {
-    fn idle(&self) -> bool {
-        self.op.is_none()
-    }
-
-    /// Starts `op` and hands back the emptied buffer, for the caller to
-    /// fill with the bytes to write or size to the length to read.
-    fn start(&mut self, op: MteOp, transient: bool) -> &mut Vec<u8> {
-        debug_assert!(self.op.is_none());
-        self.op = Some(op);
-        self.offset = 0;
-        self.state = ChState::Translate;
-        self.walk = None;
-        self.done = false;
-        self.transient = transient;
-        self.buf.clear();
-        &mut self.buf
-    }
-
-    /// Retires a completed operation (its bytes stay in `buf`); false while
-    /// none has completed.
-    fn finish(&mut self) -> bool {
-        let done = std::mem::take(&mut self.done);
-        if done {
-            self.op = None;
-        }
-        done
-    }
-}
 
 /// The little-endian word at byte `off` of an MTE buffer.
 fn word_at(buf: &[u8], off: usize) -> u64 {
@@ -225,7 +146,7 @@ impl QueueRegs {
 #[derive(Debug, Default)]
 struct Endpoint {
     /// This side's MTE channel.
-    ch: Channel,
+    ch: MteChannel,
     /// The queue this side is bound to (input / output).
     q: QueueRegs,
     /// RCM monitored line: the index the peer publishes (input write
@@ -261,10 +182,6 @@ pub struct EngineCounters {
     pub faults: Counter,
     /// Read-index re-reads because the output ring looked full.
     pub full_stalls: Counter,
-    /// TLB hits, mirrored from the device MMU each step.
-    pub tlb_hits: Counter,
-    /// TLB misses, mirrored from the device MMU each step.
-    pub tlb_misses: Counter,
     /// Forward-progress watchdog trips (each halts the engine).
     pub watchdog_trips: Counter,
     /// Error interrupts raised to the core.
@@ -380,18 +297,22 @@ impl CohortEngine {
         irq_num: u32,
         accel: Box<dyn cohort_accel::Accelerator>,
     ) -> Self {
-        let lines = cfg.mte_lines.max(4);
+        let (port, mmu) = mte::memory(dir, cfg);
         Self {
             mmio_base,
             irq_target,
             irq_num,
-            // Fully associative line buffer: pins can never jam a set.
-            port: CoherentPort::new(dir, CacheConfig::new(lines * LINE_BYTES, lines as u32), 1),
-            mmu: DeviceMmu::new(cfg.tlb_entries),
+            port,
+            mmu,
             accel: TimedAccel::new(accel),
             raw_regs: std::collections::HashMap::new(),
             enabled: false,
-            ep: Default::default(),
+            // Channel `side` tags its port requests `4 * side` (data) and
+            // `4 * side + 1` (PTE reads).
+            ep: [0, 4].map(|token| Endpoint {
+                ch: MteChannel::new(token),
+                ..Endpoint::default()
+            }),
             cons: ConsState::Off,
             prod: ProdState::Off,
             rd: 0,
@@ -616,7 +537,7 @@ impl CohortEngine {
         self.prod = ProdState::Halted;
         self.csr_pending = false;
         for ep in &mut self.ep {
-            ep.ch = Channel::default();
+            ep.ch.cancel();
         }
         let args = vec![("status", format!("{:#x}", self.error_status))];
         self.trace_fault("error_irq", ctx.cycle, args);
@@ -731,12 +652,7 @@ impl CohortEngine {
             }
             regs::FAULT_RESOLVE => {
                 self.irq_outstanding = false;
-                for ch in self.ep.iter_mut().map(|ep| &mut ep.ch) {
-                    if matches!(ch.state, ChState::WaitFault) {
-                        ch.state = ChState::Translate;
-                        ch.walk = None;
-                    }
-                }
+                self.ep.iter_mut().for_each(|ep| ep.ch.resolve_fault());
             }
             regs::BACKOFF => {
                 self.backoff = value;
@@ -783,23 +699,14 @@ impl CohortEngine {
         }
     }
 
-    fn token(ch: usize, pte: bool) -> u64 {
-        (ch as u64) * 4 + u64::from(pte)
-    }
-
     fn route_event(&mut self, ctx: &mut Ctx<'_>, ev: PortEvent) {
         match ev {
             PortEvent::Completed { token } => {
-                let ch = (token / 4) as usize;
-                let is_pte = token % 4 == 1;
-                if is_pte {
-                    self.walk_feed(ctx, ch);
-                } else {
-                    let state = self.ep[ch].ch.state;
-                    if let ChState::AccessWait { pa, seg, write } = state {
-                        self.complete_segment(ctx, ch, pa, seg, write);
-                    }
-                }
+                let side = (token / 4) as usize;
+                let r = self.ep[side]
+                    .ch
+                    .completed(ctx, &mut self.port, &mut self.mmu, token);
+                self.on_stall(ctx, r);
             }
             PortEvent::Invalidated { line } => {
                 for (side, ep) in self.ep.iter_mut().enumerate() {
@@ -816,164 +723,24 @@ impl CohortEngine {
         }
     }
 
-    /// Feeds the just-fetched PTE into the channel's walker.
-    fn walk_feed(&mut self, ctx: &mut Ctx<'_>, ch_idx: usize) {
-        let pte_pa = match self.ep[ch_idx].ch.walk.as_ref().map(|w| w.step()) {
-            Some(WalkStep::NeedPte { pa }) => pa,
-            _ => return,
-        };
-        let pte = ctx.mem.read_u64(pte_pa);
-        let step = self.ep[ch_idx]
-            .ch
-            .walk
-            .as_mut()
-            .expect("walk in progress")
-            .feed(pte);
-        match step {
-            WalkStep::NeedPte { pa } => {
-                self.issue_pte_read(ctx, ch_idx, pa);
-            }
-            WalkStep::Done {
-                va_page,
-                pa_page,
-                size,
-                ..
-            } => {
-                self.mmu.insert(va_page, pa_page, size);
-                self.ep[ch_idx].ch.walk = None;
-                self.ep[ch_idx].ch.state = ChState::Translate;
-                // Retry the access next advance (same step continues).
-                self.advance_channel(ctx, ch_idx);
-            }
-            WalkStep::Fault => {
-                self.mmu.note_fault();
-                self.counters.faults.inc();
-                let va = self.ep[ch_idx].ch.walk.expect("walk").va();
-                self.ep[ch_idx].ch.walk = None;
-                self.ep[ch_idx].ch.state = ChState::WaitFault;
-                if !self.irq_outstanding {
-                    self.irq_outstanding = true;
-                    ctx.send(
-                        self.irq_target,
-                        Msg::Irq {
-                            irq: self.irq_num,
-                            payload: va,
-                        },
-                    );
-                }
-            }
-        }
+    /// Pushes `side`'s MTE channel forward.
+    fn advance(&mut self, ctx: &mut Ctx<'_>, side: usize) {
+        let r = self.ep[side].ch.advance(ctx, &mut self.port, &mut self.mmu);
+        self.on_stall(ctx, r);
     }
 
-    fn issue_pte_read(&mut self, ctx: &mut Ctx<'_>, ch_idx: usize, pte_pa: u64) {
-        match self
-            .port
-            .request(ctx, pte_pa, false, Self::token(ch_idx, true))
-        {
-            Outcome::Hit { .. } => {
-                // PTE already in the MTE buffer: feed immediately.
-                self.ep[ch_idx].ch.state = ChState::WalkWait;
-                self.walk_feed(ctx, ch_idx);
-            }
-            Outcome::Pending => self.ep[ch_idx].ch.state = ChState::WalkWait,
-            Outcome::Retry => {
-                // Conflicting transaction; retried from Translate next cycle.
-                self.ep[ch_idx].ch.state = ChState::Translate;
-                self.ep[ch_idx].ch.walk = None;
-            }
-        }
-    }
-
-    fn complete_segment(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        ch_idx: usize,
-        pa: u64,
-        seg: usize,
-        write: bool,
-    ) {
-        let finished = {
-            let ch = &mut self.ep[ch_idx].ch;
-            let off = ch.offset;
-            if write {
-                ctx.mem.write_bytes(pa, &ch.buf[off..off + seg]);
-            } else {
-                ctx.mem.read_bytes(pa, &mut ch.buf[off..off + seg]);
-            }
-            ch.offset += seg;
-            ch.last_pa = pa;
-            ch.state = ChState::Translate;
-            ch.offset >= ch.buf.len()
-        };
-        if self.ep[ch_idx].ch.transient {
-            // Streaming data: give the line back (the engine has no data
-            // cache; it bridges, it does not hold).
-            self.port.relinquish(ctx, line_of(pa));
-        }
-        if finished {
-            self.ep[ch_idx].ch.done = true;
-            return;
-        }
-        self.advance_channel(ctx, ch_idx);
-    }
-
-    /// Pushes a channel forward: translation (TLB or walk), then the port
-    /// access for the current line segment.
-    fn advance_channel(&mut self, ctx: &mut Ctx<'_>, ch_idx: usize) {
-        let (va, write, seg) = {
-            let ch = &self.ep[ch_idx].ch;
-            let Some(op) = &ch.op else { return };
-            if ch.done {
-                return;
-            }
-            match ch.state {
-                ChState::Translate => {}
-                ChState::AccessHit { at, pa, seg, write } if ctx.cycle >= at => {
-                    self.complete_segment(ctx, ch_idx, pa, seg, write);
-                    return;
-                }
-                _ => return,
-            }
-            let (va0, write) = match op {
-                MteOp::Read { va } => (*va, false),
-                MteOp::Write { va } => (*va, true),
+    /// A channel's page fault raises the Cohort interrupt (§4.4); a
+    /// retried request translates again on the next step.
+    fn on_stall(&mut self, ctx: &mut Ctx<'_>, r: Result<(), Stall>) {
+        let Err(Stall::Fault { va }) = r else { return };
+        self.counters.faults.inc();
+        if !self.irq_outstanding {
+            self.irq_outstanding = true;
+            let irq = Msg::Irq {
+                irq: self.irq_num,
+                payload: va,
             };
-            let va = va0 + ch.offset as u64;
-            let line_rem = (LINE_BYTES - (va % LINE_BYTES)) as usize;
-            let seg = line_rem.min(ch.buf.len() - ch.offset);
-            (va, write, seg)
-        };
-        match self.mmu.lookup(va) {
-            TlbResult::Hit { pa } => {
-                // A whole-line write can skip the DRAM fetch (the WCM
-                // write-combines full output lines).
-                let full_line = write && seg == LINE_BYTES as usize && pa % LINE_BYTES == 0;
-                match self
-                    .port
-                    .request_opts(ctx, pa, write, Self::token(ch_idx, false), full_line)
-                {
-                    Outcome::Hit { ready_at } => {
-                        self.ep[ch_idx].ch.state = ChState::AccessHit {
-                            at: ready_at,
-                            pa,
-                            seg,
-                            write,
-                        };
-                    }
-                    Outcome::Pending => {
-                        self.ep[ch_idx].ch.state = ChState::AccessWait { pa, seg, write };
-                    }
-                    Outcome::Retry => { /* stay in Translate; retry next cycle */ }
-                }
-            }
-            TlbResult::Miss => {
-                let walk = self.mmu.begin_walk(va);
-                let WalkStep::NeedPte { pa } = walk.step() else {
-                    unreachable!("fresh walk always needs a PTE")
-                };
-                self.ep[ch_idx].ch.walk = Some(walk);
-                self.issue_pte_read(ctx, ch_idx, pa);
-            }
+            ctx.send(self.irq_target, irq);
         }
     }
 
@@ -981,7 +748,7 @@ impl CohortEngine {
     /// completed, and clears the signal that read answered.
     fn arm_rcm(&mut self, side: usize) {
         let ep = &mut self.ep[side];
-        let line = line_of(ep.ch.last_pa);
+        let line = line_of(ep.ch.last_pa());
         if ep.rcm_line != Some(line) {
             if let Some(old) = ep.rcm_line {
                 self.port.unpin(old);
@@ -1023,11 +790,8 @@ impl CohortEngine {
 
     /// Starts an MTE read of `len` bytes at `va` on `side`'s channel.
     fn mte_read(&mut self, ctx: &mut Ctx<'_>, side: usize, va: u64, len: usize, transient: bool) {
-        self.ep[side]
-            .ch
-            .start(MteOp::Read { va }, transient)
-            .resize(len, 0);
-        self.advance_channel(ctx, side);
+        self.ep[side].ch.start(va, false, transient).resize(len, 0);
+        self.advance(ctx, side);
     }
 
     /// One 8-byte queue-index read on `side`'s channel: yields the value
@@ -1041,7 +805,7 @@ impl CohortEngine {
         transient: bool,
     ) -> Option<u64> {
         if self.ep[side].ch.finish() {
-            return Some(word_at(&self.ep[side].ch.buf, 0));
+            return Some(word_at(self.ep[side].ch.buf(), 0));
         }
         if self.ep[side].ch.idle() && self.mte_free(side) {
             self.mte_read(ctx, side, va, 8, transient);
@@ -1060,9 +824,9 @@ impl CohortEngine {
             (ep.q.wr_va, self.wr)
         };
         ep.ch
-            .start(MteOp::Write { va }, true)
+            .start(va, true, true)
             .extend_from_slice(&index.to_le_bytes());
-        self.advance_channel(ctx, side);
+        self.advance(ctx, side);
     }
 
     /// Elements the consumer moves per accelerator data block.
@@ -1100,7 +864,7 @@ impl CohortEngine {
                         return;
                     }
                     self.csr_pending = false;
-                    if self.accel.configure(&self.ep[CH_CONS].ch.buf).is_err() {
+                    if self.accel.configure(self.ep[CH_CONS].ch.buf()).is_err() {
                         // A bad CSR buffer is user error, not a model
                         // bug: latch it and wait for software.
                         self.raise_error(ctx, regs::ERR_CSR_REJECTED);
@@ -1161,7 +925,7 @@ impl CohortEngine {
                 }
             }
             ConsState::Feed { mut fed, n } => {
-                let data = &self.ep[CH_CONS].ch.buf;
+                let data = self.ep[CH_CONS].ch.buf();
                 let len = data.len();
                 // A stalled accelerator holds ready low: nothing is fed.
                 if fed < len && !self.stalled(ctx.cycle) && self.accel.ready(ctx.cycle) {
@@ -1259,9 +1023,9 @@ impl CohortEngine {
                 let va = q.slot_va(self.wr);
                 self.ep[CH_PROD]
                     .ch
-                    .start(MteOp::Write { va }, true)
+                    .start(va, true, true)
                     .extend(self.stage.drain(..bytes));
-                self.advance_channel(ctx, CH_PROD);
+                self.advance(ctx, CH_PROD);
                 self.ep[CH_PROD].backoff = self.backoff; // progress: reset backoff
                 self.prod = ProdState::WriteData { n };
             }
@@ -1298,28 +1062,12 @@ impl CohortEngine {
         if let TlbResult::Hit { pa } = self.mmu.lookup(va) {
             return Some(pa);
         }
-        let mut walk = self.mmu.begin_walk(va);
-        let mut step = walk.step();
-        loop {
-            match step {
-                WalkStep::NeedPte { pa } => {
-                    let pte = ctx.mem.read_u64(pa);
-                    step = walk.feed(pte);
-                }
-                WalkStep::Done {
-                    va_page,
-                    pa_page,
-                    size,
-                    ..
-                } => {
-                    self.mmu.insert(va_page, pa_page, size);
-                    match self.mmu.lookup(va) {
-                        TlbResult::Hit { pa } => return Some(pa),
-                        TlbResult::Miss => return None,
-                    }
-                }
-                WalkStep::Fault => return None,
-            }
+        let root = self.mmu.root_pa()?;
+        let walk = sv39::walk(&ctx.mem, root, va)?;
+        self.mmu.insert(va, walk.pa, walk.size);
+        match self.mmu.lookup(va) {
+            TlbResult::Hit { pa } => Some(pa),
+            TlbResult::Miss => None,
         }
     }
 
@@ -1368,7 +1116,7 @@ impl CohortEngine {
                 // with wr unpublished. Put it back in front of the stage:
                 // the flush below rewrites the same slots with the same
                 // bytes, so the completed prefix is rewritten harmlessly.
-                let buf = std::mem::take(&mut self.ep[CH_PROD].ch.buf);
+                let buf = self.ep[CH_PROD].ch.buf().iter().copied();
                 self.stage.splice(0..0, buf);
             }
             ProdState::WcmDrain { n, .. } => {
@@ -1389,7 +1137,7 @@ impl CohortEngine {
                 // read index stays unadvanced and a resuming binding
                 // refetches the whole chunk (a resume resets the ratchet,
                 // so rescued words could not survive it).
-                for word in self.ep[CH_CONS].ch.buf[fed..].chunks_exact(8) {
+                for word in self.ep[CH_CONS].ch.buf()[fed..].chunks_exact(8) {
                     self.accel.push_word(word_at(word, 0));
                 }
                 self.rd += n;
@@ -1503,7 +1251,7 @@ impl CohortEngine {
         let staged = [0, self.stage.len()];
         let mut bits = 0;
         for side in [CH_CONS, CH_PROD] {
-            let offset = self.ep[side].ch.offset;
+            let offset = self.ep[side].ch.offset();
             let sig = (labels[side], moved[side], offset, staged[side]);
             if self.benign(side, dead) || sig != self.ep[side].sig {
                 self.ep[side].sig = sig;
@@ -1613,8 +1361,8 @@ impl Component for CohortEngine {
             ("backoffs", &c.backoffs),
             ("faults", &c.faults),
             ("full_stalls", &c.full_stalls),
-            ("tlb_hits", &c.tlb_hits),
-            ("tlb_misses", &c.tlb_misses),
+            ("tlb_hits", &self.mmu.counters().hits),
+            ("tlb_misses", &self.mmu.counters().misses),
             ("watchdog_trips", &c.watchdog_trips),
             ("error_irqs", &c.error_irqs),
             ("drained_elems", &c.drained_elems),
@@ -1683,8 +1431,8 @@ impl Component for CohortEngine {
             return;
         }
         // Advance hit-path channel completions.
-        for i in 0..2 {
-            self.advance_channel(ctx, i);
+        for side in [CH_CONS, CH_PROD] {
+            self.advance(ctx, side);
         }
         // An injected stall freezes the accelerator pipeline entirely: no
         // launches, no retirements, valid/ready both held low.
@@ -1702,11 +1450,7 @@ impl Component for CohortEngine {
                 self.resume_watch = None;
             }
         }
-        // Mirror the MMU's plain counters into the registry-backed cells
-        // and sample queue occupancy as seen by the engine.
-        let m = self.mmu.counters();
-        self.counters.tlb_hits.set(m.hits);
-        self.counters.tlb_misses.set(m.misses);
+        // Sample queue occupancy as seen by the engine.
         self.in_occupancy
             .record(self.known_wr.saturating_sub(self.rd));
         self.out_occupancy
@@ -1726,24 +1470,9 @@ impl Component for CohortEngine {
             }
             u64::MAX // frozen datapath: only the watchdog (below) can act
         } else {
-            // Per-channel bound: only the translate/retry loop and a
-            // scheduled hit completion act on their own — walks, misses
-            // and faults resolve via port messages, whose delivery forces
-            // a stepped cycle anyway.
-            let chan = |i: usize| -> u64 {
-                let ch = &self.ep[i].ch;
-                if ch.op.is_none() || ch.done {
-                    return u64::MAX; // nothing in flight / endpoint's move
-                }
-                match ch.state {
-                    ChState::Translate => 0, // issues or retries every cycle
-                    ChState::AccessHit { at, .. } => at.saturating_sub(now),
-                    ChState::WalkWait | ChState::WaitFault | ChState::AccessWait { .. } => u64::MAX,
-                }
-            };
             // An endpoint mid-transfer is frozen until its channel either
-            // completes (`done`, consumed next step) or frees up.
-            let actionable = |i: usize| self.ep[i].ch.op.is_none() || self.ep[i].ch.done;
+            // completes (consumed next step) or frees up.
+            let actionable = |i: usize| self.ep[i].ch.settled();
             let cons = match self.cons {
                 ConsState::Off | ConsState::Halted => u64::MAX,
                 ConsState::Waiting => {
@@ -1757,7 +1486,7 @@ impl Component for CohortEngine {
                 }
                 ConsState::Backoff { until } => until.saturating_sub(now),
                 ConsState::Feed { fed, .. } => {
-                    if fed < self.ep[CH_CONS].ch.buf.len() {
+                    if fed < self.ep[CH_CONS].ch.buf().len() {
                         if self.stalled(now) {
                             // Frozen feed; the injector re-hints everyone
                             // when the stall window closes.
@@ -1823,8 +1552,10 @@ impl Component for CohortEngine {
                 // producer's stage can take it.
                 self.accel.next_event(now, self.stage_ready())
             };
-            chan(CH_CONS)
-                .min(chan(CH_PROD))
+            self.ep[CH_CONS]
+                .ch
+                .hint(now)
+                .min(self.ep[CH_PROD].ch.hint(now))
                 .min(cons)
                 .min(prod)
                 .min(accel)
@@ -1900,9 +1631,9 @@ impl Component for CohortEngine {
             ("backoffs".into(), c.backoffs.get()),
             ("faults".into(), c.faults.get()),
             ("full_stalls".into(), c.full_stalls.get()),
-            ("tlb_hits".into(), m.hits),
-            ("tlb_misses".into(), m.misses),
-            ("tlb_flushes".into(), m.flushes),
+            ("tlb_hits".into(), m.hits.get()),
+            ("tlb_misses".into(), m.misses.get()),
+            ("tlb_flushes".into(), m.flushes.get()),
             ("watchdog_trips".into(), c.watchdog_trips.get()),
             ("error_irqs".into(), c.error_irqs.get()),
             ("drained_elems".into(), c.drained_elems.get()),

@@ -13,7 +13,7 @@ use cohort_os::CohortDriver;
 use cohort_queue::QueueLayout;
 use cohort_sim::component::TileCoord;
 use cohort_sim::config::SocConfig;
-use cohort_sim::core::{HandlerAction, InOrderCore, IrqHandler};
+use cohort_sim::core::{InOrderCore, IrqHandler};
 use cohort_sim::directory::Directory;
 use cohort_sim::faultinject::FOREVER;
 use cohort_sim::mem::MemAccess;
@@ -90,8 +90,8 @@ impl Rig {
             "consumed" => e.engine_counters().consumed.get(),
             "produced" => e.engine_counters().produced.get(),
             "rcm" => e.engine_counters().rcm_invalidations.get(),
-            "tlb_flushes" => e.mmu_counters().flushes,
-            "tlb_misses" => e.mmu_counters().misses,
+            "tlb_flushes" => e.mmu_counters().flushes.get(),
+            "tlb_misses" => e.mmu_counters().misses.get(),
             "backoffs" => e.engine_counters().backoffs.get(),
             "watchdog_trips" => e.engine_counters().watchdog_trips.get(),
             "error_irqs" => e.engine_counters().error_irqs.get(),
@@ -116,7 +116,7 @@ impl Rig {
             IrqHandler {
                 entry_cycles: 10,
                 entry_insts: 5,
-                action: HandlerAction::Custom(Box::new(|_, _, _| Vec::new())),
+                action: Box::new(|_, _, _| Vec::new()),
             },
         );
     }

@@ -2,21 +2,18 @@
 
 use cohort_accel::ratchet::pop_le_word;
 use cohort_accel::timing::TimedAccel;
-use cohort_os::mmu::{DeviceMmu, TlbResult, WalkMachine, WalkStep};
+use cohort_os::mmu::DeviceMmu;
+use cohort_os::mte::{self, MteChannel, Stall};
 use cohort_sim::component::{CompId, Component, Ctx, Observability};
-use cohort_sim::config::{CacheConfig, SocConfig};
+use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::FaultState;
-use cohort_sim::mem::MemAccess;
 use cohort_sim::msg::Msg;
-use cohort_sim::port::{CoherentPort, Outcome, PortEvent};
+use cohort_sim::port::{CoherentPort, PortEvent};
 use cohort_sim::stats::Counter;
 use cohort_sim::LINE_BYTES;
 use std::collections::VecDeque;
 
 use crate::regs;
-
-const TOK_ACCESS: u64 = 0;
-const TOK_PTE: u64 = 1;
 
 /// A held (blocking) MMIO request.
 #[derive(Debug, Clone, Copy)]
@@ -31,31 +28,6 @@ enum HeldMmio {
 enum DmaState {
     Idle,
     Running,
-}
-
-/// One in-flight coherent access of the DMA engine.
-#[derive(Debug, Clone, Copy)]
-enum Access {
-    None,
-    /// Walking the page table; the access geometry is retried after the
-    /// walk completes.
-    Walk {
-        len: usize,
-        write: bool,
-    },
-    /// Waiting for a line grant.
-    Wait {
-        pa: u64,
-        len: usize,
-        write: bool,
-    },
-    /// Line granted with hit latency; completes at `at`.
-    Hit {
-        at: u64,
-        pa: u64,
-        len: usize,
-        write: bool,
-    },
 }
 
 /// The error sentinel a fail-stopped MAPLE unit returns for blocking
@@ -102,8 +74,8 @@ pub struct MapleUnit {
     fed: u64,
     out_stage: Vec<u8>,
     dst_off: u64,
-    access: Access,
-    walk: Option<WalkMachine>,
+    /// The DMA's MTE channel: one access in flight at a time.
+    mte: MteChannel,
     mmio_latency: u64,
     counters: MapleCounters,
     /// SoC-wide fault switches, from [`Component::attach`]: injected
@@ -132,11 +104,11 @@ impl MapleUnit {
         mmio_base: u64,
         accel: Box<dyn cohort_accel::Accelerator>,
     ) -> Self {
-        let lines = cfg.mte_lines.max(4);
+        let (port, mmu) = mte::memory(dir, cfg);
         Self {
             mmio_base,
-            port: CoherentPort::new(dir, CacheConfig::new(lines * LINE_BYTES, lines as u32), 1),
-            mmu: DeviceMmu::new(cfg.tlb_entries),
+            port,
+            mmu,
             accel: TimedAccel::new(accel),
             held: VecDeque::new(),
             csr_stage: Vec::new(),
@@ -149,8 +121,7 @@ impl MapleUnit {
             fed: 0,
             out_stage: Vec::new(),
             dst_off: 0,
-            access: Access::None,
-            walk: None,
+            mte: MteChannel::new(0),
             mmio_latency: cfg.timing.mmio_device,
             counters: MapleCounters::default(),
             fault_state: FaultState::default(),
@@ -197,8 +168,7 @@ impl MapleUnit {
             }
         }
         self.dma_state = DmaState::Idle;
-        self.access = Access::None;
-        self.walk = None;
+        self.mte.cancel();
         self.in_buf.clear();
         self.out_stage.clear();
     }
@@ -241,6 +211,7 @@ impl MapleUnit {
             regs::RESET => {
                 self.accel.reset();
                 self.dma_state = DmaState::Idle;
+                self.mte.cancel();
                 self.in_buf.clear();
                 self.out_stage.clear();
                 self.csr_stage.clear();
@@ -322,102 +293,42 @@ impl MapleUnit {
         self.held = held;
     }
 
-    /// Starts a translated coherent access; returns false if one is
-    /// already in flight.
-    fn start_access(&mut self, ctx: &mut Ctx<'_>, va: u64, len: usize, write: bool) -> bool {
-        if !matches!(self.access, Access::None) {
-            return false;
-        }
-        match self.mmu.lookup(va) {
-            TlbResult::Hit { pa } => {
-                self.issue(ctx, pa, len, write);
-            }
-            TlbResult::Miss => {
-                let walk = self.mmu.begin_walk(va);
-                let WalkStep::NeedPte { pa } = walk.step() else {
-                    unreachable!()
-                };
-                self.walk = Some(walk);
-                self.access = Access::Walk { len, write };
-                self.pte_read(ctx, pa, len, write);
-            }
-        }
-        true
-    }
-
-    fn issue(&mut self, ctx: &mut Ctx<'_>, pa: u64, len: usize, write: bool) {
-        match self.port.request(ctx, pa, write, TOK_ACCESS) {
-            Outcome::Hit { ready_at } => {
-                self.access = Access::Hit {
-                    at: ready_at,
-                    pa,
-                    len,
-                    write,
-                };
-            }
-            Outcome::Pending => self.access = Access::Wait { pa, len, write },
-            // No `Completed` follows a retry: free the slot, and the DMA
-            // loop derives the access again next step.
-            Outcome::Retry => self.access = Access::None,
-        }
-    }
-
-    fn pte_read(&mut self, ctx: &mut Ctx<'_>, pte_pa: u64, len: usize, write: bool) {
-        match self.port.request(ctx, pte_pa, false, TOK_PTE) {
-            Outcome::Hit { .. } => self.feed_pte(ctx, len, write),
-            Outcome::Pending => {}
-            Outcome::Retry => {
-                // Restart translation next step.
-                self.walk = None;
-                self.access = Access::None;
-            }
-        }
-    }
-
-    fn feed_pte(&mut self, ctx: &mut Ctx<'_>, len: usize, write: bool) {
-        let Some(walk) = self.walk.as_mut() else {
-            return;
-        };
-        let WalkStep::NeedPte { pa } = walk.step() else {
-            return;
-        };
-        let pte = ctx.mem.read_u64(pa);
-        match walk.feed(pte) {
-            WalkStep::NeedPte { pa } => self.pte_read(ctx, pa, len, write),
-            WalkStep::Done {
-                pa,
-                va_page,
-                pa_page,
-                size,
-            } => {
-                self.mmu.insert(va_page, pa_page, size);
-                self.walk = None;
-                self.issue(ctx, pa, len, write);
-            }
-            WalkStep::Fault => {
-                panic!(
-                    "MAPLE DMA page fault at va {:#x} (memory must be mapped)",
-                    walk.va()
-                )
-            }
-        }
-    }
-
-    fn complete_access(&mut self, ctx: &mut Ctx<'_>, pa: u64, len: usize, write: bool) {
+    /// Starts a coherent access of `len` bytes at `va`; a write stores
+    /// the head of the result stage, which drains when it completes.
+    fn start_access(&mut self, ctx: &mut Ctx<'_>, va: u64, len: usize, write: bool) {
+        let buf = self.mte.start(va, write, false);
         if write {
-            let n = len.min(self.out_stage.len());
-            let bytes: Vec<u8> = self.out_stage.drain(..n).collect();
-            ctx.mem.write_bytes(pa, &bytes);
+            buf.extend_from_slice(&self.out_stage[..len]);
+        } else {
+            buf.resize(len, 0);
+        }
+        let r = self.mte.advance(ctx, &mut self.port, &mut self.mmu);
+        self.settle(r);
+    }
+
+    /// Takes the channel's outcome: a retry frees the slot for the DMA loop
+    /// to pick afresh next step, and a completed access moves its bytes.
+    fn settle(&mut self, r: Result<(), Stall>) {
+        match r {
+            Ok(()) => {}
+            Err(Stall::Retry) => self.mte.cancel(),
+            Err(Stall::Fault { va }) => {
+                panic!("MAPLE DMA page fault at va {va:#x} (memory must be mapped)")
+            }
+        }
+        if !self.mte.finish() {
+            return;
+        }
+        let n = self.mte.buf().len();
+        if self.mte.writing() {
+            self.out_stage.drain(..n);
             self.dst_off += n as u64;
             self.counters.dma_out_bytes.add(n as u64);
         } else {
-            let mut buf = vec![0u8; len];
-            ctx.mem.read_bytes(pa, &mut buf);
-            self.in_buf.extend(buf);
-            self.src_off += len as u64;
-            self.counters.dma_in_bytes.add(len as u64);
+            self.in_buf.extend(self.mte.buf());
+            self.src_off += n as u64;
+            self.counters.dma_in_bytes.add(n as u64);
         }
-        self.access = Access::None;
     }
 
     /// The DMA writer wants the access slot: a full result line is staged,
@@ -448,7 +359,7 @@ impl MapleUnit {
             && self.fed * 8 >= self.dma_len
             && self.accel.is_idle()
             && self.out_stage.is_empty()
-            && matches!(self.access, Access::None)
+            && self.mte.idle()
     }
 
     fn step_dma(&mut self, ctx: &mut Ctx<'_>) {
@@ -457,7 +368,7 @@ impl MapleUnit {
         }
         // Writer has priority: drain results into the destination buffer a
         // line at a time (the coherent TRI store path).
-        if matches!(self.access, Access::None) {
+        if self.mte.idle() {
             if self.dma_wants_flush() {
                 let va = self.dma_dst + self.dst_off;
                 let contig = (LINE_BYTES - (va % LINE_BYTES)) as usize;
@@ -507,22 +418,12 @@ impl Component for MapleUnit {
         while let Some(env) = ctx.recv() {
             match &env.msg {
                 m if CoherentPort::wants(m) => {
-                    let events = self.port.handle(&env, ctx);
-                    for ev in events {
+                    for ev in self.port.handle(&env, ctx) {
                         if let PortEvent::Completed { token } = ev {
-                            match token {
-                                TOK_ACCESS => {
-                                    if let Access::Wait { pa, len, write } = self.access {
-                                        self.complete_access(ctx, pa, len, write);
-                                    }
-                                }
-                                TOK_PTE => {
-                                    if let Access::Walk { len, write } = self.access {
-                                        self.feed_pte(ctx, len, write);
-                                    }
-                                }
-                                _ => {}
-                            }
+                            let r = self
+                                .mte
+                                .completed(ctx, &mut self.port, &mut self.mmu, token);
+                            self.settle(r);
                         }
                     }
                 }
@@ -543,11 +444,8 @@ impl Component for MapleUnit {
             return;
         }
         // Hit-path access completion.
-        if let Access::Hit { at, pa, len, write } = self.access {
-            if ctx.cycle >= at {
-                self.complete_access(ctx, pa, len, write);
-            }
-        }
+        let r = self.mte.advance(ctx, &mut self.port, &mut self.mmu);
+        self.settle(r);
         if self.stalled(ctx.cycle) {
             // Injected stall: valid/ready low across the accelerator
             // interface — held requests and the DMA datapath wait it out.
@@ -569,11 +467,7 @@ impl Component for MapleUnit {
         }
         // The hit-path completion runs even while stalled, so its bound
         // applies unconditionally.
-        let k = match self.access {
-            Access::Hit { at, .. } => at.saturating_sub(now),
-            // Walk/Wait resolve via port messages; None waits on MMIO.
-            _ => u64::MAX,
-        };
+        let k = self.mte.hint(now);
         if self.stalled(now) {
             // Injected stall: the datapath below is frozen, and the
             // injector re-hints everyone when the stall window closes.
@@ -587,7 +481,7 @@ impl Component for MapleUnit {
         let running = self.dma_state == DmaState::Running;
         let mut sink_ready = false;
         if running {
-            let slot_free = matches!(self.access, Access::None);
+            let slot_free = self.mte.idle();
             if (slot_free && (self.dma_wants_flush() || self.dma_wants_fetch()))
                 || (self.in_buf.len() >= 8 && self.accel.ready(now))
                 || self.dma_finished()
@@ -610,7 +504,7 @@ impl Component for MapleUnit {
     fn is_idle(&self) -> bool {
         self.held.is_empty()
             && self.dma_state == DmaState::Idle
-            && matches!(self.access, Access::None)
+            && self.mte.idle()
             && self.port.is_idle()
     }
 
@@ -640,8 +534,8 @@ impl Component for MapleUnit {
             ("dma_in_bytes".into(), c.dma_in_bytes.get()),
             ("dma_out_bytes".into(), c.dma_out_bytes.get()),
             ("fail_stops".into(), c.fail_stops.get()),
-            ("tlb_hits".into(), m.hits),
-            ("tlb_misses".into(), m.misses),
+            ("tlb_hits".into(), m.hits.get()),
+            ("tlb_misses".into(), m.misses.get()),
         ]
     }
 }

@@ -310,6 +310,63 @@ fn back_to_back_dma_transfers() {
     assert_eq!(got, expect);
 }
 
+#[test]
+fn reset_abandons_an_in_flight_dma_access() {
+    // A DMA is started and reset while its first access is still walking
+    // the page table; a fresh DMA then must see none of the abandoned
+    // transfer's data.
+    let mut rig = rig(Box::new(NullFifo::new()));
+    let [old_src, old_dst, src, dst] = [(); 4].map(|_| {
+        rig.space
+            .malloc(&mut rig.soc.mem, &mut rig.frames, 256, 4096)
+    });
+    let mut p = Program::new();
+    let mmio = |reg: u64, value: u64| Op::MmioStore {
+        pa: MAPLE_MMIO + reg,
+        value,
+    };
+    p.push(mmio(regs::DMA_PTROOT, rig.space.root_pa()));
+    for (va, value) in [(old_src, 0xbb00), (src, 0xaa00)] {
+        for i in 0..32u64 {
+            p.push(Op::Store {
+                va: va + i * 8,
+                value: value + i,
+            });
+        }
+    }
+    p.push(Op::Fence);
+    for (from, to) in [(old_src, old_dst), (src, dst)] {
+        p.push(mmio(regs::DMA_SRC, from));
+        p.push(mmio(regs::DMA_DST, to));
+        p.push(mmio(regs::DMA_LEN, 256));
+        p.push(mmio(regs::DMA_START, 1));
+        if from == old_src {
+            p.push(mmio(regs::RESET, 1));
+        }
+    }
+    p.push(Op::MmioLoad {
+        pa: MAPLE_MMIO + regs::DMA_DONE,
+        record: true,
+    });
+    for i in 0..32u64 {
+        p.push(Op::Load {
+            va: dst + i * 8,
+            record: true,
+        });
+    }
+    let got = rig.run_program(p);
+    assert_eq!(got[0], 256, "DONE reports the fresh transfer's bytes");
+    let expect: Vec<u64> = (0..32).map(|i| 0xaa00 + i).collect();
+    assert_eq!(&got[1..], &expect[..]);
+    let maple = rig
+        .soc
+        .component::<MapleUnit>(cohort_sim::component::CompId(2))
+        .unwrap();
+    // Only the fresh transfer moved data: the reset access never landed.
+    assert_eq!(maple.maple_counters().dma_in_bytes.get(), 256);
+    assert_eq!(maple.maple_counters().dma_transfers.get(), 1);
+}
+
 /// Runs `program` under forced stepping and under `Auto`, asserts that
 /// everything simulated is equal, and returns `(cycles, Auto slot-steps)`.
 fn auto_matches_force1(

@@ -13,7 +13,7 @@
 use crate::addrspace::AddressSpace;
 use crate::frame::FrameAllocator;
 use cohort_queue::QueueDescriptor;
-use cohort_sim::core::{HandlerAction, InOrderCore, IrqHandler};
+use cohort_sim::core::{InOrderCore, IrqHandler};
 use cohort_sim::mem::MemAccess;
 use cohort_sim::program::{Op, Program};
 use std::cell::RefCell;
@@ -402,10 +402,10 @@ impl CohortDriver {
             IrqHandler {
                 entry_cycles: 400,
                 entry_insts: 300,
-                action: HandlerAction::Custom(Box::new(move |mem, faulting_va, _cycle| {
+                action: Box::new(move |mem, faulting_va, _cycle| {
                     fault_in(mem, &engine_vm, engine_swap.as_ref(), faulting_va);
                     vec![(resolve_reg, 0)]
-                })),
+                }),
             },
         );
         core.set_fault_hook(Box::new(move |mem, va| {
@@ -441,7 +441,7 @@ impl CohortDriver {
             IrqHandler {
                 entry_cycles: 400,
                 entry_insts: 300,
-                action: HandlerAction::Custom(Box::new(move |mem, _error_bits, _cycle| {
+                action: Box::new(move |mem, _error_bits, _cycle| {
                     let now = progress();
                     if last_progress.is_some_and(|prev| now > prev) {
                         // The engine moved elements since the last
@@ -457,7 +457,7 @@ impl CohortDriver {
                         fallback(mem);
                         vec![(enable_reg, 0)]
                     }
-                })),
+                }),
             },
         );
     }
@@ -491,7 +491,7 @@ impl CohortDriver {
             IrqHandler {
                 entry_cycles: 400,
                 entry_insts: 300,
-                action: HandlerAction::Custom(Box::new(move |mem, error_bits, cycle| {
+                action: Box::new(move |mem, error_bits, cycle| {
                     if error_bits & regs::ERR_ENGINE_DEAD == 0 {
                         // Recoverable class: clear and retry in place.
                         return vec![(status_reg, 0)];
@@ -543,7 +543,7 @@ impl CohortDriver {
                     // Resume: enable is the final write.
                     writes.push((s.reg(regs::ENABLE), 1));
                     writes
-                })),
+                }),
             },
         );
     }

@@ -14,8 +14,11 @@
 //!   [`cohort_sim::translate::Translator`] for core-side accesses;
 //! * [`mmu`] — the device MMU model shared by the Cohort engine and the
 //!   MAPLE baseline: a small fully-associative TLB (16 entries, §5) plus an
-//!   incremental Sv39 walk state machine the owning component drives with
-//!   timed coherent reads;
+//!   incremental Sv39 walk state machine;
+//! * [`mte`] — the memory transaction engine channel both devices reach
+//!   memory through: it splits an access at line boundaries, translates
+//!   each piece (driving the walk with timed coherent PTE reads) and
+//!   moves it through the device's coherent port;
 //! * [`driver`] — the Cohort kernel driver: the engine's register map
 //!   (uapi), `cohort_register`/`cohort_unregister` syscall cost models that
 //!   expand into MMIO programming sequences, TLB-shootdown (MMU notifier)
@@ -27,10 +30,9 @@ pub mod addrspace;
 pub mod driver;
 pub mod frame;
 pub mod mmu;
-pub mod process;
+pub mod mte;
 pub mod sv39;
 
 pub use addrspace::AddressSpace;
 pub use driver::{CohortDriver, Placement, ShardAssignment, ShardError, ShardPool};
 pub use frame::FrameAllocator;
-pub use process::Process;

@@ -4,12 +4,13 @@
 //! independence from the cores in the SoC." This module provides the
 //! ISA-native (Sv39) MMU used by both the Cohort engine and the MAPLE
 //! baseline unit: a small fully-associative TLB with LRU replacement and
-//! superpage entries, plus an incremental walk state machine. The owning
-//! component drives the walk by issuing *timed, coherent* reads of each
-//! PTE (so walks cost real cycles and real coherence traffic) and feeding
-//! the values back.
+//! superpage entries, plus an incremental walk state machine. The
+//! [`crate::mte::MteChannel`] drives the walk by issuing *timed, coherent*
+//! reads of each PTE (so walks cost real cycles and real coherence
+//! traffic) and feeding the values back.
 
 use crate::sv39::{self, PageSize};
+use cohort_sim::stats::Counter;
 
 /// One TLB entry.
 #[derive(Debug, Clone, Copy)]
@@ -32,17 +33,17 @@ pub enum TlbResult {
     Miss,
 }
 
-/// Counters for the MMU.
+/// Counters for the MMU: registry [`Counter`] cells an owner may adopt.
 #[derive(Debug, Default, Clone)]
 pub struct MmuCounters {
     /// TLB hits.
-    pub hits: u64,
+    pub hits: Counter,
     /// TLB misses (walks started).
-    pub misses: u64,
+    pub misses: Counter,
     /// Page faults raised.
-    pub faults: u64,
+    pub faults: Counter,
     /// TLB flushes (MMU-notifier shootdowns).
-    pub flushes: u64,
+    pub flushes: Counter,
 }
 
 /// A fully-associative, LRU TLB with a page-table-walk state machine.
@@ -68,8 +69,7 @@ impl DeviceMmu {
     /// Sets the page-table root (the driver writes this at registration).
     pub fn set_root(&mut self, root_pa: u64) {
         self.root_pa = Some(root_pa);
-        self.flush();
-        self.counters.flushes -= 1; // set_root's flush is not a shootdown
+        self.entries.fill(None); // not a shootdown: no flush counted
     }
 
     /// The configured root, if any.
@@ -79,8 +79,8 @@ impl DeviceMmu {
 
     /// Flushes the whole TLB (MMU-notifier shootdown, §4.4).
     pub fn flush(&mut self) {
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.counters.flushes += 1;
+        self.entries.fill(None);
+        self.counters.flushes.inc();
     }
 
     /// Counter snapshot.
@@ -96,13 +96,13 @@ impl DeviceMmu {
             let bytes = e.size.bytes();
             if va >= e.va_base && va < e.va_base + bytes {
                 e.lru = tick;
-                self.counters.hits += 1;
+                self.counters.hits.inc();
                 return TlbResult::Hit {
                     pa: e.pa_base + (va - e.va_base),
                 };
             }
         }
-        self.counters.misses += 1;
+        self.counters.misses.inc();
         TlbResult::Miss
     }
 
@@ -145,7 +145,7 @@ impl DeviceMmu {
     ///
     /// # Panics
     /// Panics if no root has been configured.
-    pub fn begin_walk(&mut self, va: u64) -> WalkMachine {
+    pub(crate) fn begin_walk(&mut self, va: u64) -> WalkMachine {
         let root = self.root_pa.expect("MMU root not configured");
         WalkMachine {
             va,
@@ -154,16 +154,16 @@ impl DeviceMmu {
         }
     }
 
-    /// Records a fault (for counters) — called by the component when a walk
-    /// ends in [`WalkStep::Fault`].
-    pub fn note_fault(&mut self) {
-        self.counters.faults += 1;
+    /// Records a fault (for counters) — called when a walk ends in
+    /// [`WalkStep::Fault`].
+    pub(crate) fn note_fault(&mut self) {
+        self.counters.faults.inc();
     }
 }
 
-/// Incremental page-table walk driven by the owning component.
+/// Incremental page-table walk driven by an [`crate::mte::MteChannel`].
 #[derive(Debug, Clone, Copy)]
-pub struct WalkMachine {
+pub(crate) struct WalkMachine {
     va: u64,
     level: u32,
     table_pa: u64,
@@ -171,17 +171,12 @@ pub struct WalkMachine {
 
 /// What the walk needs or produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkStep {
-    /// The component must perform a coherent read of this PTE address and
-    /// feed the value back via [`WalkMachine::feed`].
-    NeedPte {
-        /// Physical address of the PTE to read.
-        pa: u64,
-    },
+pub(crate) enum WalkStep {
+    /// The walker must read the PTE at [`WalkMachine::pte_pa`] and feed
+    /// its value back via [`WalkMachine::feed`].
+    NeedPte,
     /// Walk finished: install `va -> pa` and retry the access.
     Done {
-        /// Translated physical address for the faulting access.
-        pa: u64,
         /// Page base virtual address.
         va_page: u64,
         /// Page base physical address.
@@ -195,19 +190,17 @@ pub enum WalkStep {
 
 impl WalkMachine {
     /// The virtual address being walked.
-    pub fn va(&self) -> u64 {
+    pub(crate) fn va(&self) -> u64 {
         self.va
     }
 
-    /// Address of the next PTE to fetch.
-    pub fn step(&self) -> WalkStep {
-        WalkStep::NeedPte {
-            pa: sv39::pte_addr(self.table_pa, self.va, self.level),
-        }
+    /// Physical address of the next PTE to fetch.
+    pub(crate) fn pte_pa(&self) -> u64 {
+        sv39::pte_addr(self.table_pa, self.va, self.level)
     }
 
     /// Feeds the fetched PTE value; returns the next step.
-    pub fn feed(&mut self, pte: u64) -> WalkStep {
+    pub(crate) fn feed(&mut self, pte: u64) -> WalkStep {
         match sv39::classify_pte(pte) {
             sv39::PteKind::Invalid => WalkStep::Fault,
             sv39::PteKind::Branch { next_table_pa } => {
@@ -216,7 +209,7 @@ impl WalkMachine {
                 }
                 self.level -= 1;
                 self.table_pa = next_table_pa;
-                self.step()
+                WalkStep::NeedPte
             }
             sv39::PteKind::Leaf { page_pa, .. } => {
                 let size = match self.level {
@@ -228,9 +221,7 @@ impl WalkMachine {
                 if page_pa % size.bytes() != 0 {
                     return WalkStep::Fault;
                 }
-                let offset = self.va & (size.bytes() - 1);
                 WalkStep::Done {
-                    pa: page_pa + offset,
                     va_page: self.va & !(size.bytes() - 1),
                     pa_page: page_pa,
                     size,
@@ -267,14 +258,14 @@ mod tests {
 
     fn drive_walk(mmu: &mut DeviceMmu, mem: &PhysMem, va: u64) -> WalkStep {
         let mut walk = mmu.begin_walk(va);
-        let mut step = walk.step();
+        let mut step = WalkStep::NeedPte;
         let mut reads = 0;
         loop {
             match step {
-                WalkStep::NeedPte { pa } => {
+                WalkStep::NeedPte => {
                     reads += 1;
                     assert!(reads <= 3, "walk must terminate in 3 reads");
-                    step = walk.feed(mem.read_u64(pa));
+                    step = walk.feed(mem.read_u64(walk.pte_pa()));
                 }
                 other => return other,
             }
@@ -289,19 +280,18 @@ mod tests {
         assert_eq!(mmu.lookup(va), TlbResult::Miss);
         match drive_walk(&mut mmu, &mem, va + 0x123) {
             WalkStep::Done {
-                pa,
                 va_page,
                 pa_page,
                 size,
             } => {
-                assert_eq!(pa, 0x180_0123);
+                assert_eq!((va_page, pa_page), (va, 0x180_0000));
                 mmu.insert(va_page, pa_page, size);
             }
             other => panic!("walk failed: {other:?}"),
         }
         assert_eq!(mmu.lookup(va + 0x456), TlbResult::Hit { pa: 0x180_0456 });
-        assert_eq!(mmu.counters().hits, 1);
-        assert_eq!(mmu.counters().misses, 1);
+        assert_eq!(mmu.counters().hits.get(), 1);
+        assert_eq!(mmu.counters().misses.get(), 1);
     }
 
     #[test]
@@ -329,7 +319,7 @@ mod tests {
         assert!(matches!(mmu.lookup(va), TlbResult::Hit { .. }));
         mmu.flush();
         assert_eq!(mmu.lookup(va), TlbResult::Miss);
-        assert_eq!(mmu.counters().flushes, 1);
+        assert_eq!(mmu.counters().flushes.get(), 1);
     }
 
     #[test]

@@ -145,8 +145,6 @@ pub struct SocConfig {
     pub engines: usize,
     /// Entries in the Cohort engine / MAPLE MMU TLB (paper: 16).
     pub tlb_entries: usize,
-    /// Lines held by the Cohort engine's memory transaction engine buffer.
-    pub mte_lines: u64,
     /// Deterministic fault-injection plan (empty by default: no faults).
     pub faults: crate::faultinject::FaultPlan,
     /// Inert: nothing in the workspace reads it, and a run is the same
@@ -175,7 +173,6 @@ impl Default for SocConfig {
             timing: TimingConfig::default(),
             engines: 1,
             tlb_entries: 16,
-            mte_lines: 8,
             faults: crate::faultinject::FaultPlan::default(),
             threads: 1,
             lookahead: Lookahead::default(),

@@ -46,26 +46,11 @@ impl PageMemo {
     }
 }
 
-/// What a modelled interrupt handler does after its entry cost.
-pub enum HandlerAction {
-    /// Write a constant to a device register (blocking MMIO).
-    MmioWrite {
-        /// Register physical address.
-        pa: u64,
-        /// Value written.
-        value: u64,
-    },
-    /// Run arbitrary host logic against guest memory (e.g. map a page into
-    /// the page tables), then perform a sequence of blocking MMIO writes
-    /// `(pa, value)` in order. Receives the interrupt payload and the
-    /// current cycle.
-    Custom(CustomHandler),
-}
-
-/// Host logic run on interrupt: may touch guest memory, then request any
-/// number of blocking MMIO writes `(pa, value)` issued strictly in order
-/// (each waits for the previous response — the failover orchestrator's
-/// rebind sequence relies on this ordering).
+/// Host logic run on interrupt: may touch guest memory (e.g. map a page
+/// into the page tables), then request any number of blocking MMIO writes
+/// `(pa, value)` issued strictly in order (each waits for the previous
+/// response — the failover orchestrator's rebind sequence relies on this
+/// ordering). Receives the interrupt payload and the current cycle.
 pub type CustomHandler = Box<dyn FnMut(&mut dyn MemAccess, u64, u64) -> Vec<(u64, u64)>>;
 
 /// Kernel page-fault path: maps the faulting page and returns true, or
@@ -73,28 +58,14 @@ pub type CustomHandler = Box<dyn FnMut(&mut dyn MemAccess, u64, u64) -> Vec<(u64
 /// view, so its page-table writes commit at the cycle barrier.
 pub type FaultHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> bool>;
 
-impl std::fmt::Debug for HandlerAction {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HandlerAction::MmioWrite { pa, value } => f
-                .debug_struct("MmioWrite")
-                .field("pa", pa)
-                .field("value", value)
-                .finish(),
-            HandlerAction::Custom(_) => f.write_str("Custom(..)"),
-        }
-    }
-}
-
 /// A registered interrupt handler.
-#[derive(Debug)]
 pub struct IrqHandler {
     /// Trap entry + handler body cost in cycles.
     pub entry_cycles: u64,
     /// Instructions attributed to the handler for IPC accounting.
     pub entry_insts: u64,
     /// Action performed at the end of the handler.
-    pub action: HandlerAction,
+    pub action: CustomHandler,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -573,16 +544,11 @@ impl InOrderCore {
         self.counters.irqs.inc();
         self.counters.instret.add(handler.entry_insts);
         let entry_cycles = handler.entry_cycles;
-        let writes = match &mut handler.action {
-            HandlerAction::MmioWrite { pa, value } => vec![(*pa, *value)],
-            HandlerAction::Custom(f) => {
-                // Host logic stores to guest memory with no grant behind
-                // it (the chaos software fallback publishes the very
-                // index this core polls).
-                self.faults.announce_bypass_write();
-                f(&mut ctx.mem, payload, ctx.cycle)
-            }
-        };
+        // Host logic stores to guest memory with no grant behind it (the
+        // chaos software fallback publishes the very index this core
+        // polls).
+        self.faults.announce_bypass_write();
+        let writes = (handler.action)(&mut ctx.mem, payload, ctx.cycle);
         self.handler_writes.extend(writes);
         // The handler's register writes are issued after its entry cost;
         // model by delaying our own readiness.

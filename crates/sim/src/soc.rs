@@ -1768,20 +1768,19 @@ mod tests {
         // forced stepping does, and announce the handler's write so that
         // it does not trust its memo afterwards. Two ignored messages
         // before it force settles in mid-sleep.
-        use crate::core::{HandlerAction, IrqHandler};
+        use crate::core::IrqHandler;
         use crate::msg::Msg;
         for (cfg, period) in spin_timings() {
             for at in 2_000..2_000 + period {
                 let what = format!("{:?} irq at {at}", cfg.timing);
                 let tune = |core: &mut InOrderCore| {
-                    let publish = HandlerAction::Custom(Box::new(|mem, _, _| {
-                        mem.write_u64(FLAG, FLAG_TARGET);
-                        Vec::new()
-                    }));
                     let handler = IrqHandler {
                         entry_cycles: 40,
                         entry_insts: 12,
-                        action: publish,
+                        action: Box::new(|mem, _, _| {
+                            mem.write_u64(FLAG, FLAG_TARGET);
+                            Vec::new()
+                        }),
                     };
                     core.register_irq_handler(3, handler);
                 };

@@ -60,14 +60,6 @@ impl Counter {
     pub fn reset(&self) {
         self.0.set(0);
     }
-
-    /// Overwrites the value. For mirroring an external monotonic source
-    /// (e.g. a device MMU that keeps plain integer counters) into the
-    /// registry; the mirrored source must itself be monotonic.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.set(v);
-    }
 }
 
 /// Number of histogram buckets: one for zero plus one per power of two.

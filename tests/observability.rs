@@ -106,3 +106,25 @@ fn untraced_run_has_stats_but_no_trace() {
     // Stats are always collected — tracing off does not disable counters.
     assert!(counter_value(&r.stats_json, "engine#0.consumed").unwrap() > 0);
 }
+
+/// A killed engine's registry TLB counters are its MMU's own cells, so
+/// the lookups its watchdog drain makes after the kill are counted too.
+#[test]
+fn killed_engine_registry_tlb_counters_match_its_mmu() {
+    use cohort::scenarios::run_cohort_chain_failover;
+    let r = run_cohort_chain_failover(&Scenario::new(Workload::Sha, 256, 8));
+    assert!(r.verified);
+    let engines: Vec<_> = r
+        .counters
+        .iter()
+        .filter(|(c, _)| c.starts_with("engine#"))
+        .collect();
+    assert_eq!(engines.len(), 3, "two chained engines and the spare");
+    for (scope, list) in engines {
+        for name in ["tlb_hits", "tlb_misses"] {
+            let mmu = list.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+            let registry = counter_value(&r.stats_json, &format!("{scope}.{name}"));
+            assert_eq!(registry, mmu, "{scope}.{name}: registry vs MMU");
+        }
+    }
+}

@@ -75,14 +75,14 @@ const ROWS: &[Row] = &[
     Row { runner: Runner::Cohort, workload: Sha, queue: 64, batch: 8, policy: Lazy, faults: "", shards: 0, want: [14111, 5698, 0x9526cff63cb170e0, 0xf9f8969bd69c3637] },
     Row { runner: Runner::Cohort, workload: Aes, queue: 1024, batch: 8, policy: Lazy, faults: "", shards: 0, want: [235399, 95143, 0x7d9d7081595dd96e, 0x7452041bbafdf983] },
     Row { runner: Runner::Chaos, workload: Aes, queue: 1024, batch: 8, policy: Lazy, faults: "stall@3000:1500;storm@5000:2", shards: 0, want: [236461, 95825, 0xf9c1c83b746df50c, 0xae722fea563fcf23] },
-    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Lazy, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [95282, 31628, 0x2664f210a3c69985, 0x19dd5a532cb99e51] },
+    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Lazy, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [95282, 31628, 0x2664f210a3c69985, 0x94fff41da59b1f25] },
     Row { runner: Runner::Mesh16, workload: Aes, queue: 64, batch: 8, policy: Lazy, faults: "", shards: 0, want: [18357, 3614, 0x04047f6fd90d5694, 0x04b9307cd60c0671] },
     // Recorded at PR 19's parent. In each the victim's watchdog checkpoint
     // republishes the write index the benchmark core is spinning on, with
     // a plain store: the core must see it as forced stepping does.
-    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0x39816f07d951f5d5] },
-    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0x577a58e54d25ae28] },
-    Row { runner: Runner::Failover, workload: Sha, queue: 512, batch: 16, policy: Eager, faults: "kill@8500:1", shards: 0, want: [56255, 20794, 0xc6d74d533cdd6ce3, 0xfad75bb2ce0192f3] },
+    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0xb8bca9bbedb18780] },
+    Row { runner: Runner::Sharded, workload: Aes, queue: 1536, batch: 8, policy: Eager, faults: "storm@3000:2;kill@9000:1", shards: 3, want: [94280, 30356, 0x255927012efd522b, 0xff13aa7662979635] },
+    Row { runner: Runner::Failover, workload: Sha, queue: 512, batch: 16, policy: Eager, faults: "kill@8500:1", shards: 0, want: [56255, 20794, 0xc6d74d533cdd6ce3, 0xcc7b292652f68cf3] },
     // A latency spike closes while messages about the polled index line
     // are in flight: the later ones would overtake the earlier ones, and
     // the NoC holds each back to the cycle of the last one about its line
