@@ -2,18 +2,17 @@
 //!
 //! ```text
 //! cohort-fleet --spec FILE [--out-dir DIR] [--threads N] [--strict]
-//!              [--baseline FILE] [--scenario NAME] [--seed N]
-//!              [--max-seeds N] [--verbose]
+//!              [--scenario NAME] [--seed N] [--verbose]
 //! ```
 //!
 //! Runs a campaign spec and writes `results/fleet_<name>.{json,md}`
 //! (summary + report) and `results/fleet_<name>_runs.json` (per-run
-//! records). Exit code 1 when any run fails to survive under `--strict`,
-//! or when `--baseline` detects a >5% p50-cycle drift or a scenario
-//! missing on either side. `--scenario`/`--seed`/`--max-seeds` narrow the
-//! spec for reproducing a reported failure (with `--seed` the full
-//! per-run record is printed to stdout), so they are refused next to
-//! `--baseline`. A committed baseline is re-blessed by running its spec.
+//! records). Exit code 1 when any run fails to survive under `--strict`.
+//! The run is cycle-deterministic, so a committed campaign is gated by
+//! comparing those three files byte for byte with `results/`, and
+//! re-blessed by running its spec into `results/`. `--scenario`/`--seed`
+//! narrow the spec for reproducing a reported failure (with `--seed` the
+//! full per-run record is printed to stdout).
 
 #![forbid(unsafe_code)]
 
@@ -21,14 +20,10 @@ use cohort_bench::fleet::{run_fleet, summarize, FleetSpec, Outcome, RunRecord};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Per-scenario baseline drift the `--baseline` gate tolerates.
-const BASELINE_TOLERANCE: f64 = 0.05;
-
 fn usage() -> ! {
     eprintln!(
         "usage: cohort-fleet --spec FILE [--out-dir DIR] [--threads N] [--strict]\n\
-         \x20                   [--baseline FILE] [--scenario NAME] [--seed N]\n\
-         \x20                   [--max-seeds N] [--verbose]\n\
+         \x20                   [--scenario NAME] [--seed N] [--verbose]\n\
          \n\
          Runs a declarative scenario campaign (see examples/fleet/) and writes\n\
          results/fleet_<name>.{{json,md}} plus per-run records."
@@ -41,10 +36,8 @@ struct Args {
     out_dir: PathBuf,
     threads: usize,
     strict: bool,
-    baseline: Option<PathBuf>,
     scenario: Option<String>,
     seed: Option<u64>,
-    max_seeds: Option<usize>,
     verbose: bool,
 }
 
@@ -54,10 +47,8 @@ fn parse_args() -> Args {
         out_dir: PathBuf::from("results"),
         threads: 0,
         strict: false,
-        baseline: None,
         scenario: None,
         seed: None,
-        max_seeds: None,
         verbose: false,
     };
     let mut it = std::env::args().skip(1);
@@ -73,7 +64,6 @@ fn parse_args() -> Args {
             "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")),
             "--threads" => args.threads = value("--threads").parse().unwrap_or_else(|_| usage()),
             "--strict" => args.strict = true,
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline"))),
             "--scenario" => args.scenario = Some(value("--scenario")),
             "--seed" => {
                 let v = value("--seed");
@@ -82,9 +72,6 @@ fn parse_args() -> Args {
                     .map(|h| u64::from_str_radix(h, 16))
                     .unwrap_or_else(|| v.parse());
                 args.seed = Some(parsed.unwrap_or_else(|_| usage()));
-            }
-            "--max-seeds" => {
-                args.max_seeds = Some(value("--max-seeds").parse().unwrap_or_else(|_| usage()))
             }
             "--verbose" => args.verbose = true,
             "--help" | "-h" => usage(),
@@ -127,15 +114,6 @@ fn main() -> ExitCode {
     let Some(spec_path) = args.spec.clone() else {
         usage()
     };
-    if args.baseline.is_some()
-        && (args.scenario.is_some() || args.seed.is_some() || args.max_seeds.is_some())
-    {
-        eprintln!(
-            "cohort-fleet: --baseline gates the whole spec; \
-             --scenario, --seed and --max-seeds narrow it"
-        );
-        std::process::exit(2);
-    }
     let mut spec = FleetSpec::load(&spec_path).unwrap_or_else(|e| {
         eprintln!("cohort-fleet: {e}");
         std::process::exit(2);
@@ -159,9 +137,6 @@ fn main() -> ExitCode {
             eprintln!("cohort-fleet: seed {seed} is not in the selected scenario's seed set");
             std::process::exit(2);
         }
-    }
-    if let Some(n) = args.max_seeds {
-        spec.truncate_seeds(n);
     }
     eprintln!(
         "campaign {:?}: {} scenario(s), {} run(s)",
@@ -200,48 +175,23 @@ fn main() -> ExitCode {
             r.scenario, r.seed, r.outcome, spec_display, r.scenario, r.seed
         );
     }
-    let mut ok = true;
-    if args.strict {
-        // Strict mode (the CI smoke gate): every run must be a clean pass
-        // or a hardware-path recovery — fallback, mismatch and hangs fail.
-        let non_pass = records
-            .iter()
-            .filter(|r| !matches!(r.outcome, Outcome::Pass | Outcome::Recovered))
-            .count();
-        if non_pass > 0 {
-            eprintln!("cohort-fleet: --strict and {non_pass} run(s) were not pass/recovered");
-            ok = false;
-        }
-    }
-    if let Some(baseline_path) = &args.baseline {
-        let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!(
-                "cohort-fleet: cannot read baseline {}: {e}",
-                baseline_path.display()
-            );
-            std::process::exit(2);
-        });
-        match cohort_bench::fleet::compare_baseline(&summary, &baseline, BASELINE_TOLERANCE) {
-            Ok(()) => eprintln!(
-                "baseline {}: all scenarios within ±{:.0}%",
-                baseline_path.display(),
-                BASELINE_TOLERANCE * 100.0
-            ),
-            Err(problems) => {
-                for p in &problems {
-                    eprintln!("cohort-fleet baseline: {p}");
-                }
-                ok = false;
-            }
-        }
+    // Strict mode (the CI smoke gate): every run must be a clean pass or a
+    // hardware-path recovery — fallback, mismatch and hangs fail.
+    let non_pass = records
+        .iter()
+        .filter(|r| !matches!(r.outcome, Outcome::Pass | Outcome::Recovered))
+        .count();
+    let strict_failed = args.strict && non_pass > 0;
+    if strict_failed {
+        eprintln!("cohort-fleet: --strict and {non_pass} run(s) were not pass/recovered");
     }
     eprintln!(
         "campaign {:?}: {}/{} survived",
         spec.name, summary.survived, summary.total_runs
     );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
+    if strict_failed {
         ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -3,7 +3,7 @@
 
 #![forbid(unsafe_code)]
 
-use cohort::scenarios::{run_cohort, run_dma, run_mmio, Scenario, Workload};
+use cohort::scenarios::{run_scenario, Runner, Scenario, Workload};
 
 fn ratios(
     per_hop: u64,
@@ -25,14 +25,15 @@ fn ratios(
         s.costs.dma_api_alu = dma_api;
         s
     };
-    let sha64 = run_cohort(&mk(Workload::Sha, 64));
-    let sha8 = run_cohort(&mk(Workload::Sha, 8));
-    let sham = run_mmio(&mk(Workload::Sha, 64));
-    let shad = run_dma(&mk(Workload::Sha, 64));
-    let aes64 = run_cohort(&mk(Workload::Aes, 64));
-    let aes2 = run_cohort(&mk(Workload::Aes, 2));
-    let aesm = run_mmio(&mk(Workload::Aes, 64));
-    let aesd = run_dma(&mk(Workload::Aes, 64));
+    let run = |runner, s: &Scenario| run_scenario(runner, s, None).expect("admitted");
+    let sha64 = run(Runner::Cohort, &mk(Workload::Sha, 64));
+    let sha8 = run(Runner::Cohort, &mk(Workload::Sha, 8));
+    let sham = run(Runner::Mmio, &mk(Workload::Sha, 64));
+    let shad = run(Runner::Dma, &mk(Workload::Sha, 64));
+    let aes64 = run(Runner::Cohort, &mk(Workload::Aes, 64));
+    let aes2 = run(Runner::Cohort, &mk(Workload::Aes, 2));
+    let aesm = run(Runner::Mmio, &mk(Workload::Aes, 64));
+    let aesd = run(Runner::Dma, &mk(Workload::Aes, 64));
     vec![
         (
             sham.cycles as f64 / sha64.cycles as f64,

@@ -7,7 +7,7 @@
 //!     [--policy eager|lazy|huge] [--watchdog N] [--shards N] \
 //!     [--placement rr|occupancy] [--skew] [--engines N] [--faults SPEC] \
 //!     [--dram SPEC] \
-//!     [--tlb N] [--counters] [--stats FILE] [--trace FILE] [--bench-out FILE]
+//!     [--counters] [--stats FILE] [--trace FILE]
 //! ```
 //!
 //! Prints latency, IPC and (with `--counters`) every component's
@@ -29,7 +29,7 @@
 
 #![forbid(unsafe_code)]
 
-use cohort::scenarios::{run_scenario, RunResult, Runner, Workload};
+use cohort::scenarios::{run_scenario, Runner, Workload};
 use cohort_bench::run_params::{RunParams, KEYS, SOLO_SEED};
 
 fn usage() -> ! {
@@ -42,14 +42,13 @@ fn usage() -> ! {
     eprintln!(
         "usage: socrun [--mode {modes}]\n\
          \u{20}             {}\n\
-         \u{20}             [--tlb N] [--counters] [--stats FILE] [--trace FILE] [--bench-out FILE]\n\
+         \u{20}             [--counters] [--stats FILE] [--trace FILE]\n\
          routing: without --mode, --shards picks shard, and a fault plan the mode armed\n\
          \u{20}        for it (kill: failover, maple-*: dma-chaos, anything else: chaos)\n\
          sharding: --shards N splits the stream over N engines (mode shard);\n\
          \u{20}         --engines overrides the spare-inclusive pool size,\n\
          \u{20}         --skew makes every 4th element run heavy;\n\
          \u{20}         mode mesh16 is the 16-core big.LITTLE mesh (4 shards + noise)\n\
-         record: --bench-out writes {{cycles, throughput, occupancy p50}} JSON\n\
          fault spec: stall@C:D|forever; spike@C:D:F; storm@C:P; corrupt@C;\n\
          \u{20}           kill@C[:E]; maple-stall@C:D; maple-kill@C;\n\
          \u{20}           random:seed=S,count=N,from=A,to=B (semicolon-separated)\n\
@@ -68,25 +67,6 @@ fn refuse(msg: String) -> ! {
     std::process::exit(2)
 }
 
-/// Renders the machine-readable benchmark record `--bench-out` writes.
-fn bench_json(r: &RunResult, args: &str, queue: u64) -> String {
-    let mut occ = String::new();
-    for (name, h) in &r.histograms {
-        if let Some(engine) = name.strip_suffix(".in_queue_occupancy") {
-            if !occ.is_empty() {
-                occ.push_str(", ");
-            }
-            occ.push_str(&format!("\"{engine}\": {}", h.p50));
-        }
-    }
-    format!(
-        "{{\n  \"args\": \"{args}\",\n  \"cycles\": {},\n  \"throughput_elems_per_kcycle\": {:.3},\n  \"occupancy_p50\": {{{occ}}},\n  \"verified\": {}\n}}\n",
-        r.cycles,
-        queue as f64 * 1000.0 / r.cycles as f64,
-        r.verified
-    )
-}
-
 fn main() {
     // One run has no seed set to vary a fault plan over: `random:seed=7`
     // means schedule 7.
@@ -99,20 +79,17 @@ fn main() {
     };
     let mut given: Vec<&str> = Vec::new();
     let mut mode: Option<String> = None;
-    let mut tlb: Option<usize> = None;
     let mut counters = false;
-    let (mut stats_path, mut trace_path, mut bench_out) = (None, None, None);
+    let (mut stats_path, mut trace_path) = (None, None);
 
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || it.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--mode" => mode = Some(value()),
-            "--tlb" => tlb = Some(value().parse().unwrap_or_else(|_| usage())),
             "--counters" => counters = true,
             "--stats" => stats_path = Some(value()),
             "--trace" => trace_path = Some(value()),
-            "--bench-out" => bench_out = Some(value()),
             // Every other flag is a run parameter: the key table knows its
             // spelling, whether it takes a value, and what values it takes.
             other => {
@@ -147,9 +124,6 @@ fn main() {
         None => Runner::Chaos,
     };
     let (mut scenario, shard_spec) = params.to_scenario(runner, SOLO_SEED);
-    if let Some(t) = tlb {
-        scenario.soc.tlb_entries = t;
-    }
     scenario.trace = trace_path.is_some();
 
     let start = std::time::Instant::now();
@@ -203,13 +177,6 @@ fn main() {
     if let Some(path) = &trace_path {
         let json = r.trace_json.as_deref().unwrap_or("[]");
         write("trace", path, json, " (load in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = &bench_out {
-        let args = format!(
-            "workload={:?} mode={runner} queue={} batch={} shards={} placement={} skew={}",
-            p.workload, p.queue, p.batch, p.shards, p.placement, p.skew
-        );
-        write("bench", path, &bench_json(&r, &args, p.queue), "");
     }
     if !r.verified {
         std::process::exit(1);

@@ -322,76 +322,6 @@ impl FleetSummary {
     }
 }
 
-/// Compares a freshly-computed summary against a committed baseline
-/// summary JSON, per scenario, on the `cycles_p50` scalar.
-///
-/// # Errors
-/// One message per scenario that is missing from the baseline or from the
-/// run, or whose p50 cycles drifted more than `tolerance` (fractional,
-/// e.g. 0.05).
-pub fn compare_baseline(
-    current: &FleetSummary,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Result<(), Vec<String>> {
-    let mut problems = Vec::new();
-    for sc in &current.scenarios {
-        let Some(expected) = scan_scenario_p50(baseline_json, &sc.name) else {
-            problems.push(format!(
-                "scenario {:?} missing from the baseline (re-bless?)",
-                sc.name
-            ));
-            continue;
-        };
-        let got = sc.cycles.p50;
-        let delta = (got as f64 - expected as f64) / expected.max(1) as f64;
-        if delta.abs() > tolerance {
-            problems.push(format!(
-                "scenario {:?}: p50 cycles {got} vs baseline {expected} \
-                 ({:+.2}% exceeds ±{:.0}%)",
-                sc.name,
-                delta * 100.0,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // A scenario dropped from the spec must not quietly shrink the gate.
-    for name in scan_scenario_names(baseline_json) {
-        if !current.scenarios.iter().any(|sc| sc.name == name) {
-            problems.push(format!("baseline scenario {name:?} missing from the run"));
-        }
-    }
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems)
-    }
-}
-
-/// Every scenario name in a summary JSON, in order (only scenarios carry
-/// a `"name"` key).
-fn scan_scenario_names(json: &str) -> Vec<&str> {
-    json.split("\"name\": \"")
-        .skip(1)
-        .filter_map(|rest| rest.find('"').map(|end| &rest[..end]))
-        .collect()
-}
-
-/// Pulls `"cycles_p50": N` for a named scenario out of a summary JSON by
-/// string scanning (the repo carries no JSON parser dependency).
-fn scan_scenario_p50(json: &str, scenario: &str) -> Option<u64> {
-    let needle = format!("\"name\": \"{scenario}\"");
-    let at = json.find(&needle)?;
-    let rest = &json[at..];
-    let key = "\"cycles_p50\": ";
-    let kat = rest.find(key)?;
-    let digits: String = rest[kat + key.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,37 +336,5 @@ mod tests {
         assert!((d.mean - 55.0).abs() < 1e-9);
         assert_eq!(Dist::of(&[]).n, 0);
         assert_eq!(Dist::of(&[7]).p50, 7);
-    }
-
-    #[test]
-    fn baseline_scan_finds_scenario_p50() {
-        let json = "{\n  \"scenarios\": [\n    {\n      \"name\": \"a\",\n      \
-                    \"cycles_p50\": 1234,\n    },\n    {\n      \"name\": \"b\",\n      \
-                    \"cycles_p50\": 777\n    }\n  ]\n}";
-        assert_eq!(scan_scenario_p50(json, "a"), Some(1234));
-        assert_eq!(scan_scenario_p50(json, "b"), Some(777));
-        assert_eq!(scan_scenario_p50(json, "c"), None);
-    }
-
-    #[test]
-    fn baseline_gates_both_directions() {
-        let text = "[campaign]\nname = \"x\"\nseeds = \"0..2\"\n\
-                    [[scenario]]\nname = \"a\"\nrunner = \"cohort\"\n\
-                    [[scenario]]\nname = \"b\"\nrunner = \"cohort\"\n";
-        let full = FleetSpec::parse(text).expect("spec parses");
-        let baseline = summarize(&full, &[]).json();
-        assert_eq!(
-            compare_baseline(&summarize(&full, &[]), &baseline, 0.05),
-            Ok(())
-        );
-
-        let mut narrowed = FleetSpec::parse(text).expect("spec parses");
-        assert!(narrowed.retain_scenario("a"));
-        assert_eq!(
-            compare_baseline(&summarize(&narrowed, &[]), &baseline, 0.05),
-            Err(vec![
-                "baseline scenario \"b\" missing from the run".to_string()
-            ])
-        );
     }
 }

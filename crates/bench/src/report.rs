@@ -4,8 +4,7 @@ use crate::area::{table4, Table4Row};
 use crate::params::{min_batch, AES_BATCHES, PEAK_BATCH, QUEUE_SIZES, SHA_BATCHES, TABLE3_SIZES};
 use crate::sweep::{Mode, Sweep};
 use cohort::scenarios::{
-    mesh16_scenario, run_cohort, run_scenario, CustomRun, RunResult, Runner, Scenario, ShardSpec,
-    Workload,
+    mesh16_scenario, run_scenario, CustomRun, RunResult, Runner, Scenario, ShardSpec, Workload,
 };
 use cohort_accel::nullfifo::NullFifo;
 use cohort_os::addrspace::MapPolicy;
@@ -153,7 +152,7 @@ fn kernel_report() -> String {
 fn ablation_report() -> String {
     let kcycles = |r: &RunResult| r.cycles as f64 / 1000.0;
     let run = |s: &Scenario| {
-        let r = run_cohort(s);
+        let r = run_scenario(Runner::Cohort, s, None).expect("admitted");
         assert!(r.verified, "unverified ablation run");
         r
     };

@@ -302,8 +302,8 @@ fn set_policy(p: &mut RunParams, word: &str) -> Result<(), ParamError> {
     p.policy = match word {
         "eager" => MapPolicy::Eager,
         "lazy" => MapPolicy::Lazy,
-        "hugepage" | "huge" => MapPolicy::HugePages,
-        other => return Err(format!("unknown policy {other:?} (eager|lazy|hugepage)").into()),
+        "huge" => MapPolicy::HugePages,
+        other => return Err(format!("unknown policy {other:?} (eager|lazy|huge)").into()),
     };
     Ok(())
 }
@@ -365,6 +365,7 @@ mod tests {
             ("engines", "0", "engines must be in 1..=64"),
             ("queue", "many", "expected an integer"),
             ("policy", "sideways", "unknown policy"),
+            ("policy", "hugepage", "unknown policy"),
             ("workload", "md5", "unknown workload"),
             ("placement", "left", "unknown placement"),
             ("dram", "warp=9", "warp"),

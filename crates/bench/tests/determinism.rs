@@ -12,8 +12,7 @@
 //! `soc.rs`.)
 
 use cohort::scenarios::{
-    mesh16_scenario, run_cohort_chain_failover, run_cohort_chaos, run_cohort_sharded, RunResult,
-    Scenario, ShardSpec, Workload,
+    mesh16_scenario, run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload,
 };
 use cohort_bench::report::kernel_cases;
 use cohort_sim::config::{Lookahead, SocConfig};
@@ -96,7 +95,7 @@ fn sharded_runs_match_force1() {
         scenario.soc = SocConfig::default()
             .with_engines(2)
             .with_lookahead(lookahead);
-        run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds")
+        run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("pool binds")
     });
 }
 
@@ -106,7 +105,7 @@ fn mesh16_runs_match_force1() {
         let (mut scenario, spec) = mesh16_scenario(64, 4);
         scenario.soc.lookahead = lookahead;
         scenario.soc.threads = threads;
-        run_cohort_sharded(&scenario, &spec).expect("pool binds")
+        run_scenario(Runner::Sharded, &scenario, Some(&spec)).expect("pool binds")
     };
     assert_auto_matches_force1("mesh16", |lookahead| run(lookahead, 1));
     // `SocConfig::threads` is inert. The frozen benchmark's `par2` leg sets
@@ -133,7 +132,7 @@ fn dram_contended_runs_match_force1() {
             .with_engines(2)
             .with_dram(dram.clone())
             .with_lookahead(lookahead);
-        run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds")
+        run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("pool binds")
     });
 }
 
@@ -148,7 +147,7 @@ fn chaos_runs_match_force1() {
         scenario.soc = SocConfig::default()
             .with_faults(plan.clone())
             .with_lookahead(lookahead);
-        run_cohort_chaos(&scenario)
+        run_scenario(Runner::Chaos, &scenario, None).expect("admitted")
     });
 }
 
@@ -159,6 +158,6 @@ fn failover_runs_match_force1() {
     assert_auto_matches_force1("chain-failover", |lookahead| {
         let mut scenario = Scenario::new(Workload::Sha, 64, 8);
         scenario.soc = SocConfig::default().with_lookahead(lookahead);
-        run_cohort_chain_failover(&scenario)
+        run_scenario(Runner::Failover, &scenario, None).expect("admitted")
     });
 }

@@ -40,6 +40,30 @@ fn lazy_policy_is_a_usage_error_only_for_the_dma_runners() {
     }
 }
 
+/// `socrun` takes run parameters from the key table only: every flag its
+/// usage text offers is a `KEYS` flag or one of the four that pick the
+/// runner or say what to print and write.
+#[test]
+fn socrun_takes_run_parameters_only_from_the_key_table() {
+    let (code, usage) = socrun(&["--help"]);
+    assert_eq!(code, Some(2), "{usage}");
+    let own = ["mode", "counters", "stats", "trace"];
+    let offered: Vec<&str> = usage
+        .split("[--")
+        .skip(1)
+        .filter_map(|rest| rest.split([' ', ']']).next())
+        .collect();
+    let strays: Vec<&&str> = offered
+        .iter()
+        .filter(|f| !own.contains(f) && !KEYS.iter().any(|k| k.flag == Some(f)))
+        .collect();
+    assert!(strays.is_empty(), "flags outside the key table: {strays:?}");
+    let table = KEYS.iter().filter_map(|k| k.flag);
+    for flag in own.into_iter().chain(table) {
+        assert!(offered.contains(&flag), "--{flag} missing from the usage");
+    }
+}
+
 /// One inadmissible input: the runner, its parameters as `(key, value)`
 /// pairs of the key table, and words of the rule that must refuse it.
 type Params = Vec<(&'static str, &'static str)>;

@@ -705,11 +705,8 @@ fn finish(sys: SimSystem, scenario: &Scenario, expected: &[u64]) -> RunResult {
     })
 }
 
-/// Runs the Cohort-API benchmark (paper §5.3 "Benchmark Implementation in
-/// Cohort"): SPSC queues + `cohort_register`, pushes with batched
-/// write-index publication, pops with batched read-index release.
-pub fn run_cohort(scenario: &Scenario) -> RunResult {
-    assert_admitted(Runner::Cohort, scenario);
+/// The [`Runner::Cohort`] run.
+fn cohort(scenario: &Scenario) -> RunResult {
     let data: Rc<[u64]> = scenario.input_words().into();
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
     let (program, ..) = single_engine_program(&mut sys, scenario, &data, None);
@@ -717,14 +714,8 @@ pub fn run_cohort(scenario: &Scenario) -> RunResult {
     finish(sys, scenario, &scenario.workload.reference_outputs(&data))
 }
 
-/// Runs the Cohort benchmark while a second Ariane core (the platform has
-/// two, Fig. 2) thrashes the shared L2 with streaming stores — a
-/// multicore-interference study beyond the paper's single-tenant numbers.
-/// Same benchmark program as [`run_cohort`]; compare the two results'
-/// cycles for the slowdown, and read the noise core's stores from
-/// [`RunResult::counters`].
-pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
-    assert_admitted(Runner::Interfered, scenario);
+/// The [`Runner::Interfered`] run.
+fn interfered(scenario: &Scenario) -> RunResult {
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 1);
 
     // The interference working set: 2x the L2, streamed repeatedly. It is
@@ -748,23 +739,8 @@ pub fn run_cohort_interfered(scenario: &Scenario) -> RunResult {
     finish(sys, scenario, &scenario.workload.reference_outputs(&data))
 }
 
-/// Runs the Cohort benchmark under the fault-injection plan carried in
-/// `scenario.soc.faults`, with the full recovery stack armed:
-///
-/// * the engine forward-progress watchdog ([`Scenario::watchdog`], or
-///   [`CHAOS_DEFAULT_WATCHDOG`] when 0);
-/// * the page-fault interrupt handler with a swap backing store, so
-///   storm-evicted pages come back with their contents;
-/// * a storm hook that evicts queue data pages round-robin through that
-///   swap store;
-/// * the error-interrupt handler with bounded retry (2) and a software
-///   fallback that recomputes the whole output stream and publishes the
-///   final write index — the graceful-degradation contract.
-///
-/// The run must still record the exact fault-free output: chaos is allowed
-/// to cost cycles, never correctness.
-pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
-    assert_admitted(Runner::Chaos, scenario);
+/// The [`Runner::Chaos`] run.
+fn chaos(scenario: &Scenario) -> RunResult {
     let data: Rc<[u64]> = scenario.input_words().into();
     let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
     let watchdog = Some(armed_watchdog(scenario));
@@ -853,11 +829,8 @@ pub fn run_cohort_chaos(scenario: &Scenario) -> RunResult {
     finish(sys, scenario, &expected)
 }
 
-/// Runs the MMIO baseline (§5.1): word-at-a-time, fully blocking accesses,
-/// output received before the next block's input ("the core cannot achieve
-/// memory-level parallelism").
-pub fn run_mmio(scenario: &Scenario) -> RunResult {
-    assert_admitted(Runner::Mmio, scenario);
+/// The [`Runner::Mmio`] run.
+fn mmio(scenario: &Scenario) -> RunResult {
     let mut sys = build_system(
         scenario,
         Vec::new(),
@@ -883,35 +856,11 @@ pub fn run_mmio(scenario: &Scenario) -> RunResult {
     finish(sys, scenario, &scenario.workload.reference_outputs(&data))
 }
 
-/// Runs the coherent-DMA baseline (§5.1): the core stages input in memory,
-/// then programs MAPLE per 256-byte block (MMIO writes + API software
-/// cost) and waits for completion; results are stored coherently and read
-/// back at the end.
-pub fn run_dma(scenario: &Scenario) -> RunResult {
-    dma_baseline(scenario, Runner::Dma)
-}
-
-/// The coherent-DMA (decoupled access-execute) baseline of [`run_dma`]
-/// under the fault plan in `scenario.soc.faults`, hardened for MAPLE
-/// faults: every `DMA_DONE` completion word is recorded, and the final
-/// outputs are read back from guest memory after the run.
-///
-/// An injected stall only delays completion, so a stalled run still
-/// verifies. A fail-stopped MAPLE answers its blocking MMIO with
-/// [`cohort_maple::DEAD_SENTINEL`] instead of holding the core forever —
-/// the run always terminates, and the sentinel in the recorded `DMA_DONE`
-/// stream is the clean error report software acts on (`verified` is then
-/// false and `maple.fail_stops` counts the abort).
-pub fn run_dma_chaos(scenario: &Scenario) -> RunResult {
-    dma_baseline(scenario, Runner::DmaChaos)
-}
-
-/// The DMA baseline. Hardened ([`Runner::DmaChaos`]), it records each
-/// block's `DMA_DONE` word (what software checks for the dead-unit
-/// sentinel) and verifies the output buffer from guest memory; otherwise
-/// the core reads the results back.
+/// The [`Runner::Dma`] and [`Runner::DmaChaos`] runs. Hardened
+/// ([`Runner::DmaChaos`]), it records each block's `DMA_DONE` word (what
+/// software checks for the dead-unit sentinel) and verifies the output
+/// buffer from guest memory; otherwise the core reads the results back.
 fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
-    assert_admitted(runner, scenario);
     let hardened = runner == Runner::DmaChaos;
     let mut sys = build_system(
         scenario,
@@ -983,58 +932,16 @@ fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
     })
 }
 
-/// Runs the transparent accelerator-chaining scenario (paper Fig. 5 /
-/// §4.5): the core pushes plaintext into `encrypt_fifo`; an AES Cohort
-/// engine produces ciphertext into `hash_fifo`; a SHA Cohort engine
-/// consumes it — engine to engine, with no software in between — and the
-/// core pops digests from `result_fifo`. Verified against host-side
-/// AES-then-SHA.
-///
-/// # Panics
-/// Panics if [`admit`] refuses the scenario (`queue_size` must be whole
-/// SHA blocks) or the run fails.
-pub fn run_cohort_chain(scenario: &Scenario) -> RunResult {
-    chain(scenario, Runner::Chain)
-}
-
-/// Cycle at which [`run_cohort_chain_failover`] kills the victim engine
+/// Cycle at which a [`Runner::Failover`] run kills the victim engine
 /// when the scenario carries no explicit fault plan: late enough that
 /// registration finished and the pipeline is mid-flight, early enough
 /// that plenty of elements remain to migrate.
 pub const DEFAULT_CHAIN_KILL_CYCLE: u64 = 20_000;
 
-/// The chained AES→SHA scenario of [`run_cohort_chain`] with a fail-stop
-/// fault killing the middle (SHA, engine 1) engine mid-pipeline and the
-/// failover stack armed: a third, cold-spare SHA engine; the victim's
-/// forward-progress watchdog (quiesce + drain + spill on trip); and the
-/// failover orchestrator on the victim's error IRQ, which checkpoints the
-/// authoritative queue indices from coherent memory, fences the victim
-/// behind a bumped epoch, and rebinds the same descriptors on the spare.
-///
-/// The run must record the exact fault-free digest stream — failover is
-/// allowed to cost cycles, never elements.
-///
-/// When `scenario.soc.faults` is empty a single
-/// `kill@`[`DEFAULT_CHAIN_KILL_CYCLE`]`:1` fault is injected; pass an
-/// explicit plan to control timing.
-///
-/// # Panics
-/// Panics if [`admit`] refuses the scenario or the run wedges.
-pub fn run_cohort_chain_failover(scenario: &Scenario) -> RunResult {
-    let mut scenario = scenario.clone();
-    if scenario.soc.faults.is_empty() {
-        scenario.soc.faults = FaultPlan::default().at(
-            DEFAULT_CHAIN_KILL_CYCLE,
-            FaultKind::KillEngine { engine: 1 },
-        );
-    }
-    chain(&scenario, Runner::Failover)
-}
-
-/// The AES→SHA chain on engines 0 and 1; for [`Runner::Failover`], engine
-/// 2 is the cold SHA spare the victim (engine 1) migrates onto.
+/// The [`Runner::Chain`] and [`Runner::Failover`] runs: the AES→SHA chain
+/// on engines 0 and 1; for [`Runner::Failover`], engine 2 is the cold SHA
+/// spare the victim (engine 1) migrates onto.
 fn chain(scenario: &Scenario, runner: Runner) -> RunResult {
-    assert_admitted(runner, scenario);
     let failover = runner == Runner::Failover;
     let mut accels: Vec<Box<dyn Accelerator>> =
         vec![Box::new(Aes128Accel::new()), Box::new(Sha256Accel::new())];
@@ -1102,7 +1009,7 @@ fn chain(scenario: &Scenario, runner: Runner) -> RunResult {
     run_and_collect(sys, scenario.trace, n, |_, recorded| recorded == expected)
 }
 
-/// How [`run_cohort_sharded`] splits the logical stream and steers the
+/// How a [`Runner::Sharded`] run splits the logical stream and steers the
 /// pieces onto engines.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardSpec {
@@ -1217,39 +1124,9 @@ fn shard_chunk_blocks(scenario: &Scenario, skewed: bool) -> Vec<u64> {
     out
 }
 
-/// Runs the multi-engine sharded throughput scenario: one logical stream,
-/// split at element-run granularity by a driver-level [`ShardPool`] onto
-/// `spec.shards` engines, reassembled in global order by a sequence-tagged
-/// merge.
-///
-/// Faithful to how the paper scales (§6: one software thread per engine),
-/// each shard gets a dedicated producer core that streams its assigned
-/// runs into the shard's private input ring; the benchmark core registers
-/// every engine, then pops all output rings *in global sequence order* —
-/// the program realisation of the merge — so `recorded` is the logical
-/// stream and latency includes reassembly. Rings are sized for the whole
-/// per-shard stream, so producers never block and a dead shard can stall
-/// only its own elements.
-///
-/// Failover composes: when the fault plan fail-stops a shard engine, that
-/// shard is armed (watchdog + checkpoint spill) and its queues migrate
-/// onto the spare engine `spec.shards` via the PR-3 epoch-fenced path; the
-/// merge then drains the spare's output with the digest unchanged.
-///
-/// Verification is twofold: the benchmark core's in-order pops against the
-/// host reference, and an explicitly reassembled copy — per-shard FIFO
-/// streams read back from guest memory are fed through the sequence-tagged
-/// merge ([`cohort_queue::merge`]) in a worst-case cross-shard
-/// interleaving and must reproduce the same logical stream. The pool's
-/// occupancy mirror is drained with each merged run and must return to
-/// zero.
-///
-/// # Errors
-/// Whatever [`admit`] refuses for [`Runner::Sharded`]: among the rest,
-/// zero shards, or more shards (plus the failover spare, when a kill fault
-/// targets one) than [`SocConfig::engines`] provides.
-pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunResult, Refusal> {
-    admit(Runner::Sharded, scenario, Some(spec))?;
+/// The [`Runner::Sharded`] run, and the [`Runner::Mesh16`] one under its
+/// fixed spec.
+fn sharded(scenario: &Scenario, spec: &ShardSpec) -> RunResult {
     let wpb_in = scenario.workload.words_in_per_block();
     let wpb_out = scenario.workload.words_out_per_block();
 
@@ -1419,12 +1296,7 @@ pub fn run_cohort_sharded(scenario: &Scenario, spec: &ShardSpec) -> Result<RunRe
         let mirror_drained = (0..shards).all(|s| pool.occupancy(s) == 0);
         recorded == expected && merged == expected && merge.is_drained() && mirror_drained
     };
-    Ok(run_and_collect(
-        sys,
-        scenario.trace,
-        scenario.queue_size,
-        verify,
-    ))
+    run_and_collect(sys, scenario.trace, scenario.queue_size, verify)
 }
 
 /// A fully custom single-engine run: any accelerator, any input stream,
@@ -1521,33 +1393,111 @@ impl CustomRun {
     }
 }
 
-/// Which scenario runner executes a [`Scenario`]: the declarative name
-/// shared by `socrun --mode` and the fleet spec's `runner =` key, so every
-/// scenario is *constructed from parameters* instead of being a one-off
-/// hand-written function call site.
+/// Which scenario runner [`run_scenario`] executes a [`Scenario`] with: the
+/// declarative name shared by `socrun --mode` and the fleet spec's
+/// `runner =` key, so every scenario is *constructed from parameters*
+/// instead of being a one-off hand-written function call site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Runner {
-    /// Cohort engine + SPSC queues ([`run_cohort`]).
+    /// The Cohort-API benchmark (paper §5.3 "Benchmark Implementation in
+    /// Cohort"): SPSC queues + `cohort_register`, pushes with batched
+    /// write-index publication, pops with batched read-index release.
     Cohort,
-    /// MMIO word-at-a-time baseline ([`run_mmio`]).
+    /// The MMIO baseline (§5.1): word-at-a-time, fully blocking accesses,
+    /// output received before the next block's input ("the core cannot
+    /// achieve memory-level parallelism").
     Mmio,
-    /// Coherent-DMA baseline ([`run_dma`]).
+    /// The coherent-DMA baseline (§5.1): the core stages input in memory,
+    /// then programs MAPLE per 256-byte block (MMIO writes + API software
+    /// cost) and waits for completion; results are stored coherently and
+    /// read back at the end.
     Dma,
-    /// AES→SHA engine chain ([`run_cohort_chain`]).
+    /// Transparent accelerator chaining (paper Fig. 5 / §4.5): the core
+    /// pushes plaintext into `encrypt_fifo`; an AES Cohort engine produces
+    /// ciphertext into `hash_fifo`; a SHA Cohort engine consumes it — engine
+    /// to engine, with no software in between — and the core pops digests
+    /// from `result_fifo`. Verified against host-side AES-then-SHA, so
+    /// `queue_size` must be whole SHA blocks whatever the workload says.
     Chain,
-    /// Cohort run with an L2-thrashing second core ([`run_cohort_interfered`]).
+    /// The Cohort benchmark while a second Ariane core (the platform has
+    /// two, Fig. 2) thrashes the shared L2 with streaming stores — a
+    /// multicore-interference study beyond the paper's single-tenant
+    /// numbers. Same benchmark program as [`Runner::Cohort`]; compare the two
+    /// results' cycles for the slowdown, and read the noise core's stores
+    /// from [`RunResult::counters`].
     Interfered,
-    /// Cohort run with the full recovery stack armed ([`run_cohort_chaos`]).
+    /// The Cohort benchmark under the fault-injection plan carried in
+    /// `scenario.soc.faults`, with the full recovery stack armed:
+    ///
+    /// * the engine forward-progress watchdog ([`Scenario::watchdog`], or
+    ///   [`CHAOS_DEFAULT_WATCHDOG`] when 0);
+    /// * the page-fault interrupt handler with a swap backing store, so
+    ///   storm-evicted pages come back with their contents;
+    /// * a storm hook that evicts queue data pages round-robin through that
+    ///   swap store;
+    /// * the error-interrupt handler with bounded retry (2) and a software
+    ///   fallback that recomputes the whole output stream and publishes the
+    ///   final write index — the graceful-degradation contract.
+    ///
+    /// The run must still record the exact fault-free output: chaos is
+    /// allowed to cost cycles, never correctness.
     Chaos,
-    /// Chained run with a mid-pipeline kill and a cold spare
-    /// ([`run_cohort_chain_failover`]).
+    /// The [`Runner::Chain`] scenario with a fail-stop fault killing the
+    /// middle (SHA, engine 1) engine mid-pipeline and the failover stack
+    /// armed: a third, cold-spare SHA engine; the victim's forward-progress
+    /// watchdog (quiesce + drain + spill on trip); and the failover
+    /// orchestrator on the victim's error IRQ, which checkpoints the
+    /// authoritative queue indices from coherent memory, fences the victim
+    /// behind a bumped epoch, and rebinds the same descriptors on the spare.
+    ///
+    /// The run must record the exact fault-free digest stream — failover is
+    /// allowed to cost cycles, never elements.
+    ///
+    /// When `scenario.soc.faults` is empty a single
+    /// `kill@`[`DEFAULT_CHAIN_KILL_CYCLE`]`:1` fault is injected; pass an
+    /// explicit plan to control timing.
     Failover,
-    /// DMA baseline hardened for MAPLE faults ([`run_dma_chaos`]).
+    /// The coherent-DMA (decoupled access-execute) baseline of
+    /// [`Runner::Dma`] under the fault plan in `scenario.soc.faults`,
+    /// hardened for MAPLE faults: every `DMA_DONE` completion word is
+    /// recorded, and the final outputs are read back from guest memory after
+    /// the run.
+    ///
+    /// An injected stall only delays completion, so a stalled run still
+    /// verifies. A fail-stopped MAPLE answers its blocking MMIO with
+    /// [`cohort_maple::DEAD_SENTINEL`] instead of holding the core forever —
+    /// the run always terminates, and the sentinel in the recorded `DMA_DONE`
+    /// stream is the clean error report software acts on (`verified` is then
+    /// false and `maple.fail_stops` counts the abort).
     DmaChaos,
-    /// Multi-engine sharded stream ([`run_cohort_sharded`]).
+    /// Multi-engine sharded throughput: one logical stream, split at
+    /// element-run granularity by a driver-level [`ShardPool`] onto the
+    /// [`ShardSpec`]'s `shards` engines, reassembled in global order by a
+    /// sequence-tagged merge.
+    ///
+    /// Faithful to how the paper scales (§6: one software thread per engine),
+    /// each shard gets a dedicated producer core that streams its assigned runs
+    /// into the shard's private input ring; the benchmark core registers every
+    /// engine, then pops all output rings *in global sequence order* — the
+    /// program realisation of the merge — so `recorded` is the logical stream
+    /// and latency includes reassembly. Rings are sized for the whole per-shard
+    /// stream, so producers never block and a dead shard can stall only its own
+    /// elements.
+    ///
+    /// Failover composes: when the fault plan fail-stops a shard engine, that
+    /// shard is armed (watchdog + checkpoint spill) and its queues migrate onto
+    /// the spare engine (index `shards`) via the epoch-fenced failover path;
+    /// the merge then drains the spare's output with the digest unchanged.
+    ///
+    /// Verification is twofold: the benchmark core's in-order pops against the
+    /// host reference, and an explicitly reassembled copy — per-shard FIFO
+    /// streams read back from guest memory are fed through the sequence-tagged
+    /// merge ([`cohort_queue::merge`]) in a worst-case cross-shard interleaving
+    /// and must reproduce the same logical stream. The pool's occupancy mirror
+    /// is drained with each merged run and must return to zero.
     Sharded,
-    /// 16-core big.LITTLE mesh: 4 shards + 11 noise cores
-    /// ([`mesh16_scenario`]).
+    /// 16-core big.LITTLE mesh: the [`Runner::Sharded`] run over 4 shards
+    /// plus 11 noise cores ([`mesh16_scenario`]).
     Mesh16,
 }
 
@@ -1582,12 +1532,9 @@ impl Runner {
         }
     }
 
-    /// Parses a runner name (`shard` and `sharded` both accepted).
+    /// Parses a runner name.
     pub fn parse(s: &str) -> Option<Runner> {
-        match s {
-            "sharded" => Some(Runner::Sharded),
-            _ => Runner::ALL.iter().copied().find(|r| r.name() == s),
-        }
+        Runner::ALL.iter().copied().find(|r| r.name() == s)
     }
 
     /// True for runners that host the workload behind Cohort engines at
@@ -1684,9 +1631,9 @@ const MESH16_SHARDS: usize = 4;
 /// [`Runner::Sharded`])? Each rule names an input that would otherwise
 /// burn its whole cycle budget and die in "scenario did not complete",
 /// wedge behind a dead engine, or fail verification by construction.
-/// [`run_scenario`] asks first and returns the answer; the `run_*`
-/// constructors assert it. Outside input (`socrun`, the fleet loader) is
-/// refused through this same function, with its own context attached.
+/// [`run_scenario`] asks first and returns the answer. Outside input
+/// (`socrun`, the fleet loader) is refused through this same function,
+/// with its own context attached.
 ///
 /// # Errors
 /// The first broken rule, in the order policy, queue, batch, faults, pool.
@@ -1781,17 +1728,8 @@ pub fn admit(
     Ok(())
 }
 
-/// What the `run_*` constructors do with [`admit`]'s answer: a refused
-/// input is the caller's bug, reported in one line before anything is
-/// simulated.
-fn assert_admitted(runner: Runner, scenario: &Scenario) {
-    if let Err(e) = admit(runner, scenario, None) {
-        panic!("runner {runner} refused the scenario: {e}");
-    }
-}
-
-/// Runs `scenario` through `runner` — the single dispatch point behind
-/// `socrun`, the fleet runner and the figure sweep. `shard` parameterises
+/// Runs `scenario` through `runner` — the one way into a run, behind
+/// `socrun`, the fleet runner, the figure sweep and every test. `shard` parameterises
 /// the sharded runner (ignored elsewhere); [`Runner::Mesh16`] builds its
 /// own 4-shard, 11-noise-core spec and forces the engine count the mesh
 /// needs.
@@ -1807,36 +1745,49 @@ pub fn run_scenario(
     shard: Option<&ShardSpec>,
 ) -> Result<RunResult, Refusal> {
     admit(runner, scenario, shard)?;
-    match runner {
-        Runner::Cohort => Ok(run_cohort(scenario)),
-        Runner::Mmio => Ok(run_mmio(scenario)),
-        Runner::Dma => Ok(run_dma(scenario)),
-        Runner::Chain => Ok(run_cohort_chain(scenario)),
-        Runner::Interfered => Ok(run_cohort_interfered(scenario)),
-        Runner::Chaos => Ok(run_cohort_chaos(scenario)),
-        Runner::Failover => Ok(run_cohort_chain_failover(scenario)),
-        Runner::DmaChaos => Ok(run_dma_chaos(scenario)),
-        Runner::Sharded => run_cohort_sharded(scenario, shard.unwrap_or(&ShardSpec::new(1))),
+    Ok(match runner {
+        Runner::Cohort => cohort(scenario),
+        Runner::Mmio => mmio(scenario),
+        Runner::Dma | Runner::DmaChaos => dma_baseline(scenario, runner),
+        Runner::Chain => chain(scenario, runner),
+        Runner::Interfered => interfered(scenario),
+        Runner::Chaos => chaos(scenario),
+        Runner::Failover => {
+            let mut scenario = scenario.clone();
+            if scenario.soc.faults.is_empty() {
+                let kill = FaultKind::KillEngine { engine: 1 };
+                scenario.soc.faults = FaultPlan::default().at(DEFAULT_CHAIN_KILL_CYCLE, kill);
+            }
+            chain(&scenario, runner)
+        }
+        Runner::Sharded => sharded(scenario, shard.unwrap_or(&ShardSpec::new(1))),
         Runner::Mesh16 => {
             let (_, spec) = mesh16_scenario(scenario.queue_size, scenario.batch);
             let mut scenario = scenario.clone();
             // A kill fault on a mesh shard needs the failover spare on
             // top of the mesh's fixed 4-engine pool; fault-free meshes
             // keep exactly the canonical geometry (and its baselines).
+            // `admit` refused any kill outside the 4 shards, so this count
+            // is the one its pool rule asks of a sharded run.
             scenario.soc.engines = sharded_engines_for(&scenario.soc.faults, spec.shards);
-            run_cohort_sharded(&scenario, &spec)
+            sharded(&scenario, &spec)
         }
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// An admitted run through the one door.
+    fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+        run_scenario(runner, scenario, None).expect("admitted")
+    }
+
     #[test]
     fn cohort_sha_small_end_to_end() {
         let scenario = Scenario::new(Workload::Sha, 64, 8);
-        let r = run_cohort(&scenario);
+        let r = run(Runner::Cohort, &scenario);
         assert!(r.verified, "digest mismatch");
         assert_eq!(r.recorded.len(), 32);
         assert!(r.cycles > 0);
@@ -1845,7 +1796,7 @@ mod tests {
     #[test]
     fn cohort_aes_small_end_to_end() {
         let scenario = Scenario::new(Workload::Aes, 64, 4);
-        let r = run_cohort(&scenario);
+        let r = run(Runner::Cohort, &scenario);
         assert!(r.verified, "ciphertext mismatch");
         assert_eq!(r.recorded.len(), 64);
     }
@@ -1853,21 +1804,21 @@ mod tests {
     #[test]
     fn mmio_sha_small_end_to_end() {
         let scenario = Scenario::new(Workload::Sha, 64, 8);
-        let r = run_mmio(&scenario);
+        let r = run(Runner::Mmio, &scenario);
         assert!(r.verified, "digest mismatch");
     }
 
     #[test]
     fn dma_aes_small_end_to_end() {
         let scenario = Scenario::new(Workload::Aes, 64, 8);
-        let r = run_dma(&scenario);
+        let r = run(Runner::Dma, &scenario);
         assert!(r.verified, "ciphertext mismatch");
     }
 
     #[test]
     fn chained_aes_sha_engines_end_to_end() {
         let scenario = Scenario::new(Workload::Sha, 64, 16);
-        let r = run_cohort_chain(&scenario);
+        let r = run(Runner::Chain, &scenario);
         assert!(r.verified, "chained digest mismatch");
         assert_eq!(r.recorded.len(), 32);
     }
@@ -1876,7 +1827,8 @@ mod tests {
     fn sharded_aes_small_end_to_end() {
         let mut scenario = Scenario::new(Workload::Aes, 64, 4);
         scenario.soc = SocConfig::default().with_engines(2);
-        let r = run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds");
+        let r =
+            run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("pool binds");
         assert!(r.verified, "sharded ciphertext mismatch");
         assert_eq!(r.recorded.len(), 64);
     }
@@ -1885,15 +1837,16 @@ mod tests {
     fn sharded_sha_handles_non_unit_block_ratio() {
         let mut scenario = Scenario::new(Workload::Sha, 64, 8);
         scenario.soc = SocConfig::default().with_engines(2);
-        let r = run_cohort_sharded(&scenario, &ShardSpec::new(2)).expect("pool binds");
+        let r =
+            run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(2))).expect("pool binds");
         assert!(r.verified, "sharded digest mismatch");
         assert_eq!(r.recorded.len(), 32);
     }
 
     #[test]
     fn mesh16_big_little_end_to_end() {
-        let (scenario, spec) = mesh16_scenario(64, 4);
-        let r = run_cohort_sharded(&scenario, &spec).expect("pool binds");
+        let (scenario, _) = mesh16_scenario(64, 4);
+        let r = run(Runner::Mesh16, &scenario);
         assert!(r.verified, "mesh16 ciphertext mismatch");
         assert_eq!(r.recorded.len(), 64);
     }
@@ -1902,7 +1855,7 @@ mod tests {
     fn sharded_run_rejects_oversubscribed_pool() {
         let mut scenario = Scenario::new(Workload::Aes, 64, 4);
         scenario.soc = SocConfig::default().with_engines(2);
-        let err = run_cohort_sharded(&scenario, &ShardSpec::new(3)).unwrap_err();
+        let err = run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(3))).unwrap_err();
         assert!(matches!(
             err,
             Refusal::Pool(ShardError::NotEnoughEngines {
@@ -1982,26 +1935,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "runner cohort refused the scenario: queue 60 is not a multiple of 8"
-    )]
-    fn constructors_assert_admission() {
-        run_cohort(&Scenario::new(Workload::Sha, 60, 8));
-    }
-
-    #[test]
     fn runner_names_round_trip() {
         for r in Runner::ALL {
             assert_eq!(Runner::parse(r.name()), Some(r), "{r} must round-trip");
         }
-        assert_eq!(Runner::parse("sharded"), Some(Runner::Sharded));
+        assert_eq!(Runner::parse("sharded"), None);
         assert_eq!(Runner::parse("nope"), None);
     }
 
     #[test]
     fn run_scenario_dispatch_matches_direct_call() {
         let scenario = Scenario::new(Workload::Aes, 64, 8);
-        let direct = run_cohort(&scenario);
+        let direct = cohort(&scenario);
         let dispatched = run_scenario(Runner::Cohort, &scenario, None).expect("no shard binding");
         assert_eq!(direct.cycles, dispatched.cycles);
         assert_eq!(direct.checksum, dispatched.checksum);
@@ -2020,8 +1965,8 @@ mod tests {
     #[test]
     fn cohort_beats_mmio_at_batch_64() {
         let scenario = Scenario::new(Workload::Sha, 256, 64);
-        let c = run_cohort(&scenario);
-        let m = run_mmio(&scenario);
+        let c = run(Runner::Cohort, &scenario);
+        let m = run(Runner::Mmio, &scenario);
         assert!(c.verified && m.verified);
         assert!(
             m.cycles > c.cycles,
@@ -2033,8 +1978,8 @@ mod tests {
 
     #[test]
     fn batching_improves_cohort_latency() {
-        let small = run_cohort(&Scenario::new(Workload::Aes, 256, 2));
-        let large = run_cohort(&Scenario::new(Workload::Aes, 256, 64));
+        let small = run(Runner::Cohort, &Scenario::new(Workload::Aes, 256, 2));
+        let large = run(Runner::Cohort, &Scenario::new(Workload::Aes, 256, 64));
         assert!(small.verified && large.verified);
         assert!(
             small.cycles > large.cycles,

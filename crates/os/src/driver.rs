@@ -286,24 +286,8 @@ impl CohortDriver {
                 });
             }
         }
-        let writes = [
-            (regs::IN_WR_VA, input.write_index_va),
-            (regs::IN_RD_VA, input.read_index_va),
-            (regs::IN_BASE_VA, input.base_va),
-            (regs::IN_ELEM, u64::from(input.element_bytes)),
-            (regs::IN_LEN, u64::from(input.length)),
-            (regs::OUT_WR_VA, output.write_index_va),
-            (regs::OUT_RD_VA, output.read_index_va),
-            (regs::OUT_BASE_VA, output.base_va),
-            (regs::OUT_ELEM, u64::from(output.element_bytes)),
-            (regs::OUT_LEN, u64::from(output.length)),
-            (regs::PT_ROOT_PA, root_pa),
-            (regs::BACKOFF, backoff),
-            (regs::CSR_BASE_VA, csr.map_or(0, |(va, _)| va)),
-            (regs::CSR_LEN, csr.map_or(0, |(_, len)| len)),
-            (regs::ENABLE, 1),
-        ];
-        for (off, value) in writes {
+        let binding = binding_writes(root_pa, input, output, csr, backoff);
+        for (off, value) in binding.into_iter().chain([(regs::ENABLE, 1)]) {
             p.push(Op::MmioStore {
                 pa: self.reg(off),
                 value,
@@ -513,30 +497,19 @@ impl CohortDriver {
                     cfg.input = cfg.input.with_epoch(epoch);
                     cfg.output = cfg.output.with_epoch(epoch);
                     let s = &cfg.spare;
-                    let mut writes = vec![
-                        // Quiesce + fence the victim.
-                        (victim_enable, 0),
-                        (victim_fence, epoch),
-                        // Rebind on the spare.
-                        (s.reg(regs::IN_WR_VA), cfg.input.write_index_va),
-                        (s.reg(regs::IN_RD_VA), cfg.input.read_index_va),
-                        (s.reg(regs::IN_BASE_VA), cfg.input.base_va),
-                        (s.reg(regs::IN_ELEM), u64::from(cfg.input.element_bytes)),
-                        (s.reg(regs::IN_LEN), u64::from(cfg.input.length)),
-                        (s.reg(regs::OUT_WR_VA), cfg.output.write_index_va),
-                        (s.reg(regs::OUT_RD_VA), cfg.output.read_index_va),
-                        (s.reg(regs::OUT_BASE_VA), cfg.output.base_va),
-                        (s.reg(regs::OUT_ELEM), u64::from(cfg.output.element_bytes)),
-                        (s.reg(regs::OUT_LEN), u64::from(cfg.output.length)),
-                        (s.reg(regs::PT_ROOT_PA), cfg.root_pa),
-                        (s.reg(regs::BACKOFF), cfg.backoff),
-                        (s.reg(regs::CSR_BASE_VA), cfg.csr.map_or(0, |(va, _)| va)),
-                        (s.reg(regs::CSR_LEN), cfg.csr.map_or(0, |(_, len)| len)),
-                        (s.reg(regs::IN_EPOCH), epoch),
-                        (s.reg(regs::OUT_EPOCH), epoch),
-                        (s.reg(regs::SPILL_PA), cfg.spill_pa),
-                        (s.reg(regs::FAILOVER_T0), cycle),
+                    // Quiesce + fence the victim.
+                    let mut writes = vec![(victim_enable, 0), (victim_fence, epoch)];
+                    // Rebind on the spare.
+                    let binding =
+                        binding_writes(cfg.root_pa, &cfg.input, &cfg.output, cfg.csr, cfg.backoff);
+                    let stamps = [
+                        (regs::IN_EPOCH, epoch),
+                        (regs::OUT_EPOCH, epoch),
+                        (regs::SPILL_PA, cfg.spill_pa),
+                        (regs::FAILOVER_T0, cycle),
                     ];
+                    let rebind = binding.into_iter().chain(stamps);
+                    writes.extend(rebind.map(|(off, value)| (s.reg(off), value)));
                     if cfg.watchdog > 0 {
                         writes.push((s.reg(regs::WATCHDOG), cfg.watchdog));
                     }
@@ -553,6 +526,35 @@ impl CohortDriver {
     pub fn shared_vm(space: AddressSpace, frames: FrameAllocator) -> SharedVm {
         Rc::new(RefCell::new((space, frames)))
     }
+}
+
+/// The engine binding `cohort_register` writes and a failover rebind
+/// repeats on the spare, as `(register, value)` in write order: both queue
+/// descriptors, the page-table root, the backoff window and the CSR
+/// buffer.
+fn binding_writes(
+    root_pa: u64,
+    input: &QueueDescriptor,
+    output: &QueueDescriptor,
+    csr: Option<(u64, u64)>,
+    backoff: u64,
+) -> [(u64, u64); 14] {
+    [
+        (regs::IN_WR_VA, input.write_index_va),
+        (regs::IN_RD_VA, input.read_index_va),
+        (regs::IN_BASE_VA, input.base_va),
+        (regs::IN_ELEM, u64::from(input.element_bytes)),
+        (regs::IN_LEN, u64::from(input.length)),
+        (regs::OUT_WR_VA, output.write_index_va),
+        (regs::OUT_RD_VA, output.read_index_va),
+        (regs::OUT_BASE_VA, output.base_va),
+        (regs::OUT_ELEM, u64::from(output.element_bytes)),
+        (regs::OUT_LEN, u64::from(output.length)),
+        (regs::PT_ROOT_PA, root_pa),
+        (regs::BACKOFF, backoff),
+        (regs::CSR_BASE_VA, csr.map_or(0, |(va, _)| va)),
+        (regs::CSR_LEN, csr.map_or(0, |(_, len)| len)),
+    ]
 }
 
 /// Shard placement policy: how a [`ShardPool`] steers the next queue

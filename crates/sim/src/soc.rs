@@ -425,37 +425,31 @@ impl Soc {
             })
     }
 
-    /// The earliest cycle at which anything can happen, given the
-    /// earliest wake-table entry `wake`: that or the cycle budget
-    /// (`deadline`), whichever comes first. NoC deliveries are in the
-    /// table, and fault windows open and close on the injector's own wake
-    /// times.
-    fn next_event(&self, wake: u64, deadline: u64) -> u64 {
-        wake.min(deadline)
-    }
-
     /// The conservative lookahead horizon from the current cycle: the
     /// number of upcoming cycles (≥ 1) in which provably no slot has
-    /// anything to do, i.e. the distance to `Soc::next_event` over the
-    /// whole wake table. It asks no component anything: the table was
-    /// filled from the [`Component::quiescent_for`] hints when the slots
-    /// last stepped, and a message in flight holds its destination's entry
-    /// at or below its delivery cycle. A horizon of `k ≥ 2` means cycles
-    /// `now .. now + k - 1` may be skipped; 1 says only that the current
-    /// cycle cannot be proved idle from here. Under [`Lookahead::Force1`]
-    /// this is constantly 1. The run loop does not use it (its own pass
-    /// over the table also yields the awake list); it is public so the
-    /// horizon-soundness property tests can probe it directly.
+    /// anything to do, i.e. the distance to the earliest wake-table entry
+    /// or to the cycle budget (`deadline`), whichever comes first. NoC
+    /// deliveries are in the table, and fault windows open and close on
+    /// the injector's own wake times. It asks no component anything: the
+    /// table was filled from the [`Component::quiescent_for`] hints when
+    /// the slots last stepped, and a message in flight holds its
+    /// destination's entry at or below its delivery cycle. A horizon of
+    /// `k ≥ 2` means cycles `now .. now + k - 1` may be skipped; 1 says only
+    /// that the current cycle cannot be proved idle from here. Under
+    /// [`Lookahead::Force1`] this is constantly 1. The run loop does not use
+    /// it (its own pass over the table also yields the awake list); it is
+    /// public so the horizon-soundness property tests can probe it
+    /// directly.
     pub fn lookahead_horizon(&self, deadline: u64) -> u64 {
         let wake = self.wake.iter().copied().min().unwrap_or(u64::MAX);
-        (self.next_event(wake, deadline).saturating_sub(self.cycle)).max(1)
+        (wake.min(deadline).saturating_sub(self.cycle)).max(1)
     }
 
     /// Debug builds' shadow audit, a full walk: a sleeper has nothing
-    /// staged and no mail, wakes no later than its next delivery (so
-    /// `next_event` need not ask the NoC), and a fresh hint still covers
-    /// its standing wake time — it reads only the component and the fault
-    /// switches, and neither has changed.
+    /// staged and no mail, wakes no later than its next delivery (so the
+    /// wake table alone gives the next event), and a fresh hint still
+    /// covers its standing wake time — it reads only the component and the
+    /// fault switches, and neither has changed.
     fn audit_sleepers(&self) {
         for (i, (slot, &wake)) in self.slots.iter().zip(&self.wake).enumerate() {
             if wake <= self.cycle {
@@ -479,11 +473,11 @@ impl Soc {
     }
 
     /// What the run loop does before stepping a cycle: scan the wake table
-    /// and, if nobody is awake, jump to the next cycle somebody is — only
-    /// the cycle counter moves, no step, no commit; each slot reconciles
-    /// its bookkeeping when it next steps. Returns true if it jumped (the
-    /// caller re-checks its exits), false if `awake` is ready to be
-    /// stepped.
+    /// and, if nobody is awake, jump to the next cycle somebody is (or to
+    /// the budget's end) — only the cycle counter moves, no step, no
+    /// commit; each slot reconciles its bookkeeping when it next steps.
+    /// Returns true if it jumped (the caller re-checks its exits), false if
+    /// `awake` is ready to be stepped.
     fn skip_idle_cycles(&mut self, deadline: u64) -> bool {
         let wake = self.scan_wake();
         if cfg!(debug_assertions) {
@@ -492,7 +486,7 @@ impl Soc {
         if !self.awake.is_empty() {
             return false;
         }
-        let to = self.next_event(wake, deadline);
+        let to = wake.min(deadline);
         debug_assert!(to > self.cycle, "an idle cycle with an event due");
         self.kernel.ff_cycles.add(to - self.cycle);
         self.cycle = to;

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example soc_tour`
 
-use cohort::scenarios::{run_cohort, run_dma, run_mmio, RunResult, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 
 fn show(label: &str, r: &RunResult) {
     println!("--- {label} ---");
@@ -37,13 +37,14 @@ fn main() {
         scenario.queue_size, scenario.batch
     );
 
-    let cohort = run_cohort(&scenario);
+    let run = |runner| run_scenario(runner, &scenario, None).expect("admitted");
+    let cohort = run(Runner::Cohort);
     show("Cohort (SPSC queues + engine)", &cohort);
 
-    let mmio = run_mmio(&scenario);
+    let mmio = run(Runner::Mmio);
     show("MMIO baseline (word-at-a-time)", &mmio);
 
-    let dma = run_dma(&scenario);
+    let dma = run(Runner::Dma);
     show("Coherent DMA baseline (256-byte blocks)", &dma);
 
     println!("\nSummary:");

@@ -3,15 +3,20 @@
 //! The recovery contract (docs/architecture.md §7): every fault class must
 //! end in completion with the exact fault-free output, or a clean reported
 //! error state — never a deadlock, never a panic. These tests drive each
-//! class through [`cohort::scenarios::run_cohort_chaos`], which arms the
+//! class through the [`cohort::scenarios::Runner::Chaos`] run, which arms the
 //! whole stack: watchdog, swap-backed fault handler, storm hook, and the
 //! bounded-retry error handler with a software fallback. The last test
 //! builds the paging part of that stack by hand so that it can look at the
 //! run between cycles.
 
-use cohort::scenarios::{run_cohort, run_cohort_chaos, RunResult, Scenario, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, Workload};
 use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::{FaultKind, FaultPlan, RandomFaults, FOREVER};
+
+/// An admitted run through the one way in.
+fn run(runner: Runner, scenario: &Scenario) -> RunResult {
+    run_scenario(runner, scenario, None).expect("admitted")
+}
 
 /// A small SHA chaos scenario carrying `plan`.
 fn chaos_scenario(plan: FaultPlan) -> Scenario {
@@ -47,7 +52,7 @@ fn hist_count(stats_json: &str, name: &str) -> u64 {
 #[test]
 fn finite_stall_recovers_without_watchdog_trip() {
     let plan = FaultPlan::default().at(5_000, FaultKind::AccelStall { cycles: 3_000 });
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(r.verified, "finite stall must not corrupt output");
     assert_eq!(
         engine_counter(&r, "watchdog_trips"),
@@ -62,7 +67,7 @@ fn infinite_stall_trips_watchdog_and_degrades_to_software() {
     let mut s =
         chaos_scenario(FaultPlan::default().at(5_000, FaultKind::AccelStall { cycles: FOREVER }));
     s.watchdog = 20_000; // detect the wedge quickly
-    let r = run_cohort_chaos(&s);
+    let r = run(Runner::Chaos, &s);
     assert!(
         r.verified,
         "software fallback must reproduce the full digest stream"
@@ -77,7 +82,7 @@ fn infinite_stall_trips_watchdog_and_degrades_to_software() {
 #[test]
 fn corrupted_descriptor_is_rejected_and_recovered() {
     let plan = FaultPlan::default().at(8_000, FaultKind::CorruptDescriptor);
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(
         r.verified,
         "corruption must be rejected, then worked around"
@@ -94,8 +99,8 @@ fn page_fault_storm_output_matches_fault_free_run() {
         .at(6_000, FaultKind::PageFaultStorm { pages: 2 })
         .at(20_000, FaultKind::PageFaultStorm { pages: 3 });
     let scenario = chaos_scenario(plan);
-    let stormy = run_cohort_chaos(&scenario);
-    let clean = run_cohort(&Scenario::new(Workload::Sha, 64, 8));
+    let stormy = run(Runner::Chaos, &scenario);
+    let clean = run(Runner::Cohort, &Scenario::new(Workload::Sha, 64, 8));
     assert!(stormy.verified && clean.verified);
     assert_eq!(
         checksum(&stormy.recorded),
@@ -117,7 +122,7 @@ fn latency_spike_completes_with_correct_output() {
             factor: 8,
         },
     );
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(r.verified, "a slow NoC is still a correct NoC");
 }
 
@@ -136,8 +141,8 @@ fn seeded_random_plan_is_deterministic_across_runs() {
         s.watchdog = 30_000;
         s
     };
-    let a = run_cohort_chaos(&make());
-    let b = run_cohort_chaos(&make());
+    let a = run(Runner::Chaos, &make());
+    let b = run(Runner::Chaos, &make());
     assert!(a.verified && b.verified);
     assert_eq!(a.cycles, b.cycles, "same seed, same cycle count");
     assert_eq!(checksum(&a.recorded), checksum(&b.recorded));
@@ -150,7 +155,7 @@ fn seeded_random_plan_is_deterministic_across_runs() {
 #[test]
 fn error_irq_latency_is_measured_end_to_end() {
     let plan = FaultPlan::default().at(8_000, FaultKind::CorruptDescriptor);
-    let r = run_cohort_chaos(&chaos_scenario(plan));
+    let r = run(Runner::Chaos, &chaos_scenario(plan));
     assert!(r.verified);
     let irqs = engine_counter(&r, "error_irqs");
     assert!(irqs >= 1);
@@ -176,7 +181,7 @@ fn retry_budget_resets_after_each_successful_recovery() {
         .at(40_000, FaultKind::AccelStall { cycles: 15_000 });
     let mut s = chaos_scenario(plan);
     s.watchdog = 10_000; // each stall overruns the budget exactly once
-    let r = run_cohort_chaos(&s);
+    let r = run(Runner::Chaos, &s);
     assert!(r.verified);
     assert!(
         engine_counter(&r, "watchdog_trips") >= 3,
@@ -200,7 +205,7 @@ fn chaos_transitions_are_visible_in_the_trace() {
         chaos_scenario(FaultPlan::default().at(5_000, FaultKind::AccelStall { cycles: FOREVER }));
     s.watchdog = 20_000;
     s.trace = true;
-    let r = run_cohort_chaos(&s);
+    let r = run(Runner::Chaos, &s);
     assert!(r.verified);
     let trace = r.trace_json.expect("tracing enabled");
     assert!(trace.contains("fault:stall"), "injection instant present");

@@ -2,7 +2,7 @@
 //! merge-order correctness, failover composition, scaling, and the
 //! placement-policy separation the pool exists to provide.
 
-use cohort::scenarios::{run_cohort_sharded, RunResult, Scenario, ShardSpec, Workload};
+use cohort::scenarios::{run_scenario, RunResult, Runner, Scenario, ShardSpec, Workload};
 use cohort_os::driver::Placement;
 use cohort_queue::SeqMerge;
 use cohort_sim::config::SocConfig;
@@ -11,7 +11,7 @@ use cohort_sim::faultinject::{splitmix64, FaultKind, FaultPlan};
 fn sharded(qs: u64, engines: usize, spec: &ShardSpec) -> RunResult {
     let mut scenario = Scenario::new(Workload::Aes, qs, 64);
     scenario.soc = SocConfig::default().with_engines(engines);
-    let r = run_cohort_sharded(&scenario, spec).expect("pool binds");
+    let r = run_scenario(Runner::Sharded, &scenario, Some(spec)).expect("pool binds");
     assert!(r.verified, "sharded run failed verification");
     r
 }
@@ -78,7 +78,7 @@ fn shard_kill_heals_via_failover_with_correct_digest() {
     scenario.soc = SocConfig::default()
         .with_engines(5)
         .with_faults(FaultPlan::default().at(20_000, FaultKind::KillEngine { engine: 1 }));
-    let r = run_cohort_sharded(&scenario, &ShardSpec::new(4)).expect("pool binds");
+    let r = run_scenario(Runner::Sharded, &scenario, Some(&ShardSpec::new(4))).expect("pool binds");
     assert!(r.verified, "digest wrong after shard failover");
     assert_eq!(summed_engine_counter(&r, "rebinds"), 1);
     assert_eq!(summed_engine_counter(&r, "watchdog_trips"), 1);
