@@ -15,8 +15,7 @@ pub struct AccelDescriptor {
     pub name: &'static str,
     /// Bytes consumed per invocation (the "data block" of §4.3).
     pub input_block_bytes: usize,
-    /// Bytes produced per invocation; `0` means variable-size output (e.g.
-    /// the H.264 entropy coder).
+    /// Bytes produced per invocation; `0` means variable-size output.
     pub output_block_bytes: usize,
     /// Compute latency in cycles for one block (paper §6.1: SHA-256 is 66,
     /// AES-128 is 41).

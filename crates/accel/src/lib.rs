@@ -6,9 +6,6 @@
 //! * [`sha256`] — FIPS 180-4 SHA-256 (the OpenCores SHA-256 core's role);
 //! * [`aes128`] — FIPS 197 AES-128 encryption/decryption (the OpenCores
 //!   AES-128 core's role), key delivered through a CSR struct;
-//! * [`h264`] — an H.264 CAVLC residual entropy encoder (the hardh264
-//!   core's role), with Exp-Golomb headers, the full CAVLC VLC tables and a
-//!   matching decoder for round-trip testing;
 //! * [`stft`] — a fixed-point short-time Fourier transform (mentioned in
 //!   §4.3), windowed radix-2 FFT;
 //! * [`nullfifo`] — the AXI-Stream FIFO "null accelerator" used to validate
@@ -35,7 +32,6 @@
 
 pub mod accelerator;
 pub mod aes128;
-pub mod h264;
 pub mod nullfifo;
 pub mod ratchet;
 pub mod sha256;

@@ -23,7 +23,7 @@ use cohort_os::driver::{
 };
 use cohort_os::sv39::PAGE_BYTES;
 use cohort_os::CohortDriver;
-use cohort_queue::{QueueDescriptor, QueueLayout, SeqMerge};
+use cohort_queue::{QueueDescriptor, SeqMerge};
 use cohort_sim::component::CompId;
 use cohort_sim::config::SocConfig;
 use cohort_sim::core::InOrderCore;
@@ -312,55 +312,128 @@ fn silent_by_class(soc: &Soc) -> Vec<(String, u64)> {
     classes.collect()
 }
 
-// The assembly pipeline. Every runner below is these stages, in this
-// order, and says only what differs between runners:
-//
-//   1. build system    — `build_system`: engines / MAPLE / extra cores
-//   2. stage CSR/key   — `stage_csr` (guest buffer), `maple_csr_ops` (MMIO)
-//   3. emit program(s) — driver ops as literal segments, the loop as a
-//                        stream composed of `push`, `publish`, `gate_pop`
-//                        and `release` (`single_engine_program`, and the
-//                        chain, sharded and custom runners); the MMIO and
-//                        DMA baselines stream their own MMIO loops
-//   4. arm recovery    — `arm_failover`, then `arm` (program load + demand
-//                        paging; there is no way to load the benchmark
-//                        program that skips the paging hook)
-//   5. run, 6. collect — `run_and_collect`, the one place a `RunResult`
-//                        is made; the runner supplies the verifier
-//
-// Allocation order and the emitted `Op` sequence are observable — they
-// fix physical addresses, cache-set conflicts and therefore cycles — so
-// the order in which a runner calls into the stages is deliberate.
+// How a run is assembled. The MMIO and DMA baselines stream their own
+// MMIO loops onto a MAPLE-only system. Every other runner, and
+// `CustomRun`, states its engines as a `Topology` and hands it to
+// `run_engines`, the one body, which runs these stages in this order:
+// build the system; allocate the noise working set if it comes first,
+// the queues, the CSR buffer, the failover spill page and the noise
+// working set if it comes last; compose the benchmark core's program
+// (register each binding, the watched engine's watchdog and spill
+// registers, the topology's loop, a fence, unregister) and each extra
+// core's; `arm` (program load, the run's one kernel vm snapshot, demand
+// paging) and the recovery handlers; `run_and_collect`. Allocation order
+// and the emitted `Op` sequence are observable — they fix physical
+// addresses, cache-set conflicts and therefore cycles — so a runner says
+// only what its topology holds, never in which order it is built.
 
-/// Stage 1: the SoC and its accelerator hosts — one Cohort engine per
-/// entry of `engine_accels`, the MAPLE unit if any, and `extra_cores`
-/// idle cores whose programs are loaded later.
-fn build_system_with(
-    cfg: SocConfig,
-    policy: MapPolicy,
-    engine_accels: Vec<Box<dyn Accelerator>>,
-    maple_accel: Option<Box<dyn Accelerator>>,
-    extra_cores: usize,
-) -> SimSystem {
-    let spec = SystemSpec {
-        cfg,
-        policy,
-        engine_accels,
-        maple_accel,
-        extra_cores,
-    };
-    SimSystem::build(spec)
+/// `cohort_register(engine, queues[input], queues[output])`, with the
+/// CSR buffer when the flag is set: `(engine, input, output, csr)`.
+type Binding = (usize, usize, usize, bool);
+
+/// A core's program, made from the allocated queues and noise working
+/// set.
+type Emit = Box<dyn FnOnce(&[QueueDescriptor], Range<u64>) -> Program>;
+
+/// A run's verifier: sees the finished system, the queues and the words
+/// the benchmark core recorded.
+type Verify = Box<dyn FnOnce(&SimSystem, &[QueueDescriptor], &[u64]) -> bool>;
+
+/// Where a topology's noise working set (2x the L2) falls in the
+/// allocation order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Noise {
+    None,
+    /// Before the queues.
+    First,
+    /// After everything else, the spill page included.
+    Last,
 }
 
-/// [`build_system_with`] the scenario's SoC configuration and map policy.
-fn build_system(
-    scenario: &Scenario,
-    engine_accels: Vec<Box<dyn Accelerator>>,
-    maple_accel: Option<Box<dyn Accelerator>>,
-    extra_cores: usize,
-) -> SimSystem {
-    let (cfg, policy) = (scenario.soc.clone(), scenario.policy);
-    build_system_with(cfg, policy, engine_accels, maple_accel, extra_cores)
+/// The recovery a topology arms on the benchmark core.
+enum Recovery {
+    None,
+    /// The [`Runner::Chaos`] stack around binding 0, whose software
+    /// fallback publishes this output stream.
+    Chaos(Rc<[u64]>),
+    /// Fail-stop migration of binding `victim`'s queues onto the cold
+    /// spare engine `spare` (see [`Runner::Failover`]).
+    Failover {
+        victim: usize,
+        spare: usize,
+    },
+}
+
+/// A Cohort-engine run as data: what [`run_engines`] builds, besides the
+/// platform a [`Scenario`] gives it.
+struct Topology {
+    /// One accelerator per engine, in engine order.
+    accels: Vec<Box<dyn Accelerator>>,
+    /// Queue lengths in 8-byte elements, in allocation order.
+    queues: Vec<u64>,
+    csr: Option<Vec<u8>>,
+    /// Registered in this order.
+    bindings: Vec<Binding>,
+    noise: Noise,
+    recovery: Recovery,
+    /// The benchmark core's loop, between registering and the fence.
+    bench: Emit,
+    /// One program per extra core.
+    cores: Vec<Emit>,
+    /// Unregister the bindings last to first (after the spare, if any).
+    unregister_reversed: bool,
+    verify: Verify,
+}
+
+impl Topology {
+    /// One engine hosting `accel` from queue 0 into queue 1 with the CSR,
+    /// no extra core and no recovery, verified against `expected`.
+    fn single(
+        accel: Box<dyn Accelerator>,
+        queues: [u64; 2],
+        csr: Option<Vec<u8>>,
+        bench: Emit,
+        expected: Vec<u64>,
+    ) -> Self {
+        Self {
+            accels: vec![accel],
+            queues: queues.to_vec(),
+            csr,
+            bindings: vec![(0, 0, 1, true)],
+            noise: Noise::None,
+            recovery: Recovery::None,
+            bench,
+            cores: Vec::new(),
+            unregister_reversed: false,
+            verify: Box::new(move |_, _, recorded| recorded == expected),
+        }
+    }
+}
+
+/// A program of one generated stream.
+fn streamed(ops: impl Iterator<Item = Op> + 'static) -> Program {
+    let mut program = Program::new();
+    program.stream(ops);
+    program
+}
+
+/// A program of one generated stream, then a fence.
+fn fenced(ops: impl Iterator<Item = Op> + 'static) -> Program {
+    let mut program = streamed(ops);
+    program.push(Op::Fence);
+    program
+}
+
+/// The MAPLE baselines' system: the unit hosting the workload's
+/// accelerator, and no engine.
+fn maple_system(scenario: &Scenario) -> SimSystem {
+    SimSystem::build(SystemSpec {
+        cfg: scenario.soc.clone(),
+        policy: scenario.policy,
+        engine_accels: Vec::new(),
+        maple_accel: Some(scenario.workload.make_accel()),
+        extra_cores: 0,
+    })
 }
 
 /// Maps whatever pages of `[va, va + len)` the policy left unmapped, so
@@ -494,77 +567,9 @@ fn release(q: QueueDescriptor, popped: u64) -> [Op; 2] {
     [Op::Alu(1), Op::Store { va, value }]
 }
 
-/// The single-engine Cohort loop (§5.3): per batch, push it and publish
-/// the write index, pop every output block it completes, then release
-/// what has been popped.
-fn push_pop_body(
-    scenario: &Scenario,
-    data: &Rc<[u64]>,
-    in_q: QueueDescriptor,
-    out_q: QueueDescriptor,
-) -> impl Iterator<Item = Op> {
-    let (m, costs) = (scenario.output_words(), scenario.costs);
-    let wpb_in = scenario.workload.words_in_per_block();
-    let wpb_out = scenario.workload.words_out_per_block();
-    // The output words the first `pushed` input words complete.
-    let done = move |pushed: u64| (pushed * wpb_out / wpb_in).min(m);
-    let data = Rc::clone(data);
-    runs(0..scenario.queue_size, scenario.batch).flat_map(move |batch| {
-        let popped = done(batch.end);
-        let blocks = runs(done(batch.start)..popped, wpb_out);
-        let input = words(&data, batch.clone());
-        let released = (popped > 0).then(|| release(out_q, popped));
-        push(in_q, costs.push_loop_alu, batch.start, input)
-            .chain(publish(in_q, batch.end))
-            .chain(blocks.flat_map(move |b| gate_pop(out_q, costs.pop_loop_alu, b)))
-            .chain(released.into_iter().flatten())
-    })
-}
-
-/// Stages 2–3 of the single-engine Cohort runners: the queue pair and the
-/// CSR, then `cohort_register` → watchdog (when the runner arms one) →
-/// the push/pop loop → `cohort_unregister`, all on engine 0.
-fn single_engine_program(
-    sys: &mut SimSystem,
-    scenario: &Scenario,
-    data: &Rc<[u64]>,
-    watchdog: Option<u64>,
-) -> (Program, QueueLayout, QueueLayout) {
-    let in_q = sys.alloc_queue(8, scenario.queue_size as u32);
-    let out_q = sys.alloc_queue(8, scenario.output_words().max(1) as u32);
-    let csr = stage_csr(sys, scenario.workload.csr().as_deref());
-    let driver = sys.drivers[0].clone();
-    let mut program = driver.register_ops(
-        sys.space.root_pa(),
-        &in_q.descriptor,
-        &out_q.descriptor,
-        csr,
-        scenario.backoff,
-    );
-    if let Some(cycles) = watchdog {
-        program.append(driver.watchdog_ops(cycles));
-    }
-    program.stream(push_pop_body(
-        scenario,
-        data,
-        in_q.descriptor,
-        out_q.descriptor,
-    ));
-    program.push(Op::Fence);
-    program.append(driver.unregister_ops());
-    (program, in_q, out_q)
-}
-
 /// Mutable access to core `id` (the benchmark core or an extra one).
 fn core_mut(soc: &mut Soc, id: CompId) -> &mut InOrderCore {
     soc.component_mut::<InOrderCore>(id).expect("core present")
-}
-
-/// The kernel's view of the benchmark process's memory management, shared
-/// by every handler of one run. It snapshots the frame allocator, so it
-/// must be taken after the last host-side allocation that consumes frames.
-fn kernel_vm(sys: &SimSystem) -> SharedVm {
-    CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone())
 }
 
 /// Default watchdog budget the recovery stacks arm when the scenario
@@ -581,66 +586,21 @@ fn armed_watchdog(scenario: &Scenario) -> u64 {
     }
 }
 
-/// Stage 4, failover: arms engine `victim` for fail-stop migration onto
-/// the cold spare `spare` — a checkpoint spill page, the victim's
-/// watchdog and spill registers appended to `program`, and the failover
-/// orchestrator on the victim's error IRQ, rebinding `input`/`output`.
-/// Only the victim is watchdogged: its healthy neighbours legitimately
-/// sit in states the watchdog does not treat as benign (a producer
-/// between batches, an upstream engine spinning on a full queue during
-/// the outage). Returns the kernel vm the orchestrator checkpoints
-/// through, for [`arm`] to share with the paging handlers.
-fn arm_failover(
-    sys: &mut SimSystem,
-    program: &mut Program,
-    scenario: &Scenario,
-    (victim, spare): (usize, usize),
-    (input, output): (&QueueLayout, &QueueLayout),
-    csr: Option<(u64, u64)>,
-) -> SharedVm {
-    // The engine addresses the spill page physically, so resolve (and,
-    // under lazy mapping, fault in) the page-aligned buffer up front.
-    let spill_va = sys.alloc_buffer(PAGE_BYTES, PAGE_BYTES);
-    host_fault_in(sys, spill_va, PAGE_BYTES);
-    let spill_pa = sys
-        .space
-        .translate(&sys.soc.mem, spill_va)
-        .expect("spill page mapped");
-    let watchdog = armed_watchdog(scenario);
-    let driver = sys.drivers[victim].clone();
-    program.append(driver.watchdog_ops(watchdog));
-    program.append(driver.spill_ops(spill_pa));
-    let vm = kernel_vm(sys);
-    driver.install_failover_handler(
-        core_mut(&mut sys.soc, sys.core),
-        FailoverConfig {
-            spare: sys.drivers[spare].clone(),
-            vm: Rc::clone(&vm),
-            root_pa: sys.space.root_pa(),
-            input: input.descriptor,
-            output: output.descriptor,
-            csr,
-            backoff: scenario.backoff,
-            watchdog,
-            spill_pa,
-        },
-    );
-    vm
-}
-
-/// Stage 4: loads the benchmark core's program and arms demand paging —
-/// every engine's page-fault interrupt handler on the benchmark core and
-/// the kernel fault path of every core, extra ones included, because
-/// under lazy mapping each of them can be first to touch a page. Armed
-/// when the policy is lazy, or when the runner brings a `swap` store
-/// (storms unmap pages under any policy). `vm` is the kernel view other
-/// handlers of this run already share, if any.
-fn arm(sys: &mut SimSystem, program: Program, vm: Option<SharedVm>, swap: Option<&SwapStore>) {
+/// Stage 4: loads the benchmark core's program and takes the run's one
+/// kernel vm snapshot, the view of the benchmark process's memory
+/// management that every handler of the run shares. It copies the frame
+/// allocator, so it comes after the last host-side allocation. Then arms
+/// demand paging: every engine's page-fault interrupt handler on the
+/// benchmark core and the kernel fault path of every core, extra ones
+/// included, because under lazy mapping each of them can be first to
+/// touch a page. Armed when the policy is lazy, or when the run brings a
+/// `swap` store (storms unmap pages under any policy).
+fn arm(sys: &mut SimSystem, program: Program, swap: Option<&SwapStore>) -> SharedVm {
     core_mut(&mut sys.soc, sys.core).load_program(program);
+    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
     if sys.space.policy() != MapPolicy::Lazy && swap.is_none() {
-        return;
+        return vm;
     }
-    let vm = vm.unwrap_or_else(|| kernel_vm(sys));
     let core = core_mut(&mut sys.soc, sys.core);
     for driver in &sys.drivers {
         driver.install_fault_handler(core, Rc::clone(&vm), swap.cloned());
@@ -652,11 +612,13 @@ fn arm(sys: &mut SimSystem, program: Program, vm: Option<SharedVm>, swap: Option
             true
         }));
     }
+    vm
 }
 
-/// Stages 5 and 6: runs to completion, then collects — the one place a
-/// [`RunResult`] is made. `verify` sees the finished system and the words
-/// the benchmark core recorded.
+/// Stages 5 and 6: runs to completion within the cycle budget of
+/// `scenario`'s queue size (with its trace switch), then collects — the
+/// one place a [`RunResult`] is made. `verify` sees the finished system
+/// and the words the benchmark core recorded.
 ///
 /// # Panics
 /// Panics if the benchmark core has not retired its program within the
@@ -664,12 +626,12 @@ fn arm(sys: &mut SimSystem, program: Program, vm: Option<SharedVm>, swap: Option
 /// a dead engine is failed over, so a fault plan is no excuse to hang.
 fn run_and_collect(
     mut sys: SimSystem,
-    trace: bool,
-    queue_size: u64,
+    scenario: &Scenario,
     verify: impl FnOnce(&SimSystem, &[u64]) -> bool,
 ) -> RunResult {
+    let trace = scenario.trace;
     sys.soc.set_tracing(trace);
-    let outcome = sys.soc.run(cycle_budget(queue_size));
+    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
     let core = sys.core();
     assert!(
         core.is_done(),
@@ -697,73 +659,192 @@ fn run_and_collect(
     }
 }
 
-/// [`run_and_collect`] with the usual verifier: the recorded words equal
-/// `expected`, the workload's host-side reference.
-fn finish(sys: SimSystem, scenario: &Scenario, expected: &[u64]) -> RunResult {
-    run_and_collect(sys, scenario.trace, scenario.queue_size, |_, recorded| {
-        recorded == expected
+/// The one body of every Cohort-engine run: `topo` on the platform of
+/// `scenario` (its SoC, map policy, backoff, watchdog, trace switch and
+/// the cycle budget its queue size sets), in the stages and order the
+/// comment above [`Topology`] gives.
+fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
+    let mut sys = SimSystem::build(SystemSpec {
+        cfg: scenario.soc.clone(),
+        policy: scenario.policy,
+        engine_accels: topo.accels,
+        maple_accel: None,
+        extra_cores: topo.cores.len(),
+    });
+    let noise_bytes = 2 * sys.soc.config().l2.capacity_bytes;
+    let mut noise = (topo.noise == Noise::First).then(|| sys.alloc_buffer(noise_bytes, 64));
+    let queues = topo.queues.iter();
+    let queues = queues.map(|&len| sys.alloc_queue(8, len as u32).descriptor);
+    let queues: Vec<QueueDescriptor> = queues.collect();
+    let csr = stage_csr(&mut sys, topo.csr.as_deref());
+    // The watched binding, and for failover the spill page, which the
+    // engine addresses physically: resolved (and, under lazy mapping,
+    // faulted in) up front.
+    let bindings = topo.bindings;
+    let (watched, chaos, failover) = match topo.recovery {
+        Recovery::None => (None, None, None),
+        Recovery::Chaos(expected) => (Some(bindings[0]), Some(expected), None),
+        Recovery::Failover { victim, spare } => {
+            let va = sys.alloc_buffer(PAGE_BYTES, PAGE_BYTES);
+            host_fault_in(&mut sys, va, PAGE_BYTES);
+            let spill_pa = sys
+                .space
+                .translate(&sys.soc.mem, va)
+                .expect("spill page mapped");
+            (Some(bindings[victim]), None, Some((spare, spill_pa)))
+        }
+    };
+    if topo.noise == Noise::Last {
+        noise = Some(sys.alloc_buffer(noise_bytes, 64));
+    }
+    let noise = noise.map_or(0..0, |va| va..va + noise_bytes);
+
+    let (root_pa, backoff) = (sys.space.root_pa(), scenario.backoff);
+    let mut program = Program::new();
+    for &(engine, input, output, with_csr) in &bindings {
+        let (input, output, csr) = (&queues[input], &queues[output], csr.filter(|_| with_csr));
+        let driver = &sys.drivers[engine];
+        program.append(driver.register_ops(root_pa, input, output, csr, backoff));
+    }
+    // Only the watched engine gets a watchdog: its healthy neighbours
+    // legitimately sit in states the watchdog does not treat as benign (a
+    // producer between batches, an upstream engine spinning on a full
+    // queue during an outage).
+    let watchdog = armed_watchdog(scenario);
+    if let Some((engine, ..)) = watched {
+        program.append(sys.drivers[engine].watchdog_ops(watchdog));
+        if let Some((_, spill_pa)) = failover {
+            program.append(sys.drivers[engine].spill_ops(spill_pa));
+        }
+    }
+    program.append((topo.bench)(&queues, noise.clone()));
+    program.push(Op::Fence);
+    let mut engines: Vec<usize> = bindings.iter().map(|b| b.0).collect();
+    if topo.unregister_reversed {
+        engines.reverse();
+    }
+    for e in failover.map(|(spare, _)| spare).into_iter().chain(engines) {
+        program.append(sys.drivers[e].unregister_ops());
+    }
+    for (emit, id) in topo.cores.into_iter().zip(sys.extra_cores.clone()) {
+        core_mut(&mut sys.soc, id).load_program(emit(&queues, noise.clone()));
+    }
+
+    let swap = chaos.is_some().then(swap_store);
+    let vm = arm(&mut sys, program, swap.as_ref());
+    if let Some((engine, input, output, with_csr)) = watched {
+        let (input, output) = (queues[input], queues[output]);
+        if let (Some(expected), Some(swap)) = (chaos, swap) {
+            arm_chaos(&mut sys, engine, (input, output), vm, swap, expected);
+        } else if let Some((spare, spill_pa)) = failover {
+            // The orchestrator on the victim's error IRQ rebinds its
+            // queues on the spare.
+            let config = FailoverConfig {
+                spare: sys.drivers[spare].clone(),
+                vm,
+                root_pa,
+                input,
+                output,
+                csr: csr.filter(|_| with_csr),
+                backoff,
+                watchdog,
+                spill_pa,
+            };
+            let core = core_mut(&mut sys.soc, sys.core);
+            sys.drivers[engine].install_failover_handler(core, config);
+        }
+    }
+    let verify = topo.verify;
+    run_and_collect(sys, scenario, |sys, recorded| {
+        verify(sys, &queues, recorded)
     })
 }
 
-/// The [`Runner::Cohort`] run.
-fn cohort(scenario: &Scenario) -> RunResult {
+/// The [`Runner::Cohort`] topology. Its loop (§5.3), per batch: push it
+/// and publish the write index, pop every output block it completes,
+/// then release what has been popped.
+fn cohort(scenario: &Scenario) -> Topology {
+    let (n, m, batch, costs) = (
+        scenario.queue_size,
+        scenario.output_words(),
+        scenario.batch,
+        scenario.costs,
+    );
+    let workload = scenario.workload;
+    let wpb_in = workload.words_in_per_block();
+    let wpb_out = workload.words_out_per_block();
+    // The output words the first `pushed` input words complete.
+    let done = move |pushed: u64| (pushed * wpb_out / wpb_in).min(m);
     let data: Rc<[u64]> = scenario.input_words().into();
-    let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
-    let (program, ..) = single_engine_program(&mut sys, scenario, &data, None);
-    arm(&mut sys, program, None, None);
-    finish(sys, scenario, &scenario.workload.reference_outputs(&data))
+    let expected = workload.reference_outputs(&data);
+    let bench: Emit = Box::new(move |q, _| {
+        let (in_q, out_q) = (q[0], q[1]);
+        streamed(runs(0..n, batch).flat_map(move |batch| {
+            let popped = done(batch.end);
+            let blocks = runs(done(batch.start)..popped, wpb_out);
+            let input = words(&data, batch.clone());
+            let released = (popped > 0).then(|| release(out_q, popped));
+            push(in_q, costs.push_loop_alu, batch.start, input)
+                .chain(publish(in_q, batch.end))
+                .chain(blocks.flat_map(move |b| gate_pop(out_q, costs.pop_loop_alu, b)))
+                .chain(released.into_iter().flatten())
+        }))
+    });
+    let accel = workload.make_accel();
+    Topology::single(accel, [n, m], workload.csr(), bench, expected)
 }
 
-/// The [`Runner::Interfered`] run.
-fn interfered(scenario: &Scenario) -> RunResult {
-    let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 1);
-
-    // The interference working set: 2x the L2, streamed repeatedly. It is
-    // allocated before the queues.
-    let footprint = 2 * sys.soc.config().l2.capacity_bytes;
-    let buf = sys.alloc_buffer(footprint, 64);
+/// The [`Runner::Interfered`] topology: [`Runner::Cohort`]'s, with one
+/// extra core storing through the noise working set, allocated before
+/// the queues, pass after pass.
+fn interfered(scenario: &Scenario) -> Topology {
     let passes = (scenario.queue_size / 64).max(2);
-    let mut noise = Program::new();
-    noise.stream((0..passes).flat_map(move |p| {
-        (0..footprint / 64).map(move |line| Op::Store {
-            va: buf + line * 64,
-            value: p ^ line,
-        })
-    }));
-    noise.push(Op::Fence);
-    core_mut(&mut sys.soc, sys.extra_cores[0]).load_program(noise);
-
-    let data: Rc<[u64]> = scenario.input_words().into();
-    let (program, ..) = single_engine_program(&mut sys, scenario, &data, None);
-    arm(&mut sys, program, None, None);
-    finish(sys, scenario, &scenario.workload.reference_outputs(&data))
+    let noise: Emit = Box::new(move |_, noise| {
+        let (buf, lines) = (noise.start, (noise.end - noise.start) / 64);
+        let stores = (0..passes).flat_map(move |p| {
+            (0..lines).map(move |line| Op::Store {
+                va: buf + line * 64,
+                value: p ^ line,
+            })
+        });
+        fenced(stores)
+    });
+    let mut topo = cohort(scenario);
+    topo.noise = Noise::First;
+    topo.cores.push(noise);
+    topo
 }
 
-/// The [`Runner::Chaos`] run.
-fn chaos(scenario: &Scenario) -> RunResult {
-    let data: Rc<[u64]> = scenario.input_words().into();
-    let mut sys = build_system(scenario, vec![scenario.workload.make_accel()], None, 0);
-    let watchdog = Some(armed_watchdog(scenario));
-    let (program, in_q, out_q) = single_engine_program(&mut sys, scenario, &data, watchdog);
+/// The [`Runner::Chaos`] topology: [`Runner::Cohort`]'s, with the chaos
+/// recovery stack.
+fn chaos(scenario: &Scenario) -> Topology {
+    let expected = scenario.workload.reference_outputs(&scenario.input_words());
+    let mut topo = cohort(scenario);
+    topo.recovery = Recovery::Chaos(expected.into());
+    topo
+}
 
-    // One kernel mm view shared by every recovery path, plus the swap
-    // store that keeps storm evictions lossless.
-    let vm = kernel_vm(&sys);
-    let swap = swap_store();
-
+/// The handlers of [`Recovery::Chaos`] around `engine`, which moves
+/// `queues` (input, output): the storm hook, and the error handler with
+/// its software fallback and forward-progress probe. The page-fault
+/// handlers on `vm` and `swap` are already armed.
+fn arm_chaos(
+    sys: &mut SimSystem,
+    engine: usize,
+    queues: (QueueDescriptor, QueueDescriptor),
+    vm: SharedVm,
+    swap: SwapStore,
+    expected: Rc<[u64]>,
+) {
     // Storm hook: evict queue data pages round-robin, parking each page's
     // frame in the swap store so the next fault maps the same frame back
     // in — writes racing the shootdown are never lost (see `SwapStore`).
     if let Some(inj_id) = sys.injector {
-        let mut candidates: Vec<u64> = Vec::new();
-        for q in [&in_q, &out_q] {
-            let d = &q.descriptor;
-            let mut page = d.base_va & !(PAGE_BYTES - 1);
-            while page < d.base_va + d.data_bytes() {
-                candidates.push(page);
-                page += PAGE_BYTES;
-            }
-        }
+        let pages = |d: QueueDescriptor| {
+            let first = d.base_va & !(PAGE_BYTES - 1);
+            (first..d.base_va + d.data_bytes()).step_by(PAGE_BYTES as usize)
+        };
+        let candidates: Vec<u64> = pages(queues.0).chain(pages(queues.1)).collect();
         let storm_vm = Rc::clone(&vm);
         let storm_swap = swap.clone();
         let mut next = 0usize;
@@ -795,18 +876,14 @@ fn chaos(scenario: &Scenario) -> RunResult {
     // entire output stream and publishes the final write index. Recomputing
     // from scratch keeps the path idempotent — partial hardware progress
     // before the failure is simply overwritten.
-    let expected: Rc<[u64]> = scenario.workload.reference_outputs(&data).into();
-    let fb_expected = Rc::clone(&expected);
-    let fb_vm = Rc::clone(&vm);
-    let fb_swap = swap.clone();
-    let out_desc = out_q.descriptor;
+    let out_desc = queues.1;
     let fallback: SoftwareFallback = Box::new(move |mem| {
-        let words = fb_expected.iter().enumerate();
+        let words = expected.iter().enumerate();
         let stores = words.map(|(j, &w)| (out_desc.element_va(j as u64), w));
-        let publish = (out_desc.write_index_va, fb_expected.len() as u64);
+        let publish = (out_desc.write_index_va, expected.len() as u64);
         for (va, value) in stores.chain([publish]) {
-            fault_in(mem, &fb_vm, Some(&fb_swap), va);
-            let pa = fb_vm.borrow().0.translate(mem, va).expect("mapped");
+            fault_in(mem, &vm, Some(&swap), va);
+            let pa = vm.borrow().0.translate(mem, va).expect("mapped");
             mem.write_u64(pa, value);
         }
     });
@@ -814,7 +891,7 @@ fn chaos(scenario: &Scenario) -> RunResult {
     // Forward-progress probe: strictly grows while the engine moves
     // elements, so the error handler can reset its bounded-retry budget
     // after a recovery demonstrably succeeded.
-    let ec = sys.engine(0).engine_counters();
+    let ec = sys.engine(engine).engine_counters();
     let (consumed, produced, drained) = (
         ec.consumed.clone(),
         ec.produced.clone(),
@@ -822,21 +899,14 @@ fn chaos(scenario: &Scenario) -> RunResult {
     );
     let probe: ProgressProbe = Box::new(move || consumed.get() + produced.get() + drained.get());
 
-    arm(&mut sys, program, Some(vm), Some(&swap));
-    let driver = sys.drivers[0].clone();
+    let driver = sys.drivers[engine].clone();
     let core = core_mut(&mut sys.soc, sys.core);
     driver.install_error_handler(core, 2, fallback, probe);
-    finish(sys, scenario, &expected)
 }
 
 /// The [`Runner::Mmio`] run.
 fn mmio(scenario: &Scenario) -> RunResult {
-    let mut sys = build_system(
-        scenario,
-        Vec::new(),
-        Some(scenario.workload.make_accel()),
-        0,
-    );
+    let mut sys = maple_system(scenario);
     let mut program = Program::new();
     maple_csr_ops(&mut program, scenario.workload);
     let data: Rc<[u64]> = scenario.input_words().into();
@@ -852,8 +922,9 @@ fn mmio(scenario: &Scenario) -> RunResult {
         looped(alu, pushes.chain(std::iter::repeat_n(pop, wpb_out)))
     }));
 
-    arm(&mut sys, program, None, None);
-    finish(sys, scenario, &scenario.workload.reference_outputs(&data))
+    arm(&mut sys, program, None);
+    let expected = scenario.workload.reference_outputs(&data);
+    run_and_collect(sys, scenario, |_, recorded| recorded == expected)
 }
 
 /// The [`Runner::Dma`] and [`Runner::DmaChaos`] runs. Hardened
@@ -862,12 +933,7 @@ fn mmio(scenario: &Scenario) -> RunResult {
 /// buffer from guest memory; otherwise the core reads the results back.
 fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
     let hardened = runner == Runner::DmaChaos;
-    let mut sys = build_system(
-        scenario,
-        Vec::new(),
-        Some(scenario.workload.make_accel()),
-        0,
-    );
+    let mut sys = maple_system(scenario);
     let n = scenario.queue_size;
     let m = scenario.output_words();
     let in_va = sys.alloc_buffer(n * 8, 64);
@@ -918,12 +984,12 @@ fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
         program.stream(looped(costs.pop_loop_alu, reads));
     }
 
-    arm(&mut sys, program, None, None);
+    arm(&mut sys, program, None);
     let expected = scenario.workload.reference_outputs(&data);
-    if !hardened {
-        return finish(sys, scenario, &expected);
-    }
-    run_and_collect(sys, scenario.trace, n, |sys, recorded| {
+    run_and_collect(sys, scenario, |sys, recorded| {
+        if !hardened {
+            return recorded == expected;
+        }
         let out_bytes = sys.read_guest(out_va, (m.max(1) * 8) as usize);
         let outputs = out_bytes
             .chunks_exact(8)
@@ -938,75 +1004,59 @@ fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
 /// that plenty of elements remain to migrate.
 pub const DEFAULT_CHAIN_KILL_CYCLE: u64 = 20_000;
 
-/// The [`Runner::Chain`] and [`Runner::Failover`] runs: the AES→SHA chain
-/// on engines 0 and 1; for [`Runner::Failover`], engine 2 is the cold SHA
-/// spare the victim (engine 1) migrates onto.
-fn chain(scenario: &Scenario, runner: Runner) -> RunResult {
-    let failover = runner == Runner::Failover;
+/// The [`Runner::Chain`] topology, and with `failover` the
+/// [`Runner::Failover`] one: the AES→SHA chain on engines 0 and 1; with
+/// `failover`, engine 2 is the cold SHA spare the victim (engine 1)
+/// migrates onto.
+fn chain(scenario: &Scenario, failover: bool) -> Topology {
     let mut accels: Vec<Box<dyn Accelerator>> =
         vec![Box::new(Aes128Accel::new()), Box::new(Sha256Accel::new())];
     if failover {
         accels.push(Box::new(Sha256Accel::new()));
     }
-    let mut sys = build_system(scenario, accels, None, 0);
-
-    let n = scenario.queue_size;
+    let (n, batch, costs) = (scenario.queue_size, scenario.batch, scenario.costs);
     let m = n / 2; // AES keeps the size; SHA turns 8 words in into 4 out.
-    let encrypt_q = sys.alloc_queue(8, n as u32);
-    let hash_q = sys.alloc_queue(8, n as u32);
-    let result_q = sys.alloc_queue(8, m as u32);
-    let key = stage_csr(&mut sys, Some(&AES_KEY));
-    let aes_driver = sys.drivers[0].clone();
-    let sha_driver = sys.drivers[1].clone();
-    let root_pa = sys.space.root_pa();
-
+    let data: Rc<[u64]> = scenario.input_words().into();
+    // Host reference: AES-ECB then raw-block SHA-256.
+    let expected = Workload::Sha.reference_outputs(&Workload::Aes.reference_outputs(&data));
+    let bench: Emit = Box::new(move |q, _| {
+        let (encrypt, result) = (q[0], q[2]);
+        let producer = runs(0..n, batch).flat_map(move |batch| {
+            let input = words(&data, batch.clone());
+            push(encrypt, costs.push_loop_alu, batch.start, input)
+                .chain(publish(encrypt, batch.end))
+        });
+        // Every digest word is popped behind its own gate, and the result
+        // queue is released once, after the last pop, with no index
+        // arithmetic: the chain's recorded numbers pin this sequence.
+        let consumer = (0..m).flat_map(move |j| gate_pop(result, costs.pop_loop_alu, j..j + 1));
+        let (va, value) = (result.read_index_va, m);
+        let mut program = streamed(producer.chain(consumer));
+        program.push(Op::Store { va, value });
+        program
+    });
     // Fig. 5: cohort_register(encrypt_acc, encrypt_fifo, hash_fifo);
     //         cohort_register(hash_acc, hash_fifo, result_fifo);
-    let mut program = aes_driver.register_ops(
-        root_pa,
-        &encrypt_q.descriptor,
-        &hash_q.descriptor,
-        key,
-        scenario.backoff,
-    );
-    program.append(sha_driver.register_ops(
-        root_pa,
-        &hash_q.descriptor,
-        &result_q.descriptor,
-        None,
-        scenario.backoff,
-    ));
-    let vm = failover.then(|| {
-        let queues = (&hash_q, &result_q);
-        arm_failover(&mut sys, &mut program, scenario, (1, 2), queues, None)
-    });
-
-    let costs = scenario.costs;
-    let data: Rc<[u64]> = scenario.input_words().into();
-    let (encrypt, result) = (encrypt_q.descriptor, result_q.descriptor);
-    let plaintext = Rc::clone(&data);
-    let producer = runs(0..n, scenario.batch).flat_map(move |batch| {
-        let input = words(&plaintext, batch.clone());
-        push(encrypt, costs.push_loop_alu, batch.start, input).chain(publish(encrypt, batch.end))
-    });
-    // Every digest word is popped behind its own gate, and the result
-    // queue is released once, after the last pop, with no index
-    // arithmetic: the chain's recorded numbers pin this sequence.
-    let consumer = (0..m).flat_map(move |j| gate_pop(result, costs.pop_loop_alu, j..j + 1));
-    program.stream(producer.chain(consumer));
-    let (va, value) = (result.read_index_va, m);
-    program.extend([Op::Store { va, value }, Op::Fence]);
-    if failover {
-        program.append(sys.drivers[2].unregister_ops());
+    let bindings = vec![(0, 0, 1, true), (1, 1, 2, false)];
+    let recovery = match failover {
+        true => Recovery::Failover {
+            victim: 1,
+            spare: 2,
+        },
+        false => Recovery::None,
+    };
+    Topology {
+        accels,
+        queues: vec![n, n, m],
+        csr: Some(AES_KEY.to_vec()),
+        bindings,
+        noise: Noise::None,
+        recovery,
+        bench,
+        cores: Vec::new(),
+        unregister_reversed: true,
+        verify: Box::new(move |_, _, recorded| recorded == expected),
     }
-    program.append(sha_driver.unregister_ops());
-    program.append(aes_driver.unregister_ops());
-
-    arm(&mut sys, program, vm, None);
-    // Host reference: AES-ECB then raw-block SHA-256.
-    let ct_words = Workload::Aes.reference_outputs(&data);
-    let expected = Workload::Sha.reference_outputs(&ct_words);
-    run_and_collect(sys, scenario.trace, n, |_, recorded| recorded == expected)
 }
 
 /// How a [`Runner::Sharded`] run splits the logical stream and steers the
@@ -1124,28 +1174,19 @@ fn shard_chunk_blocks(scenario: &Scenario, skewed: bool) -> Vec<u64> {
     out
 }
 
-/// The [`Runner::Sharded`] run, and the [`Runner::Mesh16`] one under its
-/// fixed spec.
-fn sharded(scenario: &Scenario, spec: &ShardSpec) -> RunResult {
+/// The [`Runner::Sharded`] topology, and the [`Runner::Mesh16`] one under
+/// its fixed spec.
+fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
     let wpb_in = scenario.workload.words_in_per_block();
     let wpb_out = scenario.workload.words_out_per_block();
 
     // A kill fault aimed at a shard engine requires a spare to heal onto.
-    let faults = scenario.soc.faults.schedule();
-    let victim = faults.iter().find_map(|ev| match ev.kind {
-        FaultKind::KillEngine { engine } if (engine as usize) < spec.shards => {
-            Some(engine as usize)
-        }
-        _ => None,
-    });
+    let shards = spec.shards;
+    let victim = shard_victim(&scenario.soc.faults, shards);
+    let engines = scenario.soc.engines;
     let spares = usize::from(victim.is_some());
-
-    let accels = (0..scenario.soc.engines).map(|_| scenario.workload.make_accel());
-    let extra_cores = spec.shards + spec.background_cores;
-    let mut sys = build_system(scenario, accels.collect(), None, extra_cores);
-    let mut pool = ShardPool::bind(&sys.drivers, spec.shards, spares, spec.placement)
-        .expect("admitted pools bind");
-    let shards = pool.shards();
+    let mut pool =
+        ShardPool::bind(engines, shards, spares, spec.placement).expect("admitted pools bind");
 
     // Split, then place every run through the pool (this is where the
     // policies differ), accumulating per-shard ring offsets.
@@ -1168,13 +1209,6 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> RunResult {
         out_totals[placed.shard] += out_words;
     }
 
-    // Per-shard rings sized for the whole per-shard stream: producers
-    // never wrap or block, and an outage confines loss to its shard.
-    let mut ring = |words: &u64| sys.alloc_queue(8, (*words).max(1) as u32);
-    let in_qs: Vec<QueueLayout> = in_totals.iter().map(&mut ring).collect();
-    let out_qs: Vec<QueueLayout> = out_totals.iter().map(&mut ring).collect();
-    let csr = stage_csr(&mut sys, scenario.workload.csr().as_deref());
-
     // Producer programs: shard `s`'s core streams its runs in shard-FIFO
     // order, publishing the write index once `batch` words have gathered
     // since the last publication, and at end of stream. Data stores always
@@ -1182,89 +1216,68 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> RunResult {
     // contract, per shard.
     let data: Rc<[u64]> = scenario.input_words().into();
     let (costs, batch) = (scenario.costs, scenario.batch);
+    let mut cores: Vec<Emit> = Vec::new();
     for s in 0..shards {
-        let (q, total) = (in_qs[s].descriptor, in_totals[s]);
+        let total = in_totals[s];
         let mine: Vec<ShardChunk> = chunks.iter().filter(|c| c.shard == s).copied().collect();
         let data = Rc::clone(&data);
-        let mut published = 0;
-        let mut producer = Program::new();
-        producer.stream(mine.into_iter().flat_map(move |c| {
-            let pushed = c.in_off + c.in_words;
-            let due = pushed - published >= batch || pushed == total;
-            if due {
-                published = pushed;
-            }
-            let input = words(&data, c.data_off..c.data_off + c.in_words);
-            let publication = due.then(|| publish(q, pushed)).into_iter().flatten();
-            push(q, costs.push_loop_alu, c.in_off, input).chain(publication)
+        cores.push(Box::new(move |queues, _| {
+            let q = queues[s];
+            let mut published = 0;
+            let pushes = mine.into_iter().flat_map(move |c| {
+                let pushed = c.in_off + c.in_words;
+                let due = pushed - published >= batch || pushed == total;
+                if due {
+                    published = pushed;
+                }
+                let input = words(&data, c.data_off..c.data_off + c.in_words);
+                let publication = due.then(|| publish(q, pushed)).into_iter().flatten();
+                push(q, costs.push_loop_alu, c.in_off, input).chain(publication)
+            });
+            fenced(pushes)
         }));
-        producer.push(Op::Fence);
-        core_mut(&mut sys.soc, sys.extra_cores[s]).load_program(producer);
-    }
-
-    // Benchmark-core program: register every shard engine, arm the victim
-    // (when a kill is scheduled) with the spare as its failover target,
-    // then pop in global sequence order — the merge, realised as WaitGe
-    // gates against each shard's cumulative output index.
-    let root_pa = sys.space.root_pa();
-    let mut program = Program::new();
-    for s in 0..shards {
-        program.append(pool.driver(s).register_ops(
-            root_pa,
-            &in_qs[s].descriptor,
-            &out_qs[s].descriptor,
-            csr,
-            scenario.backoff,
-        ));
-    }
-    let vm = victim.map(|v| {
-        let queues = (&in_qs[v], &out_qs[v]);
-        arm_failover(&mut sys, &mut program, scenario, (v, shards), queues, csr)
-    });
-
-    let outs: Vec<QueueDescriptor> = out_qs.iter().map(|q| q.descriptor).collect();
-    let gates = chunks.clone().into_iter().flat_map(move |c| {
-        let slots = c.out_off..c.out_off + c.out_words;
-        gate_pop(outs[c.shard], costs.pop_loop_alu, slots)
-    });
-    program.stream(gates);
-    for (q, &popped) in out_qs.iter().zip(&out_totals) {
-        program.extend(release(q.descriptor, popped));
-    }
-    program.push(Op::Fence);
-    if victim.is_some() {
-        program.append(sys.drivers[shards].unregister_ops());
-    }
-    for s in 0..shards {
-        program.append(pool.driver(s).unregister_ops());
     }
 
     // Background ("LITTLE") cores: each streams stores through its own
-    // slice of a 2x-L2 working set, twice over — cache contention that
+    // slice of the noise working set, twice over — cache contention that
     // runs alongside the benchmark without feeding it.
-    if spec.background_cores > 0 {
-        let footprint = 2 * sys.soc.config().l2.capacity_bytes;
-        let buf = sys.alloc_buffer(footprint, 64);
-        let lines = footprint / 64;
-        let span = lines / spec.background_cores as u64;
-        for b in 0..spec.background_cores {
-            let first = b as u64 * span;
-            let mut noise = Program::new();
-            noise.stream((0..2u64).flat_map(move |pass| {
+    let background = spec.background_cores as u64;
+    for b in 0..background {
+        cores.push(Box::new(move |_, noise| {
+            let (buf, lines) = (noise.start, (noise.end - noise.start) / 64);
+            let span = lines / background;
+            let first = b * span;
+            let stores = (0..2u64).flat_map(move |pass| {
                 (first..first + span.max(1)).map(move |line| Op::Store {
                     va: buf + (line % lines) * 64,
-                    value: (b as u64) << 32 | pass << 24 | line,
+                    value: b << 32 | pass << 24 | line,
                 })
-            }));
-            noise.push(Op::Fence);
-            core_mut(&mut sys.soc, sys.extra_cores[spec.shards + b]).load_program(noise);
-        }
+            });
+            fenced(stores)
+        }));
     }
 
-    arm(&mut sys, program, vm, None);
+    // The benchmark core pops in global sequence order — the merge,
+    // realised as WaitGe gates against each shard's cumulative output
+    // index — then releases every output ring.
+    let queues: Vec<u64> = in_totals.iter().chain(&out_totals).copied().collect();
+    let plan = chunks.clone();
+    let bench: Emit = Box::new(move |queues, _| {
+        let outs: Vec<QueueDescriptor> = queues[shards..].to_vec();
+        let releases = outs.clone().into_iter().zip(out_totals);
+        let gates = plan.into_iter().flat_map(move |c| {
+            let slots = c.out_off..c.out_off + c.out_words;
+            gate_pop(outs[c.shard], costs.pop_loop_alu, slots)
+        });
+        let mut program = streamed(gates);
+        for (q, popped) in releases {
+            program.extend(release(q, popped));
+        }
+        program
+    });
 
     let expected = scenario.workload.reference_outputs(&data);
-    let verify = move |sys: &SimSystem, recorded: &[u64]| {
+    let verify: Verify = Box::new(move |sys, queues, recorded| {
         // Reassembly cross-check through the merge structure. Shards race
         // each other in reality; feeding the merge one run per shard in
         // turn exercises maximal cross-shard interleaving while preserving
@@ -1280,7 +1293,7 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> RunResult {
                 if let Some((seq, c)) = per_shard[s].pop_front() {
                     let words: Vec<u64> = (0..c.out_words)
                         .map(|w| {
-                            let va = out_qs[s].descriptor.element_va(c.out_off + w);
+                            let va = queues[shards + s].element_va(c.out_off + w);
                             let bytes = sys.read_guest(va, 8);
                             u64::from_le_bytes(bytes.try_into().expect("8B"))
                         })
@@ -1295,8 +1308,35 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> RunResult {
         }
         let mirror_drained = (0..shards).all(|s| pool.occupancy(s) == 0);
         recorded == expected && merged == expected && merge.is_drained() && mirror_drained
+    });
+
+    // Per-shard rings sized for the whole per-shard stream: producers
+    // never wrap or block, and an outage confines loss to its shard. Every
+    // shard engine registers (and unregisters) in shard order; a kill
+    // arms the victim with the spare as its failover target.
+    let bindings = (0..shards).map(|s| (s, s, shards + s, true));
+    let recovery = victim.map_or(Recovery::None, |victim| Recovery::Failover {
+        victim,
+        spare: shards,
+    });
+    let noise = if background > 0 {
+        Noise::Last
+    } else {
+        Noise::None
     };
-    run_and_collect(sys, scenario.trace, scenario.queue_size, verify)
+    let accels = (0..engines).map(|_| scenario.workload.make_accel());
+    Topology {
+        accels: accels.collect(),
+        queues,
+        csr: scenario.workload.csr(),
+        bindings: bindings.collect(),
+        noise,
+        recovery,
+        bench,
+        cores,
+        unregister_reversed: false,
+        verify,
+    }
 }
 
 /// A fully custom single-engine run: any accelerator, any input stream,
@@ -1348,48 +1388,36 @@ impl CustomRun {
     /// # Panics
     /// Panics if the benchmark does not complete within the cycle budget.
     pub fn run(self) -> RunResult {
-        let CustomRun {
-            accel,
-            csr,
-            input,
-            expected,
-            batch,
-            backoff,
-            soc,
-            policy,
-            trace,
-        } = self;
-        let mut sys = build_system_with(soc, policy, vec![accel], None, 0);
-        let input: Rc<[u64]> = input.into();
-        let n = input.len() as u64;
-        let m = expected.len() as u64;
-        let in_q = sys.alloc_queue(8, n.max(1) as u32);
-        let out_q = sys.alloc_queue(8, m.max(1) as u32);
-        let csr = stage_csr(&mut sys, csr.as_deref());
-        let driver = sys.drivers[0].clone();
-        let root_pa = sys.space.root_pa();
-        let mut program =
-            driver.register_ops(root_pa, &in_q.descriptor, &out_q.descriptor, csr, backoff);
-        let (in_q, out_q) = (in_q.descriptor, out_q.descriptor);
-        let (batch, costs) = (batch.max(1), BaselineCosts::default());
+        let (n, m) = (self.input.len() as u64, self.expected.len() as u64);
+        // The platform `run_engines` reads; its workload goes unread.
+        let platform = Scenario {
+            soc: self.soc,
+            policy: self.policy,
+            backoff: self.backoff,
+            trace: self.trace,
+            ..Scenario::new(Workload::Sha, n, self.batch)
+        };
+        let (batch, costs) = (platform.batch, platform.costs);
+        let input: Rc<[u64]> = self.input.into();
         // A custom run stores its indices with no index arithmetic, and
         // pops and releases its output a batch at a time: the recorded
         // custom rows of `scenario_golden` pin this sequence.
-        let producer = runs(0..n, batch).flat_map(move |run| {
-            let (va, value) = (in_q.write_index_va, run.end);
-            let publication = [Op::Fence, Op::Store { va, value }];
-            let data = words(&input, run.clone());
-            push(in_q, costs.push_loop_alu, run.start, data).chain(publication)
+        let bench: Emit = Box::new(move |q, _| {
+            let (in_q, out_q) = (q[0], q[1]);
+            let producer = runs(0..n, batch).flat_map(move |run| {
+                let (va, value) = (in_q.write_index_va, run.end);
+                let publication = [Op::Fence, Op::Store { va, value }];
+                let data = words(&input, run.clone());
+                push(in_q, costs.push_loop_alu, run.start, data).chain(publication)
+            });
+            let consumer = runs(0..m, batch).flat_map(move |run| {
+                let (va, value) = (out_q.read_index_va, run.end);
+                gate_pop(out_q, costs.pop_loop_alu, run).chain([Op::Store { va, value }])
+            });
+            streamed(producer.chain(consumer))
         });
-        let consumer = runs(0..m, batch).flat_map(move |run| {
-            let (va, value) = (out_q.read_index_va, run.end);
-            gate_pop(out_q, costs.pop_loop_alu, run).chain([Op::Store { va, value }])
-        });
-        program.stream(producer.chain(consumer));
-        program.push(Op::Fence);
-        program.append(driver.unregister_ops());
-        arm(&mut sys, program, None, None);
-        run_and_collect(sys, trace, n, |_, recorded| recorded == expected)
+        let topo = Topology::single(self.accel, [n, m], self.csr, bench, self.expected);
+        run_engines(&platform, topo)
     }
 }
 
@@ -1550,16 +1578,21 @@ impl std::fmt::Display for Runner {
     }
 }
 
+/// The shard engine a run's fault plan kills, if any: the first kill
+/// aimed below `shards`.
+fn shard_victim(faults: &FaultPlan, shards: usize) -> Option<usize> {
+    faults.schedule().iter().find_map(|ev| match ev.kind {
+        FaultKind::KillEngine { engine } if (engine as usize) < shards => Some(engine as usize),
+        _ => None,
+    })
+}
+
 /// Engines the SoC must instantiate for a sharded run: one per shard,
 /// plus one spare when the fault plan kills a shard engine (the failover
 /// target). What `socrun --shards` and the fleet loader size the pool
 /// with when no explicit engine count is given.
 pub fn sharded_engines_for(faults: &FaultPlan, shards: usize) -> usize {
-    let kill_targets_shard = faults
-        .schedule()
-        .iter()
-        .any(|e| matches!(e.kind, FaultKind::KillEngine { engine } if (engine as usize) < shards));
-    shards + usize::from(kill_targets_shard)
+    shards + usize::from(shard_victim(faults, shards).is_some())
 }
 
 /// Why [`admit`] refused a run: one variant per rule, carrying the facts
@@ -1745,25 +1778,24 @@ pub fn run_scenario(
     shard: Option<&ShardSpec>,
 ) -> Result<RunResult, Refusal> {
     admit(runner, scenario, shard)?;
-    Ok(match runner {
-        Runner::Cohort => cohort(scenario),
-        Runner::Mmio => mmio(scenario),
-        Runner::Dma | Runner::DmaChaos => dma_baseline(scenario, runner),
-        Runner::Chain => chain(scenario, runner),
-        Runner::Interfered => interfered(scenario),
-        Runner::Chaos => chaos(scenario),
+    let mut scenario = scenario.clone();
+    let topology = match runner {
+        Runner::Mmio => return Ok(mmio(&scenario)),
+        Runner::Dma | Runner::DmaChaos => return Ok(dma_baseline(&scenario, runner)),
+        Runner::Cohort => cohort(&scenario),
+        Runner::Interfered => interfered(&scenario),
+        Runner::Chaos => chaos(&scenario),
+        Runner::Chain => chain(&scenario, false),
         Runner::Failover => {
-            let mut scenario = scenario.clone();
             if scenario.soc.faults.is_empty() {
                 let kill = FaultKind::KillEngine { engine: 1 };
                 scenario.soc.faults = FaultPlan::default().at(DEFAULT_CHAIN_KILL_CYCLE, kill);
             }
-            chain(&scenario, runner)
+            chain(&scenario, true)
         }
-        Runner::Sharded => sharded(scenario, shard.unwrap_or(&ShardSpec::new(1))),
+        Runner::Sharded => sharded(&scenario, shard.unwrap_or(&ShardSpec::new(1))),
         Runner::Mesh16 => {
             let (_, spec) = mesh16_scenario(scenario.queue_size, scenario.batch);
-            let mut scenario = scenario.clone();
             // A kill fault on a mesh shard needs the failover spare on
             // top of the mesh's fixed 4-engine pool; fault-free meshes
             // keep exactly the canonical geometry (and its baselines).
@@ -1772,7 +1804,8 @@ pub fn run_scenario(
             scenario.soc.engines = sharded_engines_for(&scenario.soc.faults, spec.shards);
             sharded(&scenario, &spec)
         }
-    })
+    };
+    Ok(run_engines(&scenario, topology))
 }
 
 #[cfg(test)]
@@ -1946,7 +1979,7 @@ mod tests {
     #[test]
     fn run_scenario_dispatch_matches_direct_call() {
         let scenario = Scenario::new(Workload::Aes, 64, 8);
-        let direct = cohort(&scenario);
+        let direct = run_engines(&scenario, cohort(&scenario));
         let dispatched = run_scenario(Runner::Cohort, &scenario, None).expect("no shard binding");
         assert_eq!(direct.cycles, dispatched.cycles);
         assert_eq!(direct.checksum, dispatched.checksum);

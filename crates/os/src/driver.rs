@@ -638,8 +638,8 @@ pub struct ShardAssignment {
     pub shard: usize,
 }
 
-/// A driver-level queue sharder: binds one logical SPSC stream onto N
-/// physical engines, one driver (and one in/out queue pair) per shard.
+/// A driver-level queue sharder: splits one logical SPSC stream over N
+/// physical engines, one in/out queue pair (and registration) per shard.
 ///
 /// Work is split at queue-element granularity: each [`ShardPool::place`]
 /// call assigns the next element run to a shard under the configured
@@ -662,7 +662,6 @@ pub struct ShardAssignment {
 /// engine state, so a rebind needs no pool surgery.
 #[derive(Debug, Clone)]
 pub struct ShardPool {
-    drivers: Vec<CohortDriver>,
     policy: Placement,
     /// Weight placed but not yet completed, per shard.
     occupancy: Vec<u64>,
@@ -675,8 +674,8 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Binds the first `shards` of `engines` onto a new pool, holding
-    /// back `spares` engines (from the tail of the list) for failover.
+    /// A pool over the first `shards` of `engines` engines, holding back
+    /// `spares` engines (from the tail) for failover.
     ///
     /// # Errors
     /// [`ShardError::NoShards`] when `shards` is zero,
@@ -684,7 +683,7 @@ impl ShardPool {
     /// the available engine count — the clean-rejection contract the CLI
     /// surfaces instead of a panic.
     pub fn bind(
-        engines: &[CohortDriver],
+        engines: usize,
         shards: usize,
         spares: usize,
         policy: Placement,
@@ -692,15 +691,14 @@ impl ShardPool {
         if shards == 0 {
             return Err(ShardError::NoShards);
         }
-        if shards + spares > engines.len() {
+        if shards + spares > engines {
             return Err(ShardError::NotEnoughEngines {
                 requested: shards,
-                engines: engines.len(),
+                engines,
                 spares,
             });
         }
         Ok(Self {
-            drivers: engines[..shards].to_vec(),
             policy,
             occupancy: vec![0; shards],
             placed_weight: vec![0; shards],
@@ -712,17 +710,12 @@ impl ShardPool {
 
     /// Number of shards in the pool.
     pub fn shards(&self) -> usize {
-        self.drivers.len()
+        self.occupancy.len()
     }
 
     /// The placement policy.
     pub fn policy(&self) -> Placement {
         self.policy
-    }
-
-    /// The driver bound to shard `i`.
-    pub fn driver(&self, shard: usize) -> &CohortDriver {
-        &self.drivers[shard]
     }
 
     /// Steers the next element run (of `weight` queue elements) onto a
@@ -732,7 +725,7 @@ impl ShardPool {
         let shard = match self.policy {
             Placement::RoundRobin => {
                 let s = self.rr_next;
-                self.rr_next = (self.rr_next + 1) % self.drivers.len();
+                self.rr_next = (self.rr_next + 1) % self.shards();
                 s
             }
             Placement::OccupancyAware => self
@@ -905,34 +898,26 @@ mod tests {
         )));
     }
 
-    fn pool_drivers(n: usize) -> Vec<CohortDriver> {
-        (0..n)
-            .map(|i| CohortDriver::new(0x4000_0000 + (i as u64) * 0x1_0000, 5 + i as u32))
-            .collect()
-    }
-
     #[test]
     fn shard_pool_rejects_zero_and_oversubscription() {
-        let engines = pool_drivers(4);
         assert_eq!(
-            ShardPool::bind(&engines, 0, 0, Placement::RoundRobin).err(),
+            ShardPool::bind(4, 0, 0, Placement::RoundRobin).err(),
             Some(ShardError::NoShards)
         );
         assert_eq!(
-            ShardPool::bind(&engines, 4, 1, Placement::RoundRobin).err(),
+            ShardPool::bind(4, 4, 1, Placement::RoundRobin).err(),
             Some(ShardError::NotEnoughEngines {
                 requested: 4,
                 engines: 4,
                 spares: 1,
             })
         );
-        assert!(ShardPool::bind(&engines, 3, 1, Placement::RoundRobin).is_ok());
+        assert!(ShardPool::bind(4, 3, 1, Placement::RoundRobin).is_ok());
     }
 
     #[test]
     fn round_robin_cycles_and_tags_sequences() {
-        let engines = pool_drivers(3);
-        let mut pool = ShardPool::bind(&engines, 3, 0, Placement::RoundRobin).unwrap();
+        let mut pool = ShardPool::bind(3, 3, 0, Placement::RoundRobin).unwrap();
         let picks: Vec<_> = (0..6).map(|_| pool.place(2)).collect();
         let shards: Vec<_> = picks.iter().map(|a| a.shard).collect();
         let seqs: Vec<_> = picks.iter().map(|a| a.seq).collect();
@@ -950,8 +935,7 @@ mod tests {
         // Crediting more weight than a shard has outstanding is accounting
         // corruption: debug builds assert (this test), release builds
         // clamp at zero instead of wrapping.
-        let engines = pool_drivers(2);
-        let mut pool = ShardPool::bind(&engines, 2, 0, Placement::RoundRobin).unwrap();
+        let mut pool = ShardPool::bind(2, 2, 0, Placement::RoundRobin).unwrap();
         pool.place(3); // shard 0 now carries 3
         pool.complete(0, 5);
         // Only reached without debug assertions: clamped, not wrapped.
@@ -965,8 +949,7 @@ mod tests {
         // occupancy-aware policy routes around it.
         let weights = [16u64, 1, 1, 1, 1, 1, 1, 1];
         let makespan = |policy: Placement| {
-            let engines = pool_drivers(2);
-            let mut pool = ShardPool::bind(&engines, 2, 0, policy).unwrap();
+            let mut pool = ShardPool::bind(2, 2, 0, policy).unwrap();
             for &w in &weights {
                 pool.place(w);
             }
@@ -981,8 +964,7 @@ mod tests {
 
     #[test]
     fn occupancy_aware_ties_break_deterministically() {
-        let engines = pool_drivers(3);
-        let mut pool = ShardPool::bind(&engines, 3, 0, Placement::OccupancyAware).unwrap();
+        let mut pool = ShardPool::bind(3, 3, 0, Placement::OccupancyAware).unwrap();
         // Equal weights: all shards tie in turn, lowest index wins, so
         // the policy degenerates to round-robin exactly.
         let shards: Vec<_> = (0..6).map(|_| pool.place(1).shard).collect();
@@ -991,11 +973,8 @@ mod tests {
 
     #[test]
     fn shard_pool_binds_prefix_of_engine_list() {
-        let engines = pool_drivers(4);
-        let pool = ShardPool::bind(&engines, 2, 1, Placement::RoundRobin).unwrap();
+        let pool = ShardPool::bind(4, 2, 1, Placement::RoundRobin).unwrap();
         assert_eq!(pool.shards(), 2);
-        assert_eq!(pool.driver(0).mmio_base(), engines[0].mmio_base());
-        assert_eq!(pool.driver(1).mmio_base(), engines[1].mmio_base());
     }
 
     #[test]

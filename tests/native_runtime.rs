@@ -3,7 +3,6 @@
 
 use cohort::native::{cohort_register, pop_blocking, push_blocking};
 use cohort_accel::aes128::{Aes128, Aes128Accel};
-use cohort_accel::h264::{decode_stream, H264Accel, MB_BYTES};
 use cohort_accel::nullfifo::NullFifo;
 use cohort_accel::sha256::{sha256_raw_block, Sha256Accel};
 use cohort_accel::stft::StftAccel;
@@ -147,46 +146,6 @@ fn stft_through_queues() {
         mag(3)
     );
     h.unregister();
-}
-
-#[test]
-fn h264_through_queues_roundtrips() {
-    let (mut tx, acc_in) = spsc_channel::<u64>(1024);
-    let (acc_out, mut rx) = spsc_channel::<u64>(1024);
-    let h = cohort_register(Box::new(H264Accel::new()), acc_in, acc_out, Some(vec![6]));
-    let frames: Vec<[u8; MB_BYTES]> = (0..4)
-        .map(|f| core::array::from_fn(|i| ((i * 5 + f * 31) % 256) as u8))
-        .collect();
-    push_blocking(&mut tx, frames.len() as u64);
-    for frame in &frames {
-        for chunk in frame.chunks_exact(8) {
-            push_blocking(&mut tx, u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-    }
-    // Collect until all frames parse (the stream is word-padded per frame).
-    let mut stream = Vec::new();
-    let mut decoded = Vec::new();
-    while decoded.len() < frames.len() {
-        stream.extend_from_slice(&pop_blocking(&mut rx).to_le_bytes());
-        decoded = parse_padded(&stream);
-    }
-    assert_eq!(decoded.len(), frames.len());
-    h.unregister();
-}
-
-fn parse_padded(stream: &[u8]) -> Vec<[u8; MB_BYTES]> {
-    let mut unpadded = Vec::new();
-    let mut rest = stream;
-    while rest.len() >= 4 {
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        let padded = (4 + len).div_ceil(8) * 8;
-        if rest.len() < padded {
-            break;
-        }
-        unpadded.extend_from_slice(&rest[..4 + len]);
-        rest = &rest[padded..];
-    }
-    decode_stream(&unpadded).unwrap_or_default()
 }
 
 #[test]

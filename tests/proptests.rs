@@ -6,9 +6,6 @@
 //! the same case set, so failures are trivially reproducible.
 
 use cohort_accel::aes128::Aes128;
-use cohort_accel::h264::bits::{BitReader, BitWriter};
-use cohort_accel::h264::cavlc::{decode_block, encode_block};
-use cohort_accel::h264::encoder::{decode_macroblock, H264Encoder, MB_BYTES};
 use cohort_accel::ratchet::Ratchet;
 use cohort_accel::sha256::{sha256, Sha256};
 use cohort_os::frame::FrameAllocator;
@@ -123,50 +120,6 @@ fn ratchet_roundtrip() {
     }
 }
 
-/// Any quantized 4x4 coefficient block survives the CAVLC encoder + decoder
-/// byte-exactly.
-#[test]
-fn cavlc_roundtrip() {
-    let mut rng = Rng::new(0xca01);
-    for _ in 0..CASES {
-        let block: [i32; 16] = core::array::from_fn(|_| rng.range(0, 6000) as i32 - 3000);
-        let mut w = BitWriter::new();
-        encode_block(&mut w, &block);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let decoded = decode_block(&mut r).expect("decodes");
-        assert_eq!(decoded, block);
-    }
-}
-
-/// Exp-Golomb ue/se codes round-trip arbitrary sequences.
-#[test]
-fn exp_golomb_roundtrip() {
-    let mut rng = Rng::new(0xe601);
-    for _ in 0..CASES {
-        let values: Vec<i32> = (0..rng.range(0, 64))
-            .map(|_| rng.next_u64() as u32 as i32)
-            .collect();
-        let mut w = BitWriter::new();
-        for &v in &values {
-            if v >= 0 {
-                w.put_ue(v as u32);
-            } else {
-                w.put_se(v);
-            }
-        }
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for &v in &values {
-            if v >= 0 {
-                assert_eq!(r.get_ue().unwrap(), v as u32);
-            } else {
-                assert_eq!(r.get_se().unwrap(), v);
-            }
-        }
-    }
-}
-
 /// AES decrypt inverts encrypt for arbitrary keys and blocks.
 #[test]
 fn aes_roundtrip() {
@@ -191,25 +144,6 @@ fn sha_split_invariance() {
         h.update(&data[..split]);
         h.update(&data[split..]);
         assert_eq!(h.finalize(), sha256(&data));
-    }
-}
-
-/// H.264 macroblock decode reproduces the encoder's reconstruction for
-/// arbitrary content and QP.
-#[test]
-fn h264_decoder_matches_encoder() {
-    let mut rng = Rng::new(0x264);
-    for _ in 0..CASES {
-        let qp = rng.range(0, 52) as u8;
-        let mut x = rng.next_u64() as u32;
-        let mb: [u8; MB_BYTES] = core::array::from_fn(|_| {
-            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
-            (x >> 24) as u8
-        });
-        let enc = H264Encoder::new(qp);
-        let (bits, recon) = enc.encode_macroblock(&mb);
-        let decoded = decode_macroblock(&bits).expect("decodes");
-        assert_eq!(decoded, recon);
     }
 }
 

@@ -93,6 +93,12 @@ const ROWS: &[Row] = &[
     // A spike window that outlives the workload (see
     // `a_window_that_outlives_the_work_does_not_hold_the_run`).
     Row { runner: Runner::Chaos, workload: Sha, queue: 64, batch: 8, policy: Eager, faults: "spike@10000:100000:2", shards: 0, want: [15213, 5663, 0x84c18ce88c09db9f, 0x3885842e5d074994] },
+    // Lazy mapping under the interference core and under failover, where
+    // the kill at cycle 3,000 lands before the queue-64 chain finishes.
+    Row { runner: Runner::Interfered, workload: Sha, queue: 64, batch: 8, policy: Lazy, faults: "", shards: 0, want: [14201, 5578, 0x64ed006778990027, 0x3c1454a6c943b511] },
+    Row { runner: Runner::Interfered, workload: Aes, queue: 64, batch: 8, policy: Lazy, faults: "", shards: 0, want: [17575, 6196, 0x834f632a6a3d33bd, 0xc10d47513e833605] },
+    Row { runner: Runner::Failover, workload: Sha, queue: 64, batch: 8, policy: Lazy, faults: "kill@3000:1", shards: 0, want: [19731, 5416, 0xb66ccf75ee7d11c8, 0x28c134741bf9d432] },
+    Row { runner: Runner::Failover, workload: Aes, queue: 64, batch: 8, policy: Lazy, faults: "kill@3000:1", shards: 0, want: [19731, 5416, 0xb66ccf75ee7d11c8, 0x28c134741bf9d432] },
 ];
 
 /// `[cycles, instret, checksum, fnv1a(stats_json)]` of the two
