@@ -80,10 +80,6 @@ pub trait Accelerator: Send {
     fn finish(&mut self) -> Vec<u8> {
         Vec::new()
     }
-
-    /// Returns the accelerator to its post-reset state (configuration is
-    /// retained).
-    fn reset(&mut self);
 }
 
 impl std::fmt::Debug for dyn Accelerator {
@@ -103,5 +99,23 @@ mod tests {
             e.to_string(),
             "invalid accelerator configuration: missing key"
         );
+    }
+
+    /// Each CSR parser accepts mode 0 only: AES's direction byte and
+    /// SHA-256's mode byte are refused at 1 as at any other value.
+    #[test]
+    fn csr_parsers_refuse_unknown_modes() {
+        use crate::{aes128::Aes128Accel, sha256::Sha256Accel};
+        let mut aes_csr = [0u8; 17];
+        assert!(Aes128Accel::new().configure(&aes_csr).is_ok());
+        assert!(Sha256Accel::new().configure(&[0]).is_ok());
+        for mode in [1, 2, 255] {
+            aes_csr[16] = mode;
+            assert!(
+                Aes128Accel::new().configure(&aes_csr).is_err(),
+                "AES {mode}"
+            );
+            assert!(Sha256Accel::new().configure(&[mode]).is_err(), "SHA {mode}");
+        }
     }
 }

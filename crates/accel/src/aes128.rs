@@ -1,6 +1,6 @@
 //! AES-128 (FIPS 197), implemented from scratch.
 //!
-//! Provides the block cipher ([`Aes128`]: key expansion, encrypt, decrypt)
+//! Provides the block cipher ([`Aes128`]: key expansion and encryption)
 //! and the accelerator model [`Aes128Accel`]: 128-bit blocks in, 128-bit
 //! ciphertext out, 41-cycle latency (paper §6.1), with the key delivered
 //! via the coherent CSR struct at registration time (paper §5.2).
@@ -16,10 +16,7 @@
 //! GF(2^8) multiplication) exist only in the unit tests, as the reference
 //! the T-table form is checked against block for block.
 //!
-//! Decryption stays byte-wise: only the accelerator's decrypt direction
-//! and the round-trip tests use it, no runner does, and a second table
-//! set would buy nothing measurable. Both directions read the same key
-//! schedule, the 44 column words.
+//! There is no decrypt direction: the paper's benchmark only encrypts.
 
 use crate::accelerator::{AccelDescriptor, Accelerator, ConfigError};
 
@@ -43,23 +40,10 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse S-box, derived from [`SBOX`] at compile time.
-const INV_SBOX: [u8; 256] = invert(&SBOX);
-
 /// One encrypt round's SubBytes + MixColumns for a byte in row 0, as a
 /// big-endian column word: `TE0[x] = (2·S[x], S[x], S[x], 3·S[x])`. The
 /// same byte in row `r` contributes `TE0[x].rotate_right(8 * r)`.
 const TE0: [u32; 256] = te0(&SBOX);
-
-const fn invert(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[sbox[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
 
 const fn te0(sbox: &[u8; 256]) -> [u32; 256] {
     let mut t = [0u32; 256];
@@ -76,19 +60,6 @@ const fn te0(sbox: &[u8; 256]) -> [u32; 256] {
 /// Multiplication by 2 in GF(2^8) with the AES polynomial 0x11b.
 const fn xtime(a: u8) -> u8 {
     (a << 1) ^ if a & 0x80 != 0 { 0x1b } else { 0 }
-}
-
-/// Multiplication in GF(2^8) with the AES polynomial 0x11b.
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
 }
 
 /// An expanded AES-128 key schedule.
@@ -118,46 +89,6 @@ impl Aes128 {
             w[i] = w[i - 4] ^ temp;
         }
         Self { round_keys: w }
-    }
-
-    /// XORs the round key of `round` (0..=10) into a byte-wise state.
-    fn add_round_key(&self, state: &mut [u8; 16], round: usize) {
-        let words = &self.round_keys[round * 4..round * 4 + 4];
-        for (col, w) in state.chunks_exact_mut(4).zip(words) {
-            for (s, k) in col.iter_mut().zip(w.to_be_bytes()) {
-                *s ^= k;
-            }
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
-        }
-    }
-
-    /// State layout: column-major (byte `r + 4c` is row r, column c), i.e.
-    /// the natural order of the input block.
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col: [u8; 4] = state[c * 4..c * 4 + 4].try_into().expect("col");
-            state[c * 4] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-            state[c * 4 + 1] =
-                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-            state[c * 4 + 2] =
-                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-            state[c * 4 + 3] =
-                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-        }
     }
 
     /// Encrypts one 16-byte block.
@@ -191,42 +122,15 @@ impl Aes128 {
         }
         out
     }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        self.add_round_key(&mut state, 10);
-        for round in (1..10).rev() {
-            Self::inv_shift_rows(&mut state);
-            Self::inv_sub_bytes(&mut state);
-            self.add_round_key(&mut state, round);
-            Self::inv_mix_columns(&mut state);
-        }
-        Self::inv_shift_rows(&mut state);
-        Self::inv_sub_bytes(&mut state);
-        self.add_round_key(&mut state, 0);
-        state
-    }
-}
-
-/// Direction of [`Aes128Accel`], selected by the CSR struct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AesDirection {
-    /// Encrypt input blocks (the paper's benchmark).
-    #[default]
-    Encrypt,
-    /// Decrypt input blocks.
-    Decrypt,
 }
 
 /// The AES-128 accelerator: 128-bit blocks, ECB, key via CSR, 41 cycles.
 ///
 /// CSR layout: 16 key bytes, optionally followed by one direction byte
-/// (0 = encrypt, 1 = decrypt).
+/// that must be 0 (encrypt).
 #[derive(Debug, Clone)]
 pub struct Aes128Accel {
     cipher: Aes128,
-    direction: AesDirection,
 }
 
 impl Default for Aes128Accel {
@@ -248,7 +152,6 @@ impl Aes128Accel {
     pub fn with_key(key: &[u8; 16]) -> Self {
         Self {
             cipher: Aes128::new(key),
-            direction: AesDirection::Encrypt,
         }
     }
 }
@@ -270,27 +173,21 @@ impl Accelerator for Aes128Accel {
                 csr.len()
             )));
         }
-        let key: &[u8; 16] = csr[..16].try_into().expect("16 bytes");
-        self.cipher = Aes128::new(key);
-        self.direction = match csr.get(16) {
-            None | Some(0) => AesDirection::Encrypt,
-            Some(1) => AesDirection::Decrypt,
+        match csr.get(16) {
+            None | Some(0) => {}
             Some(other) => {
                 return Err(ConfigError::new(format!("unknown AES direction {other}")));
             }
-        };
+        }
+        let key: &[u8; 16] = csr[..16].try_into().expect("16 bytes");
+        self.cipher = Aes128::new(key);
         Ok(())
     }
 
     fn process_block(&mut self, input: &[u8]) -> Vec<u8> {
         let block: &[u8; 16] = input.try_into().expect("aes takes 16-byte blocks");
-        match self.direction {
-            AesDirection::Encrypt => self.cipher.encrypt_block(block).to_vec(),
-            AesDirection::Decrypt => self.cipher.decrypt_block(block).to_vec(),
-        }
+        self.cipher.encrypt_block(block).to_vec()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]
@@ -305,17 +202,40 @@ mod tests {
     /// encrypt is checked against.
     fn encrypt_bytewise(aes: &Aes128, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
-        aes.add_round_key(&mut state, 0);
+        add_round_key(aes, &mut state, 0);
         for round in 1..10 {
             sub_bytes(&mut state);
             shift_rows(&mut state);
             mix_columns(&mut state);
-            aes.add_round_key(&mut state, round);
+            add_round_key(aes, &mut state, round);
         }
         sub_bytes(&mut state);
         shift_rows(&mut state);
-        aes.add_round_key(&mut state, 10);
+        add_round_key(aes, &mut state, 10);
         state
+    }
+
+    /// XORs the round key of `round` (0..=10) into a byte-wise state.
+    fn add_round_key(aes: &Aes128, state: &mut [u8; 16], round: usize) {
+        let words = &aes.round_keys[round * 4..round * 4 + 4];
+        for (col, w) in state.chunks_exact_mut(4).zip(words) {
+            for (s, k) in col.iter_mut().zip(w.to_be_bytes()) {
+                *s ^= k;
+            }
+        }
+    }
+
+    /// Multiplication in GF(2^8) with the AES polynomial 0x11b.
+    fn gmul(mut a: u8, mut b: u8) -> u8 {
+        let mut p = 0u8;
+        for _ in 0..8 {
+            if b & 1 != 0 {
+                p ^= a;
+            }
+            a = xtime(a);
+            b >>= 1;
+        }
+        p
     }
 
     fn sub_bytes(state: &mut [u8; 16]) {
@@ -324,6 +244,8 @@ mod tests {
         }
     }
 
+    /// State layout: column-major (byte `r + 4c` is row r, column c), i.e.
+    /// the natural order of the input block.
     fn shift_rows(state: &mut [u8; 16]) {
         let s = *state;
         for r in 1..4 {
@@ -387,7 +309,6 @@ mod tests {
         let pt: [u8; 16] = std::array::from_fn(|i| i as u8 * 0x11);
         let aes = Aes128::new(&key);
         assert_eq!(encrypt_hex(&aes, &pt), "69c4e0d86a7b0430d8cdb78070b4c55a");
-        assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
     }
 
     #[test]
@@ -401,15 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_decrypt_roundtrip_many() {
-        let aes = Aes128::new(b"sixteen byte key");
-        for i in 0..64u8 {
-            let block = [i; 16];
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-        }
-    }
-
-    #[test]
     fn gmul_basics() {
         assert_eq!(gmul(0x57, 0x13), 0xfe); // FIPS 197 §4.2 example
         assert_eq!(gmul(1, 0xab), 0xab);
@@ -417,19 +329,13 @@ mod tests {
     }
 
     #[test]
-    fn accel_csr_key_and_direction() {
+    fn accel_csr_sets_key() {
         let key = *b"0123456789abcdef";
         let mut enc = Aes128Accel::new();
         enc.configure(&key).unwrap();
         let pt = [0x42u8; 16];
         let ct = enc.process_block(&pt);
         assert_eq!(ct, Aes128::new(&key).encrypt_block(&pt).to_vec());
-
-        let mut dec = Aes128Accel::new();
-        let mut csr = key.to_vec();
-        csr.push(1);
-        dec.configure(&csr).unwrap();
-        assert_eq!(dec.process_block(&ct), pt.to_vec());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Functional models of the accelerators integrated in the Cohort paper's
 //! FPGA prototype (§5.2), implemented from scratch:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (the OpenCores SHA-256 core's role);
-//! * [`aes128`] — FIPS 197 AES-128 encryption/decryption (the OpenCores
-//!   AES-128 core's role), key delivered through a CSR struct;
+//! * [`sha256`] — FIPS 180-4 SHA-256 (the OpenCores SHA-256 core's role),
+//!   one raw digest per 512-bit block;
+//! * [`aes128`] — FIPS 197 AES-128 encryption (the OpenCores AES-128
+//!   core's role), key delivered through a CSR struct;
 //! * [`stft`] — a fixed-point short-time Fourier transform (mentioned in
 //!   §4.3), windowed radix-2 FFT;
 //! * [`nullfifo`] — the AXI-Stream FIFO "null accelerator" used to validate

@@ -64,8 +64,6 @@ impl Accelerator for NullFifo {
         );
         input.to_vec()
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //!   software library and as the reference the benchmarks verify against;
 //! * [`Sha256Accel`] — the accelerator model matching the paper's
 //!   OpenCores-style core: it consumes 512-bit blocks and emits a 256-bit
-//!   digest per block with a 66-cycle latency (§6.1). By default each block
-//!   is compressed against the initial hash state (raw single-block mode,
-//!   which is how the benchmark uses it); a CSR flag selects chained mode
-//!   where state carries across blocks.
+//!   digest per block with a 66-cycle latency (§6.1). Each block is
+//!   compressed against the initial hash state (raw single-block mode,
+//!   which is how the paper's benchmark uses the core); no state carries
+//!   from one block to the next.
 
 use crate::accelerator::{AccelDescriptor, Accelerator, ConfigError};
 
@@ -183,46 +183,19 @@ pub fn sha256_raw_block(block: &[u8; 64]) -> [u8; 32] {
     out
 }
 
-/// Operating mode of [`Sha256Accel`], selected through its CSR struct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Sha256Mode {
-    /// Each 512-bit block is compressed against the initial state and a
-    /// digest is emitted per block (the paper's benchmark behaviour).
-    #[default]
-    RawPerBlock,
-    /// State chains across blocks; a digest of the running state is
-    /// emitted per block (useful for hashing long streams in hardware).
-    Chained,
-}
-
 /// The SHA-256 accelerator model: 512 bits in, 256 bits out, 66 cycles.
-#[derive(Debug, Clone)]
-pub struct Sha256Accel {
-    mode: Sha256Mode,
-    state: [u32; 8],
-}
-
-impl Default for Sha256Accel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+///
+/// CSR layout: none, or one mode byte that must be 0 (raw per block).
+#[derive(Debug, Clone, Default)]
+pub struct Sha256Accel;
 
 impl Sha256Accel {
     /// Pipeline latency of the modelled RTL core (paper §6.1).
     pub const LATENCY: u64 = 66;
 
-    /// Creates the accelerator in [`Sha256Mode::RawPerBlock`].
+    /// Creates the accelerator.
     pub fn new() -> Self {
-        Self {
-            mode: Sha256Mode::default(),
-            state: H0,
-        }
-    }
-
-    /// Creates the accelerator in a specific mode.
-    pub fn with_mode(mode: Sha256Mode) -> Self {
-        Self { mode, state: H0 }
+        Self
     }
 }
 
@@ -238,32 +211,14 @@ impl Accelerator for Sha256Accel {
 
     fn configure(&mut self, csr: &[u8]) -> Result<(), ConfigError> {
         match csr.first() {
-            None | Some(0) => self.mode = Sha256Mode::RawPerBlock,
-            Some(1) => self.mode = Sha256Mode::Chained,
-            Some(other) => {
-                return Err(ConfigError::new(format!("unknown sha256 mode {other}")));
-            }
+            None | Some(0) => Ok(()),
+            Some(other) => Err(ConfigError::new(format!("unknown sha256 mode {other}"))),
         }
-        Ok(())
     }
 
     fn process_block(&mut self, input: &[u8]) -> Vec<u8> {
         let block: &[u8; 64] = input.try_into().expect("sha256 takes 64-byte blocks");
-        match self.mode {
-            Sha256Mode::RawPerBlock => sha256_raw_block(block).to_vec(),
-            Sha256Mode::Chained => {
-                compress(&mut self.state, block);
-                let mut out = vec![0u8; 32];
-                for (i, word) in self.state.iter().enumerate() {
-                    out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-                }
-                out
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = H0;
+        sha256_raw_block(block).to_vec()
     }
 }
 
@@ -335,38 +290,6 @@ mod tests {
         assert_eq!(acc.process_block(&block), sha256_raw_block(&block).to_vec());
         // Per-block mode is stateless across blocks.
         assert_eq!(acc.process_block(&block), sha256_raw_block(&block).to_vec());
-    }
-
-    #[test]
-    fn accel_chained_mode_carries_state() {
-        let mut acc = Sha256Accel::with_mode(Sha256Mode::Chained);
-        let b1 = [1u8; 64];
-        let b2 = [2u8; 64];
-        let d1 = acc.process_block(&b1);
-        let d2 = acc.process_block(&b2);
-        assert_ne!(d1, d2);
-        // Chained state after both blocks equals a manual double compress.
-        let mut state = H0;
-        compress(&mut state, &b1);
-        compress(&mut state, &b2);
-        let expect: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
-        assert_eq!(d2, expect);
-        acc.reset();
-        assert_eq!(acc.process_block(&b1), d1, "reset restores initial state");
-    }
-
-    #[test]
-    fn accel_configure_selects_mode() {
-        let mut acc = Sha256Accel::new();
-        acc.configure(&[1]).unwrap();
-        let block = [9u8; 64];
-        let d = acc.process_block(&block);
-        assert_eq!(
-            d,
-            sha256_raw_block(&block).to_vec(),
-            "first chained block == raw"
-        );
-        assert!(acc.configure(&[9]).is_err());
     }
 
     #[test]

@@ -165,8 +165,6 @@ impl Accelerator for StftAccel {
         }
         out
     }
-
-    fn reset(&mut self) {}
 }
 
 #[cfg(test)]

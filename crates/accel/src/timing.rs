@@ -192,7 +192,6 @@ impl TimedAccel {
 
     /// Resets pipeline and buffers (configuration retained).
     pub fn reset(&mut self) {
-        self.accel.reset();
         self.in_ratchet.clear();
         self.out_bytes.clear();
         self.busy_until = 0;

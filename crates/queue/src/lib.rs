@@ -9,8 +9,6 @@
 //!   threads, with exactly the release/acquire publication protocol the
 //!   Cohort engine exploits, plus *staged* (delayed-publication) operations
 //!   that implement the paper's batching optimisation in software;
-//! * [`batch`] — batched producer/consumer adapters that publish indices
-//!   every `N` elements (the "Cohort batch=N" curves of Figs. 8/9);
 //! * [`descriptor`] — the queue descriptor struct a queue library hands to
 //!   `cohort_register` (§4.1.1): virtual addresses of the write/read
 //!   indices, the data base, element size and length;
@@ -18,8 +16,6 @@
 //!   simulated guest memory (cache-line-separated indices, contiguous data
 //!   array), shared between the OS model, the engine and the benchmark
 //!   program builders;
-//! * [`typed`](mod@crate::typed) — typed elements over word queues, the role the paper's
-//!   Boost.Lockfree integration plays (§4.1.2);
 //! * [`merge`] — the sequence-tagged merge that reassembles one logical
 //!   stream from N shard queues (the software half of driver-level queue
 //!   sharding).
@@ -33,17 +29,13 @@
 //! assert_eq!(rx.pop(), Some(42));
 //! ```
 
-pub mod batch;
 pub mod descriptor;
 pub mod layout;
 pub mod merge;
 pub mod pad;
 pub mod spsc;
-pub mod typed;
 
-pub use batch::{BatchConsumer, BatchProducer};
 pub use descriptor::{DescriptorError, QueueDescriptor, MAX_ELEMENT_BYTES};
 pub use layout::QueueLayout;
 pub use merge::{MergeError, SeqMerge, Tagged};
 pub use spsc::{spsc_channel, Consumer, Producer, PushError};
-pub use typed::{typed, QueueElement, TypedConsumer, TypedProducer};

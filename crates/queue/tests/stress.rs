@@ -1,82 +1,13 @@
 //! Cross-thread stress tests for the queue crate.
 //!
 //! These exercise the paths the unit tests only cover single-threaded,
-//! with the producer and consumer on separate threads: the batched
-//! adapters' flush-on-error and release paths, the close flag seen from
-//! either side, and the `&self` observers racing a live producer.
+//! with the producer and consumer on separate threads: the close flag seen
+//! from either side, and the `&self` observers racing a live producer.
 
-use cohort_queue::{spsc_channel, BatchConsumer, BatchProducer};
+use cohort_queue::spsc_channel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-
-/// `full_queue_error_still_publishes_staged`, but with a real consumer
-/// thread: the producer batches far beyond the ring capacity, so progress
-/// is only possible because the failed push publishes the staged partial
-/// batch. A deadlock here means the flush-on-error path regressed.
-#[test]
-fn batch_producer_flush_on_error_across_threads() {
-    const N: u64 = 20_000;
-    // batch (64) > capacity (8): a full batch can never fit, so every
-    // publication happens through the error path.
-    let (tx, mut rx) = spsc_channel::<u64>(8);
-    let mut btx = BatchProducer::new(tx, 64);
-    let producer = thread::spawn(move || {
-        for i in 0..N {
-            loop {
-                match btx.push(i) {
-                    Ok(()) => break,
-                    // push() already flushed the staged elements; just
-                    // wait for the consumer to drain.
-                    Err(_) => thread::yield_now(),
-                }
-            }
-        }
-        // Drop flushes the final partial batch.
-    });
-    let mut expect = 0u64;
-    while expect < N {
-        if let Some(v) = rx.pop() {
-            assert_eq!(v, expect, "FIFO order through the error-flush path");
-            expect += 1;
-        } else {
-            thread::yield_now();
-        }
-    }
-    producer.join().unwrap();
-}
-
-/// Symmetric consumer-side test: a `BatchConsumer` whose delayed releases
-/// are the only thing standing between the producer and a full ring. The
-/// consumer's batch boundary (and final flush) must free slots or the
-/// producer thread never finishes.
-#[test]
-fn batch_consumer_release_unblocks_producer_across_threads() {
-    const N: u64 = 20_000;
-    let (mut tx, rx) = spsc_channel::<u64>(16);
-    let mut brx = BatchConsumer::new(rx, 4);
-    let producer = thread::spawn(move || {
-        for i in 0..N {
-            loop {
-                match tx.push(i) {
-                    Ok(()) => break,
-                    Err(_) => thread::yield_now(),
-                }
-            }
-        }
-    });
-    let mut expect = 0u64;
-    while expect < N {
-        if let Some(v) = brx.pop() {
-            assert_eq!(v, expect);
-            expect += 1;
-        } else {
-            thread::yield_now();
-        }
-    }
-    producer.join().unwrap();
-    brx.flush();
-}
 
 /// Producer-drop closes the ring: a consumer blocked waiting for more
 /// elements terminates instead of spinning forever. Without the closed

@@ -6,7 +6,7 @@ use cohort_accel::aes128::{Aes128, Aes128Accel};
 use cohort_accel::nullfifo::NullFifo;
 use cohort_accel::sha256::{sha256_raw_block, Sha256Accel};
 use cohort_accel::stft::StftAccel;
-use cohort_queue::{spsc_channel, BatchConsumer, BatchProducer};
+use cohort_queue::spsc_channel;
 use std::thread;
 
 #[test]
@@ -29,52 +29,6 @@ fn null_fifo_stress_many_words() {
     let stats = h.unregister();
     assert_eq!(stats.words_in, n);
     assert_eq!(stats.words_out, n);
-}
-
-#[test]
-fn batched_producer_through_accelerator() {
-    // The software batching optimisation composes with the accelerator
-    // thread: publications every 32 elements, one consumer.
-    let (tx, acc_in) = spsc_channel::<u64>(256);
-    let (acc_out, rx) = spsc_channel::<u64>(256);
-    let h = cohort_register(Box::new(NullFifo::new()), acc_in, acc_out, None);
-    let mut btx = BatchProducer::new(tx, 32);
-    let mut brx = BatchConsumer::new(rx, 32);
-    let mut seen = 0u64;
-    for i in 0..10_000u64 {
-        loop {
-            match btx.push(i) {
-                Ok(()) => break,
-                Err(_) => {
-                    // The ring is full: drain completions AND release the
-                    // partial batch so the accelerator can make progress
-                    // (otherwise the closed loop of full rings livelocks
-                    // on the deferred read-index release).
-                    while let Some(v) = brx.pop() {
-                        assert_eq!(v, seen);
-                        seen += 1;
-                    }
-                    brx.flush();
-                    std::thread::yield_now();
-                }
-            }
-        }
-        while let Some(v) = brx.pop() {
-            assert_eq!(v, seen);
-            seen += 1;
-        }
-    }
-    btx.flush();
-    while seen < 10_000 {
-        if let Some(v) = brx.pop() {
-            assert_eq!(v, seen);
-            seen += 1;
-        } else {
-            brx.flush();
-            std::thread::yield_now();
-        }
-    }
-    h.unregister();
 }
 
 #[test]
