@@ -74,12 +74,6 @@ pub trait Accelerator: Send {
     /// Implementations may panic if `input.len()` differs from
     /// `descriptor().input_block_bytes`.
     fn process_block(&mut self, input: &[u8]) -> Vec<u8>;
-
-    /// Flushes any buffered output at end of stream (variable-rate
-    /// accelerators).
-    fn finish(&mut self) -> Vec<u8> {
-        Vec::new()
-    }
 }
 
 impl std::fmt::Debug for dyn Accelerator {

@@ -95,9 +95,8 @@ impl Drop for CohortHandle {
 ///
 /// The thread consumes input words as they are published (honouring the
 /// producer's batching), processes whole input blocks, and publishes output
-/// words. On unregister it finishes in-flight blocks, flushes the
-/// accelerator's `finish()` output, zero-pads any sub-word residue, and
-/// exits.
+/// words. On unregister it finishes in-flight blocks, zero-pads any
+/// sub-word residue, and exits.
 ///
 /// # Panics
 /// Panics (in the spawned thread) if the accelerator rejects the CSR
@@ -140,13 +139,8 @@ pub fn cohort_register(
                 }
                 if !progressed {
                     if stop_thread.load(Ordering::Acquire) {
-                        // Drain: flush end-of-stream output and any
-                        // sub-word residue (zero padded).
-                        out_ratchet.push_bytes(&accel.finish());
-                        while let Some(w) = out_ratchet.pop_word() {
-                            stats.words_out += 1;
-                            push_blocking(&mut output, w);
-                        }
+                        // Drain: flush any sub-word residue (zero padded);
+                        // every whole word went out above.
                         if let Some(pad) = {
                             let mut tmp = Ratchet::new(8);
                             std::mem::swap(&mut tmp, &mut out_ratchet);

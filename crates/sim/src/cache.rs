@@ -26,7 +26,9 @@ struct Entry {
 /// A set-associative, LRU tag array.
 #[derive(Debug)]
 pub struct TagArray {
-    sets: u64,
+    /// `sets - 1`: the set count is a power of two, so a line's set is
+    /// its line number's low bits.
+    set_mask: u64,
     ways: usize,
     entries: Vec<Option<Entry>>,
     tick: u64,
@@ -34,10 +36,15 @@ pub struct TagArray {
 
 impl TagArray {
     /// Builds an empty tag array with the given geometry.
+    ///
+    /// # Panics
+    /// Panics if the set count is not a power of two (a geometry built
+    /// field by field rather than by [`CacheConfig::new`]).
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        assert!(sets.is_power_of_two(), "{sets} sets is not a power of two");
         Self {
-            sets,
+            set_mask: sets - 1,
             ways: cfg.ways as usize,
             entries: vec![None; (sets as usize) * cfg.ways as usize],
             tick: 0,
@@ -45,7 +52,7 @@ impl TagArray {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        ((line / LINE_BYTES) % self.sets) as usize
+        ((line / LINE_BYTES) & self.set_mask) as usize
     }
 
     fn set_slice(&self, line: u64) -> std::ops::Range<usize> {
@@ -235,6 +242,36 @@ mod tests {
         assert_eq!(insert(&mut t, 0x40, LineState::M), None);
         assert_eq!(t.len(), 1);
         assert_eq!(t.state(0x40), Some(LineState::M));
+    }
+
+    #[test]
+    fn the_masked_set_index_is_the_line_number_modulo_the_sets() {
+        // The default L1 (64 sets) and L2 (256), the MTE line buffer (one
+        // set of `cohort_os::mte::MTE_LINES` ways) and the tiny geometry.
+        let defaults = crate::config::SocConfig::default();
+        let mte = CacheConfig::new(8 * LINE_BYTES, 8);
+        let geometries = [
+            defaults.l1,
+            defaults.l2,
+            mte,
+            CacheConfig::new(4 * LINE_BYTES, 2),
+        ];
+        assert_eq!(geometries.map(|g| g.sets()), [64, 256, 1, 2]);
+        for cfg in geometries {
+            let t = TagArray::new(cfg);
+            for line in (0..4096).map(|i| i * LINE_BYTES).chain([!(LINE_BYTES - 1)]) {
+                assert_eq!(t.set_index(line) as u64, (line / LINE_BYTES) % cfg.sets());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "3 sets is not a power of two")]
+    fn a_tag_array_refuses_a_ragged_set_count() {
+        let _ = TagArray::new(CacheConfig {
+            capacity_bytes: 3 * LINE_BYTES,
+            ways: 1,
+        });
     }
 
     #[test]

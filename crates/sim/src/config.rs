@@ -16,20 +16,28 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Creates a geometry; `capacity_bytes` must be a multiple of
-    /// `ways * LINE_BYTES`.
+    /// `ways * LINE_BYTES`, and the set count a power of two (a tag
+    /// array indexes its sets with a mask).
     ///
     /// # Panics
-    /// Panics if the capacity does not divide evenly into sets.
+    /// Panics if the capacity does not divide evenly into sets, or into a
+    /// power-of-two number of them.
     pub fn new(capacity_bytes: u64, ways: u32) -> Self {
         let line_per_way = capacity_bytes / u64::from(ways);
         assert!(
             line_per_way.is_multiple_of(crate::LINE_BYTES) && line_per_way > 0,
             "capacity {capacity_bytes} not divisible into {ways} ways of whole lines"
         );
-        Self {
+        let cfg = Self {
             capacity_bytes,
             ways,
-        }
+        };
+        assert!(
+            cfg.sets().is_power_of_two(),
+            "capacity {capacity_bytes} in {ways} ways makes {} sets, not a power of two",
+            cfg.sets()
+        );
+        cfg
     }
 
     /// Number of sets.
@@ -241,6 +249,12 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn rejects_ragged_geometry() {
         let _ = CacheConfig::new(100, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "makes 3 sets, not a power of two")]
+    fn rejects_a_set_count_that_is_not_a_power_of_two() {
+        let _ = CacheConfig::new(12 * crate::LINE_BYTES, 4);
     }
 
     #[test]

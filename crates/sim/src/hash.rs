@@ -6,13 +6,11 @@
 //! not. Nothing may depend on the iteration order of these maps — with
 //! the default per-process random hasher nothing could.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed by a frame number or line address.
 pub(crate) type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U64Hasher>>;
-/// `HashSet` of line addresses.
-pub(crate) type U64Set = HashSet<u64, BuildHasherDefault<U64Hasher>>;
 
 /// Fibonacci hashing: one multiply by 2^64 / phi, then the high half
 /// folded into the low half. The fold matters: line addresses are

@@ -31,7 +31,6 @@ use std::collections::VecDeque;
 use crate::component::{CompId, TileCoord};
 use crate::config::TimingConfig;
 use crate::faultinject::FaultState;
-use crate::hash::U64Map;
 use crate::msg::Envelope;
 use crate::stats::{Counter, Histogram, Stats};
 use crate::trace::Trace;
@@ -72,20 +71,28 @@ fn insert(queue: &mut VecDeque<InFlight>, m: InFlight) {
     queue.insert(at, m);
 }
 
+/// What the NoC holds for one destination slot.
+#[derive(Debug, Default)]
+struct Inbox {
+    /// In-flight messages, in key order.
+    queue: VecDeque<InFlight>,
+    /// Latest delivery cycle of any coherence message injected so far,
+    /// indexed by source slot: a message due no earlier overtakes
+    /// nothing. Grows to the highest source that has sent here.
+    latest: Vec<u64>,
+}
+
 /// The mesh interconnect: computes delivery times and holds in-flight
 /// messages.
 #[derive(Debug)]
 pub struct Noc {
     base: u64,
     per_hop: u64,
-    /// In-flight messages per destination slot, in key order.
-    queues: Vec<VecDeque<InFlight>>,
+    /// Per destination slot.
+    inboxes: Vec<Inbox>,
     /// Messages in flight over all queues.
     in_flight: usize,
     seq: u64,
-    /// Latest delivery cycle of any coherence message injected so far,
-    /// per `(src, dst)` pair: a message due no earlier overtakes nothing.
-    latest: U64Map<u64>,
     delivered: Counter,
     flits: Counter,
     hop_latency: Histogram,
@@ -110,12 +117,9 @@ impl Noc {
         Self {
             base: timing.noc_base,
             per_hop: timing.noc_per_hop,
-            queues: Vec::new(),
+            inboxes: Vec::new(),
             in_flight: 0,
             seq: 0,
-            // Room for a few hundred pairs from the start, so that the
-            // table does not regrow among a run's large allocations.
-            latest: U64Map::with_capacity_and_hasher(256, Default::default()),
             delivered: Counter::new(),
             flits: Counter::new(),
             hop_latency: Histogram::new(),
@@ -178,15 +182,15 @@ impl Noc {
             .max(1)
             .saturating_mul(spike);
         let mut at = cycle + modelled;
-        if self.queues.len() <= dst.0 {
-            self.queues.resize_with(dst.0 + 1, VecDeque::new);
+        if self.inboxes.len() <= dst.0 {
+            self.inboxes.resize_with(dst.0 + 1, Inbox::default);
         }
-        let queue = &mut self.queues[dst.0];
+        let Inbox { queue, latest } = &mut self.inboxes[dst.0];
         if let Some(line) = env.msg.line() {
-            let latest = self
-                .latest
-                .entry((env.src.0 as u64) << 32 | dst.0 as u64)
-                .or_default();
+            if latest.len() <= env.src.0 {
+                latest.resize(env.src.0 + 1, 0);
+            }
+            let latest = &mut latest[env.src.0];
             if at >= *latest {
                 *latest = at;
             } else {
@@ -237,7 +241,7 @@ impl Noc {
     /// [`Noc::next_delivery_to`], which is what wakes the destination for
     /// it.
     pub fn deliver_to(&mut self, dst: CompId, cycle: u64, mut sink: impl FnMut(Envelope)) {
-        let Some(queue) = self.queues.get_mut(dst.0) else {
+        let Some(Inbox { queue, .. }) = self.inboxes.get_mut(dst.0) else {
             return;
         };
         // The due cycle being drained and how many it has ejected.
@@ -263,9 +267,9 @@ impl Noc {
 
     /// Cycle of the earliest pending delivery to `dst`, `u64::MAX` if none.
     pub fn next_delivery_to(&self, dst: CompId) -> u64 {
-        self.queues
+        self.inboxes
             .get(dst.0)
-            .and_then(VecDeque::front)
+            .and_then(|inbox| inbox.queue.front())
             .map_or(u64::MAX, |m| m.at)
     }
 
@@ -354,6 +358,53 @@ mod tests {
     }
 
     #[test]
+    fn a_source_above_every_destination_grows_its_row_and_is_still_held_back() {
+        // 71 slots: every slot from 3 up sends to slots 1 and 2, so each
+        // destination's row of latest cycles grows one source at a time
+        // to 71 entries. The highest slot then sends a grant and, a cycle
+        // later, an invalidation of the same line to slot 1: the head-flit
+        // message would overtake the grant and is held behind it.
+        let mut noc = Noc::new(&TimingConfig::default(), FaultState::default());
+        let (a, b) = (TileCoord::new(0, 0), TileCoord::new(1, 0));
+        let (head, grant) = (noc.latency(a, b, 0), noc.latency(a, b, 64));
+        assert!(grant > head + 1);
+        let top = CompId(70);
+        for src in 3..=top.0 {
+            for dst in [1, 2] {
+                let msg = Msg::GetS {
+                    line: 0x40 * (100 + src as u64),
+                };
+                let env = Envelope {
+                    src: CompId(src),
+                    msg,
+                };
+                noc.inject_delayed(0, a, b, CompId(dst), env, 0);
+            }
+        }
+        for dst in [1, 2] {
+            assert_eq!(noc.inboxes[dst].latest.len(), top.0 + 1);
+        }
+        let line = 0x40;
+        for (cycle, msg) in [(1, Msg::DataS { line }), (2, Msg::Inv { line })] {
+            let env = Envelope { src: top, msg };
+            noc.inject_delayed(cycle, a, b, CompId(1), env, 0);
+        }
+        let mut got = Vec::new();
+        for cycle in 0..100 {
+            noc.deliver_to(CompId(1), cycle, |e| {
+                if e.msg.line() == Some(line) {
+                    got.push((cycle, e.msg));
+                }
+            });
+        }
+        let want = vec![
+            (1 + grant, Msg::DataS { line }),
+            (1 + grant, Msg::Inv { line }),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn fuzzed_traffic_keeps_each_lines_order_and_otherwise_its_modelled_cycle() {
         // Three components on three tiles send head-flit and line-sized
         // messages about four lines, one ejection per destination per
@@ -361,7 +412,7 @@ mod tests {
         // one (src, dst, line) triple are always of different kinds, so a
         // swap shows as a different kind at the front of the triple.
         use crate::faultinject::splitmix64;
-        use std::collections::{HashMap, VecDeque};
+        use std::collections::{BTreeMap, VecDeque};
         const HEAD: [fn(u64) -> Msg; 4] = [
             |line| Msg::Inv { line },
             |line| Msg::Downgrade { line },
@@ -390,8 +441,8 @@ mod tests {
             }
             let mut noc = Noc::new(&TimingConfig::default(), faults.clone());
             noc.set_ejection_width(1);
-            let mut triples: HashMap<(usize, usize, u64), Triple> = HashMap::new();
-            let mut ejected: HashMap<(usize, u64), u64> = HashMap::new();
+            let mut triples: BTreeMap<(usize, usize, u64), Triple> = BTreeMap::new();
+            let mut ejected: BTreeMap<(usize, u64), u64> = BTreeMap::new();
             let mut cycle: u64 = 0;
             while cycle < 400 || !noc.is_empty() {
                 for dst in 0..3 {

@@ -6,15 +6,16 @@
 //! baseline unit — all of them participate in coherence the same way, which
 //! is exactly the premise of queue coherence.
 //!
-//! Nothing on a transaction's path allocates: the accesses joined on a
-//! pending line and the events one message raises are [`InlineList`]s of
-//! at most [`MAX_JOINED`] entries, kept in join order.
+//! Nothing on a transaction's path allocates or hashes: the accesses
+//! joined on a pending line and the events one message raises are
+//! [`InlineList`]s of at most [`MAX_JOINED`] entries, kept in join order,
+//! and the pending lines and pins are short vectors searched in place
+//! (an agent has a few MSHRs and pins; neither list's order is read).
 
 use crate::cache::{LineState, TagArray};
 use crate::component::Observability;
 use crate::component::{CompId, Ctx};
 use crate::config::CacheConfig;
-use crate::hash::{U64Map, U64Set};
 use crate::line_of;
 use crate::msg::{Envelope, Msg};
 use crate::stats::Counter;
@@ -113,6 +114,7 @@ pub type PortEvents = InlineList<PortEvent>;
 
 #[derive(Debug)]
 struct PendingLine {
+    line: u64,
     want_m: bool,
     tokens: InlineList<u64>,
 }
@@ -152,8 +154,10 @@ pub struct CoherentPort {
     dir: CompId,
     cache: TagArray,
     hit_latency: u64,
-    pending: U64Map<PendingLine>,
-    pinned: U64Set,
+    /// Open directory transactions, at most one per line.
+    pending: Vec<PendingLine>,
+    /// Pinned lines, each once.
+    pinned: Vec<u64>,
     counters: PortCounters,
 }
 
@@ -165,8 +169,8 @@ impl CoherentPort {
             dir,
             cache: TagArray::new(cache_cfg),
             hit_latency,
-            pending: U64Map::default(),
-            pinned: U64Set::default(),
+            pending: Vec::new(),
+            pinned: Vec::new(),
             counters: PortCounters::default(),
         }
     }
@@ -176,17 +180,26 @@ impl CoherentPort {
     /// keep its reader-coherency-manager's monitored pointer lines
     /// resident, so a writer's invalidation is guaranteed to be observed.
     pub fn pin(&mut self, line: u64) {
-        self.pinned.insert(line);
+        if !self.pinned.contains(&line) {
+            self.pinned.push(line);
+        }
     }
 
     /// Removes a pin.
     pub fn unpin(&mut self, line: u64) {
-        self.pinned.remove(&line);
+        if let Some(i) = self.pinned.iter().position(|&l| l == line) {
+            self.pinned.swap_remove(i);
+        }
     }
 
     /// Removes all pins.
     pub fn unpin_all(&mut self) {
         self.pinned.clear();
+    }
+
+    /// True if a transaction on `line` is in flight.
+    fn is_pending(&self, line: u64) -> bool {
+        self.pending.iter().any(|p| p.line == line)
     }
 
     /// Issues a read (`write == false`) or write (`write == true`) access to
@@ -223,7 +236,7 @@ impl CoherentPort {
             }
             held => {
                 // Miss, or an S->M upgrade.
-                if let Some(p) = self.pending.get_mut(&line) {
+                if let Some(p) = self.pending.iter_mut().find(|p| p.line == line) {
                     if write && !p.want_m {
                         return Outcome::Retry;
                     }
@@ -264,7 +277,12 @@ impl CoherentPort {
         if let Some(token) = token {
             tokens.push(token);
         }
-        self.pending.insert(line, PendingLine { want_m, tokens });
+        debug_assert!(!self.is_pending(line), "second transaction on {line:#x}");
+        self.pending.push(PendingLine {
+            line,
+            want_m,
+            tokens,
+        });
     }
 
     /// Fire-and-forget write-permission prefetch of `line`: counts and
@@ -275,7 +293,7 @@ impl CoherentPort {
     pub fn prefetch_m(&mut self, ctx: &mut Ctx<'_>, line: u64) {
         if self.cache.touch(line) == Some(LineState::M) {
             self.counters.hits.inc();
-        } else if !self.pending.contains_key(&line) {
+        } else if !self.is_pending(line) {
             self.issue(ctx, line, true, false, None);
         }
     }
@@ -283,7 +301,7 @@ impl CoherentPort {
     /// True if [`CoherentPort::prefetch_m`] of `line` would send nothing:
     /// the line is held in M or a transaction on it is in flight.
     pub fn prefetch_is_noop(&self, line: u64) -> bool {
-        self.cache.state(line) == Some(LineState::M) || self.pending.contains_key(&line)
+        self.cache.state(line) == Some(LineState::M) || self.is_pending(line)
     }
 
     /// Applies what `polls` consecutive no-op [`CoherentPort::prefetch_m`]
@@ -357,8 +375,8 @@ impl CoherentPort {
                         );
                     }
                 }
-                if let Some(p) = self.pending.remove(&line) {
-                    for token in p.tokens {
+                if let Some(i) = self.pending.iter().position(|p| p.line == line) {
+                    for token in self.pending.swap_remove(i).tokens {
                         events.push(PortEvent::Completed { token });
                     }
                 }
@@ -479,6 +497,152 @@ mod tests {
         assert_eq!(
             grant(&mut port),
             [1, 5, 0, 4].map(|token| PortEvent::Completed { token })
+        );
+    }
+
+    #[test]
+    fn mte_sized_traffic_with_pins_matches_a_map_reference() {
+        // The MTE line buffer's geometry (`cohort_os::mte::MTE_LINES`
+        // lines, fully associative) driven up to MTE_LINES open
+        // transactions while pins come and go. The reference keeps the
+        // open lines and the pins in ordered maps: every outcome,
+        // completion list, eviction and idle check must agree with it.
+        use crate::faultinject::splitmix64;
+        use std::collections::{BTreeMap, BTreeSet};
+        const MTE_LINES: usize = 8;
+        let cfg = CacheConfig::new(MTE_LINES as u64 * crate::LINE_BYTES, MTE_LINES as u32);
+        let lines: Vec<u64> = (0..2 * MTE_LINES as u64)
+            .map(|i| 0x1_0000 + i * crate::LINE_BYTES)
+            .collect();
+        let (mut most_open, mut grants, mut evictions) = (0, 0, 0);
+        for seed in 0..32 {
+            let mut rng = seed;
+            let mut draw = |n: usize| (splitmix64(&mut rng) % n as u64) as usize;
+            let mut port = CoherentPort::new(DIR, cfg, 1);
+            // Open line -> (wants M, joined tokens in join order).
+            let mut open: BTreeMap<u64, (bool, Vec<u64>)> = BTreeMap::new();
+            let mut pinned: BTreeSet<u64> = BTreeSet::new();
+            for cycle in 0..400 {
+                let line = lines[draw(lines.len())];
+                let mut inbox = VecDeque::new();
+                let held = port.state_of(line);
+                let sent = match draw(6) {
+                    0 | 1 => {
+                        let write = draw(2) == 0;
+                        let token = draw(MAX_JOINED) as u64;
+                        let hit = held == Some(LineState::M) || (held.is_some() && !write);
+                        let opens = !hit && !open.contains_key(&line);
+                        if opens && open.len() == MTE_LINES {
+                            continue; // every MSHR busy: the agent waits
+                        }
+                        let want = if hit {
+                            Outcome::Hit {
+                                ready_at: cycle + 1,
+                            }
+                        } else if let Some((want_m, tokens)) = open.get_mut(&line) {
+                            if write && !*want_m {
+                                Outcome::Retry
+                            } else {
+                                if !tokens.contains(&token) {
+                                    tokens.push(token);
+                                }
+                                Outcome::Pending
+                            }
+                        } else {
+                            open.insert(line, (write, vec![token]));
+                            Outcome::Pending
+                        };
+                        let mut got = None;
+                        let sent = step_alone(ME, cycle, &mut inbox, |ctx| {
+                            got = Some(port.request(ctx, line, write, token));
+                        });
+                        assert_eq!(got, Some(want), "seed {seed} cycle {cycle}");
+                        assert_eq!(sent.len(), usize::from(opens));
+                        sent
+                    }
+                    2 => {
+                        if draw(2) == 0 {
+                            port.pin(line);
+                            pinned.insert(line);
+                        } else {
+                            port.unpin(line);
+                            pinned.remove(&line);
+                        }
+                        Vec::new()
+                    }
+                    3 => {
+                        let noop = held == Some(LineState::M) || open.contains_key(&line);
+                        assert_eq!(port.prefetch_is_noop(line), noop);
+                        if !noop && open.len() == MTE_LINES {
+                            continue;
+                        }
+                        if !noop {
+                            open.insert(line, (true, Vec::new()));
+                        }
+                        let sent =
+                            step_alone(ME, cycle, &mut inbox, |ctx| port.prefetch_m(ctx, line));
+                        assert_eq!(sent.len(), usize::from(!noop));
+                        sent
+                    }
+                    4 => {
+                        let Some(&line) = open.keys().nth(draw(open.len().max(1))) else {
+                            continue;
+                        };
+                        let (want_m, tokens) = open.remove(&line).expect("open");
+                        let msg = if want_m {
+                            Msg::DataM { line }
+                        } else {
+                            Msg::DataS { line }
+                        };
+                        let held_before: Vec<u64> = port.cache.iter().map(|(l, _)| l).collect();
+                        let mut events = Vec::new();
+                        let grant = Envelope { src: DIR, msg };
+                        let sent = step_alone(ME, cycle, &mut inbox, |ctx| {
+                            events.extend(port.handle(&grant, ctx));
+                        });
+                        let want: Vec<_> = tokens
+                            .iter()
+                            .map(|&token| PortEvent::Completed { token })
+                            .collect();
+                        assert_eq!(events, want, "seed {seed} cycle {cycle}");
+                        for out in &sent {
+                            let Msg::PutLine { line: victim, .. } = out.env.msg else {
+                                panic!("a grant sends only PutLine, got {:?}", out.env.msg);
+                            };
+                            if victim != line {
+                                assert!(!pinned.contains(&victim), "evicted pinned {victim:#x}");
+                                assert!(held_before.contains(&victim));
+                                assert_eq!(port.state_of(victim), None);
+                                evictions += 1;
+                            }
+                        }
+                        grants += 1;
+                        sent
+                    }
+                    _ => {
+                        let (msg, event) = if draw(2) == 0 {
+                            (Msg::Inv { line }, PortEvent::Invalidated { line })
+                        } else {
+                            (Msg::Downgrade { line }, PortEvent::Downgraded { line })
+                        };
+                        let mut events = Vec::new();
+                        let env = Envelope { src: DIR, msg };
+                        let sent = step_alone(ME, cycle, &mut inbox, |ctx| {
+                            events.extend(port.handle(&env, ctx));
+                        });
+                        assert_eq!(events, [event]);
+                        sent
+                    }
+                };
+                assert!(sent.iter().all(|out| out.dst == DIR));
+                assert_eq!(port.is_idle(), open.is_empty());
+                most_open = most_open.max(open.len());
+            }
+        }
+        assert_eq!(most_open, MTE_LINES, "never reached MTE_LINES open lines");
+        assert!(
+            grants > 1000 && evictions > 100,
+            "{grants} grants, {evictions} evictions"
         );
     }
 
