@@ -17,17 +17,14 @@ use cohort_accel::sha256::{sha256_raw_block, Sha256Accel};
 use cohort_accel::Accelerator;
 use cohort_maple::regs as maple_regs;
 use cohort_os::addrspace::MapPolicy;
-use cohort_os::driver::{
-    fault_in, swap_store, FailoverConfig, Placement, ProgressProbe, ShardError, ShardPool,
-    SharedVm, SoftwareFallback, SwapStore,
-};
+use cohort_os::driver::{Placement, ShardError, ShardPool};
+use cohort_os::kernel::{FailoverConfig, IrqAction, Kernel};
 use cohort_os::sv39::PAGE_BYTES;
-use cohort_os::CohortDriver;
 use cohort_queue::{QueueDescriptor, SeqMerge};
 use cohort_sim::component::CompId;
 use cohort_sim::config::SocConfig;
 use cohort_sim::core::InOrderCore;
-use cohort_sim::faultinject::{splitmix64, FaultInjector, FaultKind, FaultPlan, StormHook};
+use cohort_sim::faultinject::{splitmix64, FaultKind, FaultPlan};
 use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 use cohort_sim::stats::HistogramSummary;
@@ -321,11 +318,12 @@ fn silent_by_class(soc: &Soc) -> Vec<(String, u64)> {
 // working set if it comes last; compose the benchmark core's program
 // (register each binding, the watched engine's watchdog and spill
 // registers, the topology's loop, a fence, unregister) and each extra
-// core's; `arm` (program load, the run's one kernel vm snapshot, demand
-// paging) and the recovery handlers; `run_and_collect`. Allocation order
-// and the emitted `Op` sequence are observable — they fix physical
-// addresses, cache-set conflicts and therefore cycles — so a runner says
-// only what its topology holds, never in which order it is built.
+// core's; `arm` (program load, the run's one kernel, demand paging) and
+// the recovery actions, after which the SoC owns the kernel;
+// `run_and_collect`. Allocation order and the emitted `Op` sequence are
+// observable — they fix physical addresses, cache-set conflicts and
+// therefore cycles — so a runner says only what its topology holds, never
+// in which order it is built.
 
 /// `cohort_register(engine, queues[input], queues[output])`, with the
 /// CSR buffer when the flag is set: `(engine, input, output, csr)`.
@@ -355,7 +353,7 @@ enum Recovery {
     None,
     /// The [`Runner::Chaos`] stack around binding 0, whose software
     /// fallback publishes this output stream.
-    Chaos(Rc<[u64]>),
+    Chaos(Vec<u64>),
     /// Fail-stop migration of binding `victim`'s queues onto the cold
     /// spare engine `spare` (see [`Runner::Failover`]).
     Failover {
@@ -586,33 +584,21 @@ fn armed_watchdog(scenario: &Scenario) -> u64 {
     }
 }
 
-/// Stage 4: loads the benchmark core's program and takes the run's one
-/// kernel vm snapshot, the view of the benchmark process's memory
-/// management that every handler of the run shares. It copies the frame
-/// allocator, so it comes after the last host-side allocation. Then arms
-/// demand paging: every engine's page-fault interrupt handler on the
-/// benchmark core and the kernel fault path of every core, extra ones
-/// included, because under lazy mapping each of them can be first to
-/// touch a page. Armed when the policy is lazy, or when the run brings a
-/// `swap` store (storms unmap pages under any policy).
-fn arm(sys: &mut SimSystem, program: Program, swap: Option<&SwapStore>) -> SharedVm {
+/// Stage 4: loads the benchmark core's program and makes the run's one
+/// kernel, which owns a snapshot of the benchmark process's memory
+/// management. It copies the frame allocator, so it comes after the last
+/// host-side allocation. Demand paging is armed — every engine's
+/// page-fault interrupt and every core's own faults, extra cores included,
+/// since under lazy mapping each of them can be first to touch a page —
+/// when the policy is lazy or the run brings storms (`chaos`: they unmap
+/// pages under any policy).
+fn arm(sys: &mut SimSystem, program: Program, chaos: bool) -> Kernel {
     core_mut(&mut sys.soc, sys.core).load_program(program);
-    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
-    if sys.space.policy() != MapPolicy::Lazy && swap.is_none() {
-        return vm;
+    let mut kernel = Kernel::new(sys.space.clone(), sys.frames.clone());
+    if sys.space.policy() == MapPolicy::Lazy || chaos {
+        kernel.arm_paging(&sys.drivers);
     }
-    let core = core_mut(&mut sys.soc, sys.core);
-    for driver in &sys.drivers {
-        driver.install_fault_handler(core, Rc::clone(&vm), swap.cloned());
-    }
-    for &id in &sys.extra_cores {
-        let (vm, swap) = (Rc::clone(&vm), swap.cloned());
-        core_mut(&mut sys.soc, id).set_fault_hook(Box::new(move |mem, va| {
-            fault_in(mem, &vm, swap.as_ref(), va);
-            true
-        }));
-    }
-    vm
+    kernel
 }
 
 /// Stages 5 and 6: runs to completion within the cycle budget of
@@ -730,18 +716,34 @@ fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
         core_mut(&mut sys.soc, id).load_program(emit(&queues, noise.clone()));
     }
 
-    let swap = chaos.is_some().then(swap_store);
-    let vm = arm(&mut sys, program, swap.as_ref());
+    let mut kernel = arm(&mut sys, program, chaos.is_some());
     if let Some((engine, input, output, with_csr)) = watched {
         let (input, output) = (queues[input], queues[output]);
-        if let (Some(expected), Some(swap)) = (chaos, swap) {
-            arm_chaos(&mut sys, engine, (input, output), vm, swap, expected);
+        let victim = sys.drivers[engine].clone();
+        let irq = victim.error_irq();
+        if let Some(expected) = chaos {
+            // Storms evict the queues' data pages round-robin.
+            kernel.evict_on_storm(&[input, output]);
+            // Two retries, then the kernel publishes the whole output
+            // stream; progress is what the engine moved.
+            let ec = sys.engine(engine).engine_counters();
+            let progress = [&ec.consumed, &ec.produced, &ec.drained_elems];
+            let retry = IrqAction::Retry {
+                engine: victim,
+                budget: 2,
+                tries: 0,
+                last_progress: None,
+                progress: progress.map(Clone::clone).into(),
+                output,
+                stream: expected,
+            };
+            kernel.install(irq, retry);
         } else if let Some((spare, spill_pa)) = failover {
             // The orchestrator on the victim's error IRQ rebinds its
             // queues on the spare.
             let config = FailoverConfig {
+                victim,
                 spare: sys.drivers[spare].clone(),
-                vm,
                 root_pa,
                 input,
                 output,
@@ -750,10 +752,10 @@ fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
                 watchdog,
                 spill_pa,
             };
-            let core = core_mut(&mut sys.soc, sys.core);
-            sys.drivers[engine].install_failover_handler(core, config);
+            kernel.install(irq, IrqAction::Failover(config));
         }
     }
+    sys.soc.set_os(Box::new(kernel));
     let verify = topo.verify;
     run_and_collect(sys, scenario, |sys, recorded| {
         verify(sys, &queues, recorded)
@@ -820,88 +822,8 @@ fn interfered(scenario: &Scenario) -> Topology {
 fn chaos(scenario: &Scenario) -> Topology {
     let expected = scenario.workload.reference_outputs(&scenario.input_words());
     let mut topo = cohort(scenario);
-    topo.recovery = Recovery::Chaos(expected.into());
+    topo.recovery = Recovery::Chaos(expected);
     topo
-}
-
-/// The handlers of [`Recovery::Chaos`] around `engine`, which moves
-/// `queues` (input, output): the storm hook, and the error handler with
-/// its software fallback and forward-progress probe. The page-fault
-/// handlers on `vm` and `swap` are already armed.
-fn arm_chaos(
-    sys: &mut SimSystem,
-    engine: usize,
-    queues: (QueueDescriptor, QueueDescriptor),
-    vm: SharedVm,
-    swap: SwapStore,
-    expected: Rc<[u64]>,
-) {
-    // Storm hook: evict queue data pages round-robin, parking each page's
-    // frame in the swap store so the next fault maps the same frame back
-    // in — writes racing the shootdown are never lost (see `SwapStore`).
-    if let Some(inj_id) = sys.injector {
-        let pages = |d: QueueDescriptor| {
-            let first = d.base_va & !(PAGE_BYTES - 1);
-            (first..d.base_va + d.data_bytes()).step_by(PAGE_BYTES as usize)
-        };
-        let candidates: Vec<u64> = pages(queues.0).chain(pages(queues.1)).collect();
-        let storm_vm = Rc::clone(&vm);
-        let storm_swap = swap.clone();
-        let mut next = 0usize;
-        let hook: StormHook = Box::new(move |mem, pages| {
-            let mut evicted = 0u64;
-            let (space, _frames) = &mut *storm_vm.borrow_mut();
-            for _ in 0..pages {
-                if candidates.is_empty() {
-                    break;
-                }
-                let va = candidates[next % candidates.len()];
-                next += 1;
-                if let Some(pa) = space.translate(mem, va) {
-                    storm_swap.borrow_mut().insert(va, pa & !(PAGE_BYTES - 1));
-                    if space.unmap(mem, va) {
-                        evicted += 1;
-                    }
-                }
-            }
-            evicted
-        });
-        sys.soc
-            .component_mut::<FaultInjector>(inj_id)
-            .expect("injector present")
-            .set_storm_hook(hook);
-    }
-
-    // Software fallback for exhausted retries: the kernel recomputes the
-    // entire output stream and publishes the final write index. Recomputing
-    // from scratch keeps the path idempotent — partial hardware progress
-    // before the failure is simply overwritten.
-    let out_desc = queues.1;
-    let fallback: SoftwareFallback = Box::new(move |mem| {
-        let words = expected.iter().enumerate();
-        let stores = words.map(|(j, &w)| (out_desc.element_va(j as u64), w));
-        let publish = (out_desc.write_index_va, expected.len() as u64);
-        for (va, value) in stores.chain([publish]) {
-            fault_in(mem, &vm, Some(&swap), va);
-            let pa = vm.borrow().0.translate(mem, va).expect("mapped");
-            mem.write_u64(pa, value);
-        }
-    });
-
-    // Forward-progress probe: strictly grows while the engine moves
-    // elements, so the error handler can reset its bounded-retry budget
-    // after a recovery demonstrably succeeded.
-    let ec = sys.engine(engine).engine_counters();
-    let (consumed, produced, drained) = (
-        ec.consumed.clone(),
-        ec.produced.clone(),
-        ec.drained_elems.clone(),
-    );
-    let probe: ProgressProbe = Box::new(move || consumed.get() + produced.get() + drained.get());
-
-    let driver = sys.drivers[engine].clone();
-    let core = core_mut(&mut sys.soc, sys.core);
-    driver.install_error_handler(core, 2, fallback, probe);
 }
 
 /// The [`Runner::Mmio`] run.
@@ -922,7 +844,7 @@ fn mmio(scenario: &Scenario) -> RunResult {
         looped(alu, pushes.chain(std::iter::repeat_n(pop, wpb_out)))
     }));
 
-    arm(&mut sys, program, None);
+    core_mut(&mut sys.soc, sys.core).load_program(program);
     let expected = scenario.workload.reference_outputs(&data);
     run_and_collect(sys, scenario, |_, recorded| recorded == expected)
 }
@@ -984,7 +906,7 @@ fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
         program.stream(looped(costs.pop_loop_alu, reads));
     }
 
-    arm(&mut sys, program, None);
+    core_mut(&mut sys.soc, sys.core).load_program(program);
     let expected = scenario.workload.reference_outputs(&data);
     run_and_collect(sys, scenario, |sys, recorded| {
         if !hardened {
@@ -1459,11 +1381,10 @@ pub enum Runner {
     ///
     /// * the engine forward-progress watchdog ([`Scenario::watchdog`], or
     ///   [`CHAOS_DEFAULT_WATCHDOG`] when 0);
-    /// * the page-fault interrupt handler with a swap backing store, so
-    ///   storm-evicted pages come back with their contents;
-    /// * a storm hook that evicts queue data pages round-robin through that
-    ///   swap store;
-    /// * the error-interrupt handler with bounded retry (2) and a software
+    /// * demand paging whose swap map parks each storm-evicted page's
+    ///   frame, so it comes back with its contents;
+    /// * storms that evict the queues' data pages round-robin;
+    /// * the error-interrupt action with bounded retry (2) and a software
     ///   fallback that recomputes the whole output stream and publishes the
     ///   final write index — the graceful-degradation contract.
     ///
@@ -1815,6 +1736,47 @@ mod tests {
     /// An admitted run through the one door.
     fn run(runner: Runner, scenario: &Scenario) -> RunResult {
         run_scenario(runner, scenario, None).expect("admitted")
+    }
+
+    /// A virtual address no allocation maps.
+    const UNMAPPED: u64 = 0x3f00_0000;
+
+    /// Runs the program `emit` makes on an eager one-engine system armed as
+    /// [`run_engines`] arms a run without storms.
+    fn run_eager_without_storms(emit: impl FnOnce(&mut SimSystem) -> Program) {
+        let mut sys = SimSystem::build(SystemSpec {
+            engine_accels: vec![Workload::Aes.make_accel()],
+            ..SystemSpec::default()
+        });
+        let program = emit(&mut sys);
+        let kernel = arm(&mut sys, program, false);
+        sys.soc.set_os(Box::new(kernel));
+        sys.soc.run(1_000_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "with no handler")]
+    fn an_eager_run_without_storms_still_panics_on_a_core_page_fault() {
+        run_eager_without_storms(|_| {
+            let mut program = Program::new();
+            let (va, value) = (UNMAPPED, 1);
+            program.push(Op::Store { va, value });
+            program
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "no handler for irq")]
+    fn an_irq_with_no_installed_action_still_panics() {
+        // The engine faults on the queues' first touch and interrupts the
+        // core, which waits on a word nobody writes.
+        run_eager_without_storms(|sys| {
+            let q = cohort_queue::QueueLayout::standard(UNMAPPED, 8, 64).descriptor;
+            let flag = sys.alloc_buffer(8, 64);
+            let mut program = sys.drivers[0].register_ops(sys.space.root_pa(), &q, &q, None, 0);
+            program.push(Op::WaitGe { va: flag, value: 1 });
+            program
+        });
     }
 
     #[test]

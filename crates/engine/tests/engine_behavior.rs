@@ -13,10 +13,11 @@ use cohort_os::CohortDriver;
 use cohort_queue::QueueLayout;
 use cohort_sim::component::TileCoord;
 use cohort_sim::config::SocConfig;
-use cohort_sim::core::{InOrderCore, IrqHandler};
+use cohort_sim::core::InOrderCore;
 use cohort_sim::directory::Directory;
 use cohort_sim::faultinject::FOREVER;
 use cohort_sim::mem::MemAccess;
+use cohort_sim::os::{Os, Trap};
 use cohort_sim::program::{Op, Program};
 use cohort_sim::soc::Soc;
 
@@ -110,15 +111,21 @@ impl Rig {
     /// Absorbs the engine's error IRQ without kernel-side action, so tests
     /// can inspect the halted engine directly.
     fn install_noop_error_handler(&mut self) {
-        let core = self.soc.component_mut::<InOrderCore>(self.core).unwrap();
-        core.register_irq_handler(
-            IRQ + regs::ERROR_IRQ_OFFSET,
-            IrqHandler {
-                entry_cycles: 10,
-                entry_insts: 5,
-                action: Box::new(|_, _, _| Vec::new()),
-            },
-        );
+        self.soc.set_os(Box::new(AbsorbErrors));
+    }
+}
+
+/// A kernel whose only action is to take the engine's error IRQ and do
+/// nothing about it.
+struct AbsorbErrors;
+
+impl Os for AbsorbErrors {
+    fn interrupt(&mut self, _: &mut dyn MemAccess, irq: u32, _: u64, _: u64) -> Option<Trap> {
+        (irq == IRQ + regs::ERROR_IRQ_OFFSET).then(|| Trap {
+            cycles: 10,
+            insts: 5,
+            writes: Vec::new(),
+        })
     }
 }
 

@@ -4,21 +4,15 @@
 //! two syscalls — `cohort_register` and `cohort_unregister` — which this
 //! model expands into the exact MMIO programming sequences a core executes
 //! (so registration cost is measured, not assumed), plus the MMU-notifier
-//! TLB shootdown and the page-fault interrupt handler.
+//! TLB shootdown. Its interrupt handlers are the actions of
+//! [`crate::kernel::Kernel`].
 //!
 //! The [`regs`] module is the uapi: the engine's uncached configuration
 //! register map, shared between the driver (writer) and the engine
 //! implementation in `cohort-engine` (reader).
 
-use crate::addrspace::AddressSpace;
-use crate::frame::FrameAllocator;
 use cohort_queue::QueueDescriptor;
-use cohort_sim::core::{InOrderCore, IrqHandler};
-use cohort_sim::mem::MemAccess;
 use cohort_sim::program::{Op, Program};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 
 /// The Cohort engine's uncached configuration register map: byte offsets
 /// from the engine's MMIO base, each register 8 bytes (paper §4.2: the
@@ -151,71 +145,6 @@ impl Default for SyscallCost {
     }
 }
 
-/// Shared kernel memory-management state: one address space + frame pool
-/// visible to every fault handler (engine interrupt path and core path).
-pub type SharedVm = Rc<RefCell<(AddressSpace, FrameAllocator)>>;
-
-/// A software recovery path run (with functional memory access) when the
-/// engine's error retries are exhausted — the graceful-degradation hook.
-pub type SoftwareFallback = Box<dyn FnMut(&mut dyn MemAccess)>;
-
-/// A forward-progress probe polled by the error handler: returns a value
-/// that strictly grows while the engine moves elements (e.g. consumed +
-/// produced + drained). Used to reset the bounded-retry budget after a
-/// recovery demonstrably succeeded.
-pub type ProgressProbe = Box<dyn FnMut() -> u64>;
-
-/// Everything the failover orchestrator needs to migrate a victim
-/// engine's queues onto a spare: the spare's driver, the process state
-/// (page-table root, shared VM for checkpoint index reads), the original
-/// descriptors, and the spare's runtime knobs.
-pub struct FailoverConfig {
-    /// Driver of the healthy spare engine to rebind onto.
-    pub spare: CohortDriver,
-    /// Shared kernel VM view, used to translate the index VAs when
-    /// checkpointing authoritative queue state from coherent memory.
-    pub vm: SharedVm,
-    /// Physical address of the process's page-table root.
-    pub root_pa: u64,
-    /// The victim's input-queue descriptor (epoch is bumped on migration).
-    pub input: QueueDescriptor,
-    /// The victim's output-queue descriptor.
-    pub output: QueueDescriptor,
-    /// Optional CSR configuration buffer `(va, len)`.
-    pub csr: Option<(u64, u64)>,
-    /// RCM backoff window for the spare.
-    pub backoff: u64,
-    /// Watchdog budget for the spare (0 = leave disarmed).
-    pub watchdog: u64,
-    /// Physical address of the victim's checkpoint spill area (0 = none).
-    /// The spare's [`regs::SPILL_PA`] is pointed here so it restores the
-    /// victim's spilled datapath residue on its failover enable.
-    pub spill_pa: u64,
-}
-
-/// Reads a queue's authoritative `(write, read)` indices from coherent
-/// memory through the shared kernel VM — the checkpoint step of failover.
-///
-/// Under lazy mapping an index line nobody has touched yet (a kill that
-/// lands before the first publication) is still unmapped; the kernel's
-/// read takes the ordinary demand-zero fault path, like any other access.
-pub fn read_queue_indices(
-    mem: &mut dyn MemAccess,
-    vm: &SharedVm,
-    q: &QueueDescriptor,
-) -> (u64, u64) {
-    fault_in(mem, vm, None, q.write_index_va);
-    fault_in(mem, vm, None, q.read_index_va);
-    let (space, _) = &*vm.borrow();
-    let wr_pa = space
-        .translate(mem, q.write_index_va)
-        .expect("write index mapped");
-    let rd_pa = space
-        .translate(mem, q.read_index_va)
-        .expect("read index mapped");
-    (mem.read_u64(wr_pa), mem.read_u64(rd_pa))
-}
-
 /// The Cohort driver: knows where one engine's registers live and which
 /// interrupt line it raises.
 #[derive(Debug, Clone)]
@@ -246,7 +175,12 @@ impl CohortDriver {
         self.irq
     }
 
-    fn reg(&self, offset: u64) -> u64 {
+    /// The engine's interrupt number for errors.
+    pub fn error_irq(&self) -> u32 {
+        self.irq + regs::ERROR_IRQ_OFFSET
+    }
+
+    pub(crate) fn reg(&self, offset: u64) -> u64 {
         self.mmio_base + offset
     }
 
@@ -361,178 +295,13 @@ impl CohortDriver {
         });
         p
     }
-
-    /// Installs the demand-paging machinery on `core`: the engine's
-    /// page-fault interrupt handler (map the page, poke the resolve
-    /// register; §4.2.4/§4.4) and the kernel's fault path for the core's
-    /// own accesses. Both share one view of the address space and frame
-    /// pool, exactly like the real kernel's mm.
-    ///
-    /// With a `swap` backing store, a freshly mapped page that has stashed
-    /// contents (a fault-injection storm paged it out) gets them copied
-    /// into the new frame — the model of a page-in from swap. Storm
-    /// recovery needs it to be data-lossless.
-    pub fn install_fault_handler(
-        &self,
-        core: &mut InOrderCore,
-        vm: SharedVm,
-        swap: Option<SwapStore>,
-    ) {
-        let resolve_reg = self.reg(regs::FAULT_RESOLVE);
-        let engine_vm = Rc::clone(&vm);
-        let engine_swap = swap.clone();
-        core.register_irq_handler(
-            self.irq,
-            IrqHandler {
-                entry_cycles: 400,
-                entry_insts: 300,
-                action: Box::new(move |mem, faulting_va, _cycle| {
-                    fault_in(mem, &engine_vm, engine_swap.as_ref(), faulting_va);
-                    vec![(resolve_reg, 0)]
-                }),
-            },
-        );
-        core.set_fault_hook(Box::new(move |mem, va| {
-            fault_in(mem, &vm, swap.as_ref(), va);
-            true
-        }));
-    }
-
-    /// Installs the error-interrupt handler on `core`: on each engine
-    /// error IRQ the kernel clears [`regs::ERROR_STATUS`] (which resumes
-    /// the engine from the in-memory queue indices) up to `max_retries`
-    /// times; past that it runs `fallback` — the software-only queue path
-    /// of §4.4's graceful-degradation contract — and disables the engine.
-    ///
-    /// `progress` is a forward-progress probe (typically the engine's
-    /// consumed+produced+drained element total). When it shows the engine
-    /// made progress since the previous error IRQ, the previous recovery
-    /// *worked* and the retry counter resets — so a later, unrelated fault
-    /// gets the full retry budget instead of inheriting exhausted state.
-    pub fn install_error_handler(
-        &self,
-        core: &mut InOrderCore,
-        max_retries: u64,
-        mut fallback: SoftwareFallback,
-        mut progress: ProgressProbe,
-    ) {
-        let status_reg = self.reg(regs::ERROR_STATUS);
-        let enable_reg = self.reg(regs::ENABLE);
-        let mut tries = 0u64;
-        let mut last_progress: Option<u64> = None;
-        core.register_irq_handler(
-            self.irq + regs::ERROR_IRQ_OFFSET,
-            IrqHandler {
-                entry_cycles: 400,
-                entry_insts: 300,
-                action: Box::new(move |mem, _error_bits, _cycle| {
-                    let now = progress();
-                    if last_progress.is_some_and(|prev| now > prev) {
-                        // The engine moved elements since the last
-                        // incident: that recovery succeeded, so this
-                        // fault is a new one with a fresh budget.
-                        tries = 0;
-                    }
-                    last_progress = Some(now);
-                    if tries < max_retries {
-                        tries += 1;
-                        vec![(status_reg, 0)]
-                    } else {
-                        fallback(mem);
-                        vec![(enable_reg, 0)]
-                    }
-                }),
-            },
-        );
-    }
-
-    /// Installs the failover orchestrator on `core` for this (victim)
-    /// engine's error IRQ. A recoverable error is retried in place by
-    /// clearing [`regs::ERROR_STATUS`]. An IRQ carrying
-    /// [`regs::ERR_ENGINE_DEAD`] runs the migration state machine
-    /// (Detect → Quiesce → Checkpoint → Rebind → Resume):
-    ///
-    /// 1. **Quiesce**: the victim's watchdog already aborted and drained
-    ///    staged elements to memory before raising the IRQ; the handler
-    ///    disables the victim and writes an [`regs::EPOCH_FENCE`] so the
-    ///    old binding can never republish indices.
-    /// 2. **Checkpoint**: re-read the authoritative read/write indices
-    ///    from coherent memory and sanity-check them — memory, not the
-    ///    dead engine, is the source of truth.
-    /// 3. **Rebind**: re-register the same descriptors, stamped with a
-    ///    bumped epoch, on the spare engine, and stamp
-    ///    [`regs::FAILOVER_T0`] with the detection cycle so the spare
-    ///    publishes rebind/first-element latency histograms.
-    /// 4. **Resume**: enable the spare; it re-reads the indices from
-    ///    memory and continues with no lost or duplicated elements.
-    pub fn install_failover_handler(&self, core: &mut InOrderCore, mut cfg: FailoverConfig) {
-        let status_reg = self.reg(regs::ERROR_STATUS);
-        let victim_enable = self.reg(regs::ENABLE);
-        let victim_fence = self.reg(regs::EPOCH_FENCE);
-        let mut next_epoch = cfg.input.epoch.max(cfg.output.epoch) + 1;
-        core.register_irq_handler(
-            self.irq + regs::ERROR_IRQ_OFFSET,
-            IrqHandler {
-                entry_cycles: 400,
-                entry_insts: 300,
-                action: Box::new(move |mem, error_bits, cycle| {
-                    if error_bits & regs::ERR_ENGINE_DEAD == 0 {
-                        // Recoverable class: clear and retry in place.
-                        return vec![(status_reg, 0)];
-                    }
-                    // Checkpoint: the indices in coherent memory are the
-                    // authoritative queue state (the watchdog drain
-                    // republished everything the victim had staged).
-                    let (in_wr, in_rd) = read_queue_indices(mem, &cfg.vm, &cfg.input);
-                    let (out_wr, out_rd) = read_queue_indices(mem, &cfg.vm, &cfg.output);
-                    for (q, wr, rd) in [(&cfg.input, in_wr, in_rd), (&cfg.output, out_wr, out_rd)] {
-                        assert!(
-                            wr.wrapping_sub(rd) <= u64::from(q.length),
-                            "checkpointed indices inconsistent: wr={wr} rd={rd} len={}",
-                            q.length
-                        );
-                    }
-                    let epoch = next_epoch;
-                    next_epoch += 1;
-                    cfg.input = cfg.input.with_epoch(epoch);
-                    cfg.output = cfg.output.with_epoch(epoch);
-                    let s = &cfg.spare;
-                    // Quiesce + fence the victim.
-                    let mut writes = vec![(victim_enable, 0), (victim_fence, epoch)];
-                    // Rebind on the spare.
-                    let binding =
-                        binding_writes(cfg.root_pa, &cfg.input, &cfg.output, cfg.csr, cfg.backoff);
-                    let stamps = [
-                        (regs::IN_EPOCH, epoch),
-                        (regs::OUT_EPOCH, epoch),
-                        (regs::SPILL_PA, cfg.spill_pa),
-                        (regs::FAILOVER_T0, cycle),
-                    ];
-                    let rebind = binding.into_iter().chain(stamps);
-                    writes.extend(rebind.map(|(off, value)| (s.reg(off), value)));
-                    if cfg.watchdog > 0 {
-                        writes.push((s.reg(regs::WATCHDOG), cfg.watchdog));
-                    }
-                    // Resume: enable is the final write.
-                    writes.push((s.reg(regs::ENABLE), 1));
-                    writes
-                }),
-            },
-        );
-    }
-
-    /// Creates the shared kernel view of a process's memory management
-    /// state used by [`CohortDriver::install_fault_handler`].
-    pub fn shared_vm(space: AddressSpace, frames: FrameAllocator) -> SharedVm {
-        Rc::new(RefCell::new((space, frames)))
-    }
 }
 
 /// The engine binding `cohort_register` writes and a failover rebind
 /// repeats on the spare, as `(register, value)` in write order: both queue
 /// descriptors, the page-table root, the backoff window and the CSR
 /// buffer.
-fn binding_writes(
+pub(crate) fn binding_writes(
     root_pa: u64,
     input: &QueueDescriptor,
     output: &QueueDescriptor,
@@ -658,7 +427,7 @@ pub struct ShardAssignment {
 ///
 /// Failover composes per shard: a killed shard's queues migrate onto a
 /// spare through the existing epoch-fenced path
-/// ([`CohortDriver::install_failover_handler`]); the pool itself holds no
+/// ([`crate::kernel::IrqAction::Failover`]); the pool itself holds no
 /// engine state, so a rebind needs no pool surgery.
 #[derive(Debug, Clone)]
 pub struct ShardPool {
@@ -773,46 +542,6 @@ impl ShardPool {
     /// Element runs ever placed on shard `shard`.
     pub fn placed_runs(&self, shard: usize) -> u64 {
         self.placed_runs[shard]
-    }
-}
-
-/// Evicted-page store for fault-injection storms: the *parked frame* of
-/// each evicted page, keyed by page-aligned VA. Eviction is a translation
-/// drop, not a relocation — the frame keeps holding the page, and the
-/// swap-aware fault handler maps the same frame back in on the next touch.
-///
-/// Parking the frame (rather than snapshotting its bytes) is what makes
-/// storms lossless against agents that race the shootdown: an engine
-/// channel mid-DMA or a core store-buffer entry holds a pre-translated
-/// physical address and keeps writing the old frame during the flush
-/// window. With a byte snapshot those late writes would be silently
-/// rolled back on page-in — observed as a consumer spinning forever on a
-/// write index that went backwards.
-pub type SwapStore = Rc<RefCell<HashMap<u64, u64>>>;
-
-/// Creates an empty [`SwapStore`].
-pub fn swap_store() -> SwapStore {
-    Rc::new(RefCell::new(HashMap::new()))
-}
-
-/// The shared kernel fault path: remap the parked frame if `swap` holds
-/// one for this page (a storm eviction coming back), else demand-map a
-/// fresh zero frame. Public so software fallback paths (graceful
-/// degradation after engine errors) can fault pages in exactly like the
-/// interrupt handlers do.
-pub fn fault_in(mem: &mut dyn MemAccess, vm: &SharedVm, swap: Option<&SwapStore>, va: u64) {
-    use crate::sv39::PAGE_BYTES;
-    let (space, frames) = &mut *vm.borrow_mut();
-    if space.translate(mem, va).is_some() {
-        return;
-    }
-    let page_va = va & !(PAGE_BYTES - 1);
-    let parked = swap.and_then(|s| s.borrow_mut().remove(&page_va));
-    match parked {
-        Some(pa) => space.map_page(mem, frames, page_va, pa),
-        None => {
-            space.handle_fault(mem, frames, va);
-        }
     }
 }
 

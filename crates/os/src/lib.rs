@@ -22,13 +22,18 @@
 //! * [`driver`] — the Cohort kernel driver: the engine's register map
 //!   (uapi), `cohort_register`/`cohort_unregister` syscall cost models that
 //!   expand into MMIO programming sequences, TLB-shootdown (MMU notifier)
-//!   flushes, and the page-fault interrupt handler.
+//!   flushes;
+//! * [`kernel`] — the one value behind the SoC's OS entry points
+//!   ([`cohort_sim::os::Os`]): the process's mm, the swap map of
+//!   storm-evicted pages, and the driver's interrupt actions (page-fault
+//!   resolution, bounded retry with software fallback, failover).
 
 #![forbid(unsafe_code)]
 
 pub mod addrspace;
 pub mod driver;
 pub mod frame;
+pub mod kernel;
 pub mod mmu;
 pub mod mte;
 pub mod sv39;

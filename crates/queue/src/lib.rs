@@ -7,8 +7,7 @@
 //!
 //! * [`spsc`] — a real, atomics-based lock-free SPSC ring usable from Rust
 //!   threads, with exactly the release/acquire publication protocol the
-//!   Cohort engine exploits, plus *staged* (delayed-publication) operations
-//!   that implement the paper's batching optimisation in software;
+//!   Cohort engine exploits;
 //! * [`descriptor`] — the queue descriptor struct a queue library hands to
 //!   `cohort_register` (§4.1.1): virtual addresses of the write/read
 //!   indices, the data base, element size and length;

@@ -6,10 +6,6 @@
 //! acquires the write index before reading elements — this is precisely the
 //! *queue coherence* contract (paper §3.2, §4.2.3) that lets the Cohort
 //! engine treat an index-line invalidation as "data available".
-//!
-//! Beyond `push`/`pop`, producers can *stage* elements without publishing
-//! and `publish` explicitly — the software batching optimisation of §5.3 —
-//! and consumers can symmetrically delay their read-index release.
 
 use crate::pad::CachePadded;
 use std::cell::UnsafeCell;
@@ -64,8 +60,8 @@ impl<T: std::fmt::Debug> std::error::Error for PushError<T> {}
 /// The producing half of an SPSC queue.
 pub struct Producer<T> {
     inner: Arc<Inner<T>>,
-    /// Local (unpublished) write index; `>= inner.write`.
-    staged: u64,
+    /// The write index, which only this half stores.
+    write: u64,
     /// Cached snapshot of the consumer's read index.
     read_cache: u64,
 }
@@ -73,8 +69,8 @@ pub struct Producer<T> {
 /// The consuming half of an SPSC queue.
 pub struct Consumer<T> {
     inner: Arc<Inner<T>>,
-    /// Local (unreleased) read index; `>= inner.read`.
-    staged: u64,
+    /// The read index, which only this half stores.
+    read: u64,
     /// Cached snapshot of the producer's write index.
     write_cache: u64,
 }
@@ -82,7 +78,7 @@ pub struct Consumer<T> {
 impl<T> std::fmt::Debug for Producer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Producer")
-            .field("staged", &self.staged)
+            .field("write", &self.write)
             .field("capacity", &self.inner.capacity)
             .finish()
     }
@@ -91,7 +87,7 @@ impl<T> std::fmt::Debug for Producer<T> {
 impl<T> std::fmt::Debug for Consumer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Consumer")
-            .field("staged", &self.staged)
+            .field("read", &self.read)
             .field("capacity", &self.inner.capacity)
             .finish()
     }
@@ -116,12 +112,12 @@ pub fn spsc_channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     (
         Producer {
             inner: Arc::clone(&inner),
-            staged: 0,
+            write: 0,
             read_cache: 0,
         },
         Consumer {
             inner,
-            staged: 0,
+            read: 0,
             write_cache: 0,
         },
     )
@@ -133,50 +129,26 @@ impl<T> Producer<T> {
         self.inner.capacity as usize
     }
 
-    /// Stages `value` without publishing it to the consumer.
-    ///
-    /// # Errors
-    /// Returns [`PushError`] if the ring is full (counting staged
-    /// elements).
-    pub fn stage(&mut self, value: T) -> Result<(), PushError<T>> {
-        if self.staged - self.read_cache >= self.inner.capacity {
-            // Refresh the consumer's index before declaring full.
-            self.read_cache = self.inner.read.load(Ordering::Acquire);
-            if self.staged - self.read_cache >= self.inner.capacity {
-                return Err(PushError(value));
-            }
-        }
-        let slot = (self.staged % self.inner.capacity) as usize;
-        // SAFETY: the slot is outside [read, write) ∪ staged region of the
-        // consumer, so the producer has exclusive access.
-        unsafe { (*self.inner.buf[slot].get()).write(value) };
-        self.staged += 1;
-        Ok(())
-    }
-
-    /// Publishes all staged elements with a release store of the write
-    /// index — the queue-coherence publication point.
-    pub fn publish(&mut self) {
-        self.inner.write.store(self.staged, Ordering::Release);
-    }
-
-    /// Stages and immediately publishes (the classic `push`).
+    /// Writes `value` into the next slot and publishes it with a release
+    /// store of the write index — the queue-coherence publication point.
     ///
     /// # Errors
     /// Returns [`PushError`] if the ring is full.
     pub fn push(&mut self, value: T) -> Result<(), PushError<T>> {
-        self.stage(value)?;
-        self.publish();
+        if self.write - self.read_cache >= self.inner.capacity {
+            // Refresh the consumer's index before declaring full.
+            self.read_cache = self.inner.read.load(Ordering::Acquire);
+            if self.write - self.read_cache >= self.inner.capacity {
+                return Err(PushError(value));
+            }
+        }
+        let slot = (self.write % self.inner.capacity) as usize;
+        // SAFETY: the slot is outside the consumer's [read, write), so the
+        // producer has exclusive access.
+        unsafe { (*self.inner.buf[slot].get()).write(value) };
+        self.write += 1;
+        self.inner.write.store(self.write, Ordering::Release);
         Ok(())
-    }
-
-    /// Elements staged but not yet published.
-    ///
-    /// Acquire pairs with [`Producer::publish`]'s release store so that an
-    /// observer holding a shared reference (e.g. a stats probe on another
-    /// thread) never sees a write index ahead of the published elements.
-    pub fn staged_len(&self) -> usize {
-        (self.staged - self.inner.write.load(Ordering::Acquire)) as usize
     }
 
     /// Published-but-unconsumed elements as seen from the producer side.
@@ -191,7 +163,7 @@ impl<T> Producer<T> {
     /// Free slots available to the producer right now.
     pub fn free(&mut self) -> usize {
         self.read_cache = self.inner.read.load(Ordering::Acquire);
-        (self.inner.capacity - (self.staged - self.read_cache)) as usize
+        (self.inner.capacity - (self.write - self.read_cache)) as usize
     }
 
     /// Marks the ring closed (also done automatically on drop). Elements
@@ -209,9 +181,7 @@ impl<T> Producer<T> {
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        // Flush staged elements so they are visible (and eventually
-        // dropped by `Inner`), then tell the consumer no more are coming.
-        self.publish();
+        // Tell the consumer no more are coming.
         self.close();
     }
 }
@@ -222,31 +192,21 @@ impl<T> Consumer<T> {
         self.inner.capacity as usize
     }
 
-    /// Takes the next element without releasing the slot to the producer.
-    pub fn consume_staged(&mut self) -> Option<T> {
-        if self.staged >= self.write_cache {
+    /// Takes the next published element and releases its slot to the
+    /// producer.
+    pub fn pop(&mut self) -> Option<T> {
+        if self.read >= self.write_cache {
             self.write_cache = self.inner.write.load(Ordering::Acquire);
-            if self.staged >= self.write_cache {
+            if self.read >= self.write_cache {
                 return None;
             }
         }
-        let slot = (self.staged % self.inner.capacity) as usize;
+        let slot = (self.read % self.inner.capacity) as usize;
         // SAFETY: [read, write) slots are initialized and consumer-owned.
         let value = unsafe { (*self.inner.buf[slot].get()).assume_init_read() };
-        self.staged += 1;
+        self.read += 1;
+        self.inner.read.store(self.read, Ordering::Release);
         Some(value)
-    }
-
-    /// Releases all consumed slots back to the producer.
-    pub fn release(&mut self) {
-        self.inner.read.store(self.staged, Ordering::Release);
-    }
-
-    /// Consumes and immediately releases (the classic `pop`).
-    pub fn pop(&mut self) -> Option<T> {
-        let v = self.consume_staged()?;
-        self.release();
-        Some(v)
     }
 
     /// Published-but-unconsumed elements, observable through `&self`.
@@ -256,7 +216,7 @@ impl<T> Consumer<T> {
     /// from code that only holds a shared reference (stats probes, asserts).
     pub fn observed_len(&self) -> usize {
         let write = self.inner.write.load(Ordering::Acquire);
-        (write - self.staged) as usize
+        (write - self.read) as usize
     }
 
     /// Elements currently observable by the consumer.
@@ -287,9 +247,7 @@ impl<T> Consumer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        // Release consumed slots for accurate `Inner` cleanup, then tell
-        // the producer nobody will ever free space again.
-        self.release();
+        // Tell the producer nobody will ever free space again.
         self.close();
     }
 }
@@ -316,32 +274,6 @@ mod tests {
         tx.push(2).unwrap();
         assert_eq!(tx.push(3), Err(PushError(3)));
         assert_eq!(rx.pop(), Some(1));
-        tx.push(3).unwrap();
-        assert_eq!(rx.pop(), Some(2));
-        assert_eq!(rx.pop(), Some(3));
-    }
-
-    #[test]
-    fn staged_elements_invisible_until_publish() {
-        let (mut tx, mut rx) = spsc_channel::<u32>(8);
-        tx.stage(1).unwrap();
-        tx.stage(2).unwrap();
-        assert_eq!(rx.pop(), None, "not yet published");
-        assert_eq!(tx.staged_len(), 2);
-        tx.publish();
-        assert_eq!(rx.pop(), Some(1));
-        assert_eq!(rx.pop(), Some(2));
-    }
-
-    #[test]
-    fn consumer_release_frees_producer_space() {
-        let (mut tx, mut rx) = spsc_channel::<u32>(2);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        assert_eq!(rx.consume_staged(), Some(1));
-        // Slot not yet released: producer still sees the queue full.
-        assert!(tx.push(3).is_err());
-        rx.release();
         tx.push(3).unwrap();
         assert_eq!(rx.pop(), Some(2));
         assert_eq!(rx.pop(), Some(3));
@@ -383,40 +315,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_batched_publication() {
-        let (mut tx, mut rx) = spsc_channel::<u64>(256);
-        let n = 20_000u64;
-        let batch = 16;
-        let producer = thread::spawn(move || {
-            for i in 0..n {
-                loop {
-                    match tx.stage(i) {
-                        Ok(()) => break,
-                        Err(_) => {
-                            tx.publish();
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                if (i + 1) % batch == 0 {
-                    tx.publish();
-                }
-            }
-            tx.publish();
-        });
-        let mut expect = 0u64;
-        while expect < n {
-            if let Some(v) = rx.pop() {
-                assert_eq!(v, expect);
-                expect += 1;
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        producer.join().unwrap();
-    }
-
-    #[test]
     fn drops_unconsumed_elements() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static DROPS: AtomicUsize = AtomicUsize::new(0);
@@ -439,15 +337,13 @@ mod tests {
     }
 
     #[test]
-    fn producer_drop_publishes_and_closes() {
+    fn producer_drop_closes() {
         let (mut tx, mut rx) = spsc_channel::<u32>(8);
         tx.push(1).unwrap();
-        tx.stage(2).unwrap(); // never explicitly published
         assert!(!rx.is_closed());
         drop(tx);
         assert!(rx.is_closed());
         assert_eq!(rx.pop(), Some(1), "published data survives close");
-        assert_eq!(rx.pop(), Some(2), "staged data is flushed on drop");
         assert_eq!(rx.pop(), None);
     }
 

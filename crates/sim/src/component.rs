@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 
 use crate::faultinject::FaultState;
 use crate::msg::{Envelope, Msg};
+use crate::os::Os;
 use crate::stage::StagedMem;
 use crate::stats::{Counter, Histogram, Stats};
 use crate::trace::Trace;
@@ -94,6 +95,9 @@ pub struct Ctx<'a> {
     /// writes become visible to *other* components only at the cycle
     /// barrier (see [`crate::stage`]).
     pub mem: StagedMem<'a>,
+    /// The SoC's operating system, for the core's page faults and
+    /// interrupts and the injector's storms (see [`crate::os`]).
+    pub os: &'a mut dyn Os,
     pub(crate) inbox: &'a mut VecDeque<Envelope>,
     pub(crate) outbox: &'a mut Vec<Outgoing>,
     pub(crate) mmio_map: &'a MmioMap,
@@ -156,6 +160,7 @@ pub(crate) fn step_alone(
         cycle,
         self_id: me,
         mem: StagedMem::new(&mem, &mut log),
+        os: &mut crate::os::NoOs,
         inbox,
         outbox: &mut outbox,
         mmio_map: &MmioMap::default(),
@@ -329,13 +334,14 @@ pub trait Component: std::any::Any {
     /// **The announce rule.** A write that bypasses the protocol stages a
     /// flip. Some code stores to memory with a plain `ctx.mem.write_*`
     /// and no grant behind it, so a cache may go on holding the line:
-    /// host logic handed the staged memory — a page-fault storm's hook
-    /// and a core's own page-fault hook (they edit page tables, and a
-    /// polled address may stop translating), an interrupt handler's
-    /// custom action (the chaos software fallback publishes the very
-    /// index its core polls) — and the engine's watchdog checkpoint (it
-    /// republishes the queue indices a core may be spinning on). The
-    /// component that runs one calls
+    /// the kernel's entry points, handed the staged memory through
+    /// [`Ctx::os`] — [`crate::os::Os::storm`] and
+    /// [`crate::os::Os::core_fault`] (they edit page tables, and a polled
+    /// address may stop translating) and [`crate::os::Os::interrupt`] (the
+    /// chaos software fallback publishes the very index its core polls) —
+    /// and the engine's watchdog checkpoint (it republishes the queue
+    /// indices a core may be spinning on). The component that calls an
+    /// entry point or checkpoints calls
     /// [`crate::faultinject::FaultState::announce_bypass_write`] in the
     /// step that stages the write: at that cycle's barrier the SoC
     /// settles every sleeper against the memory the skipped cycles ran

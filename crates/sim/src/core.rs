@@ -17,7 +17,7 @@ use crate::port::{CoherentPort, Outcome, PortEvent, PortEvents};
 use crate::program::{Op, Program};
 use crate::stats::Counter;
 use crate::translate::{Identity, Translator};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 const LOAD_TOKEN: u64 = 1;
 const SB_TOKEN: u64 = 2;
@@ -25,8 +25,8 @@ const SB_TOKEN: u64 = 2;
 /// The core's last few translations, VA page -> PA page, replaced
 /// round-robin. Translations are page-granular ([`Translator`]) and page
 /// tables change only under an announced write, so the memo stands until
-/// the core is told to forget memory, gets a new translator or runs its
-/// page-fault hook.
+/// the core is told to forget memory, gets a new translator or takes a
+/// page fault.
 #[derive(Debug, Default)]
 struct PageMemo {
     pages: [Option<(u64, u64)>; 4],
@@ -44,28 +44,6 @@ impl PageMemo {
         self.pages[self.next] = Some((va >> PAGE_SHIFT, pa >> PAGE_SHIFT));
         self.next = (self.next + 1) % self.pages.len();
     }
-}
-
-/// Host logic run on interrupt: may touch guest memory (e.g. map a page
-/// into the page tables), then request any number of blocking MMIO writes
-/// `(pa, value)` issued strictly in order (each waits for the previous
-/// response — the failover orchestrator's rebind sequence relies on this
-/// ordering). Receives the interrupt payload and the current cycle.
-pub type CustomHandler = Box<dyn FnMut(&mut dyn MemAccess, u64, u64) -> Vec<(u64, u64)>>;
-
-/// Kernel page-fault path: maps the faulting page and returns true, or
-/// returns false for a fatal fault. Runs against the core's staged memory
-/// view, so its page-table writes commit at the cycle barrier.
-pub type FaultHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> bool>;
-
-/// A registered interrupt handler.
-pub struct IrqHandler {
-    /// Trap entry + handler body cost in cycles.
-    pub entry_cycles: u64,
-    /// Instructions attributed to the handler for IPC accounting.
-    pub entry_insts: u64,
-    /// Action performed at the end of the handler.
-    pub action: CustomHandler,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,9 +176,6 @@ pub struct InOrderCore {
     /// issued one at a time through `WaitHandlerMmio`.
     handler_writes: VecDeque<(u64, u64)>,
     irq_pending: VecDeque<(u32, u64)>,
-    handlers: HashMap<u32, IrqHandler>,
-    /// Kernel page-fault path for the core's own accesses.
-    fault_hook: Option<FaultHook>,
     trap_cost: u64,
     trap_insts: u64,
     counters: CoreCounters,
@@ -240,18 +215,10 @@ impl InOrderCore {
             mmio_tag: 0,
             handler_writes: VecDeque::new(),
             irq_pending: VecDeque::new(),
-            handlers: HashMap::new(),
-            fault_hook: None,
             trap_cost: cfg.timing.trap_cost,
             trap_insts: cfg.timing.trap_insts,
             counters: CoreCounters::default(),
         }
-    }
-
-    /// Installs the kernel's demand-paging path for this core's own
-    /// accesses (unmapped VA -> trap, map, retry).
-    pub fn set_fault_hook(&mut self, hook: FaultHook) {
-        self.fault_hook = Some(hook);
     }
 
     /// Installs a virtual-memory translator for this core's accesses.
@@ -261,7 +228,7 @@ impl InOrderCore {
     }
 
     /// Replaces the program and resets execution state and counters
-    /// (handlers and the translator are retained). Used by harnesses that
+    /// (the translator is retained). Used by harnesses that
     /// assemble the SoC before the benchmark program is known.
     pub fn load_program(&mut self, mut program: Program) {
         self.op = program.next();
@@ -275,11 +242,6 @@ impl InOrderCore {
         self.handler_writes.clear();
         self.irq_pending.clear();
         self.counters.reset();
-    }
-
-    /// Registers an interrupt handler for `irq`.
-    pub fn register_irq_handler(&mut self, irq: u32, handler: IrqHandler) {
-        self.handlers.insert(irq, handler);
     }
 
     /// True once the program has fully retired and drained.
@@ -297,9 +259,9 @@ impl InOrderCore {
         &self.recorded
     }
 
-    /// Translates `va`; on a miss takes the modelled kernel fault path
-    /// (charges trap cost, maps the page, and the caller retries the op
-    /// next cycle by returning `None`).
+    /// Translates `va`; on a miss takes the kernel's fault path
+    /// ([`crate::os::Os::core_fault`]: charges trap cost, maps the page,
+    /// and the caller retries the op next cycle by returning `None`).
     fn translate(&mut self, ctx: &mut Ctx<'_>, va: u64) -> Option<u64> {
         if let Some(pa) = self.page_memo.get(va) {
             debug_assert!(
@@ -313,16 +275,12 @@ impl InOrderCore {
             self.page_memo.insert(va, pa);
             return Some(pa);
         }
-        let hook = self
-            .fault_hook
-            .as_mut()
-            .unwrap_or_else(|| panic!("core-side page fault at va {va:#x} with no handler"));
         assert!(
-            hook(&mut ctx.mem, va),
-            "fatal core-side page fault at va {va:#x}"
+            ctx.os.core_fault(&mut ctx.mem, va),
+            "core-side page fault at va {va:#x} with no handler"
         );
-        // The hook edits page tables behind every cache, this core's memo
-        // included.
+        // The kernel edits page tables behind every cache, this core's
+        // memo included.
         self.page_memo = PageMemo::default();
         self.faults.announce_bypass_write();
         self.counters.core_faults.inc();
@@ -537,22 +495,20 @@ impl InOrderCore {
         let Some(&(irq, payload)) = self.irq_pending.front() else {
             return false;
         };
-        let Some(handler) = self.handlers.get_mut(&irq) else {
+        let Some(trap) = ctx.os.interrupt(&mut ctx.mem, irq, payload, ctx.cycle) else {
             panic!("core has no handler for irq {irq}");
         };
         self.irq_pending.pop_front();
         self.counters.irqs.inc();
-        self.counters.instret.add(handler.entry_insts);
-        let entry_cycles = handler.entry_cycles;
+        self.counters.instret.add(trap.insts);
         // Host logic stores to guest memory with no grant behind it (the
         // chaos software fallback publishes the very index this core
         // polls).
         self.faults.announce_bypass_write();
-        let writes = (handler.action)(&mut ctx.mem, payload, ctx.cycle);
-        self.handler_writes.extend(writes);
+        self.handler_writes.extend(trap.writes);
         // The handler's register writes are issued after its entry cost;
         // model by delaying our own readiness.
-        self.busy_until = ctx.cycle + entry_cycles;
+        self.busy_until = ctx.cycle + trap.cycles;
         if let Some((pa, value)) = self.handler_writes.pop_front() {
             self.send_mmio_write(ctx, pa, value);
             self.state = CState::WaitHandlerMmio;

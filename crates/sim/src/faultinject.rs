@@ -15,9 +15,10 @@
 //!   injected during the window takes `factor`× its modelled latency
 //!   (congestion, thermal throttling, a misbehaving neighbour).
 //! * **Page-fault storms** ([`FaultKind::PageFaultStorm`]) — lazily-mapped
-//!   pages are forcibly evicted mid-burst through a harness-provided
-//!   [`StormHook`] (the OS layer owns the page tables; the sim crate does
-//!   not), followed by an engine TLB flush so the evictions are observed.
+//!   pages are forcibly evicted mid-burst by the SoC's operating system
+//!   ([`crate::os::Os::storm`]: the OS layer owns the page tables; the
+//!   sim crate does not), followed by an engine TLB flush so the
+//!   evictions are observed.
 //! * **Corrupted descriptor writes** ([`FaultKind::CorruptDescriptor`]) —
 //!   garbage MMIO writes land in the engine's configuration registers
 //!   while it is enabled, exercising the sticky `ERROR_STATUS` path.
@@ -32,7 +33,6 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::component::{Component, Ctx, Observability};
-use crate::mem::MemAccess;
 use crate::msg::Msg;
 use crate::stats::Counter;
 use crate::trace::Trace;
@@ -598,8 +598,9 @@ impl FaultState {
 
     /// Announces that the calling component stages, this cycle, a write
     /// to memory some agent may hold in its coherent cache — a plain
-    /// `ctx.mem.write_*` with no grant behind it (a storm, page-fault or
-    /// interrupt hook's host logic, the engine's watchdog checkpoint). It
+    /// `ctx.mem.write_*` with no grant behind it (an entry point of the
+    /// SoC's operating system, [`crate::os::Os`], or the engine's
+    /// watchdog checkpoint). It
     /// rides the staged-flip path and moves no switch: the barrier
     /// settles every sleeper against the pre-edit memory, has it forget
     /// what it remembered of memory ([`Component::forget_memory`]) and
@@ -638,14 +639,6 @@ impl FaultState {
     }
 }
 
-/// Harness-provided page evictor for [`FaultKind::PageFaultStorm`]: takes
-/// (staged) functional memory and the requested page count, returns pages
-/// actually evicted. The OS layer owns page tables, so the hook is
-/// injected from above rather than implemented here. It runs during the
-/// injector's step, so its page-table writes commit at the cycle barrier
-/// like any other component write.
-pub type StormHook = Box<dyn FnMut(&mut dyn MemAccess, u64) -> u64>;
-
 /// The fault-injection component: owns the resolved schedule and applies
 /// each event on its due cycle.
 pub struct FaultInjector {
@@ -657,7 +650,6 @@ pub struct FaultInjector {
     tlb_flush_pa: Option<u64>,
     /// MMIO (pa, garbage) writes performed on [`FaultKind::CorruptDescriptor`].
     corrupt_writes: Vec<(u64, u64)>,
-    storm_hook: Option<StormHook>,
     stalls: Counter,
     spikes: Counter,
     storms: Counter,
@@ -691,7 +683,6 @@ impl FaultInjector {
             state,
             tlb_flush_pa: None,
             corrupt_writes: Vec::new(),
-            storm_hook: None,
             stalls: Counter::new(),
             spikes: Counter::new(),
             storms: Counter::new(),
@@ -713,11 +704,6 @@ impl FaultInjector {
     /// fault (typically the engine's `IN_*`/`OUT_*` registers).
     pub fn set_corrupt_writes(&mut self, writes: Vec<(u64, u64)>) {
         self.corrupt_writes = writes;
-    }
-
-    /// Installs the page evictor used by page-fault storms.
-    pub fn set_storm_hook(&mut self, hook: StormHook) {
-        self.storm_hook = Some(hook);
     }
 
     /// Events not yet applied.
@@ -764,16 +750,13 @@ impl FaultInjector {
                 self.emit(ctx.cycle, &ev.kind, vec![("factor", format!("{factor}"))]);
             }
             FaultKind::PageFaultStorm { pages } => {
-                let evicted = match self.storm_hook.as_mut() {
-                    Some(hook) => {
-                        let evicted = hook(&mut ctx.mem, pages);
-                        // The hook edits page tables behind every cache:
-                        // a VA some core polls may stop translating.
-                        self.state.announce_bypass_write();
-                        evicted
-                    }
-                    None => 0,
-                };
+                let evicted = ctx.os.storm(&mut ctx.mem, pages);
+                if evicted.is_some() {
+                    // The kernel edits page tables behind every cache: a
+                    // VA some core polls may stop translating.
+                    self.state.announce_bypass_write();
+                }
+                let evicted = evicted.unwrap_or(0);
                 self.evicted_pages.add(evicted);
                 if let Some(pa) = self.tlb_flush_pa {
                     if let Some(dst) = ctx.mmio_target(pa) {

@@ -63,6 +63,7 @@ pub(crate) mod hash;
 pub mod mem;
 pub mod msg;
 pub mod noc;
+pub mod os;
 pub mod port;
 pub mod program;
 pub mod soc;

@@ -58,6 +58,7 @@ use crate::faultinject::FaultState;
 use crate::mem::PhysMem;
 use crate::msg::Envelope;
 use crate::noc::Noc;
+use crate::os::{NoOs, Os};
 use crate::stage::{StagedMem, WriteLog};
 use crate::stats::{Counter, Stats};
 use crate::trace::Trace;
@@ -177,6 +178,8 @@ pub struct Soc {
     stats: Stats,
     trace: Trace,
     faults: FaultState,
+    /// The operating system, lent to each step as [`Ctx::os`].
+    os: Box<dyn Os>,
     kernel: KernelStats,
 }
 
@@ -213,6 +216,7 @@ impl Soc {
             stats,
             trace,
             faults,
+            os: Box::new(NoOs),
             kernel: KernelStats::new(),
         }
     }
@@ -223,6 +227,12 @@ impl Soc {
     /// perturbs them live.
     pub fn fault_state(&self) -> &FaultState {
         &self.faults
+    }
+
+    /// Installs the operating system whose entry points the core and the
+    /// fault injector call (the default is [`NoOs`]).
+    pub fn set_os(&mut self, os: Box<dyn Os>) {
+        self.os = os;
     }
 
     /// The configuration this SoC was built with.
@@ -336,6 +346,7 @@ impl Soc {
                 cycle,
                 self_id: CompId(i),
                 mem: StagedMem::new(&self.mem, &mut slot.log),
+                os: self.os.as_mut(),
                 inbox: &mut slot.inbox,
                 outbox: &mut slot.outbox,
                 mmio_map: &self.mmio_map,
@@ -1762,23 +1773,33 @@ mod tests {
         // forced stepping does, and announce the handler's write so that
         // it does not trust its memo afterwards. Two ignored messages
         // before it force settles in mid-sleep.
-        use crate::core::IrqHandler;
         use crate::msg::Msg;
+        use crate::os::{Os, Trap};
+        /// Takes IRQ 3 by writing the flag.
+        struct Publisher;
+        impl Os for Publisher {
+            fn interrupt(
+                &mut self,
+                mem: &mut dyn MemAccess,
+                irq: u32,
+                _: u64,
+                _: u64,
+            ) -> Option<Trap> {
+                (irq == 3).then(|| {
+                    mem.write_u64(FLAG, FLAG_TARGET);
+                    Trap {
+                        cycles: 40,
+                        insts: 12,
+                        writes: Vec::new(),
+                    }
+                })
+            }
+        }
         for (cfg, period) in spin_timings() {
             for at in 2_000..2_000 + period {
                 let what = format!("{:?} irq at {at}", cfg.timing);
-                let tune = |core: &mut InOrderCore| {
-                    let handler = IrqHandler {
-                        entry_cycles: 40,
-                        entry_insts: 12,
-                        action: Box::new(|mem, _, _| {
-                            mem.write_u64(FLAG, FLAG_TARGET);
-                            Vec::new()
-                        }),
-                    };
-                    core.register_irq_handler(3, handler);
-                };
                 let rest = |soc: &mut Soc, _| {
+                    soc.set_os(Box::new(Publisher));
                     let mut meddler = Meddler::new();
                     let ignored = Msg::MmioWriteResp { tag: 0 };
                     meddler.sends = [
@@ -1789,7 +1810,7 @@ mod tests {
                     .into();
                     soc.add_component(TileCoord::new(1, 0), Box::new(meddler));
                 };
-                let (_, steps) = spin_run_both(&cfg, &what, &[], tune, rest);
+                let (_, steps) = spin_run_both(&cfg, &what, &[], |_| {}, rest);
                 assert!(steps < 120, "{what}: {steps} slot-steps");
             }
         }

@@ -22,12 +22,13 @@ use crate::mem::MemAccess;
 /// it trusts the address it polls to translate where it did — for as
 /// long as nobody edits memory, and whoever edits page tables announces
 /// it ([`crate::faultinject::FaultState::announce_bypass_write`]). Page
-/// tables are edited by host logic only (the OS layer's hooks), never by
+/// tables are edited by host logic only (the entry points of
+/// [`crate::os::Os`]), never by
 /// a simulated store: translation reads `PhysMem` directly, so a core
 /// would not hear of such a store through its cache.
 pub trait Translator {
-    /// Translates `va`; `None` denotes a fault (the core panics — core-side
-    /// faults are outside the modelled experiments).
+    /// Translates `va`; `None` denotes a fault (the core takes it to
+    /// [`crate::os::Os::core_fault`]).
     fn translate(&self, mem: &dyn MemAccess, va: u64) -> Option<u64>;
 }
 

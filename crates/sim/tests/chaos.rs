@@ -6,6 +6,7 @@ use cohort_sim::component::{Component, TileCoord};
 use cohort_sim::config::SocConfig;
 use cohort_sim::faultinject::{FaultInjector, FaultKind, FaultPlan, RandomFaults, FOREVER};
 use cohort_sim::mem::MemAccess;
+use cohort_sim::os::Os;
 use cohort_sim::soc::Soc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,6 +112,20 @@ fn parse_rejects_malformed_entries() {
         .is_empty());
 }
 
+/// A kernel whose storms evict every page asked for, counting them.
+struct Evictor {
+    seen: Arc<AtomicU64>,
+}
+
+impl Os for Evictor {
+    fn storm(&mut self, mem: &mut dyn MemAccess, pages: u64) -> Option<u64> {
+        // Prove the kernel gets functional memory: leave a marker.
+        mem.write_u64(0x9000, 0xFEED);
+        self.seen.fetch_add(pages, Ordering::Relaxed);
+        Some(pages)
+    }
+}
+
 #[test]
 fn injector_applies_events_and_drives_shared_state() {
     let plan = FaultPlan::default()
@@ -126,15 +141,10 @@ fn injector_applies_events_and_drives_shared_state() {
         .at(40, FaultKind::CorruptDescriptor);
     let cfg = SocConfig::default().with_faults(plan.clone());
     let mut soc = Soc::new(cfg);
-    let mut inj = FaultInjector::new(&plan, soc.fault_state().clone());
+    let inj = FaultInjector::new(&plan, soc.fault_state().clone());
     let evictions = Arc::new(AtomicU64::new(0));
     let seen = Arc::clone(&evictions);
-    inj.set_storm_hook(Box::new(move |mem, pages| {
-        // Prove the hook gets functional memory: leave a marker.
-        mem.write_u64(0x9000, 0xFEED);
-        seen.fetch_add(pages, Ordering::Relaxed);
-        pages
-    }));
+    soc.set_os(Box::new(Evictor { seen }));
     let id = soc.add_component(TileCoord::new(2, 0), Box::new(inj));
 
     let outcome = soc.run(500);

@@ -217,20 +217,18 @@ fn chaos_transitions_are_visible_in_the_trace() {
 }
 
 /// A lazily-mapped SHA run with two page-fault storms and tracing on. The
-/// storm hook, the core's fault hook and the engine's page-fault IRQ
-/// handler share one `SharedVm` and one `SwapStore`. Returns whether the
+/// storm's evictions, the core's page faults and the engine's page-fault
+/// IRQ go through the one kernel [`Runner::Chaos`] installs, with its
+/// round-robin evictor over the two queues. Returns whether the
 /// output verified, and the final stats JSON. With `snapshots`, the stats
 /// and the trace are rendered before every cycle of the run.
 fn lazy_storm_run(snapshots: bool) -> (bool, String) {
     use cohort::system::{SimSystem, SystemSpec};
     use cohort_os::addrspace::MapPolicy;
-    use cohort_os::driver::swap_store;
+    use cohort_os::kernel::Kernel;
     use cohort_os::sv39::PAGE_BYTES;
-    use cohort_os::CohortDriver;
     use cohort_sim::core::InOrderCore;
-    use cohort_sim::faultinject::FaultInjector;
     use cohort_sim::program::{Op, Program};
-    use std::rc::Rc;
 
     let scenario = Scenario::new(Workload::Sha, 64, 8);
     let plan = FaultPlan::default()
@@ -286,36 +284,15 @@ fn lazy_storm_run(snapshots: bool) -> (bool, String) {
     program.push(Op::Fence);
     program.append(driver.unregister_ops());
 
-    let vm = CohortDriver::shared_vm(sys.space.clone(), sys.frames.clone());
-    let swap = swap_store();
-    let (storm_vm, storm_swap) = (Rc::clone(&vm), swap.clone());
-    let pages: Vec<u64> = [in_q.base_va, out_q.base_va]
-        .map(|va| va & !(PAGE_BYTES - 1))
-        .into();
-    let mut next = 0;
-    sys.soc
-        .component_mut::<FaultInjector>(sys.injector.expect("plan is not empty"))
-        .expect("injector present")
-        .set_storm_hook(Box::new(move |mem, count| {
-            let (space, _) = &mut *storm_vm.borrow_mut();
-            let mut evicted = 0;
-            for _ in 0..count {
-                let va = pages[next % pages.len()];
-                next += 1;
-                if let Some(pa) = space.translate(mem, va) {
-                    storm_swap.borrow_mut().insert(va, pa & !(PAGE_BYTES - 1));
-                    evicted += u64::from(space.unmap(mem, va));
-                }
-            }
-            evicted
-        }));
+    let mut kernel = Kernel::new(sys.space.clone(), sys.frames.clone());
+    kernel.arm_paging(&sys.drivers);
+    kernel.evict_on_storm(&[in_q, out_q]);
+    sys.soc.set_os(Box::new(kernel));
     let core_id = sys.core;
-    let core = sys
-        .soc
+    sys.soc
         .component_mut::<InOrderCore>(core_id)
-        .expect("core present");
-    core.load_program(program);
-    driver.install_fault_handler(core, vm, Some(swap));
+        .expect("core present")
+        .load_program(program);
 
     sys.soc.set_tracing(true);
     let done = sys.soc.run_until(20_000_000, |soc| {
@@ -332,8 +309,8 @@ fn lazy_storm_run(snapshots: bool) -> (bool, String) {
         let hit = counters.iter().find(|(name, _)| name.ends_with(key));
         assert!(
             hit.is_some_and(|(_, v)| *v >= 2),
-            "{hit:?}: the storm hook, the core fault hook and the engine \
-             IRQ handler must all have run"
+            "{hit:?}: the storm's evictions, the core's page faults and the \
+             engine's page-fault IRQ must all have gone through the kernel"
         );
     }
     let expected = scenario.workload.reference_outputs(&scenario.input_words());
@@ -343,9 +320,10 @@ fn lazy_storm_run(snapshots: bool) -> (bool, String) {
     )
 }
 
-/// The stats, trace, fault and VM cells are `RefCell`s shared between
-/// components and hooks: a borrow held from one step into the next, or a
-/// cell borrowed twice in one cycle, would panic here.
+/// The stats, trace and fault cells are `RefCell`s shared between
+/// components, and the kernel is lent to each step: a borrow held from one
+/// step into the next, or a cell borrowed twice in one cycle, would panic
+/// here.
 #[test]
 fn mid_run_snapshots_of_a_lazy_storm_run_change_nothing() {
     let (verified, watched) = lazy_storm_run(true);

@@ -41,7 +41,7 @@ impl Rng {
 }
 
 /// The SPSC queue behaves exactly like a FIFO under any interleaving of
-/// pushes, pops, staged pushes and publications.
+/// pushes and pops.
 #[test]
 fn spsc_matches_model() {
     let mut rng = Rng::new(0x5b5c);
@@ -50,27 +50,15 @@ fn spsc_matches_model() {
         let n_ops = rng.range(1, 200);
         let (mut tx, mut rx) = spsc_channel::<u64>(cap);
         let mut model: std::collections::VecDeque<u64> = Default::default();
-        let mut staged: Vec<u64> = Vec::new();
         let mut next = 0u64;
         for _ in 0..n_ops {
-            match rng.range(0, 5) {
+            match rng.range(0, 4) {
                 0 => {
-                    if tx.stage(next).is_ok() {
-                        staged.push(next);
-                        next += 1;
-                    } else {
-                        assert!(model.len() + staged.len() >= cap);
-                    }
-                }
-                1 => {
-                    tx.publish();
-                    model.extend(staged.drain(..));
-                }
-                2 => {
                     if tx.push(next).is_ok() {
-                        model.extend(staged.drain(..));
                         model.push_back(next);
                         next += 1;
+                    } else {
+                        assert!(model.len() >= cap);
                     }
                 }
                 _ => {
@@ -78,8 +66,6 @@ fn spsc_matches_model() {
                 }
             }
         }
-        tx.publish();
-        model.extend(staged.drain(..));
         while let Some(expect) = model.pop_front() {
             assert_eq!(rx.pop(), Some(expect));
         }
