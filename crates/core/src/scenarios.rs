@@ -1,9 +1,9 @@
 //! The paper's benchmark scenarios (§5.3) as simulated programs.
 //!
-//! Each scenario assembles a [`crate::system::SimSystem`], generates a
-//! deterministic input stream, builds the core program for one of the three
-//! communication APIs — Cohort, MMIO, coherent DMA — runs to completion and
-//! verifies the popped results against a host-side reference computation.
+//! Each runner describes, as data, a [`crate::system::SimSystem`] and its
+//! core programs for one of the three communication APIs — Cohort, MMIO,
+//! coherent DMA — over a deterministic input stream. One body runs every
+//! such description and verifies the results against a host-side reference.
 //!
 //! Benchmark structure follows §5.3 exactly: "to hash 1 block of text we
 //! push 64 bits of data 8 times and fetch the corresponding hash with 4
@@ -309,18 +309,18 @@ fn silent_by_class(soc: &Soc) -> Vec<(String, u64)> {
     classes.collect()
 }
 
-// How a run is assembled. The MMIO and DMA baselines stream their own
-// MMIO loops onto a MAPLE-only system. Every other runner, and
-// `CustomRun`, states its engines as a `Topology` and hands it to
-// `run_engines`, the one body, which runs these stages in this order:
-// build the system; allocate the noise working set if it comes first,
-// the queues, the CSR buffer, the failover spill page and the noise
-// working set if it comes last; compose the benchmark core's program
-// (register each binding, the watched engine's watchdog and spill
-// registers, the topology's loop, a fence, unregister) and each extra
+// How a run is assembled. Every runner, the MMIO and DMA baselines and
+// `CustomRun` included, states its run as a `Topology` and hands it to
+// `run_topology`, the one body, which runs these stages in this order:
+// build the system (engines, the MAPLE unit, extra cores); allocate the
+// plain buffers if they come first, the queues, the CSR buffer, the
+// failover spill page and the plain buffers if they come last; compose
+// the benchmark core's program (register each binding, the watched
+// engine's watchdog and spill registers, the topology's loop, then, if
+// anything was registered, a fence and the unregisters) and each extra
 // core's; `arm` (program load, the run's one kernel, demand paging) and
-// the recovery actions, after which the SoC owns the kernel;
-// `run_and_collect`. Allocation order and the emitted `Op` sequence are
+// the recovery actions, after which the SoC owns the kernel; run, verify
+// and collect. Allocation order and the emitted `Op` sequence are
 // observable — they fix physical addresses, cache-set conflicts and
 // therefore cycles — so a runner says only what its topology holds, never
 // in which order it is built.
@@ -329,24 +329,23 @@ fn silent_by_class(soc: &Soc) -> Vec<(String, u64)> {
 /// CSR buffer when the flag is set: `(engine, input, output, csr)`.
 type Binding = (usize, usize, usize, bool);
 
-/// A core's program, made from the allocated queues and noise working
-/// set.
-type Emit = Box<dyn FnOnce(&[QueueDescriptor], Range<u64>) -> Program>;
-
-/// A run's verifier: sees the finished system, the queues and the words
-/// the benchmark core recorded.
-type Verify = Box<dyn FnOnce(&SimSystem, &[QueueDescriptor], &[u64]) -> bool>;
-
-/// Where a topology's noise working set (2x the L2) falls in the
-/// allocation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Noise {
-    None,
-    /// Before the queues.
-    First,
-    /// After everything else, the spill page included.
-    Last,
+/// What [`run_topology`] allocated for a topology, which its programs
+/// and verifier address.
+struct Allocated {
+    /// In the topology's queue order.
+    queues: Vec<QueueDescriptor>,
+    /// The VA of each plain buffer, in the topology's order.
+    buffers: Vec<u64>,
+    /// The page-table root (what MAPLE's `DMA_PTROOT` takes).
+    root_pa: u64,
 }
+
+/// A core's program, made from what was allocated.
+type Emit = Box<dyn FnOnce(&Allocated) -> Program>;
+
+/// A run's verifier: sees the finished system, what was allocated and the
+/// words the benchmark core recorded.
+type Verify = Box<dyn FnOnce(&SimSystem, &Allocated, &[u64]) -> bool>;
 
 /// The recovery a topology arms on the benchmark core.
 enum Recovery {
@@ -362,19 +361,25 @@ enum Recovery {
     },
 }
 
-/// A Cohort-engine run as data: what [`run_engines`] builds, besides the
-/// platform a [`Scenario`] gives it.
+/// A run as data: what [`run_topology`] builds, besides the platform a
+/// [`Scenario`] gives it.
 struct Topology {
-    /// One accelerator per engine, in engine order.
+    /// One accelerator per Cohort engine, in engine order.
     accels: Vec<Box<dyn Accelerator>>,
+    /// The accelerator behind the SoC's MAPLE unit, if it has one.
+    maple: Option<Box<dyn Accelerator>>,
     /// Queue lengths in 8-byte elements, in allocation order.
     queues: Vec<u64>,
     csr: Option<Vec<u8>>,
     /// Registered in this order.
     bindings: Vec<Binding>,
-    noise: Noise,
+    /// Plain buffer sizes in bytes (64-byte aligned), in allocation order.
+    buffers: Vec<u64>,
+    /// Before the queues, instead of after everything (spill page too).
+    buffers_first: bool,
     recovery: Recovery,
-    /// The benchmark core's loop, between registering and the fence.
+    /// The benchmark core's loop, after the registers and before the
+    /// fence and unregisters, if there are bindings.
     bench: Emit,
     /// One program per extra core.
     cores: Vec<Emit>,
@@ -384,6 +389,24 @@ struct Topology {
 }
 
 impl Topology {
+    /// `accels` behind engines and nothing else; runners set the rest.
+    fn new(accels: Vec<Box<dyn Accelerator>>, bench: Emit, verify: Verify) -> Self {
+        Self {
+            accels,
+            maple: None,
+            queues: Vec::new(),
+            csr: None,
+            bindings: Vec::new(),
+            buffers: Vec::new(),
+            buffers_first: false,
+            recovery: Recovery::None,
+            bench,
+            cores: Vec::new(),
+            unregister_reversed: false,
+            verify,
+        }
+    }
+
     /// One engine hosting `accel` from queue 0 into queue 1 with the CSR,
     /// no extra core and no recovery, verified against `expected`.
     fn single(
@@ -393,17 +416,12 @@ impl Topology {
         bench: Emit,
         expected: Vec<u64>,
     ) -> Self {
+        let verify: Verify = Box::new(move |_, _, recorded| recorded == expected);
         Self {
-            accels: vec![accel],
             queues: queues.to_vec(),
             csr,
             bindings: vec![(0, 0, 1, true)],
-            noise: Noise::None,
-            recovery: Recovery::None,
-            bench,
-            cores: Vec::new(),
-            unregister_reversed: false,
-            verify: Box::new(move |_, _, recorded| recorded == expected),
+            ..Self::new(vec![accel], bench, verify)
         }
     }
 }
@@ -420,18 +438,6 @@ fn fenced(ops: impl Iterator<Item = Op> + 'static) -> Program {
     let mut program = streamed(ops);
     program.push(Op::Fence);
     program
-}
-
-/// The MAPLE baselines' system: the unit hosting the workload's
-/// accelerator, and no engine.
-fn maple_system(scenario: &Scenario) -> SimSystem {
-    SimSystem::build(SystemSpec {
-        cfg: scenario.soc.clone(),
-        policy: scenario.policy,
-        engine_accels: Vec::new(),
-        maple_accel: Some(scenario.workload.make_accel()),
-        extra_cores: 0,
-    })
 }
 
 /// Maps whatever pages of `[va, va + len)` the policy left unmapped, so
@@ -601,64 +607,30 @@ fn arm(sys: &mut SimSystem, program: Program, chaos: bool) -> Kernel {
     kernel
 }
 
-/// Stages 5 and 6: runs to completion within the cycle budget of
-/// `scenario`'s queue size (with its trace switch), then collects — the
-/// one place a [`RunResult`] is made. `verify` sees the finished system
-/// and the words the benchmark core recorded.
+/// The one body of every run: `topo` on the platform of `scenario` (its
+/// SoC, map policy, backoff, watchdog, trace switch and the cycle budget
+/// its queue size sets), in the stages and order the comment above
+/// [`Topology`] gives; the one place a [`RunResult`] is made.
 ///
 /// # Panics
 /// Panics if the benchmark core has not retired its program within the
 /// cycle budget. A dead MAPLE answers blocking MMIO with the sentinel and
 /// a dead engine is failed over, so a fault plan is no excuse to hang.
-fn run_and_collect(
-    mut sys: SimSystem,
-    scenario: &Scenario,
-    verify: impl FnOnce(&SimSystem, &[u64]) -> bool,
-) -> RunResult {
-    let trace = scenario.trace;
-    sys.soc.set_tracing(trace);
-    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
-    let core = sys.core();
-    assert!(
-        core.is_done(),
-        "scenario did not complete: quiescent={} cycle={} core={core:?}",
-        outcome.quiescent,
-        outcome.cycle,
-    );
-    let recorded = core.recorded().to_vec();
-    let verified = verify(&sys, &recorded);
-    RunResult {
-        cycles: core.core_counters().done_at,
-        instret: core.core_counters().instret.get(),
-        checksum: payload_checksum(core.core_counters().done_at, &recorded),
-        recorded,
-        verified,
-        counters: sys.soc.all_counters(),
-        histograms: sys.soc.stats().histogram_summaries(),
-        stats_json: sys.soc.stats_json(),
-        barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
-        ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
-        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
-        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
-        silent_by_class: silent_by_class(&sys.soc),
-        trace_json: trace.then(|| sys.soc.trace_json()),
-    }
-}
-
-/// The one body of every Cohort-engine run: `topo` on the platform of
-/// `scenario` (its SoC, map policy, backoff, watchdog, trace switch and
-/// the cycle budget its queue size sets), in the stages and order the
-/// comment above [`Topology`] gives.
-fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
+fn run_topology(scenario: &Scenario, topo: Topology) -> RunResult {
     let mut sys = SimSystem::build(SystemSpec {
         cfg: scenario.soc.clone(),
         policy: scenario.policy,
         engine_accels: topo.accels,
-        maple_accel: None,
+        maple_accel: topo.maple,
         extra_cores: topo.cores.len(),
     });
-    let noise_bytes = 2 * sys.soc.config().l2.capacity_bytes;
-    let mut noise = (topo.noise == Noise::First).then(|| sys.alloc_buffer(noise_bytes, 64));
+    let (sizes, mut buffers) = (topo.buffers, Vec::new());
+    let mut alloc_buffers = |sys: &mut SimSystem| {
+        buffers.extend(sizes.iter().map(|&bytes| sys.alloc_buffer(bytes, 64)));
+    };
+    if topo.buffers_first {
+        alloc_buffers(&mut sys);
+    }
     let queues = topo.queues.iter();
     let queues = queues.map(|&len| sys.alloc_queue(8, len as u32).descriptor);
     let queues: Vec<QueueDescriptor> = queues.collect();
@@ -680,12 +652,16 @@ fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
             (Some(bindings[victim]), None, Some((spare, spill_pa)))
         }
     };
-    if topo.noise == Noise::Last {
-        noise = Some(sys.alloc_buffer(noise_bytes, 64));
+    if !topo.buffers_first {
+        alloc_buffers(&mut sys);
     }
-    let noise = noise.map_or(0..0, |va| va..va + noise_bytes);
+    let alloc = Allocated {
+        queues,
+        buffers,
+        root_pa: sys.space.root_pa(),
+    };
 
-    let (root_pa, backoff) = (sys.space.root_pa(), scenario.backoff);
+    let (queues, root_pa, backoff) = (&alloc.queues, alloc.root_pa, scenario.backoff);
     let mut program = Program::new();
     for &(engine, input, output, with_csr) in &bindings {
         let (input, output, csr) = (&queues[input], &queues[output], csr.filter(|_| with_csr));
@@ -703,8 +679,11 @@ fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
             program.append(sys.drivers[engine].spill_ops(spill_pa));
         }
     }
-    program.append((topo.bench)(&queues, noise.clone()));
-    program.push(Op::Fence);
+    program.append((topo.bench)(&alloc));
+    // With nothing to unregister, no fence: it would retire an instruction.
+    if !bindings.is_empty() {
+        program.push(Op::Fence);
+    }
     let mut engines: Vec<usize> = bindings.iter().map(|b| b.0).collect();
     if topo.unregister_reversed {
         engines.reverse();
@@ -713,12 +692,12 @@ fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
         program.append(sys.drivers[e].unregister_ops());
     }
     for (emit, id) in topo.cores.into_iter().zip(sys.extra_cores.clone()) {
-        core_mut(&mut sys.soc, id).load_program(emit(&queues, noise.clone()));
+        core_mut(&mut sys.soc, id).load_program(emit(&alloc));
     }
 
     let mut kernel = arm(&mut sys, program, chaos.is_some());
     if let Some((engine, input, output, with_csr)) = watched {
-        let (input, output) = (queues[input], queues[output]);
+        let (input, output) = (alloc.queues[input], alloc.queues[output]);
         let victim = sys.drivers[engine].clone();
         let irq = victim.error_irq();
         if let Some(expected) = chaos {
@@ -756,10 +735,35 @@ fn run_engines(scenario: &Scenario, topo: Topology) -> RunResult {
         }
     }
     sys.soc.set_os(Box::new(kernel));
-    let verify = topo.verify;
-    run_and_collect(sys, scenario, |sys, recorded| {
-        verify(sys, &queues, recorded)
-    })
+
+    let trace = scenario.trace;
+    sys.soc.set_tracing(trace);
+    let outcome = sys.soc.run(cycle_budget(scenario.queue_size));
+    let core = sys.core();
+    assert!(
+        core.is_done(),
+        "scenario did not complete: quiescent={} cycle={} core={core:?}",
+        outcome.quiescent,
+        outcome.cycle,
+    );
+    let recorded = core.recorded().to_vec();
+    let verified = (topo.verify)(&sys, &alloc, &recorded);
+    RunResult {
+        cycles: core.core_counters().done_at,
+        instret: core.core_counters().instret.get(),
+        checksum: payload_checksum(core.core_counters().done_at, &recorded),
+        recorded,
+        verified,
+        counters: sys.soc.all_counters(),
+        histograms: sys.soc.stats().histogram_summaries(),
+        stats_json: sys.soc.stats_json(),
+        barrier_activations: sys.soc.kernel_counter("kernel.barrier_activations"),
+        ff_cycles: sys.soc.kernel_counter("kernel.ff_cycles"),
+        slot_steps: sys.soc.kernel_counter("kernel.slot_steps"),
+        slot_sleeps: sys.soc.kernel_counter("kernel.slot_sleeps"),
+        silent_by_class: silent_by_class(&sys.soc),
+        trace_json: trace.then(|| sys.soc.trace_json()),
+    }
 }
 
 /// The [`Runner::Cohort`] topology. Its loop (§5.3), per batch: push it
@@ -779,8 +783,8 @@ fn cohort(scenario: &Scenario) -> Topology {
     let done = move |pushed: u64| (pushed * wpb_out / wpb_in).min(m);
     let data: Rc<[u64]> = scenario.input_words().into();
     let expected = workload.reference_outputs(&data);
-    let bench: Emit = Box::new(move |q, _| {
-        let (in_q, out_q) = (q[0], q[1]);
+    let bench: Emit = Box::new(move |alloc| {
+        let (in_q, out_q) = (alloc.queues[0], alloc.queues[1]);
         streamed(runs(0..n, batch).flat_map(move |batch| {
             let popped = done(batch.end);
             let blocks = runs(done(batch.start)..popped, wpb_out);
@@ -797,12 +801,13 @@ fn cohort(scenario: &Scenario) -> Topology {
 }
 
 /// The [`Runner::Interfered`] topology: [`Runner::Cohort`]'s, with one
-/// extra core storing through the noise working set, allocated before
-/// the queues, pass after pass.
+/// extra core storing through a noise working set of twice the L2,
+/// allocated before the queues, pass after pass.
 fn interfered(scenario: &Scenario) -> Topology {
     let passes = (scenario.queue_size / 64).max(2);
-    let noise: Emit = Box::new(move |_, noise| {
-        let (buf, lines) = (noise.start, (noise.end - noise.start) / 64);
+    let noise_bytes = 2 * scenario.soc.l2.capacity_bytes;
+    let noise: Emit = Box::new(move |alloc| {
+        let (buf, lines) = (alloc.buffers[0], noise_bytes / 64);
         let stores = (0..passes).flat_map(move |p| {
             (0..lines).map(move |line| Op::Store {
                 va: buf + line * 64,
@@ -812,7 +817,8 @@ fn interfered(scenario: &Scenario) -> Topology {
         fenced(stores)
     });
     let mut topo = cohort(scenario);
-    topo.noise = Noise::First;
+    topo.buffers = vec![noise_bytes];
+    topo.buffers_first = true;
     topo.cores.push(noise);
     topo
 }
@@ -826,98 +832,99 @@ fn chaos(scenario: &Scenario) -> Topology {
     topo
 }
 
-/// The [`Runner::Mmio`] run.
-fn mmio(scenario: &Scenario) -> RunResult {
-    let mut sys = maple_system(scenario);
-    let mut program = Program::new();
-    maple_csr_ops(&mut program, scenario.workload);
+/// The [`Runner::Mmio`] topology: MAPLE fed a word at a time, each
+/// block's outputs read back before the next block's inputs.
+fn mmio(scenario: &Scenario) -> Topology {
+    let workload = scenario.workload;
     let data: Rc<[u64]> = scenario.input_words().into();
-    let alu = scenario.costs.mmio_loop_alu;
-    let wpb_out = scenario.workload.words_out_per_block() as usize;
+    let expected = workload.reference_outputs(&data);
+    let (n, alu) = (scenario.queue_size, scenario.costs.mmio_loop_alu);
+    let wpb_out = workload.words_out_per_block() as usize;
     let (pa, record) = (MAPLE_MMIO_BASE + maple_regs::POP, true);
     let pop = Op::MmioLoad { pa, record };
-    let wpb_in = scenario.workload.words_in_per_block();
-    let blocks = runs(0..scenario.queue_size, wpb_in);
-    let block_data = Rc::clone(&data);
-    program.stream(blocks.flat_map(move |block| {
-        let pushes = words(&block_data, block).map(|w| maple_store(maple_regs::PUSH, w));
-        looped(alu, pushes.chain(std::iter::repeat_n(pop, wpb_out)))
-    }));
-
-    core_mut(&mut sys.soc, sys.core).load_program(program);
-    let expected = scenario.workload.reference_outputs(&data);
-    run_and_collect(sys, scenario, |_, recorded| recorded == expected)
+    let bench: Emit = Box::new(move |_| {
+        let mut program = Program::new();
+        maple_csr_ops(&mut program, workload);
+        let blocks = runs(0..n, workload.words_in_per_block());
+        program.stream(blocks.flat_map(move |block| {
+            let pushes = words(&data, block).map(|w| maple_store(maple_regs::PUSH, w));
+            looped(alu, pushes.chain(std::iter::repeat_n(pop, wpb_out)))
+        }));
+        program
+    });
+    let verify: Verify = Box::new(move |_, _, recorded| recorded == expected);
+    Topology {
+        maple: Some(workload.make_accel()),
+        ..Topology::new(Vec::new(), bench, verify)
+    }
 }
 
-/// The [`Runner::Dma`] and [`Runner::DmaChaos`] runs. Hardened
-/// ([`Runner::DmaChaos`]), it records each block's `DMA_DONE` word (what
-/// software checks for the dead-unit sentinel) and verifies the output
-/// buffer from guest memory; otherwise the core reads the results back.
-fn dma_baseline(scenario: &Scenario, runner: Runner) -> RunResult {
-    let hardened = runner == Runner::DmaChaos;
-    let mut sys = maple_system(scenario);
-    let n = scenario.queue_size;
-    let m = scenario.output_words();
-    let in_va = sys.alloc_buffer(n * 8, 64);
-    let out_va = sys.alloc_buffer(m.max(1) * 8, 64);
-
-    let mut program = Program::new();
-    program.push(maple_store(maple_regs::DMA_PTROOT, sys.space.root_pa()));
-    maple_csr_ops(&mut program, scenario.workload);
-
-    // Stage the input in memory (cached stores, like the Cohort push loop).
+/// The [`Runner::Dma`] topology: MAPLE moves DMA blocks from an input
+/// buffer to an output buffer. `hardened` ([`Runner::DmaChaos`]) records
+/// each block's `DMA_DONE` word (where a dead unit's sentinel shows) and
+/// verifies the output buffer in guest memory, not the core's read-back.
+fn dma(scenario: &Scenario, hardened: bool) -> Topology {
+    let workload = scenario.workload;
+    let (n, m, costs) = (scenario.queue_size, scenario.output_words(), scenario.costs);
+    let out_bytes = m.max(1) * 8;
     let data: Rc<[u64]> = scenario.input_words().into();
-    let costs = scenario.costs;
-    let staged = (0..n)
-        .zip(words(&data, 0..n))
-        .map(move |(i, value)| Op::Store {
-            va: in_va + i * 8,
-            value,
-        });
-    program.stream(looped(costs.push_loop_alu, staged));
-    program.push(Op::Fence);
-
+    let expected = workload.reference_outputs(&data);
     // One programmed transfer per DMA block; every block but the last is
     // full, so block `k`'s output lands `k` blocks' worth of output in.
     let block = costs.dma_block_bytes;
-    let wpb_in = scenario.workload.words_in_per_block();
-    let out_per_block = block * scenario.workload.words_out_per_block() / wpb_in;
-    let (cycles, insts) = (
-        u64::from(costs.dma_api_alu),
-        u64::from(costs.dma_api_alu) / 5,
-    );
+    let out_per_block = block * workload.words_out_per_block() / workload.words_in_per_block();
+    let cycles = u64::from(costs.dma_api_alu);
+    let insts = cycles / 5;
     let (pa, record) = (MAPLE_MMIO_BASE + maple_regs::DMA_DONE, hardened);
-    let transfers = runs(0..n * 8, block).zip(0..).flat_map(move |(src, k)| {
-        [
-            Op::KernelCost { cycles, insts },
-            maple_store(maple_regs::DMA_SRC, in_va + src.start),
-            maple_store(maple_regs::DMA_DST, out_va + k * out_per_block),
-            maple_store(maple_regs::DMA_LEN, src.end - src.start),
-            maple_store(maple_regs::DMA_START, 1),
-            Op::MmioLoad { pa, record },
-        ]
-    });
-    program.stream(transfers);
-    if !hardened {
-        let reads = (0..m).map(move |j| Op::Load {
-            va: out_va + j * 8,
-            record: true,
+    let bench: Emit = Box::new(move |alloc| {
+        let (in_va, out_va) = (alloc.buffers[0], alloc.buffers[1]);
+        let mut program = Program::new();
+        program.push(maple_store(maple_regs::DMA_PTROOT, alloc.root_pa));
+        maple_csr_ops(&mut program, workload);
+        // Stage the input (cached stores, like the Cohort push loop).
+        let staged = (0..n)
+            .zip(words(&data, 0..n))
+            .map(move |(i, value)| Op::Store {
+                va: in_va + i * 8,
+                value,
+            });
+        program.stream(looped(costs.push_loop_alu, staged));
+        program.push(Op::Fence);
+        let transfers = runs(0..n * 8, block).zip(0..).flat_map(move |(src, k)| {
+            [
+                Op::KernelCost { cycles, insts },
+                maple_store(maple_regs::DMA_SRC, in_va + src.start),
+                maple_store(maple_regs::DMA_DST, out_va + k * out_per_block),
+                maple_store(maple_regs::DMA_LEN, src.end - src.start),
+                maple_store(maple_regs::DMA_START, 1),
+                Op::MmioLoad { pa, record },
+            ]
         });
-        program.stream(looped(costs.pop_loop_alu, reads));
-    }
-
-    core_mut(&mut sys.soc, sys.core).load_program(program);
-    let expected = scenario.workload.reference_outputs(&data);
-    run_and_collect(sys, scenario, |sys, recorded| {
+        program.stream(transfers);
+        if !hardened {
+            let reads = (0..m).map(move |j| Op::Load {
+                va: out_va + j * 8,
+                record: true,
+            });
+            program.stream(looped(costs.pop_loop_alu, reads));
+        }
+        program
+    });
+    let verify: Verify = Box::new(move |sys, alloc, recorded| {
         if !hardened {
             return recorded == expected;
         }
-        let out_bytes = sys.read_guest(out_va, (m.max(1) * 8) as usize);
-        let outputs = out_bytes
+        let out = sys.read_guest(alloc.buffers[1], out_bytes as usize);
+        let outputs = out
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8B")));
         !recorded.contains(&cohort_maple::DEAD_SENTINEL) && outputs.eq(expected.iter().copied())
-    })
+    });
+    Topology {
+        maple: Some(workload.make_accel()),
+        buffers: vec![n * 8, out_bytes],
+        ..Topology::new(Vec::new(), bench, verify)
+    }
 }
 
 /// Cycle at which a [`Runner::Failover`] run kills the victim engine
@@ -941,8 +948,8 @@ fn chain(scenario: &Scenario, failover: bool) -> Topology {
     let data: Rc<[u64]> = scenario.input_words().into();
     // Host reference: AES-ECB then raw-block SHA-256.
     let expected = Workload::Sha.reference_outputs(&Workload::Aes.reference_outputs(&data));
-    let bench: Emit = Box::new(move |q, _| {
-        let (encrypt, result) = (q[0], q[2]);
+    let bench: Emit = Box::new(move |alloc| {
+        let (encrypt, result) = (alloc.queues[0], alloc.queues[2]);
         let producer = runs(0..n, batch).flat_map(move |batch| {
             let input = words(&data, batch.clone());
             push(encrypt, costs.push_loop_alu, batch.start, input)
@@ -967,17 +974,14 @@ fn chain(scenario: &Scenario, failover: bool) -> Topology {
         },
         false => Recovery::None,
     };
+    let verify: Verify = Box::new(move |_, _, recorded| recorded == expected);
     Topology {
-        accels,
         queues: vec![n, n, m],
         csr: Some(AES_KEY.to_vec()),
         bindings,
-        noise: Noise::None,
         recovery,
-        bench,
-        cores: Vec::new(),
         unregister_reversed: true,
-        verify: Box::new(move |_, _, recorded| recorded == expected),
+        ..Topology::new(accels, bench, verify)
     }
 }
 
@@ -1139,12 +1143,11 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
     let data: Rc<[u64]> = scenario.input_words().into();
     let (costs, batch) = (scenario.costs, scenario.batch);
     let mut cores: Vec<Emit> = Vec::new();
-    for s in 0..shards {
-        let total = in_totals[s];
+    for (s, &total) in in_totals.iter().enumerate() {
         let mine: Vec<ShardChunk> = chunks.iter().filter(|c| c.shard == s).copied().collect();
         let data = Rc::clone(&data);
-        cores.push(Box::new(move |queues, _| {
-            let q = queues[s];
+        cores.push(Box::new(move |alloc| {
+            let q = alloc.queues[s];
             let mut published = 0;
             let pushes = mine.into_iter().flat_map(move |c| {
                 let pushed = c.in_off + c.in_words;
@@ -1161,12 +1164,13 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
     }
 
     // Background ("LITTLE") cores: each streams stores through its own
-    // slice of the noise working set, twice over — cache contention that
-    // runs alongside the benchmark without feeding it.
+    // slice of a noise working set of twice the L2, twice over — cache
+    // contention that runs alongside the benchmark without feeding it.
     let background = spec.background_cores as u64;
+    let noise_bytes = 2 * scenario.soc.l2.capacity_bytes;
     for b in 0..background {
-        cores.push(Box::new(move |_, noise| {
-            let (buf, lines) = (noise.start, (noise.end - noise.start) / 64);
+        cores.push(Box::new(move |alloc| {
+            let (buf, lines) = (alloc.buffers[0], noise_bytes / 64);
             let span = lines / background;
             let first = b * span;
             let stores = (0..2u64).flat_map(move |pass| {
@@ -1184,8 +1188,8 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
     // index — then releases every output ring.
     let queues: Vec<u64> = in_totals.iter().chain(&out_totals).copied().collect();
     let plan = chunks.clone();
-    let bench: Emit = Box::new(move |queues, _| {
-        let outs: Vec<QueueDescriptor> = queues[shards..].to_vec();
+    let bench: Emit = Box::new(move |alloc| {
+        let outs: Vec<QueueDescriptor> = alloc.queues[shards..].to_vec();
         let releases = outs.clone().into_iter().zip(out_totals);
         let gates = plan.into_iter().flat_map(move |c| {
             let slots = c.out_off..c.out_off + c.out_words;
@@ -1199,7 +1203,7 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
     });
 
     let expected = scenario.workload.reference_outputs(&data);
-    let verify: Verify = Box::new(move |sys, queues, recorded| {
+    let verify: Verify = Box::new(move |sys, alloc, recorded| {
         // Reassembly cross-check through the merge structure. Shards race
         // each other in reality; feeding the merge one run per shard in
         // turn exercises maximal cross-shard interleaving while preserving
@@ -1211,11 +1215,11 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
         let mut merge = SeqMerge::new();
         let mut merged = Vec::new();
         while per_shard.iter().any(|q| !q.is_empty()) {
-            for s in 0..shards {
-                if let Some((seq, c)) = per_shard[s].pop_front() {
+            for (s, pending) in per_shard.iter_mut().enumerate() {
+                if let Some((seq, c)) = pending.pop_front() {
                     let words: Vec<u64> = (0..c.out_words)
                         .map(|w| {
-                            let va = queues[shards + s].element_va(c.out_off + w);
+                            let va = alloc.queues[shards + s].element_va(c.out_off + w);
                             let bytes = sys.read_guest(va, 8);
                             u64::from_le_bytes(bytes.try_into().expect("8B"))
                         })
@@ -1241,23 +1245,16 @@ fn sharded(scenario: &Scenario, spec: &ShardSpec) -> Topology {
         victim,
         spare: shards,
     });
-    let noise = if background > 0 {
-        Noise::Last
-    } else {
-        Noise::None
-    };
     let accels = (0..engines).map(|_| scenario.workload.make_accel());
     Topology {
-        accels: accels.collect(),
         queues,
         csr: scenario.workload.csr(),
         bindings: bindings.collect(),
-        noise,
+        // The noise working set, after everything else.
+        buffers: vec![noise_bytes; usize::from(background > 0)],
         recovery,
-        bench,
         cores,
-        unregister_reversed: false,
-        verify,
+        ..Topology::new(accels.collect(), bench, verify)
     }
 }
 
@@ -1311,7 +1308,7 @@ impl CustomRun {
     /// Panics if the benchmark does not complete within the cycle budget.
     pub fn run(self) -> RunResult {
         let (n, m) = (self.input.len() as u64, self.expected.len() as u64);
-        // The platform `run_engines` reads; its workload goes unread.
+        // The platform `run_topology` reads; its workload goes unread.
         let platform = Scenario {
             soc: self.soc,
             policy: self.policy,
@@ -1324,8 +1321,8 @@ impl CustomRun {
         // A custom run stores its indices with no index arithmetic, and
         // pops and releases its output a batch at a time: the recorded
         // custom rows of `scenario_golden` pin this sequence.
-        let bench: Emit = Box::new(move |q, _| {
-            let (in_q, out_q) = (q[0], q[1]);
+        let bench: Emit = Box::new(move |alloc| {
+            let (in_q, out_q) = (alloc.queues[0], alloc.queues[1]);
             let producer = runs(0..n, batch).flat_map(move |run| {
                 let (va, value) = (in_q.write_index_va, run.end);
                 let publication = [Op::Fence, Op::Store { va, value }];
@@ -1339,7 +1336,7 @@ impl CustomRun {
             streamed(producer.chain(consumer))
         });
         let topo = Topology::single(self.accel, [n, m], self.csr, bench, self.expected);
-        run_engines(&platform, topo)
+        run_topology(&platform, topo)
     }
 }
 
@@ -1701,8 +1698,8 @@ pub fn run_scenario(
     admit(runner, scenario, shard)?;
     let mut scenario = scenario.clone();
     let topology = match runner {
-        Runner::Mmio => return Ok(mmio(&scenario)),
-        Runner::Dma | Runner::DmaChaos => return Ok(dma_baseline(&scenario, runner)),
+        Runner::Mmio => mmio(&scenario),
+        Runner::Dma | Runner::DmaChaos => dma(&scenario, runner == Runner::DmaChaos),
         Runner::Cohort => cohort(&scenario),
         Runner::Interfered => interfered(&scenario),
         Runner::Chaos => chaos(&scenario),
@@ -1726,7 +1723,7 @@ pub fn run_scenario(
             sharded(&scenario, &spec)
         }
     };
-    Ok(run_engines(&scenario, topology))
+    Ok(run_topology(&scenario, topology))
 }
 
 #[cfg(test)]
@@ -1742,7 +1739,7 @@ mod tests {
     const UNMAPPED: u64 = 0x3f00_0000;
 
     /// Runs the program `emit` makes on an eager one-engine system armed as
-    /// [`run_engines`] arms a run without storms.
+    /// [`run_topology`] arms a run without storms.
     fn run_eager_without_storms(emit: impl FnOnce(&mut SimSystem) -> Program) {
         let mut sys = SimSystem::build(SystemSpec {
             engine_accels: vec![Workload::Aes.make_accel()],
@@ -1941,7 +1938,7 @@ mod tests {
     #[test]
     fn run_scenario_dispatch_matches_direct_call() {
         let scenario = Scenario::new(Workload::Aes, 64, 8);
-        let direct = run_engines(&scenario, cohort(&scenario));
+        let direct = run_topology(&scenario, cohort(&scenario));
         let dispatched = run_scenario(Runner::Cohort, &scenario, None).expect("no shard binding");
         assert_eq!(direct.cycles, dispatched.cycles);
         assert_eq!(direct.checksum, dispatched.checksum);

@@ -37,18 +37,12 @@ pub const DRAM_END: u64 = 0xc000_0000;
 pub struct SimSystem {
     /// The simulated SoC.
     pub soc: Soc,
-    /// Directory/L2 component id.
-    pub dir: CompId,
     /// The benchmark core's id.
     pub core: CompId,
     /// Cohort engine ids, in registration order.
     pub engines: Vec<CompId>,
-    /// The MAPLE baseline unit, if built.
-    pub maple: Option<CompId>,
     /// Additional (interference) cores.
     pub extra_cores: Vec<CompId>,
-    /// The fault injector, when the config carries a non-empty plan.
-    pub injector: Option<CompId>,
     /// Physical frame allocator (guest DRAM).
     pub frames: FrameAllocator,
     /// The benchmark process's address space.
@@ -61,7 +55,6 @@ impl std::fmt::Debug for SimSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimSystem")
             .field("engines", &self.engines.len())
-            .field("maple", &self.maple.is_some())
             .finish()
     }
 }
@@ -134,31 +127,25 @@ impl SimSystem {
         // the NoC like any other agent's. Descriptor corruption targets
         // engine 0's IN_BASE_VA register with a misaligned garbage value —
         // the hardened engine must reject it, not wedge on it.
-        let injector = (!cfg.faults.is_empty()).then(|| {
+        if !cfg.faults.is_empty() {
             let mut inj = FaultInjector::new(&cfg.faults, soc.fault_state().clone());
             inj.set_tlb_flush_pa(ENGINE_MMIO_BASE + regs::TLB_FLUSH);
             inj.set_corrupt_writes(vec![(ENGINE_MMIO_BASE + regs::IN_BASE_VA, 0x1234_5677)]);
-            soc.add_component(TileCoord::new(2, 0), Box::new(inj))
-        });
+            soc.add_component(TileCoord::new(2, 0), Box::new(inj));
+        }
 
-        let maple = maple_accel.map(|accel| {
+        if let Some(accel) = maple_accel {
             let unit = MapleUnit::new(dir, &cfg, MAPLE_MMIO_BASE, accel);
             let id = soc.add_component(TileCoord::new(1, 1), Box::new(unit));
-            soc.map_mmio(
-                MAPLE_MMIO_BASE..MAPLE_MMIO_BASE + cohort_maple::regs::BANK_BYTES,
-                id,
-            );
-            id
-        });
+            let bank = MAPLE_MMIO_BASE..MAPLE_MMIO_BASE + cohort_maple::regs::BANK_BYTES;
+            soc.map_mmio(bank, id);
+        }
 
         Self {
             soc,
-            dir,
             core,
             engines,
-            maple,
             extra_cores,
-            injector,
             frames,
             space,
             drivers,
@@ -238,12 +225,5 @@ impl SimSystem {
         self.soc
             .component::<CohortEngine>(self.engines[i])
             .expect("engine present")
-    }
-
-    /// Immutable access to the MAPLE unit.
-    pub fn maple_unit(&self) -> &MapleUnit {
-        self.soc
-            .component::<MapleUnit>(self.maple.expect("maple built"))
-            .expect("maple present")
     }
 }

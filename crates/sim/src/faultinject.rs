@@ -571,31 +571,6 @@ impl FaultState {
         self.0.maple_dead.get()
     }
 
-    /// Stages an accelerator stall for the cycle barrier.
-    pub(crate) fn stage_stall_accel(&self, until: u64) {
-        self.stage(FaultOp::StallAccel { until });
-    }
-
-    /// Stages a latency-spike window for the cycle barrier.
-    pub(crate) fn stage_latency_spike(&self, until: u64, factor: u64) {
-        self.stage(FaultOp::LatencySpike { until, factor });
-    }
-
-    /// Stages an engine fail-stop for the cycle barrier.
-    pub(crate) fn stage_kill_engine(&self, engine: u64) {
-        self.stage(FaultOp::KillEngine { engine });
-    }
-
-    /// Stages a MAPLE stall for the cycle barrier.
-    pub(crate) fn stage_stall_maple(&self, until: u64) {
-        self.stage(FaultOp::StallMaple { until });
-    }
-
-    /// Stages a MAPLE fail-stop for the cycle barrier.
-    pub(crate) fn stage_kill_maple(&self) {
-        self.stage(FaultOp::KillMaple);
-    }
-
     /// Announces that the calling component stages, this cycle, a write
     /// to memory some agent may hold in its coherent cache — a plain
     /// `ctx.mem.write_*` with no grant behind it (an entry point of the
@@ -611,6 +586,7 @@ impl FaultState {
         self.stage(FaultOp::Rehint);
     }
 
+    /// Stages `op` for the cycle barrier, which commits it.
     fn stage(&self, op: FaultOp) {
         self.0.pending.borrow_mut().push(op);
     }
@@ -739,13 +715,13 @@ impl FaultInjector {
         match ev.kind {
             FaultKind::AccelStall { cycles } => {
                 let until = self.open_window(ctx.cycle, cycles);
-                self.state.stage_stall_accel(until);
+                self.state.stage(FaultOp::StallAccel { until });
                 self.stalls.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("until", format!("{until}"))]);
             }
             FaultKind::LatencySpike { cycles, factor } => {
                 let until = self.open_window(ctx.cycle, cycles);
-                self.state.stage_latency_spike(until, factor);
+                self.state.stage(FaultOp::LatencySpike { until, factor });
                 self.spikes.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("factor", format!("{factor}"))]);
             }
@@ -790,18 +766,18 @@ impl FaultInjector {
                 self.emit(ctx.cycle, &ev.kind, vec![]);
             }
             FaultKind::KillEngine { engine } => {
-                self.state.stage_kill_engine(engine);
+                self.state.stage(FaultOp::KillEngine { engine });
                 self.kills.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("engine", format!("{engine}"))]);
             }
             FaultKind::MapleStall { cycles } => {
                 let until = self.open_window(ctx.cycle, cycles);
-                self.state.stage_stall_maple(until);
+                self.state.stage(FaultOp::StallMaple { until });
                 self.stalls.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![("until", format!("{until}"))]);
             }
             FaultKind::KillMaple => {
-                self.state.stage_kill_maple();
+                self.state.stage(FaultOp::KillMaple);
                 self.kills.inc();
                 self.emit(ctx.cycle, &ev.kind, vec![]);
             }
@@ -1158,9 +1134,12 @@ mod tests {
     #[test]
     fn staged_flips_apply_only_at_commit() {
         let fs = FaultState::default();
-        fs.stage_stall_accel(100);
-        fs.stage_kill_engine(2);
-        fs.stage_latency_spike(50, 4);
+        fs.stage(FaultOp::StallAccel { until: 100 });
+        fs.stage(FaultOp::KillEngine { engine: 2 });
+        fs.stage(FaultOp::LatencySpike {
+            until: 50,
+            factor: 4,
+        });
         assert!(!fs.accel_stalled(0), "staged flips are not yet live");
         assert!(!fs.engine_killed(2));
         assert_eq!(fs.latency_factor(0), 1);

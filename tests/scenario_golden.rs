@@ -105,6 +105,13 @@ const ROWS: &[Row] = &[
     // their eager twins' numbers.
     Row { runner: Runner::Cohort, workload: Aes, queue: 1024, batch: 64, policy: Lazy, faults: "", shards: 0, want: [131811, 43517, 0x4dc890de801d35ba, 0x2dedd9909e637ce0] },
     Row { runner: Runner::Failover, workload: Aes, queue: 1024, batch: 64, policy: Lazy, faults: "kill@3000:1", shards: 0, want: [108827, 45010, 0x7d47e62c34ac988f, 0xeb157b7fa2c4d3a3] },
+    // The MAPLE baselines under lazy mapping and under storms: MMIO arms
+    // demand paging and touches no memory, and a storm finds a kernel
+    // with nothing to evict.
+    Row { runner: Runner::Mmio, workload: Sha, queue: 64, batch: 8, policy: Lazy, faults: "", shards: 0, want: [15360, 1056, 0xe02887a77410c909, 0x7be946a34e787956] },
+    Row { runner: Runner::Mmio, workload: Aes, queue: 64, batch: 8, policy: Eager, faults: "storm@3000:2", shards: 0, want: [20930, 1411, 0x8c4a00e25471be65, 0x2fa7718ee270b376] },
+    Row { runner: Runner::DmaChaos, workload: Aes, queue: 64, batch: 8, policy: Eager, faults: "storm@5000:2;maple-stall@10000:4000", shards: 0, want: [25410, 3807, 0x002abe762f66e964, 0x695477b77dca0adc] },
+    Row { runner: Runner::Dma, workload: Sha, queue: 128, batch: 8, policy: Eager, faults: "storm@3000:2", shards: 0, want: [42037, 7798, 0x1658cf0d190782b9, 0x2e378ca33cbf530a] },
 ];
 
 /// `[cycles, instret, checksum, fnv1a(stats_json)]` of the two
